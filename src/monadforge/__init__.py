@@ -53,16 +53,12 @@ from .monad import (
 )
 from .chow import (
     BundleInvariants,
-    ChowClass,
     c1_of_sum,
     c1_of_T,
-    chow_mul,
     degree_L,
     delta_L,
     invariants_of_T,
-    polarization,
     rank_of_T,
-    top_coefficient,
 )
 from .stability import (
     StabilityReport,
@@ -119,16 +115,12 @@ __all__ = [
     "verify_composition",
     "verify_maximal_rank",
     "BundleInvariants",
-    "ChowClass",
     "c1_of_sum",
     "c1_of_T",
-    "chow_mul",
     "degree_L",
     "delta_L",
     "invariants_of_T",
-    "polarization",
     "rank_of_T",
-    "top_coefficient",
     "StabilityReport",
     "StabilityScanConfig",
     "default_scan_config",

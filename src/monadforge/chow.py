@@ -1,24 +1,22 @@
 """Intersection-theoretic invariants on X = P^n x P^n x P^m x P^m.
 
-The numerical Chow ring of X is the truncated polynomial ring
-
-    Z[a, b, c, d] / (a^{n+1}, b^{n+1}, c^{m+1}, d^{m+1}),
-
-where a, b, c, d are the pullbacks of the hyperplane classes of the four
-factors.  The fundamental class is a^n b^n c^m d^m (normalized to 1), so the
-integral of a top-degree class is just its coefficient there.
-
-With the polarization L = a + b + c + d, the degree of a bundle F is
+Let a, b, c, d be the pullbacks of the hyperplane classes of the four
+factors and L = a + b + c + d the polarization.  The degree of a bundle F is
 
     deg_L(F) = c1(F) . L^{2n+2m-1},
 
-the slope is mu_L = deg_L / rank, and delta_L(p1,p2,p3,p4) is the degree of
-the line bundle O_X(p1,p2,p3,p4) — a linear functional on Pic(X) whose values
-are the per-generator multinomials of L^{2n+2m-1}.
+a linear functional in c1(F) = c1.a * a + ... + c1.d * d.  Since
+a^{n+1} = b^{n+1} = c^{m+1} = d^{m+1} = 0 and a^n b^n c^m d^m = 1, the pairing
+of a generator with L^{2n+2m-1} is the multinomial coefficient that
+distributes the remaining 2n+2m-1 factors over the four slots:
 
-Everything is exact integer (or Fraction) arithmetic on dense exponent-tuple
-maps; the whole ring has at most (n+1)^2 (m+1)^2 monomials, so nothing here
-needs to be clever.
+    delta_x = a . L^{2n+2m-1} = b . L^{2n+2m-1} = (2n+2m-1)! / ((n-1)! n! m! m!)
+    delta_z = c . L^{2n+2m-1} = d . L^{2n+2m-1} = (2n+2m-1)! / (n! n! (m-1)! m!)
+
+so deg_L(F) = (c1.a + c1.b) * delta_x + (c1.c + c1.d) * delta_z.  The slope
+is mu_L = deg_L / rank, and delta_L(p1,p2,p3,p4) is the degree of the line
+bundle O_X(p1,p2,p3,p4), the same functional.  Everything is exact integer
+(or Fraction) arithmetic.
 """
 
 from __future__ import annotations
@@ -26,151 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Dict, Mapping, Tuple
 
 from .cohomology import LineBundleSum
 from .polyring import MultiDegree, SpaceParams
-
-ExpTuple = Tuple[int, int, int, int]
-
-
-class ChowClass:
-    """An element of the truncated ring, as a map exponent-tuple -> coefficient.
-
-    Exponents beyond (n, n, m, m) are killed at construction time, which is
-    exactly the ideal of relations; zero coefficients are dropped.
-    """
-
-    __slots__ = ("params", "terms")
-
-    def __init__(self, params: SpaceParams, terms: Mapping[ExpTuple, int] = ()):
-        bound = (params.n, params.n, params.m, params.m)
-        clean: Dict[ExpTuple, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exps, coeff in items:
-            e = tuple(int(v) for v in exps)
-            if len(e) != 4 or any(v < 0 for v in e):
-                raise ValueError(f"malformed exponent tuple {exps!r}")
-            if coeff == 0 or any(ei > bi for ei, bi in zip(e, bound)):
-                continue
-            clean[e] = clean.get(e, 0) + coeff
-            if clean[e] == 0:
-                del clean[e]
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("ChowClass is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ChowClass)
-            and self.params == other.params
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "ChowClass") -> "ChowClass":
-        _require_same_params(self, other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return ChowClass(self.params, out)
-
-    def __neg__(self) -> "ChowClass":
-        return ChowClass(self.params, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "ChowClass") -> "ChowClass":
-        return self + (-other)
-
-    def __mul__(self, other: "ChowClass") -> "ChowClass":
-        return chow_mul(self, other)
-
-    def scale(self, r: int) -> "ChowClass":
-        return ChowClass(self.params, {e: r * c for e, c in self.terms.items()})
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if not self.terms:
-            return "ChowClass(0)"
-        bits = []
-        for e in sorted(self.terms):
-            mono = "".join(
-                f"{g}^{v}" if v > 1 else g
-                for g, v in zip("abcd", e)
-                if v
-            )
-            bits.append(f"{self.terms[e]}*{mono or '1'}")
-        return "ChowClass(" + " + ".join(bits) + ")"
-
-
-def _require_same_params(u: ChowClass, v: ChowClass) -> None:
-    if u.params != v.params:
-        raise ValueError(
-            f"Chow classes live on different spaces: {u.params} vs {v.params}"
-        )
-
-
-def chow_unit(params: SpaceParams) -> ChowClass:
-    return ChowClass(params, {(0, 0, 0, 0): 1})
-
-
-def hyperplane(params: SpaceParams, which: str) -> ChowClass:
-    """The pullback hyperplane class a, b, c or d."""
-    try:
-        pos = "abcd".index(which)
-    except ValueError:
-        raise ValueError(f"hyperplane class must be one of a, b, c, d; got {which!r}")
-    e = [0, 0, 0, 0]
-    e[pos] = 1
-    return ChowClass(params, {tuple(e): 1})
-
-
-def polarization(params: SpaceParams) -> ChowClass:
-    """L = a + b + c + d."""
-    return ChowClass(
-        params, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1, (0, 0, 1, 0): 1, (0, 0, 0, 1): 1}
-    )
-
-
-def linear_class(params: SpaceParams, c1: MultiDegree) -> ChowClass:
-    """c1.a * a + c1.b * b + c1.c * c + c1.d * d."""
-    return ChowClass(
-        params,
-        {
-            (1, 0, 0, 0): c1.a,
-            (0, 1, 0, 0): c1.b,
-            (0, 0, 1, 0): c1.c,
-            (0, 0, 0, 1): c1.d,
-        },
-    )
-
-
-def chow_mul(u: ChowClass, v: ChowClass) -> ChowClass:
-    """Product in the truncated ring; raises ValueError on mismatched params."""
-    _require_same_params(u, v)
-    bound = (u.params.n, u.params.n, u.params.m, u.params.m)
-    out: Dict[ExpTuple, int] = {}
-    for e1, c1 in u.terms.items():
-        for e2, c2 in v.terms.items():
-            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-            if e[0] > bound[0] or e[1] > bound[1] or e[2] > bound[2] or e[3] > bound[3]:
-                continue
-            out[e] = out.get(e, 0) + c1 * c2
-    return ChowClass(u.params, out)
-
-
-def chow_pow(u: ChowClass, e: int) -> ChowClass:
-    if e < 0:
-        raise ValueError("negative Chow powers are undefined")
-    acc = chow_unit(u.params)
-    for _ in range(e):
-        acc = chow_mul(acc, u)
-    return acc
-
-
-def top_coefficient(u: ChowClass) -> int:
-    """Coefficient of the fundamental class a^n b^n c^m d^m (0 if absent)."""
-    p = u.params
-    return u.terms.get((p.n, p.n, p.m, p.m), 0)
 
 
 def c1_of_sum(S: LineBundleSum) -> MultiDegree:
@@ -182,9 +38,16 @@ def c1_of_sum(S: LineBundleSum) -> MultiDegree:
 
 
 def degree_L(c1: MultiDegree, params: SpaceParams) -> int:
-    """deg_L of a bundle with first Chern class c1: c1 . L^(2n+2m-1), exactly."""
-    Lpow = chow_pow(polarization(params), params.dim_x - 1)
-    return top_coefficient(chow_mul(linear_class(params, c1), Lpow))
+    """deg_L of a bundle with first Chern class c1: c1 . L^(2n+2m-1), exactly.
+
+    (c1.a + c1.b) * delta_x + (c1.c + c1.d) * delta_z, with the two
+    multinomials of the module docstring.
+    """
+    n, m = params.n, params.m
+    top = factorial(params.dim_x - 1)
+    delta_x = top // (factorial(n - 1) * factorial(n) * factorial(m) * factorial(m))
+    delta_z = top // (factorial(n) * factorial(n) * factorial(m - 1) * factorial(m))
+    return (c1.a + c1.b) * delta_x + (c1.c + c1.d) * delta_z
 
 
 def delta_L(B: MultiDegree, params: SpaceParams) -> int:
@@ -235,7 +98,7 @@ def invariants_of_T(params: SpaceParams) -> BundleInvariants:
 
 
 def top_multinomial(params: SpaceParams) -> int:
-    """top_coefficient(L^(2n+2m)) = (2n+2m)! / (n! n! m! m!)."""
+    """The top self-intersection L^(2n+2m) = (2n+2m)! / (n! n! m! m!)."""
     n, m = params.n, params.m
     return factorial(2 * n + 2 * m) // (
         factorial(n) * factorial(n) * factorial(m) * factorial(m)
@@ -247,7 +110,8 @@ def degree_simplification_check(params: SpaceParams) -> dict:
 
     The shortcut's coefficient is half the component sum of c1(T), which is
     not how the pairing against L^(2n+2m-1) distributes over the four
-    factors; exact coefficient extraction is authoritative.  The report
+    factors (a and b weigh delta_x, c and d weigh delta_z, which differ
+    unless n = m); the exact value from `degree_L` is authoritative.  The report
     carries both numbers so downstream consumers see the exact value next to
     the would-be simplification.  Both are always negative, which is the only
     fact the stability argument consumes.

@@ -13,8 +13,7 @@ Seven subcommands, one per claim cluster:
 Every JSON document embeds a run manifest {command, params, seed,
 tool_version, timestamp}.  Output is byte-identical across runs with the same
 arguments and seed; set SOURCE_DATE_EPOCH to pin the manifest timestamp (the
-test suite does), otherwise it records the wall clock.  MONADFORGE_THREADS
-caps scan parallelism and never affects output bytes.
+test suite does), otherwise it records the wall clock.
 
 Exit codes: 0 = success, 1 = a mathematical check failed, 2 = usage error.
 """
@@ -210,18 +209,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         spec = assemble_monad(SpaceParams(args.n, args.m, args.k))
 
     structure = spec.structural_problems()
-    composition = verify_composition(spec)
-    rank_report = verify_maximal_rank(
-        spec, trials=args.trials, seed=args.seed, prime=DEFAULT_PRIME
-    )
-    passed = composition and rank_report.maximal and rank_report.origin_rank_f == 0 and not structure
     doc = {
         "manifest": _manifest("verify", spec.params, args.seed),
         "structure_problems": structure,
-        "composition_zero": composition,
-        "rank": rank_report.to_json(),
-        "verdict": "CERTIFIED" if passed else "FAILED",
     }
+    passed = False
+    # a malformed document is not a monad of the family: composing or
+    # evaluating it (say, at a point lacking one of its variables) is moot
+    if not structure:
+        composition = verify_composition(spec)
+        rank_report = verify_maximal_rank(
+            spec, trials=args.trials, seed=args.seed, prime=DEFAULT_PRIME
+        )
+        passed = composition and rank_report.maximal and rank_report.origin_rank_f == 0
+        doc["composition_zero"] = composition
+        doc["rank"] = rank_report.to_json()
+    doc["verdict"] = "CERTIFIED" if passed else "FAILED"
     _emit(dumps_canonical(doc), args.output)
     return EXIT_OK if passed else EXIT_MATH_FAIL
 

@@ -157,9 +157,11 @@ class MonadSpec:
 
         Checks, per block: f entries are 0 or degree-1 forms in the block's
         own variable group (y, x, t, z in block order), g entries likewise
-        (x, y, z, t), and the bundle labels carry the expected classes.
-        Composition and rank are *not* checked here; those are the jobs of
-        `verify_composition` and `verify_maximal_rank`.
+        (x, y, z, t), every variable index lies in [0, dim] of its group
+        (so every entry can be evaluated at a point of X), and the bundle
+        labels carry the expected classes.  Composition and rank are *not*
+        checked here; those are the jobs of `verify_composition` and
+        `verify_maximal_rank`.
         """
         problems: List[str] = []
         params = self.params
@@ -192,6 +194,25 @@ class MonadSpec:
                                 f"g entry ({pos},{j}) is not a linear form in the "
                                 f"block-{b + 1} group {G_BLOCK_GROUPS[b]!r}"
                             )
+        for name, matrix in (("f", self.f), ("g", self.g)):
+            for i in range(matrix.rows):
+                for j in range(matrix.cols):
+                    foreign = sorted(
+                        {
+                            v
+                            for mono in matrix.entry(i, j).terms
+                            for v, _ in mono.exps
+                            if v.index > params.group_dim(v.group)
+                        },
+                        key=lambda v: v.sort_key,
+                    )
+                    if foreign:
+                        problems.append(
+                            f"{name} entry ({i},{j}) uses "
+                            f"{', '.join(v.name for v in foreign)}, outside the "
+                            f"coordinates x0..x{params.n}, y0..y{params.n}, "
+                            f"z0..z{params.m}, t0..t{params.m}"
+                        )
         if self.source != source_bundle(params):
             problems.append("source bundle label differs from O(-1,-1,-1,-1)^k")
         if self.middle != middle_bundle(params):

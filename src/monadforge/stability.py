@@ -20,8 +20,6 @@ summand keeps a strictly negative degree component whenever sum(p_i) >= 0.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil, comb
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -30,17 +28,6 @@ from .chow import BundleInvariants, delta_L, rank_of_T
 from .cohomology import LineBundleSum, exterior_power_sum
 from .monad import middle_bundle
 from .polyring import MultiDegree, SpaceParams
-
-THREADS_ENV_VAR = "MONADFORGE_THREADS"
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 def normalization_shift(inv: BundleInvariants, params: SpaceParams) -> int:
     """The unique integer k_E = ceil(mu_L / d), d = delta_L(1,0,0,0).
@@ -208,38 +195,17 @@ class StabilityReport:
         return doc
 
 
-def run_stability_scan(
-    cfg: StabilityScanConfig, threads: Optional[int] = None
-) -> StabilityReport:
-    """Probe the whole (q, twist) box and aggregate deterministically.
-
-    The grid rows are independent, so with threads > 1 (default: the
-    MONADFORGE_THREADS environment variable, else 1) the q-slices run on a
-    thread pool; results are reassembled in (q, twist) order, so the report
-    is identical whatever the schedule.
-    """
-    if threads is None:
-        threads = _thread_cap()
+def run_stability_scan(cfg: StabilityScanConfig) -> StabilityReport:
+    """Probe the whole (q, twist) box, in (q, twist) order."""
     params = cfg.params
     middle = middle_bundle(params)
     twists = list(enumerate_twists(cfg))
-
-    def scan_q(q: int) -> List[Tuple[int, MultiDegree, int]]:
-        flat = _flat_summands(exterior_power_sum(middle, q))
-        return [
-            (q, tw, _h0_twisted(params, flat, tw.as_tuple())) for tw in twists
-        ]
-
-    qs = list(range(1, cfg.max_q + 1))
-    if threads > 1 and len(qs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            slices = list(pool.map(scan_q, qs))
-    else:
-        slices = [scan_q(q) for q in qs]
-
     checked: List[Tuple[int, MultiDegree, int]] = []
-    for sl in slices:
-        checked.extend(sl)
+    for q in range(1, cfg.max_q + 1):
+        flat = _flat_summands(exterior_power_sum(middle, q))
+        checked.extend(
+            (q, tw, _h0_twisted(params, flat, tw.as_tuple())) for tw in twists
+        )
 
     counterexample = None
     for q, tw, h in checked:

@@ -120,6 +120,24 @@ def test_verify_tampered_document_fails(tmp_path, capsys):
     assert out["composition_zero"] is False
 
 
+@pytest.mark.parametrize("name", ["x9", "y9"])
+def test_verify_out_of_range_variable_fails_cleanly(tmp_path, capsys, name):
+    # x9 also lies outside block 1's y group; y9 is in the group but y only
+    # runs over y0..y1 when n = 1, so no sample point can assign it
+    monad_file = tmp_path / "monad.json"
+    run_cli(capsys, "build", "--n", "1", "--m", "1", "--k", "1",
+            "--output", str(monad_file))
+    doc = json.loads(monad_file.read_text())
+    doc["monad"]["f"]["entries"][0][0] = [{"coeff": "1", "exps": {name: 1}}]
+    monad_file.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "verify", "--input", str(monad_file), "--trials", "4")
+    assert code == 1
+    jsonschema.validate(out, SCHEMAS["verify"])
+    assert out["verdict"] == "FAILED"
+    assert any(p.startswith(f"f entry (0,0) uses {name},") for p in out["structure_problems"])
+    assert "rank" not in out
+
+
 def test_verify_unparseable_input_fails(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("this is not a monad document")
