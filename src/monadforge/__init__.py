@@ -13,16 +13,12 @@ from long-exact-sequence bookkeeping.  All arithmetic is exact.
 
 from .polyring import (
     DEFAULT_PRIME,
-    Monomial,
+    LinearForm,
     MultiDegree,
     PolyMatrix,
-    Polynomial,
     SpaceParams,
-    Variable,
     evaluate_matrix,
     matrix_mul,
-    multidegree_of,
-    poly_mul,
     rank_over_field,
 )
 from .cohomology import (
@@ -81,16 +77,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_PRIME",
-    "Monomial",
+    "LinearForm",
     "MultiDegree",
     "PolyMatrix",
-    "Polynomial",
     "SpaceParams",
-    "Variable",
     "evaluate_matrix",
     "matrix_mul",
-    "multidegree_of",
-    "poly_mul",
     "rank_over_field",
     "CohTable",
     "LineBundleSum",

@@ -21,6 +21,7 @@ Exit codes: 0 = success, 1 = a mathematical check failed, 2 = usage error.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import dataclass
@@ -177,29 +178,38 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_monad_document(path: str) -> MonadSpec:
-    import json
-
+def _read_monad_json(path: str) -> object:
+    """The monad part of the JSON document at `path` ("-" reads stdin)."""
     if path == "-":
         raw = sys.stdin.read()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
     data = json.loads(raw)
-    if "monad" in data:
-        data = data["monad"]
-    return MonadSpec.from_json(data)
+    return data["monad"] if isinstance(data, dict) and "monad" in data else data
+
+
+def _declared_params(data: object, fallback: SpaceParams) -> SpaceParams:
+    """The params a rejected monad document declares, or `fallback` if they do not parse."""
+    try:
+        return SpaceParams.from_json(data["params"])
+    except (KeyError, TypeError, ValueError):
+        return fallback
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.input is not None:
+        data = None
         try:
-            spec = _load_monad_document(args.input)
+            data = _read_monad_json(args.input)
+            spec = MonadSpec.from_json(data)
         except FileNotFoundError:
             raise  # surfaces as a usage error (exit 2)
         except Exception as exc:
+            # any defect of an outside document is a FAILED verdict, never a traceback
+            params = _declared_params(data, SpaceParams(args.n, args.m, args.k))
             doc = {
-                "manifest": _manifest("verify", SpaceParams(1, 1, 1), args.seed),
+                "manifest": _manifest("verify", params, args.seed),
                 "verdict": "FAILED",
                 "error": f"input document rejected: {exc}",
             }

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .polyring import MultiDegree, SpaceParams
+from .polyring import MultiDegree, SpaceParams, json_int
 
 
 def bott_h(n: int, d: int, i: int) -> int:
@@ -163,12 +163,18 @@ class LineBundleSum:
 
     @staticmethod
     def from_json(data: dict) -> "LineBundleSum":
-        p = data["params"]
-        params = SpaceParams(int(p["n"]), int(p["m"]), int(p["k"]))
-        summands = [
-            (MultiDegree(*[int(v) for v in item["degree"]]), int(item["multiplicity"]))
-            for item in data["summands"]
-        ]
+        params = SpaceParams.from_json(data["params"])
+        summands = []
+        for item in data["summands"]:
+            degree = item["degree"]
+            if not isinstance(degree, list) or len(degree) != 4:
+                raise ValueError(f"degree must be a list of 4 integers, got {degree!r}")
+            summands.append(
+                (
+                    MultiDegree(*[json_int(v, "degree entry") for v in degree]),
+                    json_int(item["multiplicity"], "multiplicity"),
+                )
+            )
         return LineBundleSum(params, summands)
 
 

@@ -28,8 +28,12 @@ where D is n or m as appropriate.  Writing the products out,
 
 which is symmetric under swapping the roles of the two variable groups, so
 f1 g1 = f2 g2 and likewise f3 g3 = f4 g4; the interleaved signs in f then give
-f g = f1 g1 - f2 g2 + f3 g3 - f4 g4 = 0 identically.  `verify_composition`
-checks this symbolically, with no sampling involved.
+f g = f1 g1 - f2 g2 + f3 g3 - f4 g4 = 0 identically.  Every entry of f and g
+is a linear form (`polyring.LinearForm`), so f g is a table of quadratic
+forms; `verify_composition` checks that its bilinear coefficient table is
+empty, exactly, with no sampling involved.  `MonadSpec.structural_problems`
+is what rejects a document whose entries are linear forms in the wrong group
+or in coordinates X does not have; terms that are not linear never parse.
 
 The other quantitative claim about the family is that both maps have maximal
 rank k at every point of X whose four coordinate groups are each nonzero, and
@@ -40,27 +44,24 @@ certifies this by seeded sampling over a large prime field.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .cohomology import LineBundleSum, direct_sum, line_bundle
+from .cohomology import LineBundleSum, line_bundle
 from .polyring import (
     DEFAULT_PRIME,
-    Monomial,
+    GROUPS,
+    LinearForm,
     MultiDegree,
     PolyMatrix,
-    Polynomial,
+    QuadraticForm,
     SpaceParams,
-    Variable,
     evaluate_matrix,
-    hstack,
     matrix_from_json,
     matrix_mul,
     matrix_to_json,
     rank_over_field,
-    unit_degree,
-    variables_for,
-    vstack,
+    variable_form,
 )
 
 # Variable group carried by each block, in block order 1..4.
@@ -85,14 +86,11 @@ def build_f_block(which: int, params: SpaceParams) -> PolyMatrix:
     group = F_BLOCK_GROUPS[which - 1]
     D = params.group_dim(group)
     k = params.k
-    entries: List[Polynomial] = []
+    entries: List[LinearForm] = []
     for i in range(k):
         for j in range(D + k):
             idx = D + k - 1 - i - j
-            if 0 <= idx <= D:
-                entries.append(Polynomial.variable(Variable(group, idx)))
-            else:
-                entries.append(Polynomial.zero())
+            entries.append(variable_form(group, idx) if 0 <= idx <= D else LinearForm())
     return PolyMatrix(k, D + k, entries)
 
 
@@ -108,14 +106,11 @@ def build_g_block(which: int, params: SpaceParams) -> PolyMatrix:
     group = G_BLOCK_GROUPS[which - 1]
     D = params.group_dim(group)
     k = params.k
-    entries: List[Polynomial] = []
+    entries: List[LinearForm] = []
     for i in range(D + k):
         for j in range(k):
             idx = i - j
-            if 0 <= idx <= D:
-                entries.append(Polynomial.variable(Variable(group, idx)))
-            else:
-                entries.append(Polynomial.zero())
+            entries.append(variable_form(group, idx) if 0 <= idx <= D else LinearForm())
     return PolyMatrix(D + k, k, entries)
 
 
@@ -155,7 +150,7 @@ class MonadSpec:
     def structural_problems(self) -> List[str]:
         """Shape and homogeneity defects, as human-readable strings.
 
-        Checks, per block: f entries are 0 or degree-1 forms in the block's
+        Checks, per block: f entries are 0 or linear forms in the block's
         own variable group (y, x, t, z in block order), g entries likewise
         (x, y, z, t), every variable index lies in [0, dim] of its group
         (so every entry can be evaluated at a point of X), and the bundle
@@ -177,39 +172,32 @@ class MonadSpec:
             for s in sizes:
                 offsets.append(offsets[-1] + s)
             for b in range(4):
-                f_deg = unit_degree(F_BLOCK_GROUPS[b])
-                g_deg = unit_degree(G_BLOCK_GROUPS[b])
+                f_group = GROUPS.index(F_BLOCK_GROUPS[b])
+                g_group = GROUPS.index(G_BLOCK_GROUPS[b])
                 for pos in range(offsets[b], offsets[b + 1]):
                     for i in range(k):
-                        p = self.f.entry(i, pos)
-                        if not p.is_zero() and p.multidegree() != f_deg:
+                        if any(g != f_group for g, _, _ in self.f.entry(i, pos)):
                             problems.append(
                                 f"f entry ({i},{pos}) is not a linear form in the "
                                 f"block-{b + 1} group {F_BLOCK_GROUPS[b]!r}"
                             )
                     for j in range(k):
-                        p = self.g.entry(pos, j)
-                        if not p.is_zero() and p.multidegree() != g_deg:
+                        if any(g != g_group for g, _, _ in self.g.entry(pos, j)):
                             problems.append(
                                 f"g entry ({pos},{j}) is not a linear form in the "
                                 f"block-{b + 1} group {G_BLOCK_GROUPS[b]!r}"
                             )
+        dims = [params.group_dim(group) for group in GROUPS]
         for name, matrix in (("f", self.f), ("g", self.g)):
             for i in range(matrix.rows):
                 for j in range(matrix.cols):
-                    foreign = sorted(
-                        {
-                            v
-                            for mono in matrix.entry(i, j).terms
-                            for v, _ in mono.exps
-                            if v.index > params.group_dim(v.group)
-                        },
-                        key=lambda v: v.sort_key,
-                    )
+                    foreign = [
+                        f"{GROUPS[g]}{idx}" for g, idx, _ in matrix.entry(i, j) if idx > dims[g]
+                    ]
                     if foreign:
                         problems.append(
                             f"{name} entry ({i},{j}) uses "
-                            f"{', '.join(v.name for v in foreign)}, outside the "
+                            f"{', '.join(foreign)}, outside the "
                             f"coordinates x0..x{params.n}, y0..y{params.n}, "
                             f"z0..z{params.m}, t0..t{params.m}"
                         )
@@ -233,29 +221,30 @@ class MonadSpec:
 
     @staticmethod
     def from_json(data: Mapping) -> "MonadSpec":
-        p = data["params"]
-        params = SpaceParams(int(p["n"]), int(p["m"]), int(p["k"]))
         return MonadSpec(
-            params=params,
+            params=SpaceParams.from_json(data["params"]),
             source=LineBundleSum.from_json(data["source"]),
             middle=LineBundleSum.from_json(data["middle"]),
             target=LineBundleSum.from_json(data["target"]),
-            f=matrix_from_json(data["f"]),
-            g=matrix_from_json(data["g"]),
+            f=matrix_from_json(data["f"], "f"),
+            g=matrix_from_json(data["g"], "g"),
         )
 
 
 def assemble_monad(params: SpaceParams) -> MonadSpec:
     """Build the canonical monad for (n, m, k): f = [f1 | -f2 | f3 | -f4], g stacked."""
-    f = hstack(
-        [
-            build_f_block(1, params),
-            -build_f_block(2, params),
-            build_f_block(3, params),
-            -build_f_block(4, params),
-        ]
+    f_blocks = [
+        build_f_block(1, params),
+        -build_f_block(2, params),
+        build_f_block(3, params),
+        -build_f_block(4, params),
+    ]
+    g_blocks = [build_g_block(which, params) for which in (1, 2, 3, 4)]
+    width = sum(_block_sizes(params))
+    f = PolyMatrix(
+        params.k, width, [p for i in range(params.k) for block in f_blocks for p in block.row(i)]
     )
-    g = vstack([build_g_block(which, params) for which in (1, 2, 3, 4)])
+    g = PolyMatrix(width, params.k, [p for block in g_blocks for p in block.entries])
     return MonadSpec(
         params=params,
         source=source_bundle(params),
@@ -267,12 +256,17 @@ def assemble_monad(params: SpaceParams) -> MonadSpec:
 
 
 def verify_composition(spec: MonadSpec) -> bool:
-    """Symbolically check that f * g is the k x k zero matrix."""
-    return matrix_mul(spec.f, spec.g).is_zero()
+    """Symbolically check that f * g is the k x k zero matrix: every entry of
+    the bilinear coefficient table is empty."""
+    return not any(any(row) for row in matrix_mul(spec.f, spec.g))
 
 
-def block_products(spec: MonadSpec) -> Tuple[PolyMatrix, PolyMatrix, PolyMatrix, PolyMatrix]:
-    """The four k x k products (f1 g1, f2 g2, f3 g3, f4 g4), signs stripped.
+Product = List[List[QuadraticForm]]
+
+
+def block_products(spec: MonadSpec) -> Tuple[Product, Product, Product, Product]:
+    """The four k x k products (f1 g1, f2 g2, f3 g3, f4 g4), signs stripped,
+    as tables of quadratic forms (see `matrix_mul`).
 
     Cancellation happens pairwise: blocks 1 and 2 agree, blocks 3 and 4 agree.
     """
@@ -290,11 +284,8 @@ def block_products(spec: MonadSpec) -> Tuple[PolyMatrix, PolyMatrix, PolyMatrix,
         )
         if b in (1, 3):  # assembled with a sign; strip it for the identity
             fblock = -fblock
-        gblock = PolyMatrix(
-            sizes[b],
-            spec.params.k,
-            [spec.g.entry(i, j) for i in range(offsets[b], offsets[b + 1]) for j in range(spec.params.k)],
-        )
+        k = spec.params.k
+        gblock = PolyMatrix(sizes[b], k, spec.g.entries[offsets[b] * k : offsets[b + 1] * k])
         out.append(matrix_mul(fblock, gblock))
     return tuple(out)  # type: ignore[return-value]
 
@@ -345,19 +336,18 @@ def _trial_rng(seed: int, counter: int) -> random.Random:
 
 def _sample_point(
     params: SpaceParams, rng: random.Random, prime: int, zero_groups: Sequence[str] = ()
-) -> Dict[Variable, int]:
-    point: Dict[Variable, int] = {}
-    for group in ("x", "y", "z", "t"):
+) -> List[List[int]]:
+    """One list of coordinate values per group x, y, z, t (see `evaluate_matrix`)."""
+    point: List[List[int]] = []
+    for group in GROUPS:
         dim = params.group_dim(group)
         if group in zero_groups:
-            for i in range(dim + 1):
-                point[Variable(group, i)] = 0
+            point.append([0] * (dim + 1))
             continue
         coords = [rng.randrange(prime) for _ in range(dim + 1)]
         while all(c == 0 for c in coords):  # keep the group on the cone minus origin
             coords = [rng.randrange(prime) for _ in range(dim + 1)]
-        for i, c in enumerate(coords):
-            point[Variable(group, i)] = c
+        point.append(coords)
     return point
 
 
@@ -386,7 +376,7 @@ def verify_maximal_rank(
         rank_f.append(rank_over_field(evaluate_matrix(spec.f, point, prime), prime))
         rank_g.append(rank_over_field(evaluate_matrix(spec.g, point, prime), prime))
 
-    origin = {v: 0 for v in variables_for(spec.params)}
+    origin = [[0] * (spec.params.group_dim(group) + 1) for group in GROUPS]
     origin_f = rank_over_field(evaluate_matrix(spec.f, origin, prime), prime)
     origin_g = rank_over_field(evaluate_matrix(spec.g, origin, prime), prime)
 

@@ -1,4 +1,4 @@
-"""Exact multigraded polynomial arithmetic over the integers.
+"""Matrices of linear forms over the integers, their rank over F_p, and canonical JSON.
 
 The ambient space throughout the package is the fourfold product
 
@@ -11,23 +11,27 @@ with homogeneous coordinates split into four groups:
     z_0..z_m  on the third,
     t_0..t_m  on the fourth.
 
-Pic(X) = Z^4, so every monomial carries a multidegree (a, b, c, d) counting
-total degree in each variable group.  All coefficients are Python ints, so
-arithmetic is exact; no floating point enters any code path.
+Pic(X) = Z^4, so line bundles carry a multidegree (a, b, c, d), one entry per
+group.  The monads of the package are linear: every entry of their maps is a
+linear form, a Z-combination of coordinates.  A `LinearForm` stores one as a
+tuple of (group, index, coeff) terms, group 0..3 standing for x, y, z, t.
+Canonical form: terms sorted by (group, index), no variable twice, no zero
+coefficient.  Equal forms therefore have identical representations, which is
+what makes the JSON round-trip byte-exact.
 
-Canonical form: a monomial never stores a zero exponent, a polynomial never
-stores a zero coefficient, and terms are kept under a fixed monomial order
-(lexicographic on (group, index) with group order x < y < z < t).  Two equal
-polynomials therefore have identical representations, which is what makes the
-JSON round-trip byte-exact.
+The product of two matrices of linear forms is a table of quadratic forms,
+each a dict from a sorted pair of variables (group, index) to its nonzero
+coefficient; f * g = 0 is checked on that bilinear coefficient table.  All
+coefficients are Python ints, so arithmetic is exact; no floating point
+enters any code path.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 GROUPS: Tuple[str, ...] = ("x", "y", "z", "t")
 _GROUP_ORDER: Dict[str, int] = {g: i for i, g in enumerate(GROUPS)}
@@ -35,12 +39,21 @@ _GROUP_ORDER: Dict[str, int] = {g: i for i, g in enumerate(GROUPS)}
 DEFAULT_PRIME = 2**31 - 1  # Mersenne prime; large enough that random rank drops are negligible
 
 
+def json_int(value: object, what: str) -> int:
+    """`value` itself if it is a JSON integer; ValueError naming `what` for a
+    bool, float, string or anything else."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SpaceParams:
     """Shape parameters (n, m, k) of the ambient space and the monad family.
 
     n and m are the projective dimensions of the paired factors, k is the
-    number of monad rows/columns.  All three must be >= 1.
+    number of monad rows/columns.  All three must be integers >= 1 (a bool is
+    not accepted as an integer).
     """
 
     n: int
@@ -50,8 +63,12 @@ class SpaceParams:
     def __post_init__(self) -> None:
         for field in ("n", "m", "k"):
             value = getattr(self, field)
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ValueError(f"{field} must be a positive integer, got {value!r}")
+
+    @staticmethod
+    def from_json(data: Mapping) -> "SpaceParams":
+        return SpaceParams(data["n"], data["m"], data["k"])
 
     @property
     def dim_x(self) -> int:
@@ -64,47 +81,6 @@ class SpaceParams:
         if group in ("z", "t"):
             return self.m
         raise ValueError(f"unknown variable group {group!r}")
-
-
-@dataclass(frozen=True)
-class Variable:
-    """One homogeneous coordinate, identified by its group and index."""
-
-    group: str
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.group not in _GROUP_ORDER:
-            raise ValueError(f"variable group must be one of {GROUPS}, got {self.group!r}")
-        if not isinstance(self.index, int) or self.index < 0:
-            raise ValueError(f"variable index must be a non-negative integer, got {self.index!r}")
-
-    @property
-    def name(self) -> str:
-        return f"{self.group}{self.index}"
-
-    @property
-    def sort_key(self) -> Tuple[int, int]:
-        return (_GROUP_ORDER[self.group], self.index)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return self.name
-
-
-def variable_from_name(name: str) -> Variable:
-    """Parse "x0", "t12", ... back into a Variable."""
-    if len(name) < 2 or name[0] not in _GROUP_ORDER or not name[1:].isdigit():
-        raise ValueError(f"malformed variable name {name!r}")
-    return Variable(name[0], int(name[1:]))
-
-
-def variables_for(params: SpaceParams) -> List[Variable]:
-    """All coordinates of X in canonical order."""
-    out: List[Variable] = []
-    for g in GROUPS:
-        for i in range(params.group_dim(g) + 1):
-            out.append(Variable(g, i))
-    return out
 
 
 @dataclass(frozen=True)
@@ -138,380 +114,132 @@ class MultiDegree:
         return f"({self.a},{self.b},{self.c},{self.d})"
 
 
-ZERO_DEGREE = MultiDegree(0, 0, 0, 0)
-
-_UNIT_DEGREES: Dict[str, MultiDegree] = {
-    "x": MultiDegree(1, 0, 0, 0),
-    "y": MultiDegree(0, 1, 0, 0),
-    "z": MultiDegree(0, 0, 1, 0),
-    "t": MultiDegree(0, 0, 0, 1),
-}
+Term = Tuple[int, int, int]  # (group 0..3, index, coeff)
 
 
-def unit_degree(group: str) -> MultiDegree:
-    return _UNIT_DEGREES[group]
+def _name(group: int, index: int) -> str:
+    return f"{GROUPS[group]}{index}"
 
 
-class Monomial:
-    """A canonical power product: sorted (Variable, exponent) pairs, exponents >= 1."""
+class LinearForm(tuple):
+    """A Z-linear combination of coordinates: canonical (group, index, coeff) terms.
 
-    __slots__ = ("_exps",)
-
-    def __init__(self, exps: Iterable[Tuple[Variable, int]] = ()):
-        pairs = [(v, e) for v, e in exps if e != 0]
-        for v, e in pairs:
-            if e < 0:
-                raise ValueError(f"monomial exponent must be non-negative, got {v.name}^{e}")
-        pairs.sort(key=lambda ve: ve[0].sort_key)
-        names = [v.name for v, _ in pairs]
-        if len(set(names)) != len(names):
-            raise ValueError("repeated variable in monomial exponent list")
-        object.__setattr__(self, "_exps", tuple(pairs))
-
-    @property
-    def exps(self) -> Tuple[Tuple[Variable, int], ...]:
-        return self._exps
-
-    @staticmethod
-    def one() -> "Monomial":
-        return _MONOMIAL_ONE
-
-    @staticmethod
-    def of(var: Variable, exp: int = 1) -> "Monomial":
-        return Monomial([(var, exp)])
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        merged: Dict[Variable, int] = dict(self._exps)
-        for v, e in other._exps:
-            merged[v] = merged.get(v, 0) + e
-        return Monomial(merged.items())
-
-    def degree(self) -> MultiDegree:
-        totals = {g: 0 for g in GROUPS}
-        for v, e in self._exps:
-            totals[v.group] += e
-        return MultiDegree(totals["x"], totals["y"], totals["z"], totals["t"])
-
-    def total_degree(self) -> int:
-        return sum(e for _, e in self._exps)
-
-    def sort_key(self) -> Tuple[Tuple[int, int, int], ...]:
-        # Lexicographic on (group, index), exponents breaking ties; enough to
-        # give every polynomial a single canonical term order.
-        return tuple((v.sort_key[0], v.sort_key[1], -e) for v, e in self._exps)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and self._exps == other._exps
-
-    def __hash__(self) -> int:
-        return hash(self._exps)
-
-    def __str__(self) -> str:
-        if not self._exps:
-            return "1"
-        parts = []
-        for v, e in self._exps:
-            parts.append(v.name if e == 1 else f"{v.name}^{e}")
-        return "*".join(parts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return str(self)
-
-
-_MONOMIAL_ONE = Monomial()
-
-
-class Polynomial:
-    """A sparse Z-linear combination of monomials.  Immutable by contract.
-
-    The term map never contains a zero coefficient.  Use the module helpers
-    x(i), y(i), z(i), t(i) to build coordinate polynomials.
+    The empty form is 0.  Build one from arbitrary terms with `LinearForm.of`;
+    the plain constructor trusts its input to be canonical already.  Tuple
+    operations act on the terms: `p + q` concatenates them, and
+    `LinearForm.of(p + q)` is the sum of the two forms.
     """
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Optional[Mapping[Monomial, int]] = None):
-        clean: Dict[Monomial, int] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff != 0:
-                    clean[mono] = coeff
-        object.__setattr__(self, "_terms", clean)
-
-    # -- constructors ------------------------------------------------------
+    __slots__ = ()
 
     @staticmethod
-    def zero() -> "Polynomial":
-        return _POLY_ZERO
+    def of(terms: Iterable[Term]) -> "LinearForm":
+        """Sum `terms`: repeated variables merge, zero coefficients drop out."""
+        acc: Dict[Tuple[int, int], int] = {}
+        for group, index, coeff in terms:
+            acc[(group, index)] = acc.get((group, index), 0) + coeff
+        return LinearForm((g, i, c) for (g, i), c in sorted(acc.items()) if c)
 
-    @staticmethod
-    def constant(c: int) -> "Polynomial":
-        return Polynomial({Monomial.one(): c})
-
-    @staticmethod
-    def variable(var: Variable) -> "Polynomial":
-        return Polynomial({Monomial.of(var): 1})
-
-    # -- inspection --------------------------------------------------------
-
-    @property
-    def terms(self) -> Mapping[Monomial, int]:
-        return self._terms
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def sorted_terms(self) -> List[Tuple[Monomial, int]]:
-        return sorted(self._terms.items(), key=lambda tc: tc[0].sort_key())
-
-    def multidegree(self) -> Optional[MultiDegree]:
-        """Common multidegree of all terms, or None for 0 / inhomogeneous input."""
-        if not self._terms:
-            return None
-        degs = {mono.degree() for mono in self._terms}
-        if len(degs) != 1:
-            return None
-        return next(iter(degs))
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            s = out.get(mono, 0) + coeff
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        result = Polynomial.__new__(Polynomial)
-        object.__setattr__(result, "_terms", out)
-        return result
-
-    def __neg__(self) -> "Polynomial":
-        result = Polynomial.__new__(Polynomial)
-        object.__setattr__(result, "_terms", {m: -c for m, c in self._terms.items()})
-        return result
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if isinstance(other, int):
-            return self.scale(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        out: Dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = m1.mul(m2)
-                s = out.get(mono, 0) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        result = Polynomial.__new__(Polynomial)
-        object.__setattr__(result, "_terms", out)
-        return result
-
-    __rmul__ = __mul__
-
-    def scale(self, c: int) -> "Polynomial":
-        if c == 0:
-            return Polynomial.zero()
-        result = Polynomial.__new__(Polynomial)
-        object.__setattr__(result, "_terms", {m: c * cf for m, cf in self._terms.items()})
-        return result
-
-    def evaluate(self, point: Mapping[Variable, int], prime: int) -> int:
-        """Evaluate at a point of F_p^N.  Every variable appearing here must be assigned."""
-        total = 0
-        for mono, coeff in self._terms.items():
-            term = coeff % prime
-            for v, e in mono.exps:
-                if v not in point:
-                    raise KeyError(f"no value assigned to variable {v.name}")
-                term = (term * pow(point[v] % prime, e, prime)) % prime
-            total = (total + term) % prime
-        return total
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Polynomial) and self._terms == other._terms
-
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("Polynomial is not hashable")
+    def __neg__(self) -> "LinearForm":
+        return LinearForm((g, i, -c) for g, i, c in self)
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self:
             return "0"
         chunks: List[str] = []
-        for mono, coeff in self.sorted_terms():
-            mono_s = str(mono)
-            if mono_s == "1":
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = mono_s
-            else:
-                body = f"{abs(coeff)}*{mono_s}"
+        for group, index, coeff in self:
+            name = _name(group, index)
+            body = name if abs(coeff) == 1 else f"{abs(coeff)}*{name}"
             if not chunks:
                 chunks.append(body if coeff > 0 else f"-{body}")
             else:
                 chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
         return " ".join(chunks)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Polynomial({self})"
+
+def variable_form(group: str, index: int) -> LinearForm:
+    """The coordinate `group`_`index` as a linear form."""
+    return LinearForm(((_GROUP_ORDER[group], index, 1),))
 
 
-_POLY_ZERO = Polynomial()
-
-
-def x(i: int) -> Polynomial:
-    return Polynomial.variable(Variable("x", i))
-
-
-def y(i: int) -> Polynomial:
-    return Polynomial.variable(Variable("y", i))
-
-
-def z(i: int) -> Polynomial:
-    return Polynomial.variable(Variable("z", i))
-
-
-def t(i: int) -> Polynomial:
-    return Polynomial.variable(Variable("t", i))
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Exact product of two polynomials."""
-    return p * q
-
-
-def multidegree_of(p: Polynomial) -> Optional[MultiDegree]:
-    """Multidegree of a multihomogeneous polynomial; None for 0 or mixed degrees."""
-    return p.multidegree()
-
-
+@dataclass(frozen=True)
 class PolyMatrix:
-    """A rows x cols matrix of polynomials, stored row-major.
+    """A rows x cols matrix of linear forms, stored row-major.
 
     0 x c and r x 0 matrices are legal (rank 0, empty entry list); they show up
     naturally as degenerate block edges.
     """
 
-    __slots__ = ("rows", "cols", "_entries")
+    rows: int
+    cols: int
+    entries: Tuple[LinearForm, ...]
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[Polynomial]):
-        if rows < 0 or cols < 0:
+    def __post_init__(self) -> None:
+        if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        if len(entries) != rows * cols:
+        if len(self.entries) != self.rows * self.cols:
             raise ValueError(
-                f"entry list has length {len(entries)}, expected {rows}*{cols}={rows * cols}"
+                f"entry list has length {len(self.entries)}, "
+                f"expected {self.rows}*{self.cols}={self.rows * self.cols}"
             )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_entries", tuple(entries))
+        object.__setattr__(self, "entries", tuple(self.entries))
 
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("PolyMatrix is immutable")
+    def entry(self, i: int, j: int) -> LinearForm:
+        return self.entries[i * self.cols + j]
 
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[Polynomial]]) -> "PolyMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat: List[Polynomial] = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows in matrix literal")
-            flat.extend(row)
-        return PolyMatrix(r, c, flat)
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "PolyMatrix":
-        return PolyMatrix(rows, cols, [Polynomial.zero()] * (rows * cols))
-
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self._entries[i * self.cols + j]
-
-    def row(self, i: int) -> List[Polynomial]:
-        return list(self._entries[i * self.cols : (i + 1) * self.cols])
-
-    def iter_entries(self) -> Iterator[Polynomial]:
-        return iter(self._entries)
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self._entries)
+    def row(self, i: int) -> Tuple[LinearForm, ...]:
+        return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix(self.rows, self.cols, [-p for p in self._entries])
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PolyMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._entries == other._entries
-        )
-
-    def __str__(self) -> str:
-        lines = []
-        for i in range(self.rows):
-            lines.append("[ " + "  ".join(str(p) for p in self.row(i)) + " ]")
-        return "\n".join(lines)
+        return PolyMatrix(self.rows, self.cols, [-p for p in self.entries])
 
 
-def matrix_mul(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
-    """Exact matrix product; raises ValueError on an inner-dimension mismatch."""
+# sorted pair of variables ((group, index), (group, index)) -> nonzero coefficient
+QuadraticForm = Dict[Tuple[Tuple[int, int], Tuple[int, int]], int]
+
+
+def matrix_mul(A: PolyMatrix, B: PolyMatrix) -> List[List[QuadraticForm]]:
+    """Exact product of two matrices of linear forms, as a table of quadratic forms.
+
+    Entry (i, j) maps each sorted variable pair (u, v), u <= v, to the
+    coefficient of u*v in sum_l A[i,l] * B[l,j]; pairs whose coefficient
+    cancels to zero are absent.  Raises ValueError on an inner-dimension
+    mismatch.
+    """
     if A.cols != B.rows:
         raise ValueError(f"dimension mismatch: ({A.rows}x{A.cols}) * ({B.rows}x{B.cols})")
-    out: List[Polynomial] = []
+    columns = [B.entries[j :: B.cols] for j in range(B.cols)]
+    out: List[List[QuadraticForm]] = []
     for i in range(A.rows):
         arow = A.row(i)
-        for j in range(B.cols):
-            acc = Polynomial.zero()
-            for l in range(A.cols):
-                if not arow[l].is_zero():
-                    acc = acc + arow[l] * B.entry(l, j)
-            out.append(acc)
-    return PolyMatrix(A.rows, B.cols, out)
-
-
-def hstack(blocks: Sequence[PolyMatrix]) -> PolyMatrix:
-    """Concatenate blocks left to right (all row counts must agree)."""
-    if not blocks:
-        raise ValueError("hstack of no blocks")
-    rows = blocks[0].rows
-    if any(b.rows != rows for b in blocks):
-        raise ValueError("hstack: row counts differ")
-    out: List[Polynomial] = []
-    for i in range(rows):
-        for b in blocks:
-            out.extend(b.row(i))
-    return PolyMatrix(rows, sum(b.cols for b in blocks), out)
-
-
-def vstack(blocks: Sequence[PolyMatrix]) -> PolyMatrix:
-    """Concatenate blocks top to bottom (all column counts must agree)."""
-    if not blocks:
-        raise ValueError("vstack of no blocks")
-    cols = blocks[0].cols
-    if any(b.cols != cols for b in blocks):
-        raise ValueError("vstack: column counts differ")
-    out: List[Polynomial] = []
-    for b in blocks:
-        out.extend(b.iter_entries())
-    return PolyMatrix(sum(b.rows for b in blocks), cols, out)
+        out_row: List[QuadraticForm] = []
+        for column in columns:
+            acc: QuadraticForm = {}
+            for a, b in zip(arow, column):
+                for ga, ia, ca in a:
+                    for gb, ib, cb in b:
+                        u, v = (ga, ia), (gb, ib)
+                        key = (u, v) if u <= v else (v, u)
+                        acc[key] = acc.get(key, 0) + ca * cb
+            out_row.append({key: c for key, c in acc.items() if c})
+        out.append(out_row)
+    return out
 
 
 def evaluate_matrix(
-    A: PolyMatrix, point: Mapping[Variable, int], prime: int = DEFAULT_PRIME
+    A: PolyMatrix, point: Sequence[Sequence[int]], prime: int = DEFAULT_PRIME
 ) -> List[List[int]]:
-    """Evaluate every entry at `point` over F_prime.
+    """Evaluate every entry over F_prime at `point`, which holds one list of
+    coordinate values per group, in the order x, y, z, t.
 
     Raises KeyError naming the first variable that has no assigned value.
     """
-    return [[A.entry(i, j).evaluate(point, prime) for j in range(A.cols)] for i in range(A.rows)]
+    try:
+        values = [sum([c * point[g][i] for g, i, c in form]) % prime for form in A.entries]
+    except IndexError:
+        g, i = next((g, i) for form in A.entries for g, i, _ in form if i >= len(point[g]))
+        raise KeyError(f"no value assigned to variable {_name(g, i)}") from None
+    return [values[r * A.cols : (r + 1) * A.cols] for r in range(A.rows)]
 
 
 def rank_over_field(M: Sequence[Sequence[int]], prime: int) -> int:
@@ -547,53 +275,79 @@ def rank_over_field(M: Sequence[Sequence[int]], prime: int) -> int:
 # ---------------------------------------------------------------------------
 # JSON forms.
 #
-# A polynomial serializes to a list of terms, each {"coeff": "<decimal>",
-# "exps": {"x0": 2, ...}}, in canonical term order; coefficients travel as
-# decimal strings so arbitrarily large integers survive any JSON reader.
-# A matrix serializes to {"rows": r, "cols": c, "entries": [[term-list]]}.
+# A linear form serializes to a list of terms, each {"coeff": "<decimal>",
+# "exps": {"x0": 1}}, in canonical term order; coefficients travel as decimal
+# strings so arbitrarily large integers survive any JSON reader.  A matrix
+# serializes to {"rows": r, "cols": c, "entries": [[term-list]]}.
 # Serialization and parsing are exact inverses, byte for byte once rendered
 # with sorted keys.
 # ---------------------------------------------------------------------------
 
-
-def poly_to_json(p: Polynomial) -> List[dict]:
-    out = []
-    for mono, coeff in p.sorted_terms():
-        out.append(
-            {
-                "coeff": str(coeff),
-                "exps": {v.name: e for v, e in mono.exps},
-            }
-        )
-    return out
+_VARIABLE_NAME = re.compile(r"([xyzt])([0-9]+)")
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
-def poly_from_json(data: Sequence[Mapping]) -> Polynomial:
-    terms: Dict[Monomial, int] = {}
-    for item in data:
-        coeff = int(item["coeff"])
-        mono = Monomial(
-            [(variable_from_name(name), int(e)) for name, e in item["exps"].items()]
-        )
-        terms[mono] = terms.get(mono, 0) + coeff
-    return Polynomial(terms)
+def _term_from_json(item: object) -> Term:
+    """One JSON term as (group, index, coeff); ValueError unless it is
+    {"coeff": "<decimal>", "exps": {"<variable>": 1}}."""
+    if not isinstance(item, dict) or "coeff" not in item or "exps" not in item:
+        raise ValueError("a term must be an object with keys coeff and exps")
+    coeff, exps = item["coeff"], item["exps"]
+    if not isinstance(coeff, str) or not _DECIMAL.fullmatch(coeff):
+        raise ValueError("coeff must be a decimal string")
+    if not isinstance(exps, dict) or len(exps) != 1:
+        raise ValueError("not one variable to the power 1")
+    ((name, exp),) = exps.items()
+    match = _VARIABLE_NAME.fullmatch(name)
+    if match is None or type(exp) is not int or exp != 1:
+        raise ValueError("not one variable to the power 1")
+    return (_GROUP_ORDER[match[1]], int(match[2]), int(coeff))
 
 
 def matrix_to_json(A: PolyMatrix) -> dict:
     return {
         "rows": A.rows,
         "cols": A.cols,
-        "entries": [[poly_to_json(A.entry(i, j)) for j in range(A.cols)] for i in range(A.rows)],
+        "entries": [
+            [
+                [{"coeff": str(c), "exps": {_name(g, i): 1}} for g, i, c in form]
+                for form in A.row(r)
+            ]
+            for r in range(A.rows)
+        ],
     }
 
 
-def matrix_from_json(data: Mapping) -> PolyMatrix:
-    rows = int(data["rows"])
-    cols = int(data["cols"])
+def matrix_from_json(data: Mapping, name: str = "matrix") -> PolyMatrix:
+    """Parse a matrix of linear forms; `name` labels the matrix in errors.
+
+    rows and cols must be JSON integers and every term one variable to the
+    power 1.  Terms in one variable are summed and zero coefficients dropped.
+    Raises ValueError naming the matrix, the row or entry, and the term.
+    """
+    rows = json_int(data["rows"], f"{name} rows")
+    cols = json_int(data["cols"], f"{name} cols")
     entries = data["entries"]
-    if len(entries) != rows or any(len(r) != cols for r in entries):
-        raise ValueError("matrix JSON has inconsistent shape")
-    flat = [poly_from_json(cell) for row in entries for cell in row]
+    if not isinstance(entries, list) or len(entries) != rows:
+        raise ValueError(f"matrix JSON has inconsistent shape: {name} does not have {rows} rows")
+    flat: List[LinearForm] = []
+    for i, row in enumerate(entries):
+        if not isinstance(row, list) or len(row) != cols:
+            raise ValueError(
+                f"matrix JSON has inconsistent shape: {name} row {i} does not have {cols} entries"
+            )
+        for j, cell in enumerate(row):
+            if not isinstance(cell, list):
+                raise ValueError(f"{name} entry ({i},{j}) is not a list of terms")
+            terms = []
+            for item in cell:
+                try:
+                    terms.append(_term_from_json(item))
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{name} entry ({i},{j}) term {json.dumps(item, sort_keys=True)}: {exc}"
+                    ) from None
+            flat.append(LinearForm.of(terms))
     return PolyMatrix(rows, cols, flat)
 
 

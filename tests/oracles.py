@@ -2,8 +2,9 @@
 
 Each function here recomputes a quantity by a method deliberately different
 from the library implementation -- direct enumeration, permutation-expansion
-determinants, dense polynomial convolution -- so agreement is evidence, not
-tautology.  None of them import from the modules they check.
+determinants, dense polynomial convolution, products of coefficient matrices
+read straight from the JSON -- so agreement is evidence, not tautology.  None
+of them import from the modules they check.
 """
 
 from __future__ import annotations
@@ -122,4 +123,49 @@ def exterior_by_subsets(
             d = factors[idx]
             total = (total[0] + d[0], total[1] + d[1], total[2] + d[2], total[3] + d[3])
         out[total] += 1
+    return out
+
+
+def _coefficient_matrices(matrix: dict) -> Dict[str, List[List[int]]]:
+    """Per variable name, the rows x cols integer matrix of its coefficients
+    in a JSON matrix of linear forms."""
+    rows, cols = matrix["rows"], matrix["cols"]
+    out: Dict[str, List[List[int]]] = {}
+    for i, row in enumerate(matrix["entries"]):
+        for j, cell in enumerate(row):
+            for term in cell:
+                ((name, _),) = term["exps"].items()
+                coeffs = out.setdefault(name, [[0] * cols for _ in range(rows)])
+                coeffs[i][j] += int(term["coeff"])
+    return out
+
+
+def _dense_matmul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def compose_by_coefficient_matrices(
+    f_json: dict, g_json: dict
+) -> Dict[Tuple[str, str], List[List[int]]]:
+    """f * g of two JSON matrices of linear forms, read as coefficient matrices.
+
+    Writing f = sum_u F_u u and g = sum_v G_v v over the variables, the
+    coefficient of u*v in f * g is F_u G_v + F_v G_u for u < v and F_u G_u
+    for u = v (variables ordered x < y < z < t, then by index).  Returns
+    those matrices keyed by (u, v), leaving out the pairs whose matrix is 0,
+    so f * g = 0 exactly when the result is empty.
+    """
+    F, G = _coefficient_matrices(f_json), _coefficient_matrices(g_json)
+    zero_f = [[0] * f_json["cols"] for _ in range(f_json["rows"])]
+    zero_g = [[0] * g_json["cols"] for _ in range(g_json["rows"])]
+    names = sorted(set(F) | set(G), key=lambda s: ("xyzt".index(s[0]), int(s[1:])))
+    out: Dict[Tuple[str, str], List[List[int]]] = {}
+    for a, u in enumerate(names):
+        for v in names[a:]:
+            total = _dense_matmul(F.get(u, zero_f), G.get(v, zero_g))
+            if u != v:
+                other = _dense_matmul(F.get(v, zero_f), G.get(u, zero_g))
+                total = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, other)]
+            if any(any(row) for row in total):
+                out[(u, v)] = total
     return out

@@ -3,6 +3,7 @@ validity, and byte-level determinism."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -138,6 +139,55 @@ def test_verify_out_of_range_variable_fails_cleanly(tmp_path, capsys, name):
     assert "rank" not in out
 
 
+def build_document(tmp_path, capsys, n, m, k):
+    monad_file = tmp_path / "monad.json"
+    run_cli(capsys, "build", "--n", str(n), "--m", str(m), "--k", str(k),
+            "--output", str(monad_file))
+    return monad_file, json.loads(monad_file.read_text())
+
+
+def verify_rejected(capsys, monad_file, doc, *flags):
+    monad_file.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "verify", "--input", str(monad_file), "--trials", "4", *flags)
+    assert code == 1
+    jsonschema.validate(out, SCHEMAS["verify"])
+    assert out["verdict"] == "FAILED"
+    assert out["error"].startswith("input document rejected: ")
+    return out
+
+
+def test_verify_truncated_row_names_it_and_keeps_params(tmp_path, capsys):
+    monad_file, doc = build_document(tmp_path, capsys, 2, 3, 2)
+    doc["monad"]["f"]["entries"][1].pop()
+    out = verify_rejected(capsys, monad_file, doc)
+    assert out["manifest"]["params"] == {"n": 2, "m": 3, "k": 2}
+    assert out["error"] == (
+        "input document rejected: matrix JSON has inconsistent shape: "
+        "f row 1 does not have 18 entries"
+    )
+
+
+def test_verify_nonlinear_term_is_rejected_by_name(tmp_path, capsys):
+    monad_file, doc = build_document(tmp_path, capsys, 2, 3, 2)
+    doc["monad"]["f"]["entries"][0][2] = [{"coeff": "1", "exps": {"x0": 1, "y0": 1}}]
+    out = verify_rejected(capsys, monad_file, doc)
+    assert out["manifest"]["params"] == {"n": 2, "m": 3, "k": 2}
+    assert out["error"] == (
+        'input document rejected: f entry (0,2) term {"coeff": "1", "exps": '
+        '{"x0": 1, "y0": 1}}: not one variable to the power 1'
+    )
+
+
+def test_verify_non_integer_params_are_rejected(tmp_path, capsys):
+    # int(2.7) used to read this document as (2,3,2) and certify it; params
+    # that do not parse leave the manifest with the invocation's --n/--m/--k
+    monad_file, doc = build_document(tmp_path, capsys, 2, 3, 2)
+    doc["monad"]["params"]["n"] = 2.7
+    out = verify_rejected(capsys, monad_file, doc, "--n", "4")
+    assert out["manifest"]["params"] == {"n": 4, "m": 1, "k": 1}
+    assert "n must be a positive integer, got 2.7" in out["error"]
+
+
 def test_verify_unparseable_input_fails(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("this is not a monad document")
@@ -151,6 +201,29 @@ def test_verify_missing_input_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "verify", "--input", "/nonexistent/file.json")
     assert code == 2
     assert out == ""
+
+
+# SHA-256 of stdout with SOURCE_DATE_EPOCH=1700000000, frozen from the
+# polynomial-ring implementation these documents must stay identical to.
+GOLDEN_SHA256 = {
+    ("build", "--n", "1", "--m", "2", "--k", "3"):
+        "8d2d430ce7ebf1bdaa5a5520799835067c21e96392c15956855afa4d0fb7c1de",
+    ("build", "--n", "1", "--m", "2", "--k", "3", "--format", "text"):
+        "25773811eeb5cba259f619ca4f930fdc313d0f359641e8f0b4c4c653d1ac4b9a",
+    ("build", "--n", "3", "--m", "3", "--k", "3"):
+        "3550cc9b68290878126a37556e377d1e21acb28cc2038f150f5da2d62c008990",
+    ("build", "--n", "3", "--m", "3", "--k", "3", "--format", "text"):
+        "a9303fc24bc6c6edb1cb6c540cebb274f82c405bb6c7c6f969cf0bea571d5b3a",
+    ("verify", "--n", "2", "--m", "3", "--k", "2"):
+        "a6117f91038333cd744f48c52de453ab8be1f64656e24eeb2f1a7638f7bcaaf2",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_SHA256), ids=" ".join)
+def test_wire_format_bytes_are_frozen(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SHA256[argv]
 
 
 # ---------------------------------------------------------------------------

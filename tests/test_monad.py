@@ -8,6 +8,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monadforge.monad import (
     FloystadInput,
@@ -26,13 +28,13 @@ from monadforge.monad import block_products
 from monadforge.polyring import (
     DEFAULT_PRIME,
     MultiDegree,
+    PolyMatrix,
     SpaceParams,
     evaluate_matrix,
     matrix_mul,
     rank_over_field,
-    variable_from_name,
-    vstack,
 )
+from oracles import compose_by_coefficient_matrices
 
 
 def entry_strings(matrix):
@@ -137,7 +139,7 @@ def test_assembled_shapes_small():
     spec = assemble_monad(SpaceParams(1, 1, 1))
     assert (spec.f.rows, spec.f.cols) == (1, 8)
     assert (spec.g.rows, spec.g.cols) == (8, 1)
-    assert matrix_mul(spec.f, spec.g).is_zero()
+    assert matrix_mul(spec.f, spec.g) == [[{}]]
 
 
 def test_sign_convention_negatives_in_f_blocks_two_and_four():
@@ -148,8 +150,8 @@ def test_sign_convention_negatives_in_f_blocks_two_and_four():
     assert str(spec.f.entry(0, width)) == "0"
     assert str(spec.f.entry(0, width + 1)) == "-x1"
     # g is sign-free
-    for entry in spec.g.iter_entries():
-        for _, coeff in entry.sorted_terms():
+    for entry in spec.g.entries:
+        for _, _, coeff in entry:
             assert coeff > 0
 
 
@@ -178,14 +180,8 @@ def test_structural_problems_empty_for_canonical_build():
 def test_structural_problems_detect_wrong_group():
     spec = assemble_monad(SpaceParams(1, 1, 1))
     # replace g's leading x-block with a t-variable block: wrong group
-    bad_g = vstack(
-        [
-            build_g_block(4, spec.params),
-            build_g_block(2, spec.params),
-            build_g_block(3, spec.params),
-            build_g_block(4, spec.params),
-        ]
-    )
+    blocks = [build_g_block(which, spec.params) for which in (4, 2, 3, 4)]
+    bad_g = PolyMatrix(spec.g.rows, spec.g.cols, [p for b in blocks for p in b.entries])
     tampered = dataclasses.replace(spec, g=bad_g)
     assert tampered.structural_problems() != []
 
@@ -223,16 +219,67 @@ def test_block_identities():
 def test_composition_fails_with_swapped_g_blocks():
     params = SpaceParams(1, 2, 3)
     spec = assemble_monad(params)
-    swapped = vstack(
-        [
-            build_g_block(2, params),
-            build_g_block(1, params),
-            build_g_block(3, params),
-            build_g_block(4, params),
-        ]
-    )
+    blocks = [build_g_block(which, params) for which in (2, 1, 3, 4)]
+    swapped = PolyMatrix(spec.g.rows, spec.g.cols, [p for b in blocks for p in b.entries])
     tampered = dataclasses.replace(spec, g=swapped)
     assert not verify_composition(tampered)
+
+
+def as_coefficient_matrices(table, rows: int, cols: int) -> dict:
+    """A `matrix_mul` table in the oracle's form: one integer matrix per
+    variable pair, named like "x0", holding that pair's coefficients."""
+    out = {}
+    for i, row in enumerate(table):
+        for j, quad in enumerate(row):
+            for (u, v), coeff in quad.items():
+                key = ("xyzt"[u[0]] + str(u[1]), "xyzt"[v[0]] + str(v[1]))
+                out.setdefault(key, [[0] * cols for _ in range(rows)])[i][j] = coeff
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_composition_and_block_products_match_coefficient_oracle(data):
+    # mutated documents: coefficients changed, entries swapped, blocks of
+    # equal size swapped; most keep their structure, and the product is
+    # compared with the oracle whether or not they do
+    n, m, k = data.draw(st.tuples(*[st.integers(1, 2)] * 3), label="n, m, k")
+    doc = assemble_monad(SpaceParams(n, m, k)).to_json()
+    f, g = doc["f"]["entries"], doc["g"]["entries"]
+    sizes = [n + k, n + k, m + k, m + k]
+    offsets = [sum(sizes[:b]) for b in range(5)]
+    cells = [(f, i, j) for i in range(k) for j in range(offsets[4])]
+    cells += [(g, i, j) for i in range(offsets[4]) for j in range(k)]
+    for _ in range(data.draw(st.integers(0, 3), label="mutations")):
+        kind = data.draw(st.sampled_from(["coeff", "entries", "blocks"]))
+        if kind == "coeff":
+            entries, i, j = data.draw(st.sampled_from([c for c in cells if c[0][c[1]][c[2]]]))
+            entries[i][j][0]["coeff"] = str(data.draw(st.integers(-3, 3)))
+        elif kind == "entries":
+            pair = st.lists(st.sampled_from(cells), min_size=2, max_size=2)
+            (e1, i1, j1), (e2, i2, j2) = data.draw(pair)
+            e1[i1][j1], e2[i2][j2] = e2[i2][j2], e1[i1][j1]
+        else:
+            same_size = [(a, b) for a in range(4) for b in range(a + 1, 4) if sizes[a] == sizes[b]]
+            b1, b2 = data.draw(st.sampled_from(same_size))
+            s1, s2 = slice(offsets[b1], offsets[b1 + 1]), slice(offsets[b2], offsets[b2 + 1])
+            if data.draw(st.booleans(), label="swap in f"):
+                for row in f:
+                    row[s1], row[s2] = row[s2], row[s1]
+            else:
+                g[s1], g[s2] = g[s2], g[s1]
+    spec = MonadSpec.from_json(json.loads(json.dumps(doc)))
+    oracle = compose_by_coefficient_matrices(doc["f"], doc["g"])
+    assert as_coefficient_matrices(matrix_mul(spec.f, spec.g), k, k) == oracle
+    assert verify_composition(spec) == (not oracle)
+    for b, product in enumerate(block_products(spec)):
+        cut = slice(offsets[b], offsets[b + 1])
+        f_block = {"rows": k, "cols": sizes[b], "entries": [row[cut] for row in f]}
+        g_block = {"rows": sizes[b], "cols": k, "entries": g[cut]}
+        expected = compose_by_coefficient_matrices(f_block, g_block)
+        if b in (1, 3):  # block_products strips the sign f carries on these blocks
+            expected = {key: [[-c for c in row] for row in mat] for key, mat in expected.items()}
+        assert as_coefficient_matrices(product, k, k) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +302,7 @@ def test_rank_at_partial_zero_point():
     # x = (1, 0), all other groups zero: the only surviving entries of the
     # 1x8 row are in the x-block, so the rank is exactly 1
     spec = assemble_monad(SpaceParams(1, 1, 1))
-    point = {variable_from_name(name): 0 for name in ("x0", "x1", "y0", "y1", "z0", "z1", "t0", "t1")}
-    point[variable_from_name("x0")] = 1
+    point = [[1, 0], [0, 0], [0, 0], [0, 0]]  # x, y, z, t
     values = evaluate_matrix(spec.f, point, DEFAULT_PRIME)
     assert rank_over_field(values, DEFAULT_PRIME) == 1
 
@@ -295,6 +341,33 @@ def test_monad_json_round_trip():
     restored = MonadSpec.from_json(json.loads(blob))
     assert restored == spec
     assert restored.structural_problems() == []
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("params", "n"), 2.7),
+        (("params", "m"), 3.0),
+        (("params", "k"), True),
+        (("params", "n"), "2"),
+        (("source", "params", "k"), 2.0),
+        (("middle", "summands", 0, "multiplicity"), 4.0),
+        (("middle", "summands", 0, "multiplicity"), "4"),
+        (("target", "summands", 0, "degree", 2), 1.0),
+        (("target", "summands", 0, "degree"), [1, 1, 1]),
+        (("f", "rows"), 2.0),
+        (("g", "cols"), False),
+        (("g", "entries", 0, 0, 0, "exps", "x0"), 1.0),
+    ],
+)
+def test_from_json_accepts_only_json_integers(path, value):
+    doc = assemble_monad(SpaceParams(2, 3, 2)).to_json()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ValueError):
+        MonadSpec.from_json(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Exact multigraded polynomial arithmetic: ring axioms, grading,
-evaluation, matrices, rank, and JSON round-trips."""
+"""Matrices of linear forms: canonical form, evaluation, products, rank,
+and strict JSON round-trips."""
 
 from __future__ import annotations
 
@@ -11,51 +11,53 @@ import pytest
 from monadforge.polyring import (
     DEFAULT_PRIME,
     GROUPS,
-    Monomial,
+    LinearForm,
     MultiDegree,
-    Polynomial,
     PolyMatrix,
     SpaceParams,
-    Variable,
-    ZERO_DEGREE,
     dumps_canonical,
     evaluate_matrix,
-    hstack,
     matrix_from_json,
     matrix_mul,
     matrix_to_json,
-    multidegree_of,
-    poly_from_json,
-    poly_mul,
-    poly_to_json,
     rank_over_field,
-    t,
-    unit_degree,
-    variable_from_name,
-    variables_for,
-    vstack,
-    x,
-    y,
-    z,
+    variable_form,
 )
 from oracles import rank_by_minors
 
 PARAMS = SpaceParams(2, 3, 2)
-VARS = variables_for(PARAMS)
+DIMS = [PARAMS.group_dim(g) for g in GROUPS]
 
 
-def random_poly(rng: random.Random, max_terms: int = 4, max_exp: int = 3) -> Polynomial:
-    p = Polynomial.zero()
+def random_form(rng: random.Random, max_terms: int = 4) -> LinearForm:
+    terms = []
     for _ in range(rng.randrange(max_terms + 1)):
-        mono = Monomial.one()
-        for _ in range(rng.randrange(1, 4)):
-            mono = mono.mul(Monomial.of(rng.choice(VARS), rng.randrange(1, max_exp)))
-        p = p + Polynomial({mono: rng.randrange(-9, 10) or 1})
-    return p
+        group = rng.randrange(4)
+        terms.append((group, rng.randrange(DIMS[group] + 1), rng.randrange(-9, 10) or 1))
+    return LinearForm.of(terms)
 
 
-def random_point(rng: random.Random, prime: int) -> dict:
-    return {v: rng.randrange(prime) for v in VARS}
+def random_matrix(rng: random.Random, rows: int, cols: int) -> PolyMatrix:
+    return PolyMatrix(rows, cols, [random_form(rng) for _ in range(rows * cols)])
+
+
+def random_point(rng: random.Random, prime: int) -> list:
+    return [[rng.randrange(prime) for _ in range(dim + 1)] for dim in DIMS]
+
+
+def evaluate_table(table, point, prime: int) -> list:
+    """Value over F_prime of each quadratic form in a `matrix_mul` table."""
+    return [
+        [
+            sum(c * point[u[0]][u[1]] * point[v[0]][v[1]] for (u, v), c in quad.items()) % prime
+            for quad in row
+        ]
+        for row in table
+    ]
+
+
+def one_entry_matrix(terms) -> dict:
+    return {"rows": 1, "cols": 1, "entries": [[terms]]}
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +70,10 @@ def test_space_params_validation_and_dims():
     assert p.dim_x == 6
     assert p.group_dim("x") == 1 and p.group_dim("y") == 1
     assert p.group_dim("z") == 2 and p.group_dim("t") == 2
-    for bad in [(0, 1, 1), (1, 0, 1), (1, 1, 0), (-2, 1, 1)]:
+    bad_params = [
+        (0, 1, 1), (1, 0, 1), (1, 1, 0), (-2, 1, 1), (True, 1, 1), (1, 2.0, 1), (1, 1, "1")
+    ]
+    for bad in bad_params:
         with pytest.raises(ValueError):
             SpaceParams(*bad)
 
@@ -76,20 +81,13 @@ def test_space_params_validation_and_dims():
 def test_variable_names_round_trip():
     for group in GROUPS:
         for idx in range(6):
-            v = Variable(group, idx)
-            assert variable_from_name(v.name) == v
-    with pytest.raises(ValueError):
-        variable_from_name("w3")
-    with pytest.raises(ValueError):
-        variable_from_name("x")
-
-
-def test_variables_for_order_and_count():
-    names = [v.name for v in VARS]
-    # canonical group order x < y < z < t, index order inside each group
-    assert names[:3] == ["x0", "x1", "x2"]
-    assert len(VARS) == 2 * (PARAMS.n + 1) + 2 * (PARAMS.m + 1)
-    assert names == sorted(names, key=lambda s: variable_from_name(s).sort_key)
+            name = f"{group}{idx}"
+            parsed = matrix_from_json(one_entry_matrix([{"coeff": "1", "exps": {name: 1}}]))
+            assert str(parsed.entry(0, 0)) == name
+            assert matrix_to_json(parsed)["entries"][0][0][0]["exps"] == {name: 1}
+    for bad in ["w3", "x", "x-1", "1x", "x1.0"]:
+        with pytest.raises(ValueError, match="not one variable to the power 1"):
+            matrix_from_json(one_entry_matrix([{"coeff": "1", "exps": {bad: 1}}]))
 
 
 def test_multidegree_arithmetic():
@@ -100,86 +98,62 @@ def test_multidegree_arithmetic():
     assert (-d1).as_tuple() == (-1, 0, 2, -3)
     assert d1.scale(2).as_tuple() == (2, 0, -4, 6)
     assert d1.min_component() == -2
-    assert ZERO_DEGREE.as_tuple() == (0, 0, 0, 0)
-    assert unit_degree("z").as_tuple() == (0, 0, 1, 0)
 
 
 # ---------------------------------------------------------------------------
-# ring axioms on seeded random triples
+# linear forms
 # ---------------------------------------------------------------------------
-
-
-def test_ring_axioms_random_triples():
-    rng = random.Random(20240817)
-    for _ in range(1000):
-        p, q, r = (random_poly(rng) for _ in range(3))
-        assert p + q == q + p
-        assert poly_mul(p, q) == poly_mul(q, p)
-        assert poly_mul(poly_mul(p, q), r) == poly_mul(p, poly_mul(q, r))
-        assert poly_mul(p, q + r) == poly_mul(p, q) + poly_mul(p, r)
-        assert p - p == Polynomial.zero()
-        assert poly_mul(p, Polynomial.constant(1)) == p
-        assert poly_mul(p, Polynomial.zero()).is_zero()
 
 
 def test_evaluation_is_a_ring_homomorphism():
+    # evaluating the product table equals the product of the evaluations,
+    # and evaluating a merged sum of terms equals the sum of the evaluations
     rng = random.Random(97)
     prime = 101
     for _ in range(300):
-        p, q = random_poly(rng), random_poly(rng)
+        a, b = random_matrix(rng, 2, 3), random_matrix(rng, 3, 2)
         point = random_point(rng, prime)
-        lhs = poly_mul(p, q).evaluate(point, prime)
-        rhs = (p.evaluate(point, prime) * q.evaluate(point, prime)) % prime
-        assert lhs == rhs
-        assert (p + q).evaluate(point, prime) == (
-            p.evaluate(point, prime) + q.evaluate(point, prime)
-        ) % prime
+        va, vb = evaluate_matrix(a, point, prime), evaluate_matrix(b, point, prime)
+        product = [
+            [sum(va[i][l] * vb[l][j] for l in range(3)) % prime for j in range(2)]
+            for i in range(2)
+        ]
+        assert evaluate_table(matrix_mul(a, b), point, prime) == product
+        p, q = random_form(rng), random_form(rng)
+        both = PolyMatrix(1, 3, [p, q, LinearForm.of(p + q)])  # p + q: both term lists
+        vp, vq, vsum = evaluate_matrix(both, point, prime)[0]
+        assert vsum == (vp + vq) % prime
+
+
+def test_matrix_mul_table_shape_and_keys():
+    a = PolyMatrix(1, 2, [variable_form("x", 0), variable_form("y", 1)])
+    b = PolyMatrix(2, 1, [LinearForm.of([(1, 1, 2)]), LinearForm.of([(0, 0, -3)])])
+    # x0 * 2y1 + y1 * (-3x0): one sorted pair, coefficient -1
+    assert matrix_mul(a, b) == [[{((0, 0), (1, 1)): -1}]]
+    # a cancelling pair is absent, not stored with coefficient 0
+    c = PolyMatrix(2, 1, [variable_form("y", 1), LinearForm.of([(0, 0, -1)])])
+    assert matrix_mul(a, c) == [[{}]]
+    assert matrix_mul(PolyMatrix(0, 2, []), b) == []
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        matrix_mul(a, a)
 
 
 def test_evaluate_missing_variable_raises_keyerror():
-    p = x(0) * y(1)
-    point = {variable_from_name("x0"): 3}
+    a = PolyMatrix(1, 1, [LinearForm.of([(0, 0, 1), (1, 1, 1)])])
+    point = [[3], [5], [0], [0]]  # y has only y0
     with pytest.raises(KeyError, match="no value assigned to variable y1"):
-        p.evaluate(point, DEFAULT_PRIME)
-
-
-# ---------------------------------------------------------------------------
-# multigrading
-# ---------------------------------------------------------------------------
-
-
-def test_multidegree_of_homogeneous_products():
-    rng = random.Random(5)
-    linear_makers = {"x": x, "y": y, "z": z, "t": t}
-    for _ in range(200):
-        group1, group2 = rng.choice(GROUPS), rng.choice(GROUPS)
-        dim1, dim2 = PARAMS.group_dim(group1), PARAMS.group_dim(group2)
-        p = sum(
-            (linear_makers[group1](i).scale(rng.randrange(-3, 4)) for i in range(dim1 + 1)),
-            Polynomial.zero(),
-        )
-        q = sum(
-            (linear_makers[group2](i).scale(rng.randrange(-3, 4)) for i in range(dim2 + 1)),
-            Polynomial.zero(),
-        )
-        if p.is_zero() or q.is_zero():
-            continue
-        product = poly_mul(p, q)
-        assert multidegree_of(product) == p.multidegree() + q.multidegree()
-
-
-def test_multidegree_none_for_inhomogeneous_and_zero():
-    assert Polynomial.zero().multidegree() is None
-    assert (x(0) + y(0)).multidegree() is None
-    assert (x(0) + x(1)).multidegree() == unit_degree("x")
+        evaluate_matrix(a, point, DEFAULT_PRIME)
 
 
 def test_string_form_is_canonical():
-    p = y(1) - x(0)
-    assert str(p) == "-x0 + y1"
-    q = x(0) * x(0) - t(2).scale(3)
-    assert str(q) == "x0^2 - 3*t2"
-    assert str(Polynomial.zero()) == "0"
+    assert str(LinearForm.of([(1, 1, 1), (0, 0, -1)])) == "-x0 + y1"
+    assert str(variable_form("y", 1)) == "y1"
+    assert str(-variable_form("x", 0)) == "-x0"
+    assert str(LinearForm.of([(3, 2, 3)])) == "3*t2"
+    assert str(LinearForm.of([(2, 0, 2), (0, 1, -4)])) == "-4*x1 + 2*z0"
+    assert str(LinearForm()) == "0"
+    # repeated variables merge and cancelled terms vanish
+    assert LinearForm.of([(1, 0, 2), (0, 1, 5), (1, 0, -2)]) == LinearForm(((0, 1, 5),))
 
 
 # ---------------------------------------------------------------------------
@@ -188,55 +162,24 @@ def test_string_form_is_canonical():
 
 
 def test_matrix_construction_and_access():
-    m = PolyMatrix.from_rows([[x(0), y(0)], [z(0), t(0)]])
+    m = PolyMatrix(2, 2, [variable_form(g, 0) for g in "xyzt"])
     assert (m.rows, m.cols) == (2, 2)
-    assert m.entry(0, 1) == y(0)
-    assert m.row(1) == [z(0), t(0)]
-    assert not m.is_zero()
-    assert PolyMatrix.zeros(3, 2).is_zero()
-    empty = PolyMatrix.zeros(0, 0)
-    assert empty.is_zero()
-
-
-def test_matrix_mul_shapes_and_associativity():
-    rng = random.Random(12)
-    for _ in range(50):
-        a = PolyMatrix.from_rows(
-            [[random_poly(rng, 2, 2) for _ in range(3)] for _ in range(2)]
-        )
-        b = PolyMatrix.from_rows(
-            [[random_poly(rng, 2, 2) for _ in range(2)] for _ in range(3)]
-        )
-        c = PolyMatrix.from_rows(
-            [[random_poly(rng, 2, 2) for _ in range(2)] for _ in range(2)]
-        )
-        ab = matrix_mul(a, b)
-        assert (ab.rows, ab.cols) == (2, 2)
-        assert matrix_mul(ab, c) == matrix_mul(a, matrix_mul(b, c))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        matrix_mul(PolyMatrix.zeros(2, 3), PolyMatrix.zeros(2, 3))
-
-
-def test_hstack_vstack():
-    a = PolyMatrix.from_rows([[x(0)], [x(1)]])
-    b = PolyMatrix.from_rows([[y(0)], [y(1)]])
-    h = hstack([a, b])
-    assert (h.rows, h.cols) == (2, 2)
-    assert h.entry(0, 1) == y(0)
-    v = vstack([a, b])
-    assert (v.rows, v.cols) == (4, 1)
-    assert v.entry(3, 0) == y(1)
+    assert m.entry(0, 1) == variable_form("y", 0)
+    assert m.row(1) == (variable_form("z", 0), variable_form("t", 0))
+    empty = PolyMatrix(0, 0, [])
+    assert empty.entries == ()
     with pytest.raises(ValueError):
-        hstack([a, PolyMatrix.zeros(3, 1)])
+        PolyMatrix(2, 2, [variable_form("x", 0)])
     with pytest.raises(ValueError):
-        vstack([a, PolyMatrix.zeros(2, 2)])
+        PolyMatrix(-1, 0, [])
 
 
 def test_negation_distributes_over_entries():
-    a = PolyMatrix.from_rows([[x(0), -y(0)], [z(1), t(1)]])
+    x0, y0, z1, t1 = (variable_form(*v) for v in [("x", 0), ("y", 0), ("z", 1), ("t", 1)])
+    a = PolyMatrix(2, 2, [x0, -y0, z1, t1])
     n = -a
-    assert n.entry(0, 0) == -x(0)
-    assert n.entry(0, 1) == y(0)
+    assert n.entry(0, 0) == -x0
+    assert n.entry(0, 1) == y0
     assert -n == a
 
 
@@ -271,9 +214,11 @@ def test_rank_respects_field_characteristic():
 
 def test_evaluate_matrix_then_rank():
     rng = random.Random(321)
-    a = PolyMatrix.from_rows([[x(0), y(0)], [x(0), y(0)]])
+    x0, y0 = variable_form("x", 0), variable_form("y", 0)
+    a = PolyMatrix(2, 2, [x0, y0, x0, y0])
     point = random_point(rng, DEFAULT_PRIME)
     values = evaluate_matrix(a, point, DEFAULT_PRIME)
+    assert values[0] == [point[0][0], point[1][0]]
     assert rank_over_field(values, DEFAULT_PRIME) <= 1
 
 
@@ -285,28 +230,68 @@ def test_evaluate_matrix_then_rank():
 def test_poly_json_round_trip_bit_exact():
     rng = random.Random(2718)
     for _ in range(200):
-        p = random_poly(rng)
-        blob = json.dumps(poly_to_json(p))
-        assert poly_from_json(json.loads(blob)) == p
+        m = random_matrix(rng, 1, 2)
+        blob = json.dumps(matrix_to_json(m))
+        assert matrix_from_json(json.loads(blob)) == m
         # canonical term order makes the encoding itself stable
-        assert json.dumps(poly_to_json(poly_from_json(json.loads(blob)))) == blob
+        assert json.dumps(matrix_to_json(matrix_from_json(json.loads(blob)))) == blob
 
 
 def test_poly_json_uses_decimal_strings():
-    p = Polynomial.constant(10**40) * x(0)
-    encoded = poly_to_json(p)
-    assert encoded[0]["coeff"] == str(10**40)
-    assert poly_from_json(encoded) == p
+    m = PolyMatrix(1, 1, [LinearForm(((0, 0, 10**40),))])
+    encoded = matrix_to_json(m)
+    assert encoded["entries"][0][0] == [{"coeff": str(10**40), "exps": {"x0": 1}}]
+    assert matrix_from_json(encoded) == m
+    for bad in [7, 7.0, True, "7.5", "+7", " 7"]:
+        with pytest.raises(ValueError, match="coeff must be a decimal string"):
+            matrix_from_json(one_entry_matrix([{"coeff": bad, "exps": {"x0": 1}}]))
 
 
 def test_matrix_json_round_trip():
     rng = random.Random(1414)
-    m = PolyMatrix.from_rows(
-        [[random_poly(rng, 3, 2) for _ in range(3)] for _ in range(2)]
-    )
+    m = random_matrix(rng, 2, 3)
     data = matrix_to_json(m)
     assert data["rows"] == 2 and data["cols"] == 3
     assert matrix_from_json(json.loads(json.dumps(data))) == m
+
+
+def test_matrix_json_sums_repeated_variables_and_drops_zeros():
+    terms = [
+        {"coeff": "1", "exps": {"y1": 1}},
+        {"coeff": "2", "exps": {"x0": 1}},
+        {"coeff": "1", "exps": {"y1": 1}},
+        {"coeff": "0", "exps": {"t0": 1}},
+        {"coeff": "3", "exps": {"z0": 1}},
+        {"coeff": "-3", "exps": {"z0": 1}},
+    ]
+    parsed = matrix_from_json(one_entry_matrix(terms))
+    assert str(parsed.entry(0, 0)) == "2*x0 + 2*y1"
+
+
+@pytest.mark.parametrize(
+    "exps",
+    [{"x0": 1, "y0": 1}, {"x0": 2}, {}, {"x0": 0}, {"x0": 1, "t0": 0}, {"x0": True}, {"x0": 1.0}],
+)
+def test_matrix_json_rejects_terms_that_are_not_one_variable(exps):
+    doc = {"rows": 1, "cols": 2, "entries": [[[], [{"coeff": "1", "exps": exps}]]]}
+    term = json.dumps({"coeff": "1", "exps": exps}, sort_keys=True)
+    with pytest.raises(ValueError) as info:
+        matrix_from_json(doc, "g")
+    assert str(info.value) == f"g entry (0,1) term {term}: not one variable to the power 1"
+
+
+def test_matrix_json_shape_and_integer_fields_are_strict():
+    good = {"rows": 2, "cols": 1, "entries": [[[]], [[]]]}
+    assert matrix_from_json(good) == PolyMatrix(2, 1, [LinearForm(), LinearForm()])
+    with pytest.raises(ValueError, match="inconsistent shape: f row 1 does not have 1 entries"):
+        matrix_from_json({"rows": 2, "cols": 1, "entries": [[[]], []]}, "f")
+    with pytest.raises(ValueError, match="inconsistent shape: f does not have 3 rows"):
+        matrix_from_json({"rows": 3, "cols": 1, "entries": [[[]], [[]]]}, "f")
+    for bad in [2.0, "2", True, None]:
+        with pytest.raises(ValueError, match="f rows must be an integer"):
+            matrix_from_json({**good, "rows": bad}, "f")
+        with pytest.raises(ValueError, match="f cols must be an integer"):
+            matrix_from_json({**good, "cols": bad}, "f")
 
 
 def test_dumps_canonical_is_deterministic():
