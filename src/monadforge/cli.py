@@ -33,7 +33,7 @@ from .chow import degree_simplification_check, invariants_of_T
 from .cohomology import CohTable, kunneth_h
 from .les import simplicity_certificate
 from .monad import MonadSpec, assemble_monad, verify_composition, verify_maximal_rank
-from .polyring import DEFAULT_PRIME, MultiDegree, SpaceParams, dumps_canonical
+from .polyring import DEFAULT_PRIME, MultiDegree, SpaceParams, dumps_canonical, json_key
 from .stability import default_scan_config, run_stability_scan
 from .stability import normalization_shift as _normalization_shift
 
@@ -192,8 +192,8 @@ def _read_monad_json(path: str) -> object:
 def _declared_params(data: object, fallback: SpaceParams) -> SpaceParams:
     """The params a rejected monad document declares, or `fallback` if they do not parse."""
     try:
-        return SpaceParams.from_json(data["params"])
-    except (KeyError, TypeError, ValueError):
+        return SpaceParams.from_json(json_key(data, "params", "monad document"))
+    except ValueError:
         return fallback
 
 
@@ -366,8 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coh = subs.add_parser("cohomology", help="dimension table of a line bundle")
     _add_param_flags(p_coh)
-    p_coh.add_argument("degree", type=int, nargs=4, metavar=("A", "B", "C", "D"),
-                       help="multidegree of the line bundle")
+    # a tuple metavar breaks argparse's missing-argument message on Python < 3.12
+    p_coh.add_argument("degree", type=int, nargs=4, metavar="DEG",
+                       help="multidegree (a, b, c, d) of the line bundle")
     p_coh.set_defaults(func=_cmd_cohomology)
 
     p_inv = subs.add_parser("invariants", help="rank / c1 / degree / slope of T")
@@ -404,14 +405,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except BrokenPipeError:  # pragma: no cover - shell plumbing
         return EXIT_OK
+    except (OSError, ValueError) as exc:
+        # OSError: a missing --input file or an --output path that cannot be written
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

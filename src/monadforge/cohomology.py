@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .polyring import MultiDegree, SpaceParams, json_int
+from .polyring import MultiDegree, SpaceParams, json_int, json_key
 
 
 def bott_h(n: int, d: int, i: int) -> int:
@@ -163,16 +163,16 @@ class LineBundleSum:
 
     @staticmethod
     def from_json(data: dict) -> "LineBundleSum":
-        params = SpaceParams.from_json(data["params"])
+        params = SpaceParams.from_json(json_key(data, "params", "line-bundle sum"))
         summands = []
-        for item in data["summands"]:
-            degree = item["degree"]
+        for item in json_key(data, "summands", "line-bundle sum"):
+            degree = json_key(item, "degree", "summand")
             if not isinstance(degree, list) or len(degree) != 4:
                 raise ValueError(f"degree must be a list of 4 integers, got {degree!r}")
             summands.append(
                 (
                     MultiDegree(*[json_int(v, "degree entry") for v in degree]),
-                    json_int(item["multiplicity"], "multiplicity"),
+                    json_int(json_key(item, "multiplicity", "summand"), "multiplicity"),
                 )
             )
         return LineBundleSum(params, summands)

@@ -57,6 +57,7 @@ from .polyring import (
     QuadraticForm,
     SpaceParams,
     evaluate_matrix,
+    json_key,
     matrix_from_json,
     matrix_mul,
     matrix_to_json,
@@ -221,13 +222,21 @@ class MonadSpec:
 
     @staticmethod
     def from_json(data: Mapping) -> "MonadSpec":
+        """Parse a monad document; a ValueError names the part that failed."""
+        what = "monad document"
+        params = SpaceParams.from_json(json_key(data, "params", what))
+        bundles = {}
+        for key in ("source", "middle", "target"):
+            part = json_key(data, key, what)
+            try:
+                bundles[key] = LineBundleSum.from_json(part)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
         return MonadSpec(
-            params=SpaceParams.from_json(data["params"]),
-            source=LineBundleSum.from_json(data["source"]),
-            middle=LineBundleSum.from_json(data["middle"]),
-            target=LineBundleSum.from_json(data["target"]),
-            f=matrix_from_json(data["f"], "f"),
-            g=matrix_from_json(data["g"], "g"),
+            params=params,
+            f=matrix_from_json(json_key(data, "f", what), "f"),
+            g=matrix_from_json(json_key(data, "g", what), "g"),
+            **bundles,
         )
 
 

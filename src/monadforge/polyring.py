@@ -47,6 +47,16 @@ def json_int(value: object, what: str) -> int:
     return value
 
 
+def json_key(data: object, key: str, what: str) -> object:
+    """data[key] of a JSON object; ValueError naming `what` as the object
+    that is not an object or lacks the key."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"{what} is missing key {key!r}")
+    return data[key]
+
+
 @dataclass(frozen=True)
 class SpaceParams:
     """Shape parameters (n, m, k) of the ambient space and the monad family.
@@ -68,7 +78,7 @@ class SpaceParams:
 
     @staticmethod
     def from_json(data: Mapping) -> "SpaceParams":
-        return SpaceParams(data["n"], data["m"], data["k"])
+        return SpaceParams(*(json_key(data, key, "params") for key in ("n", "m", "k")))
 
     @property
     def dim_x(self) -> int:
@@ -243,7 +253,8 @@ def evaluate_matrix(
 
 
 def rank_over_field(M: Sequence[Sequence[int]], prime: int) -> int:
-    """Rank of an integer matrix over F_prime, by Gaussian elimination.
+    """Rank of an integer matrix over F_prime, by Gaussian elimination to
+    row echelon form: each pivot clears only the rows below it.
 
     The input is not mutated.  A 0 x c or r x 0 matrix has rank 0.
     """
@@ -260,12 +271,12 @@ def rank_over_field(M: Sequence[Sequence[int]], prime: int) -> int:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col] % prime, prime - 2, prime)
-        rows[rank] = [(v * inv) % prime for v in rows[rank]]
-        for r in range(nrows):
-            if r != rank and rows[r][col] % prime != 0:
-                factor = rows[r][col] % prime
-                rows[r] = [(a - factor * b) % prime for a, b in zip(rows[r], rows[rank])]
+        pivot_row = rows[rank]
+        inv = pow(pivot_row[col] % prime, prime - 2, prime)
+        for r in range(rank + 1, nrows):
+            if rows[r][col] % prime != 0:
+                factor = rows[r][col] * inv % prime
+                rows[r] = [(a - factor * b) % prime for a, b in zip(rows[r], pivot_row)]
         rank += 1
         if rank == nrows:
             break
@@ -325,9 +336,9 @@ def matrix_from_json(data: Mapping, name: str = "matrix") -> PolyMatrix:
     power 1.  Terms in one variable are summed and zero coefficients dropped.
     Raises ValueError naming the matrix, the row or entry, and the term.
     """
-    rows = json_int(data["rows"], f"{name} rows")
-    cols = json_int(data["cols"], f"{name} cols")
-    entries = data["entries"]
+    rows = json_int(json_key(data, "rows", name), f"{name} rows")
+    cols = json_int(json_key(data, "cols", name), f"{name} cols")
+    entries = json_key(data, "entries", name)
     if not isinstance(entries, list) or len(entries) != rows:
         raise ValueError(f"matrix JSON has inconsistent shape: {name} does not have {rows} rows")
     flat: List[LinearForm] = []

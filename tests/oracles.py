@@ -4,7 +4,9 @@ Each function here recomputes a quantity by a method deliberately different
 from the library implementation -- direct enumeration, permutation-expansion
 determinants, dense polynomial convolution, products of coefficient matrices
 read straight from the JSON -- so agreement is evidence, not tautology.  None
-of them import from the modules they check.
+of them import from the modules they check: the h^0 bound of the stability
+scan, a generating function there, is rebuilt here from the exterior powers
+that `cohomology.exterior_power_sum` enumerates summand by summand.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
+
+from monadforge.cohomology import exterior_power_sum, h0_of_sum, twist
+from monadforge.monad import middle_bundle
+from monadforge.polyring import MultiDegree, SpaceParams
 
 
 def h0_by_monomial_count(n: int, d: int) -> int:
@@ -71,6 +77,28 @@ def rank_by_minors(rows: Sequence[Sequence[int]], p: int) -> int:
     return 0
 
 
+def rank_by_gauss_jordan(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over F_p by Gauss-Jordan elimination: each pivot row is scaled to
+    1 and its column cleared above and below, reaching reduced echelon form."""
+    work = [list(r) for r in rows]
+    nrows = len(work)
+    ncols = len(work[0]) if nrows else 0
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if work[r][col] % p != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = pow(work[rank][col] % p, p - 2, p)
+        work[rank] = [(v * inv) % p for v in work[rank]]
+        for r in range(nrows):
+            if r != rank and work[r][col] % p != 0:
+                factor = work[r][col] % p
+                work[r] = [(a - factor * b) % p for a, b in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
 DenseQuad = Dict[Tuple[int, int, int, int], int]
 
 
@@ -124,6 +152,15 @@ def exterior_by_subsets(
             total = (total[0] + d[0], total[1] + d[1], total[2] + d[2], total[3] + d[3])
         out[total] += 1
     return out
+
+
+def wedge_h0_by_exterior_power(
+    params: SpaceParams, q: int, twists: Iterable[MultiDegree]
+) -> List[int]:
+    """h^0(Lambda^q(G_n (+) G_m)(tw)) for each twist, summed over the summands
+    of the enumerated exterior power of the middle bundle."""
+    wedge = exterior_power_sum(middle_bundle(params), q)
+    return [h0_of_sum(twist(wedge, tw)) for tw in twists]
 
 
 def _coefficient_matrices(matrix: dict) -> Dict[str, List[List[int]]]:

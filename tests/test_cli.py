@@ -188,6 +188,25 @@ def test_verify_non_integer_params_are_rejected(tmp_path, capsys):
     assert "n must be a positive integer, got 2.7" in out["error"]
 
 
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (("params",), "monad document is missing key 'params'"),
+        (("f", "rows"), "f is missing key 'rows'"),
+        (("source", "summands"), "source: line-bundle sum is missing key 'summands'"),
+    ],
+    ids=["params", "f.rows", "source.summands"],
+)
+def test_verify_missing_key_names_its_object(tmp_path, capsys, path, message):
+    monad_file, doc = build_document(tmp_path, capsys, 1, 2, 1)
+    node = doc["monad"]
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    out = verify_rejected(capsys, monad_file, doc)
+    assert out["error"] == f"input document rejected: {message}"
+
+
 def test_verify_unparseable_input_fails(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("this is not a monad document")
@@ -253,6 +272,13 @@ def test_unknown_flag_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_output_naming_a_directory_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "invariants", "--output", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
@@ -282,6 +308,14 @@ def test_cohomology_negative_degrees_without_separator(capsys):
     code, doc = run_json(capsys, "cohomology", "--n", "1", "--m", "1", "-1", "0", "2", "-1")
     assert code == 0
     assert doc["degree"] == [-1, 0, 2, -1]
+
+
+@pytest.mark.parametrize("degrees", [[], ["--", "1", "2", "3"]], ids=["none", "three"])
+def test_cohomology_with_fewer_than_four_degrees_exits_2(capsys, degrees):
+    code, out, err = run_cli(capsys, "cohomology", *degrees)
+    assert code == 2
+    assert out == ""
+    assert "usage: monadforge cohomology" in err
 
 
 # ---------------------------------------------------------------------------

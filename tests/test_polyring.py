@@ -7,6 +7,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monadforge.polyring import (
     DEFAULT_PRIME,
@@ -23,7 +25,7 @@ from monadforge.polyring import (
     rank_over_field,
     variable_form,
 )
-from oracles import rank_by_minors
+from oracles import rank_by_gauss_jordan, rank_by_minors
 
 PARAMS = SpaceParams(2, 3, 2)
 DIMS = [PARAMS.group_dim(g) for g in GROUPS]
@@ -196,6 +198,25 @@ def test_rank_matches_minor_expansion_oracle():
         cols = rng.randrange(1, 5)
         m = [[rng.randrange(prime) for _ in range(cols)] for _ in range(rows)]
         assert rank_over_field(m, prime) == rank_by_minors(m, prime)
+
+
+@st.composite
+def matrices_mod_p(draw):
+    """A prime and a 0..8 x 0..8 integer matrix A B, whose inner size 0..8
+    makes rank deficiency common; entries range over several multiples of p."""
+    p = draw(st.sampled_from([2, 3, 101, 2**31 - 1]))
+    rows, inner, cols = (draw(st.integers(0, 8)) for _ in range(3))
+    entry = st.integers(-2 * p, 2 * p)
+    a = [[draw(entry) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(entry) for _ in range(cols)] for _ in range(inner)]
+    return p, [[sum(a[i][s] * b[s][j] for s in range(inner)) for j in range(cols)] for i in range(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices_mod_p())
+def test_rank_matches_gauss_jordan_oracle(case):
+    p, m = case
+    assert rank_over_field(m, p) == rank_by_gauss_jordan(m, p)
 
 
 def test_rank_does_not_mutate_input():

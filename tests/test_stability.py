@@ -3,14 +3,17 @@ bounds, box enumeration, verdict logic, and report JSON."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from monadforge.chow import BundleInvariants, c1_of_sum, invariants_of_T
-from monadforge.cohomology import exterior_power_sum, kunneth_h, sum_cohomology, twist
+from monadforge.chow import BundleInvariants, c1_of_sum, invariants_of_T, rank_of_T
+from monadforge.cohomology import kunneth_h
 from monadforge.monad import middle_bundle
 from monadforge.polyring import MultiDegree, SpaceParams
 from monadforge.stability import (
@@ -22,6 +25,9 @@ from monadforge.stability import (
     normalization_shift,
     run_stability_scan,
 )
+from oracles import wedge_h0_by_exterior_power
+
+SPACE_PARAMS = st.builds(SpaceParams, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +258,61 @@ def test_report_json_shapes():
 # ---------------------------------------------------------------------------
 
 
-def test_bound_equals_h0_of_twisted_exterior_middle():
-    rng = random.Random(515)
-    params = SpaceParams(1, 1, 1)
-    middle = middle_bundle(params)
-    for _ in range(25):
-        q = rng.randrange(1, 6)
-        tw = MultiDegree(*(rng.randrange(-2, 3) for _ in range(4)))
-        direct = sum_cohomology(twist(exterior_power_sum(middle, q), tw)).h(0)
-        assert h0_wedge_T_upper(params, q, tw) == direct
+@settings(max_examples=60, deadline=None)
+@given(SPACE_PARAMS, st.tuples(*[st.integers(-3, 5)] * 4))
+def test_bound_equals_h0_of_twisted_exterior_middle(params, tw):
+    tw = MultiDegree(*tw)
+    for q in range(1, middle_bundle(params).rank + 1):
+        assert h0_wedge_T_upper(params, q, tw) == wedge_h0_by_exterior_power(params, q, [tw])[0]
+
+
+# ---------------------------------------------------------------------------
+# the generating function against the enumerated exterior powers
+# ---------------------------------------------------------------------------
+
+MAX_ORACLE_ROWS = 3000  # the enumeration oracle is slow; larger boxes get fewer powers
+# boxes reaching below p-sum 0, where some bounds are positive
+COUNTEREXAMPLE_BOXES = (
+    StabilityScanConfig(SpaceParams(1, 1, 1), 3, max_psum=2, component_bound=3, min_psum=-8),
+    StabilityScanConfig(SpaceParams(1, 2, 2), 4, max_psum=0, component_bound=3, min_psum=-8),
+)
+
+
+@st.composite
+def scan_configs(draw):
+    """A scan box with n, m, k <= 3, |p_i| <= 4 and p-sums in [-10, 4]; max_q
+    ranges up to rank(T) - 1 as far as MAX_ORACLE_ROWS allows."""
+    max_psum = draw(st.integers(0, 4))
+    box = StabilityScanConfig(
+        draw(SPACE_PARAMS),
+        max_q=1,
+        max_psum=max_psum,
+        component_bound=draw(st.integers(0, 4)),
+        min_psum=draw(st.integers(-10, max_psum)),
+    )
+    twists = max(1, len(list(enumerate_twists(box))))
+    top = max(1, min(rank_of_T(box.params) - 1, MAX_ORACLE_ROWS // twists))
+    return dataclasses.replace(box, max_q=draw(st.integers(1, top)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scan_configs())
+@example(COUNTEREXAMPLE_BOXES[0])
+@example(COUNTEREXAMPLE_BOXES[1])
+def test_scan_rows_match_exterior_power_oracle(cfg):
+    twists = list(enumerate_twists(cfg))
+    expected = [
+        (q, tw, h0)
+        for q in range(1, cfg.max_q + 1)
+        for tw, h0 in zip(twists, wedge_h0_by_exterior_power(cfg.params, q, twists))
+    ]
+    report = run_stability_scan(cfg)
+    assert list(report.checked) == expected
+    assert report.all_vanish == all(h0 == 0 for _, _, h0 in expected)
+
+
+def test_oracle_examples_have_nonzero_rows():
+    # the comparison above must also see positive bounds, not only zeros
+    for cfg in COUNTEREXAMPLE_BOXES:
+        assert not run_stability_scan(cfg).all_vanish
+
