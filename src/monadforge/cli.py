@@ -26,14 +26,14 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from . import __version__
 from .chow import degree_simplification_check, invariants_of_T
 from .cohomology import CohTable, kunneth_h
 from .les import simplicity_certificate
 from .monad import MonadSpec, assemble_monad, verify_composition, verify_maximal_rank
-from .polyring import DEFAULT_PRIME, MultiDegree, SpaceParams, dumps_canonical, json_key
+from .polyring import DEFAULT_PRIME, MultiDegree, SpaceParams, canonical_chunks, json_key
 from .stability import default_scan_config, run_stability_scan
 from .stability import normalization_shift as _normalization_shift
 
@@ -104,12 +104,16 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
+    """Write the pieces of one document to `output` (stdout if None or "-").
+
+    Callers compute the document before this opens the file, so only an I/O
+    error can interrupt the write."""
     if output is None or output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _render_matrix_text(spec: MonadSpec, which: str) -> List[str]:
@@ -165,7 +169,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
             "manifest": _manifest("build", params, args.seed),
             "monad": spec.to_json(),
         }
-        _emit(dumps_canonical(doc), args.output)
+        _emit(canonical_chunks(doc), args.output)
     else:
         lines = [
             f"monad for (n, m, k) = ({params.n}, {params.m}, {params.k})",
@@ -174,7 +178,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
             f"g ({spec.g.rows} x {spec.g.cols}):",
             *_render_matrix_text(spec, "g"),
         ]
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit(["\n".join(lines) + "\n"], args.output)
     return EXIT_OK
 
 
@@ -203,8 +207,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         try:
             data = _read_monad_json(args.input)
             spec = MonadSpec.from_json(data)
-        except FileNotFoundError:
-            raise  # surfaces as a usage error (exit 2)
+        except OSError:
+            raise  # an unreadable path (missing, a directory, no permission) is a usage error (exit 2)
         except Exception as exc:
             # any defect of an outside document is a FAILED verdict, never a traceback
             params = _declared_params(data, SpaceParams(args.n, args.m, args.k))
@@ -213,7 +217,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 "verdict": "FAILED",
                 "error": f"input document rejected: {exc}",
             }
-            _emit(dumps_canonical(doc), args.output)
+            _emit(canonical_chunks(doc), args.output)
             return EXIT_MATH_FAIL
     else:
         spec = assemble_monad(SpaceParams(args.n, args.m, args.k))
@@ -235,7 +239,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         doc["composition_zero"] = composition
         doc["rank"] = rank_report.to_json()
     doc["verdict"] = "CERTIFIED" if passed else "FAILED"
-    _emit(dumps_canonical(doc), args.output)
+    _emit(canonical_chunks(doc), args.output)
     return EXIT_OK if passed else EXIT_MATH_FAIL
 
 
@@ -249,7 +253,7 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
         "degree": list(deg.as_tuple()),
         "table": {str(t): table.dims[t] for t in range(top + 1)},
     }
-    _emit(dumps_canonical(doc), args.output)
+    _emit(canonical_chunks(doc), args.output)
     return EXIT_OK
 
 
@@ -258,7 +262,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     inv = invariants_of_T(params)
     doc = {"manifest": _manifest("invariants", params, args.seed)}
     doc.update(inv.to_json())
-    _emit(dumps_canonical(doc), args.output)
+    _emit(canonical_chunks(doc), args.output)
     return EXIT_OK
 
 
@@ -281,7 +285,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     report = run_stability_scan(cfg)
     doc = {"manifest": _manifest("stability", params, args.seed)}
     doc.update(report.to_json(include_checked=True))
-    _emit(dumps_canonical(doc), args.output)
+    _emit(canonical_chunks(doc, report.checked), args.output)
     return EXIT_OK if report.all_vanish else EXIT_MATH_FAIL
 
 
@@ -294,9 +298,9 @@ def _cmd_simplicity(args: argparse.Namespace) -> int:
     cert = simplicity_certificate(params, cfg)
     doc = {
         "manifest": _manifest("simplicity", params, args.seed),
-        "certificate": cert.to_json(include_scan_rows=False),
+        "certificate": cert.to_json(),
     }
-    _emit(dumps_canonical(doc), args.output)
+    _emit(canonical_chunks(doc), args.output)
     return EXIT_OK if cert.conclusion == "SIMPLE_CERTIFIED" else EXIT_MATH_FAIL
 
 
@@ -314,10 +318,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "invariants": inv.to_json(),
         "normalization_shift": _normalization_shift(inv, params),
         "stability": scan.to_json(include_checked=True),
-        "simplicity": cert.to_json(include_scan_rows=False),
+        "simplicity": cert.to_json(),
         "degree_check": degree_simplification_check(params),
     }
-    _emit(dumps_canonical(doc), args.output)
+    _emit(canonical_chunks(doc, scan.checked), args.output)
     ok = scan.all_vanish and cert.conclusion == "SIMPLE_CERTIFIED"
     return EXIT_OK if ok else EXIT_MATH_FAIL
 
@@ -408,7 +412,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BrokenPipeError:  # pragma: no cover - shell plumbing
         return EXIT_OK
     except (OSError, ValueError) as exc:
-        # OSError: a missing --input file or an --output path that cannot be written
+        # OSError: an unreadable --input path or an --output path that cannot be written
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

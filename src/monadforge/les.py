@@ -233,14 +233,14 @@ class SimplicityCertificate:
     conclusion: str
     reason: Optional[str] = None
 
-    def to_json(self, include_scan_rows: bool = False) -> dict:
+    def to_json(self) -> dict:
         return {
             "params": {"n": self.params.n, "m": self.params.m, "k": self.params.k},
             "rank_E": self.rank_E,
             "h0_T_dual_twisted": list(self.h0_T_dual_twisted),
             "h1_T_dual_twisted": list(self.h1_T_dual_twisted),
             "t_stable": self.t_stable,
-            "stability": self.stability.to_json(include_checked=include_scan_rows),
+            "stability": self.stability.to_json(include_checked=False),
             "sequence": {
                 "left": self.sequence.left.to_json(),
                 "middle": self.sequence.middle.to_json(),

@@ -24,6 +24,10 @@ each a dict from a sorted pair of variables (group, index) to its nonzero
 coefficient; f * g = 0 is checked on that bilinear coefficient table.  All
 coefficients are Python ints, so arithmetic is exact; no floating point
 enters any code path.
+
+Canonical JSON is json.dumps with sorted keys and indent 2.  The stability
+scan's rows, almost all of a scan document, are written from one row
+template by `canonical_chunks`, byte for byte what json.dumps would write.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 GROUPS: Tuple[str, ...] = ("x", "y", "z", "t")
 _GROUP_ORDER: Dict[str, int] = {g: i for i, g in enumerate(GROUPS)}
@@ -365,3 +370,44 @@ def matrix_from_json(data: Mapping, name: str = "matrix") -> PolyMatrix:
 def dumps_canonical(doc: object) -> str:
     """Render a JSON document deterministically (sorted keys, fixed separators)."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# The value a document holds in place of the scan rows `canonical_chunks`
+# streams; a NUL-delimited string no real value of a document can equal.
+ROWS = "\x00scan rows\x00"
+_ROWS_TEXT = json.dumps(ROWS)
+_ROW_BATCH = 2048
+
+ScanRow = Tuple[int, MultiDegree, int]  # (q, twist, h0)
+
+
+def canonical_chunks(doc: object, rows: Sequence[ScanRow] = ()) -> Iterator[str]:
+    """The text of dumps_canonical(doc) in pieces, with `rows` written where
+    the value ROWS stands.
+
+    The rows come out exactly as dumps_canonical would render the list
+    [{"h0": h0, "q": q, "twist": [a, b, c, d]}, ...] at that depth, one
+    f-string per row, a batch of rows per piece; neither that list nor the
+    whole text is ever built.  Everything but the rows is rendered before
+    this returns, so consuming the pieces cannot fail.
+    """
+    head, marker, tail = dumps_canonical(doc).partition(_ROWS_TEXT)
+    if not marker:
+        return iter((head,))
+    line = head[head.rfind("\n") + 1 :]
+    return chain((head,), _row_chunks(rows, len(line) - len(line.lstrip(" "))), (tail,))
+
+
+def _row_chunks(rows: Sequence[ScanRow], indent: int) -> Iterator[str]:
+    """The JSON list of `rows`, its closing bracket at column `indent`."""
+    if not rows:
+        yield "[]"
+        return
+    i, f, e = (" " * (indent + step) for step in (2, 4, 6))
+    for start in range(0, len(rows), _ROW_BATCH):
+        yield ("[\n" if start == 0 else ",\n") + ",\n".join(
+            f'{i}{{\n{f}"h0": {h0},\n{f}"q": {q},\n{f}"twist": [\n'
+            f"{e}{tw.a},\n{e}{tw.b},\n{e}{tw.c},\n{e}{tw.d}\n{f}]\n{i}}}"
+            for q, tw, h0 in rows[start : start + _ROW_BATCH]
+        )
+    yield "\n" + " " * indent + "]"

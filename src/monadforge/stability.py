@@ -39,7 +39,7 @@ from typing import Iterator, List, Optional, Tuple
 from .chow import BundleInvariants, delta_L, rank_of_T
 from .cohomology import exterior_power_sum
 from .monad import middle_bundle
-from .polyring import MultiDegree, SpaceParams
+from .polyring import ROWS, MultiDegree, SpaceParams
 
 def normalization_shift(inv: BundleInvariants, params: SpaceParams) -> int:
     """The unique integer k_E = ceil(mu_L / d), d = delta_L(1,0,0,0).
@@ -167,6 +167,9 @@ class StabilityReport:
         return self.verdict == "ALL_VANISH"
 
     def to_json(self, include_checked: bool = True) -> dict:
+        """The report as a JSON object.  With include_checked, `checked` holds
+        the marker ROWS, where `canonical_chunks(doc, self.checked)` writes
+        the rows; without it, `nonzero` lists the rows with h0 != 0."""
         doc = {
             "config": self.config.to_json(),
             "entries_checked": len(self.checked),
@@ -181,10 +184,7 @@ class StabilityReport:
             ),
         }
         if include_checked:
-            doc["checked"] = [
-                {"q": q, "twist": list(tw.as_tuple()), "h0": h}
-                for q, tw, h in self.checked
-            ]
+            doc["checked"] = ROWS
         else:
             doc["nonzero"] = [
                 {"q": q, "twist": list(tw.as_tuple()), "h0": h}

@@ -3,10 +3,11 @@
 Each function here recomputes a quantity by a method deliberately different
 from the library implementation -- direct enumeration, permutation-expansion
 determinants, dense polynomial convolution, products of coefficient matrices
-read straight from the JSON -- so agreement is evidence, not tautology.  None
-of them import from the modules they check: the h^0 bound of the stability
-scan, a generating function there, is rebuilt here from the exterior powers
-that `cohomology.exterior_power_sum` enumerates summand by summand.
+read straight from the JSON, scan rows rendered by json.dumps as a list of
+dicts -- so agreement is evidence, not tautology.  None of them import from
+the modules they check: the h^0 bound of the stability scan, a generating
+function there, is rebuilt here from the exterior powers that
+`cohomology.exterior_power_sum` enumerates summand by summand.
 """
 
 from __future__ import annotations
@@ -206,3 +207,9 @@ def compose_by_coefficient_matrices(
             if any(any(row) for row in total):
                 out[(u, v)] = total
     return out
+
+
+def scan_rows_as_dicts(rows: Iterable[Tuple[int, MultiDegree, int]]) -> List[dict]:
+    """The scan rows (q, twist, h0) as the list of JSON objects json.dumps
+    renders for `checked`: the document the streamed rows must reproduce."""
+    return [{"q": q, "twist": list(tw.as_tuple()), "h0": h0} for q, tw, h0 in rows]

@@ -208,12 +208,14 @@ def test_verify_missing_key_names_its_object(tmp_path, capsys, path, message):
 
 
 def test_verify_unparseable_input_fails(tmp_path, capsys):
+    # readable bytes that are not a monad document, in UTF-8 or not, are a FAILED verdict
     bad = tmp_path / "bad.json"
-    bad.write_text("this is not a monad document")
-    code, doc = run_json(capsys, "verify", "--input", str(bad), "--trials", "4")
-    assert code == 1
-    assert doc["verdict"] == "FAILED"
-    assert "error" in doc
+    for content in [b"this is not a monad document", b"\xff\xfe{}"]:
+        bad.write_bytes(content)
+        code, doc = run_json(capsys, "verify", "--input", str(bad), "--trials", "4")
+        assert code == 1
+        assert doc["verdict"] == "FAILED"
+        assert "error" in doc
 
 
 def test_verify_missing_input_is_usage_error(capsys):
@@ -222,27 +224,52 @@ def test_verify_missing_input_is_usage_error(capsys):
     assert out == ""
 
 
-# SHA-256 of stdout with SOURCE_DATE_EPOCH=1700000000, frozen from the
-# polynomial-ring implementation these documents must stay identical to.
+def test_verify_directory_input_is_usage_error(tmp_path, capsys):
+    # a path that exists but cannot be read as a file is a usage error, like a missing one
+    code, out, err = run_cli(capsys, "verify", "--input", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+# (exit code, SHA-256 of stdout) with SOURCE_DATE_EPOCH=1700000000, frozen
+# from earlier implementations these documents must stay identical to: the
+# polynomial ring for build and verify, json.dumps of the whole document for
+# the scan commands (whose rows are now streamed), including a counterexample
+# report and a box with no twists at all.
 GOLDEN_SHA256 = {
     ("build", "--n", "1", "--m", "2", "--k", "3"):
-        "8d2d430ce7ebf1bdaa5a5520799835067c21e96392c15956855afa4d0fb7c1de",
+        (0, "8d2d430ce7ebf1bdaa5a5520799835067c21e96392c15956855afa4d0fb7c1de"),
     ("build", "--n", "1", "--m", "2", "--k", "3", "--format", "text"):
-        "25773811eeb5cba259f619ca4f930fdc313d0f359641e8f0b4c4c653d1ac4b9a",
+        (0, "25773811eeb5cba259f619ca4f930fdc313d0f359641e8f0b4c4c653d1ac4b9a"),
     ("build", "--n", "3", "--m", "3", "--k", "3"):
-        "3550cc9b68290878126a37556e377d1e21acb28cc2038f150f5da2d62c008990",
+        (0, "3550cc9b68290878126a37556e377d1e21acb28cc2038f150f5da2d62c008990"),
     ("build", "--n", "3", "--m", "3", "--k", "3", "--format", "text"):
-        "a9303fc24bc6c6edb1cb6c540cebb274f82c405bb6c7c6f969cf0bea571d5b3a",
+        (0, "a9303fc24bc6c6edb1cb6c540cebb274f82c405bb6c7c6f969cf0bea571d5b3a"),
     ("verify", "--n", "2", "--m", "3", "--k", "2"):
-        "a6117f91038333cd744f48c52de453ab8be1f64656e24eeb2f1a7638f7bcaaf2",
+        (0, "a6117f91038333cd744f48c52de453ab8be1f64656e24eeb2f1a7638f7bcaaf2"),
+    ("stability", "--n", "1", "--m", "2", "--k", "3"):
+        (0, "98125bf4952736f23d660522cbc1f8e9e6aadfb4ec456c0c15636e04a0694434"),
+    ("simplicity", "--n", "1", "--m", "2", "--k", "3"):
+        (0, "ec1c5b15e10d9c44167c2bb61cc63dc7b524741cf5b7d57c3a6c723541de73ac"),
+    ("report", "--n", "1", "--m", "2", "--k", "3"):
+        (0, "c63aea7e437c2c6cb684a612ca5e00e4117834ef36a5cd6f52c63bf0f9ea3d76"),
+    ("report", "--n", "2", "--m", "1", "--k", "2", "--max-q", "6", "--min-psum", "-4"):
+        (1, "1fa014c941890a25802f44383f4b2ab857262853951dc17a69649abab2f28288"),
+    ("stability", "--n", "1", "--m", "1", "--k", "1", "--max-q", "1", "--component-bound", "0",
+     "--min-psum", "1", "--max-psum", "1"):
+        (0, "db0a2037b99e156c64d695eb34072b4ad8697bae5dcf1c7dbac767d9daa2623b"),
 }
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_SHA256), ids=" ".join)
-def test_wire_format_bytes_are_frozen(capsys, argv):
+def test_wire_format_bytes_are_frozen(tmp_path, capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SHA256[argv]
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == GOLDEN_SHA256[argv]
+    target = tmp_path / "out"
+    assert main([*argv, "--output", str(target)]) == code
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,18 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monadforge.polyring import (
     DEFAULT_PRIME,
     GROUPS,
+    ROWS,
     LinearForm,
     MultiDegree,
     PolyMatrix,
     SpaceParams,
+    canonical_chunks,
     dumps_canonical,
     evaluate_matrix,
     matrix_from_json,
@@ -25,7 +27,8 @@ from monadforge.polyring import (
     rank_over_field,
     variable_form,
 )
-from oracles import rank_by_gauss_jordan, rank_by_minors
+from monadforge.stability import StabilityReport, StabilityScanConfig
+from oracles import rank_by_gauss_jordan, rank_by_minors, scan_rows_as_dicts
 
 PARAMS = SpaceParams(2, 3, 2)
 DIMS = [PARAMS.group_dim(g) for g in GROUPS]
@@ -322,3 +325,60 @@ def test_dumps_canonical_is_deterministic():
     assert s1 == s2
     assert s1.endswith("\n")
     assert s1.index('"a"') < s1.index('"b"')
+
+
+# ---------------------------------------------------------------------------
+# streamed scan rows against json.dumps of the list of dicts
+# ---------------------------------------------------------------------------
+
+BIG = st.one_of(st.integers(-12, 12), st.integers(-(10**15), 10**15))
+SCAN_ROWS = st.lists(
+    st.tuples(BIG, st.builds(MultiDegree, BIG, BIG, BIG, BIG), BIG), max_size=12
+)
+
+
+def _scan_documents(rows, checked):
+    """A `stability` document (`checked` at the top level) and a `report` one
+    (`checked` under "stability", a rowless summary under "simplicity")."""
+    report = StabilityReport(
+        config=StabilityScanConfig(SpaceParams(1, 2, 3), max_q=2),
+        checked=tuple(rows),
+        verdict="ALL_VANISH",
+    )
+    manifest = {"command": "stability", "seed": -3, "timestamp": "2023-11-14T22:13:20Z"}
+    scan = {**report.to_json(include_checked=True), "checked": checked}
+    simplicity = {"stability": report.to_json(include_checked=False), "rank_E": 12}
+    return [
+        {"manifest": manifest, **scan},
+        {"manifest": manifest, "stability": scan, "simplicity": simplicity, "normalization_shift": -3},
+    ]
+
+
+def _streamed_pieces(rows):
+    """The pieces of both documents with ROWS streamed, each checked equal to
+    dumps_canonical of the document with the row dicts; compared line by line,
+    so a failure reports its first differing line."""
+    out = []
+    oracles = _scan_documents(rows, scan_rows_as_dicts(rows))
+    for doc, oracle in zip(_scan_documents(rows, ROWS), oracles):
+        pieces = list(canonical_chunks(doc, rows))
+        assert "".join(pieces).split("\n") == dumps_canonical(oracle).split("\n")
+        out.append(pieces)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(SCAN_ROWS)
+@example([])
+def test_streamed_rows_equal_json_dumps_of_the_row_dicts(rows):
+    _streamed_pieces(rows)
+
+
+def test_streamed_rows_come_in_bounded_pieces():
+    # a scan's rows are nearly all zero; they cross several row batches here
+    rows = [(q % 20, MultiDegree(-q, 0, q % 7, -1), int(q == 4000)) for q in range(5001)]
+    for pieces in _streamed_pieces(rows):
+        assert max(map(len, pieces)) < 400_000 < sum(map(len, pieces))
+    # a document without the marker is dumps_canonical in one piece
+    doc = {"b": [1, 2], "a": {"y": 1, "x": 2}}
+    assert list(canonical_chunks(doc)) == [dumps_canonical(doc)]
