@@ -5,7 +5,8 @@ The package builds the Hankel/Toeplitz monad family
     0 -> O_X(-1,-1,-1,-1)^k -> G_n (+) G_m -> O_X(1,1,1,1)^k -> 0
 
 over the fourfold product X, verifies its defining identities symbolically
-and by sampled rank over prime fields, and certifies the numerical facts
+and its maximal rank by a staircase lemma (sampled rank over prime fields for
+documents off the band), and certifies the numerical facts
 about the kernel and cohomology bundles: Chern/degree/slope invariants,
 Hoppe-criterion vanishing scans, and the simplicity certificate assembled
 from long-exact-sequence bookkeeping.  All arithmetic is exact.

@@ -3,7 +3,7 @@
 Seven subcommands, one per claim cluster:
 
     build       emit the monad document (JSON, or text laid out like the displays)
-    verify      symbolic composition + sampled maximal rank; exit 1 on failure
+    verify      symbolic composition + maximal rank (lemma or sampling); exit 1 on failure
     cohomology  full dimension table of one line bundle
     invariants  rank / c1 / degree / slope of the kernel bundle T
     stability   the Hoppe-criterion vanishing scan

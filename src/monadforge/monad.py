@@ -36,9 +36,15 @@ is what rejects a document whose entries are linear forms in the wrong group
 or in coordinates X does not have; terms that are not linear never parse.
 
 The other quantitative claim about the family is that both maps have maximal
-rank k at every point of X whose four coordinate groups are each nonzero, and
-rank 0 only at the (excluded) origin of the affine cone.  `verify_maximal_rank`
-certifies this by seeded sampling over a large prime field.
+rank k away from the irrelevant locus.  The band shape proves more, over
+every field: rank f = rank g = k wherever *any one* coordinate group is
+nonzero, and rank 0 only at the origin of the affine cone.  In row i of an
+f-block the first nonzero entry sits in column D+k-1-i-r, r = max{s : v_s != 0},
+and in column j of a g-block the top nonzero entry sits in row j+r,
+r = min{s : v_s != 0}; these pivots are distinct, so each block alone has rank
+k.  `verify_maximal_rank` certifies the claim from this lemma when
+`has_staircase_shape` holds, and otherwise by seeded sampling over a large
+prime field (`sampled_rank_report`), which stays the lemma's test oracle.
 """
 
 from __future__ import annotations
@@ -301,12 +307,14 @@ def block_products(spec: MonadSpec) -> Tuple[Product, Product, Product, Product]
 
 @dataclass
 class RankReport:
-    """Outcome of the sampled maximal-rank certification.
+    """Outcome of the maximal-rank certification.
 
     `maximal` is True iff every sampled point with all four coordinate groups
     nonzero gave rank k for both f and g.  `group_zero_ranks` records, for
     each group zeroed individually (others random), the observed (rank f,
-    rank g) pair -- diagnostic only, no pass/fail meaning.
+    rank g) pair -- diagnostic only, no pass/fail meaning.  A report filled
+    from the staircase lemma and one from `sampled_rank_report` are equal
+    field for field, so the JSON bytes do not say which path certified.
     """
 
     params: SpaceParams
@@ -360,7 +368,94 @@ def _sample_point(
     return point
 
 
+def _check_trials(trials: object) -> None:
+    if not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+
+
+def _staircase_line(
+    cells: Sequence[LinearForm], group: int, shift: int, D: int, prime: int
+) -> bool:
+    """cells[shift + s] is c * v_s with c != 0 (mod prime) for s = 0..D, in
+    `group`, and every other cell is 0."""
+    band = cells[shift : shift + D + 1]
+    return (
+        not any(cells[:shift])
+        and not any(cells[shift + D + 1 :])
+        and all(
+            len(c) == 1 and c[0][:2] == (group, s) and c[0][2] % prime
+            for s, c in enumerate(band)
+        )
+    )
+
+
+def has_staircase_shape(spec: MonadSpec, prime: int) -> bool:
+    """True iff f and g have the band shape of `assemble_monad`, up to the
+    band scalars, which need only be nonzero mod `prime`.
+
+    Every f-block entry (i, j) must be c * v_{D+k-1-i-j} and every g-block
+    entry (i, j) c * v_{i-j}, in the block's own group, where that index lies
+    in [0, D]; every other entry must be 0.  Read right to left, row i of an
+    f-block is the line v_0..v_D shifted by i, as is column i of a g-block,
+    so one pass over the entries checks both.
+    """
+    params = spec.params
+    k = params.k
+    sizes = _block_sizes(params)
+    width = sum(sizes)
+    if (spec.f.rows, spec.f.cols, spec.g.rows, spec.g.cols) != (k, width, width, k):
+        return False
+    f, g = spec.f.entries, spec.g.entries
+    offset = 0
+    for b, size in enumerate(sizes):
+        D = size - k
+        f_group = GROUPS.index(F_BLOCK_GROUPS[b])
+        g_group = GROUPS.index(G_BLOCK_GROUPS[b])
+        for i in range(k):
+            f_row = f[i * width + offset : i * width + offset + size][::-1]
+            g_column = g[offset * k + i : (offset + size) * k : k]
+            if not (
+                _staircase_line(f_row, f_group, i, D, prime)
+                and _staircase_line(g_column, g_group, i, D, prime)
+            ):
+                return False
+        offset += size
+    return True
+
+
 def verify_maximal_rank(
+    spec: MonadSpec,
+    trials: int = 20,
+    seed: int = 0,
+    prime: int = DEFAULT_PRIME,
+) -> RankReport:
+    """Certificate that f and g have rank k away from the origin.
+
+    When `has_staircase_shape` holds, the report is filled from the staircase
+    lemma (see the module docstring) and no point is drawn: every sample and
+    every single-group-zeroed point has ranks (k, k), and the origin (0, 0).
+    Otherwise `sampled_rank_report` evaluates and eliminates.  Both paths give
+    the same report for the same arguments.  Raises ValueError if trials < 1.
+    """
+    _check_trials(trials)
+    if not has_staircase_shape(spec, prime):
+        return sampled_rank_report(spec, trials, seed, prime)
+    k = spec.params.k
+    return RankReport(
+        params=spec.params,
+        prime=prime,
+        trials=trials,
+        seed=seed,
+        rank_f_samples=(k,) * trials,
+        rank_g_samples=(k,) * trials,
+        origin_rank_f=0,
+        origin_rank_g=0,
+        group_zero_ranks={group: (k, k) for group in GROUPS},
+        maximal=True,
+    )
+
+
+def sampled_rank_report(
     spec: MonadSpec,
     trials: int = 20,
     seed: int = 0,
@@ -371,11 +466,11 @@ def verify_maximal_rank(
     Every trial draws a point of F_prime^N with each coordinate group nonzero
     and records the ranks of f and g there; the all-zeros point and the four
     single-group-zeroed points are evaluated as well (the former must give
-    rank 0, the latter are reported as diagnostics).  Raises ValueError if
-    trials < 1.
+    rank 0, the latter are reported as diagnostics).  The only path for a
+    document without the staircase shape, and the oracle for the lemma.
+    Raises ValueError if trials < 1.
     """
-    if not isinstance(trials, int) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    _check_trials(trials)
     k = spec.params.k
     rank_f: List[int] = []
     rank_g: List[int] = []

@@ -234,9 +234,10 @@ def test_verify_directory_input_is_usage_error(tmp_path, capsys):
 
 # (exit code, SHA-256 of stdout) with SOURCE_DATE_EPOCH=1700000000, frozen
 # from earlier implementations these documents must stay identical to: the
-# polynomial ring for build and verify, json.dumps of the whole document for
-# the scan commands (whose rows are now streamed), including a counterexample
-# report and a box with no twists at all.
+# polynomial ring for build and verify, sampled elimination for every rank
+# report that verify now fills from the staircase lemma, json.dumps of the
+# whole document for the scan commands (whose rows are now streamed),
+# including a counterexample report and a box with no twists at all.
 GOLDEN_SHA256 = {
     ("build", "--n", "1", "--m", "2", "--k", "3"):
         (0, "8d2d430ce7ebf1bdaa5a5520799835067c21e96392c15956855afa4d0fb7c1de"),
@@ -248,6 +249,10 @@ GOLDEN_SHA256 = {
         (0, "a9303fc24bc6c6edb1cb6c540cebb274f82c405bb6c7c6f969cf0bea571d5b3a"),
     ("verify", "--n", "2", "--m", "3", "--k", "2"):
         (0, "a6117f91038333cd744f48c52de453ab8be1f64656e24eeb2f1a7638f7bcaaf2"),
+    ("verify", "--n", "8", "--m", "8", "--k", "8"):
+        (0, "e67e2f817f63fe480010938c43852b07e4f83ad0a471fdabdf802d3c73f4c863"),
+    ("verify", "--n", "1", "--m", "2", "--k", "3", "--trials", "7", "--seed", "5"):
+        (0, "b36513a49d2fcf3d12bdf2048423d4f858453ca7c89e5a53cf69303c5074bacd"),
     ("stability", "--n", "1", "--m", "2", "--k", "3"):
         (0, "98125bf4952736f23d660522cbc1f8e9e6aadfb4ec456c0c15636e04a0694434"),
     ("simplicity", "--n", "1", "--m", "2", "--k", "3"):
@@ -270,6 +275,19 @@ def test_wire_format_bytes_are_frozen(tmp_path, capsys, argv):
     assert main([*argv, "--output", str(target)]) == code
     assert capsys.readouterr().out == ""
     assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_verify_off_band_document_bytes_are_frozen(tmp_path, capsys):
+    # a first band coefficient of 2^31 - 1 vanishes mod the default prime, so
+    # the document is off the staircase band and verify samples and eliminates
+    monad_file, doc = build_document(tmp_path, capsys, 2, 3, 2)
+    first = next(cell for cell in doc["monad"]["f"]["entries"][0] if cell)
+    first[0]["coeff"] = "2147483647"
+    monad_file.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", "--input", str(monad_file))
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (
+        1, "b8d0e41064ea33d4bc865ef4f480090141d0a2eefea628d046ae1523c71bb774"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,19 @@ from monadforge.monad import (
     build_f_block,
     build_g_block,
     floystad_check,
+    has_staircase_shape,
     middle_bundle,
+    sampled_rank_report,
     source_bundle,
     target_bundle,
     verify_composition,
     verify_maximal_rank,
 )
+from monadforge import monad as monad_module
 from monadforge.monad import block_products
 from monadforge.polyring import (
     DEFAULT_PRIME,
+    LinearForm,
     MultiDegree,
     PolyMatrix,
     SpaceParams,
@@ -326,8 +330,148 @@ def test_rank_two_primes():
 
 def test_rank_trials_validation():
     spec = assemble_monad(SpaceParams(1, 1, 1))
-    with pytest.raises(ValueError):
-        verify_maximal_rank(spec, trials=0)
+    for certify in (verify_maximal_rank, sampled_rank_report):
+        with pytest.raises(ValueError):
+            certify(spec, trials=0)
+
+
+# ---------------------------------------------------------------------------
+# the staircase lemma against sampled elimination
+# ---------------------------------------------------------------------------
+
+PRIMES = (2**31 - 1, 10**9 + 7)
+
+
+def band_cells(params):
+    """(matrix, flat position, group, band index or None, D) for every entry
+    of f and g, from the block laws: f-block (i, j) carries v_{D+k-1-i-j},
+    g-block (i, j) carries v_{i-j}, where the index lies in [0, D]."""
+    k = params.k
+    sizes = [params.n + k, params.n + k, params.m + k, params.m + k]
+    width = sum(sizes)
+    cells = []
+    offset = 0
+    for b, size in enumerate(sizes):
+        D = size - k
+        # f-blocks in y, x, t, z; g-blocks in x, y, z, t
+        f_group, g_group = "xyzt".index("yxtz"[b]), b
+        for i in range(k):
+            for j in range(size):
+                index = D + k - 1 - i - j
+                band = index if 0 <= index <= D else None
+                cells.append(("f", i * width + offset + j, f_group, band, D))
+        for i in range(size):
+            for j in range(k):
+                index = i - j
+                band = index if 0 <= index <= D else None
+                cells.append(("g", (offset + i) * k + j, g_group, band, D))
+        offset += size
+    return cells
+
+
+def scalars(prime):
+    """Band scalars that are nonzero mod `prime`; multiples of the other prime included."""
+    other = PRIMES[1 - PRIMES.index(prime)]
+    return st.one_of(
+        st.sampled_from([c for c in range(-7, 8) if c]),
+        st.integers(-(2**40), 2**40).filter(lambda c: c % prime),
+        st.sampled_from([other, -other, 3 * other]),
+    )
+
+
+def staircase_spec(data, params, prime):
+    """`assemble_monad` with every band scalar redrawn nonzero mod `prime`,
+    and the cells of f and g listed."""
+    spec = assemble_monad(params)
+    entries = {"f": list(spec.f.entries), "g": list(spec.g.entries)}
+    cells = band_cells(params)
+    band = [c for c in cells if c[3] is not None]
+    drawn = data.draw(
+        st.lists(scalars(prime), min_size=len(band), max_size=len(band)), label="scalars"
+    )
+    for (name, pos, group, index, _), scalar in zip(band, drawn):
+        entries[name][pos] = LinearForm(((group, index, scalar),))
+    return entries, cells
+
+
+def with_entries(params, entries):
+    spec = assemble_monad(params)
+    f = PolyMatrix(spec.f.rows, spec.f.cols, entries["f"])
+    g = PolyMatrix(spec.g.rows, spec.g.cols, entries["g"])
+    return dataclasses.replace(spec, f=f, g=g)
+
+
+def assert_same_report_as_elimination(data, spec, prime):
+    trials = data.draw(st.integers(1, 3), label="trials")
+    seed = data.draw(st.integers(0, 2**48), label="seed")
+    report = verify_maximal_rank(spec, trials=trials, seed=seed, prime=prime)
+    oracle = sampled_rank_report(spec, trials=trials, seed=seed, prime=prime)
+    assert report.to_json() == oracle.to_json()
+    return report
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_staircase_report_equals_elimination(data):
+    params = SpaceParams(*data.draw(st.tuples(*[st.integers(1, 3)] * 3), label="n, m, k"))
+    prime = data.draw(st.sampled_from(PRIMES), label="prime")
+    entries, cells = staircase_spec(data, params, prime)
+    band = [c for c in cells if c[3] is not None]
+    zeroed = data.draw(st.lists(st.sampled_from(band), max_size=2, unique=True), label="zero mod p")
+    for name, pos, group, index, _ in zeroed:
+        multiple = data.draw(st.sampled_from([prime, -prime, 2 * prime, PRIMES[0] * PRIMES[1]]))
+        entries[name][pos] = LinearForm(((group, index, multiple),))
+    spec = with_entries(params, entries)
+    assert has_staircase_shape(spec, prime) == (not zeroed)
+    report = assert_same_report_as_elimination(data, spec, prime)
+    if not zeroed:
+        assert report.maximal
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_near_miss_leaves_the_band_and_keeps_the_report(data):
+    params = SpaceParams(*data.draw(st.tuples(*[st.integers(1, 3)] * 3), label="n, m, k"))
+    prime = data.draw(st.sampled_from(PRIMES), label="prime")
+    entries, cells = staircase_spec(data, params, prime)
+    assert has_staircase_shape(with_entries(params, entries), prime)
+    band = [c for c in cells if c[3] is not None]
+    off_band = [c for c in cells if c[3] is None]
+    kinds = ["moved index", "extra term", "zeroed", "wrong group"]
+    kinds += ["off band"] if off_band else []  # k = 1 blocks are all band
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    cell = data.draw(st.sampled_from(off_band if kind == "off band" else band), label="cell")
+    name, pos, group, index, D = cell
+    coeff = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]), label="coeff")
+    other = data.draw(st.sampled_from([s for s in range(D + 1) if s != index]), label="other index")
+    if kind == "moved index":
+        entries[name][pos] = LinearForm(((group, other, coeff),))
+    elif kind == "extra term":
+        entries[name][pos] = LinearForm.of(entries[name][pos] + ((group, other, coeff),))
+    elif kind == "zeroed":
+        entries[name][pos] = LinearForm()
+    elif kind == "wrong group":
+        wrong = data.draw(st.sampled_from([h for h in range(4) if h != group]), label="group")
+        dim = (params.n, params.n, params.m, params.m)[wrong]
+        entries[name][pos] = LinearForm(((wrong, min(index, dim), coeff),))
+    else:
+        entries[name][pos] = LinearForm(((group, data.draw(st.integers(0, D)), coeff),))
+    spec = with_entries(params, entries)
+    assert not has_staircase_shape(spec, prime)
+    assert_same_report_as_elimination(data, spec, prime)
+
+
+def test_staircase_monad_is_certified_without_elimination(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a staircase monad needs no evaluation or elimination")
+
+    monkeypatch.setattr(monad_module, "rank_over_field", refuse)
+    monkeypatch.setattr(monad_module, "evaluate_matrix", refuse)
+    report = verify_maximal_rank(assemble_monad(SpaceParams(8, 8, 8)))
+    assert report.maximal
+    assert report.rank_f_samples == report.rank_g_samples == (8,) * 20
+    assert (report.origin_rank_f, report.origin_rank_g) == (0, 0)
+    assert report.group_zero_ranks == {group: (8, 8) for group in "xyzt"}
 
 
 # ---------------------------------------------------------------------------
