@@ -8,8 +8,9 @@ over the fourfold product X, verifies its defining identities symbolically
 and its maximal rank by a staircase lemma (sampled rank over prime fields for
 documents off the band), and certifies the numerical facts
 about the kernel and cohomology bundles: Chern/degree/slope invariants,
-Hoppe-criterion vanishing scans, and the simplicity certificate assembled
-from long-exact-sequence bookkeeping.  All arithmetic is exact.
+Hoppe-criterion vanishing scans, and the simplicity certificate, whose
+long-exact-sequence step is stated in closed form (the general interval
+propagation stays as library API).  All arithmetic is exact.
 """
 
 from .polyring import (

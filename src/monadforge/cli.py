@@ -30,7 +30,7 @@ from typing import Iterable, List, Optional
 
 from . import __version__
 from .chow import degree_simplification_check, invariants_of_T
-from .cohomology import CohTable, kunneth_h
+from .cohomology import line_bundle, sum_cohomology
 from .les import simplicity_certificate
 from .monad import MonadSpec, assemble_monad, verify_composition, verify_maximal_rank
 from .polyring import DEFAULT_PRIME, MultiDegree, SpaceParams, canonical_chunks, json_key
@@ -246,12 +246,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_cohomology(args: argparse.Namespace) -> int:
     params = SpaceParams(args.n, args.m, args.k)
     deg = MultiDegree(*args.degree)
-    top = params.dim_x
-    table = CohTable(tuple(kunneth_h(params, deg, t) for t in range(top + 1)))
+    table = sum_cohomology(line_bundle(params, deg))
     doc = {
         "manifest": _manifest("cohomology", params, args.seed),
         "degree": list(deg.as_tuple()),
-        "table": {str(t): table.dims[t] for t in range(top + 1)},
+        "table": {str(t): h for t, h in enumerate(table.dims)},
     }
     _emit(canonical_chunks(doc), args.output)
     return EXIT_OK
@@ -278,10 +277,7 @@ def _scan_config(args: argparse.Namespace, params: SpaceParams):
 
 def _cmd_stability(args: argparse.Namespace) -> int:
     params = SpaceParams(args.n, args.m, args.k)
-    try:
-        cfg = _scan_config(args, params)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    cfg = _scan_config(args, params)
     report = run_stability_scan(cfg)
     doc = {"manifest": _manifest("stability", params, args.seed)}
     doc.update(report.to_json(include_checked=True))
@@ -291,10 +287,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
 
 def _cmd_simplicity(args: argparse.Namespace) -> int:
     params = SpaceParams(args.n, args.m, args.k)
-    try:
-        cfg = _scan_config(args, params)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    cfg = _scan_config(args, params)
     cert = simplicity_certificate(params, cfg)
     doc = {
         "manifest": _manifest("simplicity", params, args.seed),
@@ -306,10 +299,7 @@ def _cmd_simplicity(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     params = SpaceParams(args.n, args.m, args.k)
-    try:
-        cfg = _scan_config(args, params)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    cfg = _scan_config(args, params)
     inv = invariants_of_T(params)
     scan = run_stability_scan(cfg)
     cert = simplicity_certificate(params, cfg)
@@ -324,10 +314,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     _emit(canonical_chunks(doc, scan.checked), args.output)
     ok = scan.all_vanish and cert.conclusion == "SIMPLE_CERTIFIED"
     return EXIT_OK if ok else EXIT_MATH_FAIL
-
-
-class UsageError(Exception):
-    pass
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
@@ -406,13 +392,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except BrokenPipeError:  # pragma: no cover - shell plumbing
         return EXIT_OK
     except (OSError, ValueError) as exc:
-        # OSError: an unreadable --input path or an --output path that cannot be written
+        # OSError: an unreadable --input path or an --output path that cannot be written;
+        # ValueError: an argument the library rejects, such as a scan box out of range
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

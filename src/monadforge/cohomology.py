@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .polyring import MultiDegree, SpaceParams, json_int, json_key
 
@@ -50,18 +50,7 @@ def kunneth_h(params: SpaceParams, deg: MultiDegree, t: int) -> int:
     top = params.dim_x
     if not isinstance(t, int) or t < 0 or t > top:
         raise ValueError(f"cohomological degree t={t!r} out of range [0, {top}]")
-    options = _factor_options(params, deg)
-    total = 0
-    for i1, v1 in options[0]:
-        for i2, v2 in options[1]:
-            partial = i1 + i2
-            if partial > t:
-                continue
-            for i3, v3 in options[2]:
-                for i4, v4 in options[3]:
-                    if partial + i3 + i4 == t:
-                        total += v1 * v2 * v3 * v4
-    return total
+    return sum_cohomology(line_bundle(params, deg)).dims[t]
 
 
 def _factor_options(
@@ -76,15 +65,8 @@ def _factor_options(
     )
     out: List[List[Tuple[int, int]]] = []
     for dim, d in factors:
-        opts: List[Tuple[int, int]] = []
-        h0 = comb(dim + d, dim) if d >= 0 else 0
-        if h0:
-            opts.append((0, h0))
-        if -d - dim - 1 >= 0:
-            hn = comb(-d - 1, dim)
-            if hn:
-                opts.append((dim, hn))
-        out.append(opts)
+        pairs = ((i, bott_h(dim, d, i)) for i in (0, dim))
+        out.append([(i, h) for i, h in pairs if h])
     return out
 
 

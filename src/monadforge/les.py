@@ -1,4 +1,4 @@
-"""Long-exact-sequence dimension propagation and the simplicity certificate.
+"""Long-exact-sequence interval propagation, and the simplicity certificate.
 
 A short exact sequence of sheaves 0 -> A -> B -> C -> 0 induces the long
 exact cohomology sequence
@@ -17,16 +17,28 @@ never computable from dimensions alone, and are never needed here):
                 h^i(B) >= max(h^i(A) - h^{i-1}(C), h^i(C) - h^{i+1}(A), 0)
 
 (out-of-range indices contribute 0).  When every interval collapses the
-answer is exact — that is precisely what happens in the vanishing deductions
-this module exists for.
+answer is reported as an exact table.  `les_propagate` applies these bounds
+to any `ShortExactSeq` of `CohProfile`s; it is library API, and the
+certificate below does not call it.
 
 The simplicity certificate chains two computable facts about the monad
 bundles: the vanishing scan for T (stability of T implies T is simple, so
-h^0(T (x) T*) = 1), and the collapse of h^0 and h^1 of T*(-1,-1,-1,-1) via
-the twisted dual of the defining sequence 0 -> T -> G_n (+) G_m ->
-O(1,1,1,1)^k -> 0.  Together these bound 1 <= h^0(E (x) E*) <= h^0(T (x) T*)
-= 1 for the cohomology bundle E, which is the simplicity statement; the
-tensor-product cohomology itself is deliberately never computed.
+h^0(T (x) T*) = 1), and the vanishing of h^0 and h^1 of T*(-1,-1,-1,-1)
+along the twisted dual of the defining sequence 0 -> T -> G_n (+) G_m ->
+O(1,1,1,1)^k -> 0, that is
+
+    0 -> O(-2,-2,-2,-2)^k -> G*(-1,-1,-1,-1) -> T*(-1,-1,-1,-1) -> 0.
+
+That sequence needs no interval calculus: every summand O(e_i - (1,1,1,1)) of
+the middle member has a -1 component, and O(-1) has no cohomology on any P^D, so
+the middle member is acyclic and the long exact sequence collapses to
+h^i(T*(-1,-1,-1,-1)) = h^{i+1}(O(-2,-2,-2,-2)^k).  By Bott that is k in
+degree 2n+2m-1 when n = m = 1 and 0 in every other case, so h^0 = h^1 = 0
+always.  The certificate states these three tables directly; `les_propagate`
+stays as library API and is the tests' oracle for them.  Together the two
+facts bound 1 <= h^0(E (x) E*) <= h^0(T (x) T*) = 1 for the cohomology
+bundle E, which is the simplicity statement; the tensor-product cohomology
+itself is deliberately never computed.
 """
 
 from __future__ import annotations
@@ -34,15 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .cohomology import (
-    CohTable,
-    LineBundleSum,
-    line_bundle,
-    sum_cohomology,
-    twist,
-)
-from .monad import middle_bundle
-from .polyring import MultiDegree, SpaceParams
+from .cohomology import CohTable, LineBundleSum, sum_cohomology
+from .polyring import SpaceParams
 from .stability import StabilityReport, StabilityScanConfig, default_scan_config, run_stability_scan
 
 EXACT = "exact"
@@ -199,18 +204,8 @@ def les_propagate(seq: ShortExactSeq) -> ShortExactSeq:
 
 
 def rank_of_E(params: SpaceParams) -> int:
-    """Rank of the cohomology bundle E = H(monad): middle rank minus both end ranks.
-
-    Computed as rank(G_n (+) G_m) - 2k and cross-checked against the closed
-    form 2n + 2m + 2k (equivalently rank(T) - k).
-    """
-    w = middle_bundle(params).rank
-    k = params.k
-    via_ranks = w - 2 * k
-    closed = 2 * params.n + 2 * params.m + 2 * k
-    if via_ranks != closed:  # pragma: no cover - arithmetic identity
-        raise AssertionError(f"rank formulas disagree: {via_ranks} vs {closed}")
-    return closed
+    """Rank of the cohomology bundle E = H(monad): rank(G_n (+) G_m) - 2k = 2n+2m+2k."""
+    return 2 * params.n + 2 * params.m + 2 * params.k
 
 
 @dataclass(frozen=True)
@@ -218,7 +213,8 @@ class SimplicityCertificate:
     """Audit record of the simplicity argument for E.
 
     conclusion is "SIMPLE_CERTIFIED" only when the vanishing scan passed
-    (t_stable) and both h^0 and h^1 of T*(-1,-1,-1,-1) collapsed to [0,0];
+    (t_stable) and both h^0 and h^1 of T*(-1,-1,-1,-1) are [0,0] in the
+    collapsed twisted dual sequence (`sequence`, three exact tables);
     otherwise "INCONCLUSIVE" with a reason.  The final inequality chain
     1 <= h^0(E (x) E*) <= h^0(T (x) T*) = 1 is recorded, not recomputed.
     """
@@ -257,36 +253,36 @@ class SimplicityCertificate:
         }
 
 
-def twisted_dual_sequence(params: SpaceParams) -> ShortExactSeq:
-    """The (-1,-1,-1,-1)-twist of the dual of 0 -> T -> G -> O(1,1,1,1)^k -> 0.
+def _twisted_dual_collapse(params: SpaceParams) -> ShortExactSeq:
+    """Exact tables of 0 -> O(-2,-2,-2,-2)^k -> G*(-1,-1,-1,-1) -> T*(-1,-1,-1,-1) -> 0.
 
-    Dualizing and twisting gives
-
-        0 -> O(-2,-2,-2,-2)^k -> G^(-1,-1,-1,-1)-dual-twist -> T*(-1,-1,-1,-1) -> 0,
-
-    where the middle is the summand-wise dual of G_n (+) G_m twisted by
-    (-1,-1,-1,-1).  Left and middle are sums of line bundles with exact
-    tables; the right member is the unknown the certificate solves for.
+    The middle member is acyclic (module docstring), so the right table is
+    the left one shifted down by one degree.  O(-2) has cohomology only on
+    P^1 (h^1 = 1), so the left table is k in the top degree when n = m = 1
+    and zero otherwise.
     """
-    shift = MultiDegree(-1, -1, -1, -1)
-    left = line_bundle(params, MultiDegree(-2, -2, -2, -2), params.k)
-    middle = twist(middle_bundle(params).dual(), shift)
+    top = params.dim_x
+    left = [0] * (top + 1)
+    if params.n == params.m == 1:
+        left[top] = params.k
     return ShortExactSeq(
-        left=CohProfile.of_sum(left),
-        middle=CohProfile.of_sum(middle),
-        right=CohProfile.unknown(),
-        dim_top=params.dim_x,
+        left=CohProfile.exact(CohTable(tuple(left))),
+        middle=CohProfile.exact(CohTable((0,) * (top + 1))),
+        right=CohProfile.exact(CohTable(tuple(left[1:]) + (0,))),
+        dim_top=top,
     )
 
 
 def simplicity_certificate(
     params: SpaceParams, scan_cfg: Optional[StabilityScanConfig] = None
 ) -> SimplicityCertificate:
-    """Run the vanishing scan and the LES collapse; gate the conclusion on both.
+    """Run the vanishing scan and state the LES collapse; gate the conclusion on both.
 
     scan_cfg defaults to `default_scan_config(params)`.  A scan verdict other
-    than ALL_VANISH yields INCONCLUSIVE with reason "stability scan failed";
-    intervals that fail to collapse to [0,0] yield INCONCLUSIVE as well.
+    than ALL_VANISH yields INCONCLUSIVE with reason "stability scan failed".
+    h^0 and h^1 of T*(-1,-1,-1,-1) are read from the collapsed sequence's
+    right table, which is zero in both degrees for every (n, m, k); a nonzero
+    value would yield INCONCLUSIVE as well.
     """
     if scan_cfg is None:
         scan_cfg = default_scan_config(params)
@@ -296,7 +292,7 @@ def simplicity_certificate(
     report = run_stability_scan(scan_cfg)
     t_stable = report.all_vanish
 
-    seq = les_propagate(twisted_dual_sequence(params))
+    seq = _twisted_dual_collapse(params)
     h0 = seq.right.bounds(0, seq.dim_top)
     h1 = seq.right.bounds(1, seq.dim_top)
 

@@ -17,9 +17,9 @@ generating function:
         = [u^q] prod_i sum_j C(D_i+k, j) C(D_i + tw_i - j, D_i) u^j,
 
 one truncated product per twist giving every q at once.  The exterior power
-itself (`cohomology.exterior_power_sum`) is never built here except by
-`negative_component_violations`; the tests keep it as the oracle the
-generating function must match.
+itself (`cohomology.exterior_power_sum`) is never built here: the tests keep
+it as the oracle that the generating function and
+`negative_component_violations` must match.
 
 The stability criterion needs h^0(Lambda^q T(-p1,-p2,-p3,-p4)) = 0 for
 1 <= q <= rank(T) - 1 and all twists with non-negative weight sum.  The scan
@@ -33,11 +33,11 @@ summand keeps a strictly negative degree component whenever sum(p_i) >= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import ceil, comb
 from typing import Iterator, List, Optional, Tuple
 
 from .chow import BundleInvariants, delta_L, rank_of_T
-from .cohomology import exterior_power_sum
 from .monad import middle_bundle
 from .polyring import ROWS, MultiDegree, SpaceParams
 
@@ -57,10 +57,14 @@ def h0_wedge_T_upper(params: SpaceParams, q: int, tw: MultiDegree) -> int:
     Valid for 1 <= q <= rank(G_n (+) G_m) = 2n+2m+4k; the stability scan only
     ever uses q < rank(T), but the determinant-line top power is legal too.
     """
+    _check_wedge_index(params, q)
+    return _wedge_h0_series(params, q, tw)[q]
+
+
+def _check_wedge_index(params: SpaceParams, q: object) -> None:
     rank = middle_bundle(params).rank
     if not isinstance(q, int) or q < 1 or q > rank:
         raise ValueError(f"exterior power q={q!r} out of range [1, {rank}]")
-    return _wedge_h0_series(params, q, tw)[q]
 
 
 def _wedge_h0_series(params: SpaceParams, max_q: int, tw: MultiDegree) -> List[int]:
@@ -218,17 +222,23 @@ def run_stability_scan(cfg: StabilityScanConfig) -> StabilityReport:
 def negative_component_violations(
     params: SpaceParams, q: int, tw: MultiDegree
 ) -> List[MultiDegree]:
-    """Twisted Lambda^q summands with NO strictly negative component.
+    """Twisted Lambda^q(G_n (+) G_m) summands with NO strictly negative
+    component, in ascending degree order.
 
-    For every twist with p-sum >= 0 this list is empty — each summand keeps a
-    negative degree direction, which is the structural reason the vanishing
-    scan passes; returning witnesses (rather than a bare bool) makes failures
-    inspectable.
+    A summand of Lambda^q(G_n (+) G_m) has degree -j with sum(j) = q and
+    0 <= j_i <= D_i + k, so tw - j has no negative component exactly when
+    also j_i <= tw_i; these j are enumerated directly.  For every twist with
+    p-sum >= 0 the list is empty (sum(tw - j) = -sum(p) - q < 0), which is the
+    structural reason the vanishing scan passes; returning witnesses (rather
+    than a bare bool) makes failures inspectable.  Raises ValueError unless
+    1 <= q <= rank(G_n (+) G_m).
     """
-    wedge = exterior_power_sum(middle_bundle(params), q)
-    bad: List[MultiDegree] = []
-    for deg, _mult in wedge.summands:
-        shifted = deg + tw
-        if shifted.min_component() >= 0:
-            bad.append(shifted)
-    return bad
+    _check_wedge_index(params, q)
+    dims = (params.n, params.n, params.m, params.m)
+    caps = [min(D + params.k, t) for D, t in zip(dims, tw.as_tuple())]
+    # descending j_i is ascending tw_i - j_i: the tuples come out sorted
+    return [
+        tw - MultiDegree(*j)
+        for j in product(*(range(c, -1, -1) for c in caps))
+        if sum(j) == q
+    ]

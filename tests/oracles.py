@@ -6,8 +6,12 @@ determinants, dense polynomial convolution, products of coefficient matrices
 read straight from the JSON, scan rows rendered by json.dumps as a list of
 dicts -- so agreement is evidence, not tautology.  None of them import from
 the modules they check: the h^0 bound of the stability scan, a generating
-function there, is rebuilt here from the exterior powers that
-`cohomology.exterior_power_sum` enumerates summand by summand.
+function there, and the scan's negative-component witnesses, a direct
+enumeration there, are rebuilt here from the exterior powers that
+`cohomology.exterior_power_sum` enumerates summand by summand; the
+certificate's closed-form LES collapse is checked against `les_propagate`
+run on `twisted_dual_sequence`, whose left and middle tables are computed
+from the line-bundle sums themselves.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from monadforge.cohomology import exterior_power_sum, h0_of_sum, twist
+from monadforge.cohomology import exterior_power_sum, h0_of_sum, line_bundle, twist
+from monadforge.les import CohProfile, ShortExactSeq
 from monadforge.monad import middle_bundle
 from monadforge.polyring import MultiDegree, SpaceParams
 
@@ -162,6 +167,35 @@ def wedge_h0_by_exterior_power(
     of the enumerated exterior power of the middle bundle."""
     wedge = exterior_power_sum(middle_bundle(params), q)
     return [h0_of_sum(twist(wedge, tw)) for tw in twists]
+
+
+def negative_component_violations_by_exterior_power(
+    params: SpaceParams, q: int, tw: MultiDegree
+) -> List[MultiDegree]:
+    """The summands of Lambda^q(G_n (+) G_m)(tw) with no negative component,
+    read off the enumerated exterior power in its canonical (ascending) order."""
+    wedge = exterior_power_sum(middle_bundle(params), q)
+    shifted = [deg + tw for deg, _mult in wedge.summands]
+    return [deg for deg in shifted if deg.min_component() >= 0]
+
+
+def twisted_dual_sequence(params: SpaceParams) -> ShortExactSeq:
+    """The (-1,-1,-1,-1)-twist of the dual of 0 -> T -> G -> O(1,1,1,1)^k -> 0,
+
+        0 -> O(-2,-2,-2,-2)^k -> G*(-1,-1,-1,-1) -> T*(-1,-1,-1,-1) -> 0,
+
+    with exact tables for the two line-bundle sums and the right member
+    unknown: the input from which `les_propagate` solves for T*(-1,-1,-1,-1).
+    """
+    shift = MultiDegree(-1, -1, -1, -1)
+    left = line_bundle(params, MultiDegree(-2, -2, -2, -2), params.k)
+    middle = twist(middle_bundle(params).dual(), shift)
+    return ShortExactSeq(
+        left=CohProfile.of_sum(left),
+        middle=CohProfile.of_sum(middle),
+        right=CohProfile.unknown(),
+        dim_top=params.dim_x,
+    )
 
 
 def _coefficient_matrices(matrix: dict) -> Dict[str, List[List[int]]]:

@@ -264,6 +264,11 @@ GOLDEN_SHA256 = {
     ("stability", "--n", "1", "--m", "1", "--k", "1", "--max-q", "1", "--component-bound", "0",
      "--min-psum", "1", "--max-psum", "1"):
         (0, "db0a2037b99e156c64d695eb34072b4ad8697bae5dcf1c7dbac767d9daa2623b"),
+    # the only shape with nonzero LES tables: left [0,0,0,0,2], right [0,0,0,2,0]
+    ("simplicity", "--n", "1", "--m", "1", "--k", "2"):
+        (0, "48a4752dd1c2e61dbf51311000cbc3fbf0374072141e1649db482bc995d8532d"),
+    ("simplicity", "--n", "2", "--m", "2", "--k", "1"):
+        (0, "1fa0c44b58ebea703836f9974a6f5b2bfa137eda77584a9a59b0acef1530c998"),
 }
 
 
@@ -305,6 +310,19 @@ def test_nonpositive_parameters_exit_2(capsys):
         code = main(argv)
         capsys.readouterr()
         assert code == 2, argv
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stability", "--n", "1", "--m", "1", "--k", "1", "--max-q", "99"],
+         "max_q must lie in [1, rank(T)-1] = [1, 6], got 99"),
+        (["report", "--min-psum", "5", "--max-psum", "4"], "min_psum exceeds max_psum"),
+    ],
+)
+def test_rejected_scan_box_exits_2_with_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -3,10 +3,14 @@ certificate assembled from it."""
 
 from __future__ import annotations
 
+import itertools
 import random
+import sys
 
 import pytest
 
+import monadforge.cohomology
+import monadforge.les
 from monadforge.cohomology import (
     CohTable,
     direct_sum,
@@ -21,12 +25,15 @@ from monadforge.les import (
     les_propagate,
     rank_of_E,
     simplicity_certificate,
-    twisted_dual_sequence,
 )
 from monadforge.monad import middle_bundle
 from monadforge.polyring import MultiDegree, SpaceParams
-from monadforge.stability import StabilityScanConfig, default_scan_config
-from oracles import h0_by_monomial_count
+from monadforge.stability import (
+    StabilityScanConfig,
+    default_scan_config,
+    negative_component_violations,
+)
+from oracles import h0_by_monomial_count, twisted_dual_sequence
 
 PARAMS_EX = SpaceParams(1, 2, 3)
 
@@ -304,3 +311,49 @@ def test_certificate_json_document():
     # scan rows are summarized by default: only nonzero rows are embedded
     assert "checked" not in doc["stability"]
     assert doc["stability"]["nonzero"] == []
+
+
+def test_certificate_sequence_equals_interval_propagation():
+    # the closed-form collapse against les_propagate on the line-bundle tables,
+    # exhaustively on {1..5}^3; the sequence does not depend on the scan, so a
+    # one-row box keeps the sweep fast
+    for n, m, k in itertools.product(range(1, 6), repeat=3):
+        params = SpaceParams(n, m, k)
+        cfg = StabilityScanConfig(params, max_q=1, max_psum=0, component_bound=0)
+        cert = simplicity_certificate(params, cfg)
+        solved = les_propagate(twisted_dual_sequence(params))
+        top = solved.dim_top
+        assert cert.to_json()["sequence"] == {
+            "left": solved.left.to_json(),
+            "middle": solved.middle.to_json(),
+            "right": solved.right.to_json(),
+            "dim_top": top,
+        }, (n, m, k)
+        assert cert.h0_T_dual_twisted == solved.right.bounds(0, top) == (0, 0)
+        assert cert.h1_T_dual_twisted == solved.right.bounds(1, top) == (0, 0)
+
+
+def test_certificate_chain_runs_without_the_general_machinery(monkeypatch):
+    # every module attribute holding les_propagate or exterior_power_sum is
+    # replaced by a function that raises: the certificate and the witness
+    # enumeration must not reach either
+    def forbidden(*args, **kwargs):
+        raise AssertionError("general machinery called on the certificate path")
+
+    targets = (monadforge.les.les_propagate, monadforge.cohomology.exterior_power_sum)
+    for name, module in list(sys.modules.items()):
+        if name == "monadforge" or name.startswith("monadforge."):
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in targets):
+                    monkeypatch.setattr(module, attr, forbidden)
+
+    cert = simplicity_certificate(SpaceParams(1, 1, 2))
+    assert cert.conclusion == "SIMPLE_CERTIFIED"
+    assert cert.sequence.right.table.dims == (0, 0, 0, 2, 0)
+    witnesses = negative_component_violations(SpaceParams(1, 1, 1), 1, MultiDegree(1, 1, 1, 1))
+    assert witnesses == [
+        MultiDegree(0, 1, 1, 1),
+        MultiDegree(1, 0, 1, 1),
+        MultiDegree(1, 1, 0, 1),
+        MultiDegree(1, 1, 1, 0),
+    ]

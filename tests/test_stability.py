@@ -25,7 +25,7 @@ from monadforge.stability import (
     normalization_shift,
     run_stability_scan,
 )
-from oracles import wedge_h0_by_exterior_power
+from oracles import negative_component_violations_by_exterior_power, wedge_h0_by_exterior_power
 
 SPACE_PARAMS = st.builds(SpaceParams, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
 
@@ -223,6 +223,31 @@ def test_negative_component_violations_flag_positive_twists():
     params = SpaceParams(1, 1, 1)
     witnesses = negative_component_violations(params, 1, MultiDegree(1, 1, 1, 1))
     assert witnesses != []
+    # the top power has the single summand O(-2,-2,-2,-2) at (1,1,1)
+    top = middle_bundle(params).rank
+    assert negative_component_violations(params, top, MultiDegree(2, 3, 2, 2)) == [
+        MultiDegree(0, 1, 0, 0)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=SPACE_PARAMS, data=st.data())
+def test_negative_component_witnesses_equal_exterior_power(params, data):
+    # the direct enumeration of j with sum(j) = q, 0 <= j_i <= min(D_i+k, tw_i)
+    # against the summands of the enumerated exterior power: same list, same order
+    q = data.draw(st.integers(1, middle_bundle(params).rank), label="q")
+    tw = MultiDegree(*data.draw(st.tuples(*[st.integers(-3, 6)] * 4), label="twist"))
+    assert negative_component_violations(params, q, tw) == (
+        negative_component_violations_by_exterior_power(params, q, tw)
+    )
+
+
+def test_negative_component_violations_rejects_q_out_of_range():
+    params = SpaceParams(1, 1, 1)
+    rank = middle_bundle(params).rank
+    for q in (0, rank + 1, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            negative_component_violations(params, q, MultiDegree(0, 0, 0, 0))
 
 
 def test_scan_verdict_consistent_with_rows():
