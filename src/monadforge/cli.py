@@ -3,7 +3,7 @@
 Seven subcommands, one per claim cluster:
 
     build       emit the monad document (JSON, or text laid out like the displays)
-    verify      symbolic composition + maximal rank (lemma or sampling); exit 1 on failure
+    verify      f*g = 0 (identity or product) + maximal rank (lemma or sampling); exit 1 on failure
     cohomology  full dimension table of one line bundle
     invariants  rank / c1 / degree / slope of the kernel bundle T
     stability   the Hoppe-criterion vanishing scan
@@ -33,7 +33,15 @@ from .chow import degree_simplification_check, invariants_of_T
 from .cohomology import line_bundle, sum_cohomology
 from .les import simplicity_certificate
 from .monad import MonadSpec, assemble_monad, verify_composition, verify_maximal_rank
-from .polyring import DEFAULT_PRIME, MultiDegree, SpaceParams, canonical_chunks, json_key
+from .polyring import (
+    DEFAULT_PRIME,
+    ROWS,
+    MultiDegree,
+    SpaceParams,
+    canonical_chunks,
+    json_key,
+    scan_rows,
+)
 from .stability import default_scan_config, run_stability_scan
 from .stability import normalization_shift as _normalization_shift
 
@@ -165,11 +173,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
     params = SpaceParams(args.n, args.m, args.k)
     spec = assemble_monad(params)
     if args.format == "json":
-        doc = {
-            "manifest": _manifest("build", params, args.seed),
-            "monad": spec.to_json(),
-        }
-        _emit(canonical_chunks(doc), args.output)
+        monad, fills = spec.json_template()
+        doc = {"manifest": _manifest("build", params, args.seed), "monad": monad}
+        _emit(canonical_chunks(doc, fills), args.output)
     else:
         lines = [
             f"monad for (n, m, k) = ({params.n}, {params.m}, {params.k})",
@@ -281,7 +287,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     report = run_stability_scan(cfg)
     doc = {"manifest": _manifest("stability", params, args.seed)}
     doc.update(report.to_json(include_checked=True))
-    _emit(canonical_chunks(doc, report.checked), args.output)
+    _emit(canonical_chunks(doc, {ROWS: scan_rows(report.checked)}), args.output)
     return EXIT_OK if report.all_vanish else EXIT_MATH_FAIL
 
 
@@ -311,7 +317,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "simplicity": cert.to_json(),
         "degree_check": degree_simplification_check(params),
     }
-    _emit(canonical_chunks(doc, scan.checked), args.output)
+    _emit(canonical_chunks(doc, {ROWS: scan_rows(scan.checked)}), args.output)
     ok = scan.all_vanish and cert.conclusion == "SIMPLE_CERTIFIED"
     return EXIT_OK if ok else EXIT_MATH_FAIL
 

@@ -28,12 +28,16 @@ where D is n or m as appropriate.  Writing the products out,
 
 which is symmetric under swapping the roles of the two variable groups, so
 f1 g1 = f2 g2 and likewise f3 g3 = f4 g4; the interleaved signs in f then give
-f g = f1 g1 - f2 g2 + f3 g3 - f4 g4 = 0 identically.  Every entry of f and g
-is a linear form (`polyring.LinearForm`), so f g is a table of quadratic
-forms; `verify_composition` checks that its bilinear coefficient table is
-empty, exactly, with no sampling involved.  `MonadSpec.structural_problems`
-is what rejects a document whose entries are linear forms in the wrong group
-or in coordinates X does not have; terms that are not linear never parse.
+f g = f1 g1 - f2 g2 + f3 g3 - f4 g4 = 0 identically.  `verify_composition`
+takes f g = 0 from this identity for a document whose f and g are those of
+`assemble_monad`, and multiplies every other document out: every entry of f
+and g is a linear form (`polyring.LinearForm`), so f g is a table of
+quadratic forms, and `composition_by_product` checks that its bilinear
+coefficient table is empty, exactly, with no sampling involved.  That product
+stays the identity's oracle: acceptance criteria 1 and 2 multiply the
+assembled monads out.  `MonadSpec.structural_problems` is what rejects a
+document whose entries are linear forms in the wrong group or in coordinates
+X does not have; terms that are not linear never parse.
 
 The other quantitative claim about the family is that both maps have maximal
 rank k away from the irrelevant locus.  The band shape proves more, over
@@ -57,6 +61,7 @@ from .cohomology import LineBundleSum, line_bundle
 from .polyring import (
     DEFAULT_PRIME,
     GROUPS,
+    Fill,
     LinearForm,
     MultiDegree,
     PolyMatrix,
@@ -66,6 +71,7 @@ from .polyring import (
     json_key,
     matrix_from_json,
     matrix_mul,
+    matrix_template,
     matrix_to_json,
     rank_over_field,
     variable_form,
@@ -216,15 +222,27 @@ class MonadSpec:
             problems.append("target bundle label differs from O(1,1,1,1)^k")
         return problems
 
-    def to_json(self) -> dict:
+    def _labels_json(self) -> dict:
         return {
             "params": {"n": self.params.n, "m": self.params.m, "k": self.params.k},
             "source": self.source.to_json(),
             "middle": self.middle.to_json(),
             "target": self.target.to_json(),
-            "f": matrix_to_json(self.f),
-            "g": matrix_to_json(self.g),
         }
+
+    def to_json(self) -> dict:
+        return {**self._labels_json(), "f": matrix_to_json(self.f), "g": matrix_to_json(self.g)}
+
+    def json_template(self) -> Tuple[dict, Dict[str, Fill]]:
+        """to_json() with a marker in place of the entries of f and of g, and
+        the fills that `canonical_chunks` writes there: the same text as
+        dumps_canonical(to_json()), without building the entries' dict tree."""
+        doc = self._labels_json()
+        fills: Dict[str, Fill] = {}
+        for name, matrix in (("f", self.f), ("g", self.g)):
+            marker = f"\x00{name} entries\x00"
+            doc[name], fills[marker] = matrix_template(matrix, marker)
+        return doc, fills
 
     @staticmethod
     def from_json(data: Mapping) -> "MonadSpec":
@@ -270,9 +288,33 @@ def assemble_monad(params: SpaceParams) -> MonadSpec:
     )
 
 
+def _has_monad_shape(spec: MonadSpec) -> bool:
+    """f is k x W and g is W x k, W = 2n+2m+4k, as `params` says."""
+    k = spec.params.k
+    width = sum(_block_sizes(spec.params))
+    return (spec.f.rows, spec.f.cols, spec.g.rows, spec.g.cols) == (k, width, width, k)
+
+
 def verify_composition(spec: MonadSpec) -> bool:
-    """Symbolically check that f * g is the k x k zero matrix: every entry of
-    the bilinear coefficient table is empty."""
+    """True iff f * g is the k x k zero matrix, exactly.
+
+    When f and g are those of `assemble_monad(spec.params)`, f * g is zero by
+    the identity f g = f1 g1 - f2 g2 + f3 g3 - f4 g4 = 0 (see the module
+    docstring) and nothing is multiplied; the shapes are compared first, so
+    no monad larger than the input is assembled.  Every other document goes
+    through `composition_by_product`.
+    """
+    if _has_monad_shape(spec):
+        canonical = assemble_monad(spec.params)
+        if spec.f == canonical.f and spec.g == canonical.g:
+            return True
+    return composition_by_product(spec)
+
+
+def composition_by_product(spec: MonadSpec) -> bool:
+    """Multiply f * g out symbolically and check that every entry of the
+    bilinear coefficient table is empty.  The only path for a document other
+    than `assemble_monad`'s, and the oracle for the identity."""
     return not any(any(row) for row in matrix_mul(spec.f, spec.g))
 
 
@@ -399,12 +441,11 @@ def has_staircase_shape(spec: MonadSpec, prime: int) -> bool:
     f-block is the line v_0..v_D shifted by i, as is column i of a g-block,
     so one pass over the entries checks both.
     """
-    params = spec.params
-    k = params.k
-    sizes = _block_sizes(params)
-    width = sum(sizes)
-    if (spec.f.rows, spec.f.cols, spec.g.rows, spec.g.cols) != (k, width, width, k):
+    if not _has_monad_shape(spec):
         return False
+    k = spec.params.k
+    sizes = _block_sizes(spec.params)
+    width = sum(sizes)
     f, g = spec.f.entries, spec.g.entries
     offset = 0
     for b, size in enumerate(sizes):

@@ -25,9 +25,12 @@ coefficient; f * g = 0 is checked on that bilinear coefficient table.  All
 coefficients are Python ints, so arithmetic is exact; no floating point
 enters any code path.
 
-Canonical JSON is json.dumps with sorted keys and indent 2.  The stability
-scan's rows, almost all of a scan document, are written from one row
-template by `canonical_chunks`, byte for byte what json.dumps would write.
+Canonical JSON is json.dumps with sorted keys and indent 2.  The two lists
+that make up almost all of a large document are fills: a document holds a
+marker string where the list goes, and `canonical_chunks` writes the list
+there from one template, byte for byte what json.dumps would write.  The
+stability scan's rows (`scan_rows`) and the entries of a matrix of linear
+forms (`matrix_template`) are the two fills.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 GROUPS: Tuple[str, ...] = ("x", "y", "z", "t")
 _GROUP_ORDER: Dict[str, int] = {g: i for i, g in enumerate(GROUPS)}
@@ -308,6 +312,9 @@ def _term_from_json(item: object) -> Term:
     {"coeff": "<decimal>", "exps": {"<variable>": 1}}."""
     if not isinstance(item, dict) or "coeff" not in item or "exps" not in item:
         raise ValueError("a term must be an object with keys coeff and exps")
+    if len(item) > 2:
+        extra = ", ".join(repr(key) for key in item if key not in ("coeff", "exps"))
+        raise ValueError(f"keys other than coeff and exps: {extra}")
     coeff, exps = item["coeff"], item["exps"]
     if not isinstance(coeff, str) or not _DECIMAL.fullmatch(coeff):
         raise ValueError("coeff must be a decimal string")
@@ -372,34 +379,47 @@ def dumps_canonical(doc: object) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-# The value a document holds in place of the scan rows `canonical_chunks`
-# streams; a NUL-delimited string no real value of a document can equal.
+# A fill writes one list of a document, in pieces, exactly as dumps_canonical
+# would render it with its closing bracket at column `indent`.
+Fill = Callable[[int], Iterator[str]]
+
+
+def canonical_chunks(doc: object, fills: Mapping[str, Fill] = {}) -> Iterator[str]:
+    """The text of dumps_canonical(doc) in pieces, with each marker that
+    `fills` names written by its fill.
+
+    A marker is a NUL-delimited string no real value of a document can equal;
+    the document holds it where the list goes, and the fill learns the list's
+    depth from the line the marker stands on.  Neither the list nor the whole
+    text is ever built.  Everything but the fills is rendered before this
+    returns, so consuming the pieces cannot fail.
+    """
+    text = dumps_canonical(doc)
+    quoted = {json.dumps(marker): fill for marker, fill in fills.items()}
+    if not quoted:
+        return iter((text,))
+    parts = re.split("(" + "|".join(map(re.escape, quoted)) + ")", text)
+    pieces: List[Iterable[str]] = [parts[:1]]
+    for i in range(1, len(parts), 2):
+        line = parts[i - 1][parts[i - 1].rfind("\n") + 1 :]
+        pieces += [quoted[parts[i]](len(line) - len(line.lstrip(" "))), parts[i + 1 : i + 2]]
+    return chain.from_iterable(pieces)
+
+
+# The marker a scan document holds in place of its rows.
 ROWS = "\x00scan rows\x00"
-_ROWS_TEXT = json.dumps(ROWS)
 _ROW_BATCH = 2048
 
 ScanRow = Tuple[int, MultiDegree, int]  # (q, twist, h0)
 
 
-def canonical_chunks(doc: object, rows: Sequence[ScanRow] = ()) -> Iterator[str]:
-    """The text of dumps_canonical(doc) in pieces, with `rows` written where
-    the value ROWS stands.
-
-    The rows come out exactly as dumps_canonical would render the list
-    [{"h0": h0, "q": q, "twist": [a, b, c, d]}, ...] at that depth, one
-    f-string per row, a batch of rows per piece; neither that list nor the
-    whole text is ever built.  Everything but the rows is rendered before
-    this returns, so consuming the pieces cannot fail.
-    """
-    head, marker, tail = dumps_canonical(doc).partition(_ROWS_TEXT)
-    if not marker:
-        return iter((head,))
-    line = head[head.rfind("\n") + 1 :]
-    return chain((head,), _row_chunks(rows, len(line) - len(line.lstrip(" "))), (tail,))
+def scan_rows(rows: Sequence[ScanRow]) -> Fill:
+    """The fill for ROWS: the list [{"h0": h0, "q": q, "twist": [a, b, c, d]},
+    ...], one f-string per row, a batch of rows per piece."""
+    return partial(_row_chunks, rows)
 
 
 def _row_chunks(rows: Sequence[ScanRow], indent: int) -> Iterator[str]:
-    """The JSON list of `rows`, its closing bracket at column `indent`."""
     if not rows:
         yield "[]"
         return
@@ -410,4 +430,32 @@ def _row_chunks(rows: Sequence[ScanRow], indent: int) -> Iterator[str]:
             f"{e}{tw.a},\n{e}{tw.b},\n{e}{tw.c},\n{e}{tw.d}\n{f}]\n{i}}}"
             for q, tw, h0 in rows[start : start + _ROW_BATCH]
         )
+    yield "\n" + " " * indent + "]"
+
+
+def matrix_template(A: PolyMatrix, marker: str) -> Tuple[dict, Fill]:
+    """matrix_to_json(A) with `marker` in place of its entries, and the fill
+    that writes them: every distinct term rendered once from one f-string,
+    a row of cells per piece."""
+    return {"rows": A.rows, "cols": A.cols, "entries": marker}, partial(_entry_chunks, A)
+
+
+def _entry_chunks(A: PolyMatrix, indent: int) -> Iterator[str]:
+    if not A.rows:
+        yield "[]"
+        return
+    r, c, t, f, e = (" " * (indent + step) for step in (2, 4, 6, 8, 10))
+    terms = {
+        term: f'{t}{{\n{f}"coeff": "{term[2]}",\n{f}"exps": {{\n'
+        f'{e}"{_name(term[0], term[1])}": 1\n{f}}}\n{t}}}'
+        for term in set(chain.from_iterable(A.entries))
+    }
+    empty, open_cell, close_cell = f"{c}[]", f"{c}[\n", f"\n{c}]"
+    for i in range(A.rows):
+        cells = [
+            open_cell + ",\n".join([terms[term] for term in form]) + close_cell if form else empty
+            for form in A.row(i)
+        ]
+        row = f"{r}[\n" + ",\n".join(cells) + f"\n{r}]" if cells else f"{r}[]"
+        yield ("[\n" if i == 0 else ",\n") + row
     yield "\n" + " " * indent + "]"

@@ -172,8 +172,9 @@ class StabilityReport:
 
     def to_json(self, include_checked: bool = True) -> dict:
         """The report as a JSON object.  With include_checked, `checked` holds
-        the marker ROWS, where `canonical_chunks(doc, self.checked)` writes
-        the rows; without it, `nonzero` lists the rows with h0 != 0."""
+        the marker ROWS, where `canonical_chunks(doc, {ROWS:
+        scan_rows(self.checked)})` writes the rows; without it, `nonzero`
+        lists the rows with h0 != 0."""
         doc = {
             "config": self.config.to_json(),
             "entries_checked": len(self.checked),

@@ -11,10 +11,11 @@ import sys
 import jsonschema
 import pytest
 
+from monadforge import __version__
 from monadforge.cli import main
 from monadforge.chow import invariants_of_T
 from monadforge.cohomology import kunneth_h
-from monadforge.monad import MonadSpec
+from monadforge.monad import MonadSpec, assemble_monad
 from monadforge.polyring import MultiDegree, SpaceParams, dumps_canonical
 from monadforge.schemas import SCHEMAS
 
@@ -235,9 +236,11 @@ def test_verify_directory_input_is_usage_error(tmp_path, capsys):
 # (exit code, SHA-256 of stdout) with SOURCE_DATE_EPOCH=1700000000, frozen
 # from earlier implementations these documents must stay identical to: the
 # polynomial ring for build and verify, sampled elimination for every rank
-# report that verify now fills from the staircase lemma, json.dumps of the
-# whole document for the scan commands (whose rows are now streamed),
-# including a counterexample report and a box with no twists at all.
+# report that verify now fills from the staircase lemma, the multiplied-out
+# f*g for every composition verdict it now takes from the identity, and
+# json.dumps of the whole document for the scan commands and build (whose
+# rows and matrix entries are now streamed), including a counterexample
+# report and a box with no twists at all.
 GOLDEN_SHA256 = {
     ("build", "--n", "1", "--m", "2", "--k", "3"):
         (0, "8d2d430ce7ebf1bdaa5a5520799835067c21e96392c15956855afa4d0fb7c1de"),
@@ -247,6 +250,10 @@ GOLDEN_SHA256 = {
         (0, "3550cc9b68290878126a37556e377d1e21acb28cc2038f150f5da2d62c008990"),
     ("build", "--n", "3", "--m", "3", "--k", "3", "--format", "text"):
         (0, "a9303fc24bc6c6edb1cb6c540cebb274f82c405bb6c7c6f969cf0bea571d5b3a"),
+    ("build", "--n", "8", "--m", "8", "--k", "8"):
+        (0, "3d14ea7773f052b73a9a9b23050b099f9bc7f83fc16286eb1fd492dddf0b2c07"),
+    ("build", "--n", "2", "--m", "5", "--k", "1"):
+        (0, "0c1c7ab2e263f8e5b8ffc04818007d3306d7f9a599ae5528d438377a5fd02f95"),
     ("verify", "--n", "2", "--m", "3", "--k", "2"):
         (0, "a6117f91038333cd744f48c52de453ab8be1f64656e24eeb2f1a7638f7bcaaf2"),
     ("verify", "--n", "8", "--m", "8", "--k", "8"):
@@ -272,14 +279,54 @@ GOLDEN_SHA256 = {
 }
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("argv", list(GOLDEN_SHA256), ids=" ".join)
 def test_wire_format_bytes_are_frozen(tmp_path, capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
-    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == GOLDEN_SHA256[argv]
+    assert (code, sha256(out)) == GOLDEN_SHA256[argv]
     target = tmp_path / "out"
     assert main([*argv, "--output", str(target)]) == code
     assert capsys.readouterr().out == ""
     assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_streamed_build_equals_json_dumps_of_the_monad_document(capsys):
+    code, out, _ = run_cli(capsys, "build", "--n", "40", "--m", "40", "--k", "40", "--seed", "1")
+    manifest = {
+        "command": "build",
+        "params": {"n": 40, "m": 40, "k": 40},
+        "seed": 1,
+        "tool_version": __version__,
+        "timestamp": EPOCH_ISO,
+    }
+    monad = assemble_monad(SpaceParams(40, 40, 40)).to_json()
+    assert code == 0
+    assert out == dumps_canonical({"manifest": manifest, "monad": monad})
+
+
+def test_verify_certifies_the_built_monad_without_multiplying(tmp_path, capsys, monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("the assembled monad is zero by its identity")
+
+    monkeypatch.setattr("monadforge.monad.matrix_mul", refuse)
+    argv = ("verify", "--n", "8", "--m", "8", "--k", "8")
+    monad_file, _ = build_document(tmp_path, capsys, 8, 8, 8)
+    for run in (argv, ("verify", "--input", str(monad_file))):
+        code, out, _ = run_cli(capsys, *run)
+        assert (code, sha256(out)) == GOLDEN_SHA256[argv]
+
+
+def test_verify_term_with_an_extra_key_is_rejected_by_name(tmp_path, capsys):
+    monad_file, doc = build_document(tmp_path, capsys, 1, 1, 1)
+    doc["monad"]["f"]["entries"][0][0][0]["junk"] = 5
+    out = verify_rejected(capsys, monad_file, doc)
+    assert out["error"] == (
+        'input document rejected: f entry (0,0) term {"coeff": "1", "exps": {"y1": 1}, '
+        "\"junk\": 5}: keys other than coeff and exps: 'junk'"
+    )
 
 
 def test_verify_off_band_document_bytes_are_frozen(tmp_path, capsys):
@@ -290,7 +337,7 @@ def test_verify_off_band_document_bytes_are_frozen(tmp_path, capsys):
     first[0]["coeff"] = "2147483647"
     monad_file.write_text(json.dumps(doc))
     code, out, _ = run_cli(capsys, "verify", "--input", str(monad_file))
-    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (
+    assert (code, sha256(out)) == (
         1, "b8d0e41064ea33d4bc865ef4f480090141d0a2eefea628d046ae1523c71bb774"
     )
 

@@ -17,6 +17,7 @@ from monadforge.monad import (
     assemble_monad,
     build_f_block,
     build_g_block,
+    composition_by_product,
     floystad_check,
     has_staircase_shape,
     middle_bundle,
@@ -201,16 +202,21 @@ def test_structural_problems_detect_wrong_shape():
 # ---------------------------------------------------------------------------
 
 
+# verify_composition takes f*g = 0 for an assembled monad from the identity;
+# these tests multiply it out by name, as criterion 1 does
+
 def test_composition_zero_on_small_grid():
     for n in (1, 2):
         for m in (1, 2):
             for k in (1, 2):
-                assert verify_composition(assemble_monad(SpaceParams(n, m, k)))
+                spec = assemble_monad(SpaceParams(n, m, k))
+                assert composition_by_product(spec) and verify_composition(spec)
 
 
 def test_composition_zero_named_cases():
-    assert verify_composition(assemble_monad(SpaceParams(1, 2, 3)))
-    assert verify_composition(assemble_monad(SpaceParams(3, 2, 2)))
+    for params in (SpaceParams(1, 2, 3), SpaceParams(3, 2, 2)):
+        spec = assemble_monad(params)
+        assert composition_by_product(spec) and verify_composition(spec)
 
 
 def test_block_identities():
@@ -220,13 +226,52 @@ def test_block_identities():
         assert products[2] == products[3]
 
 
-def test_composition_fails_with_swapped_g_blocks():
-    params = SpaceParams(1, 2, 3)
+def swapped_g_blocks(params: SpaceParams) -> MonadSpec:
+    """The assembled monad with g blocks 1 and 2 exchanged."""
     spec = assemble_monad(params)
     blocks = [build_g_block(which, params) for which in (2, 1, 3, 4)]
     swapped = PolyMatrix(spec.g.rows, spec.g.cols, [p for b in blocks for p in b.entries])
-    tampered = dataclasses.replace(spec, g=swapped)
-    assert not verify_composition(tampered)
+    return dataclasses.replace(spec, g=swapped)
+
+
+def scaled_band_scalar(params: SpaceParams) -> MonadSpec:
+    """The assembled monad with its first f entry times 5: still on the
+    staircase band, but not `assemble_monad`'s document."""
+    spec = assemble_monad(params)
+    entries = list(spec.f.entries)
+    j = next(j for j, form in enumerate(entries) if form)
+    entries[j] = LinearForm.of((g, i, 5 * c) for g, i, c in entries[j])
+    return dataclasses.replace(spec, f=PolyMatrix(spec.f.rows, spec.f.cols, entries))
+
+
+def test_composition_fails_with_swapped_g_blocks():
+    assert not verify_composition(swapped_g_blocks(SpaceParams(1, 2, 3)))
+
+
+class Called(Exception):
+    pass
+
+
+def refuse(*_args):
+    raise Called
+
+
+@pytest.mark.parametrize("tamper", [swapped_g_blocks, scaled_band_scalar])
+def test_composition_of_any_other_document_is_multiplied_out(monkeypatch, tamper):
+    spec = tamper(SpaceParams(1, 2, 3))
+    assert has_staircase_shape(spec, DEFAULT_PRIME) == (tamper is scaled_band_scalar)
+    assert not composition_by_product(spec)
+    monkeypatch.setattr(monad_module, "matrix_mul", refuse)
+    with pytest.raises(Called):
+        verify_composition(spec)
+
+
+def test_composition_compares_shapes_before_assembling(monkeypatch):
+    # params that do not fit the matrices must not make verify_composition
+    # assemble a monad larger than its input; it multiplies what it was given
+    spec = dataclasses.replace(assemble_monad(SpaceParams(1, 1, 1)), params=SpaceParams(400, 1, 1))
+    monkeypatch.setattr(monad_module, "assemble_monad", refuse)
+    assert verify_composition(spec)
 
 
 def as_coefficient_matrices(table, rows: int, cols: int) -> dict:

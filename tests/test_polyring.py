@@ -23,8 +23,10 @@ from monadforge.polyring import (
     evaluate_matrix,
     matrix_from_json,
     matrix_mul,
+    matrix_template,
     matrix_to_json,
     rank_over_field,
+    scan_rows,
     variable_form,
 )
 from monadforge.stability import StabilityReport, StabilityScanConfig
@@ -361,7 +363,7 @@ def _streamed_pieces(rows):
     out = []
     oracles = _scan_documents(rows, scan_rows_as_dicts(rows))
     for doc, oracle in zip(_scan_documents(rows, ROWS), oracles):
-        pieces = list(canonical_chunks(doc, rows))
+        pieces = list(canonical_chunks(doc, {ROWS: scan_rows(rows)}))
         assert "".join(pieces).split("\n") == dumps_canonical(oracle).split("\n")
         out.append(pieces)
     return out
@@ -379,6 +381,44 @@ def test_streamed_rows_come_in_bounded_pieces():
     rows = [(q % 20, MultiDegree(-q, 0, q % 7, -1), int(q == 4000)) for q in range(5001)]
     for pieces in _streamed_pieces(rows):
         assert max(map(len, pieces)) < 400_000 < sum(map(len, pieces))
-    # a document without the marker is dumps_canonical in one piece
+    # a document without a marker is dumps_canonical in one piece
     doc = {"b": [1, 2], "a": {"y": 1, "x": 2}}
     assert list(canonical_chunks(doc)) == [dumps_canonical(doc)]
+    assert list(canonical_chunks(doc, {ROWS: scan_rows(rows)})) == [dumps_canonical(doc)]
+
+
+# ---------------------------------------------------------------------------
+# streamed matrix entries against json.dumps of matrix_to_json
+# ---------------------------------------------------------------------------
+
+TERMS = st.tuples(st.integers(0, 3), st.integers(0, 12), BIG.filter(bool))
+FORMS = st.lists(TERMS, max_size=3).map(LinearForm.of)
+MATRICES = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+    lambda shape: st.lists(FORMS, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]).map(
+        lambda entries: PolyMatrix(shape[0], shape[1], entries)
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(MATRICES, MATRICES, SCAN_ROWS, st.integers(0, 4))
+@example(PolyMatrix(0, 2, []), PolyMatrix(2, 0, []), [], 0)
+@example(
+    PolyMatrix(1, 2, [LinearForm(), LinearForm(((0, 10, -17), (3, 2, 10**12)))]),
+    PolyMatrix(1, 1, [LinearForm()]),
+    [],
+    2,
+)
+def test_streamed_matrix_entries_equal_json_dumps_of_matrix_to_json(f, g, rows, depth):
+    # two matrix fills and the scan rows in one document, nested `depth` deep
+    # between keys that sort before and after them
+    doc, oracle = {"checked": ROWS}, {"checked": scan_rows_as_dicts(rows)}
+    fills = {ROWS: scan_rows(rows)}
+    for name, matrix in (("f", f), ("g", g)):
+        marker = f"\x00{name} entries\x00"
+        doc[name], fills[marker] = matrix_template(matrix, marker)
+        oracle[name] = matrix_to_json(matrix)
+    for _ in range(depth):
+        doc, oracle = ({"a": -1, "m": part, "z": [[]]} for part in (doc, oracle))
+    text = "".join(canonical_chunks(doc, fills))
+    assert text.split("\n") == dumps_canonical(oracle).split("\n")

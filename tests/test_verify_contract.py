@@ -74,7 +74,7 @@ def mutate(data, doc) -> None:
         if isinstance(node[key][i], list) and node[key][i]
     ]
     kind = data.draw(
-        st.sampled_from(["delete", "replace", "rename", "exponent", "truncate", "band"])
+        st.sampled_from(["delete", "replace", "rename", "exponent", "truncate", "band", "key"])
     )
     in_objects = [s for s in everything if isinstance(s[0], dict)]
     if kind == "delete" and in_objects:
@@ -104,6 +104,9 @@ def mutate(data, doc) -> None:
             name, exp = next(iter(term["exps"].items()))
             del term["exps"][name]
             term["exps"][name[:1] + ("1" if name[1:] == "0" else "0")] = exp
+    elif kind == "key" and exps:
+        term = data.draw(st.sampled_from(exps))
+        term[data.draw(st.text(max_size=4), label="added key")] = data.draw(JSON_VALUES)
 
 
 @settings(max_examples=300, deadline=None)
