@@ -28,16 +28,7 @@ where D is n or m as appropriate.  Writing the products out,
 
 which is symmetric under swapping the roles of the two variable groups, so
 f1 g1 = f2 g2 and likewise f3 g3 = f4 g4; the interleaved signs in f then give
-f g = f1 g1 - f2 g2 + f3 g3 - f4 g4 = 0 identically.  `verify_composition`
-takes f g = 0 from this identity for a document whose f and g are those of
-`assemble_monad`, and multiplies every other document out: every entry of f
-and g is a linear form (`polyring.LinearForm`), so f g is a table of
-quadratic forms, and `composition_by_product` checks that its bilinear
-coefficient table is empty, exactly, with no sampling involved.  That product
-stays the identity's oracle: acceptance criteria 1 and 2 multiply the
-assembled monads out.  `MonadSpec.structural_problems` is what rejects a
-document whose entries are linear forms in the wrong group or in coordinates
-X does not have; terms that are not linear never parse.
+f g = f1 g1 - f2 g2 + f3 g3 - f4 g4 = 0 identically.
 
 The other quantitative claim about the family is that both maps have maximal
 rank k away from the irrelevant locus.  The band shape proves more, over
@@ -46,16 +37,33 @@ nonzero, and rank 0 only at the origin of the affine cone.  In row i of an
 f-block the first nonzero entry sits in column D+k-1-i-r, r = max{s : v_s != 0},
 and in column j of a g-block the top nonzero entry sits in row j+r,
 r = min{s : v_s != 0}; these pivots are distinct, so each block alone has rank
-k.  `verify_maximal_rank` certifies the claim from this lemma when
-`has_staircase_shape` holds, and otherwise by seeded sampling over a large
-prime field (`sampled_rank_report`), which stays the lemma's test oracle.
+k.  This holds for any band scalars c != 0 in place of the +-1 above.
+
+`verify` settles structure, composition and rank from one walk over the
+entries, `band_scalars`, which returns the scalars of f and g on that band,
+or None when some cell is off it.  On the band, every band cell is one term
+of its block's group at an index in [0, D] and every other cell is 0, so
+`MonadSpec.structural_problems` checks only the bundle labels;
+`verify_composition` takes f g = 0 from the identity when the scalars are
+`assemble_monad`'s (+1, -1, +1, -1 on the blocks of f, +1 on g), since f and
+g are then that monad's; and `verify_maximal_rank` fills its report from the
+staircase lemma when every scalar is nonzero mod p.  Every other document
+gets the general path: the two entry walks of `structural_problems`, which
+reject linear forms in the wrong group or in coordinates X does not have
+(terms that are not linear never parse); `composition_by_product`, which
+multiplies f g out into a table of quadratic forms (`polyring.matrix_mul`)
+and checks that its bilinear coefficient table is empty, exactly, with no
+sampling involved; and seeded sampling over a large prime field
+(`sampled_rank_report`).  The general paths stay the oracles of the
+shortcuts: acceptance criteria 1 and 2 multiply the assembled monads out,
+and criterion 3 samples them.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .cohomology import LineBundleSum, line_bundle
 from .polyring import (
@@ -159,6 +167,8 @@ class MonadSpec:
     target: LineBundleSum
     f: PolyMatrix
     g: PolyMatrix
+    # (params, f, g) and what `band_scalars` found for them
+    _band: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def structural_problems(self) -> List[str]:
         """Shape and homogeneity defects, as human-readable strings.
@@ -170,7 +180,26 @@ class MonadSpec:
         labels carry the expected classes.  Composition and rank are *not*
         checked here; those are the jobs of `verify_composition` and
         `verify_maximal_rank`.
+
+        When `band_scalars` finds f and g on the staircase band, every band
+        cell is one term of its block's group at an index in [0, D] and every
+        other cell is 0, so the shapes, groups and indices are all proved and
+        only the labels are compared.  Any other document gets the two entry
+        walks of `_entry_problems`, groups first, then indices.
         """
+        problems = [] if band_scalars(self) is not None else self._entry_problems()
+        params = self.params
+        if self.source != source_bundle(params):
+            problems.append("source bundle label differs from O(-1,-1,-1,-1)^k")
+        if self.middle != middle_bundle(params):
+            problems.append("middle bundle label differs from the standard four-class sum")
+        if self.target != target_bundle(params):
+            problems.append("target bundle label differs from O(1,1,1,1)^k")
+        return problems
+
+    def _entry_problems(self) -> List[str]:
+        """The shape, block-group and variable-range defects of f and g, in
+        that order: one walk over the blocks, then one over every entry."""
         problems: List[str] = []
         params = self.params
         k = params.k
@@ -214,12 +243,6 @@ class MonadSpec:
                             f"coordinates x0..x{params.n}, y0..y{params.n}, "
                             f"z0..z{params.m}, t0..t{params.m}"
                         )
-        if self.source != source_bundle(params):
-            problems.append("source bundle label differs from O(-1,-1,-1,-1)^k")
-        if self.middle != middle_bundle(params):
-            problems.append("middle bundle label differs from the standard four-class sum")
-        if self.target != target_bundle(params):
-            problems.append("target bundle label differs from O(1,1,1,1)^k")
         return problems
 
     def _labels_json(self) -> dict:
@@ -298,16 +321,14 @@ def _has_monad_shape(spec: MonadSpec) -> bool:
 def verify_composition(spec: MonadSpec) -> bool:
     """True iff f * g is the k x k zero matrix, exactly.
 
-    When f and g are those of `assemble_monad(spec.params)`, f * g is zero by
-    the identity f g = f1 g1 - f2 g2 + f3 g3 - f4 g4 = 0 (see the module
-    docstring) and nothing is multiplied; the shapes are compared first, so
-    no monad larger than the input is assembled.  Every other document goes
-    through `composition_by_product`.
+    When `band_scalars` finds `assemble_monad`'s scalars, +1, -1, +1, -1 on
+    the blocks of f and +1 on those of g, f and g are that monad's, and f * g
+    is zero by the identity f g = f1 g1 - f2 g2 + f3 g3 - f4 g4 = 0 (see the
+    module docstring): nothing is multiplied or assembled.  Every other
+    document goes through `composition_by_product`.
     """
-    if _has_monad_shape(spec):
-        canonical = assemble_monad(spec.params)
-        if spec.f == canonical.f and spec.g == canonical.g:
-            return True
+    if band_scalars(spec) == _ASSEMBLED_SCALARS:
+        return True
     return composition_by_product(spec)
 
 
@@ -415,53 +436,88 @@ def _check_trials(trials: object) -> None:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
 
 
-def _staircase_line(
-    cells: Sequence[LinearForm], group: int, shift: int, D: int, prime: int
-) -> bool:
-    """cells[shift + s] is c * v_s with c != 0 (mod prime) for s = 0..D, in
-    `group`, and every other cell is 0."""
-    band = cells[shift : shift + D + 1]
-    return (
-        not any(cells[:shift])
-        and not any(cells[shift + D + 1 :])
-        and all(
-            len(c) == 1 and c[0][:2] == (group, s) and c[0][2] % prime
-            for s, c in enumerate(band)
-        )
-    )
+# The set of band scalars of each block: f1..f4, then g1..g4.
+BandScalars = Tuple[FrozenSet[int], ...]
+# Those of `assemble_monad`'s f = [f1 | -f2 | f3 | -f4] and g.
+_ASSEMBLED_SCALARS: BandScalars = tuple(frozenset((s,)) for s in (1, -1, 1, -1, 1, 1, 1, 1))
 
 
-def has_staircase_shape(spec: MonadSpec, prime: int) -> bool:
-    """True iff f and g have the band shape of `assemble_monad`, up to the
-    band scalars, which need only be nonzero mod `prime`.
+def band_scalars(spec: MonadSpec) -> Optional[BandScalars]:
+    """The scalars of f and g on the staircase band of `assemble_monad`, as
+    one set per block (f1..f4, then g1..g4), or None if some cell is off it.
 
-    Every f-block entry (i, j) must be c * v_{D+k-1-i-j} and every g-block
-    entry (i, j) c * v_{i-j}, in the block's own group, where that index lies
-    in [0, D]; every other entry must be 0.  Read right to left, row i of an
-    f-block is the line v_0..v_D shifted by i, as is column i of a g-block,
-    so one pass over the entries checks both.
+    On the band, f and g have the shapes `params` gives, every f-block entry
+    (i, j) is c * v_{D+k-1-i-j} and every g-block entry (i, j) c * v_{i-j}
+    for some integer c != 0, in the block's own group, where that index lies
+    in [0, D], and every other entry is 0.  This one walk is what
+    `structural_problems`, `verify_composition` and `verify_maximal_rank`
+    read: on the band, structure needs only its labels checked, the scalars
+    of `assemble_monad` give f g = 0 by the identity, and scalars nonzero
+    mod p give maximal rank by the staircase lemma.  The result is memoised
+    on `spec` for its current params, f and g, so one `verify` walks once.
     """
+    key = (spec.params, spec.f, spec.g)
+    memo = spec._band
+    if memo is None or any(a is not b for a, b in zip(memo[0], key)):
+        memo = spec._band = (key, _band_walk(spec))
+    return memo[1]
+
+
+def _band_walk(spec: MonadSpec) -> Optional[BandScalars]:
+    """Read right to left, row i of an f-block is the line v_0..v_D shifted
+    by i, as is column i of a g-block, so one pass over the lines of each
+    block checks both matrices."""
     if not _has_monad_shape(spec):
-        return False
+        return None
     k = spec.params.k
     sizes = _block_sizes(spec.params)
     width = sum(sizes)
     f, g = spec.f.entries, spec.g.entries
+    f_scalars: List[FrozenSet[int]] = []
+    g_scalars: List[FrozenSet[int]] = []
     offset = 0
     for b, size in enumerate(sizes):
         D = size - k
-        f_group = GROUPS.index(F_BLOCK_GROUPS[b])
-        g_group = GROUPS.index(G_BLOCK_GROUPS[b])
-        for i in range(k):
-            f_row = f[i * width + offset : i * width + offset + size][::-1]
-            g_column = g[offset * k + i : (offset + size) * k : k]
-            if not (
-                _staircase_line(f_row, f_group, i, D, prime)
-                and _staircase_line(g_column, g_group, i, D, prime)
-            ):
-                return False
+        f_rows = (f[i * width + offset : i * width + offset + size][::-1] for i in range(k))
+        g_columns = (g[offset * k + i : (offset + size) * k : k] for i in range(k))
+        for lines, groups, out in (
+            (f_rows, F_BLOCK_GROUPS, f_scalars),
+            (g_columns, G_BLOCK_GROUPS, g_scalars),
+        ):
+            scalars = _line_scalars(lines, GROUPS.index(groups[b]), D)
+            if scalars is None:
+                return None
+            out.append(scalars)
         offset += size
-    return True
+    return (*f_scalars, *g_scalars)
+
+
+def _line_scalars(
+    lines: Iterable[Sequence[LinearForm]], group: int, D: int
+) -> Optional[FrozenSet[int]]:
+    """The scalars c of lines whose cell i + s is c * v_s for s = 0..D, in
+    `group`, with every other cell 0 (line i shifted by i); None if a line
+    is not so.  A band equal to the one before has its scalars already."""
+    scalars: set = set()
+    last: Optional[Sequence[LinearForm]] = None
+    for i, line in enumerate(lines):
+        if any(line[:i]) or any(line[i + D + 1 :]):
+            return None
+        band = line[i : i + D + 1]
+        if band != last:
+            for s, cell in enumerate(band):
+                if len(cell) != 1 or cell[0][0] != group or cell[0][1] != s:
+                    return None
+                scalars.add(cell[0][2])
+            last = band
+    return frozenset(scalars)
+
+
+def has_staircase_shape(spec: MonadSpec, prime: int) -> bool:
+    """True iff f and g lie on the staircase band (`band_scalars`) with every
+    band scalar nonzero mod `prime`: the staircase lemma's hypothesis."""
+    scalars = band_scalars(spec)
+    return scalars is not None and all(c % prime for block in scalars for c in block)
 
 
 def verify_maximal_rank(
@@ -472,7 +528,8 @@ def verify_maximal_rank(
 ) -> RankReport:
     """Certificate that f and g have rank k away from the origin.
 
-    When `has_staircase_shape` holds, the report is filled from the staircase
+    When `has_staircase_shape` holds (f and g lie on the band, with every
+    band scalar nonzero mod `prime`), the report is filled from the staircase
     lemma (see the module docstring) and no point is drawn: every sample and
     every single-group-zeroed point has ranks (k, k), and the origin (0, 0).
     Otherwise `sampled_rank_report` evaluates and eliminates.  Both paths give

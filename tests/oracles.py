@@ -11,20 +11,41 @@ enumeration there, are rebuilt here from the exterior powers that
 `cohomology.exterior_power_sum` enumerates summand by summand; the
 certificate's closed-form LES collapse is checked against `les_propagate`
 run on `twisted_dual_sequence`, whose left and middle tables are computed
-from the line-bundle sums themselves.
+from the line-bundle sums themselves.  Two oracles are the library's earlier
+code for what `verify --input` now does in one pass: the per-term parse of a
+matrix of linear forms (it shares only the term validator
+`polyring._term_from_json` with the memoised parse) and the two entry walks
+of `MonadSpec.structural_problems`, run on every document.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from monadforge.cohomology import exterior_power_sum, h0_of_sum, line_bundle, twist
 from monadforge.les import CohProfile, ShortExactSeq
-from monadforge.monad import middle_bundle
-from monadforge.polyring import MultiDegree, SpaceParams
+from monadforge.monad import (
+    F_BLOCK_GROUPS,
+    G_BLOCK_GROUPS,
+    MonadSpec,
+    middle_bundle,
+    source_bundle,
+    target_bundle,
+)
+from monadforge.polyring import (
+    GROUPS,
+    LinearForm,
+    MultiDegree,
+    PolyMatrix,
+    SpaceParams,
+    _term_from_json,
+    json_int,
+    json_key,
+)
 
 
 def h0_by_monomial_count(n: int, d: int) -> int:
@@ -247,3 +268,85 @@ def scan_rows_as_dicts(rows: Iterable[Tuple[int, MultiDegree, int]]) -> List[dic
     """The scan rows (q, twist, h0) as the list of JSON objects json.dumps
     renders for `checked`: the document the streamed rows must reproduce."""
     return [{"q": q, "twist": list(tw.as_tuple()), "h0": h0} for q, tw, h0 in rows]
+
+
+def matrix_from_json_per_term(data, name: str = "matrix") -> PolyMatrix:
+    """`polyring.matrix_from_json` term by term: every term validated by
+    `_term_from_json` on its own and every cell summed by `LinearForm.of`."""
+    rows = json_int(json_key(data, "rows", name), f"{name} rows")
+    cols = json_int(json_key(data, "cols", name), f"{name} cols")
+    entries = json_key(data, "entries", name)
+    if not isinstance(entries, list) or len(entries) != rows:
+        raise ValueError(f"matrix JSON has inconsistent shape: {name} does not have {rows} rows")
+    flat: List[LinearForm] = []
+    for i, row in enumerate(entries):
+        if not isinstance(row, list) or len(row) != cols:
+            raise ValueError(
+                f"matrix JSON has inconsistent shape: {name} row {i} does not have {cols} entries"
+            )
+        for j, cell in enumerate(row):
+            if not isinstance(cell, list):
+                raise ValueError(f"{name} entry ({i},{j}) is not a list of terms")
+            terms = []
+            for item in cell:
+                try:
+                    terms.append(_term_from_json(item))
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{name} entry ({i},{j}) term {json.dumps(item, sort_keys=True)}: {exc}"
+                    ) from None
+            flat.append(LinearForm.of(terms))
+    return PolyMatrix(rows, cols, flat)
+
+
+def structural_problems_by_two_walks(spec: MonadSpec) -> List[str]:
+    """`MonadSpec.structural_problems` with both entry walks run on every
+    document: shapes, then block groups, then variable ranges, then labels."""
+    problems: List[str] = []
+    params = spec.params
+    k = params.k
+    sizes = [params.n + k, params.n + k, params.m + k, params.m + k]
+    width = sum(sizes)
+    if (spec.f.rows, spec.f.cols) != (k, width):
+        problems.append(f"f has shape {spec.f.rows}x{spec.f.cols}, expected {k}x{width}")
+    if (spec.g.rows, spec.g.cols) != (width, k):
+        problems.append(f"g has shape {spec.g.rows}x{spec.g.cols}, expected {width}x{k}")
+    if not problems:
+        offsets = [sum(sizes[:b]) for b in range(5)]
+        for b in range(4):
+            f_group = GROUPS.index(F_BLOCK_GROUPS[b])
+            g_group = GROUPS.index(G_BLOCK_GROUPS[b])
+            for pos in range(offsets[b], offsets[b + 1]):
+                for i in range(k):
+                    if any(g != f_group for g, _, _ in spec.f.entry(i, pos)):
+                        problems.append(
+                            f"f entry ({i},{pos}) is not a linear form in the "
+                            f"block-{b + 1} group {F_BLOCK_GROUPS[b]!r}"
+                        )
+                for j in range(k):
+                    if any(g != g_group for g, _, _ in spec.g.entry(pos, j)):
+                        problems.append(
+                            f"g entry ({pos},{j}) is not a linear form in the "
+                            f"block-{b + 1} group {G_BLOCK_GROUPS[b]!r}"
+                        )
+    dims = [params.n, params.n, params.m, params.m]
+    for name, matrix in (("f", spec.f), ("g", spec.g)):
+        for i in range(matrix.rows):
+            for j in range(matrix.cols):
+                foreign = [
+                    f"{GROUPS[g]}{idx}" for g, idx, _ in matrix.entry(i, j) if idx > dims[g]
+                ]
+                if foreign:
+                    problems.append(
+                        f"{name} entry ({i},{j}) uses "
+                        f"{', '.join(foreign)}, outside the "
+                        f"coordinates x0..x{params.n}, y0..y{params.n}, "
+                        f"z0..z{params.m}, t0..t{params.m}"
+                    )
+    if spec.source != source_bundle(params):
+        problems.append("source bundle label differs from O(-1,-1,-1,-1)^k")
+    if spec.middle != middle_bundle(params):
+        problems.append("middle bundle label differs from the standard four-class sum")
+    if spec.target != target_bundle(params):
+        problems.append("target bundle label differs from O(1,1,1,1)^k")
+    return problems

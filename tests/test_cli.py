@@ -7,11 +7,15 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import jsonschema
 import pytest
 
 from monadforge import __version__
+from monadforge import cli as cli_module
+from monadforge import monad as monad_module
+from monadforge import polyring
 from monadforge.cli import main
 from monadforge.chow import invariants_of_T
 from monadforge.cohomology import kunneth_h
@@ -233,6 +237,69 @@ def test_verify_directory_input_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and "Is a directory" in err
 
 
+def first_term_cell(entries):
+    return next(cell for row in entries for cell in row if cell)
+
+
+def swap(items, a, b):
+    items[a], items[b] = items[b], items[a]
+
+
+def term(coeff, name):
+    return {"coeff": coeff, "exps": {name: 1}}
+
+
+def set_cells(monad, *cells):
+    for matrix, i, j, terms in cells:
+        monad[matrix]["entries"][i][j] = terms
+
+
+def drop_last_f_column(monad):
+    for row in monad["f"]["entries"]:
+        row.pop()
+    monad["f"]["cols"] -= 1
+
+
+# Tamperings of the (2,3,2) build for `verify --input` (n = 2, m = 3, k = 2;
+# f-block 1 holds y's in its columns 0..3, f-block 2 x's in columns 4..7,
+# g-block 1 x's in its rows 0..3).  The first eight keep every structure
+# check and fail on composition alone; the last three fail on structure,
+# with problems of two kinds whose order is part of the bytes.
+TAMPERINGS = {
+    "f coeff 7": lambda monad: first_term_cell(monad["f"]["entries"])[0].update(coeff="7"),
+    "f columns swapped": lambda monad: [swap(row, 1, 2) for row in monad["f"]["entries"]],
+    "g rows swapped": lambda monad: swap(monad["g"]["entries"], 1, 2),
+    "f band coeff 0 mod p":
+        lambda monad: first_term_cell(monad["f"]["entries"])[0].update(coeff="2147483647"),
+    "g band coeff 0 mod p":
+        lambda monad: first_term_cell(monad["g"]["entries"])[0].update(coeff="2147483647"),
+    "g band scalar 5": lambda monad: first_term_cell(monad["g"]["entries"])[0].update(coeff="5"),
+    "f extra term": lambda monad: first_term_cell(monad["f"]["entries"]).append(term("1", "y0")),
+    "f off-band entry": lambda monad: set_cells(monad, ("f", 0, 0, [term("1", "y0")])),
+    "wrong group in f and g":
+        lambda monad: set_cells(
+            monad, ("f", 0, 5, [term("1", "y0")]), ("g", 0, 0, [term("1", "t0")])
+        ),
+    "out of range and wrong group":
+        lambda monad: set_cells(
+            monad, ("f", 0, 1, [term("1", "y9")]), ("g", 0, 0, [term("1", "t0")])
+        ),
+    "shape and out of range":
+        lambda monad: (drop_last_f_column(monad), set_cells(monad, ("g", 0, 0, [term("1", "x9")]))),
+}
+
+
+def resolved_argv(argv, tmp_path, capsys):
+    """`argv`, except that a `verify --input` key names a tampering: the
+    tampered (2,3,2) build is written to a file and its path put there."""
+    if argv[:2] != ("verify", "--input"):
+        return list(argv)
+    monad_file, doc = build_document(tmp_path, capsys, 2, 3, 2)
+    TAMPERINGS[argv[2]](doc["monad"])
+    monad_file.write_text(json.dumps(doc))
+    return [*argv[:2], str(monad_file), *argv[3:]]
+
+
 # (exit code, SHA-256 of stdout) with SOURCE_DATE_EPOCH=1700000000, frozen
 # from earlier implementations these documents must stay identical to: the
 # polynomial ring for build and verify, sampled elimination for every rank
@@ -240,7 +307,9 @@ def test_verify_directory_input_is_usage_error(tmp_path, capsys):
 # f*g for every composition verdict it now takes from the identity, and
 # json.dumps of the whole document for the scan commands and build (whose
 # rows and matrix entries are now streamed), including a counterexample
-# report and a box with no twists at all.
+# report and a box with no twists at all; and the two entry walks of
+# `structural_problems` and the multiplied-out f*g for the FAILED documents
+# of TAMPERINGS, whose problem lists a single walk could reorder.
 GOLDEN_SHA256 = {
     ("build", "--n", "1", "--m", "2", "--k", "3"):
         (0, "8d2d430ce7ebf1bdaa5a5520799835067c21e96392c15956855afa4d0fb7c1de"),
@@ -276,6 +345,29 @@ GOLDEN_SHA256 = {
         (0, "48a4752dd1c2e61dbf51311000cbc3fbf0374072141e1649db482bc995d8532d"),
     ("simplicity", "--n", "2", "--m", "2", "--k", "1"):
         (0, "1fa0c44b58ebea703836f9974a6f5b2bfa137eda77584a9a59b0acef1530c998"),
+    # a tampered (2,3,2) build each; the last item names it in TAMPERINGS
+    ("verify", "--input", "f coeff 7"):
+        (1, "b8d0e41064ea33d4bc865ef4f480090141d0a2eefea628d046ae1523c71bb774"),
+    ("verify", "--input", "f columns swapped"):
+        (1, "b8d0e41064ea33d4bc865ef4f480090141d0a2eefea628d046ae1523c71bb774"),
+    ("verify", "--input", "g rows swapped"):
+        (1, "b8d0e41064ea33d4bc865ef4f480090141d0a2eefea628d046ae1523c71bb774"),
+    ("verify", "--input", "f band coeff 0 mod p"):
+        (1, "b8d0e41064ea33d4bc865ef4f480090141d0a2eefea628d046ae1523c71bb774"),
+    ("verify", "--input", "g band coeff 0 mod p"):
+        (1, "b8d0e41064ea33d4bc865ef4f480090141d0a2eefea628d046ae1523c71bb774"),
+    ("verify", "--input", "g band scalar 5"):
+        (1, "b8d0e41064ea33d4bc865ef4f480090141d0a2eefea628d046ae1523c71bb774"),
+    ("verify", "--input", "f extra term"):
+        (1, "b8d0e41064ea33d4bc865ef4f480090141d0a2eefea628d046ae1523c71bb774"),
+    ("verify", "--input", "f off-band entry"):
+        (1, "b8d0e41064ea33d4bc865ef4f480090141d0a2eefea628d046ae1523c71bb774"),
+    ("verify", "--input", "wrong group in f and g"):
+        (1, "0b354c319cdb045ee2234c018aec2e1bd24f175ccb7a7f5facafe745c2107cda"),
+    ("verify", "--input", "out of range and wrong group"):
+        (1, "439b7855e5a5cc296e9aec35e681151a0d27f2017abd88d54f60d44b8045aa4a"),
+    ("verify", "--input", "shape and out of range"):
+        (1, "74a05b587339f6b3f7bec3634eed258b43f7a76a82fbe4a49df6974caa21a34e"),
 }
 
 
@@ -285,8 +377,10 @@ def sha256(text: str) -> str:
 
 @pytest.mark.parametrize("argv", list(GOLDEN_SHA256), ids=" ".join)
 def test_wire_format_bytes_are_frozen(tmp_path, capsys, argv):
+    expected = GOLDEN_SHA256[argv]
+    argv = resolved_argv(argv, tmp_path, capsys)
     code, out, _ = run_cli(capsys, *argv)
-    assert (code, sha256(out)) == GOLDEN_SHA256[argv]
+    assert (code, sha256(out)) == expected
     target = tmp_path / "out"
     assert main([*argv, "--output", str(target)]) == code
     assert capsys.readouterr().out == ""
@@ -317,6 +411,47 @@ def test_verify_certifies_the_built_monad_without_multiplying(tmp_path, capsys, 
     for run in (argv, ("verify", "--input", str(monad_file))):
         code, out, _ = run_cli(capsys, *run)
         assert (code, sha256(out)) == GOLDEN_SHA256[argv]
+
+
+def test_verify_input_settles_the_built_monad_in_one_walk(tmp_path, capsys, monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("the band walk settles structure, composition and rank")
+
+    walks = []
+    walk = monad_module._band_walk
+    monad_file, _ = build_document(tmp_path, capsys, 8, 8, 8)
+    for name in ("assemble_monad", "matrix_mul", "evaluate_matrix"):
+        monkeypatch.setattr(monad_module, name, refuse)
+    monkeypatch.setattr(cli_module, "assemble_monad", refuse)
+    monkeypatch.setattr(monad_module, "_band_walk", lambda spec: walks.append(spec) or walk(spec))
+    code, out, _ = run_cli(capsys, "verify", "--input", str(monad_file))
+    assert (code, sha256(out)) == GOLDEN_SHA256[("verify", "--n", "8", "--m", "8", "--k", "8")]
+    assert len(walks) == 1
+
+
+def test_verify_input_validates_each_distinct_term_once(tmp_path, capsys, monkeypatch):
+    seen = Counter()
+    validate = polyring._term_from_json
+
+    def counted(item):
+        ((name, _),) = item["exps"].items()
+        seen[(item["coeff"], name)] += 1
+        return validate(item)
+
+    monad_file, doc = build_document(tmp_path, capsys, 8, 8, 8)
+    monkeypatch.setattr(polyring, "_TERM_CELLS", {})
+    monkeypatch.setattr(polyring, "_term_from_json", counted)
+    code, _, _ = run_cli(capsys, "verify", "--input", str(monad_file))
+    assert code == 0
+    distinct = {
+        (item["coeff"], name)
+        for matrix in ("f", "g")
+        for row in doc["monad"][matrix]["entries"]
+        for cell in row
+        for item in cell
+        for name in item["exps"]
+    }
+    assert set(seen) == distinct and max(seen.values()) == 1
 
 
 def test_verify_term_with_an_extra_key_is_rejected_by_name(tmp_path, capsys):

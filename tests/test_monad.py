@@ -39,7 +39,7 @@ from monadforge.polyring import (
     matrix_mul,
     rank_over_field,
 )
-from oracles import compose_by_coefficient_matrices
+from oracles import compose_by_coefficient_matrices, structural_problems_by_two_walks
 
 
 def entry_strings(matrix):
@@ -266,6 +266,19 @@ def test_composition_of_any_other_document_is_multiplied_out(monkeypatch, tamper
         verify_composition(spec)
 
 
+def test_band_walk_is_memoised_for_the_current_matrices(monkeypatch):
+    walks = []
+    walk = monad_module._band_walk
+    monkeypatch.setattr(monad_module, "_band_walk", lambda spec: walks.append(1) or walk(spec))
+    spec = assemble_monad(SpaceParams(1, 2, 3))
+    assert spec.structural_problems() == [] and verify_composition(spec)
+    assert verify_maximal_rank(spec).maximal and len(walks) == 1
+    # a spec whose g is replaced is walked again, not read from the memo
+    spec.g = swapped_g_blocks(spec.params).g
+    assert not verify_composition(spec) and len(walks) == 2
+    assert spec.structural_problems() == structural_problems_by_two_walks(spec) != []
+
+
 def test_composition_compares_shapes_before_assembling(monkeypatch):
     # params that do not fit the matrices must not make verify_composition
     # assemble a monad larger than its input; it multiplies what it was given
@@ -469,6 +482,8 @@ def test_staircase_report_equals_elimination(data):
     spec = with_entries(params, entries)
     assert has_staircase_shape(spec, prime) == (not zeroed)
     report = assert_same_report_as_elimination(data, spec, prime)
+    assert spec.structural_problems() == structural_problems_by_two_walks(spec) == []
+    assert verify_composition(spec) == composition_by_product(spec)
     if not zeroed:
         assert report.maximal
 
@@ -504,6 +519,9 @@ def test_near_miss_leaves_the_band_and_keeps_the_report(data):
     spec = with_entries(params, entries)
     assert not has_staircase_shape(spec, prime)
     assert_same_report_as_elimination(data, spec, prime)
+    # off the band, structure and composition take the general path
+    assert spec.structural_problems() == structural_problems_by_two_walks(spec)
+    assert verify_composition(spec) == composition_by_product(spec)
 
 
 def test_staircase_monad_is_certified_without_elimination(monkeypatch):

@@ -1,12 +1,16 @@
 """Exit-code contract of `verify --input`: whatever a monad document holds,
 the run ends in exit 0 or 1 without an exception, and writes a document
-valid against the published `verify` schema, FAILED whenever it exits 1."""
+valid against the published `verify` schema, FAILED whenever it exits 1.
+On the same mutated documents, the memoised parse and the one band walk
+agree with the per-term parse and the two entry walks they replaced."""
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
+import re
 from functools import lru_cache
 
 import jsonschema
@@ -14,7 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monadforge.cli import main
+from monadforge.monad import (
+    MonadSpec,
+    composition_by_product,
+    sampled_rank_report,
+    verify_composition,
+    verify_maximal_rank,
+)
+from monadforge.polyring import matrix_from_json
 from monadforge.schemas import SCHEMAS
+from oracles import matrix_from_json_per_term, structural_problems_by_two_walks
 
 JSON_SCALARS = st.one_of(
     st.none(),
@@ -27,6 +40,7 @@ JSON_SCALARS = st.one_of(
 )
 JSON_VALUES = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3))
 VERIFY_SCHEMA = jsonschema.Draft202012Validator(SCHEMAS["verify"])  # checked once, not per example
+DECIMAL = re.compile(r"-?[0-9]+")
 VARIABLE_NAMES = st.one_of(
     st.sampled_from(["x0", "y1", "z0", "t1", "x9", "w0", "x", "x01"]), st.text(max_size=3)
 )
@@ -73,8 +87,12 @@ def mutate(data, doc) -> None:
         for i in range(len(node[key]))
         if isinstance(node[key][i], list) and node[key][i]
     ]
+    cells = [cell for row in rows for cell in row if isinstance(cell, list) and cell]
     kind = data.draw(
-        st.sampled_from(["delete", "replace", "rename", "exponent", "truncate", "band", "key"])
+        st.sampled_from(
+            ["delete", "replace", "rename", "exponent", "truncate", "band", "key",
+             "exponent type", "coeff", "cancel", "respell"]
+        )
     )
     in_objects = [s for s in everything if isinstance(s[0], dict)]
     if kind == "delete" and in_objects:
@@ -107,6 +125,26 @@ def mutate(data, doc) -> None:
     elif kind == "key" and exps:
         term = data.draw(st.sampled_from(exps))
         term[data.draw(st.text(max_size=4), label="added key")] = data.draw(JSON_VALUES)
+    elif kind == "exponent type" and exps:
+        # equal to 1 in Python, but not a JSON integer
+        term = data.draw(st.sampled_from(exps))["exps"]
+        term[next(iter(term))] = data.draw(st.sampled_from([True, 1.0]))
+    elif kind == "coeff" and exps:
+        term = data.draw(st.sampled_from(exps))
+        term["coeff"] = data.draw(st.sampled_from(["-0", "007", "2147483647"]))
+    elif kind == "cancel" and cells:
+        # a second term in the same variable that cancels the first
+        cell = data.draw(st.sampled_from(cells))
+        term = copy.deepcopy(cell[0])
+        if isinstance(term, dict) and DECIMAL.fullmatch(str(term.get("coeff"))):
+            term["coeff"] = str(-int(term["coeff"]))
+            cell.append(term)
+    elif kind == "respell" and exps:
+        # the same coefficient written another way in this cell than in the others
+        term = data.draw(st.sampled_from(exps))
+        coeff = term.get("coeff")
+        if isinstance(coeff, str) and DECIMAL.fullmatch(coeff):
+            term["coeff"] = ("-0" if coeff.startswith("-") else "0") + coeff.lstrip("-")
 
 
 @settings(max_examples=300, deadline=None)
@@ -123,3 +161,38 @@ def test_verify_input_exit_code_contract(tmp_path_factory, data):
     result = json.loads(out)
     VERIFY_SCHEMA.validate(result)
     assert result["verdict"] == ("CERTIFIED" if code == 0 else "FAILED")
+
+
+def parsed_or_error(parse, data, name):
+    try:
+        return parse(data, name)
+    except Exception as exc:  # the two parsers must fail alike, whatever they raise
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_pass_verify_equals_the_oracles(data):
+    params = data.draw(st.sampled_from([(1, 1, 1), (1, 2, 1), (2, 1, 2)]))
+    doc = json.loads(built(*params))
+    for _ in range(data.draw(st.integers(0, 3), label="mutations")):
+        mutate(data, doc)
+    monad = doc.get("monad")
+    if not isinstance(monad, dict):
+        return
+    for name in ("f", "g"):
+        part = monad.get(name)
+        assert parsed_or_error(matrix_from_json, part, name) == parsed_or_error(
+            matrix_from_json_per_term, part, name
+        )
+    try:
+        spec = MonadSpec.from_json(monad)
+    except Exception:  # `verify` reports any defect of the document as FAILED
+        return
+    problems = spec.structural_problems()
+    assert problems == structural_problems_by_two_walks(spec)
+    if spec.f.cols == spec.g.rows:
+        assert verify_composition(spec) == composition_by_product(spec)
+    if not problems:
+        report = verify_maximal_rank(spec, trials=2, seed=3)
+        assert report.to_json() == sampled_rank_report(spec, trials=2, seed=3).to_json()
