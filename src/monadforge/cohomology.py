@@ -146,8 +146,13 @@ class LineBundleSum:
     @staticmethod
     def from_json(data: dict) -> "LineBundleSum":
         params = SpaceParams.from_json(json_key(data, "params", "line-bundle sum"))
+        items = json_key(data, "summands", "line-bundle sum")
+        if not isinstance(items, list):
+            import json
+
+            raise ValueError(f"summands must be a JSON list, got {json.dumps(items)}")
         summands = []
-        for item in json_key(data, "summands", "line-bundle sum"):
+        for item in items:
             degree = json_key(item, "degree", "summand")
             if not isinstance(degree, list) or len(degree) != 4:
                 raise ValueError(f"degree must be a list of 4 integers, got {degree!r}")

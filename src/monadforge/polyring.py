@@ -30,7 +30,10 @@ that make up almost all of a large document are fills: a document holds a
 marker string where the list goes, and `canonical_chunks` writes the list
 there from one template, byte for byte what json.dumps would write.  The
 stability scan's rows (`scan_rows`) and the entries of a matrix of linear
-forms (`matrix_template`) are the two fills.
+forms (`matrix_template`) are the two fills.  The rows come from a
+`RowGrid` (one twist list, max_q, and the nonzero h0 values), never from a
+list of rows: each twist's text is rendered once, and each run of zero rows
+of one q is a single join of those texts behind the q's shared head.
 """
 
 from __future__ import annotations
@@ -456,23 +459,89 @@ _ROW_BATCH = 2048
 ScanRow = Tuple[int, MultiDegree, int]  # (q, twist, h0)
 
 
-def scan_rows(rows: Sequence[ScanRow]) -> Fill:
+class RowGrid:
+    """The rows (q, twist, h0) of a scan, q-major: for each q in 1..max_q,
+    one row per twist in list order, with h0 = nonzero.get((q, i), 0) at
+    twist index i.
+
+    The rows are never stored: `len` and iteration compute them, and the
+    grid equals any list or tuple holding the same rows.  `nonzero`
+    maps (q, twist index) to a nonzero h0.
+    """
+
+    __slots__ = ("twists", "max_q", "nonzero")
+
+    def __init__(
+        self, twists: Sequence[MultiDegree], max_q: int, nonzero: Mapping[Tuple[int, int], int]
+    ) -> None:
+        self.twists = tuple(twists)
+        self.max_q = max_q
+        self.nonzero = dict(nonzero)
+
+    def __len__(self) -> int:
+        return self.max_q * len(self.twists)
+
+    def __iter__(self) -> Iterator[ScanRow]:
+        get = self.nonzero.get
+        for q in range(1, self.max_q + 1):
+            for i, tw in enumerate(self.twists):
+                yield q, tw, get((q, i), 0)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (RowGrid, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def nonzero_rows(self) -> List[ScanRow]:
+        """The rows with h0 != 0, in row order."""
+        return [(q, self.twists[i], h) for (q, i), h in sorted(self.nonzero.items()) if h]
+
+    def __repr__(self) -> str:
+        return f"RowGrid({len(self.twists)} twists, max_q={self.max_q}, nonzero={self.nonzero!r})"
+
+
+def scan_rows(grid: RowGrid) -> Fill:
     """The fill for ROWS: the list [{"h0": h0, "q": q, "twist": [a, b, c, d]},
-    ...], one f-string per row, a batch of rows per piece."""
-    return partial(_row_chunks, rows)
+    ...] of `grid`'s rows, at most _ROW_BATCH rows per piece.
+
+    Each twist's `"twist": [...]` text is rendered once and reused for every
+    q; a run of zero rows of one q is one join of those texts behind the
+    q's shared head."""
+    return partial(_row_chunks, grid)
 
 
-def _row_chunks(rows: Sequence[ScanRow], indent: int) -> Iterator[str]:
-    if not rows:
+def _row_chunks(grid: RowGrid, indent: int) -> Iterator[str]:
+    if not len(grid):
         yield "[]"
         return
     i, f, e = (" " * (indent + step) for step in (2, 4, 6))
-    for start in range(0, len(rows), _ROW_BATCH):
-        yield ("[\n" if start == 0 else ",\n") + ",\n".join(
-            f'{i}{{\n{f}"h0": {h0},\n{f}"q": {q},\n{f}"twist": [\n'
-            f"{e}{tw.a},\n{e}{tw.b},\n{e}{tw.c},\n{e}{tw.d}\n{f}]\n{i}}}"
-            for q, tw, h0 in rows[start : start + _ROW_BATCH]
-        )
+    tails = [
+        f'{f}"twist": [\n{e}{tw.a},\n{e}{tw.b},\n{e}{tw.c},\n{e}{tw.d}\n{f}]\n{i}}}'
+        for tw in grid.twists
+    ]
+    marks: Dict[int, List[int]] = {}
+    for q, index in sorted(grid.nonzero):
+        marks.setdefault(q, []).append(index)
+    opening = "[\n"
+    for q in range(1, grid.max_q + 1):
+        head = f'{i}{{\n{f}"h0": 0,\n{f}"q": {q},\n'
+        between = ",\n" + head
+        nonzero = iter(marks.get(q, ()))
+        mark = next(nonzero, len(tails))
+        for start in range(0, len(tails), _ROW_BATCH):
+            j, stop = start, min(start + _ROW_BATCH, len(tails))
+            parts = []
+            while j < stop:
+                if j == mark:
+                    h0 = grid.nonzero[q, j]
+                    parts.append(f'{i}{{\n{f}"h0": {h0},\n{f}"q": {q},\n' + tails[j])
+                    j, mark = j + 1, next(nonzero, len(tails))
+                else:
+                    end = min(mark, stop)
+                    parts.append(head + between.join(tails[j:end]))
+                    j = end
+            yield opening + ",\n".join(parts)
+            opening = ",\n"
     yield "\n" + " " * indent + "]"
 
 

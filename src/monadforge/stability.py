@@ -25,9 +25,19 @@ The stability criterion needs h^0(Lambda^q T(-p1,-p2,-p3,-p4)) = 0 for
 1 <= q <= rank(T) - 1 and all twists with non-negative weight sum.  The scan
 walks the finite box |p_i| <= component_bound, 0 <= sum(p_i) <= max_psum
 (configurable, including sums below zero for adversarial probing) and records
-every upper bound; the unbounded directions are covered by the structural
-fact — testable summand by summand — that every twisted exterior-power
-summand keeps a strictly negative degree component whenever sum(p_i) >= 0.
+every upper bound.
+
+The scan is gated by the negative-component lemma: a summand of
+Lambda^q (G_n (+) G_m)(tw) has degree tw - j with sum(j) = q, and it has a
+section only if tw - j has no negative component, so a row (q, tw) can be
+nonzero only if every tw_i >= 0 and sum(tw) >= q.  The generating function is
+therefore summed only at twists with no negative component and p-sum <= -1;
+a box with min_psum >= 0 is ALL_VANISH without it.  The same fact, testable
+summand by summand (`negative_component_violations`), covers the unbounded
+directions: every twisted exterior-power summand keeps a strictly negative
+degree component whenever sum(p_i) >= 0.  The report's rows are a grid
+(`polyring.RowGrid`) of the twists, max_q and the nonzero values, never a
+list of rows.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from .chow import BundleInvariants, delta_L, rank_of_T
 from .monad import middle_bundle
-from .polyring import ROWS, MultiDegree, SpaceParams
+from .polyring import ROWS, MultiDegree, RowGrid, SpaceParams
 
 def normalization_shift(inv: BundleInvariants, params: SpaceParams) -> int:
     """The unique integer k_E = ceil(mu_L / d), d = delta_L(1,0,0,0).
@@ -157,12 +167,14 @@ def enumerate_twists(cfg: StabilityScanConfig) -> Iterator[MultiDegree]:
 class StabilityReport:
     """Every (q, twist, h0) probed, plus the verdict.
 
-    verdict is "ALL_VANISH" iff every recorded upper bound is zero, else
-    "COUNTEREXAMPLE" with the first offending (q, twist) in scan order.
+    `checked` is the q-major row grid of the box; it computes its rows
+    rather than storing them.  verdict is "ALL_VANISH" iff every recorded
+    upper bound is zero, else "COUNTEREXAMPLE" with the first offending
+    (q, twist) in scan order.
     """
 
     config: StabilityScanConfig
-    checked: Tuple[Tuple[int, MultiDegree, int], ...]
+    checked: RowGrid
     verdict: str
     counterexample: Optional[Tuple[int, MultiDegree]] = None
 
@@ -193,28 +205,36 @@ class StabilityReport:
         else:
             doc["nonzero"] = [
                 {"q": q, "twist": list(tw.as_tuple()), "h0": h}
-                for q, tw, h in self.checked
-                if h
+                for q, tw, h in self.checked.nonzero_rows()
             ]
         return doc
 
 
 def run_stability_scan(cfg: StabilityScanConfig) -> StabilityReport:
-    """Probe the whole (q, twist) box, in (q, twist) order."""
-    twists = list(enumerate_twists(cfg))
-    series = [_wedge_h0_series(cfg.params, cfg.max_q, tw) for tw in twists]
-    checked = [
-        (q, tw, h0[q]) for q in range(1, cfg.max_q + 1) for tw, h0 in zip(twists, series)
-    ]
+    """Probe the whole (q, twist) box, in (q, twist) order.
+
+    By the negative-component lemma a row (q, tw) can be nonzero only if
+    every tw_i >= 0 and sum(tw) >= q, so the generating function is summed
+    only at twists with no negative component and a positive sum (p-sum
+    <= -1); a box with min_psum >= 0 has none and is ALL_VANISH unsummed.
+    """
+    twists = tuple(enumerate_twists(cfg))
+    nonzero = {}
+    if cfg.min_psum < 0:
+        for i, tw in enumerate(twists):
+            if tw.min_component() >= 0 and sum(tw.as_tuple()) >= 1:
+                series = _wedge_h0_series(cfg.params, cfg.max_q, tw)
+                for q in range(1, cfg.max_q + 1):
+                    if series[q]:
+                        nonzero[q, i] = series[q]
 
     counterexample = None
-    for q, tw, h in checked:
-        if h != 0:
-            counterexample = (q, tw)
-            break
+    if nonzero:
+        q, i = min(nonzero)
+        counterexample = (q, twists[i])
     return StabilityReport(
         config=cfg,
-        checked=tuple(checked),
+        checked=RowGrid(twists, cfg.max_q, nonzero),
         verdict="ALL_VANISH" if counterexample is None else "COUNTEREXAMPLE",
         counterexample=counterexample,
     )

@@ -11,11 +11,15 @@ enumeration there, are rebuilt here from the exterior powers that
 `cohomology.exterior_power_sum` enumerates summand by summand; the
 certificate's closed-form LES collapse is checked against `les_propagate`
 run on `twisted_dual_sequence`, whose left and middle tables are computed
-from the line-bundle sums themselves.  Two oracles are the library's earlier
-code for what `verify --input` now does in one pass: the per-term parse of a
-matrix of linear forms (it shares only the term validator
-`polyring._term_from_json` with the memoised parse) and the two entry walks
-of `MonadSpec.structural_problems`, run on every document.
+from the line-bundle sums themselves.  Three oracles are the library's
+earlier code.  The vanishing scan sums the generating function at every
+twist of its box and stores every row; it shares the generating function
+and the twist enumeration with the scan it checks, which sums only where the
+negative-component lemma allows a nonzero row.  For what `verify --input`
+now does in one pass: the per-term parse of a matrix of linear forms (it
+shares only the term validator `polyring._term_from_json` with the memoised
+parse) and the two entry walks of `MonadSpec.structural_problems`, run on
+every document.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from monadforge.cohomology import exterior_power_sum, h0_of_sum, line_bundle, twist
 from monadforge.les import CohProfile, ShortExactSeq
@@ -38,6 +43,7 @@ from monadforge.monad import (
 )
 from monadforge.polyring import (
     GROUPS,
+    ROWS,
     LinearForm,
     MultiDegree,
     PolyMatrix,
@@ -46,6 +52,7 @@ from monadforge.polyring import (
     json_int,
     json_key,
 )
+from monadforge.stability import StabilityScanConfig, _wedge_h0_series, enumerate_twists
 
 
 def h0_by_monomial_count(n: int, d: int) -> int:
@@ -268,6 +275,54 @@ def scan_rows_as_dicts(rows: Iterable[Tuple[int, MultiDegree, int]]) -> List[dic
     """The scan rows (q, twist, h0) as the list of JSON objects json.dumps
     renders for `checked`: the document the streamed rows must reproduce."""
     return [{"q": q, "twist": list(tw.as_tuple()), "h0": h0} for q, tw, h0 in rows]
+
+
+@dataclass(frozen=True)
+class ScanBySeries:
+    """A vanishing scan with every row stored, and its JSON forms built by
+    walking those rows."""
+
+    config: StabilityScanConfig
+    checked: Tuple[Tuple[int, MultiDegree, int], ...]
+    verdict: str
+    counterexample: Optional[Tuple[int, MultiDegree]]
+
+    def to_json(self, include_checked: bool = True) -> dict:
+        doc = {
+            "config": self.config.to_json(),
+            "entries_checked": len(self.checked),
+            "verdict": self.verdict,
+            "counterexample": (
+                None
+                if self.counterexample is None
+                else {"q": self.counterexample[0], "twist": list(self.counterexample[1].as_tuple())}
+            ),
+        }
+        if include_checked:
+            doc["checked"] = ROWS
+        else:
+            doc["nonzero"] = [
+                {"q": q, "twist": list(tw.as_tuple()), "h0": h} for q, tw, h in self.checked if h
+            ]
+        return doc
+
+
+def stability_scan_by_series(cfg: StabilityScanConfig) -> ScanBySeries:
+    """`stability.run_stability_scan` without the negative-component lemma:
+    the generating function summed at every twist of the box, and a row
+    tuple for every (q, twist)."""
+    twists = list(enumerate_twists(cfg))
+    series = [_wedge_h0_series(cfg.params, cfg.max_q, tw) for tw in twists]
+    checked = [
+        (q, tw, h0[q]) for q in range(1, cfg.max_q + 1) for tw, h0 in zip(twists, series)
+    ]
+    counterexample = next(((q, tw) for q, tw, h in checked if h != 0), None)
+    return ScanBySeries(
+        config=cfg,
+        checked=tuple(checked),
+        verdict="ALL_VANISH" if counterexample is None else "COUNTEREXAMPLE",
+        counterexample=counterexample,
+    )
 
 
 def matrix_from_json_per_term(data, name: str = "matrix") -> PolyMatrix:

@@ -16,6 +16,7 @@ from monadforge import __version__
 from monadforge import cli as cli_module
 from monadforge import monad as monad_module
 from monadforge import polyring
+from monadforge import stability as stability_module
 from monadforge.cli import main
 from monadforge.chow import invariants_of_T
 from monadforge.cohomology import kunneth_h
@@ -212,6 +213,17 @@ def test_verify_missing_key_names_its_object(tmp_path, capsys, path, message):
     assert out["error"] == f"input document rejected: {message}"
 
 
+@pytest.mark.parametrize("key", ["source", "middle", "target"])
+@pytest.mark.parametrize("value", [None, 3, "ab"], ids=["null", "3", "ab"])
+def test_verify_summands_that_are_not_a_list_name_their_key(tmp_path, capsys, key, value):
+    monad_file, doc = build_document(tmp_path, capsys, 1, 2, 1)
+    doc["monad"][key]["summands"] = value
+    out = verify_rejected(capsys, monad_file, doc)
+    assert out["error"] == (
+        f"input document rejected: {key}: summands must be a JSON list, got {json.dumps(value)}"
+    )
+
+
 def test_verify_unparseable_input_fails(tmp_path, capsys):
     # readable bytes that are not a monad document, in UTF-8 or not, are a FAILED verdict
     bad = tmp_path / "bad.json"
@@ -337,6 +349,12 @@ GOLDEN_SHA256 = {
         (0, "c63aea7e437c2c6cb684a612ca5e00e4117834ef36a5cd6f52c63bf0f9ea3d76"),
     ("report", "--n", "2", "--m", "1", "--k", "2", "--max-q", "6", "--min-psum", "-4"):
         (1, "1fa014c941890a25802f44383f4b2ab857262853951dc17a69649abab2f28288"),
+    ("report", "--n", "8", "--m", "8", "--k", "8"):
+        (0, "0297081747ddc5dff812f397cd508148da325bc86aabb14192ab0d3499faf224"),
+    # the benchmark's scan-wide box: 186,200 rows, 24.7 MB
+    ("report", "--n", "3", "--m", "3", "--k", "3", "--max-q", "20", "--max-psum", "6",
+     "--component-bound", "6"):
+        (0, "10b1521a8bd156e6187f4c01c968aa382f8c73768b154e0fc299b513abe40687"),
     ("stability", "--n", "1", "--m", "1", "--k", "1", "--max-q", "1", "--component-bound", "0",
      "--min-psum", "1", "--max-psum", "1"):
         (0, "db0a2037b99e156c64d695eb34072b4ad8697bae5dcf1c7dbac767d9daa2623b"),
@@ -399,6 +417,22 @@ def test_streamed_build_equals_json_dumps_of_the_monad_document(capsys):
     monad = assemble_monad(SpaceParams(40, 40, 40)).to_json()
     assert code == 0
     assert out == dumps_canonical({"manifest": manifest, "monad": monad})
+
+
+def test_criterion_boxes_never_sum_the_generating_function(capsys, monkeypatch):
+    # no twist of a box with min_psum >= 0 has every component >= 0 and a
+    # positive sum, so the negative-component lemma settles it without the series
+    def refuse(*_args):
+        raise AssertionError("a box with min_psum >= 0 is ALL_VANISH by the lemma")
+
+    monkeypatch.setattr(stability_module, "_wedge_h0_series", refuse)
+    for argv in [
+        ("report", "--n", "8", "--m", "8", "--k", "8"),
+        ("report", "--n", "3", "--m", "3", "--k", "3", "--max-q", "20", "--max-psum", "6",
+         "--component-bound", "6"),
+    ]:
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, sha256(out)) == GOLDEN_SHA256[argv]
 
 
 def test_verify_certifies_the_built_monad_without_multiplying(tmp_path, capsys, monkeypatch):

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from monadforge import polyring
 from monadforge.polyring import (
     DEFAULT_PRIME,
     GROUPS,
@@ -17,6 +19,7 @@ from monadforge.polyring import (
     LinearForm,
     MultiDegree,
     PolyMatrix,
+    RowGrid,
     SpaceParams,
     canonical_chunks,
     dumps_canonical,
@@ -334,57 +337,89 @@ def test_dumps_canonical_is_deterministic():
 # ---------------------------------------------------------------------------
 
 BIG = st.one_of(st.integers(-12, 12), st.integers(-(10**15), 10**15))
-SCAN_ROWS = st.lists(
-    st.tuples(BIG, st.builds(MultiDegree, BIG, BIG, BIG, BIG), BIG), max_size=12
-)
 
 
-def _scan_documents(rows, checked):
+@st.composite
+def row_grids(draw):
+    """A row grid: twists drawn from a small pool (so some repeat), with
+    negative and big components, max_q >= 0, and a few cells holding a
+    nonzero h0 of any size."""
+    pool = draw(st.lists(st.builds(MultiDegree, BIG, BIG, BIG, BIG), min_size=1, max_size=4))
+    twists = draw(st.lists(st.sampled_from(pool), max_size=8))
+    max_q = draw(st.integers(0, 4))
+    cells = [(q, i) for q in range(1, max_q + 1) for i in range(len(twists))]
+    h0 = st.one_of(BIG, st.integers(-(10**40), 10**40)).filter(bool)
+    nonzero = draw(st.dictionaries(st.sampled_from(cells), h0, max_size=6)) if cells else {}
+    return RowGrid(twists, max_q, nonzero)
+
+
+SCAN_ROWS = row_grids()
+
+
+def grid_rows(grid):
+    """The grid's rows, spelled out from its fields rather than its iterator."""
+    return [
+        (q, tw, grid.nonzero.get((q, i), 0))
+        for q in range(1, grid.max_q + 1)
+        for i, tw in enumerate(grid.twists)
+    ]
+
+
+def _scan_documents(grid, rows, checked):
     """A `stability` document (`checked` at the top level) and a `report` one
-    (`checked` under "stability", a rowless summary under "simplicity")."""
+    (`checked` under "stability", a rowless summary under "simplicity"), the
+    summary's `nonzero` list read off `rows`."""
     report = StabilityReport(
         config=StabilityScanConfig(SpaceParams(1, 2, 3), max_q=2),
-        checked=tuple(rows),
+        checked=grid,
         verdict="ALL_VANISH",
     )
     manifest = {"command": "stability", "seed": -3, "timestamp": "2023-11-14T22:13:20Z"}
     scan = {**report.to_json(include_checked=True), "checked": checked}
-    simplicity = {"stability": report.to_json(include_checked=False), "rank_E": 12}
+    summary = {**report.to_json(include_checked=False), "nonzero": scan_rows_as_dicts(r for r in rows if r[2])}
+    simplicity = {"stability": summary, "rank_E": 12}
     return [
         {"manifest": manifest, **scan},
         {"manifest": manifest, "stability": scan, "simplicity": simplicity, "normalization_shift": -3},
     ]
 
 
-def _streamed_pieces(rows):
+def _streamed_pieces(grid):
     """The pieces of both documents with ROWS streamed, each checked equal to
     dumps_canonical of the document with the row dicts; compared line by line,
     so a failure reports its first differing line."""
     out = []
-    oracles = _scan_documents(rows, scan_rows_as_dicts(rows))
-    for doc, oracle in zip(_scan_documents(rows, ROWS), oracles):
-        pieces = list(canonical_chunks(doc, {ROWS: scan_rows(rows)}))
+    rows = grid_rows(grid)
+    for doc, oracle in zip(
+        _scan_documents(grid, rows, ROWS), _scan_documents(grid, rows, scan_rows_as_dicts(rows))
+    ):
+        pieces = list(canonical_chunks(doc, {ROWS: scan_rows(grid)}))
         assert "".join(pieces).split("\n") == dumps_canonical(oracle).split("\n")
         out.append(pieces)
     return out
 
 
 @settings(max_examples=150, deadline=None)
-@given(SCAN_ROWS)
-@example([])
-def test_streamed_rows_equal_json_dumps_of_the_row_dicts(rows):
-    _streamed_pieces(rows)
+@given(SCAN_ROWS, st.integers(1, 4))
+@example(RowGrid([], 0, {}), 1)
+@example(RowGrid([MultiDegree(0, 0, 0, 0)] * 3, 2, {(1, 2): 10**40, (2, 0): -1}), 2)
+def test_streamed_rows_equal_json_dumps_of_the_row_dicts(grid, batch):
+    # a small batch puts piece boundaries next to and between nonzero rows
+    with mock.patch.object(polyring, "_ROW_BATCH", batch):
+        _streamed_pieces(grid)
+        assert all(piece.count('"h0"') <= batch for piece in scan_rows(grid)(2))
 
 
 def test_streamed_rows_come_in_bounded_pieces():
     # a scan's rows are nearly all zero; they cross several row batches here
-    rows = [(q % 20, MultiDegree(-q, 0, q % 7, -1), int(q == 4000)) for q in range(5001)]
-    for pieces in _streamed_pieces(rows):
+    twists = [MultiDegree(-j, 0, j % 7, -1) for j in range(2501)]
+    grid = RowGrid(twists, 2, {(2, 1499): 1})
+    for pieces in _streamed_pieces(grid):
         assert max(map(len, pieces)) < 400_000 < sum(map(len, pieces))
     # a document without a marker is dumps_canonical in one piece
     doc = {"b": [1, 2], "a": {"y": 1, "x": 2}}
     assert list(canonical_chunks(doc)) == [dumps_canonical(doc)]
-    assert list(canonical_chunks(doc, {ROWS: scan_rows(rows)})) == [dumps_canonical(doc)]
+    assert list(canonical_chunks(doc, {ROWS: scan_rows(grid)})) == [dumps_canonical(doc)]
 
 
 # ---------------------------------------------------------------------------
@@ -402,18 +437,18 @@ MATRICES = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
 
 @settings(max_examples=150, deadline=None)
 @given(MATRICES, MATRICES, SCAN_ROWS, st.integers(0, 4))
-@example(PolyMatrix(0, 2, []), PolyMatrix(2, 0, []), [], 0)
+@example(PolyMatrix(0, 2, []), PolyMatrix(2, 0, []), RowGrid([], 0, {}), 0)
 @example(
     PolyMatrix(1, 2, [LinearForm(), LinearForm(((0, 10, -17), (3, 2, 10**12)))]),
     PolyMatrix(1, 1, [LinearForm()]),
-    [],
+    RowGrid([], 0, {}),
     2,
 )
-def test_streamed_matrix_entries_equal_json_dumps_of_matrix_to_json(f, g, rows, depth):
+def test_streamed_matrix_entries_equal_json_dumps_of_matrix_to_json(f, g, grid, depth):
     # two matrix fills and the scan rows in one document, nested `depth` deep
     # between keys that sort before and after them
-    doc, oracle = {"checked": ROWS}, {"checked": scan_rows_as_dicts(rows)}
-    fills = {ROWS: scan_rows(rows)}
+    doc, oracle = {"checked": ROWS}, {"checked": scan_rows_as_dicts(grid_rows(grid))}
+    fills = {ROWS: scan_rows(grid)}
     for name, matrix in (("f", f), ("g", g)):
         marker = f"\x00{name} entries\x00"
         doc[name], fills[marker] = matrix_template(matrix, marker)

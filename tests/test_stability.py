@@ -25,7 +25,11 @@ from monadforge.stability import (
     normalization_shift,
     run_stability_scan,
 )
-from oracles import negative_component_violations_by_exterior_power, wedge_h0_by_exterior_power
+from oracles import (
+    negative_component_violations_by_exterior_power,
+    stability_scan_by_series,
+    wedge_h0_by_exterior_power,
+)
 
 SPACE_PARAMS = st.builds(SpaceParams, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
 
@@ -305,19 +309,19 @@ COUNTEREXAMPLE_BOXES = (
 
 
 @st.composite
-def scan_configs(draw):
-    """A scan box with n, m, k <= 3, |p_i| <= 4 and p-sums in [-10, 4]; max_q
-    ranges up to rank(T) - 1 as far as MAX_ORACLE_ROWS allows."""
-    max_psum = draw(st.integers(0, 4))
+def scan_configs(draw, bound=4, top_psum=4, max_rows=MAX_ORACLE_ROWS):
+    """A scan box with n, m, k <= 3, |p_i| <= bound and p-sums in
+    [-10, top_psum]; max_q ranges up to rank(T) - 1 as far as max_rows allows."""
+    max_psum = draw(st.integers(0, top_psum))
     box = StabilityScanConfig(
         draw(SPACE_PARAMS),
         max_q=1,
         max_psum=max_psum,
-        component_bound=draw(st.integers(0, 4)),
+        component_bound=draw(st.integers(0, bound)),
         min_psum=draw(st.integers(-10, max_psum)),
     )
     twists = max(1, len(list(enumerate_twists(box))))
-    top = max(1, min(rank_of_T(box.params) - 1, MAX_ORACLE_ROWS // twists))
+    top = max(1, min(rank_of_T(box.params) - 1, max_rows // twists))
     return dataclasses.replace(box, max_q=draw(st.integers(1, top)))
 
 
@@ -342,3 +346,34 @@ def test_oracle_examples_have_nonzero_rows():
     for cfg in COUNTEREXAMPLE_BOXES:
         assert not run_stability_scan(cfg).all_vanish
 
+
+# ---------------------------------------------------------------------------
+# the negative-component lemma against the series at every twist
+# ---------------------------------------------------------------------------
+
+EMPTY_BOX = StabilityScanConfig(SpaceParams(1, 1, 1), 1, max_psum=1, component_bound=0, min_psum=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_configs(bound=5, top_psum=6, max_rows=50_000))
+@example(EMPTY_BOX)
+@example(StabilityScanConfig(SpaceParams(1, 2, 1), 2, max_psum=6, component_bound=1, min_psum=5))
+@example(StabilityScanConfig(SpaceParams(3, 3, 3), 2, max_psum=6, component_bound=5, min_psum=-10))
+@example(StabilityScanConfig(SpaceParams(2, 1, 3), 9, max_psum=6, component_bound=3))
+@example(COUNTEREXAMPLE_BOXES[1])
+def test_lemma_gated_scan_equals_the_series_at_every_twist(cfg):
+    report, oracle = run_stability_scan(cfg), stability_scan_by_series(cfg)
+    assert len(report.checked) == len(oracle.checked)
+    assert list(report.checked) == list(oracle.checked)
+    assert report.checked == oracle.checked
+    assert (report.verdict, report.counterexample) == (oracle.verdict, oracle.counterexample)
+    for include_checked in (True, False):
+        assert report.to_json(include_checked) == oracle.to_json(include_checked)
+
+
+def test_row_grid_reads_like_the_row_tuple():
+    report = run_stability_scan(COUNTEREXAMPLE_BOXES[0])
+    rows = stability_scan_by_series(COUNTEREXAMPLE_BOXES[0]).checked
+    assert report.checked == rows and report.checked == list(rows)
+    assert report.checked != rows[:-1] and report.checked != "rows"
+    assert run_stability_scan(EMPTY_BOX).checked == ()
