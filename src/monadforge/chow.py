@@ -21,12 +21,14 @@ bundle O_X(p1,p2,p3,p4), the same functional.  Everything is exact integer
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
+from typing import TYPE_CHECKING
 
 from .cohomology import LineBundleSum
-from .polyring import MultiDegree, SpaceParams
+from .polyring import Frozen, MultiDegree, SpaceParams
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def c1_of_sum(S: LineBundleSum) -> MultiDegree:
@@ -55,14 +57,25 @@ def delta_L(B: MultiDegree, params: SpaceParams) -> int:
     return degree_L(B, params)
 
 
-@dataclass(frozen=True)
-class BundleInvariants:
+class BundleInvariants(Frozen):
     """Rank, c1, polarized degree and slope of a bundle; slope * rank = degree."""
 
-    rank: int
-    c1: MultiDegree
-    degree_L: int
-    slope_L: Fraction
+    __slots__ = ("rank", "c1", "degree_L", "slope_L")
+
+    def __init__(self, rank: int, c1: MultiDegree, degree_L: int, slope_L: Fraction) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "degree_L", degree_L)
+        object.__setattr__(self, "slope_L", slope_L)
+
+    def _fields(self) -> tuple:
+        return (self.rank, self.c1, self.degree_L, self.slope_L)
+
+    def __repr__(self) -> str:
+        return (
+            f"BundleInvariants(rank={self.rank!r}, c1={self.c1!r}, "
+            f"degree_L={self.degree_L!r}, slope_L={self.slope_L!r})"
+        )
 
     def to_json(self) -> dict:
         return {
@@ -94,6 +107,10 @@ def invariants_of_T(params: SpaceParams) -> BundleInvariants:
             f"degree_L(c1(T)) = {deg} is not negative for params {params}; "
             "this contradicts the structure of c1(T)"
         )
+    # imported here: only the slope needs it, and at module level it would
+    # slow every command's start-up
+    from fractions import Fraction
+
     return BundleInvariants(rank=rank, c1=c1, degree_L=deg, slope_L=Fraction(deg, rank))
 
 

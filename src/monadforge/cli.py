@@ -24,8 +24,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from datetime import datetime, timezone
+import time
 from typing import Iterable, List, Optional
 
 from . import __version__
@@ -50,46 +49,31 @@ EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility header embedded in every JSON document."""
-
-    command: str
-    params: SpaceParams
-    seed: int
-    tool_version: str
-    timestamp: str
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "params": {"n": self.params.n, "m": self.params.m, "k": self.params.k},
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "timestamp": self.timestamp,
-        }
-
-
 def _timestamp() -> str:
+    """The UTC time SOURCE_DATE_EPOCH names, as YYYY-MM-DDTHH:MM:SSZ; the wall
+    clock when the variable is unset, is not an integer, or names a time the
+    platform rejects or outside the years 1..9999."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
+    t = None
     if epoch is not None:
         try:
-            dt = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+            t = time.gmtime(int(epoch))
         except (ValueError, OverflowError, OSError):
-            dt = datetime.now(tz=timezone.utc)
-    else:
-        dt = datetime.now(tz=timezone.utc)
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+            pass
+    if t is None or not 1 <= t.tm_year <= 9999:
+        t = time.gmtime()
+    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % t[:6]
 
 
 def _manifest(command: str, params: SpaceParams, seed: int) -> dict:
-    return RunManifest(
-        command=command,
-        params=params,
-        seed=seed,
-        tool_version=__version__,
-        timestamp=_timestamp(),
-    ).to_json()
+    """The reproducibility header embedded in every JSON document."""
+    return {
+        "command": command,
+        "params": {"n": params.n, "m": params.m, "k": params.k},
+        "seed": seed,
+        "tool_version": __version__,
+        "timestamp": _timestamp(),
+    }
 
 
 def _positive_int(text: str) -> int:

@@ -25,11 +25,10 @@ finite and exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Dict, Iterable, List, Tuple
 
-from .polyring import MultiDegree, SpaceParams, json_int, json_key
+from .polyring import Frozen, MultiDegree, SpaceParams, json_int, json_key
 
 
 def bott_h(n: int, d: int, i: int) -> int:
@@ -70,11 +69,19 @@ def _factor_options(
     return out
 
 
-@dataclass(frozen=True)
-class CohTable:
+class CohTable(Frozen):
     """Dimension table h^0..h^top of some sheaf; length is 2n+2m+1."""
 
-    dims: Tuple[int, ...]
+    __slots__ = ("dims",)
+
+    def __init__(self, dims: Tuple[int, ...]) -> None:
+        object.__setattr__(self, "dims", dims)
+
+    def _fields(self) -> tuple:
+        return (self.dims,)
+
+    def __repr__(self) -> str:
+        return f"CohTable(dims={self.dims!r})"
 
     def h(self, t: int) -> int:
         return self.dims[t]

@@ -43,11 +43,10 @@ itself is deliberately never computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .cohomology import CohTable, LineBundleSum, sum_cohomology
-from .polyring import SpaceParams
+from .polyring import Frozen, SpaceParams
 from .stability import StabilityReport, StabilityScanConfig, default_scan_config, run_stability_scan
 
 EXACT = "exact"
@@ -55,29 +54,43 @@ UNKNOWN = "unknown"
 INTERVAL = "interval"
 
 
-@dataclass(frozen=True)
-class CohProfile:
+class CohProfile(Frozen):
     """What is known about one member's cohomology table.
 
     kind is "exact" (table set), "unknown" (nothing known yet) or "interval"
     (per-degree [lo, hi] bounds with 0 <= lo <= hi).
     """
 
-    kind: str
-    table: Optional[CohTable] = None
-    intervals: Optional[Tuple[Tuple[int, int], ...]] = None
+    __slots__ = ("kind", "table", "intervals")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (EXACT, UNKNOWN, INTERVAL):
-            raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.kind == EXACT and self.table is None:
+    def __init__(
+        self,
+        kind: str,
+        table: Optional[CohTable] = None,
+        intervals: Optional[Tuple[Tuple[int, int], ...]] = None,
+    ) -> None:
+        if kind not in (EXACT, UNKNOWN, INTERVAL):
+            raise ValueError(f"unknown profile kind {kind!r}")
+        if kind == EXACT and table is None:
             raise ValueError("exact profile requires a table")
-        if self.kind == INTERVAL:
-            if self.intervals is None:
+        if kind == INTERVAL:
+            if intervals is None:
                 raise ValueError("interval profile requires intervals")
-            for lo, hi in self.intervals:
+            for lo, hi in intervals:
                 if not (0 <= lo <= hi):
                     raise ValueError(f"malformed interval [{lo}, {hi}]")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "intervals", intervals)
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.table, self.intervals)
+
+    def __repr__(self) -> str:
+        return (
+            f"CohProfile(kind={self.kind!r}, table={self.table!r}, "
+            f"intervals={self.intervals!r})"
+        )
 
     @staticmethod
     def exact(table: CohTable) -> "CohProfile":
@@ -114,26 +127,35 @@ class CohProfile:
         return {"kind": UNKNOWN}
 
 
-@dataclass(frozen=True)
-class ShortExactSeq:
+class ShortExactSeq(Frozen):
     """Profiles for 0 -> left -> middle -> right -> 0 on a space with dim 2n+2m."""
 
-    left: CohProfile
-    middle: CohProfile
-    right: CohProfile
-    dim_top: int
+    __slots__ = ("left", "middle", "right", "dim_top")
 
-    def __post_init__(self) -> None:
-        if self.dim_top < 1:
+    def __init__(
+        self, left: CohProfile, middle: CohProfile, right: CohProfile, dim_top: int
+    ) -> None:
+        if dim_top < 1:
             raise ValueError("dim_top must be positive")
-        for name, prof in (("left", self.left), ("middle", self.middle), ("right", self.right)):
-            if prof.kind == EXACT and len(prof.table.dims) != self.dim_top + 1:
+        for name, prof in (("left", left), ("middle", middle), ("right", right)):
+            if prof.kind == EXACT and len(prof.table.dims) != dim_top + 1:
                 raise ValueError(f"{name} table length does not match dim_top+1")
-        unknowns = sum(
-            1 for prof in (self.left, self.middle, self.right) if prof.kind == UNKNOWN
-        )
+        unknowns = sum(1 for prof in (left, middle, right) if prof.kind == UNKNOWN)
         if unknowns > 1:
             raise ValueError("at most one profile may be unknown")
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "middle", middle)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "dim_top", dim_top)
+
+    def _fields(self) -> tuple:
+        return (self.left, self.middle, self.right, self.dim_top)
+
+    def __repr__(self) -> str:
+        return (
+            f"ShortExactSeq(left={self.left!r}, middle={self.middle!r}, "
+            f"right={self.right!r}, dim_top={self.dim_top!r})"
+        )
 
     def unknown_slot(self) -> str:
         slots = [
@@ -208,8 +230,7 @@ def rank_of_E(params: SpaceParams) -> int:
     return 2 * params.n + 2 * params.m + 2 * params.k
 
 
-@dataclass(frozen=True)
-class SimplicityCertificate:
+class SimplicityCertificate(Frozen):
     """Audit record of the simplicity argument for E.
 
     conclusion is "SIMPLE_CERTIFIED" only when the vanishing scan passed
@@ -219,15 +240,61 @@ class SimplicityCertificate:
     1 <= h^0(E (x) E*) <= h^0(T (x) T*) = 1 is recorded, not recomputed.
     """
 
-    params: SpaceParams
-    rank_E: int
-    h0_T_dual_twisted: Tuple[int, int]
-    h1_T_dual_twisted: Tuple[int, int]
-    t_stable: bool
-    stability: StabilityReport
-    sequence: ShortExactSeq
-    conclusion: str
-    reason: Optional[str] = None
+    __slots__ = (
+        "params",
+        "rank_E",
+        "h0_T_dual_twisted",
+        "h1_T_dual_twisted",
+        "t_stable",
+        "stability",
+        "sequence",
+        "conclusion",
+        "reason",
+    )
+
+    def __init__(
+        self,
+        params: SpaceParams,
+        rank_E: int,
+        h0_T_dual_twisted: Tuple[int, int],
+        h1_T_dual_twisted: Tuple[int, int],
+        t_stable: bool,
+        stability: StabilityReport,
+        sequence: ShortExactSeq,
+        conclusion: str,
+        reason: Optional[str] = None,
+    ) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "rank_E", rank_E)
+        object.__setattr__(self, "h0_T_dual_twisted", h0_T_dual_twisted)
+        object.__setattr__(self, "h1_T_dual_twisted", h1_T_dual_twisted)
+        object.__setattr__(self, "t_stable", t_stable)
+        object.__setattr__(self, "stability", stability)
+        object.__setattr__(self, "sequence", sequence)
+        object.__setattr__(self, "conclusion", conclusion)
+        object.__setattr__(self, "reason", reason)
+
+    def _fields(self) -> tuple:
+        return (
+            self.params,
+            self.rank_E,
+            self.h0_T_dual_twisted,
+            self.h1_T_dual_twisted,
+            self.t_stable,
+            self.stability,
+            self.sequence,
+            self.conclusion,
+            self.reason,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"SimplicityCertificate(params={self.params!r}, rank_E={self.rank_E!r}, "
+            f"h0_T_dual_twisted={self.h0_T_dual_twisted!r}, "
+            f"h1_T_dual_twisted={self.h1_T_dual_twisted!r}, t_stable={self.t_stable!r}, "
+            f"stability={self.stability!r}, sequence={self.sequence!r}, "
+            f"conclusion={self.conclusion!r}, reason={self.reason!r})"
+        )
 
     def to_json(self) -> dict:
         return {

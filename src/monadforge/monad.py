@@ -62,7 +62,6 @@ and criterion 3 samples them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .cohomology import LineBundleSum, line_bundle
@@ -70,10 +69,12 @@ from .polyring import (
     DEFAULT_PRIME,
     GROUPS,
     Fill,
+    Frozen,
     LinearForm,
     MultiDegree,
     PolyMatrix,
     QuadraticForm,
+    Record,
     SpaceParams,
     evaluate_matrix,
     json_key,
@@ -157,18 +158,38 @@ def target_bundle(params: SpaceParams) -> LineBundleSum:
     return line_bundle(params, MultiDegree(1, 1, 1, 1), params.k)
 
 
-@dataclass
-class MonadSpec:
+class MonadSpec(Record):
     """A fully assembled monad: bundle data plus the two displayed matrices."""
 
-    params: SpaceParams
-    source: LineBundleSum
-    middle: LineBundleSum
-    target: LineBundleSum
-    f: PolyMatrix
-    g: PolyMatrix
-    # (params, f, g) and what `band_scalars` found for them
-    _band: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("params", "source", "middle", "target", "f", "g", "_band")
+
+    def __init__(
+        self,
+        params: SpaceParams,
+        source: LineBundleSum,
+        middle: LineBundleSum,
+        target: LineBundleSum,
+        f: PolyMatrix,
+        g: PolyMatrix,
+    ) -> None:
+        self.params = params
+        self.source = source
+        self.middle = middle
+        self.target = target
+        self.f = f
+        self.g = g
+        # (params, f, g) and what `band_scalars` found for them; neither
+        # compared nor shown
+        self._band: Optional[tuple] = None
+
+    def _fields(self) -> tuple:
+        return (self.params, self.source, self.middle, self.target, self.f, self.g)
+
+    def __repr__(self) -> str:
+        return (
+            f"MonadSpec(params={self.params!r}, source={self.source!r}, "
+            f"middle={self.middle!r}, target={self.target!r}, f={self.f!r}, g={self.g!r})"
+        )
 
     def structural_problems(self) -> List[str]:
         """Shape and homogeneity defects, as human-readable strings.
@@ -368,8 +389,7 @@ def block_products(spec: MonadSpec) -> Tuple[Product, Product, Product, Product]
     return tuple(out)  # type: ignore[return-value]
 
 
-@dataclass
-class RankReport:
+class RankReport(Record):
     """Outcome of the maximal-rank certification.
 
     `maximal` is True iff every sampled point with all four coordinate groups
@@ -380,16 +400,65 @@ class RankReport:
     field for field, so the JSON bytes do not say which path certified.
     """
 
-    params: SpaceParams
-    prime: int
-    trials: int
-    seed: int
-    rank_f_samples: Tuple[int, ...]
-    rank_g_samples: Tuple[int, ...]
-    origin_rank_f: int
-    origin_rank_g: int
-    group_zero_ranks: Dict[str, Tuple[int, int]]
-    maximal: bool
+    __slots__ = (
+        "params",
+        "prime",
+        "trials",
+        "seed",
+        "rank_f_samples",
+        "rank_g_samples",
+        "origin_rank_f",
+        "origin_rank_g",
+        "group_zero_ranks",
+        "maximal",
+    )
+
+    def __init__(
+        self,
+        params: SpaceParams,
+        prime: int,
+        trials: int,
+        seed: int,
+        rank_f_samples: Tuple[int, ...],
+        rank_g_samples: Tuple[int, ...],
+        origin_rank_f: int,
+        origin_rank_g: int,
+        group_zero_ranks: Dict[str, Tuple[int, int]],
+        maximal: bool,
+    ) -> None:
+        self.params = params
+        self.prime = prime
+        self.trials = trials
+        self.seed = seed
+        self.rank_f_samples = rank_f_samples
+        self.rank_g_samples = rank_g_samples
+        self.origin_rank_f = origin_rank_f
+        self.origin_rank_g = origin_rank_g
+        self.group_zero_ranks = group_zero_ranks
+        self.maximal = maximal
+
+    def _fields(self) -> tuple:
+        return (
+            self.params,
+            self.prime,
+            self.trials,
+            self.seed,
+            self.rank_f_samples,
+            self.rank_g_samples,
+            self.origin_rank_f,
+            self.origin_rank_g,
+            self.group_zero_ranks,
+            self.maximal,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"RankReport(params={self.params!r}, prime={self.prime!r}, "
+            f"trials={self.trials!r}, seed={self.seed!r}, "
+            f"rank_f_samples={self.rank_f_samples!r}, rank_g_samples={self.rank_g_samples!r}, "
+            f"origin_rank_f={self.origin_rank_f!r}, origin_rank_g={self.origin_rank_g!r}, "
+            f"group_zero_ranks={self.group_zero_ranks!r}, maximal={self.maximal!r})"
+        )
 
     def to_json(self) -> dict:
         return {
@@ -606,28 +675,33 @@ def sampled_rank_report(
     )
 
 
-@dataclass(frozen=True)
-class FloystadInput:
+class FloystadInput(Frozen):
     """Multiplicities (a, b, c) of a linear monad on P^k.
 
     a, b, c count the O(-1), O, and O(1) summands; k is the dimension of the
     ambient projective space.
     """
 
-    a: int
-    b: int
-    c: int
-    k: int
+    __slots__ = ("a", "b", "c", "k")
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c"):
-            value = getattr(self, name)
+    def __init__(self, a: int, b: int, c: int, k: int) -> None:
+        for name, value in (("a", a), ("b", b), ("c", c)):
             if not isinstance(value, int) or value < 0:
                 raise ValueError(
                     f"{name} must be a non-negative integer, got {value!r}"
                 )
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
+        if not isinstance(k, int) or k < 1:
+            raise ValueError(f"k must be a positive integer, got {k!r}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "k", k)
+
+    def _fields(self) -> tuple:
+        return (self.a, self.b, self.c, self.k)
+
+    def __repr__(self) -> str:
+        return f"FloystadInput(a={self.a!r}, b={self.b!r}, c={self.c!r}, k={self.k!r})"
 
     def check(self) -> bool:
         return floystad_check(self.a, self.b, self.c, self.k)

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
@@ -69,8 +68,41 @@ def json_key(data: object, key: str, what: str) -> object:
     return data[key]
 
 
-@dataclass(frozen=True)
-class SpaceParams:
+class Record:
+    """Base of the package's `__slots__` records: two records are equal when
+    they are of one class and their `_fields()` tuples are equal; a record
+    never equals an object of another class.  Each record writes its own
+    `__init__`, `_fields` and `__repr__`; a plain record is unhashable."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+
+class Frozen(Record):
+    """An immutable record: it hashes its `_fields()`, and assigning or
+    deleting any attribute raises AttributeError ("cannot assign to field
+    'n'"), so `__init__` fills the slots with `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SpaceParams(Frozen):
     """Shape parameters (n, m, k) of the ambient space and the monad family.
 
     n and m are the projective dimensions of the paired factors, k is the
@@ -78,15 +110,21 @@ class SpaceParams:
     not accepted as an integer).
     """
 
-    n: int
-    m: int
-    k: int
+    __slots__ = ("n", "m", "k")
 
-    def __post_init__(self) -> None:
-        for field in ("n", "m", "k"):
-            value = getattr(self, field)
+    def __init__(self, n: int, m: int, k: int) -> None:
+        for field, value in (("n", n), ("m", m), ("k", k)):
             if type(value) is not int or value < 1:
                 raise ValueError(f"{field} must be a positive integer, got {value!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+
+    def _fields(self) -> tuple:
+        return (self.n, self.m, self.k)
+
+    def __repr__(self) -> str:
+        return f"SpaceParams(n={self.n!r}, m={self.m!r}, k={self.k!r})"
 
     @staticmethod
     def from_json(data: Mapping) -> "SpaceParams":
@@ -105,14 +143,19 @@ class SpaceParams:
         raise ValueError(f"unknown variable group {group!r}")
 
 
-@dataclass(frozen=True)
-class MultiDegree:
+class MultiDegree(Frozen):
     """An element of Pic(X) = Z^4, ordered (x-degree, y-degree, z-degree, t-degree)."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+
+    def _fields(self) -> tuple:
+        return (self.a, self.b, self.c, self.d)
 
     def as_tuple(self) -> Tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -184,27 +227,32 @@ def variable_form(group: str, index: int) -> LinearForm:
     return LinearForm(((_GROUP_ORDER[group], index, 1),))
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
+class PolyMatrix(Frozen):
     """A rows x cols matrix of linear forms, stored row-major.
 
     0 x c and r x 0 matrices are legal (rank 0, empty entry list); they show up
     naturally as degenerate block edges.
     """
 
-    rows: int
-    cols: int
-    entries: Tuple[LinearForm, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: Sequence[LinearForm]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError(
-                f"entry list has length {len(self.entries)}, "
-                f"expected {self.rows}*{self.cols}={self.rows * self.cols}"
+                f"entry list has length {len(entries)}, "
+                f"expected {rows}*{cols}={rows * cols}"
             )
-        object.__setattr__(self, "entries", tuple(self.entries))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", tuple(entries))
+
+    def _fields(self) -> tuple:
+        return (self.rows, self.cols, self.entries)
+
+    def __repr__(self) -> str:
+        return f"PolyMatrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     def entry(self, i: int, j: int) -> LinearForm:
         return self.entries[i * self.cols + j]

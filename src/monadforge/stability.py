@@ -42,14 +42,13 @@ list of rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import ceil, comb
 from typing import Iterator, List, Optional, Tuple
 
 from .chow import BundleInvariants, delta_L, rank_of_T
 from .monad import middle_bundle
-from .polyring import ROWS, MultiDegree, RowGrid, SpaceParams
+from .polyring import ROWS, Frozen, MultiDegree, RowGrid, SpaceParams
 
 def normalization_shift(inv: BundleInvariants, params: SpaceParams) -> int:
     """The unique integer k_E = ceil(mu_L / d), d = delta_L(1,0,0,0).
@@ -95,8 +94,7 @@ def _wedge_h0_series(params: SpaceParams, max_q: int, tw: MultiDegree) -> List[i
     return series
 
 
-@dataclass(frozen=True)
-class StabilityScanConfig:
+class StabilityScanConfig(Frozen):
     """Finite scan box: q in [1, max_q], |p_i| <= component_bound,
     min_psum <= p1+p2+p3+p4 <= max_psum.
 
@@ -105,22 +103,40 @@ class StabilityScanConfig:
     exist and the scan must report a counterexample rather than a pass.
     """
 
-    params: SpaceParams
-    max_q: int
-    max_psum: int = 4
-    component_bound: int = 4
-    min_psum: int = 0
+    __slots__ = ("params", "max_q", "max_psum", "component_bound", "min_psum")
 
-    def __post_init__(self) -> None:
-        rank_t = rank_of_T(self.params)
-        if not (1 <= self.max_q <= rank_t - 1):
+    def __init__(
+        self,
+        params: SpaceParams,
+        max_q: int,
+        max_psum: int = 4,
+        component_bound: int = 4,
+        min_psum: int = 0,
+    ) -> None:
+        rank_t = rank_of_T(params)
+        if not (1 <= max_q <= rank_t - 1):
             raise ValueError(
-                f"max_q must lie in [1, rank(T)-1] = [1, {rank_t - 1}], got {self.max_q}"
+                f"max_q must lie in [1, rank(T)-1] = [1, {rank_t - 1}], got {max_q}"
             )
-        if self.max_psum < 0 or self.component_bound < 0:
+        if max_psum < 0 or component_bound < 0:
             raise ValueError("max_psum and component_bound must be non-negative")
-        if self.min_psum > self.max_psum:
+        if min_psum > max_psum:
             raise ValueError("min_psum exceeds max_psum")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "max_q", max_q)
+        object.__setattr__(self, "max_psum", max_psum)
+        object.__setattr__(self, "component_bound", component_bound)
+        object.__setattr__(self, "min_psum", min_psum)
+
+    def _fields(self) -> tuple:
+        return (self.params, self.max_q, self.max_psum, self.component_bound, self.min_psum)
+
+    def __repr__(self) -> str:
+        return (
+            f"StabilityScanConfig(params={self.params!r}, max_q={self.max_q!r}, "
+            f"max_psum={self.max_psum!r}, component_bound={self.component_bound!r}, "
+            f"min_psum={self.min_psum!r})"
+        )
 
     def to_json(self) -> dict:
         return {
@@ -163,8 +179,7 @@ def enumerate_twists(cfg: StabilityScanConfig) -> Iterator[MultiDegree]:
                     yield MultiDegree(-p1, -p2, -p3, -p4)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Frozen):
     """Every (q, twist, h0) probed, plus the verdict.
 
     `checked` is the q-major row grid of the box; it computes its rows
@@ -173,10 +188,28 @@ class StabilityReport:
     (q, twist) in scan order.
     """
 
-    config: StabilityScanConfig
-    checked: RowGrid
-    verdict: str
-    counterexample: Optional[Tuple[int, MultiDegree]] = None
+    __slots__ = ("config", "checked", "verdict", "counterexample")
+
+    def __init__(
+        self,
+        config: StabilityScanConfig,
+        checked: RowGrid,
+        verdict: str,
+        counterexample: Optional[Tuple[int, MultiDegree]] = None,
+    ) -> None:
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "counterexample", counterexample)
+
+    def _fields(self) -> tuple:
+        return (self.config, self.checked, self.verdict, self.counterexample)
+
+    def __repr__(self) -> str:
+        return (
+            f"StabilityReport(config={self.config!r}, checked={self.checked!r}, "
+            f"verdict={self.verdict!r}, counterexample={self.counterexample!r})"
+        )
 
     @property
     def all_vanish(self) -> bool:

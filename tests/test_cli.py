@@ -3,11 +3,15 @@ validity, and byte-level determinism."""
 
 from __future__ import annotations
 
+import calendar
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import time
 from collections import Counter
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -23,6 +27,8 @@ from monadforge.cohomology import kunneth_h
 from monadforge.monad import MonadSpec, assemble_monad
 from monadforge.polyring import MultiDegree, SpaceParams, dumps_canonical
 from monadforge.schemas import SCHEMAS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 EPOCH = "1700000000"
 EPOCH_ISO = "2023-11-14T22:13:20Z"
@@ -718,6 +724,87 @@ def test_manifest_embedded_everywhere(capsys):
         assert manifest["tool_version"]
         assert manifest["timestamp"] == EPOCH_ISO
         assert manifest["params"] == {"n": 1, "m": 1, "k": 1}
+
+
+@pytest.mark.parametrize(
+    "epoch, stamp",
+    [
+        ("-62135596800", "0001-01-01T00:00:00Z"),
+        ("-59011459201", "0099-12-31T23:59:59Z"),
+        ("253402300799", "9999-12-31T23:59:59Z"),
+        ("253402300800", None),  # year 10000
+        ("-62135596801", None),  # year 0
+        (str(10**20), None),  # beyond the platform's time_t
+        ("abc", None),
+    ],
+)
+def test_manifest_timestamp_is_schema_valid_at_every_epoch(
+    tmp_path, capsys, monkeypatch, epoch, stamp
+):
+    # a stamp is the epoch's own, zero-padded to four year digits, or else the wall clock's
+    monad_file = tmp_path / "monad.json"
+    run_cli(capsys, "build", "--n", "1", "--m", "1", "--k", "1", "--output", str(monad_file))
+    doc = json.loads(monad_file.read_text())
+    doc["monad"]["f"]["entries"][0][0][0]["coeff"] = "7"
+    monad_file.write_text(json.dumps(doc))
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    runs = [
+        ("invariants", 0, ["invariants", "--n", "1", "--m", "1", "--k", "1"]),
+        ("verify", 1, ["verify", "--input", str(monad_file)]),
+    ]
+    for command, exit_code, argv in runs:
+        before = int(time.time())
+        code, out = run_json(capsys, *argv)
+        after = int(time.time())
+        assert code == exit_code
+        jsonschema.validate(out, SCHEMAS[command])
+        written = out["manifest"]["timestamp"]
+        if stamp is None:
+            wall = calendar.timegm(time.strptime(written, "%Y-%m-%dT%H:%M:%SZ"))
+            assert before <= wall <= after
+        else:
+            assert written == stamp
+
+
+# ---------------------------------------------------------------------------
+# start-up: what importing the CLI loads
+# ---------------------------------------------------------------------------
+
+LAYER_MODULES = {
+    f"monadforge.{name}"
+    for name in ("polyring", "cohomology", "monad", "chow", "stability", "les", "cli")
+}
+
+PACKAGE_ALL = [
+    "DEFAULT_PRIME", "LinearForm", "MultiDegree", "PolyMatrix", "SpaceParams", "evaluate_matrix",
+    "matrix_mul", "rank_over_field", "CohTable", "LineBundleSum", "bott_h", "direct_sum",
+    "exterior_power_sum", "h0_of_sum", "kunneth_h", "line_bundle", "sum_cohomology", "twist",
+    "MonadSpec", "RankReport", "assemble_monad", "build_f_block", "build_g_block", "FloystadInput",
+    "floystad_check", "middle_bundle", "source_bundle", "target_bundle", "verify_composition",
+    "verify_maximal_rank", "BundleInvariants", "c1_of_sum", "c1_of_T", "degree_L", "delta_L",
+    "invariants_of_T", "rank_of_T", "StabilityReport", "StabilityScanConfig", "default_scan_config",
+    "h0_wedge_T_upper", "normalization_shift", "run_stability_scan", "CohProfile", "ShortExactSeq",
+    "SimplicityCertificate", "les_propagate", "rank_of_E", "simplicity_certificate", "__version__",
+]
+
+
+def test_importing_the_cli_loads_every_layer_and_no_heavy_stdlib_module():
+    # perfbench/tracing.py looks every layer module up in sys.modules after
+    # importing the CLI, so all seven must load eagerly; dataclasses (with
+    # inspect), datetime and fractions (with decimal) cost start-up that no
+    # command needs before it runs
+    probe = (
+        "import json, sys; before = set(sys.modules); import monadforge.cli, monadforge; "
+        "print(json.dumps([sorted(set(sys.modules) - before), monadforge.__all__]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    loaded, package_all = json.loads(proc.stdout)
+    assert {"dataclasses", "inspect", "datetime", "fractions", "decimal"}.isdisjoint(loaded)
+    assert LAYER_MODULES <= set(loaded)
+    assert package_all == PACKAGE_ALL
 
 
 # ---------------------------------------------------------------------------

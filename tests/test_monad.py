@@ -3,7 +3,6 @@ symbolic composition, sampled maximal rank, and the existence inequality."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 
@@ -40,6 +39,7 @@ from monadforge.polyring import (
     rank_over_field,
 )
 from oracles import compose_by_coefficient_matrices, structural_problems_by_two_walks
+from records import replaced
 
 
 def entry_strings(matrix):
@@ -187,13 +187,13 @@ def test_structural_problems_detect_wrong_group():
     # replace g's leading x-block with a t-variable block: wrong group
     blocks = [build_g_block(which, spec.params) for which in (4, 2, 3, 4)]
     bad_g = PolyMatrix(spec.g.rows, spec.g.cols, [p for b in blocks for p in b.entries])
-    tampered = dataclasses.replace(spec, g=bad_g)
+    tampered = replaced(spec, g=bad_g)
     assert tampered.structural_problems() != []
 
 
 def test_structural_problems_detect_wrong_shape():
     spec = assemble_monad(SpaceParams(1, 1, 2))
-    tampered = dataclasses.replace(spec, f=build_f_block(1, spec.params))
+    tampered = replaced(spec, f=build_f_block(1, spec.params))
     assert any("column" in p or "shape" in p for p in tampered.structural_problems())
 
 
@@ -231,7 +231,7 @@ def swapped_g_blocks(params: SpaceParams) -> MonadSpec:
     spec = assemble_monad(params)
     blocks = [build_g_block(which, params) for which in (2, 1, 3, 4)]
     swapped = PolyMatrix(spec.g.rows, spec.g.cols, [p for b in blocks for p in b.entries])
-    return dataclasses.replace(spec, g=swapped)
+    return replaced(spec, g=swapped)
 
 
 def scaled_band_scalar(params: SpaceParams) -> MonadSpec:
@@ -241,7 +241,7 @@ def scaled_band_scalar(params: SpaceParams) -> MonadSpec:
     entries = list(spec.f.entries)
     j = next(j for j, form in enumerate(entries) if form)
     entries[j] = LinearForm.of((g, i, 5 * c) for g, i, c in entries[j])
-    return dataclasses.replace(spec, f=PolyMatrix(spec.f.rows, spec.f.cols, entries))
+    return replaced(spec, f=PolyMatrix(spec.f.rows, spec.f.cols, entries))
 
 
 def test_composition_fails_with_swapped_g_blocks():
@@ -282,7 +282,7 @@ def test_band_walk_is_memoised_for_the_current_matrices(monkeypatch):
 def test_composition_compares_shapes_before_assembling(monkeypatch):
     # params that do not fit the matrices must not make verify_composition
     # assemble a monad larger than its input; it multiplies what it was given
-    spec = dataclasses.replace(assemble_monad(SpaceParams(1, 1, 1)), params=SpaceParams(400, 1, 1))
+    spec = replaced(assemble_monad(SpaceParams(1, 1, 1)), params=SpaceParams(400, 1, 1))
     monkeypatch.setattr(monad_module, "assemble_monad", refuse)
     assert verify_composition(spec)
 
@@ -456,7 +456,7 @@ def with_entries(params, entries):
     spec = assemble_monad(params)
     f = PolyMatrix(spec.f.rows, spec.f.cols, entries["f"])
     g = PolyMatrix(spec.g.rows, spec.g.cols, entries["g"])
-    return dataclasses.replace(spec, f=f, g=g)
+    return replaced(spec, f=f, g=g)
 
 
 def assert_same_report_as_elimination(data, spec, prime):

@@ -1,0 +1,209 @@
+"""The package's record types are plain `__slots__` classes: value `==`,
+`hash` for the immutable ones, the `Name(field=value, ...)` repr, and
+AttributeError on assignment to an immutable record."""
+
+from __future__ import annotations
+
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from monadforge.chow import BundleInvariants, invariants_of_T, rank_of_T
+from monadforge.cohomology import CohTable
+from monadforge.les import CohProfile, ShortExactSeq, SimplicityCertificate, simplicity_certificate
+from monadforge.monad import (
+    FloystadInput,
+    MonadSpec,
+    RankReport,
+    assemble_monad,
+    band_scalars,
+    verify_maximal_rank,
+)
+from monadforge.polyring import LinearForm, MultiDegree, PolyMatrix, SpaceParams, variable_form
+from monadforge.stability import StabilityReport, StabilityScanConfig, run_stability_scan
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+SMALL = SpaceParams(1, 1, 1)
+TINY_BOX = StabilityScanConfig(SMALL, 1, max_psum=0, component_bound=0)
+ONE_UNKNOWN = ShortExactSeq(
+    CohProfile.unknown(), CohProfile.exact(CohTable((1, 0))), CohProfile.exact(CohTable((1, 0))), 1
+)
+
+SPACE_FIELDS = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+DEGREE_FIELDS = st.tuples(*[st.integers(-3, 3)] * 4)
+SCAN_FIELDS = st.tuples(
+    st.builds(SpaceParams, *[st.integers(1, 2)] * 3),
+    st.integers(1, 8),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.integers(-4, 4),
+)
+
+
+def build(cls, fields):
+    """cls(*fields), or a rejected example where the constructor refuses them."""
+    try:
+        return cls(*fields)
+    except ValueError:
+        assume(False)
+
+
+@pytest.mark.parametrize(
+    "cls, fields",
+    [(SpaceParams, SPACE_FIELDS), (MultiDegree, DEGREE_FIELDS), (StabilityScanConfig, SCAN_FIELDS)],
+    ids=["SpaceParams", "MultiDegree", "StabilityScanConfig"],
+)
+@given(data=st.data())
+def test_equal_fields_give_equal_records_and_any_other_field_unequal(cls, fields, data):
+    values = data.draw(fields)
+    record, twin = build(cls, values), cls(*values)
+    assert record == twin and not record != twin
+    assert hash(record) == hash(twin)
+    assert record != values  # a record never equals its field tuple
+
+    i = data.draw(st.integers(0, len(values) - 1))
+    other = values[:i] + (data.draw(fields)[i],) + values[i + 1 :]
+    assume(other[i] != values[i])
+    changed = build(cls, other)
+    assert record != changed and not record == changed
+
+
+def test_repr_is_the_dataclass_text():
+    params = SpaceParams(1, 2, 3)
+    scan = run_stability_scan(TINY_BOX)
+    config_text = (
+        "StabilityScanConfig(params=SpaceParams(n=1, m=1, k=1), max_q=1, max_psum=0, "
+        "component_bound=0, min_psum=0)"
+    )
+    scan_text = (
+        f"StabilityReport(config={config_text}, checked=RowGrid(1 twists, max_q=1, nonzero={{}}), "
+        "verdict='ALL_VANISH', counterexample=None)"
+    )
+    spec = assemble_monad(SMALL)
+    cert = simplicity_certificate(SMALL, TINY_BOX)
+    table = [
+        (params, "SpaceParams(n=1, m=2, k=3)"),
+        (MultiDegree(1, -2, 0, 4), "(1,-2,0,4)"),
+        (
+            PolyMatrix(1, 2, [variable_form("x", 0), LinearForm()]),
+            "PolyMatrix(rows=1, cols=2, entries=(((0, 0, 1),), ()))",
+        ),
+        (CohTable((0, 1, 2)), "CohTable(dims=(0, 1, 2))"),
+        (
+            invariants_of_T(params),
+            "BundleInvariants(rank=15, c1=(-7,-7,-8,-8), degree_L=-1380, slope_L=Fraction(-92, 1))",
+        ),
+        (
+            spec,
+            f"MonadSpec(params=SpaceParams(n=1, m=1, k=1), source={spec.source!r}, "
+            f"middle={spec.middle!r}, target={spec.target!r}, f={spec.f!r}, g={spec.g!r})",
+        ),
+        (
+            verify_maximal_rank(spec, trials=2, seed=0),
+            "RankReport(params=SpaceParams(n=1, m=1, k=1), prime=2147483647, trials=2, seed=0, "
+            "rank_f_samples=(1, 1), rank_g_samples=(1, 1), origin_rank_f=0, origin_rank_g=0, "
+            "group_zero_ranks={'x': (1, 1), 'y': (1, 1), 'z': (1, 1), 't': (1, 1)}, maximal=True)",
+        ),
+        (FloystadInput(1, 2, 3, 4), "FloystadInput(a=1, b=2, c=3, k=4)"),
+        (
+            StabilityScanConfig(params, 2),
+            "StabilityScanConfig(params=SpaceParams(n=1, m=2, k=3), max_q=2, max_psum=4, "
+            "component_bound=4, min_psum=0)",
+        ),
+        (TINY_BOX, config_text),
+        (scan, scan_text),
+        (
+            CohProfile.interval([(0, 1)]),
+            "CohProfile(kind='interval', table=None, intervals=((0, 1),))",
+        ),
+        (
+            ONE_UNKNOWN,
+            "ShortExactSeq(left=CohProfile(kind='unknown', table=None, intervals=None), "
+            "middle=CohProfile(kind='exact', table=CohTable(dims=(1, 0)), intervals=None), "
+            "right=CohProfile(kind='exact', table=CohTable(dims=(1, 0)), intervals=None), "
+            "dim_top=1)",
+        ),
+        (
+            cert,
+            "SimplicityCertificate(params=SpaceParams(n=1, m=1, k=1), rank_E=6, "
+            "h0_T_dual_twisted=(0, 0), h1_T_dual_twisted=(0, 0), t_stable=True, "
+            f"stability={scan_text}, sequence={cert.sequence!r}, "
+            "conclusion='SIMPLE_CERTIFIED', reason=None)",
+        ),
+    ]
+    assert {type(record) for record, _ in table} == {
+        SpaceParams, MultiDegree, PolyMatrix, CohTable, BundleInvariants, MonadSpec, RankReport,
+        FloystadInput, StabilityScanConfig, StabilityReport, CohProfile, ShortExactSeq,
+        SimplicityCertificate,
+    }
+    for record, text in table:
+        assert repr(record) == text
+
+
+FROZEN = [
+    (SpaceParams(1, 2, 3), "n"),
+    (MultiDegree(1, 2, 3, 4), "d"),
+    (PolyMatrix(0, 0, []), "entries"),
+    (CohTable((1,)), "dims"),
+    (BundleInvariants(1, MultiDegree(0, 0, 0, 0), 2, Fraction(2)), "slope_L"),
+    (FloystadInput(1, 2, 3, 4), "k"),
+    (TINY_BOX, "max_q"),
+    (run_stability_scan(TINY_BOX), "verdict"),
+    (CohProfile.unknown(), "kind"),
+    (ONE_UNKNOWN, "left"),
+    (simplicity_certificate(SMALL, TINY_BOX), "conclusion"),
+]
+
+
+@pytest.mark.parametrize("record, name", FROZEN, ids=[type(r).__name__ for r, _ in FROZEN])
+def test_immutable_records_refuse_assignment_and_deletion(record, name):
+    value = getattr(record, name)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+        setattr(record, name, value)
+    with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+        record.extra = 1
+    with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+        delattr(record, name)
+    assert getattr(record, name) is value
+
+
+def test_monad_spec_and_rank_report_are_mutable_and_unhashable():
+    spec = assemble_monad(SMALL)
+    report = verify_maximal_rank(spec, trials=2, seed=0)
+    for record in (spec, report):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    report.maximal = False
+    spec.params = SpaceParams(2, 1, 1)
+    assert not report.maximal and spec.params == SpaceParams(2, 1, 1)
+
+
+def test_band_memo_is_neither_compared_nor_shown():
+    walked, fresh = assemble_monad(SMALL), assemble_monad(SMALL)
+    assert band_scalars(walked) is not None and walked._band is not None and fresh._band is None
+    assert walked == fresh and repr(walked) == repr(fresh)
+    assert "_band" not in repr(walked)
+    with pytest.raises(TypeError):  # the memo is no constructor argument
+        MonadSpec(
+            walked.params, walked.source, walked.middle, walked.target, walked.f, walked.g, None
+        )
+    fresh.g = PolyMatrix(fresh.g.rows, fresh.g.cols, [LinearForm()] * len(fresh.g.entries))
+    assert walked != fresh
+
+
+def test_readme_library_snippet_runs():
+    text = README.read_text(encoding="utf-8")
+    library = text[text.index("## Library") :]
+    snippet = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    assert "SpaceParams(n=1, m=2, k=3)" in snippet
+    namespace: dict = {}
+    exec(compile(snippet, "README.md", "exec"), namespace)
+    assert namespace["params"] == SpaceParams(1, 2, 3)
+    assert namespace["inv"].rank == rank_of_T(namespace["params"]) == 15
+    assert namespace["report"].all_vanish
+    assert namespace["cert"].conclusion == "SIMPLE_CERTIFIED"

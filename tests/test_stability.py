@@ -3,7 +3,6 @@ bounds, box enumeration, verdict logic, and report JSON."""
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -30,6 +29,7 @@ from oracles import (
     stability_scan_by_series,
     wedge_h0_by_exterior_power,
 )
+from records import replaced
 
 SPACE_PARAMS = st.builds(SpaceParams, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
 
@@ -322,7 +322,7 @@ def scan_configs(draw, bound=4, top_psum=4, max_rows=MAX_ORACLE_ROWS):
     )
     twists = max(1, len(list(enumerate_twists(box))))
     top = max(1, min(rank_of_T(box.params) - 1, max_rows // twists))
-    return dataclasses.replace(box, max_q=draw(st.integers(1, top)))
+    return replaced(box, max_q=draw(st.integers(1, top)))
 
 
 @settings(max_examples=40, deadline=None)
