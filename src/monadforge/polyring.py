@@ -31,9 +31,10 @@ marker string where the list goes, and `canonical_chunks` writes the list
 there from one template, byte for byte what json.dumps would write.  The
 stability scan's rows (`scan_rows`) and the entries of a matrix of linear
 forms (`matrix_template`) are the two fills.  The rows come from a
-`RowGrid` (one twist list, max_q, and the nonzero h0 values), never from a
-list of rows: each twist's text is rendered once, and each run of zero rows
-of one q is a single join of those texts behind the q's shared head.
+`RowGrid` (the twist box as a tuple of int 4-tuples, max_q, and the nonzero
+h0 values), never from a list of rows: each twist's text is rendered once,
+and each run of zero rows of one q is a single join of those texts behind
+the q's shared head.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 import json
 import re
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 GROUPS: Tuple[str, ...] = ("x", "y", "z", "t")
@@ -502,25 +503,34 @@ def canonical_chunks(doc: object, fills: Mapping[str, Fill] = {}) -> Iterator[st
 
 # The marker a scan document holds in place of its rows.
 ROWS = "\x00scan rows\x00"
-_ROW_BATCH = 2048
+# Each piece of rows is briefly held three times over: the join of its
+# parts, the piece itself and its UTF-8 encoding in the writer.  At ~130
+# characters a row, 256 rows (~34 KB a copy, ~100 KB for all three) keep
+# those copies under glibc's 128 KiB mmap and trim thresholds, so the heap
+# reuses the freed memory; 2048 rows (~270 KB) made every piece an mmap that
+# was unmapped and faulted in again.
+_ROW_BATCH = 256
 
+Twist = Tuple[int, int, int, int]  # (a, b, c, d), as in MultiDegree
 ScanRow = Tuple[int, MultiDegree, int]  # (q, twist, h0)
 
 
 class RowGrid:
     """The rows (q, twist, h0) of a scan, q-major: for each q in 1..max_q,
-    one row per twist in list order, with h0 = nonzero.get((q, i), 0) at
+    one row per twist in box order, with h0 = nonzero.get((q, i), 0) at
     twist index i.
 
-    The rows are never stored: `len` and iteration compute them, and the
-    grid equals any list or tuple holding the same rows.  `nonzero`
-    maps (q, twist index) to a nonzero h0.
+    `twists` is the box as a tuple of int 4-tuples; a row's twist is a
+    `MultiDegree`, built only when a row is read.  The rows are never
+    stored: `len` and iteration compute them (one MultiDegree per twist per
+    pass), and the grid equals, and hashes like, any list or tuple holding
+    the same rows.  `nonzero` maps (q, twist index) to a nonzero h0.
     """
 
     __slots__ = ("twists", "max_q", "nonzero")
 
     def __init__(
-        self, twists: Sequence[MultiDegree], max_q: int, nonzero: Mapping[Tuple[int, int], int]
+        self, twists: Sequence[Twist], max_q: int, nonzero: Mapping[Tuple[int, int], int]
     ) -> None:
         self.twists = tuple(twists)
         self.max_q = max_q
@@ -530,19 +540,29 @@ class RowGrid:
         return self.max_q * len(self.twists)
 
     def __iter__(self) -> Iterator[ScanRow]:
-        get = self.nonzero.get
+        degrees = [MultiDegree(*tw) for tw in self.twists]
+        marks: Dict[int, List[Tuple[int, int]]] = {}
+        for (q, index), h0 in self.nonzero.items():
+            marks.setdefault(q, []).append((index, h0))
         for q in range(1, self.max_q + 1):
-            for i, tw in enumerate(self.twists):
-                yield q, tw, get((q, i), 0)
+            h0s = [0] * len(degrees)
+            for index, h0 in marks.get(q, ()):
+                h0s[index] = h0
+            yield from zip(repeat(q), degrees, h0s)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (RowGrid, list, tuple)):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
     def nonzero_rows(self) -> List[ScanRow]:
         """The rows with h0 != 0, in row order."""
-        return [(q, self.twists[i], h) for (q, i), h in sorted(self.nonzero.items()) if h]
+        return [
+            (q, MultiDegree(*self.twists[i]), h) for (q, i), h in sorted(self.nonzero.items()) if h
+        ]
 
     def __repr__(self) -> str:
         return f"RowGrid({len(self.twists)} twists, max_q={self.max_q}, nonzero={self.nonzero!r})"
@@ -564,8 +584,8 @@ def _row_chunks(grid: RowGrid, indent: int) -> Iterator[str]:
         return
     i, f, e = (" " * (indent + step) for step in (2, 4, 6))
     tails = [
-        f'{f}"twist": [\n{e}{tw.a},\n{e}{tw.b},\n{e}{tw.c},\n{e}{tw.d}\n{f}]\n{i}}}'
-        for tw in grid.twists
+        f'{f}"twist": [\n{e}{a},\n{e}{b},\n{e}{c},\n{e}{d}\n{f}]\n{i}}}'
+        for a, b, c, d in grid.twists
     ]
     marks: Dict[int, List[int]] = {}
     for q, index in sorted(grid.nonzero):

@@ -36,8 +36,10 @@ a box with min_psum >= 0 is ALL_VANISH without it.  The same fact, testable
 summand by summand (`negative_component_violations`), covers the unbounded
 directions: every twisted exterior-power summand keeps a strictly negative
 degree component whenever sum(p_i) >= 0.  The report's rows are a grid
-(`polyring.RowGrid`) of the twists, max_q and the nonzero values, never a
-list of rows.
+(`polyring.RowGrid`) of the twist box, max_q and the nonzero values, never a
+list of rows; the box is a tuple of int 4-tuples, and a twist becomes a
+`MultiDegree` only where one is read: a summed twist, the counterexample,
+and the grid's rows.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from .chow import BundleInvariants, delta_L, rank_of_T
 from .monad import middle_bundle
-from .polyring import ROWS, Frozen, MultiDegree, RowGrid, SpaceParams
+from .polyring import ROWS, Frozen, MultiDegree, RowGrid, SpaceParams, Twist
 
 def normalization_shift(inv: BundleInvariants, params: SpaceParams) -> int:
     """The unique integer k_E = ceil(mu_L / d), d = delta_L(1,0,0,0).
@@ -166,26 +168,34 @@ def default_scan_config(
     )
 
 
-def enumerate_twists(cfg: StabilityScanConfig) -> Iterator[MultiDegree]:
-    """All twists (-p1,-p2,-p3,-p4) in the box, in lexicographic p-order."""
+def _twist_box(cfg: StabilityScanConfig) -> List[Twist]:
+    """All twists (-p1,-p2,-p3,-p4) in the box as int 4-tuples, in
+    lexicographic p-order."""
     cb = cfg.component_bound
     lo, hi = cfg.min_psum, cfg.max_psum
-    for p1 in range(-cb, cb + 1):
-        for p2 in range(-cb, cb + 1):
-            for p3 in range(-cb, cb + 1):
-                s3 = p1 + p2 + p3
-                # p4 in [-cb, cb] and lo <= s3 + p4 <= hi
-                for p4 in range(max(-cb, lo - s3), min(cb, hi - s3) + 1):
-                    yield MultiDegree(-p1, -p2, -p3, -p4)
+    span = range(-cb, cb + 1)
+    # p4 in [-cb, cb] and lo <= p1 + p2 + p3 + p4 <= hi
+    return [
+        (-p1, -p2, -p3, -p4)
+        for p1 in span
+        for p2 in span
+        for p3 in span
+        for p4 in range(max(-cb, lo - p1 - p2 - p3), min(cb, hi - p1 - p2 - p3) + 1)
+    ]
+
+
+def enumerate_twists(cfg: StabilityScanConfig) -> Iterator[MultiDegree]:
+    """All twists (-p1,-p2,-p3,-p4) in the box, in lexicographic p-order."""
+    return (MultiDegree(*tw) for tw in _twist_box(cfg))
 
 
 class StabilityReport(Frozen):
     """Every (q, twist, h0) probed, plus the verdict.
 
-    `checked` is the q-major row grid of the box; it computes its rows
-    rather than storing them.  verdict is "ALL_VANISH" iff every recorded
-    upper bound is zero, else "COUNTEREXAMPLE" with the first offending
-    (q, twist) in scan order.
+    `checked` is the q-major row grid of the box, its twists int 4-tuples;
+    it computes its rows rather than storing them.  verdict is "ALL_VANISH"
+    iff every recorded upper bound is zero, else "COUNTEREXAMPLE" with the
+    first offending (q, twist) in scan order.
     """
 
     __slots__ = ("config", "checked", "verdict", "counterexample")
@@ -251,12 +261,12 @@ def run_stability_scan(cfg: StabilityScanConfig) -> StabilityReport:
     only at twists with no negative component and a positive sum (p-sum
     <= -1); a box with min_psum >= 0 has none and is ALL_VANISH unsummed.
     """
-    twists = tuple(enumerate_twists(cfg))
+    twists = _twist_box(cfg)
     nonzero = {}
     if cfg.min_psum < 0:
         for i, tw in enumerate(twists):
-            if tw.min_component() >= 0 and sum(tw.as_tuple()) >= 1:
-                series = _wedge_h0_series(cfg.params, cfg.max_q, tw)
+            if min(tw) >= 0 and sum(tw) >= 1:
+                series = _wedge_h0_series(cfg.params, cfg.max_q, MultiDegree(*tw))
                 for q in range(1, cfg.max_q + 1):
                     if series[q]:
                         nonzero[q, i] = series[q]
@@ -264,7 +274,7 @@ def run_stability_scan(cfg: StabilityScanConfig) -> StabilityReport:
     counterexample = None
     if nonzero:
         q, i = min(nonzero)
-        counterexample = (q, twists[i])
+        counterexample = (q, MultiDegree(*twists[i]))
     return StabilityReport(
         config=cfg,
         checked=RowGrid(twists, cfg.max_q, nonzero),

@@ -172,6 +172,14 @@ def test_immutable_records_refuse_assignment_and_deletion(record, name):
     assert getattr(record, name) is value
 
 
+@pytest.mark.parametrize("box", [TINY_BOX, StabilityScanConfig(SMALL, 2, 1, 2, min_psum=-3)])
+def test_scan_report_and_certificate_hash_like_equal_records(box):
+    report, cert = run_stability_scan(box), simplicity_certificate(SMALL, box)
+    assert hash(report) == hash(run_stability_scan(box))
+    assert hash(cert) == hash(simplicity_certificate(SMALL, box))
+    assert {report, cert, cert.stability} == {report, cert}
+
+
 def test_monad_spec_and_rank_report_are_mutable_and_unhashable():
     spec = assemble_monad(SMALL)
     report = verify_maximal_rank(spec, trials=2, seed=0)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from monadforge.chow import BundleInvariants, c1_of_sum, invariants_of_T, rank_of_T
 from monadforge.cohomology import kunneth_h
 from monadforge.monad import middle_bundle
-from monadforge.polyring import ROWS, MultiDegree, SpaceParams
+from monadforge.polyring import ROWS, MultiDegree, SpaceParams, canonical_chunks, scan_rows
 from monadforge.stability import (
     StabilityScanConfig,
     default_scan_config,
@@ -264,6 +265,51 @@ def test_scan_verdict_consistent_with_rows():
         report = run_stability_scan(cfg)
         assert report.all_vanish == all(h == 0 for _, _, h in report.checked)
         assert (report.verdict == "ALL_VANISH") == report.all_vanish
+
+
+def counted_degrees():
+    """A patch of MultiDegree.__init__, and the list in which it records the
+    fields of every MultiDegree built while it is active."""
+    built = []
+    init = MultiDegree.__init__
+
+    def counting(self, *fields):
+        built.append(fields)
+        init(self, *fields)
+
+    return mock.patch.object(MultiDegree, "__init__", counting), built
+
+
+def test_scan_and_row_writer_build_no_twist_objects():
+    # the wide report's box: 9,310 twists, 186,200 rows, all of them zero
+    cfg = StabilityScanConfig(SpaceParams(3, 3, 3), 20, max_psum=6, component_bound=6)
+    patch, built = counted_degrees()
+    with patch:
+        report = run_stability_scan(cfg)
+        text = "".join(canonical_chunks(report.to_json(), {ROWS: scan_rows(report.checked)}))
+    assert built == [] and report.all_vanish
+    assert text.count('"h0": 0') == len(report.checked) == 20 * len(report.checked.twists)
+    assert len(report.checked) == 186_200
+    with patch:
+        assert sum(1 for _ in report.checked) == len(report.checked)
+    assert len(built) <= len(report.checked.twists)
+
+
+def test_a_counterexample_scan_builds_one_twist_per_summed_twist_and_row_pass():
+    cfg = StabilityScanConfig(SpaceParams(1, 1, 1), 3, max_psum=2, component_bound=3, min_psum=-8)
+    summed = sum(
+        1 for tw in enumerate_twists(cfg) if tw.min_component() >= 0 and sum(tw.as_tuple()) >= 1
+    )
+    patch, built = counted_degrees()
+    with patch:
+        report = run_stability_scan(cfg)
+    assert report.counterexample is not None
+    assert len(built) == summed + 1  # each summed twist, then the counterexample
+    del built[:]
+    with patch:
+        rows = list(report.checked)
+    assert len(rows) == 3 * len(report.checked.twists)
+    assert len(built) <= len(report.checked.twists)
 
 
 # ---------------------------------------------------------------------------
