@@ -29,14 +29,11 @@ from .cohomology import (
     bott_h,
     direct_sum,
     exterior_power_sum,
-    h0_of_sum,
     kunneth_h,
     line_bundle,
     sum_cohomology,
-    twist,
 )
 from .monad import (
-    FloystadInput,
     MonadSpec,
     RankReport,
     assemble_monad,
@@ -51,7 +48,6 @@ from .monad import (
 )
 from .chow import (
     BundleInvariants,
-    c1_of_sum,
     c1_of_T,
     degree_L,
     delta_L,
@@ -62,7 +58,6 @@ from .stability import (
     StabilityReport,
     StabilityScanConfig,
     default_scan_config,
-    h0_wedge_T_upper,
     normalization_shift,
     run_stability_scan,
 )
@@ -91,17 +86,14 @@ __all__ = [
     "bott_h",
     "direct_sum",
     "exterior_power_sum",
-    "h0_of_sum",
     "kunneth_h",
     "line_bundle",
     "sum_cohomology",
-    "twist",
     "MonadSpec",
     "RankReport",
     "assemble_monad",
     "build_f_block",
     "build_g_block",
-    "FloystadInput",
     "floystad_check",
     "middle_bundle",
     "source_bundle",
@@ -109,7 +101,6 @@ __all__ = [
     "verify_composition",
     "verify_maximal_rank",
     "BundleInvariants",
-    "c1_of_sum",
     "c1_of_T",
     "degree_L",
     "delta_L",
@@ -118,7 +109,6 @@ __all__ = [
     "StabilityReport",
     "StabilityScanConfig",
     "default_scan_config",
-    "h0_wedge_T_upper",
     "normalization_shift",
     "run_stability_scan",
     "CohProfile",

@@ -24,19 +24,10 @@ from __future__ import annotations
 from math import factorial
 from typing import TYPE_CHECKING
 
-from .cohomology import LineBundleSum
 from .polyring import Frozen, MultiDegree, SpaceParams
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-
-def c1_of_sum(S: LineBundleSum) -> MultiDegree:
-    """First Chern class of a direct sum: multiplicity-weighted degree sum."""
-    total = MultiDegree(0, 0, 0, 0)
-    for deg, mult in S.summands:
-        total = total + deg.scale(mult)
-    return total
 
 
 def degree_L(c1: MultiDegree, params: SpaceParams) -> int:
@@ -67,15 +58,6 @@ class BundleInvariants(Frozen):
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "degree_L", degree_L)
         object.__setattr__(self, "slope_L", slope_L)
-
-    def _fields(self) -> tuple:
-        return (self.rank, self.c1, self.degree_L, self.slope_L)
-
-    def __repr__(self) -> str:
-        return (
-            f"BundleInvariants(rank={self.rank!r}, c1={self.c1!r}, "
-            f"degree_L={self.degree_L!r}, slope_L={self.slope_L!r})"
-        )
 
     def to_json(self) -> dict:
         return {

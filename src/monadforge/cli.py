@@ -25,13 +25,20 @@ import json
 import os
 import sys
 import time
+from itertools import accumulate
 from typing import Iterable, List, Optional
 
 from . import __version__
 from .chow import degree_simplification_check, invariants_of_T
 from .cohomology import line_bundle, sum_cohomology
 from .les import simplicity_certificate
-from .monad import MonadSpec, assemble_monad, verify_composition, verify_maximal_rank
+from .monad import (
+    MonadSpec,
+    _block_sizes,
+    assemble_monad,
+    verify_composition,
+    verify_maximal_rank,
+)
 from .polyring import (
     DEFAULT_PRIME,
     ROWS,
@@ -69,7 +76,7 @@ def _manifest(command: str, params: SpaceParams, seed: int) -> dict:
     """The reproducibility header embedded in every JSON document."""
     return {
         "command": command,
-        "params": {"n": params.n, "m": params.m, "k": params.k},
+        "params": params.to_json(),
         "seed": seed,
         "tool_version": __version__,
         "timestamp": _timestamp(),
@@ -114,42 +121,21 @@ def _render_matrix_text(spec: MonadSpec, which: str) -> List[str]:
     f gets a `|` between its four column blocks; g gets a dashed rule between
     its four row blocks.
     """
-    params = spec.params
-    sizes = [params.n + params.k, params.n + params.k, params.m + params.k, params.m + params.k]
+    # the first index of blocks 2..4: f's columns, g's rows
+    cuts = set(accumulate(_block_sizes(spec.params)[:-1]))
     matrix = spec.f if which == "f" else spec.g
     cells = [[str(matrix.entry(i, j)) for j in range(matrix.cols)] for i in range(matrix.rows)]
-    widths = [
-        max(len(cells[i][j]) for i in range(matrix.rows)) for j in range(matrix.cols)
-    ]
+    widths = [max(len(cells[i][j]) for i in range(matrix.rows)) for j in range(matrix.cols)]
     lines: List[str] = []
-    if which == "f":
-        cuts = set()
-        acc = 0
-        for s in sizes[:-1]:
-            acc += s
-            cuts.add(acc)
-        for i in range(matrix.rows):
-            parts: List[str] = []
-            for j in range(matrix.cols):
-                if j in cuts:
-                    parts.append("|")
-                parts.append(cells[i][j].rjust(widths[j]))
-            lines.append("[ " + " ".join(parts) + " ]")
-    else:
-        body_width = sum(widths) + (matrix.cols - 1)
-        boundaries = set()
-        acc = 0
-        for s in sizes[:-1]:
-            acc += s
-            boundaries.add(acc)
-        for i in range(matrix.rows):
-            if i in boundaries:
-                lines.append("[ " + "-" * body_width + " ]")
-            lines.append(
-                "[ "
-                + " ".join(cells[i][j].rjust(widths[j]) for j in range(matrix.cols))
-                + " ]"
-            )
+    for i, row in enumerate(cells):
+        parts: List[str] = []
+        for j, (cell, width) in enumerate(zip(row, widths)):
+            if which == "f" and j in cuts:
+                parts.append("|")
+            parts.append(cell.rjust(width))
+        if which == "g" and i in cuts:
+            lines.append("[ " + "-" * (sum(widths) + matrix.cols - 1) + " ]")
+        lines.append("[ " + " ".join(parts) + " ]")
     return lines
 
 

@@ -25,6 +25,7 @@ finite and exact.
 
 from __future__ import annotations
 
+import json
 from math import comb
 from typing import Dict, Iterable, List, Tuple
 
@@ -77,31 +78,12 @@ class CohTable(Frozen):
     def __init__(self, dims: Tuple[int, ...]) -> None:
         object.__setattr__(self, "dims", dims)
 
-    def _fields(self) -> tuple:
-        return (self.dims,)
 
-    def __repr__(self) -> str:
-        return f"CohTable(dims={self.dims!r})"
-
-    def h(self, t: int) -> int:
-        return self.dims[t]
-
-    @property
-    def top(self) -> int:
-        return len(self.dims) - 1
-
-    def euler(self) -> int:
-        return sum((-1) ** i * v for i, v in enumerate(self.dims))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.dims)
-
-
-class LineBundleSum:
+class LineBundleSum(Frozen):
     """A finite direct sum of line bundles O_X(deg)^mult in canonical order.
 
     Summands are merged and sorted by degree tuple, multiplicities are
-    positive; the empty sum (rank 0) is legal.
+    positive; the empty sum (rank 0) is legal.  Immutable and hashable.
     """
 
     __slots__ = ("params", "summands")
@@ -120,30 +102,17 @@ class LineBundleSum:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "summands", canon)
 
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("LineBundleSum is immutable")
-
     @property
     def rank(self) -> int:
         return sum(mult for _, mult in self.summands)
 
-    def dual(self) -> "LineBundleSum":
-        return LineBundleSum(self.params, [(-deg, mult) for deg, mult in self.summands])
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LineBundleSum)
-            and self.params == other.params
-            and self.summands == other.summands
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         inner = " + ".join(f"O{deg}^{mult}" for deg, mult in self.summands)
         return f"LineBundleSum({inner or '0'})"
 
     def to_json(self) -> dict:
         return {
-            "params": {"n": self.params.n, "m": self.params.m, "k": self.params.k},
+            "params": self.params.to_json(),
             "summands": [
                 {"degree": list(deg.as_tuple()), "multiplicity": mult}
                 for deg, mult in self.summands
@@ -155,8 +124,6 @@ class LineBundleSum:
         params = SpaceParams.from_json(json_key(data, "params", "line-bundle sum"))
         items = json_key(data, "summands", "line-bundle sum")
         if not isinstance(items, list):
-            import json
-
             raise ValueError(f"summands must be a JSON list, got {json.dumps(items)}")
         summands = []
         for item in items:
@@ -188,11 +155,6 @@ def direct_sum(*sums: LineBundleSum) -> LineBundleSum:
     return LineBundleSum(params, items)
 
 
-def twist(S: LineBundleSum, d: MultiDegree) -> LineBundleSum:
-    """Tensor every summand by O_X(d)."""
-    return LineBundleSum(S.params, [(deg + d, mult) for deg, mult in S.summands])
-
-
 def sum_cohomology(S: LineBundleSum) -> CohTable:
     """Full dimension table of a direct sum, additively over summands."""
     top = S.params.dim_x
@@ -205,18 +167,6 @@ def sum_cohomology(S: LineBundleSum) -> CohTable:
                     for i4, v4 in options[3]:
                         dims[i1 + i2 + i3 + i4] += mult * v1 * v2 * v3 * v4
     return CohTable(tuple(dims))
-
-
-def h0_of_sum(S: LineBundleSum) -> int:
-    """Global sections of a direct sum without building the whole table."""
-    n, m = S.params.n, S.params.m
-    total = 0
-    for deg, mult in S.summands:
-        a, b, c, d = deg.as_tuple()
-        if a < 0 or b < 0 or c < 0 or d < 0:
-            continue
-        total += mult * comb(n + a, n) * comb(n + b, n) * comb(m + c, m) * comb(m + d, m)
-    return total
 
 
 def exterior_power_sum(S: LineBundleSum, q: int) -> LineBundleSum:

@@ -83,15 +83,6 @@ class CohProfile(Frozen):
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "intervals", intervals)
 
-    def _fields(self) -> tuple:
-        return (self.kind, self.table, self.intervals)
-
-    def __repr__(self) -> str:
-        return (
-            f"CohProfile(kind={self.kind!r}, table={self.table!r}, "
-            f"intervals={self.intervals!r})"
-        )
-
     @staticmethod
     def exact(table: CohTable) -> "CohProfile":
         return CohProfile(EXACT, table=table)
@@ -147,15 +138,6 @@ class ShortExactSeq(Frozen):
         object.__setattr__(self, "middle", middle)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "dim_top", dim_top)
-
-    def _fields(self) -> tuple:
-        return (self.left, self.middle, self.right, self.dim_top)
-
-    def __repr__(self) -> str:
-        return (
-            f"ShortExactSeq(left={self.left!r}, middle={self.middle!r}, "
-            f"right={self.right!r}, dim_top={self.dim_top!r})"
-        )
 
     def unknown_slot(self) -> str:
         slots = [
@@ -274,31 +256,9 @@ class SimplicityCertificate(Frozen):
         object.__setattr__(self, "conclusion", conclusion)
         object.__setattr__(self, "reason", reason)
 
-    def _fields(self) -> tuple:
-        return (
-            self.params,
-            self.rank_E,
-            self.h0_T_dual_twisted,
-            self.h1_T_dual_twisted,
-            self.t_stable,
-            self.stability,
-            self.sequence,
-            self.conclusion,
-            self.reason,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"SimplicityCertificate(params={self.params!r}, rank_E={self.rank_E!r}, "
-            f"h0_T_dual_twisted={self.h0_T_dual_twisted!r}, "
-            f"h1_T_dual_twisted={self.h1_T_dual_twisted!r}, t_stable={self.t_stable!r}, "
-            f"stability={self.stability!r}, sequence={self.sequence!r}, "
-            f"conclusion={self.conclusion!r}, reason={self.reason!r})"
-        )
-
     def to_json(self) -> dict:
         return {
-            "params": {"n": self.params.n, "m": self.params.m, "k": self.params.k},
+            "params": self.params.to_json(),
             "rank_E": self.rank_E,
             "h0_T_dual_twisted": list(self.h0_T_dual_twisted),
             "h1_T_dual_twisted": list(self.h1_T_dual_twisted),

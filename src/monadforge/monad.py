@@ -69,7 +69,6 @@ from .polyring import (
     DEFAULT_PRIME,
     GROUPS,
     Fill,
-    Frozen,
     LinearForm,
     MultiDegree,
     PolyMatrix,
@@ -81,7 +80,6 @@ from .polyring import (
     matrix_from_json,
     matrix_mul,
     matrix_template,
-    matrix_to_json,
     rank_over_field,
     variable_form,
 )
@@ -182,15 +180,6 @@ class MonadSpec(Record):
         # compared nor shown
         self._band: Optional[tuple] = None
 
-    def _fields(self) -> tuple:
-        return (self.params, self.source, self.middle, self.target, self.f, self.g)
-
-    def __repr__(self) -> str:
-        return (
-            f"MonadSpec(params={self.params!r}, source={self.source!r}, "
-            f"middle={self.middle!r}, target={self.target!r}, f={self.f!r}, g={self.g!r})"
-        )
-
     def structural_problems(self) -> List[str]:
         """Shape and homogeneity defects, as human-readable strings.
 
@@ -268,19 +257,17 @@ class MonadSpec(Record):
 
     def _labels_json(self) -> dict:
         return {
-            "params": {"n": self.params.n, "m": self.params.m, "k": self.params.k},
+            "params": self.params.to_json(),
             "source": self.source.to_json(),
             "middle": self.middle.to_json(),
             "target": self.target.to_json(),
         }
 
-    def to_json(self) -> dict:
-        return {**self._labels_json(), "f": matrix_to_json(self.f), "g": matrix_to_json(self.g)}
-
     def json_template(self) -> Tuple[dict, Dict[str, Fill]]:
-        """to_json() with a marker in place of the entries of f and of g, and
-        the fills that `canonical_chunks` writes there: the same text as
-        dumps_canonical(to_json()), without building the entries' dict tree."""
+        """The monad document, {params, source, middle, target, f, g}, with a
+        marker in place of the entries of f and of g, and the fills that
+        `canonical_chunks` writes there: the text of the whole document,
+        without ever building the entries' dict tree."""
         doc = self._labels_json()
         fills: Dict[str, Fill] = {}
         for name, matrix in (("f", self.f), ("g", self.g)):
@@ -437,32 +424,9 @@ class RankReport(Record):
         self.group_zero_ranks = group_zero_ranks
         self.maximal = maximal
 
-    def _fields(self) -> tuple:
-        return (
-            self.params,
-            self.prime,
-            self.trials,
-            self.seed,
-            self.rank_f_samples,
-            self.rank_g_samples,
-            self.origin_rank_f,
-            self.origin_rank_g,
-            self.group_zero_ranks,
-            self.maximal,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"RankReport(params={self.params!r}, prime={self.prime!r}, "
-            f"trials={self.trials!r}, seed={self.seed!r}, "
-            f"rank_f_samples={self.rank_f_samples!r}, rank_g_samples={self.rank_g_samples!r}, "
-            f"origin_rank_f={self.origin_rank_f!r}, origin_rank_g={self.origin_rank_g!r}, "
-            f"group_zero_ranks={self.group_zero_ranks!r}, maximal={self.maximal!r})"
-        )
-
     def to_json(self) -> dict:
         return {
-            "params": {"n": self.params.n, "m": self.params.m, "k": self.params.k},
+            "params": self.params.to_json(),
             "prime": self.prime,
             "trials": self.trials,
             "seed": self.seed,
@@ -675,38 +639,6 @@ def sampled_rank_report(
     )
 
 
-class FloystadInput(Frozen):
-    """Multiplicities (a, b, c) of a linear monad on P^k.
-
-    a, b, c count the O(-1), O, and O(1) summands; k is the dimension of the
-    ambient projective space.
-    """
-
-    __slots__ = ("a", "b", "c", "k")
-
-    def __init__(self, a: int, b: int, c: int, k: int) -> None:
-        for name, value in (("a", a), ("b", b), ("c", c)):
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(
-                    f"{name} must be a non-negative integer, got {value!r}"
-                )
-        if not isinstance(k, int) or k < 1:
-            raise ValueError(f"k must be a positive integer, got {k!r}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "k", k)
-
-    def _fields(self) -> tuple:
-        return (self.a, self.b, self.c, self.k)
-
-    def __repr__(self) -> str:
-        return f"FloystadInput(a={self.a!r}, b={self.b!r}, c={self.c!r}, k={self.k!r})"
-
-    def check(self) -> bool:
-        return floystad_check(self.a, self.b, self.c, self.k)
-
-
 def floystad_check(a: int, b: int, c: int, k: int) -> bool:
     """Existence test for linear monads O(-1)^a -> O^b -> O(1)^c on P^k.
 
@@ -717,8 +649,11 @@ def floystad_check(a: int, b: int, c: int, k: int) -> bool:
         (b >= 2c + k - 1  and  b >= a + c)   or   b >= a + c + k.
 
     Both branches are monotone in b: once satisfiable, raising b keeps it so.
+    Raises ValueError for a negative multiplicity or k < 1.
     """
-    inp = FloystadInput(a, b, c, k)
-    return (inp.b >= 2 * inp.c + inp.k - 1 and inp.b >= inp.a + inp.c) or (
-        inp.b >= inp.a + inp.c + inp.k
-    )
+    for name, value in (("a", a), ("b", b), ("c", c)):
+        if not isinstance(value, int) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    return (b >= 2 * c + k - 1 and b >= a + c) or b >= a + c + k

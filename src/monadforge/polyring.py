@@ -70,20 +70,31 @@ def json_key(data: object, key: str, what: str) -> object:
 
 
 class Record:
-    """Base of the package's `__slots__` records: two records are equal when
-    they are of one class and their `_fields()` tuples are equal; a record
-    never equals an object of another class.  Each record writes its own
-    `__init__`, `_fields` and `__repr__`; a plain record is unhashable."""
+    """Base of the package's `__slots__` records.  A record's fields are its
+    class's own `__slots__`, less any private `_name`, in order (`_FIELDS`);
+    they give its value `==` (never equal to an object of another class) and
+    its `Name(field=value, ...)` repr.  Each record writes its own `__init__`;
+    a plain record is unhashable."""
 
     __slots__ = ()
+    _FIELDS: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        slots = cls.__dict__.get("__slots__", ())
+        cls._FIELDS = tuple(name for name in slots if not name.startswith("_"))
 
     def _fields(self) -> tuple:
-        raise NotImplementedError
+        return tuple([getattr(self, name) for name in self._FIELDS])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__name__}({inner})"
 
 
 class Frozen(Record):
@@ -121,15 +132,12 @@ class SpaceParams(Frozen):
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "k", k)
 
-    def _fields(self) -> tuple:
-        return (self.n, self.m, self.k)
-
-    def __repr__(self) -> str:
-        return f"SpaceParams(n={self.n!r}, m={self.m!r}, k={self.k!r})"
-
     @staticmethod
     def from_json(data: Mapping) -> "SpaceParams":
         return SpaceParams(*(json_key(data, key, "params") for key in ("n", "m", "k")))
+
+    def to_json(self) -> dict:
+        return {"n": self.n, "m": self.m, "k": self.k}
 
     @property
     def dim_x(self) -> int:
@@ -155,9 +163,6 @@ class MultiDegree(Frozen):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
 
-    def _fields(self) -> tuple:
-        return (self.a, self.b, self.c, self.d)
-
     def as_tuple(self) -> Tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
@@ -167,16 +172,10 @@ class MultiDegree(Frozen):
     def __sub__(self, other: "MultiDegree") -> "MultiDegree":
         return MultiDegree(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
 
-    def __neg__(self) -> "MultiDegree":
-        return MultiDegree(-self.a, -self.b, -self.c, -self.d)
-
     def scale(self, r: int) -> "MultiDegree":
         return MultiDegree(r * self.a, r * self.b, r * self.c, r * self.d)
 
-    def min_component(self) -> int:
-        return min(self.as_tuple())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"({self.a},{self.b},{self.c},{self.d})"
 
 
@@ -248,12 +247,6 @@ class PolyMatrix(Frozen):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", tuple(entries))
-
-    def _fields(self) -> tuple:
-        return (self.rows, self.cols, self.entries)
-
-    def __repr__(self) -> str:
-        return f"PolyMatrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     def entry(self, i: int, j: int) -> LinearForm:
         return self.entries[i * self.cols + j]
@@ -377,20 +370,6 @@ def _term_from_json(item: object) -> Term:
     if match is None or type(exp) is not int or exp != 1:
         raise ValueError("not one variable to the power 1")
     return (_GROUP_ORDER[match[1]], int(match[2]), int(coeff))
-
-
-def matrix_to_json(A: PolyMatrix) -> dict:
-    return {
-        "rows": A.rows,
-        "cols": A.cols,
-        "entries": [
-            [
-                [{"coeff": str(c), "exps": {_name(g, i): 1}} for g, i, c in form]
-                for form in A.row(r)
-            ]
-            for r in range(A.rows)
-        ],
-    }
 
 
 _ZERO = LinearForm()
@@ -614,9 +593,9 @@ def _row_chunks(grid: RowGrid, indent: int) -> Iterator[str]:
 
 
 def matrix_template(A: PolyMatrix, marker: str) -> Tuple[dict, Fill]:
-    """matrix_to_json(A) with `marker` in place of its entries, and the fill
-    that writes them: every distinct term rendered once from one f-string,
-    a row of cells per piece."""
+    """A's JSON form (see "JSON forms" above) with `marker` in place of its
+    entries, and the fill that writes them: every distinct term rendered once
+    from one f-string, a row of cells per piece."""
     return {"rows": A.rows, "cols": A.cols, "entries": marker}, partial(_entry_chunks, A)
 
 

@@ -62,16 +62,6 @@ def normalization_shift(inv: BundleInvariants, params: SpaceParams) -> int:
     return ceil(inv.slope_L / d)
 
 
-def h0_wedge_T_upper(params: SpaceParams, q: int, tw: MultiDegree) -> int:
-    """Exact h^0(Lambda^q(G_n (+) G_m)(tw)), an upper bound for h^0(Lambda^q T(tw)).
-
-    Valid for 1 <= q <= rank(G_n (+) G_m) = 2n+2m+4k; the stability scan only
-    ever uses q < rank(T), but the determinant-line top power is legal too.
-    """
-    _check_wedge_index(params, q)
-    return _wedge_h0_series(params, q, tw)[q]
-
-
 def _check_wedge_index(params: SpaceParams, q: object) -> None:
     rank = middle_bundle(params).rank
     if not isinstance(q, int) or q < 1 or q > rank:
@@ -130,19 +120,9 @@ class StabilityScanConfig(Frozen):
         object.__setattr__(self, "component_bound", component_bound)
         object.__setattr__(self, "min_psum", min_psum)
 
-    def _fields(self) -> tuple:
-        return (self.params, self.max_q, self.max_psum, self.component_bound, self.min_psum)
-
-    def __repr__(self) -> str:
-        return (
-            f"StabilityScanConfig(params={self.params!r}, max_q={self.max_q!r}, "
-            f"max_psum={self.max_psum!r}, component_bound={self.component_bound!r}, "
-            f"min_psum={self.min_psum!r})"
-        )
-
     def to_json(self) -> dict:
         return {
-            "params": {"n": self.params.n, "m": self.params.m, "k": self.params.k},
+            "params": self.params.to_json(),
             "max_q": self.max_q,
             "max_psum": self.max_psum,
             "component_bound": self.component_bound,
@@ -211,15 +191,6 @@ class StabilityReport(Frozen):
         object.__setattr__(self, "checked", checked)
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "counterexample", counterexample)
-
-    def _fields(self) -> tuple:
-        return (self.config, self.checked, self.verdict, self.counterexample)
-
-    def __repr__(self) -> str:
-        return (
-            f"StabilityReport(config={self.config!r}, checked={self.checked!r}, "
-            f"verdict={self.verdict!r}, counterexample={self.counterexample!r})"
-        )
 
     @property
     def all_vanish(self) -> bool:

@@ -19,7 +19,11 @@ negative-component lemma allows a nonzero row.  For what `verify --input`
 now does in one pass: the per-term parse of a matrix of linear forms (it
 shares only the term validator `polyring._term_from_json` with the memoised
 parse) and the two entry walks of `MonadSpec.structural_problems`, run on
-every document.
+every document.  The last section holds helpers that no command runs and
+that the tests still use: the line-bundle operations, the Chern class of a
+sum, the Euler characteristic, the scan's h^0 bound at one (q, twist), and
+the dict form of a matrix and of a monad document that the streamed
+`build` output is compared against.
 """
 
 from __future__ import annotations
@@ -29,9 +33,10 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from monadforge.cohomology import exterior_power_sum, h0_of_sum, line_bundle, twist
+from monadforge.cohomology import CohTable, LineBundleSum, exterior_power_sum, line_bundle
 from monadforge.les import CohProfile, ShortExactSeq
 from monadforge.monad import (
     F_BLOCK_GROUPS,
@@ -52,7 +57,12 @@ from monadforge.polyring import (
     json_int,
     json_key,
 )
-from monadforge.stability import StabilityScanConfig, _wedge_h0_series, enumerate_twists
+from monadforge.stability import (
+    StabilityScanConfig,
+    _check_wedge_index,
+    _wedge_h0_series,
+    enumerate_twists,
+)
 
 
 def h0_by_monomial_count(n: int, d: int) -> int:
@@ -204,7 +214,7 @@ def negative_component_violations_by_exterior_power(
     read off the enumerated exterior power in its canonical (ascending) order."""
     wedge = exterior_power_sum(middle_bundle(params), q)
     shifted = [deg + tw for deg, _mult in wedge.summands]
-    return [deg for deg in shifted if deg.min_component() >= 0]
+    return [deg for deg in shifted if min(deg.as_tuple()) >= 0]
 
 
 def twisted_dual_sequence(params: SpaceParams) -> ShortExactSeq:
@@ -217,7 +227,7 @@ def twisted_dual_sequence(params: SpaceParams) -> ShortExactSeq:
     """
     shift = MultiDegree(-1, -1, -1, -1)
     left = line_bundle(params, MultiDegree(-2, -2, -2, -2), params.k)
-    middle = twist(middle_bundle(params).dual(), shift)
+    middle = twist(dual(middle_bundle(params)), shift)
     return ShortExactSeq(
         left=CohProfile.of_sum(left),
         middle=CohProfile.of_sum(middle),
@@ -405,3 +415,66 @@ def structural_problems_by_two_walks(spec: MonadSpec) -> List[str]:
     if spec.target != target_bundle(params):
         problems.append("target bundle label differs from O(1,1,1,1)^k")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# library-only helpers: reached by no command, used by the tests
+# ---------------------------------------------------------------------------
+
+
+def twist(S: LineBundleSum, d: MultiDegree) -> LineBundleSum:
+    """Tensor every summand by O_X(d)."""
+    return LineBundleSum(S.params, [(deg + d, mult) for deg, mult in S.summands])
+
+
+def dual(S: LineBundleSum) -> LineBundleSum:
+    """The dual sum: every summand degree negated."""
+    return LineBundleSum(S.params, [(deg.scale(-1), mult) for deg, mult in S.summands])
+
+
+def h0_of_sum(S: LineBundleSum) -> int:
+    """Global sections of a direct sum, from the h^0 closed form alone."""
+    n, m = S.params.n, S.params.m
+    total = 0
+    for deg, mult in S.summands:
+        a, b, c, d = deg.as_tuple()
+        if min(a, b, c, d) >= 0:
+            total += mult * comb(n + a, n) * comb(n + b, n) * comb(m + c, m) * comb(m + d, m)
+    return total
+
+
+def c1_of_sum(S: LineBundleSum) -> MultiDegree:
+    """First Chern class of a direct sum: multiplicity-weighted degree sum."""
+    total = MultiDegree(0, 0, 0, 0)
+    for deg, mult in S.summands:
+        total = total + deg.scale(mult)
+    return total
+
+
+def euler(table: CohTable) -> int:
+    """The alternating sum of a dimension table."""
+    return sum((-1) ** i * v for i, v in enumerate(table.dims))
+
+
+def h0_wedge_T_upper(params: SpaceParams, q: int, tw: MultiDegree) -> int:
+    """Exact h^0(Lambda^q(G_n (+) G_m)(tw)), the scan's upper bound for
+    h^0(Lambda^q T(tw)), for 1 <= q <= rank(G_n (+) G_m) (ValueError
+    otherwise): one coefficient of the scan's generating function."""
+    _check_wedge_index(params, q)
+    return _wedge_h0_series(params, q, tw)[q]
+
+
+def matrix_to_json(A: PolyMatrix) -> dict:
+    """The dict tree of a matrix's JSON form, every term built as a dict."""
+
+    def cell(form: LinearForm) -> List[dict]:
+        return [{"coeff": str(c), "exps": {f"{GROUPS[g]}{i}": 1}} for g, i, c in form]
+
+    entries = [[cell(form) for form in A.row(r)] for r in range(A.rows)]
+    return {"rows": A.rows, "cols": A.cols, "entries": entries}
+
+
+def monad_to_json(spec: MonadSpec) -> dict:
+    """The monad document as a dict tree: what `MonadSpec.json_template`'s
+    template and fills render."""
+    return {**spec._labels_json(), "f": matrix_to_json(spec.f), "g": matrix_to_json(spec.g)}

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from monadforge.chow import (
     c1_of_T,
-    c1_of_sum,
     degree_L,
     degree_simplification_check,
     delta_L,
@@ -24,7 +23,7 @@ from monadforge.chow import (
 from monadforge.cohomology import direct_sum, line_bundle
 from monadforge.monad import middle_bundle
 from monadforge.polyring import MultiDegree, SpaceParams
-from oracles import degree_by_expansion
+from oracles import c1_of_sum, degree_by_expansion
 
 PARAMS_EX = SpaceParams(1, 2, 3)
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monadforge.monad import (
-    FloystadInput,
     MonadSpec,
     assemble_monad,
     build_f_block,
@@ -38,7 +37,11 @@ from monadforge.polyring import (
     matrix_mul,
     rank_over_field,
 )
-from oracles import compose_by_coefficient_matrices, structural_problems_by_two_walks
+from oracles import (
+    compose_by_coefficient_matrices,
+    monad_to_json,
+    structural_problems_by_two_walks,
+)
 from records import replaced
 
 
@@ -306,7 +309,7 @@ def test_composition_and_block_products_match_coefficient_oracle(data):
     # equal size swapped; most keep their structure, and the product is
     # compared with the oracle whether or not they do
     n, m, k = data.draw(st.tuples(*[st.integers(1, 2)] * 3), label="n, m, k")
-    doc = assemble_monad(SpaceParams(n, m, k)).to_json()
+    doc = monad_to_json(assemble_monad(SpaceParams(n, m, k)))
     f, g = doc["f"]["entries"], doc["g"]["entries"]
     sizes = [n + k, n + k, m + k, m + k]
     offsets = [sum(sizes[:b]) for b in range(5)]
@@ -544,7 +547,7 @@ def test_staircase_monad_is_certified_without_elimination(monkeypatch):
 
 def test_monad_json_round_trip():
     spec = assemble_monad(SpaceParams(1, 2, 2))
-    blob = json.dumps(spec.to_json())
+    blob = json.dumps(monad_to_json(spec))
     restored = MonadSpec.from_json(json.loads(blob))
     assert restored == spec
     assert restored.structural_problems() == []
@@ -568,7 +571,7 @@ def test_monad_json_round_trip():
     ],
 )
 def test_from_json_accepts_only_json_integers(path, value):
-    doc = assemble_monad(SpaceParams(2, 3, 2)).to_json()
+    doc = monad_to_json(assemble_monad(SpaceParams(2, 3, 2)))
     target = doc
     for key in path[:-1]:
         target = target[key]
@@ -588,12 +591,13 @@ def test_floystad_worked_examples():
     assert floystad_check(2, 5, 2, 2) is True
 
 
-def test_floystad_input_record():
-    assert FloystadInput(1, 4, 1, 2).check() is True
-    with pytest.raises(ValueError):
-        FloystadInput(-1, 4, 1, 2)
-    with pytest.raises(ValueError):
-        FloystadInput(1, 4, 1, 0)
+def test_floystad_check_validates_its_arguments():
+    with pytest.raises(ValueError, match="a must be a non-negative integer, got -1"):
+        floystad_check(-1, 4, 1, 2)
+    with pytest.raises(ValueError, match="c must be a non-negative integer, got 1.5"):
+        floystad_check(1, 4, 1.5, 2)
+    with pytest.raises(ValueError, match="k must be a positive integer, got 0"):
+        floystad_check(1, 4, 1, 0)
 
 
 def test_floystad_monotone_in_b():

@@ -4,6 +4,7 @@ AttributeError on assignment to an immutable record."""
 
 from __future__ import annotations
 
+import inspect
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -13,17 +14,25 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from monadforge.chow import BundleInvariants, invariants_of_T, rank_of_T
-from monadforge.cohomology import CohTable
+from monadforge.cohomology import CohTable, LineBundleSum
 from monadforge.les import CohProfile, ShortExactSeq, SimplicityCertificate, simplicity_certificate
 from monadforge.monad import (
-    FloystadInput,
     MonadSpec,
     RankReport,
     assemble_monad,
     band_scalars,
+    middle_bundle,
     verify_maximal_rank,
 )
-from monadforge.polyring import LinearForm, MultiDegree, PolyMatrix, SpaceParams, variable_form
+from monadforge.polyring import (
+    Frozen,
+    LinearForm,
+    MultiDegree,
+    PolyMatrix,
+    Record,
+    SpaceParams,
+    variable_form,
+)
 from monadforge.stability import StabilityReport, StabilityScanConfig, run_stability_scan
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -43,6 +52,13 @@ SCAN_FIELDS = st.tuples(
     st.integers(0, 4),
     st.integers(-4, 4),
 )
+
+
+def subclasses(cls):
+    return [sub for direct in cls.__subclasses__() for sub in (direct, *subclasses(direct))]
+
+
+RECORDS = [cls for cls in subclasses(Record) if cls is not Frozen]
 
 
 def build(cls, fields):
@@ -71,6 +87,15 @@ def test_equal_fields_give_equal_records_and_any_other_field_unequal(cls, fields
     assume(other[i] != values[i])
     changed = build(cls, other)
     assert record != changed and not record == changed
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_fields_are_its_constructor_parameters_in_order(cls):
+    # ==, hash and repr read _FIELDS alone: a constructor argument missing
+    # from __slots__, or a public slot no argument fills, would go unseen
+    assert cls._FIELDS == tuple(inspect.signature(cls).parameters)
+    assert "_fields" not in vars(cls)
+    assert ("__repr__" in vars(cls)) == (cls in (MultiDegree, LineBundleSum))
 
 
 def test_repr_is_the_dataclass_text():
@@ -109,7 +134,11 @@ def test_repr_is_the_dataclass_text():
             "rank_f_samples=(1, 1), rank_g_samples=(1, 1), origin_rank_f=0, origin_rank_g=0, "
             "group_zero_ranks={'x': (1, 1), 'y': (1, 1), 'z': (1, 1), 't': (1, 1)}, maximal=True)",
         ),
-        (FloystadInput(1, 2, 3, 4), "FloystadInput(a=1, b=2, c=3, k=4)"),
+        (
+            LineBundleSum(SMALL, [(MultiDegree(0, -1, 0, 0), 2), (MultiDegree(-1, 0, 0, 0), 2)]),
+            "LineBundleSum(O(-1,0,0,0)^2 + O(0,-1,0,0)^2)",
+        ),
+        (LineBundleSum(SMALL), "LineBundleSum(0)"),
         (
             StabilityScanConfig(params, 2),
             "StabilityScanConfig(params=SpaceParams(n=1, m=2, k=3), max_q=2, max_psum=4, "
@@ -136,11 +165,7 @@ def test_repr_is_the_dataclass_text():
             "conclusion='SIMPLE_CERTIFIED', reason=None)",
         ),
     ]
-    assert {type(record) for record, _ in table} == {
-        SpaceParams, MultiDegree, PolyMatrix, CohTable, BundleInvariants, MonadSpec, RankReport,
-        FloystadInput, StabilityScanConfig, StabilityReport, CohProfile, ShortExactSeq,
-        SimplicityCertificate,
-    }
+    assert {type(record) for record, _ in table} == set(RECORDS)
     for record, text in table:
         assert repr(record) == text
 
@@ -151,7 +176,7 @@ FROZEN = [
     (PolyMatrix(0, 0, []), "entries"),
     (CohTable((1,)), "dims"),
     (BundleInvariants(1, MultiDegree(0, 0, 0, 0), 2, Fraction(2)), "slope_L"),
-    (FloystadInput(1, 2, 3, 4), "k"),
+    (middle_bundle(SMALL), "params"),
     (TINY_BOX, "max_q"),
     (run_stability_scan(TINY_BOX), "verdict"),
     (CohProfile.unknown(), "kind"),
@@ -175,6 +200,7 @@ def test_immutable_records_refuse_assignment_and_deletion(record, name):
 @pytest.mark.parametrize("box", [TINY_BOX, StabilityScanConfig(SMALL, 2, 1, 2, min_psum=-3)])
 def test_scan_report_and_certificate_hash_like_equal_records(box):
     report, cert = run_stability_scan(box), simplicity_certificate(SMALL, box)
+    assert hash(middle_bundle(SMALL)) == hash(assemble_monad(SMALL).middle)
     assert hash(report) == hash(run_stability_scan(box))
     assert hash(cert) == hash(simplicity_certificate(SMALL, box))
     assert {report, cert, cert.stability} == {report, cert}

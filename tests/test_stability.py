@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monadforge.chow import BundleInvariants, c1_of_sum, invariants_of_T, rank_of_T
+from monadforge.chow import BundleInvariants, invariants_of_T, rank_of_T
 from monadforge.cohomology import kunneth_h
 from monadforge.monad import middle_bundle
 from monadforge.polyring import ROWS, MultiDegree, SpaceParams, canonical_chunks, scan_rows
@@ -20,12 +20,13 @@ from monadforge.stability import (
     StabilityScanConfig,
     default_scan_config,
     enumerate_twists,
-    h0_wedge_T_upper,
     negative_component_violations,
     normalization_shift,
     run_stability_scan,
 )
 from oracles import (
+    c1_of_sum,
+    h0_wedge_T_upper,
     negative_component_violations_by_exterior_power,
     stability_scan_by_series,
     wedge_h0_by_exterior_power,
@@ -298,7 +299,7 @@ def test_scan_and_row_writer_build_no_twist_objects():
 def test_a_counterexample_scan_builds_one_twist_per_summed_twist_and_row_pass():
     cfg = StabilityScanConfig(SpaceParams(1, 1, 1), 3, max_psum=2, component_bound=3, min_psum=-8)
     summed = sum(
-        1 for tw in enumerate_twists(cfg) if tw.min_component() >= 0 and sum(tw.as_tuple()) >= 1
+        1 for tw in enumerate_twists(cfg) if min(tw.as_tuple()) >= 0 and sum(tw.as_tuple()) >= 1
     )
     patch, built = counted_degrees()
     with patch:
