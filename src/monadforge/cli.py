@@ -25,7 +25,6 @@ import json
 import os
 import sys
 import time
-from itertools import accumulate
 from typing import Iterable, List, Optional
 
 from . import __version__
@@ -34,20 +33,12 @@ from .cohomology import line_bundle, sum_cohomology
 from .les import simplicity_certificate
 from .monad import (
     MonadSpec,
-    _block_sizes,
+    _block_offsets,
     assemble_monad,
     verify_composition,
     verify_maximal_rank,
 )
-from .polyring import (
-    DEFAULT_PRIME,
-    ROWS,
-    MultiDegree,
-    SpaceParams,
-    canonical_chunks,
-    json_key,
-    scan_rows,
-)
+from .polyring import DEFAULT_PRIME, MultiDegree, SpaceParams, canonical_chunks, json_key
 from .stability import default_scan_config, run_stability_scan
 from .stability import normalization_shift as _normalization_shift
 
@@ -122,7 +113,7 @@ def _render_matrix_text(spec: MonadSpec, which: str) -> List[str]:
     its four row blocks.
     """
     # the first index of blocks 2..4: f's columns, g's rows
-    cuts = set(accumulate(_block_sizes(spec.params)[:-1]))
+    cuts = set(_block_offsets(spec.params)[1:4])
     matrix = spec.f if which == "f" else spec.g
     cells = [[str(matrix.entry(i, j)) for j in range(matrix.cols)] for i in range(matrix.rows)]
     widths = [max(len(cells[i][j]) for i in range(matrix.rows)) for j in range(matrix.cols)]
@@ -143,9 +134,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
     params = SpaceParams(args.n, args.m, args.k)
     spec = assemble_monad(params)
     if args.format == "json":
-        monad, fills = spec.json_template()
-        doc = {"manifest": _manifest("build", params, args.seed), "monad": monad}
-        _emit(canonical_chunks(doc, fills), args.output)
+        doc = {"manifest": _manifest("build", params, args.seed), "monad": spec.json_template()}
+        _emit(canonical_chunks(doc), args.output)
     else:
         lines = [
             f"monad for (n, m, k) = ({params.n}, {params.m}, {params.k})",
@@ -257,7 +247,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     report = run_stability_scan(cfg)
     doc = {"manifest": _manifest("stability", params, args.seed)}
     doc.update(report.to_json(include_checked=True))
-    _emit(canonical_chunks(doc, {ROWS: scan_rows(report.checked)}), args.output)
+    _emit(canonical_chunks(doc), args.output)
     return EXIT_OK if report.all_vanish else EXIT_MATH_FAIL
 
 
@@ -287,7 +277,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "simplicity": cert.to_json(),
         "degree_check": degree_simplification_check(params),
     }
-    _emit(canonical_chunks(doc, {ROWS: scan_rows(scan.checked)}), args.output)
+    _emit(canonical_chunks(doc), args.output)
     ok = scan.all_vanish and cert.conclusion == "SIMPLE_CERTIFIED"
     return EXIT_OK if ok else EXIT_MATH_FAIL
 

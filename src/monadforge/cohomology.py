@@ -34,9 +34,9 @@ from .polyring import Frozen, MultiDegree, SpaceParams, json_int, json_key
 
 def bott_h(n: int, d: int, i: int) -> int:
     """h^i(P^n, O(d)), exactly.  Raises ValueError unless 0 <= i <= n."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(i, int) or i < 0 or i > n:
+    if type(i) is not int or i < 0 or i > n:
         raise ValueError(f"cohomological degree i={i!r} out of range [0, {n}]")
     if i == 0:
         return comb(n + d, n) if d >= 0 else 0
@@ -48,7 +48,7 @@ def bott_h(n: int, d: int, i: int) -> int:
 def kunneth_h(params: SpaceParams, deg: MultiDegree, t: int) -> int:
     """h^t(X, O_X(deg)) via the product formula.  t must lie in [0, 2n+2m]."""
     top = params.dim_x
-    if not isinstance(t, int) or t < 0 or t > top:
+    if type(t) is not int or t < 0 or t > top:
         raise ValueError(f"cohomological degree t={t!r} out of range [0, {top}]")
     return sum_cohomology(line_bundle(params, deg)).dims[t]
 
@@ -91,7 +91,7 @@ class LineBundleSum(Frozen):
     def __init__(self, params: SpaceParams, summands: Iterable[Tuple[MultiDegree, int]] = ()):
         merged: Dict[Tuple[int, int, int, int], int] = {}
         for deg, mult in summands:
-            if not isinstance(mult, int) or mult < 0:
+            if type(mult) is not int or mult < 0:
                 raise ValueError(f"multiplicity must be a non-negative integer, got {mult!r}")
             if mult:
                 key = deg.as_tuple()
@@ -177,7 +177,7 @@ def exterior_power_sum(S: LineBundleSum, q: int) -> LineBundleSum:
     result runs over all compositions q = sum(q_i) with 0 <= q_i <= mult_i.
     Raises ValueError unless 1 <= q <= rank(S).
     """
-    if not isinstance(q, int) or q < 1 or q > S.rank:
+    if type(q) is not int or q < 1 or q > S.rank:
         raise ValueError(f"exterior power q={q!r} out of range [1, {S.rank}]")
     classes = list(S.summands)
     acc: Dict[Tuple[int, int, int, int], int] = {}

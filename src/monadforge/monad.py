@@ -68,7 +68,6 @@ from .cohomology import LineBundleSum, line_bundle
 from .polyring import (
     DEFAULT_PRIME,
     GROUPS,
-    Fill,
     LinearForm,
     MultiDegree,
     PolyMatrix,
@@ -79,7 +78,6 @@ from .polyring import (
     json_key,
     matrix_from_json,
     matrix_mul,
-    matrix_template,
     rank_over_field,
     variable_form,
 )
@@ -89,9 +87,11 @@ F_BLOCK_GROUPS: Tuple[str, ...] = ("y", "x", "t", "z")
 G_BLOCK_GROUPS: Tuple[str, ...] = ("x", "y", "z", "t")
 
 
-def _block_sizes(params: SpaceParams) -> Tuple[int, int, int, int]:
+def _block_offsets(params: SpaceParams) -> Tuple[int, int, int, int, int]:
+    """Where blocks 1..4 of f's columns and of g's rows start, then their
+    width W = 2n+2m+4k: (0, n+k, 2n+2k, 2n+m+3k, W)."""
     n, m, k = params.n, params.m, params.k
-    return (n + k, n + k, m + k, m + k)
+    return (0, n + k, 2 * n + 2 * k, 2 * n + m + 3 * k, 2 * n + 2 * m + 4 * k)
 
 
 def build_f_block(which: int, params: SpaceParams) -> PolyMatrix:
@@ -213,16 +213,13 @@ class MonadSpec(Record):
         problems: List[str] = []
         params = self.params
         k = params.k
-        sizes = _block_sizes(params)
-        width = sum(sizes)
+        offsets = _block_offsets(params)
+        width = offsets[-1]
         if (self.f.rows, self.f.cols) != (k, width):
             problems.append(f"f has shape {self.f.rows}x{self.f.cols}, expected {k}x{width}")
         if (self.g.rows, self.g.cols) != (width, k):
             problems.append(f"g has shape {self.g.rows}x{self.g.cols}, expected {width}x{k}")
         if not problems:
-            offsets = [0]
-            for s in sizes:
-                offsets.append(offsets[-1] + s)
             for b in range(4):
                 f_group = GROUPS.index(F_BLOCK_GROUPS[b])
                 g_group = GROUPS.index(G_BLOCK_GROUPS[b])
@@ -255,25 +252,19 @@ class MonadSpec(Record):
                         )
         return problems
 
-    def _labels_json(self) -> dict:
+    def json_template(self) -> dict:
+        """The monad document, {params, source, middle, target, f, g}, each
+        matrix {rows, cols, entries} with the `PolyMatrix` itself as its
+        entries: `canonical_chunks` writes them without ever building the
+        entries' dict tree."""
         return {
             "params": self.params.to_json(),
             "source": self.source.to_json(),
             "middle": self.middle.to_json(),
             "target": self.target.to_json(),
+            "f": {"rows": self.f.rows, "cols": self.f.cols, "entries": self.f},
+            "g": {"rows": self.g.rows, "cols": self.g.cols, "entries": self.g},
         }
-
-    def json_template(self) -> Tuple[dict, Dict[str, Fill]]:
-        """The monad document, {params, source, middle, target, f, g}, with a
-        marker in place of the entries of f and of g, and the fills that
-        `canonical_chunks` writes there: the text of the whole document,
-        without ever building the entries' dict tree."""
-        doc = self._labels_json()
-        fills: Dict[str, Fill] = {}
-        for name, matrix in (("f", self.f), ("g", self.g)):
-            marker = f"\x00{name} entries\x00"
-            doc[name], fills[marker] = matrix_template(matrix, marker)
-        return doc, fills
 
     @staticmethod
     def from_json(data: Mapping) -> "MonadSpec":
@@ -304,7 +295,7 @@ def assemble_monad(params: SpaceParams) -> MonadSpec:
         -build_f_block(4, params),
     ]
     g_blocks = [build_g_block(which, params) for which in (1, 2, 3, 4)]
-    width = sum(_block_sizes(params))
+    width = _block_offsets(params)[-1]
     f = PolyMatrix(
         params.k, width, [p for i in range(params.k) for block in f_blocks for p in block.row(i)]
     )
@@ -322,7 +313,7 @@ def assemble_monad(params: SpaceParams) -> MonadSpec:
 def _has_monad_shape(spec: MonadSpec) -> bool:
     """f is k x W and g is W x k, W = 2n+2m+4k, as `params` says."""
     k = spec.params.k
-    width = sum(_block_sizes(spec.params))
+    width = _block_offsets(spec.params)[-1]
     return (spec.f.rows, spec.f.cols, spec.g.rows, spec.g.cols) == (k, width, width, k)
 
 
@@ -356,22 +347,17 @@ def block_products(spec: MonadSpec) -> Tuple[Product, Product, Product, Product]
 
     Cancellation happens pairwise: blocks 1 and 2 agree, blocks 3 and 4 agree.
     """
-    sizes = _block_sizes(spec.params)
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s)
+    k = spec.params.k
+    offsets = _block_offsets(spec.params)
     out = []
     for b in range(4):
-        fcols = range(offsets[b], offsets[b + 1])
+        start, stop = offsets[b], offsets[b + 1]
         fblock = PolyMatrix(
-            spec.params.k,
-            sizes[b],
-            [spec.f.entry(i, j) for i in range(spec.params.k) for j in fcols],
+            k, stop - start, [spec.f.entry(i, j) for i in range(k) for j in range(start, stop)]
         )
         if b in (1, 3):  # assembled with a sign; strip it for the identity
             fblock = -fblock
-        k = spec.params.k
-        gblock = PolyMatrix(sizes[b], k, spec.g.entries[offsets[b] * k : offsets[b + 1] * k])
+        gblock = PolyMatrix(stop - start, k, spec.g.entries[start * k : stop * k])
         out.append(matrix_mul(fblock, gblock))
     return tuple(out)  # type: ignore[return-value]
 
@@ -465,7 +451,7 @@ def _sample_point(
 
 
 def _check_trials(trials: object) -> None:
-    if not isinstance(trials, int) or trials < 1:
+    if type(trials) is not int or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
 
 
@@ -503,16 +489,16 @@ def _band_walk(spec: MonadSpec) -> Optional[BandScalars]:
     if not _has_monad_shape(spec):
         return None
     k = spec.params.k
-    sizes = _block_sizes(spec.params)
-    width = sum(sizes)
+    offsets = _block_offsets(spec.params)
+    width = offsets[-1]
     f, g = spec.f.entries, spec.g.entries
     f_scalars: List[FrozenSet[int]] = []
     g_scalars: List[FrozenSet[int]] = []
-    offset = 0
-    for b, size in enumerate(sizes):
-        D = size - k
-        f_rows = (f[i * width + offset : i * width + offset + size][::-1] for i in range(k))
-        g_columns = (g[offset * k + i : (offset + size) * k : k] for i in range(k))
+    for b in range(4):
+        start, stop = offsets[b], offsets[b + 1]
+        D = stop - start - k
+        f_rows = (f[i * width + start : i * width + stop][::-1] for i in range(k))
+        g_columns = (g[start * k + i : stop * k : k] for i in range(k))
         for lines, groups, out in (
             (f_rows, F_BLOCK_GROUPS, f_scalars),
             (g_columns, G_BLOCK_GROUPS, g_scalars),
@@ -521,7 +507,6 @@ def _band_walk(spec: MonadSpec) -> Optional[BandScalars]:
             if scalars is None:
                 return None
             out.append(scalars)
-        offset += size
     return (*f_scalars, *g_scalars)
 
 
@@ -652,8 +637,8 @@ def floystad_check(a: int, b: int, c: int, k: int) -> bool:
     Raises ValueError for a negative multiplicity or k < 1.
     """
     for name, value in (("a", a), ("b", b), ("c", c)):
-        if not isinstance(value, int) or value < 0:
+        if type(value) is not int or value < 0:
             raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     return (b >= 2 * c + k - 1 and b >= a + c) or b >= a + c + k

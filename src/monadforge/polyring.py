@@ -26,15 +26,14 @@ coefficients are Python ints, so arithmetic is exact; no floating point
 enters any code path.
 
 Canonical JSON is json.dumps with sorted keys and indent 2.  The two lists
-that make up almost all of a large document are fills: a document holds a
-marker string where the list goes, and `canonical_chunks` writes the list
-there from one template, byte for byte what json.dumps would write.  The
-stability scan's rows (`scan_rows`) and the entries of a matrix of linear
-forms (`matrix_template`) are the two fills.  The rows come from a
-`RowGrid` (the twist box as a tuple of int 4-tuples, max_q, and the nonzero
-h0 values), never from a list of rows: each twist's text is rendered once,
-and each run of zero rows of one q is a single join of those texts behind
-the q's shared head.
+that make up almost all of a large document are fills, and a document holds
+them as values: a `RowGrid` where the stability scan's rows go, and a
+`PolyMatrix` where a matrix's entries go.  `canonical_chunks(doc)` writes
+each from one template, byte for byte what json.dumps would write for the
+list.  The rows come from the grid (the twist box as a tuple of int
+4-tuples, max_q, and the nonzero h0 values), never from a list of rows:
+each twist's text is rendered once, and each run of zero rows of one q is a
+single join of those texts behind the q's shared head.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import json
 import re
 from functools import partial
 from itertools import chain, repeat
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 GROUPS: Tuple[str, ...] = ("x", "y", "z", "t")
 _GROUP_ORDER: Dict[str, int] = {g: i for i, g in enumerate(GROUPS)}
@@ -448,40 +447,12 @@ def matrix_from_json(data: Mapping, name: str = "matrix") -> PolyMatrix:
     return PolyMatrix(rows, cols, flat)
 
 
-def dumps_canonical(doc: object) -> str:
-    """Render a JSON document deterministically (sorted keys, fixed separators)."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def dumps_canonical(doc: object, default: Optional[Callable[[object], object]] = None) -> str:
+    """Render a JSON document deterministically (sorted keys, fixed
+    separators); `default` is json.dumps's hook for values it cannot render."""
+    return json.dumps(doc, sort_keys=True, indent=2, default=default) + "\n"
 
 
-# A fill writes one list of a document, in pieces, exactly as dumps_canonical
-# would render it with its closing bracket at column `indent`.
-Fill = Callable[[int], Iterator[str]]
-
-
-def canonical_chunks(doc: object, fills: Mapping[str, Fill] = {}) -> Iterator[str]:
-    """The text of dumps_canonical(doc) in pieces, with each marker that
-    `fills` names written by its fill.
-
-    A marker is a NUL-delimited string no real value of a document can equal;
-    the document holds it where the list goes, and the fill learns the list's
-    depth from the line the marker stands on.  Neither the list nor the whole
-    text is ever built.  Everything but the fills is rendered before this
-    returns, so consuming the pieces cannot fail.
-    """
-    text = dumps_canonical(doc)
-    quoted = {json.dumps(marker): fill for marker, fill in fills.items()}
-    if not quoted:
-        return iter((text,))
-    parts = re.split("(" + "|".join(map(re.escape, quoted)) + ")", text)
-    pieces: List[Iterable[str]] = [parts[:1]]
-    for i in range(1, len(parts), 2):
-        line = parts[i - 1][parts[i - 1].rfind("\n") + 1 :]
-        pieces += [quoted[parts[i]](len(line) - len(line.lstrip(" "))), parts[i + 1 : i + 2]]
-    return chain.from_iterable(pieces)
-
-
-# The marker a scan document holds in place of its rows.
-ROWS = "\x00scan rows\x00"
 # Each piece of rows is briefly held three times over: the join of its
 # parts, the piece itself and its UTF-8 encoding in the writer.  At ~130
 # characters a row, 256 rows (~34 KB a copy, ~100 KB for all three) keep
@@ -547,17 +518,12 @@ class RowGrid:
         return f"RowGrid({len(self.twists)} twists, max_q={self.max_q}, nonzero={self.nonzero!r})"
 
 
-def scan_rows(grid: RowGrid) -> Fill:
-    """The fill for ROWS: the list [{"h0": h0, "q": q, "twist": [a, b, c, d]},
-    ...] of `grid`'s rows, at most _ROW_BATCH rows per piece.
-
-    Each twist's `"twist": [...]` text is rendered once and reused for every
-    q; a run of zero rows of one q is one join of those texts behind the
-    q's shared head."""
-    return partial(_row_chunks, grid)
-
-
 def _row_chunks(grid: RowGrid, indent: int) -> Iterator[str]:
+    """The list [{"h0": h0, "q": q, "twist": [a, b, c, d]}, ...] of `grid`'s
+    rows, closing bracket at column `indent`, at most _ROW_BATCH rows per
+    piece.  Each twist's `"twist": [...]` text is rendered once and reused
+    for every q; a run of zero rows of one q is one join of those texts
+    behind the q's shared head."""
     if not len(grid):
         yield "[]"
         return
@@ -592,14 +558,10 @@ def _row_chunks(grid: RowGrid, indent: int) -> Iterator[str]:
     yield "\n" + " " * indent + "]"
 
 
-def matrix_template(A: PolyMatrix, marker: str) -> Tuple[dict, Fill]:
-    """A's JSON form (see "JSON forms" above) with `marker` in place of its
-    entries, and the fill that writes them: every distinct term rendered once
-    from one f-string, a row of cells per piece."""
-    return {"rows": A.rows, "cols": A.cols, "entries": marker}, partial(_entry_chunks, A)
-
-
 def _entry_chunks(A: PolyMatrix, indent: int) -> Iterator[str]:
+    """A's entry list (see "JSON forms" above), closing bracket at column
+    `indent`, a row of cells per piece; every distinct term is rendered once
+    from one f-string."""
     if not A.rows:
         yield "[]"
         return
@@ -618,3 +580,44 @@ def _entry_chunks(A: PolyMatrix, indent: int) -> Iterator[str]:
         row = f"{r}[\n" + ",\n".join(cells) + f"\n{r}]" if cells else f"{r}[]"
         yield ("[\n" if i == 0 else ",\n") + row
     yield "\n" + " " * indent + "]"
+
+
+# The template that writes each fill type's list; see `canonical_chunks`.
+_TEMPLATES: Dict[type, Callable[..., Iterator[str]]] = {
+    RowGrid: _row_chunks,
+    PolyMatrix: _entry_chunks,
+}
+
+
+def canonical_chunks(doc: object) -> Iterator[str]:
+    """The text of dumps_canonical(doc) in pieces, with each `RowGrid` or
+    `PolyMatrix` in `doc` written as its list by its template: a grid's
+    rows, a matrix's entries.
+
+    dumps_canonical's `default` hook puts a numbered NUL-delimited marker,
+    a string no real value of a document can equal, where each fill goes;
+    the template learns the list's depth from the line its marker stands
+    on.  Neither the list nor the whole text is ever built.  Everything but
+    the fills is rendered before this returns, so a value json cannot write
+    raises TypeError here and consuming the pieces cannot fail.  A document
+    with no fill is one piece.
+    """
+    fills: Dict[str, Callable[[int], Iterator[str]]] = {}
+
+    def mark(value: object) -> str:
+        template = _TEMPLATES.get(type(value))
+        if template is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        marker = f"\x00{len(fills)}\x00"
+        fills[json.dumps(marker)] = partial(template, value)
+        return marker
+
+    text = dumps_canonical(doc, default=mark)
+    if not fills:
+        return iter((text,))
+    parts = re.split("(" + "|".join(map(re.escape, fills)) + ")", text)
+    pieces: List[Iterable[str]] = [parts[:1]]
+    for i in range(1, len(parts), 2):
+        line = parts[i - 1][parts[i - 1].rfind("\n") + 1 :]
+        pieces += [fills[parts[i]](len(line) - len(line.lstrip(" "))), parts[i + 1 : i + 2]]
+    return chain.from_iterable(pieces)

@@ -50,7 +50,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from .chow import BundleInvariants, delta_L, rank_of_T
 from .monad import middle_bundle
-from .polyring import ROWS, Frozen, MultiDegree, RowGrid, SpaceParams, Twist
+from .polyring import Frozen, MultiDegree, RowGrid, SpaceParams, Twist
 
 def normalization_shift(inv: BundleInvariants, params: SpaceParams) -> int:
     """The unique integer k_E = ceil(mu_L / d), d = delta_L(1,0,0,0).
@@ -64,7 +64,7 @@ def normalization_shift(inv: BundleInvariants, params: SpaceParams) -> int:
 
 def _check_wedge_index(params: SpaceParams, q: object) -> None:
     rank = middle_bundle(params).rank
-    if not isinstance(q, int) or q < 1 or q > rank:
+    if type(q) is not int or q < 1 or q > rank:
         raise ValueError(f"exterior power q={q!r} out of range [1, {rank}]")
 
 
@@ -198,9 +198,8 @@ class StabilityReport(Frozen):
 
     def to_json(self, include_checked: bool = True) -> dict:
         """The report as a JSON object.  With include_checked, `checked` holds
-        the marker ROWS, where `canonical_chunks(doc, {ROWS:
-        scan_rows(self.checked)})` writes the rows; without it, `nonzero`
-        lists the rows with h0 != 0."""
+        the row grid itself, which `canonical_chunks` writes as the list of
+        rows; without it, `nonzero` lists the rows with h0 != 0."""
         doc = {
             "config": self.config.to_json(),
             "entries_checked": len(self.checked),
@@ -215,7 +214,7 @@ class StabilityReport(Frozen):
             ),
         }
         if include_checked:
-            doc["checked"] = ROWS
+            doc["checked"] = self.checked
         else:
             doc["nonzero"] = [
                 {"q": q, "twist": list(tw.as_tuple()), "h0": h}

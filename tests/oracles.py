@@ -48,7 +48,6 @@ from monadforge.monad import (
 )
 from monadforge.polyring import (
     GROUPS,
-    ROWS,
     LinearForm,
     MultiDegree,
     PolyMatrix,
@@ -309,7 +308,7 @@ class ScanBySeries:
             ),
         }
         if include_checked:
-            doc["checked"] = ROWS
+            doc["checked"] = self.checked
         else:
             doc["nonzero"] = [
                 {"q": q, "twist": list(tw.as_tuple()), "h0": h} for q, tw, h in self.checked if h
@@ -475,6 +474,6 @@ def matrix_to_json(A: PolyMatrix) -> dict:
 
 
 def monad_to_json(spec: MonadSpec) -> dict:
-    """The monad document as a dict tree: what `MonadSpec.json_template`'s
-    template and fills render."""
-    return {**spec._labels_json(), "f": matrix_to_json(spec.f), "g": matrix_to_json(spec.g)}
+    """The monad document as a dict tree: what `canonical_chunks` renders
+    for `MonadSpec.json_template`."""
+    return {**spec.json_template(), "f": matrix_to_json(spec.f), "g": matrix_to_json(spec.g)}

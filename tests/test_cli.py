@@ -365,6 +365,17 @@ GOLDEN_SHA256 = {
     ("stability", "--n", "1", "--m", "1", "--k", "1", "--max-q", "1", "--component-bound", "0",
      "--min-psum", "1", "--max-psum", "1"):
         (0, "db0a2037b99e156c64d695eb34072b4ad8697bae5dcf1c7dbac767d9daa2623b"),
+    # the fill edge cases, frozen from the writer that took markers and fills
+    # apart: a box of the one twist 0 (one row), a counterexample scan, and
+    # the largest build
+    ("stability", "--n", "1", "--m", "1", "--k", "1", "--max-q", "1", "--component-bound", "0",
+     "--min-psum", "0", "--max-psum", "0"):
+        (0, "698fbad8ff61312673927541594e8a497d5b00585fa600ad7168f57f72f0cc66"),
+    ("stability", "--n", "1", "--m", "1", "--k", "1", "--max-q", "3", "--min-psum", "-8",
+     "--max-psum", "2"):
+        (1, "3d6ad38b87e68af1de702084dc126a64d8039deb3156154de6f1f01cb9c56080"),
+    ("build", "--n", "40", "--m", "40", "--k", "40"):
+        (0, "8005fa8e1a162c026983ad2d2ab275e640c3d0930e3df077a7126b8709ada342"),
     # the only shape with nonzero LES tables: left [0,0,0,0,2], right [0,0,0,2,0]
     ("simplicity", "--n", "1", "--m", "1", "--k", "2"):
         (0, "48a4752dd1c2e61dbf51311000cbc3fbf0374072141e1649db482bc995d8532d"),

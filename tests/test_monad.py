@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monadforge.cohomology import LineBundleSum, bott_h, exterior_power_sum, kunneth_h
 from monadforge.monad import (
     MonadSpec,
     assemble_monad,
@@ -27,6 +28,7 @@ from monadforge.monad import (
 )
 from monadforge import monad as monad_module
 from monadforge.monad import block_products
+from monadforge.stability import negative_component_violations
 from monadforge.polyring import (
     DEFAULT_PRIME,
     LinearForm,
@@ -598,6 +600,47 @@ def test_floystad_check_validates_its_arguments():
         floystad_check(1, 4, 1.5, 2)
     with pytest.raises(ValueError, match="k must be a positive integer, got 0"):
         floystad_check(1, 4, 1, 0)
+
+
+BOOL_AS_INT = {
+    "floystad_check": (
+        lambda: floystad_check(True, 2, 1, 1), "a must be a non-negative integer, got True"
+    ),
+    "floystad_check k": (
+        lambda: floystad_check(0, 2, 0, True), "k must be a positive integer, got True"
+    ),
+    "bott_h": (lambda: bott_h(True, 0, 0), "n must be a positive integer, got True"),
+    "verify_maximal_rank": (
+        lambda: verify_maximal_rank(assemble_monad(SpaceParams(1, 1, 1)), trials=True),
+        "trials must be a positive integer, got True",
+    ),
+    "negative_component_violations": (
+        lambda: negative_component_violations(
+            SpaceParams(1, 1, 1), True, MultiDegree(1, 1, 1, 1)
+        ),
+        r"exterior power q=True out of range \[1, 8\]",
+    ),
+    "kunneth_h": (
+        lambda: kunneth_h(SpaceParams(1, 1, 1), MultiDegree(0, 0, 0, 0), True),
+        r"cohomological degree t=True out of range \[0, 4\]",
+    ),
+    "LineBundleSum": (
+        lambda: LineBundleSum(SpaceParams(1, 1, 1), [(MultiDegree(0, 0, 0, 0), True)]),
+        "multiplicity must be a non-negative integer, got True",
+    ),
+    "exterior_power_sum": (
+        lambda: exterior_power_sum(middle_bundle(SpaceParams(1, 1, 1)), True),
+        r"exterior power q=True out of range \[1, 8\]",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BOOL_AS_INT))
+def test_library_validators_refuse_a_bool_as_an_integer(name):
+    # bool is an int subclass; each check reads `type(value) is not int`
+    call, message = BOOL_AS_INT[name]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_floystad_monotone_in_b():

@@ -15,7 +15,6 @@ from monadforge import polyring
 from monadforge.polyring import (
     DEFAULT_PRIME,
     GROUPS,
-    ROWS,
     LinearForm,
     MultiDegree,
     PolyMatrix,
@@ -26,9 +25,7 @@ from monadforge.polyring import (
     evaluate_matrix,
     matrix_from_json,
     matrix_mul,
-    matrix_template,
     rank_over_field,
-    scan_rows,
     variable_form,
 )
 from monadforge.stability import StabilityReport, StabilityScanConfig
@@ -382,15 +379,15 @@ def _scan_documents(grid, rows, checked):
 
 
 def _streamed_pieces(grid):
-    """The pieces of both documents with ROWS streamed, each checked equal to
-    dumps_canonical of the document with the row dicts; compared line by line,
-    so a failure reports its first differing line."""
+    """The pieces of both documents with the grid's rows streamed, each
+    checked equal to dumps_canonical of the document with the row dicts;
+    compared line by line, so a failure reports its first differing line."""
     out = []
     rows = grid_rows(grid)
     for doc, oracle in zip(
-        _scan_documents(grid, rows, ROWS), _scan_documents(grid, rows, scan_rows_as_dicts(rows))
+        _scan_documents(grid, rows, grid), _scan_documents(grid, rows, scan_rows_as_dicts(rows))
     ):
-        pieces = list(canonical_chunks(doc, {ROWS: scan_rows(grid)}))
+        pieces = list(canonical_chunks(doc))
         assert "".join(pieces).split("\n") == dumps_canonical(oracle).split("\n")
         out.append(pieces)
     return out
@@ -404,7 +401,7 @@ def test_streamed_rows_equal_json_dumps_of_the_row_dicts(grid, batch):
     # a small batch puts piece boundaries next to and between nonzero rows
     with mock.patch.object(polyring, "_ROW_BATCH", batch):
         _streamed_pieces(grid)
-        assert all(piece.count('"h0"') <= batch for piece in scan_rows(grid)(2))
+        assert all(piece.count('"h0"') <= batch for piece in polyring._row_chunks(grid, 2))
     # the grid's own iterator and hash agree with the rows spelled out
     rows = grid_rows(grid)
     assert list(grid) == rows and len(grid) == len(rows)
@@ -417,10 +414,9 @@ def test_streamed_rows_come_in_bounded_pieces():
     grid = RowGrid(twists, 2, {(2, 1499): 1})
     for pieces in _streamed_pieces(grid):
         assert max(map(len, pieces)) < 48 * 1024 < sum(map(len, pieces))
-    # a document without a marker is dumps_canonical in one piece
+    # a document without a fill is dumps_canonical in one piece
     doc = {"b": [1, 2], "a": {"y": 1, "x": 2}}
     assert list(canonical_chunks(doc)) == [dumps_canonical(doc)]
-    assert list(canonical_chunks(doc, {ROWS: scan_rows(grid)})) == [dumps_canonical(doc)]
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +444,25 @@ MATRICES = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
 def test_streamed_matrix_entries_equal_json_dumps_of_matrix_to_json(f, g, grid, depth):
     # two matrix fills and the scan rows in one document, nested `depth` deep
     # between keys that sort before and after them
-    doc, oracle = {"checked": ROWS}, {"checked": scan_rows_as_dicts(grid_rows(grid))}
-    fills = {ROWS: scan_rows(grid)}
+    doc, oracle = {"checked": grid}, {"checked": scan_rows_as_dicts(grid_rows(grid))}
     for name, matrix in (("f", f), ("g", g)):
-        marker = f"\x00{name} entries\x00"
-        doc[name], fills[marker] = matrix_template(matrix, marker)
+        doc[name] = {"rows": matrix.rows, "cols": matrix.cols, "entries": matrix}
         oracle[name] = matrix_to_json(matrix)
     for _ in range(depth):
         doc, oracle = ({"a": -1, "m": part, "z": [[]]} for part in (doc, oracle))
-    text = "".join(canonical_chunks(doc, fills))
+    text = "".join(canonical_chunks(doc))
     assert text.split("\n") == dumps_canonical(oracle).split("\n")
+
+
+def test_canonical_chunks_refuses_other_objects_and_writes_each_fill_it_meets():
+    # the hook writes grids and matrices only; anything else fails in the
+    # call, with json's own error, before a piece exists
+    with pytest.raises(TypeError, match="^Object of type MultiDegree is not JSON serializable$"):
+        canonical_chunks({"a": RowGrid([], 0, {}), "twist": MultiDegree(1, 2, 3, 4)})
+    # one grid under two keys is two fills, each written in full
+    grid = RowGrid([(0, -1, 2, 3), (5, 0, 0, 0)], 2, {(2, 1): 7})
+    rows = scan_rows_as_dicts(grid_rows(grid))
+    doc = {"first": grid, "second": {"again": grid}}
+    text = "".join(canonical_chunks(doc))
+    assert text == dumps_canonical({"first": rows, "second": {"again": rows}})
+    assert text.count('"h0": 7') == 2

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from monadforge.chow import BundleInvariants, invariants_of_T, rank_of_T
 from monadforge.cohomology import kunneth_h
 from monadforge.monad import middle_bundle
-from monadforge.polyring import ROWS, MultiDegree, SpaceParams, canonical_chunks, scan_rows
+from monadforge.polyring import MultiDegree, SpaceParams, canonical_chunks
 from monadforge.stability import (
     StabilityScanConfig,
     default_scan_config,
@@ -287,7 +287,7 @@ def test_scan_and_row_writer_build_no_twist_objects():
     patch, built = counted_degrees()
     with patch:
         report = run_stability_scan(cfg)
-        text = "".join(canonical_chunks(report.to_json(), {ROWS: scan_rows(report.checked)}))
+        text = "".join(canonical_chunks(report.to_json()))
     assert built == [] and report.all_vanish
     assert text.count('"h0": 0') == len(report.checked) == 20 * len(report.checked.twists)
     assert len(report.checked) == 186_200
@@ -323,8 +323,8 @@ def test_report_json_shapes():
     report = run_stability_scan(cfg)
     with_rows = report.to_json(include_checked=True)
     assert with_rows["entries_checked"] == len(report.checked)
-    # the rows themselves are streamed in place of the marker by canonical_chunks
-    assert with_rows["checked"] == ROWS and "nonzero" not in with_rows
+    # the grid itself, whose rows canonical_chunks streams
+    assert with_rows["checked"] is report.checked and "nonzero" not in with_rows
     summary = report.to_json(include_checked=False)
     assert "checked" not in summary and summary["nonzero"] == []
     assert summary["config"]["params"] == {"n": 1, "m": 1, "k": 1}
