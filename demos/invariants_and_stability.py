@@ -12,7 +12,7 @@ import itertools
 
 from monadforge import (
     SpaceParams,
-    default_scan_config,
+    StabilityScanConfig,
     invariants_of_T,
     normalization_shift,
     run_stability_scan,
@@ -40,7 +40,7 @@ def main() -> None:
     )
     print()
 
-    cfg = default_scan_config(params)
+    cfg = StabilityScanConfig(params)
     report = run_stability_scan(cfg)
     print(
         f"scan at (1,2,3): q <= {cfg.max_q}, |p_i| <= {cfg.component_bound}, "
@@ -50,10 +50,9 @@ def main() -> None:
     print()
 
     # allow negative twist sums and the vanishing genuinely fails
-    adversarial = default_scan_config(params, max_q=2, min_psum=-2, component_bound=2)
+    adversarial = StabilityScanConfig(params, max_q=2, min_psum=-2, component_bound=2)
     report = run_stability_scan(adversarial)
-    q, tw = report.counterexample
-    h = next(h for qq, tt, h in report.checked if (qq, tt) == (q, tw))
+    q, tw, h = report.nonzero[0]
     print(f"out-of-regime box (sum(p) >= -2): verdict {report.verdict}")
     print(f"  first witness: q={q}, twist {tw.as_tuple()}, h^0 = {h}")
 

@@ -11,7 +11,7 @@ Run:  python3 demos/simplicity_certificate.py
 
 import json
 
-from monadforge import SpaceParams, default_scan_config, rank_of_E, simplicity_certificate
+from monadforge import SpaceParams, StabilityScanConfig, rank_of_E, simplicity_certificate
 
 
 def show(params: SpaceParams, scan_cfg=None) -> None:
@@ -35,7 +35,7 @@ def main() -> None:
     # an under-powered scan box leaves the certificate inconclusive --
     # the LES intervals still collapse, but the stability leg is missing
     params = SpaceParams(1, 1, 1)
-    weak = default_scan_config(params, max_q=1, min_psum=-2, component_bound=2)
+    weak = StabilityScanConfig(params, max_q=1, min_psum=-2, component_bound=2)
     show(params, scan_cfg=weak)
 
     cert = simplicity_certificate(SpaceParams(1, 2, 3))

@@ -57,7 +57,6 @@ from .chow import (
 from .stability import (
     StabilityReport,
     StabilityScanConfig,
-    default_scan_config,
     normalization_shift,
     run_stability_scan,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "rank_of_T",
     "StabilityReport",
     "StabilityScanConfig",
-    "default_scan_config",
     "normalization_shift",
     "run_stability_scan",
     "CohProfile",

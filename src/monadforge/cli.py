@@ -15,7 +15,8 @@ tool_version, timestamp}.  Output is byte-identical across runs with the same
 arguments and seed; set SOURCE_DATE_EPOCH to pin the manifest timestamp (the
 test suite does), otherwise it records the wall clock.
 
-Exit codes: 0 = success, 1 = a mathematical check failed, 2 = usage error.
+Exit codes: 0 = success, 1 = a mathematical check failed, 2 = usage error or out
+of memory.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .monad import (
     verify_maximal_rank,
 )
 from .polyring import DEFAULT_PRIME, MultiDegree, SpaceParams, canonical_chunks, json_key
-from .stability import default_scan_config, run_stability_scan
+from .stability import StabilityScanConfig, run_stability_scan
 from .stability import normalization_shift as _normalization_shift
 
 EXIT_OK = 0
@@ -232,7 +233,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def _scan_config(args: argparse.Namespace, params: SpaceParams):
-    return default_scan_config(
+    return StabilityScanConfig(
         params,
         max_q=args.max_q,
         max_psum=args.max_psum,
@@ -364,6 +365,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # OSError: an unreadable --input path or an --output path that cannot be written;
         # ValueError: an argument the library rejects, such as a scan box out of range
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except MemoryError:
+        # a scan box whose rows are too many to write
+        sys.stderr.write("error: out of memory\n")
         return EXIT_USAGE
 
 

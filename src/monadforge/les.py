@@ -47,7 +47,7 @@ from typing import List, Optional, Tuple
 
 from .cohomology import CohTable, LineBundleSum, sum_cohomology
 from .polyring import Frozen, SpaceParams
-from .stability import StabilityReport, StabilityScanConfig, default_scan_config, run_stability_scan
+from .stability import StabilityReport, StabilityScanConfig, run_stability_scan
 
 EXACT = "exact"
 UNKNOWN = "unknown"
@@ -305,14 +305,14 @@ def simplicity_certificate(
 ) -> SimplicityCertificate:
     """Run the vanishing scan and state the LES collapse; gate the conclusion on both.
 
-    scan_cfg defaults to `default_scan_config(params)`.  A scan verdict other
+    scan_cfg defaults to `StabilityScanConfig(params)`.  A scan verdict other
     than ALL_VANISH yields INCONCLUSIVE with reason "stability scan failed".
     h^0 and h^1 of T*(-1,-1,-1,-1) are read from the collapsed sequence's
     right table, which is zero in both degrees for every (n, m, k); a nonzero
     value would yield INCONCLUSIVE as well.
     """
     if scan_cfg is None:
-        scan_cfg = default_scan_config(params)
+        scan_cfg = StabilityScanConfig(params)
     elif scan_cfg.params != params:
         raise ValueError("scan_cfg is configured for different space parameters")
 

@@ -25,23 +25,20 @@ coefficient; f * g = 0 is checked on that bilinear coefficient table.  All
 coefficients are Python ints, so arithmetic is exact; no floating point
 enters any code path.
 
-Canonical JSON is json.dumps with sorted keys and indent 2.  The two lists
-that make up almost all of a large document are fills, and a document holds
-them as values: a `RowGrid` where the stability scan's rows go, and a
-`PolyMatrix` where a matrix's entries go.  `canonical_chunks(doc)` writes
-each from one template, byte for byte what json.dumps would write for the
-list.  The rows come from the grid (the twist box as a tuple of int
-4-tuples, max_q, and the nonzero h0 values), never from a list of rows:
-each twist's text is rendered once, and each run of zero rows of one q is a
-single join of those texts behind the q's shared head.
+Canonical JSON is json.dumps with sorted keys and indent 2.  The long lists
+of a document are fills: the document holds a value with a
+`json_chunks(indent)` method where the list goes (a `PolyMatrix` for a
+matrix's entries; the stability module's row grid for the scan's rows), and
+`canonical_chunks(doc)` writes each from that method, byte for byte what
+json.dumps would write for the list.  This module knows no fill type but
+`PolyMatrix`.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 GROUPS: Tuple[str, ...] = ("x", "y", "z", "t")
@@ -256,6 +253,10 @@ class PolyMatrix(Frozen):
     def __neg__(self) -> "PolyMatrix":
         return PolyMatrix(self.rows, self.cols, [-p for p in self.entries])
 
+    def json_chunks(self, indent: int) -> Iterator[str]:
+        """The entry list, written by `_entry_chunks` for `canonical_chunks`."""
+        return _entry_chunks(self, indent)
+
 
 # sorted pair of variables ((group, index), (group, index)) -> nonzero coefficient
 QuadraticForm = Dict[Tuple[Tuple[int, int], Tuple[int, int]], int]
@@ -453,111 +454,6 @@ def dumps_canonical(doc: object, default: Optional[Callable[[object], object]] =
     return json.dumps(doc, sort_keys=True, indent=2, default=default) + "\n"
 
 
-# Each piece of rows is briefly held three times over: the join of its
-# parts, the piece itself and its UTF-8 encoding in the writer.  At ~130
-# characters a row, 256 rows (~34 KB a copy, ~100 KB for all three) keep
-# those copies under glibc's 128 KiB mmap and trim thresholds, so the heap
-# reuses the freed memory; 2048 rows (~270 KB) made every piece an mmap that
-# was unmapped and faulted in again.
-_ROW_BATCH = 256
-
-Twist = Tuple[int, int, int, int]  # (a, b, c, d), as in MultiDegree
-ScanRow = Tuple[int, MultiDegree, int]  # (q, twist, h0)
-
-
-class RowGrid:
-    """The rows (q, twist, h0) of a scan, q-major: for each q in 1..max_q,
-    one row per twist in box order, with h0 = nonzero.get((q, i), 0) at
-    twist index i.
-
-    `twists` is the box as a tuple of int 4-tuples; a row's twist is a
-    `MultiDegree`, built only when a row is read.  The rows are never
-    stored: `len` and iteration compute them (one MultiDegree per twist per
-    pass), and the grid equals, and hashes like, any list or tuple holding
-    the same rows.  `nonzero` maps (q, twist index) to a nonzero h0.
-    """
-
-    __slots__ = ("twists", "max_q", "nonzero")
-
-    def __init__(
-        self, twists: Sequence[Twist], max_q: int, nonzero: Mapping[Tuple[int, int], int]
-    ) -> None:
-        self.twists = tuple(twists)
-        self.max_q = max_q
-        self.nonzero = dict(nonzero)
-
-    def __len__(self) -> int:
-        return self.max_q * len(self.twists)
-
-    def __iter__(self) -> Iterator[ScanRow]:
-        degrees = [MultiDegree(*tw) for tw in self.twists]
-        marks: Dict[int, List[Tuple[int, int]]] = {}
-        for (q, index), h0 in self.nonzero.items():
-            marks.setdefault(q, []).append((index, h0))
-        for q in range(1, self.max_q + 1):
-            h0s = [0] * len(degrees)
-            for index, h0 in marks.get(q, ()):
-                h0s[index] = h0
-            yield from zip(repeat(q), degrees, h0s)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (RowGrid, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def nonzero_rows(self) -> List[ScanRow]:
-        """The rows with h0 != 0, in row order."""
-        return [
-            (q, MultiDegree(*self.twists[i]), h) for (q, i), h in sorted(self.nonzero.items()) if h
-        ]
-
-    def __repr__(self) -> str:
-        return f"RowGrid({len(self.twists)} twists, max_q={self.max_q}, nonzero={self.nonzero!r})"
-
-
-def _row_chunks(grid: RowGrid, indent: int) -> Iterator[str]:
-    """The list [{"h0": h0, "q": q, "twist": [a, b, c, d]}, ...] of `grid`'s
-    rows, closing bracket at column `indent`, at most _ROW_BATCH rows per
-    piece.  Each twist's `"twist": [...]` text is rendered once and reused
-    for every q; a run of zero rows of one q is one join of those texts
-    behind the q's shared head."""
-    if not len(grid):
-        yield "[]"
-        return
-    i, f, e = (" " * (indent + step) for step in (2, 4, 6))
-    tails = [
-        f'{f}"twist": [\n{e}{a},\n{e}{b},\n{e}{c},\n{e}{d}\n{f}]\n{i}}}'
-        for a, b, c, d in grid.twists
-    ]
-    marks: Dict[int, List[int]] = {}
-    for q, index in sorted(grid.nonzero):
-        marks.setdefault(q, []).append(index)
-    opening = "[\n"
-    for q in range(1, grid.max_q + 1):
-        head = f'{i}{{\n{f}"h0": 0,\n{f}"q": {q},\n'
-        between = ",\n" + head
-        nonzero = iter(marks.get(q, ()))
-        mark = next(nonzero, len(tails))
-        for start in range(0, len(tails), _ROW_BATCH):
-            j, stop = start, min(start + _ROW_BATCH, len(tails))
-            parts = []
-            while j < stop:
-                if j == mark:
-                    h0 = grid.nonzero[q, j]
-                    parts.append(f'{i}{{\n{f}"h0": {h0},\n{f}"q": {q},\n' + tails[j])
-                    j, mark = j + 1, next(nonzero, len(tails))
-                else:
-                    end = min(mark, stop)
-                    parts.append(head + between.join(tails[j:end]))
-                    j = end
-            yield opening + ",\n".join(parts)
-            opening = ",\n"
-    yield "\n" + " " * indent + "]"
-
-
 def _entry_chunks(A: PolyMatrix, indent: int) -> Iterator[str]:
     """A's entry list (see "JSON forms" above), closing bracket at column
     `indent`, a row of cells per piece; every distinct term is rendered once
@@ -582,34 +478,27 @@ def _entry_chunks(A: PolyMatrix, indent: int) -> Iterator[str]:
     yield "\n" + " " * indent + "]"
 
 
-# The template that writes each fill type's list; see `canonical_chunks`.
-_TEMPLATES: Dict[type, Callable[..., Iterator[str]]] = {
-    RowGrid: _row_chunks,
-    PolyMatrix: _entry_chunks,
-}
-
-
 def canonical_chunks(doc: object) -> Iterator[str]:
-    """The text of dumps_canonical(doc) in pieces, with each `RowGrid` or
-    `PolyMatrix` in `doc` written as its list by its template: a grid's
-    rows, a matrix's entries.
+    """The text of dumps_canonical(doc) in pieces, with each value in `doc`
+    that has a `json_chunks(indent)` method (a `PolyMatrix`, the scan's row
+    grid) written as the list that method yields.
 
     dumps_canonical's `default` hook puts a numbered NUL-delimited marker,
     a string no real value of a document can equal, where each fill goes;
-    the template learns the list's depth from the line its marker stands
-    on.  Neither the list nor the whole text is ever built.  Everything but
-    the fills is rendered before this returns, so a value json cannot write
-    raises TypeError here and consuming the pieces cannot fail.  A document
-    with no fill is one piece.
+    the fill learns the list's depth from the line its marker stands on.
+    Neither the list nor the whole text is ever built.  Everything but the
+    fills is rendered before this returns, so a value json cannot write
+    raises TypeError here, and consuming the pieces fails only if memory
+    runs out.  A document with no fill is one piece.
     """
     fills: Dict[str, Callable[[int], Iterator[str]]] = {}
 
     def mark(value: object) -> str:
-        template = _TEMPLATES.get(type(value))
-        if template is None:
+        chunks = getattr(value, "json_chunks", None)
+        if chunks is None:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
         marker = f"\x00{len(fills)}\x00"
-        fills[json.dumps(marker)] = partial(template, value)
+        fills[json.dumps(marker)] = chunks
         return marker
 
     text = dumps_canonical(doc, default=mark)

@@ -18,9 +18,9 @@ from monadforge import (
     LineBundleSum,
     ShortExactSeq,
     SpaceParams,
+    StabilityScanConfig,
     assemble_monad,
     bott_h,
-    default_scan_config,
     direct_sum,
     exterior_power_sum,
     floystad_check,
@@ -301,7 +301,7 @@ def test_criterion_07_stability_scan(criterion):
     scan_failures = []
     invariant_failures = []
     for p in GRID_27:
-        cfg = default_scan_config(p)
+        cfg = StabilityScanConfig(p)
         report = run_stability_scan(cfg)
         if report.verdict != "ALL_VANISH" or any(h != 0 for _, _, h in report.checked):
             scan_failures.append(p)
@@ -313,7 +313,7 @@ def test_criterion_07_stability_scan(criterion):
 
     # belt and braces: exhaustive per-twist witness check at the smallest tuple
     small = SpaceParams(1, 1, 1)
-    cfg = default_scan_config(small)
+    cfg = StabilityScanConfig(small)
     for q in range(1, cfg.max_q + 1):
         for tw in enumerate_twists(cfg):
             if negative_component_violations(small, q, tw):

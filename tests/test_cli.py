@@ -7,6 +7,7 @@ import calendar
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -376,6 +377,14 @@ GOLDEN_SHA256 = {
         (1, "3d6ad38b87e68af1de702084dc126a64d8039deb3156154de6f1f01cb9c56080"),
     ("build", "--n", "40", "--m", "40", "--k", "40"):
         (0, "8005fa8e1a162c026983ad2d2ab275e640c3d0930e3df077a7126b8709ada342"),
+    # boxes wider than their non-negative orthant, frozen from the scan that
+    # enumerated and kept the whole box: 5.06 MB of rows, a counterexample
+    ("stability", "--n", "1", "--m", "1", "--k", "1", "--max-q", "2", "--component-bound", "9",
+     "--min-psum", "-3", "--max-psum", "1"):
+        (1, "58a647b8f51a5898c39d6cc0065d86ca1466cb30fb038933ee9a1f1b0f866ece"),
+    ("simplicity", "--n", "1", "--m", "1", "--k", "1", "--max-q", "2", "--component-bound", "9",
+     "--min-psum", "-3", "--max-psum", "1"):
+        (1, "6319379d17fd10bb8b6bd02b610fa8a8caed58b3d906e73107610f88a79b8f9f"),
     # the only shape with nonzero LES tables: left [0,0,0,0,2], right [0,0,0,2,0]
     ("simplicity", "--n", "1", "--m", "1", "--k", "2"):
         (0, "48a4752dd1c2e61dbf51311000cbc3fbf0374072141e1649db482bc995d8532d"),
@@ -574,6 +583,41 @@ def test_output_naming_a_directory_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def run_in_address_space(argv, limit_mb):
+    """`python -m monadforge.cli *argv` in a child whose address space is
+    capped at `limit_mb` MB."""
+
+    def cap():
+        limit = limit_mb * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC), SOURCE_DATE_EPOCH=EPOCH)
+    return subprocess.run(
+        [sys.executable, "-m", "monadforge.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=300,
+    )
+
+
+def test_a_box_too_large_to_write_exits_2_without_a_traceback(tmp_path):
+    # ~1.3e9 rows: the writer's twist texts alone outgrow the cap
+    argv = ["stability", "--n", "1", "--m", "1", "--k", "1", "--component-bound", "200",
+            "--output", str(tmp_path / "rows.json")]
+    proc = run_in_address_space(argv, 256)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: out of memory\n"
+
+
+def test_a_wide_box_certificate_needs_no_box(tmp_path):
+    # the certificate summarises the scan by its nonzero rows, and the scan
+    # neither enumerates nor stores the box outside its non-negative orthant
+    argv = ["simplicity", "--n", "1", "--m", "1", "--k", "1", "--component-bound", "200"]
+    proc = run_in_address_space(argv, 800)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(proc.stdout)
+    jsonschema.validate(doc, SCHEMAS["simplicity"])
+    assert doc["certificate"]["stability"]["entries_checked"] == 6 * 214_926_020
 
 
 def test_version_flag(capsys):
@@ -794,9 +838,9 @@ PACKAGE_ALL = [
     "assemble_monad", "build_f_block", "build_g_block", "floystad_check", "middle_bundle",
     "source_bundle", "target_bundle", "verify_composition", "verify_maximal_rank",
     "BundleInvariants", "c1_of_T", "degree_L", "delta_L", "invariants_of_T", "rank_of_T",
-    "StabilityReport", "StabilityScanConfig", "default_scan_config", "normalization_shift",
-    "run_stability_scan", "CohProfile", "ShortExactSeq", "SimplicityCertificate", "les_propagate",
-    "rank_of_E", "simplicity_certificate", "__version__",
+    "StabilityReport", "StabilityScanConfig", "normalization_shift", "run_stability_scan",
+    "CohProfile", "ShortExactSeq", "SimplicityCertificate", "les_propagate", "rank_of_E",
+    "simplicity_certificate", "__version__",
 ]
 
 

@@ -27,11 +27,7 @@ from monadforge.les import (
 )
 from monadforge.monad import middle_bundle
 from monadforge.polyring import MultiDegree, SpaceParams
-from monadforge.stability import (
-    StabilityScanConfig,
-    default_scan_config,
-    negative_component_violations,
-)
+from monadforge.stability import StabilityScanConfig, negative_component_violations
 from oracles import dual, h0_by_monomial_count, twist, twisted_dual_sequence
 
 PARAMS_EX = SpaceParams(1, 2, 3)
@@ -273,7 +269,7 @@ def test_certificate_inconclusive_when_scan_fails():
 
 def test_certificate_params_mismatch():
     with pytest.raises(ValueError):
-        simplicity_certificate(SpaceParams(1, 1, 1), default_scan_config(SpaceParams(1, 2, 1)))
+        simplicity_certificate(SpaceParams(1, 1, 1), StabilityScanConfig(SpaceParams(1, 2, 1)))
 
 
 def test_twisted_dual_sequence_structure():

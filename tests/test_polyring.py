@@ -11,14 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monadforge import polyring
+from monadforge import stability
 from monadforge.polyring import (
     DEFAULT_PRIME,
     GROUPS,
     LinearForm,
     MultiDegree,
     PolyMatrix,
-    RowGrid,
     SpaceParams,
     canonical_chunks,
     dumps_canonical,
@@ -28,8 +27,9 @@ from monadforge.polyring import (
     rank_over_field,
     variable_form,
 )
-from monadforge.stability import StabilityReport, StabilityScanConfig
+from monadforge.stability import RowGrid, StabilityReport, StabilityScanConfig, enumerate_twists
 from oracles import matrix_to_json, rank_by_gauss_jordan, rank_by_minors, scan_rows_as_dicts
+from records import replaced
 
 PARAMS = SpaceParams(2, 3, 2)
 DIMS = [PARAMS.group_dim(g) for g in GROUPS]
@@ -333,18 +333,37 @@ def test_dumps_canonical_is_deterministic():
 BIG = st.one_of(st.integers(-12, 12), st.integers(-(10**15), 10**15))
 
 
+SCAN_SPACE = SpaceParams(1, 2, 3)  # rank(T) = 15
+
+
+def scan_box(max_q, component_bound, min_psum, max_psum):
+    return StabilityScanConfig(SCAN_SPACE, max_q, max_psum, component_bound, min_psum)
+
+
+# a box with no twist, and one of five: |p_i| <= 1 with p-sum 3 or 4
+EMPTY_GRID = RowGrid(scan_box(1, 0, 1, 1), ())
+FIVE_TWISTS = scan_box(2, 1, 3, 4)
+
+
+def grid_of(cfg, cells):
+    """The grid of `cfg` with h0 = cells[q, i] at the i-th twist of the box."""
+    twists = list(enumerate_twists(cfg))
+    return RowGrid(cfg, [(q, twists[i], h0) for (q, i), h0 in sorted(cells.items())])
+
+
 @st.composite
 def row_grids(draw):
-    """A row grid: twists drawn from a small pool (so some repeat), with
-    negative and big components, max_q >= 0, and a few cells holding a
-    nonzero h0 of any size."""
-    pool = draw(st.lists(st.tuples(BIG, BIG, BIG, BIG), min_size=1, max_size=4))
-    twists = draw(st.lists(st.sampled_from(pool), max_size=8))
-    max_q = draw(st.integers(0, 4))
-    cells = [(q, i) for q in range(1, max_q + 1) for i in range(len(twists))]
+    """A row grid: a scan box with |p_i| <= 3, p-sums in [-10, 4] and
+    max_q <= 4 as far as 600 rows allow, and a few rows, at any position
+    in the box, holding a nonzero h0 of any size."""
+    max_psum = draw(st.integers(0, 4))
+    box = scan_box(1, draw(st.integers(0, 3)), draw(st.integers(-10, max_psum)), max_psum)
+    size = stability._box_size(box)
+    cfg = replaced(box, max_q=draw(st.integers(1, max(1, min(4, 600 // max(size, 1))))))
+    cells = [(q, i) for q in range(1, cfg.max_q + 1) for i in range(size)]
     h0 = st.one_of(BIG, st.integers(-(10**40), 10**40)).filter(bool)
     nonzero = draw(st.dictionaries(st.sampled_from(cells), h0, max_size=6)) if cells else {}
-    return RowGrid(twists, max_q, nonzero)
+    return grid_of(cfg, nonzero)
 
 
 SCAN_ROWS = row_grids()
@@ -352,10 +371,11 @@ SCAN_ROWS = row_grids()
 
 def grid_rows(grid):
     """The grid's rows, spelled out from its fields rather than its iterator."""
+    h0 = {(q, tw): h for q, tw, h in grid.nonzero}
     return [
-        (q, MultiDegree(*tw), grid.nonzero.get((q, i), 0))
-        for q in range(1, grid.max_q + 1)
-        for i, tw in enumerate(grid.twists)
+        (q, tw, h0.get((q, tw), 0))
+        for q in range(1, grid.config.max_q + 1)
+        for tw in enumerate_twists(grid.config)
     ]
 
 
@@ -363,11 +383,7 @@ def _scan_documents(grid, rows, checked):
     """A `stability` document (`checked` at the top level) and a `report` one
     (`checked` under "stability", a rowless summary under "simplicity"), the
     summary's `nonzero` list read off `rows`."""
-    report = StabilityReport(
-        config=StabilityScanConfig(SpaceParams(1, 2, 3), max_q=2),
-        checked=grid,
-        verdict="ALL_VANISH",
-    )
+    report = StabilityReport(grid.config, grid.nonzero)
     manifest = {"command": "stability", "seed": -3, "timestamp": "2023-11-14T22:13:20Z"}
     scan = {**report.to_json(include_checked=True), "checked": checked}
     summary = {**report.to_json(include_checked=False), "nonzero": scan_rows_as_dicts(r for r in rows if r[2])}
@@ -395,23 +411,25 @@ def _streamed_pieces(grid):
 
 @settings(max_examples=150, deadline=None)
 @given(SCAN_ROWS, st.integers(1, 4))
-@example(RowGrid([], 0, {}), 1)
-@example(RowGrid([(0, 0, 0, 0)] * 3, 2, {(1, 2): 10**40, (2, 0): -1}), 2)
+@example(EMPTY_GRID, 1)
+@example(grid_of(FIVE_TWISTS, {(1, 4): 10**40, (2, 0): -1}), 2)
 def test_streamed_rows_equal_json_dumps_of_the_row_dicts(grid, batch):
     # a small batch puts piece boundaries next to and between nonzero rows
-    with mock.patch.object(polyring, "_ROW_BATCH", batch):
+    with mock.patch.object(stability, "_ROW_BATCH", batch):
         _streamed_pieces(grid)
-        assert all(piece.count('"h0"') <= batch for piece in polyring._row_chunks(grid, 2))
-    # the grid's own iterator and hash agree with the rows spelled out
+        assert all(piece.count('"h0"') <= batch for piece in grid.json_chunks(2))
+    # the grid's own iterator agrees with the rows spelled out; a view of a
+    # report is not hashed (the report hashes its config and nonzero rows)
     rows = grid_rows(grid)
     assert list(grid) == rows and len(grid) == len(rows)
-    assert grid == tuple(rows) and hash(grid) == hash(tuple(rows))
+    assert grid == tuple(rows)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(grid)
 
 
 def test_streamed_rows_come_in_bounded_pieces():
     # a scan's rows are nearly all zero; they cross several row batches here
-    twists = [(-j, 0, j % 7, -1) for j in range(2501)]
-    grid = RowGrid(twists, 2, {(2, 1499): 1})
+    grid = grid_of(scan_box(2, 3, -12, 12), {(2, 1499): 1})  # the 2,401 twists of |p_i| <= 3
     for pieces in _streamed_pieces(grid):
         assert max(map(len, pieces)) < 48 * 1024 < sum(map(len, pieces))
     # a document without a fill is dumps_canonical in one piece
@@ -434,11 +452,11 @@ MATRICES = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
 
 @settings(max_examples=150, deadline=None)
 @given(MATRICES, MATRICES, SCAN_ROWS, st.integers(0, 4))
-@example(PolyMatrix(0, 2, []), PolyMatrix(2, 0, []), RowGrid([], 0, {}), 0)
+@example(PolyMatrix(0, 2, []), PolyMatrix(2, 0, []), EMPTY_GRID, 0)
 @example(
     PolyMatrix(1, 2, [LinearForm(), LinearForm(((0, 10, -17), (3, 2, 10**12)))]),
     PolyMatrix(1, 1, [LinearForm()]),
-    RowGrid([], 0, {}),
+    EMPTY_GRID,
     2,
 )
 def test_streamed_matrix_entries_equal_json_dumps_of_matrix_to_json(f, g, grid, depth):
@@ -458,9 +476,9 @@ def test_canonical_chunks_refuses_other_objects_and_writes_each_fill_it_meets():
     # the hook writes grids and matrices only; anything else fails in the
     # call, with json's own error, before a piece exists
     with pytest.raises(TypeError, match="^Object of type MultiDegree is not JSON serializable$"):
-        canonical_chunks({"a": RowGrid([], 0, {}), "twist": MultiDegree(1, 2, 3, 4)})
+        canonical_chunks({"a": EMPTY_GRID, "twist": MultiDegree(1, 2, 3, 4)})
     # one grid under two keys is two fills, each written in full
-    grid = RowGrid([(0, -1, 2, 3), (5, 0, 0, 0)], 2, {(2, 1): 7})
+    grid = grid_of(FIVE_TWISTS, {(2, 1): 7})
     rows = scan_rows_as_dicts(grid_rows(grid))
     doc = {"first": grid, "second": {"again": grid}}
     text = "".join(canonical_chunks(doc))

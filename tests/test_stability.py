@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -17,8 +18,10 @@ from monadforge.cohomology import kunneth_h
 from monadforge.monad import middle_bundle
 from monadforge.polyring import MultiDegree, SpaceParams, canonical_chunks
 from monadforge.stability import (
+    RowGrid,
     StabilityScanConfig,
-    default_scan_config,
+    _box,
+    _box_size,
     enumerate_twists,
     negative_component_violations,
     normalization_shift,
@@ -146,10 +149,19 @@ def test_config_validation():
         StabilityScanConfig(params, max_q=3, max_psum=2, component_bound=-2)
 
 
+@pytest.mark.parametrize("field", ["max_q", "max_psum", "component_bound", "min_psum"])
+@pytest.mark.parametrize("bad", [True, 2.0], ids=["bool", "float"])
+def test_config_rejects_a_bool_or_float_bound(field, bad):
+    # each would pass the range checks; a float then breaks the scan's
+    # ranges, and a bool is written as `true`, which the schema rejects
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {bad!r}$"):
+        StabilityScanConfig(SpaceParams(1, 1, 1), **{"max_q": 1, field: bad})
+
+
 def test_default_config_caps_q():
-    cfg = default_scan_config(SpaceParams(1, 1, 1))
+    cfg = StabilityScanConfig(SpaceParams(1, 1, 1))
     assert cfg.max_q == 6  # min(8, rank(T) - 1) with rank(T) = 7
-    cfg_big = default_scan_config(SpaceParams(3, 3, 3))
+    cfg_big = StabilityScanConfig(SpaceParams(3, 3, 3))
     assert cfg_big.max_q == 8
     assert cfg_big.max_psum == 4 and cfg_big.component_bound == 4
 
@@ -166,6 +178,30 @@ def test_enumerate_twists_matches_brute_force():
             expected.append((-p[0], -p[1], -p[2], -p[3]))
     assert got == expected
     assert len(got) == len(set(got))
+
+
+def test_box_equals_the_filtered_cube():
+    # every bound and sum range up to cb 5, empty ranges (hi = lo - 1) and
+    # ranges the cube cannot reach included, for the box and the orthant
+    for cb in range(6):
+        for top in {0, cb}:
+            span = range(-cb, top + 1)
+            cube = [(sum(p), tuple(-c for c in p)) for p in itertools.product(span, repeat=4)]
+            for lo in range(-12, 7):
+                for hi in range(lo - 1, 7):
+                    expected = [tw for total, tw in cube if lo <= total <= hi]
+                    assert list(_box(cb, lo, hi, top)) == expected, (cb, lo, hi, top)
+
+
+def test_box_size_counts_the_box():
+    for cb in range(7):
+        sums = Counter(map(sum, itertools.product(range(-cb, cb + 1), repeat=4)))
+        for lo in range(-10, 7):
+            for hi in range(max(lo, 0), 7):
+                cfg = StabilityScanConfig(
+                    SpaceParams(1, 1, 1), 1, max_psum=hi, component_bound=cb, min_psum=lo
+                )
+                assert _box_size(cfg) == sum(sums[s] for s in range(lo, hi + 1)), (cb, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -284,33 +320,33 @@ def counted_degrees():
 def test_scan_and_row_writer_build_no_twist_objects():
     # the wide report's box: 9,310 twists, 186,200 rows, all of them zero
     cfg = StabilityScanConfig(SpaceParams(3, 3, 3), 20, max_psum=6, component_bound=6)
+    twists = sum(1 for _ in enumerate_twists(cfg))
     patch, built = counted_degrees()
     with patch:
         report = run_stability_scan(cfg)
         text = "".join(canonical_chunks(report.to_json()))
     assert built == [] and report.all_vanish
-    assert text.count('"h0": 0') == len(report.checked) == 20 * len(report.checked.twists)
+    assert text.count('"h0": 0') == len(report.checked) == 20 * twists
     assert len(report.checked) == 186_200
     with patch:
         assert sum(1 for _ in report.checked) == len(report.checked)
-    assert len(built) <= len(report.checked.twists)
+    assert len(built) <= twists
 
 
 def test_a_counterexample_scan_builds_one_twist_per_summed_twist_and_row_pass():
     cfg = StabilityScanConfig(SpaceParams(1, 1, 1), 3, max_psum=2, component_bound=3, min_psum=-8)
-    summed = sum(
-        1 for tw in enumerate_twists(cfg) if min(tw.as_tuple()) >= 0 and sum(tw.as_tuple()) >= 1
-    )
+    twists = list(enumerate_twists(cfg))
+    summed = sum(1 for tw in twists if min(tw.as_tuple()) >= 0 and sum(tw.as_tuple()) >= 1)
     patch, built = counted_degrees()
     with patch:
         report = run_stability_scan(cfg)
     assert report.counterexample is not None
-    assert len(built) == summed + 1  # each summed twist, then the counterexample
+    assert len(built) == summed  # the counterexample is its row's twist
     del built[:]
     with patch:
         rows = list(report.checked)
-    assert len(rows) == 3 * len(report.checked.twists)
-    assert len(built) <= len(report.checked.twists)
+    assert len(rows) == 3 * len(twists)
+    assert len(built) <= len(twists)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +360,8 @@ def test_report_json_shapes():
     with_rows = report.to_json(include_checked=True)
     assert with_rows["entries_checked"] == len(report.checked)
     # the grid itself, whose rows canonical_chunks streams
-    assert with_rows["checked"] is report.checked and "nonzero" not in with_rows
+    assert isinstance(with_rows["checked"], RowGrid) and "nonzero" not in with_rows
+    assert with_rows["checked"] == report.checked
     summary = report.to_json(include_checked=False)
     assert "checked" not in summary and summary["nonzero"] == []
     assert summary["config"]["params"] == {"n": 1, "m": 1, "k": 1}

@@ -57,3 +57,20 @@ def test_traced_report_counts_its_scan_rows(monkeypatch, tmp_path):
     assert counts["stability.rows"] == 2 * entries_checked > 0
     assert counts["stability.nonzero_rows"] == 0
     assert counts["stability.distinct_scan_ratio"] == 0.5
+
+
+def test_traced_counterexample_scan_counts_its_nonzero_rows(monkeypatch, tmp_path):
+    # a report holds only its nonzero rows; `_count_scan` reads every row of
+    # its grid, and must count the rows and nonzero rows the document holds
+    tracing = _load_tracing(monkeypatch)
+    target = tmp_path / "stability.json"
+    tracer = tracing.Tracer()
+    argv = ["stability", "--n", "1", "--m", "1", "--k", "1", "--max-q", "3", "--min-psum", "-8",
+            "--max-psum", "2", "--output", str(target)]
+    with tracer.installed():
+        code = cli.main(argv)
+    assert code == 1
+    doc = json.loads(target.read_text())
+    counts = tracer.count_metrics()
+    assert counts["stability.rows"] == doc["entries_checked"] == len(doc["checked"])
+    assert counts["stability.nonzero_rows"] == sum(1 for row in doc["checked"] if row["h0"]) > 0
