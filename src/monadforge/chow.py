@@ -49,15 +49,23 @@ def delta_L(B: MultiDegree, params: SpaceParams) -> int:
 
 
 class BundleInvariants(Frozen):
-    """Rank, c1, polarized degree and slope of a bundle; slope * rank = degree."""
+    """Rank, c1 and polarized degree of a bundle; its slope is read from them."""
 
-    __slots__ = ("rank", "c1", "degree_L", "slope_L")
+    __slots__ = ("rank", "c1", "degree_L")
 
-    def __init__(self, rank: int, c1: MultiDegree, degree_L: int, slope_L: Fraction) -> None:
+    def __init__(self, rank: int, c1: MultiDegree, degree_L: int) -> None:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "degree_L", degree_L)
-        object.__setattr__(self, "slope_L", slope_L)
+
+    @property
+    def slope_L(self) -> Fraction:
+        """degree_L / rank, exactly."""
+        # imported here: only the slope needs it, and at module level it would
+        # slow every command's start-up
+        from fractions import Fraction
+
+        return Fraction(self.degree_L, self.rank)
 
     def to_json(self) -> dict:
         return {
@@ -89,11 +97,7 @@ def invariants_of_T(params: SpaceParams) -> BundleInvariants:
             f"degree_L(c1(T)) = {deg} is not negative for params {params}; "
             "this contradicts the structure of c1(T)"
         )
-    # imported here: only the slope needs it, and at module level it would
-    # slow every command's start-up
-    from fractions import Fraction
-
-    return BundleInvariants(rank=rank, c1=c1, degree_L=deg, slope_L=Fraction(deg, rank))
+    return BundleInvariants(rank=rank, c1=c1, degree_L=deg)
 
 
 def top_multinomial(params: SpaceParams) -> int:

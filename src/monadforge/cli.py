@@ -75,36 +75,39 @@ def _manifest(command: str, params: SpaceParams, seed: int) -> dict:
     }
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """The argparse type of an integer flag whose value must be >= `low`."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return parse
 
 
 def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
     """Write the pieces of one document to `output` (stdout if None or "-").
 
-    Callers compute the document before this opens the file, so only an I/O
-    error can interrupt the write."""
+    The pieces are produced as they are written, so producing one can fail
+    part-way (out of memory), as can the write itself (a full disk).  A file
+    this opened is then removed before the error propagates, so no partial
+    document is left at `output`; stdout may already hold part of one."""
     if output is None or output == "-":
         sys.stdout.writelines(chunks)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
+        return
+    fh = open(output, "w", encoding="utf-8")
+    try:
+        with fh:
             fh.writelines(chunks)
+    except BaseException:
+        if os.path.isfile(output):  # never a device such as /dev/null
+            os.remove(output)
+        raise
 
 
 def _render_matrix_text(spec: MonadSpec, which: str) -> List[str]:
@@ -284,19 +287,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=_positive_int, default=1, help="dimension of the paired P^n factors")
-    sub.add_argument("--m", type=_positive_int, default=1, help="dimension of the paired P^m factors")
-    sub.add_argument("--k", type=_positive_int, default=1, help="monad rank parameter")
+    sub.add_argument("--n", type=_int_at_least(1), default=1, help="dimension of the paired P^n factors")
+    sub.add_argument("--m", type=_int_at_least(1), default=1, help="dimension of the paired P^m factors")
+    sub.add_argument("--k", type=_int_at_least(1), default=1, help="monad rank parameter")
     sub.add_argument("--seed", type=int, default=0, help="seed recorded in the manifest and used by sampling")
     sub.add_argument("--output", default=None, help="write to this file instead of stdout")
 
 
 def _add_scan_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--max-q", type=_positive_int, default=None, dest="max_q",
+    sub.add_argument("--max-q", type=_int_at_least(1), default=None, dest="max_q",
                      help="cap on the exterior power index (default min(8, rank(T)-1))")
-    sub.add_argument("--max-psum", type=_nonneg_int, default=4, dest="max_psum",
+    sub.add_argument("--max-psum", type=_int_at_least(0), default=4, dest="max_psum",
                      help="cap on p1+p2+p3+p4 (default 4)")
-    sub.add_argument("--component-bound", type=_nonneg_int, default=4, dest="component_bound",
+    sub.add_argument("--component-bound", type=_int_at_least(0), default=4, dest="component_bound",
                      help="cap on each |p_i| (default 4)")
     sub.add_argument("--min-psum", type=int, default=0, dest="min_psum",
                      help="lower bound on p1+p2+p3+p4 (default 0; negative values probe outside the criterion's regime)")
@@ -317,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = subs.add_parser("verify", help="certify composition and maximal rank")
     _add_param_flags(p_verify)
-    p_verify.add_argument("--trials", type=_positive_int, default=20)
+    p_verify.add_argument("--trials", type=_int_at_least(1), default=20)
     p_verify.add_argument("--input", default=None, help="verify a monad JSON document instead of building one")
     p_verify.set_defaults(func=_cmd_verify)
 

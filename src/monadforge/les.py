@@ -35,7 +35,10 @@ the middle member is acyclic and the long exact sequence collapses to
 h^i(T*(-1,-1,-1,-1)) = h^{i+1}(O(-2,-2,-2,-2)^k).  By Bott that is k in
 degree 2n+2m-1 when n = m = 1 and 0 in every other case, so h^0 = h^1 = 0
 always.  The certificate states these three tables directly; `les_propagate`
-stays as library API and is the tests' oracle for them.  Together the two
+stays as library API and is the tests' oracle for them.  A
+`SimplicityCertificate` stores the scan report alone and reads the tables,
+h^0, h^1 and its conclusion from it, so no certificate can conclude what its
+evidence does not support.  Together the two
 facts bound 1 <= h^0(E (x) E*) <= h^0(T (x) T*) = 1 for the cohomology
 bundle E, which is the simplicity statement; the tensor-product cohomology
 itself is deliberately never computed.
@@ -213,50 +216,62 @@ def rank_of_E(params: SpaceParams) -> int:
 
 
 class SimplicityCertificate(Frozen):
-    """Audit record of the simplicity argument for E.
+    """Audit record of the simplicity argument for E: the vanishing scan
+    report, from which every other attribute is read.
 
-    conclusion is "SIMPLE_CERTIFIED" only when the vanishing scan passed
-    (t_stable) and both h^0 and h^1 of T*(-1,-1,-1,-1) are [0,0] in the
-    collapsed twisted dual sequence (`sequence`, three exact tables);
-    otherwise "INCONCLUSIVE" with a reason.  The final inequality chain
-    1 <= h^0(E (x) E*) <= h^0(T (x) T*) = 1 is recorded, not recomputed.
+    `params` is the scan's; `sequence` is the collapsed twisted dual sequence
+    (three exact tables), and h^0 and h^1 of T*(-1,-1,-1,-1) are read from
+    its right table.  conclusion is "SIMPLE_CERTIFIED" only when the scan
+    passed (t_stable) and both are [0,0]; otherwise "INCONCLUSIVE" with a
+    reason.  The final inequality chain 1 <= h^0(E (x) E*) <= h^0(T (x) T*)
+    = 1 is recorded, not recomputed.
     """
 
-    __slots__ = (
-        "params",
-        "rank_E",
-        "h0_T_dual_twisted",
-        "h1_T_dual_twisted",
-        "t_stable",
-        "stability",
-        "sequence",
-        "conclusion",
-        "reason",
-    )
+    __slots__ = ("stability",)
 
-    def __init__(
-        self,
-        params: SpaceParams,
-        rank_E: int,
-        h0_T_dual_twisted: Tuple[int, int],
-        h1_T_dual_twisted: Tuple[int, int],
-        t_stable: bool,
-        stability: StabilityReport,
-        sequence: ShortExactSeq,
-        conclusion: str,
-        reason: Optional[str] = None,
-    ) -> None:
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "rank_E", rank_E)
-        object.__setattr__(self, "h0_T_dual_twisted", h0_T_dual_twisted)
-        object.__setattr__(self, "h1_T_dual_twisted", h1_T_dual_twisted)
-        object.__setattr__(self, "t_stable", t_stable)
+    def __init__(self, stability: StabilityReport) -> None:
         object.__setattr__(self, "stability", stability)
-        object.__setattr__(self, "sequence", sequence)
-        object.__setattr__(self, "conclusion", conclusion)
-        object.__setattr__(self, "reason", reason)
+
+    @property
+    def params(self) -> SpaceParams:
+        return self.stability.config.params
+
+    @property
+    def rank_E(self) -> int:
+        return rank_of_E(self.params)
+
+    @property
+    def sequence(self) -> ShortExactSeq:
+        return _twisted_dual_collapse(self.params)
+
+    @property
+    def h0_T_dual_twisted(self) -> Tuple[int, int]:
+        seq = self.sequence
+        return seq.right.bounds(0, seq.dim_top)
+
+    @property
+    def h1_T_dual_twisted(self) -> Tuple[int, int]:
+        seq = self.sequence
+        return seq.right.bounds(1, seq.dim_top)
+
+    @property
+    def t_stable(self) -> bool:
+        return self.stability.all_vanish
+
+    @property
+    def reason(self) -> Optional[str]:
+        if not self.t_stable:
+            return "stability scan failed"
+        if self.h0_T_dual_twisted != (0, 0) or self.h1_T_dual_twisted != (0, 0):
+            return "cohomology intervals of T*(-1,-1,-1,-1) did not collapse to zero"
+        return None
+
+    @property
+    def conclusion(self) -> str:
+        return "SIMPLE_CERTIFIED" if self.reason is None else "INCONCLUSIVE"
 
     def to_json(self) -> dict:
+        seq = self.sequence
         return {
             "params": self.params.to_json(),
             "rank_E": self.rank_E,
@@ -265,10 +280,10 @@ class SimplicityCertificate(Frozen):
             "t_stable": self.t_stable,
             "stability": self.stability.to_json(include_checked=False),
             "sequence": {
-                "left": self.sequence.left.to_json(),
-                "middle": self.sequence.middle.to_json(),
-                "right": self.sequence.right.to_json(),
-                "dim_top": self.sequence.dim_top,
+                "left": seq.left.to_json(),
+                "middle": seq.middle.to_json(),
+                "right": seq.right.to_json(),
+                "dim_top": seq.dim_top,
             },
             "conclusion": self.conclusion,
             "reason": self.reason,
@@ -303,7 +318,7 @@ def _twisted_dual_collapse(params: SpaceParams) -> ShortExactSeq:
 def simplicity_certificate(
     params: SpaceParams, scan_cfg: Optional[StabilityScanConfig] = None
 ) -> SimplicityCertificate:
-    """Run the vanishing scan and state the LES collapse; gate the conclusion on both.
+    """Run the vanishing scan; the certificate reads its conclusion from it.
 
     scan_cfg defaults to `StabilityScanConfig(params)`.  A scan verdict other
     than ALL_VANISH yields INCONCLUSIVE with reason "stability scan failed".
@@ -315,32 +330,4 @@ def simplicity_certificate(
         scan_cfg = StabilityScanConfig(params)
     elif scan_cfg.params != params:
         raise ValueError("scan_cfg is configured for different space parameters")
-
-    report = run_stability_scan(scan_cfg)
-    t_stable = report.all_vanish
-
-    seq = _twisted_dual_collapse(params)
-    h0 = seq.right.bounds(0, seq.dim_top)
-    h1 = seq.right.bounds(1, seq.dim_top)
-
-    if not t_stable:
-        conclusion, reason = "INCONCLUSIVE", "stability scan failed"
-    elif h0 != (0, 0) or h1 != (0, 0):
-        conclusion, reason = (
-            "INCONCLUSIVE",
-            "cohomology intervals of T*(-1,-1,-1,-1) did not collapse to zero",
-        )
-    else:
-        conclusion, reason = "SIMPLE_CERTIFIED", None
-
-    return SimplicityCertificate(
-        params=params,
-        rank_E=rank_of_E(params),
-        h0_T_dual_twisted=h0,
-        h1_T_dual_twisted=h1,
-        t_stable=t_stable,
-        stability=report,
-        sequence=seq,
-        conclusion=conclusion,
-        reason=reason,
-    )
+    return SimplicityCertificate(run_stability_scan(scan_cfg))

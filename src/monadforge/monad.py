@@ -363,52 +363,57 @@ def block_products(spec: MonadSpec) -> Tuple[Product, Product, Product, Product]
 
 
 class RankReport(Record):
-    """Outcome of the maximal-rank certification.
+    """Outcome of the maximal-rank certification: the ranks observed.
 
-    `maximal` is True iff every sampled point with all four coordinate groups
-    nonzero gave rank k for both f and g.  `group_zero_ranks` records, for
-    each group zeroed individually (others random), the observed (rank f,
-    rank g) pair -- diagnostic only, no pass/fail meaning.  A report filled
-    from the staircase lemma and one from `sampled_rank_report` are equal
-    field for field, so the JSON bytes do not say which path certified.
+    `trials` is the number of samples, and `maximal` is True iff every
+    sample (a point with all four coordinate groups nonzero) gave rank k for
+    both f and g; both are read from the samples.  `group_zero_ranks`
+    records, for each group zeroed individually (others random), the
+    observed (rank f, rank g) pair -- diagnostic only, no pass/fail meaning.
+    A report filled from the staircase lemma and one from
+    `sampled_rank_report` are equal field for field, so the JSON bytes do not
+    say which path certified.
     """
 
     __slots__ = (
         "params",
         "prime",
-        "trials",
         "seed",
         "rank_f_samples",
         "rank_g_samples",
         "origin_rank_f",
         "origin_rank_g",
         "group_zero_ranks",
-        "maximal",
     )
 
     def __init__(
         self,
         params: SpaceParams,
         prime: int,
-        trials: int,
         seed: int,
         rank_f_samples: Tuple[int, ...],
         rank_g_samples: Tuple[int, ...],
         origin_rank_f: int,
         origin_rank_g: int,
         group_zero_ranks: Dict[str, Tuple[int, int]],
-        maximal: bool,
     ) -> None:
         self.params = params
         self.prime = prime
-        self.trials = trials
         self.seed = seed
         self.rank_f_samples = rank_f_samples
         self.rank_g_samples = rank_g_samples
         self.origin_rank_f = origin_rank_f
         self.origin_rank_g = origin_rank_g
         self.group_zero_ranks = group_zero_ranks
-        self.maximal = maximal
+
+    @property
+    def trials(self) -> int:
+        return len(self.rank_f_samples)
+
+    @property
+    def maximal(self) -> bool:
+        k = self.params.k
+        return all(r == k for r in (*self.rank_f_samples, *self.rank_g_samples))
 
     def to_json(self) -> dict:
         return {
@@ -560,14 +565,12 @@ def verify_maximal_rank(
     return RankReport(
         params=spec.params,
         prime=prime,
-        trials=trials,
         seed=seed,
         rank_f_samples=(k,) * trials,
         rank_g_samples=(k,) * trials,
         origin_rank_f=0,
         origin_rank_g=0,
         group_zero_ranks={group: (k, k) for group in GROUPS},
-        maximal=True,
     )
 
 
@@ -587,7 +590,6 @@ def sampled_rank_report(
     Raises ValueError if trials < 1.
     """
     _check_trials(trials)
-    k = spec.params.k
     rank_f: List[int] = []
     rank_g: List[int] = []
     for i in range(trials):
@@ -609,18 +611,15 @@ def sampled_rank_report(
             rank_over_field(evaluate_matrix(spec.g, point, prime), prime),
         )
 
-    maximal = all(r == k for r in rank_f) and all(r == k for r in rank_g)
     return RankReport(
         params=spec.params,
         prime=prime,
-        trials=trials,
         seed=seed,
         rank_f_samples=tuple(rank_f),
         rank_g_samples=tuple(rank_g),
         origin_rank_f=origin_f,
         origin_rank_g=origin_g,
         group_zero_ranks=group_zero,
-        maximal=maximal,
     )
 
 

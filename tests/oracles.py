@@ -11,8 +11,10 @@ enumeration there, are rebuilt here from the exterior powers that
 `cohomology.exterior_power_sum` enumerates summand by summand; the
 certificate's closed-form LES collapse is checked against `les_propagate`
 run on `twisted_dual_sequence`, whose left and middle tables are computed
-from the line-bundle sums themselves.  Three oracles are the library's
-earlier code.  The vanishing scan sums the generating function at every
+from the line-bundle sums themselves.  Four oracles are the library's
+earlier code.  The simplicity certificate is built field by field, each
+field computed on its own as when the record stored it, from a scan and the
+solved sequence.  The vanishing scan sums the generating function at every
 twist of its box and stores every row; it shares the generating function
 and the twist enumeration with the scan it checks, which sums only where the
 negative-component lemma allows a nonzero row.  For what `verify --input`
@@ -37,7 +39,7 @@ from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from monadforge.cohomology import CohTable, LineBundleSum, exterior_power_sum, line_bundle
-from monadforge.les import CohProfile, ShortExactSeq
+from monadforge.les import CohProfile, ShortExactSeq, les_propagate
 from monadforge.monad import (
     F_BLOCK_GROUPS,
     G_BLOCK_GROUPS,
@@ -233,6 +235,49 @@ def twisted_dual_sequence(params: SpaceParams) -> ShortExactSeq:
         right=CohProfile.unknown(),
         dim_top=params.dim_x,
     )
+
+
+def certificate_by_fields(scan) -> dict:
+    """The simplicity certificate's JSON document for the vanishing scan
+    `scan` (a report of the certificate's own box), built field by field as
+    the record that stored each field did: t_stable from the scan verdict,
+    the twisted dual sequence solved by `les_propagate`, h^0 and h^1 read from
+    its right member, and the conclusion gated on all three."""
+    params = scan.config.params
+    seq = les_propagate(twisted_dual_sequence(params))
+    h0 = seq.right.bounds(0, seq.dim_top)
+    h1 = seq.right.bounds(1, seq.dim_top)
+    t_stable = scan.verdict == "ALL_VANISH"
+    if not t_stable:
+        conclusion, reason = "INCONCLUSIVE", "stability scan failed"
+    elif h0 != (0, 0) or h1 != (0, 0):
+        conclusion, reason = (
+            "INCONCLUSIVE",
+            "cohomology intervals of T*(-1,-1,-1,-1) did not collapse to zero",
+        )
+    else:
+        conclusion, reason = "SIMPLE_CERTIFIED", None
+    return {
+        "params": params.to_json(),
+        "rank_E": 2 * params.n + 2 * params.m + 2 * params.k,
+        "h0_T_dual_twisted": list(h0),
+        "h1_T_dual_twisted": list(h1),
+        "t_stable": t_stable,
+        "stability": scan.to_json(include_checked=False),
+        "sequence": {
+            "left": seq.left.to_json(),
+            "middle": seq.middle.to_json(),
+            "right": seq.right.to_json(),
+            "dim_top": seq.dim_top,
+        },
+        "conclusion": conclusion,
+        "reason": reason,
+        "argument": (
+            "T stable => T simple => h0(T x T*) = 1; vanishing of h0 and h1 of "
+            "T*(-1,-1,-1,-1) lifts sections along the twisted dual sequence, "
+            "giving 1 <= h0(E x E*) <= h0(E x T*) = h0(T x T*) = 1"
+        ),
+    }
 
 
 def _coefficient_matrices(matrix: dict) -> Dict[str, List[List[int]]]:

@@ -283,8 +283,9 @@ def drop_last_f_column(monad):
 # Tamperings of the (2,3,2) build for `verify --input` (n = 2, m = 3, k = 2;
 # f-block 1 holds y's in its columns 0..3, f-block 2 x's in columns 4..7,
 # g-block 1 x's in its rows 0..3).  The first eight keep every structure
-# check and fail on composition alone; the last three fail on structure,
-# with problems of two kinds whose order is part of the bytes.
+# check and fail on composition alone; the ninth keeps both and fails on rank
+# alone (f is 0 mod p); the last three fail on structure, with problems of
+# two kinds whose order is part of the bytes.
 TAMPERINGS = {
     "f coeff 7": lambda monad: first_term_cell(monad["f"]["entries"])[0].update(coeff="7"),
     "f columns swapped": lambda monad: [swap(row, 1, 2) for row in monad["f"]["entries"]],
@@ -296,6 +297,10 @@ TAMPERINGS = {
     "g band scalar 5": lambda monad: first_term_cell(monad["g"]["entries"])[0].update(coeff="5"),
     "f extra term": lambda monad: first_term_cell(monad["f"]["entries"]).append(term("1", "y0")),
     "f off-band entry": lambda monad: set_cells(monad, ("f", 0, 0, [term("1", "y0")])),
+    "f scaled by p": lambda monad: [
+        item.update(coeff=str(int(item["coeff"]) * 2147483647))
+        for row in monad["f"]["entries"] for cell in row for item in cell
+    ],
     "wrong group in f and g":
         lambda monad: set_cells(
             monad, ("f", 0, 5, [term("1", "y0")]), ("g", 0, 0, [term("1", "t0")])
@@ -407,6 +412,9 @@ GOLDEN_SHA256 = {
         (1, "b8d0e41064ea33d4bc865ef4f480090141d0a2eefea628d046ae1523c71bb774"),
     ("verify", "--input", "f off-band entry"):
         (1, "b8d0e41064ea33d4bc865ef4f480090141d0a2eefea628d046ae1523c71bb774"),
+    # composition_zero true, "maximal": false from f's sampled ranks (all 0)
+    ("verify", "--input", "f scaled by p"):
+        (1, "82095520990230d43c8f37600965118d70470d528f6de73e700badab26574de6"),
     ("verify", "--input", "wrong group in f and g"):
         (1, "0b354c319cdb045ee2234c018aec2e1bd24f175ccb7a7f5facafe745c2107cda"),
     ("verify", "--input", "out of range and wrong group"):
@@ -583,6 +591,7 @@ def test_output_naming_a_directory_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert tmp_path.is_dir()
 
 
 def run_in_address_space(argv, limit_mb):
@@ -607,6 +616,7 @@ def test_a_box_too_large_to_write_exits_2_without_a_traceback(tmp_path):
     proc = run_in_address_space(argv, 256)
     assert proc.returncode == 2
     assert proc.stderr == "error: out of memory\n"
+    assert not (tmp_path / "rows.json").exists()
 
 
 def test_a_wide_box_certificate_needs_no_box(tmp_path):

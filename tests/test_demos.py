@@ -1,7 +1,9 @@
-"""Each script in demos/ runs to completion as a separate process."""
+"""Each script in demos/ runs to completion as a separate process; the two
+that print certificate attributes print frozen bytes."""
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -12,9 +14,18 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# SHA-256 of stdout, frozen from the records that stored `maximal`, `rank_E`,
+# `t_stable`, h^0, h^1, `conclusion` and `reason` as fields, which these two
+# demos print; the records now read them from the evidence
+STDOUT_SHA256 = {
+    "build_and_verify.py": "65090c7cc4bf9ab5f53f20a6699a4ab17cb813ae8bb7c674afbc4fdd1eafa5e5",
+    "simplicity_certificate.py": "8097153794ca76a94ce1ee8b9e4d052ef85237f0b03af58b7fbac89904cbe52a",
+}
+
 
 def test_demos_are_present():
     assert len(DEMOS) == 4
+    assert set(STDOUT_SHA256) <= {script.name for script in DEMOS}
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
@@ -29,3 +40,6 @@ def test_demo_exits_0(tmp_path, script):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    if script.name in STDOUT_SHA256:
+        digest = hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest()
+        assert digest == STDOUT_SHA256[script.name]

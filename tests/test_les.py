@@ -8,6 +8,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import example, given, settings
 
 import monadforge.cohomology
 import monadforge.les
@@ -27,8 +28,20 @@ from monadforge.les import (
 )
 from monadforge.monad import middle_bundle
 from monadforge.polyring import MultiDegree, SpaceParams
-from monadforge.stability import StabilityScanConfig, negative_component_violations
-from oracles import dual, h0_by_monomial_count, twist, twisted_dual_sequence
+from monadforge.stability import (
+    StabilityScanConfig,
+    negative_component_violations,
+    run_stability_scan,
+)
+from oracles import (
+    certificate_by_fields,
+    dual,
+    h0_by_monomial_count,
+    stability_scan_by_series,
+    twist,
+    twisted_dual_sequence,
+)
+from test_stability import COUNTEREXAMPLE_BOXES, scan_configs
 
 PARAMS_EX = SpaceParams(1, 2, 3)
 
@@ -326,6 +339,22 @@ def test_certificate_sequence_equals_interval_propagation():
         }, (n, m, k)
         assert cert.h0_T_dual_twisted == solved.right.bounds(0, top) == (0, 0)
         assert cert.h1_T_dual_twisted == solved.right.bounds(1, top) == (0, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scan_configs())
+@example(COUNTEREXAMPLE_BOXES[0])
+@example(COUNTEREXAMPLE_BOXES[1])
+def test_a_certificate_cannot_contradict_its_evidence(cfg):
+    # the record holds the scan alone and reads every other attribute from
+    # it; its document must equal one built field by field from the
+    # enumerated scan of the same box
+    report = run_stability_scan(cfg)
+    cert = SimplicityCertificate(report)
+    assert cert.to_json() == certificate_by_fields(stability_scan_by_series(cfg))
+    assert (cert.conclusion == "SIMPLE_CERTIFIED") == report.all_vanish
+    assert cert.sequence == les_propagate(twisted_dual_sequence(cfg.params))
+    assert cert == simplicity_certificate(cfg.params, cfg)
 
 
 def test_certificate_chain_runs_without_the_general_machinery(monkeypatch):

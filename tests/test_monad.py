@@ -493,6 +493,42 @@ def test_staircase_report_equals_elimination(data):
         assert report.maximal
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rank_report_reads_trials_and_maximal_from_its_samples(data):
+    # band scalars redrawn, some zeroed mod p, and f or g possibly scaled by
+    # p as a whole, which leaves every sample of that map at rank 0
+    params = SpaceParams(*data.draw(st.tuples(*[st.integers(1, 3)] * 3), label="n, m, k"))
+    prime = data.draw(st.sampled_from(PRIMES), label="prime")
+    entries, cells = staircase_spec(data, params, prime)
+    band = [c for c in cells if c[3] is not None]
+    zeroed = data.draw(st.lists(st.sampled_from(band), max_size=2, unique=True), label="zero mod p")
+    for name, pos, group, index, _ in zeroed:
+        entries[name][pos] = LinearForm(((group, index, prime),))
+    scaled = data.draw(st.sampled_from([None, "f", "g"]), label="scaled by p")
+    if scaled:
+        entries[scaled] = [
+            LinearForm(tuple((g, i, c * prime) for g, i, c in form)) for form in entries[scaled]
+        ]
+    spec = with_entries(params, entries)
+    trials = data.draw(st.integers(1, 3), label="trials")
+    seed = data.draw(st.integers(0, 2**48), label="seed")
+    k = params.k
+    for report in (
+        verify_maximal_rank(spec, trials=trials, seed=seed, prime=prime),
+        sampled_rank_report(spec, trials=trials, seed=seed, prime=prime),
+    ):
+        assert report.trials == trials
+        maximal = all(r == k for r in report.rank_f_samples) and all(
+            r == k for r in report.rank_g_samples
+        )
+        assert report.maximal == maximal
+        assert report.to_json()["trials"] == trials
+        assert report.to_json()["maximal"] == maximal
+        if scaled:
+            assert not report.maximal
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_near_miss_leaves_the_band_and_keeps_the_report(data):

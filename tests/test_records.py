@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import inspect
 import re
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -118,7 +117,7 @@ def test_repr_is_the_dataclass_text():
         (CohTable((0, 1, 2)), "CohTable(dims=(0, 1, 2))"),
         (
             invariants_of_T(params),
-            "BundleInvariants(rank=15, c1=(-7,-7,-8,-8), degree_L=-1380, slope_L=Fraction(-92, 1))",
+            "BundleInvariants(rank=15, c1=(-7,-7,-8,-8), degree_L=-1380)",
         ),
         (
             spec,
@@ -127,9 +126,9 @@ def test_repr_is_the_dataclass_text():
         ),
         (
             verify_maximal_rank(spec, trials=2, seed=0),
-            "RankReport(params=SpaceParams(n=1, m=1, k=1), prime=2147483647, trials=2, seed=0, "
+            "RankReport(params=SpaceParams(n=1, m=1, k=1), prime=2147483647, seed=0, "
             "rank_f_samples=(1, 1), rank_g_samples=(1, 1), origin_rank_f=0, origin_rank_g=0, "
-            "group_zero_ranks={'x': (1, 1), 'y': (1, 1), 'z': (1, 1), 't': (1, 1)}, maximal=True)",
+            "group_zero_ranks={'x': (1, 1), 'y': (1, 1), 'z': (1, 1), 't': (1, 1)})",
         ),
         (
             LineBundleSum(SMALL, [(MultiDegree(0, -1, 0, 0), 2), (MultiDegree(-1, 0, 0, 0), 2)]),
@@ -156,10 +155,7 @@ def test_repr_is_the_dataclass_text():
         ),
         (
             cert,
-            "SimplicityCertificate(params=SpaceParams(n=1, m=1, k=1), rank_E=6, "
-            "h0_T_dual_twisted=(0, 0), h1_T_dual_twisted=(0, 0), t_stable=True, "
-            f"stability={scan_text}, sequence={cert.sequence!r}, "
-            "conclusion='SIMPLE_CERTIFIED', reason=None)",
+            f"SimplicityCertificate(stability={scan_text})",
         ),
     ]
     assert {type(record) for record, _ in table} == set(RECORDS)
@@ -172,7 +168,7 @@ FROZEN = [
     (MultiDegree(1, 2, 3, 4), "d"),
     (PolyMatrix(0, 0, []), "entries"),
     (CohTable((1,)), "dims"),
-    (BundleInvariants(1, MultiDegree(0, 0, 0, 0), 2, Fraction(2)), "slope_L"),
+    (BundleInvariants(1, MultiDegree(0, 0, 0, 0), 2), "degree_L"),
     (middle_bundle(SMALL), "params"),
     (TINY_BOX, "max_q"),
     (run_stability_scan(TINY_BOX), "verdict"),
@@ -209,9 +205,9 @@ def test_monad_spec_and_rank_report_are_mutable_and_unhashable():
     for record in (spec, report):
         with pytest.raises(TypeError, match="unhashable"):
             hash(record)
-    report.maximal = False
+    report.seed = 7
     spec.params = SpaceParams(2, 1, 1)
-    assert not report.maximal and spec.params == SpaceParams(2, 1, 1)
+    assert report.seed == 7 and spec.params == SpaceParams(2, 1, 1)
 
 
 def test_band_memo_is_neither_compared_nor_shown():

@@ -6,7 +6,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -46,9 +45,7 @@ SPACE_PARAMS = st.builds(SpaceParams, st.integers(1, 3), st.integers(1, 3), st.i
 
 def test_normalization_shift_zero_slope():
     params = SpaceParams(1, 2, 3)
-    inv = BundleInvariants(
-        rank=2, c1=MultiDegree(0, 0, 0, 0), degree_L=0, slope_L=Fraction(0)
-    )
+    inv = BundleInvariants(rank=2, c1=MultiDegree(0, 0, 0, 0), degree_L=0)
     assert normalization_shift(inv, params) == 0
 
 
@@ -59,9 +56,7 @@ def test_normalization_shift_example_bundle():
 
 def test_normalization_shift_small_negative_slope():
     params = SpaceParams(1, 2, 3)
-    inv = BundleInvariants(
-        rank=1, c1=MultiDegree(0, 0, 0, 0), degree_L=-1, slope_L=Fraction(-1)
-    )
+    inv = BundleInvariants(rank=1, c1=MultiDegree(0, 0, 0, 0), degree_L=-1)
     # d = delta_L(1,0,0,0) = 30 here, so ceil(-1/30) = 0
     assert normalization_shift(inv, params) == 0
 
