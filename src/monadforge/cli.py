@@ -10,10 +10,13 @@ Seven subcommands, one per claim cluster:
     simplicity  the full simplicity certificate for E
     report      everything above in a single document
 
-Every JSON document embeds a run manifest {command, params, seed,
-tool_version, timestamp}.  Output is byte-identical across runs with the same
-arguments and seed; set SOURCE_DATE_EPOCH to pin the manifest timestamp (the
-test suite does), otherwise it records the wall clock.
+One envelope serves all seven: each handler returns the params its document
+is about, its body (for `build --format text`, finished text) and whether its
+check passed; `main` alone adds the run manifest {command, params, seed,
+tool_version, timestamp}, writes the document and maps the verdict to exit 0
+or 1.  Output is byte-identical across runs with the same arguments and seed;
+set SOURCE_DATE_EPOCH to pin the manifest timestamp (the test suite does),
+otherwise it records the wall clock.
 
 Exit codes: 0 = success, 1 = a mathematical check failed, 2 = usage error or out
 of memory.
@@ -26,7 +29,7 @@ import json
 import os
 import sys
 import time
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple, Union
 
 from . import __version__
 from .chow import degree_simplification_check, invariants_of_T
@@ -46,6 +49,9 @@ from .stability import normalization_shift as _normalization_shift
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
+
+# a handler's (params the manifest records, document body or build's text, passed)
+Outcome = Tuple[SpaceParams, Union[dict, str], bool]
 
 
 def _timestamp() -> str:
@@ -134,22 +140,18 @@ def _render_matrix_text(spec: MonadSpec, which: str) -> List[str]:
     return lines
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
-    params = SpaceParams(args.n, args.m, args.k)
+def _cmd_build(args: argparse.Namespace, params: SpaceParams) -> Outcome:
     spec = assemble_monad(params)
     if args.format == "json":
-        doc = {"manifest": _manifest("build", params, args.seed), "monad": spec.json_template()}
-        _emit(canonical_chunks(doc), args.output)
-    else:
-        lines = [
-            f"monad for (n, m, k) = ({params.n}, {params.m}, {params.k})",
-            f"f ({spec.f.rows} x {spec.f.cols}):",
-            *_render_matrix_text(spec, "f"),
-            f"g ({spec.g.rows} x {spec.g.cols}):",
-            *_render_matrix_text(spec, "g"),
-        ]
-        _emit(["\n".join(lines) + "\n"], args.output)
-    return EXIT_OK
+        return params, {"monad": spec.json_template()}, True
+    lines = [
+        f"monad for (n, m, k) = ({params.n}, {params.m}, {params.k})",
+        f"f ({spec.f.rows} x {spec.f.cols}):",
+        *_render_matrix_text(spec, "f"),
+        f"g ({spec.g.rows} x {spec.g.cols}):",
+        *_render_matrix_text(spec, "g"),
+    ]
+    return params, "\n".join(lines) + "\n", True
 
 
 def _read_monad_json(path: str) -> object:
@@ -171,8 +173,10 @@ def _declared_params(data: object, fallback: SpaceParams) -> SpaceParams:
         return fallback
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.input is not None:
+def _cmd_verify(args: argparse.Namespace, params: SpaceParams) -> Outcome:
+    if args.input is None:
+        spec = assemble_monad(params)
+    else:
         data = None
         try:
             data = _read_monad_json(args.input)
@@ -181,22 +185,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise  # an unreadable path (missing, a directory, no permission) is a usage error (exit 2)
         except Exception as exc:
             # any defect of an outside document is a FAILED verdict, never a traceback
-            params = _declared_params(data, SpaceParams(args.n, args.m, args.k))
-            doc = {
-                "manifest": _manifest("verify", params, args.seed),
-                "verdict": "FAILED",
-                "error": f"input document rejected: {exc}",
-            }
-            _emit(canonical_chunks(doc), args.output)
-            return EXIT_MATH_FAIL
-    else:
-        spec = assemble_monad(SpaceParams(args.n, args.m, args.k))
+            body = {"verdict": "FAILED", "error": f"input document rejected: {exc}"}
+            return _declared_params(data, params), body, False
 
     structure = spec.structural_problems()
-    doc = {
-        "manifest": _manifest("verify", spec.params, args.seed),
-        "structure_problems": structure,
-    }
+    body = {"structure_problems": structure}
     passed = False
     # a malformed document is not a monad of the family: composing or
     # evaluating it (say, at a point lacking one of its variables) is moot
@@ -206,33 +199,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             spec, trials=args.trials, seed=args.seed, prime=DEFAULT_PRIME
         )
         passed = composition and rank_report.maximal and rank_report.origin_rank_f == 0
-        doc["composition_zero"] = composition
-        doc["rank"] = rank_report.to_json()
-    doc["verdict"] = "CERTIFIED" if passed else "FAILED"
-    _emit(canonical_chunks(doc), args.output)
-    return EXIT_OK if passed else EXIT_MATH_FAIL
+        body["composition_zero"] = composition
+        body["rank"] = rank_report.to_json()
+    body["verdict"] = "CERTIFIED" if passed else "FAILED"
+    return spec.params, body, passed
 
 
-def _cmd_cohomology(args: argparse.Namespace) -> int:
-    params = SpaceParams(args.n, args.m, args.k)
+def _cmd_cohomology(args: argparse.Namespace, params: SpaceParams) -> Outcome:
     deg = MultiDegree(*args.degree)
     table = sum_cohomology(line_bundle(params, deg))
-    doc = {
-        "manifest": _manifest("cohomology", params, args.seed),
-        "degree": list(deg.as_tuple()),
-        "table": {str(t): h for t, h in enumerate(table.dims)},
-    }
-    _emit(canonical_chunks(doc), args.output)
-    return EXIT_OK
+    body = {"degree": list(deg.as_tuple()), "table": {str(t): h for t, h in enumerate(table.dims)}}
+    return params, body, True
 
 
-def _cmd_invariants(args: argparse.Namespace) -> int:
-    params = SpaceParams(args.n, args.m, args.k)
-    inv = invariants_of_T(params)
-    doc = {"manifest": _manifest("invariants", params, args.seed)}
-    doc.update(inv.to_json())
-    _emit(canonical_chunks(doc), args.output)
-    return EXIT_OK
+def _cmd_invariants(args: argparse.Namespace, params: SpaceParams) -> Outcome:
+    return params, invariants_of_T(params).to_json(), True
 
 
 def _scan_config(args: argparse.Namespace, params: SpaceParams):
@@ -245,53 +226,44 @@ def _scan_config(args: argparse.Namespace, params: SpaceParams):
     )
 
 
-def _cmd_stability(args: argparse.Namespace) -> int:
-    params = SpaceParams(args.n, args.m, args.k)
-    cfg = _scan_config(args, params)
-    report = run_stability_scan(cfg)
-    doc = {"manifest": _manifest("stability", params, args.seed)}
-    doc.update(report.to_json(include_checked=True))
-    _emit(canonical_chunks(doc), args.output)
-    return EXIT_OK if report.all_vanish else EXIT_MATH_FAIL
+def _cmd_stability(args: argparse.Namespace, params: SpaceParams) -> Outcome:
+    report = run_stability_scan(_scan_config(args, params))
+    return params, report.to_json(include_checked=True), report.all_vanish
 
 
-def _cmd_simplicity(args: argparse.Namespace) -> int:
-    params = SpaceParams(args.n, args.m, args.k)
-    cfg = _scan_config(args, params)
-    cert = simplicity_certificate(params, cfg)
-    doc = {
-        "manifest": _manifest("simplicity", params, args.seed),
-        "certificate": cert.to_json(),
-    }
-    _emit(canonical_chunks(doc), args.output)
-    return EXIT_OK if cert.conclusion == "SIMPLE_CERTIFIED" else EXIT_MATH_FAIL
+def _cmd_simplicity(args: argparse.Namespace, params: SpaceParams) -> Outcome:
+    cert = simplicity_certificate(params, _scan_config(args, params))
+    return params, {"certificate": cert.to_json()}, cert.conclusion == "SIMPLE_CERTIFIED"
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    params = SpaceParams(args.n, args.m, args.k)
+def _cmd_report(args: argparse.Namespace, params: SpaceParams) -> Outcome:
     cfg = _scan_config(args, params)
     inv = invariants_of_T(params)
     scan = run_stability_scan(cfg)
     cert = simplicity_certificate(params, cfg)
-    doc = {
-        "manifest": _manifest("report", params, args.seed),
+    body = {
         "invariants": inv.to_json(),
         "normalization_shift": _normalization_shift(inv, params),
         "stability": scan.to_json(include_checked=True),
         "simplicity": cert.to_json(),
         "degree_check": degree_simplification_check(params),
     }
-    _emit(canonical_chunks(doc), args.output)
-    ok = scan.all_vanish and cert.conclusion == "SIMPLE_CERTIFIED"
-    return EXIT_OK if ok else EXIT_MATH_FAIL
+    return params, body, scan.all_vanish and cert.conclusion == "SIMPLE_CERTIFIED"
 
 
-def _add_param_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=_int_at_least(1), default=1, help="dimension of the paired P^n factors")
-    sub.add_argument("--m", type=_int_at_least(1), default=1, help="dimension of the paired P^m factors")
-    sub.add_argument("--k", type=_int_at_least(1), default=1, help="monad rank parameter")
-    sub.add_argument("--seed", type=int, default=0, help="seed recorded in the manifest and used by sampling")
-    sub.add_argument("--output", default=None, help="write to this file instead of stdout")
+def _add_format_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--format", choices=("json", "text"), default="json")
+
+
+def _add_verify_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--trials", type=_int_at_least(1), default=20)
+    sub.add_argument("--input", default=None, help="verify a monad JSON document instead of building one")
+
+
+def _add_degree_positional(sub: argparse.ArgumentParser) -> None:
+    # a tuple metavar breaks argparse's missing-argument message on Python < 3.12
+    sub.add_argument("degree", type=int, nargs=4, metavar="DEG",
+                     help="multidegree (a, b, c, d) of the line bundle")
 
 
 def _add_scan_flags(sub: argparse.ArgumentParser) -> None:
@@ -305,6 +277,18 @@ def _add_scan_flags(sub: argparse.ArgumentParser) -> None:
                      help="lower bound on p1+p2+p3+p4 (default 0; negative values probe outside the criterion's regime)")
 
 
+# (name, one-line help, handler, adder of the subcommand's own arguments)
+SUBCOMMANDS = (
+    ("build", "emit the monad document", _cmd_build, _add_format_flag),
+    ("verify", "certify composition and maximal rank", _cmd_verify, _add_verify_flags),
+    ("cohomology", "dimension table of a line bundle", _cmd_cohomology, _add_degree_positional),
+    ("invariants", "rank / c1 / degree / slope of T", _cmd_invariants, None),
+    ("stability", "Hoppe-criterion vanishing scan", _cmd_stability, _add_scan_flags),
+    ("simplicity", "simplicity certificate for E", _cmd_simplicity, _add_scan_flags),
+    ("report", "invariants + stability + simplicity in one document", _cmd_report, _add_scan_flags),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monadforge",
@@ -312,44 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"monadforge {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_build = subs.add_parser("build", help="emit the monad document")
-    _add_param_flags(p_build)
-    p_build.add_argument("--format", choices=("json", "text"), default="json")
-    p_build.set_defaults(func=_cmd_build)
-
-    p_verify = subs.add_parser("verify", help="certify composition and maximal rank")
-    _add_param_flags(p_verify)
-    p_verify.add_argument("--trials", type=_int_at_least(1), default=20)
-    p_verify.add_argument("--input", default=None, help="verify a monad JSON document instead of building one")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_coh = subs.add_parser("cohomology", help="dimension table of a line bundle")
-    _add_param_flags(p_coh)
-    # a tuple metavar breaks argparse's missing-argument message on Python < 3.12
-    p_coh.add_argument("degree", type=int, nargs=4, metavar="DEG",
-                       help="multidegree (a, b, c, d) of the line bundle")
-    p_coh.set_defaults(func=_cmd_cohomology)
-
-    p_inv = subs.add_parser("invariants", help="rank / c1 / degree / slope of T")
-    _add_param_flags(p_inv)
-    p_inv.set_defaults(func=_cmd_invariants)
-
-    p_stab = subs.add_parser("stability", help="Hoppe-criterion vanishing scan")
-    _add_param_flags(p_stab)
-    _add_scan_flags(p_stab)
-    p_stab.set_defaults(func=_cmd_stability)
-
-    p_simp = subs.add_parser("simplicity", help="simplicity certificate for E")
-    _add_param_flags(p_simp)
-    _add_scan_flags(p_simp)
-    p_simp.set_defaults(func=_cmd_simplicity)
-
-    p_rep = subs.add_parser("report", help="invariants + stability + simplicity in one document")
-    _add_param_flags(p_rep)
-    _add_scan_flags(p_rep)
-    p_rep.set_defaults(func=_cmd_report)
-
+    for name, help_text, handler, add_own_flags in SUBCOMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("--n", type=_int_at_least(1), default=1, help="dimension of the paired P^n factors")
+        sub.add_argument("--m", type=_int_at_least(1), default=1, help="dimension of the paired P^m factors")
+        sub.add_argument("--k", type=_int_at_least(1), default=1, help="monad rank parameter")
+        sub.add_argument("--seed", type=int, default=0, help="seed recorded in the manifest and used by sampling")
+        sub.add_argument("--output", default=None, help="write to this file instead of stdout")
+        if add_own_flags is not None:
+            add_own_flags(sub)
+        sub.set_defaults(func=handler)
     return parser
 
 
@@ -361,7 +317,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; pass codes through
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        params, body, passed = args.func(args, SpaceParams(args.n, args.m, args.k))
+        if isinstance(body, str):  # build --format text
+            chunks: Iterable[str] = [body]
+        else:
+            chunks = canonical_chunks({"manifest": _manifest(args.command, params, args.seed), **body})
+        _emit(chunks, args.output)
+        return EXIT_OK if passed else EXIT_MATH_FAIL
     except BrokenPipeError:  # pragma: no cover - shell plumbing
         return EXIT_OK
     except (OSError, ValueError) as exc:

@@ -29,13 +29,12 @@ import json
 from math import comb
 from typing import Dict, Iterable, List, Tuple
 
-from .polyring import Frozen, MultiDegree, SpaceParams, json_int, json_key
+from .polyring import Frozen, MultiDegree, SpaceParams, checked_int, json_int, json_key
 
 
 def bott_h(n: int, d: int, i: int) -> int:
     """h^i(P^n, O(d)), exactly.  Raises ValueError unless 0 <= i <= n."""
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    checked_int(n, 1, "n")
     if type(i) is not int or i < 0 or i > n:
         raise ValueError(f"cohomological degree i={i!r} out of range [0, {n}]")
     if i == 0:
@@ -91,9 +90,7 @@ class LineBundleSum(Frozen):
     def __init__(self, params: SpaceParams, summands: Iterable[Tuple[MultiDegree, int]] = ()):
         merged: Dict[Tuple[int, int, int, int], int] = {}
         for deg, mult in summands:
-            if type(mult) is not int or mult < 0:
-                raise ValueError(f"multiplicity must be a non-negative integer, got {mult!r}")
-            if mult:
+            if checked_int(mult, 0, "multiplicity"):
                 key = deg.as_tuple()
                 merged[key] = merged.get(key, 0) + mult
         canon = tuple(

@@ -33,15 +33,17 @@ That sequence needs no interval calculus: every summand O(e_i - (1,1,1,1)) of
 the middle member has a -1 component, and O(-1) has no cohomology on any P^D, so
 the middle member is acyclic and the long exact sequence collapses to
 h^i(T*(-1,-1,-1,-1)) = h^{i+1}(O(-2,-2,-2,-2)^k).  By Bott that is k in
-degree 2n+2m-1 when n = m = 1 and 0 in every other case, so h^0 = h^1 = 0
-always.  The certificate states these three tables directly; `les_propagate`
-stays as library API and is the tests' oracle for them.  A
+degree 2n+2m-1 >= 3 when n = m = 1 and 0 in every other case, so h^0 = h^1 = 0
+always and the certificate's verdict rests on the scan alone.  The
+certificate states these three tables directly and records h^0 and h^1 as
+read from them; `les_propagate` stays as library API, and the tests' oracle
+solves the sequence with it and still gates on h^0 and h^1.  A
 `SimplicityCertificate` stores the scan report alone and reads the tables,
 h^0, h^1 and its conclusion from it, so no certificate can conclude what its
-evidence does not support.  Together the two
-facts bound 1 <= h^0(E (x) E*) <= h^0(T (x) T*) = 1 for the cohomology
-bundle E, which is the simplicity statement; the tensor-product cohomology
-itself is deliberately never computed.
+evidence does not support.  Together the two facts bound
+1 <= h^0(E (x) E*) <= h^0(T (x) T*) = 1 for the cohomology bundle E, which is
+the simplicity statement; the tensor-product cohomology itself is
+deliberately never computed.
 """
 
 from __future__ import annotations
@@ -221,10 +223,11 @@ class SimplicityCertificate(Frozen):
 
     `params` is the scan's; `sequence` is the collapsed twisted dual sequence
     (three exact tables), and h^0 and h^1 of T*(-1,-1,-1,-1) are read from
-    its right table.  conclusion is "SIMPLE_CERTIFIED" only when the scan
-    passed (t_stable) and both are [0,0]; otherwise "INCONCLUSIVE" with a
-    reason.  The final inequality chain 1 <= h^0(E (x) E*) <= h^0(T (x) T*)
-    = 1 is recorded, not recomputed.
+    its right table, which is (0, 0) in both degrees for every (n, m, k).
+    conclusion is "SIMPLE_CERTIFIED" when the scan passed (t_stable), and
+    otherwise "INCONCLUSIVE" with the reason "stability scan failed".  The
+    final inequality chain 1 <= h^0(E (x) E*) <= h^0(T (x) T*) = 1 is
+    recorded, not recomputed.
     """
 
     __slots__ = ("stability",)
@@ -260,11 +263,7 @@ class SimplicityCertificate(Frozen):
 
     @property
     def reason(self) -> Optional[str]:
-        if not self.t_stable:
-            return "stability scan failed"
-        if self.h0_T_dual_twisted != (0, 0) or self.h1_T_dual_twisted != (0, 0):
-            return "cohomology intervals of T*(-1,-1,-1,-1) did not collapse to zero"
-        return None
+        return None if self.t_stable else "stability scan failed"
 
     @property
     def conclusion(self) -> str:
@@ -321,10 +320,9 @@ def simplicity_certificate(
     """Run the vanishing scan; the certificate reads its conclusion from it.
 
     scan_cfg defaults to `StabilityScanConfig(params)`.  A scan verdict other
-    than ALL_VANISH yields INCONCLUSIVE with reason "stability scan failed".
-    h^0 and h^1 of T*(-1,-1,-1,-1) are read from the collapsed sequence's
-    right table, which is zero in both degrees for every (n, m, k); a nonzero
-    value would yield INCONCLUSIVE as well.
+    than ALL_VANISH yields INCONCLUSIVE with reason "stability scan failed";
+    nothing else can, since h^0 and h^1 of T*(-1,-1,-1,-1), read from the
+    collapsed sequence's right table, are zero for every (n, m, k).
     """
     if scan_cfg is None:
         scan_cfg = StabilityScanConfig(params)

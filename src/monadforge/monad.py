@@ -74,6 +74,7 @@ from .polyring import (
     QuadraticForm,
     Record,
     SpaceParams,
+    checked_int,
     evaluate_matrix,
     json_key,
     matrix_from_json,
@@ -455,11 +456,6 @@ def _sample_point(
     return point
 
 
-def _check_trials(trials: object) -> None:
-    if type(trials) is not int or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
-
-
 # The set of band scalars of each block: f1..f4, then g1..g4.
 BandScalars = Tuple[FrozenSet[int], ...]
 # Those of `assemble_monad`'s f = [f1 | -f2 | f3 | -f4] and g.
@@ -558,7 +554,7 @@ def verify_maximal_rank(
     Otherwise `sampled_rank_report` evaluates and eliminates.  Both paths give
     the same report for the same arguments.  Raises ValueError if trials < 1.
     """
-    _check_trials(trials)
+    checked_int(trials, 1, "trials")
     if not has_staircase_shape(spec, prime):
         return sampled_rank_report(spec, trials, seed, prime)
     k = spec.params.k
@@ -589,7 +585,7 @@ def sampled_rank_report(
     document without the staircase shape, and the oracle for the lemma.
     Raises ValueError if trials < 1.
     """
-    _check_trials(trials)
+    checked_int(trials, 1, "trials")
     rank_f: List[int] = []
     rank_g: List[int] = []
     for i in range(trials):
@@ -636,8 +632,6 @@ def floystad_check(a: int, b: int, c: int, k: int) -> bool:
     Raises ValueError for a negative multiplicity or k < 1.
     """
     for name, value in (("a", a), ("b", b), ("c", c)):
-        if type(value) is not int or value < 0:
-            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+        checked_int(value, 0, name)
+    checked_int(k, 1, "k")
     return (b >= 2 * c + k - 1 and b >= a + c) or b >= a + c + k

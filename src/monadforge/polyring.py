@@ -55,6 +55,16 @@ def json_int(value: object, what: str) -> int:
     return value
 
 
+def checked_int(value: object, low: int, what: str) -> int:
+    """`value` itself if it is an int, not a bool, and at least `low` (0 or
+    1); otherwise ValueError "<what> must be a non-negative integer", or "a
+    positive integer" when `low` is 1."""
+    if type(value) is not int or value < low:
+        sign = "positive" if low else "non-negative"
+        raise ValueError(f"{what} must be a {sign} integer, got {value!r}")
+    return value
+
+
 def json_key(data: object, key: str, what: str) -> object:
     """data[key] of a JSON object; ValueError naming `what` as the object
     that is not an object or lacks the key."""
@@ -122,8 +132,7 @@ class SpaceParams(Frozen):
 
     def __init__(self, n: int, m: int, k: int) -> None:
         for field, value in (("n", n), ("m", m), ("k", k)):
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{field} must be a positive integer, got {value!r}")
+            checked_int(value, 1, field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "k", k)

@@ -242,7 +242,8 @@ def certificate_by_fields(scan) -> dict:
     `scan` (a report of the certificate's own box), built field by field as
     the record that stored each field did: t_stable from the scan verdict,
     the twisted dual sequence solved by `les_propagate`, h^0 and h^1 read from
-    its right member, and the conclusion gated on all three."""
+    its right member, and the conclusion gated on all three (the library
+    gates on the scan alone, since the closed form makes h^0 = h^1 = 0)."""
     params = scan.config.params
     seq = les_propagate(twisted_dual_sequence(params))
     h0 = seq.right.bounds(0, seq.dim_top)

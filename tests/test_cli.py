@@ -7,6 +7,7 @@ import calendar
 import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -91,6 +92,18 @@ def test_build_output_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     jsonschema.validate(doc, SCHEMAS["build"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--n", "1", "--m", "2", "--k", "3"),
+    ("build", "--n", "2", "--m", "1", "--k", "2", "--format", "text"),
+])
+def test_output_dash_writes_to_stdout(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    expected = run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv, "--output", "-") == expected
+    assert expected[0] == 0 and expected[1]
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +297,9 @@ def drop_last_f_column(monad):
 # f-block 1 holds y's in its columns 0..3, f-block 2 x's in columns 4..7,
 # g-block 1 x's in its rows 0..3).  The first eight keep every structure
 # check and fail on composition alone; the ninth keeps both and fails on rank
-# alone (f is 0 mod p); the last three fail on structure, with problems of
-# two kinds whose order is part of the bytes.
+# alone (f is 0 mod p); the next three fail on structure, with problems of
+# two kinds whose order is part of the bytes; the last is a ragged matrix,
+# rejected before any check runs.
 TAMPERINGS = {
     "f coeff 7": lambda monad: first_term_cell(monad["f"]["entries"])[0].update(coeff="7"),
     "f columns swapped": lambda monad: [swap(row, 1, 2) for row in monad["f"]["entries"]],
@@ -311,6 +325,7 @@ TAMPERINGS = {
         ),
     "shape and out of range":
         lambda monad: (drop_last_f_column(monad), set_cells(monad, ("g", 0, 0, [term("1", "x9")]))),
+    "f row 0 truncated": lambda monad: monad["f"]["entries"][0].pop(),
 }
 
 
@@ -421,6 +436,15 @@ GOLDEN_SHA256 = {
         (1, "439b7855e5a5cc296e9aec35e681151a0d27f2017abd88d54f60d44b8045aa4a"),
     ("verify", "--input", "shape and out of range"):
         (1, "74a05b587339f6b3f7bec3634eed258b43f7a76a82fbe4a49df6974caa21a34e"),
+    # rejected at parse: the manifest takes its params (2,3,2) from the document
+    ("verify", "--input", "f row 0 truncated"):
+        (1, "fd6da778112db1a056195292a246e69f95866c48530e4349529e9e14c3ced5fd"),
+    # the two document kinds no other entry covers; no `--` before the
+    # degrees, since the golden test appends `--output FILE` after them
+    ("cohomology", "--n", "1", "--m", "2", "--k", "3", "-2", "-2", "-3", "-3"):
+        (0, "6bbb82626a18b22b938377be4c2d9aaeed53a1a6ca9746189847c554633aed2e"),
+    ("invariants", "--n", "1", "--m", "2", "--k", "3"):
+        (0, "7581a52bbd4bf3b007dc11cf2478a8e3b878637c296c0ac8b40e6442269529fb"),
 }
 
 
@@ -634,6 +658,61 @@ def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
     assert "monadforge" in out
+
+
+# ---------------------------------------------------------------------------
+# the flag surface, read from --help without pinning argparse's wording
+# ---------------------------------------------------------------------------
+
+SHARED_FLAGS = {"-h", "--help", "--n", "--m", "--k", "--seed", "--output"}
+SCAN_FLAGS = {"--max-q", "--max-psum", "--component-bound", "--min-psum"}
+SUBCOMMAND_SURFACE = {  # name: (one-line help, own option strings)
+    "build": ("emit the monad document", {"--format"}),
+    "verify": ("certify composition and maximal rank", {"--trials", "--input"}),
+    "cohomology": ("dimension table of a line bundle", set()),
+    "invariants": ("rank / c1 / degree / slope of T", set()),
+    "stability": ("Hoppe-criterion vanishing scan", SCAN_FLAGS),
+    "simplicity": ("simplicity certificate for E", SCAN_FLAGS),
+    "report": ("invariants + stability + simplicity in one document", SCAN_FLAGS),
+}
+
+
+def help_text(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv, "--help")
+    assert (code, err) == (0, "")
+    return out
+
+
+def test_each_subcommand_has_its_help_line_and_its_flags(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per subcommand in the top-level help
+    top = help_text(capsys)
+    assert re.findall(r"^    (\w+) ", top, re.M) == list(SUBCOMMAND_SURFACE)
+    for name, (line, own_flags) in SUBCOMMAND_SURFACE.items():
+        assert re.search(rf"^    {name} +{re.escape(line)}$", top, re.M), name
+        text = help_text(capsys, name)
+        assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", text)) == SHARED_FLAGS | own_flags, name
+        assert ("DEG DEG DEG DEG" in text) == (name == "cohomology"), name
+    assert re.search(r"^  DEG +multidegree \(a, b, c, d\) of the line bundle$",
+                     help_text(capsys, "cohomology"), re.M)
+
+
+def test_each_subcommand_parses_to_its_defaults():
+    scan = {"max_q": None, "max_psum": 4, "component_bound": 4, "min_psum": 0}
+    own = {
+        "build": {"format": "json"},
+        "verify": {"trials": 20, "input": None},
+        "cohomology": {"degree": [1, -2, 3, 0]},
+        "invariants": {},
+        "stability": scan,
+        "simplicity": scan,
+        "report": scan,
+    }
+    for name, defaults in own.items():
+        degrees = ["1", "-2", "3", "0"] if name == "cohomology" else []
+        args = vars(cli_module.build_parser().parse_args([name, *degrees]))
+        assert args.pop("func").__name__ == f"_cmd_{name}"
+        assert args == {"command": name, "n": 1, "m": 1, "k": 1, "seed": 0, "output": None,
+                        **defaults}, name
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,14 @@ def test_certificate_sequence_equals_interval_propagation():
         assert cert.h1_T_dual_twisted == solved.right.bounds(1, top) == (0, 0)
 
 
+def test_the_collapsed_right_table_vanishes_in_degrees_0_and_1():
+    # why the certificate's verdict rests on the scan alone: the right
+    # table's only nonzero entry sits in degree 2n+2m-1 >= 3
+    for n, m, k in itertools.product(range(1, 9), range(1, 9), range(1, 5)):
+        right = monadforge.les._twisted_dual_collapse(SpaceParams(n, m, k)).right
+        assert right.table.dims[:2] == (0, 0), (n, m, k)
+
+
 @settings(max_examples=40, deadline=None)
 @given(scan_configs())
 @example(COUNTEREXAMPLE_BOXES[0])
