@@ -24,7 +24,7 @@ from __future__ import annotations
 from math import factorial
 from typing import TYPE_CHECKING
 
-from .polyring import Frozen, MultiDegree, SpaceParams
+from .polyring import MultiDegree, Record, SpaceParams
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -48,15 +48,13 @@ def delta_L(B: MultiDegree, params: SpaceParams) -> int:
     return degree_L(B, params)
 
 
-class BundleInvariants(Frozen):
+class BundleInvariants(Record):
     """Rank, c1 and polarized degree of a bundle; its slope is read from them."""
 
     __slots__ = ("rank", "c1", "degree_L")
 
     def __init__(self, rank: int, c1: MultiDegree, degree_L: int) -> None:
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "degree_L", degree_L)
+        super().__init__(rank, c1, degree_L)
 
     @property
     def slope_L(self) -> Fraction:

@@ -29,7 +29,7 @@ import json
 from math import comb
 from typing import Dict, Iterable, List, Tuple
 
-from .polyring import Frozen, MultiDegree, SpaceParams, checked_int, json_int, json_key
+from .polyring import MultiDegree, Record, SpaceParams, checked_int, json_int, json_key
 
 
 def bott_h(n: int, d: int, i: int) -> int:
@@ -69,16 +69,16 @@ def _factor_options(
     return out
 
 
-class CohTable(Frozen):
+class CohTable(Record):
     """Dimension table h^0..h^top of some sheaf; length is 2n+2m+1."""
 
     __slots__ = ("dims",)
 
     def __init__(self, dims: Tuple[int, ...]) -> None:
-        object.__setattr__(self, "dims", dims)
+        super().__init__(dims)
 
 
-class LineBundleSum(Frozen):
+class LineBundleSum(Record):
     """A finite direct sum of line bundles O_X(deg)^mult in canonical order.
 
     Summands are merged and sorted by degree tuple, multiplicities are
@@ -96,8 +96,7 @@ class LineBundleSum(Frozen):
         canon = tuple(
             (MultiDegree(*key), merged[key]) for key in sorted(merged.keys())
         )
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "summands", canon)
+        super().__init__(params, canon)
 
     @property
     def rank(self) -> int:

@@ -51,7 +51,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .cohomology import CohTable, LineBundleSum, sum_cohomology
-from .polyring import Frozen, SpaceParams
+from .polyring import Record, SpaceParams, checked_int
 from .stability import StabilityReport, StabilityScanConfig, run_stability_scan
 
 EXACT = "exact"
@@ -59,7 +59,7 @@ UNKNOWN = "unknown"
 INTERVAL = "interval"
 
 
-class CohProfile(Frozen):
+class CohProfile(Record):
     """What is known about one member's cohomology table.
 
     kind is "exact" (table set), "unknown" (nothing known yet) or "interval"
@@ -84,9 +84,7 @@ class CohProfile(Frozen):
             for lo, hi in intervals:
                 if not (0 <= lo <= hi):
                     raise ValueError(f"malformed interval [{lo}, {hi}]")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "intervals", intervals)
+        super().__init__(kind, table, intervals)
 
     @staticmethod
     def exact(table: CohTable) -> "CohProfile":
@@ -123,26 +121,28 @@ class CohProfile(Frozen):
         return {"kind": UNKNOWN}
 
 
-class ShortExactSeq(Frozen):
-    """Profiles for 0 -> left -> middle -> right -> 0 on a space with dim 2n+2m."""
+class ShortExactSeq(Record):
+    """Profiles for 0 -> left -> middle -> right -> 0 on a space with dim 2n+2m.
+
+    dim_top must be a positive integer, every table and interval list must
+    have dim_top + 1 entries, and at most one profile may be unknown.
+    """
 
     __slots__ = ("left", "middle", "right", "dim_top")
 
     def __init__(
         self, left: CohProfile, middle: CohProfile, right: CohProfile, dim_top: int
     ) -> None:
-        if dim_top < 1:
-            raise ValueError("dim_top must be positive")
+        checked_int(dim_top, 1, "dim_top")
         for name, prof in (("left", left), ("middle", middle), ("right", right)):
             if prof.kind == EXACT and len(prof.table.dims) != dim_top + 1:
                 raise ValueError(f"{name} table length does not match dim_top+1")
+            if prof.kind == INTERVAL and len(prof.intervals) != dim_top + 1:
+                raise ValueError(f"{name} intervals length does not match dim_top+1")
         unknowns = sum(1 for prof in (left, middle, right) if prof.kind == UNKNOWN)
         if unknowns > 1:
             raise ValueError("at most one profile may be unknown")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "middle", middle)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "dim_top", dim_top)
+        super().__init__(left, middle, right, dim_top)
 
     def unknown_slot(self) -> str:
         slots = [
@@ -217,7 +217,7 @@ def rank_of_E(params: SpaceParams) -> int:
     return 2 * params.n + 2 * params.m + 2 * params.k
 
 
-class SimplicityCertificate(Frozen):
+class SimplicityCertificate(Record):
     """Audit record of the simplicity argument for E: the vanishing scan
     report, from which every other attribute is read.
 
@@ -233,7 +233,7 @@ class SimplicityCertificate(Frozen):
     __slots__ = ("stability",)
 
     def __init__(self, stability: StabilityReport) -> None:
-        object.__setattr__(self, "stability", stability)
+        super().__init__(stability)
 
     @property
     def params(self) -> SpaceParams:

@@ -39,9 +39,11 @@ and in column j of a g-block the top nonzero entry sits in row j+r,
 r = min{s : v_s != 0}; these pivots are distinct, so each block alone has rank
 k.  This holds for any band scalars c != 0 in place of the +-1 above.
 
-`verify` settles structure, composition and rank from one walk over the
-entries, `band_scalars`, which returns the scalars of f and g on that band,
-or None when some cell is off it.  On the band, every band cell is one term
+`verify` settles structure, composition and rank from a walk over the
+entries, `band_scalars`, a pure function that returns the scalars of f and g
+on that band, or None when some cell is off it; each of the three checks
+makes the walk itself, since a `MonadSpec`, like every record, is an
+immutable value that keeps nothing but its fields.  On the band, every band cell is one term
 of its block's group at an index in [0, D] and every other cell is 0, so
 `MonadSpec.structural_problems` checks only the bundle labels;
 `verify_composition` takes f g = 0 from the identity when the scalars are
@@ -62,7 +64,7 @@ and criterion 3 samples them.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .cohomology import LineBundleSum, line_bundle
 from .polyring import (
@@ -160,7 +162,7 @@ def target_bundle(params: SpaceParams) -> LineBundleSum:
 class MonadSpec(Record):
     """A fully assembled monad: bundle data plus the two displayed matrices."""
 
-    __slots__ = ("params", "source", "middle", "target", "f", "g", "_band")
+    __slots__ = ("params", "source", "middle", "target", "f", "g")
 
     def __init__(
         self,
@@ -171,15 +173,7 @@ class MonadSpec(Record):
         f: PolyMatrix,
         g: PolyMatrix,
     ) -> None:
-        self.params = params
-        self.source = source
-        self.middle = middle
-        self.target = target
-        self.f = f
-        self.g = g
-        # (params, f, g) and what `band_scalars` found for them; neither
-        # compared nor shown
-        self._band: Optional[tuple] = None
+        super().__init__(params, source, middle, target, f, g)
 
     def structural_problems(self) -> List[str]:
         """Shape and homogeneity defects, as human-readable strings.
@@ -398,14 +392,16 @@ class RankReport(Record):
         origin_rank_g: int,
         group_zero_ranks: Dict[str, Tuple[int, int]],
     ) -> None:
-        self.params = params
-        self.prime = prime
-        self.seed = seed
-        self.rank_f_samples = rank_f_samples
-        self.rank_g_samples = rank_g_samples
-        self.origin_rank_f = origin_rank_f
-        self.origin_rank_g = origin_rank_g
-        self.group_zero_ranks = group_zero_ranks
+        super().__init__(
+            params,
+            prime,
+            seed,
+            rank_f_samples,
+            rank_g_samples,
+            origin_rank_f,
+            origin_rank_g,
+            group_zero_ranks,
+        )
 
     @property
     def trials(self) -> int:
@@ -457,7 +453,7 @@ def _sample_point(
 
 
 # The set of band scalars of each block: f1..f4, then g1..g4.
-BandScalars = Tuple[FrozenSet[int], ...]
+BandScalars = Tuple[frozenset[int], ...]
 # Those of `assemble_monad`'s f = [f1 | -f2 | f3 | -f4] and g.
 _ASSEMBLED_SCALARS: BandScalars = tuple(frozenset((s,)) for s in (1, -1, 1, -1, 1, 1, 1, 1))
 
@@ -469,32 +465,26 @@ def band_scalars(spec: MonadSpec) -> Optional[BandScalars]:
     On the band, f and g have the shapes `params` gives, every f-block entry
     (i, j) is c * v_{D+k-1-i-j} and every g-block entry (i, j) c * v_{i-j}
     for some integer c != 0, in the block's own group, where that index lies
-    in [0, D], and every other entry is 0.  This one walk is what
+    in [0, D], and every other entry is 0.  This walk is what
     `structural_problems`, `verify_composition` and `verify_maximal_rank`
-    read: on the band, structure needs only its labels checked, the scalars
-    of `assemble_monad` give f g = 0 by the identity, and scalars nonzero
-    mod p give maximal rank by the staircase lemma.  The result is memoised
-    on `spec` for its current params, f and g, so one `verify` walks once.
+    each read: on the band, structure needs only its labels checked, the
+    scalars of `assemble_monad` give f g = 0 by the identity, and scalars
+    nonzero mod p give maximal rank by the staircase lemma.  It is a pure
+    function of (params, f, g), kept nowhere, so each of the three walks
+    anew.
+
+    Read right to left, row i of an f-block is the line v_0..v_D shifted by
+    i, as is column i of a g-block, so one pass over the lines of each block
+    checks both matrices.
     """
-    key = (spec.params, spec.f, spec.g)
-    memo = spec._band
-    if memo is None or any(a is not b for a, b in zip(memo[0], key)):
-        memo = spec._band = (key, _band_walk(spec))
-    return memo[1]
-
-
-def _band_walk(spec: MonadSpec) -> Optional[BandScalars]:
-    """Read right to left, row i of an f-block is the line v_0..v_D shifted
-    by i, as is column i of a g-block, so one pass over the lines of each
-    block checks both matrices."""
     if not _has_monad_shape(spec):
         return None
     k = spec.params.k
     offsets = _block_offsets(spec.params)
     width = offsets[-1]
     f, g = spec.f.entries, spec.g.entries
-    f_scalars: List[FrozenSet[int]] = []
-    g_scalars: List[FrozenSet[int]] = []
+    f_scalars: List[frozenset[int]] = []
+    g_scalars: List[frozenset[int]] = []
     for b in range(4):
         start, stop = offsets[b], offsets[b + 1]
         D = stop - start - k
@@ -513,7 +503,7 @@ def _band_walk(spec: MonadSpec) -> Optional[BandScalars]:
 
 def _line_scalars(
     lines: Iterable[Sequence[LinearForm]], group: int, D: int
-) -> Optional[FrozenSet[int]]:
+) -> Optional[frozenset[int]]:
     """The scalars c of lines whose cell i + s is c * v_s for s = 0..D, in
     `group`, with every other cell 0 (line i shifted by i); None if a line
     is not so.  A band equal to the one before has its scalars already."""

@@ -76,19 +76,25 @@ def json_key(data: object, key: str, what: str) -> object:
 
 
 class Record:
-    """Base of the package's `__slots__` records.  A record's fields are its
-    class's own `__slots__`, less any private `_name`, in order (`_FIELDS`);
-    they give its value `==` (never equal to an object of another class) and
-    its `Name(field=value, ...)` repr.  Each record writes its own `__init__`;
-    a plain record is unhashable."""
+    """Base of the package's records, which are immutable values.  A
+    record's fields are its class's own `__slots__`, in order (`_FIELDS`);
+    they give its value `==` (never equal to an object of another class),
+    its hash and its `Name(field=value, ...)` repr.  Each record writes its
+    own `__init__`, which checks its arguments and passes them, in field
+    order, to `Record.__init__`; after that, assigning or deleting any
+    attribute raises AttributeError ("cannot assign to field 'n'").  A record
+    with a dict or list field is unhashable."""
 
     __slots__ = ()
     _FIELDS: Tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
-        slots = cls.__dict__.get("__slots__", ())
-        cls._FIELDS = tuple(name for name in slots if not name.startswith("_"))
+        cls._FIELDS = tuple(cls.__dict__.get("__slots__", ()))
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self._FIELDS, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self._FIELDS])
@@ -98,20 +104,12 @@ class Record:
             return NotImplemented
         return self._fields() == other._fields()
 
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
         return f"{type(self).__name__}({inner})"
-
-
-class Frozen(Record):
-    """An immutable record: it hashes its `_fields()`, and assigning or
-    deleting any attribute raises AttributeError ("cannot assign to field
-    'n'"), so `__init__` fills the slots with `object.__setattr__`."""
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -120,7 +118,7 @@ class Frozen(Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class SpaceParams(Frozen):
+class SpaceParams(Record):
     """Shape parameters (n, m, k) of the ambient space and the monad family.
 
     n and m are the projective dimensions of the paired factors, k is the
@@ -133,9 +131,7 @@ class SpaceParams(Frozen):
     def __init__(self, n: int, m: int, k: int) -> None:
         for field, value in (("n", n), ("m", m), ("k", k)):
             checked_int(value, 1, field)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k", k)
+        super().__init__(n, m, k)
 
     @staticmethod
     def from_json(data: Mapping) -> "SpaceParams":
@@ -157,16 +153,13 @@ class SpaceParams(Frozen):
         raise ValueError(f"unknown variable group {group!r}")
 
 
-class MultiDegree(Frozen):
+class MultiDegree(Record):
     """An element of Pic(X) = Z^4, ordered (x-degree, y-degree, z-degree, t-degree)."""
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        super().__init__(a, b, c, d)
 
     def as_tuple(self) -> Tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -232,7 +225,7 @@ def variable_form(group: str, index: int) -> LinearForm:
     return LinearForm(((_GROUP_ORDER[group], index, 1),))
 
 
-class PolyMatrix(Frozen):
+class PolyMatrix(Record):
     """A rows x cols matrix of linear forms, stored row-major.
 
     0 x c and r x 0 matrices are legal (rank 0, empty entry list); they show up
@@ -249,9 +242,7 @@ class PolyMatrix(Frozen):
                 f"entry list has length {len(entries)}, "
                 f"expected {rows}*{cols}={rows * cols}"
             )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(entries))
+        super().__init__(rows, cols, tuple(entries))
 
     def entry(self, i: int, j: int) -> LinearForm:
         return self.entries[i * self.cols + j]

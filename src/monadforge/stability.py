@@ -39,9 +39,9 @@ unbounded directions: every twisted exterior-power summand keeps a strictly
 negative degree component whenever sum(p_i) >= 0.
 
 A report is its config and its nonzero rows; everything else is read from
-those two.  Its `checked` rows are a `RowGrid`, a view that counts the box in
-closed form (`_box_size`) and enumerates it only to iterate or write the
-rows, so no scan builds or keeps its twist box.
+those two.  Its `checked` rows are a `RowGrid`, a record of the same two
+fields that counts the box in closed form (`_box_size`) and enumerates it
+only to iterate or write the rows, so no scan builds or keeps its twist box.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .chow import BundleInvariants, delta_L, rank_of_T
 from .monad import middle_bundle
-from .polyring import Frozen, MultiDegree, SpaceParams
+from .polyring import MultiDegree, Record, SpaceParams
 
 
 def normalization_shift(inv: BundleInvariants, params: SpaceParams) -> int:
@@ -89,7 +89,7 @@ def _wedge_h0_series(params: SpaceParams, max_q: int, tw: MultiDegree) -> List[i
     return series
 
 
-class StabilityScanConfig(Frozen):
+class StabilityScanConfig(Record):
     """Finite scan box: q in [1, max_q], |p_i| <= component_bound,
     min_psum <= p1+p2+p3+p4 <= max_psum.
 
@@ -127,9 +127,7 @@ class StabilityScanConfig(Frozen):
             raise ValueError("max_psum and component_bound must be non-negative")
         if min_psum > max_psum:
             raise ValueError("min_psum exceeds max_psum")
-        object.__setattr__(self, "params", params)
-        for field, value in bounds.items():
-            object.__setattr__(self, field, value)
+        super().__init__(params, max_q, max_psum, component_bound, min_psum)
 
     def to_json(self) -> dict:
         return {
@@ -201,22 +199,22 @@ def enumerate_twists(cfg: StabilityScanConfig) -> Iterator[MultiDegree]:
 _ROW_BATCH = 256
 
 
-class RowGrid:
+class RowGrid(Record):
     """The rows (q, twist, h0) of a scan, q-major: for each q in 1..max_q,
     one row per twist of the config's box, in box order, with h0 zero except
     at the `nonzero` rows (q, MultiDegree, h0), which are in row order.
 
-    The rows are never stored: `len` counts the box in closed form, and
-    iteration and `json_chunks` enumerate it (as int 4-tuples; iteration
-    builds one MultiDegree per twist per pass, the writer none).  The grid
-    equals any list or tuple holding the same rows.
+    A record of those two fields, like the report it views; the rows are
+    never stored: `len` counts the box in closed form, and iteration and
+    `json_chunks` enumerate it (as int 4-tuples; iteration builds one
+    MultiDegree per twist per pass, the writer none).  `list(grid)` is the
+    list of its rows.
     """
 
     __slots__ = ("config", "nonzero")
 
     def __init__(self, config: StabilityScanConfig, nonzero: Iterable[ScanRow]) -> None:
-        self.config = config
-        self.nonzero = tuple(nonzero)
+        super().__init__(config, tuple(nonzero))
 
     def __len__(self) -> int:
         return self.config.max_q * _box_size(self.config)
@@ -240,11 +238,6 @@ class RowGrid:
             for index, h0 in marks.get(q, ()):
                 h0s[index] = h0
             yield from zip(repeat(q), degrees, h0s)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (RowGrid, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def json_chunks(self, indent: int) -> Iterator[str]:
         """The list [{"h0": h0, "q": q, "twist": [a, b, c, d]}, ...] of the
@@ -284,7 +277,7 @@ class RowGrid:
         yield "\n" + " " * indent + "]"
 
 
-class StabilityReport(Frozen):
+class StabilityReport(Record):
     """A scan's config and its nonzero rows (q, twist, h0), in row order.
 
     Every other part of the report is read from these two: `checked` is the
@@ -296,8 +289,7 @@ class StabilityReport(Frozen):
     __slots__ = ("config", "nonzero")
 
     def __init__(self, config: StabilityScanConfig, nonzero: Iterable[ScanRow]) -> None:
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "nonzero", tuple(nonzero))
+        super().__init__(config, tuple(nonzero))
 
     @property
     def checked(self) -> RowGrid:
@@ -318,11 +310,13 @@ class StabilityReport(Frozen):
     def to_json(self, include_checked: bool = True) -> dict:
         """The report as a JSON object.  With include_checked, `checked` holds
         the row grid itself, which `canonical_chunks` writes as the list of
-        rows; without it, `nonzero` lists the rows with h0 != 0."""
+        rows; without it, `nonzero` lists the rows with h0 != 0.
+        `entries_checked` is the grid's closed-form count, not `len`, which
+        cannot return more than sys.maxsize."""
         counterexample = self.counterexample
         doc = {
             "config": self.config.to_json(),
-            "entries_checked": len(self.checked),
+            "entries_checked": self.config.max_q * _box_size(self.config),
             "verdict": self.verdict,
             "counterexample": (
                 None

@@ -7,11 +7,11 @@ def replaced(record, **changes):
     """A new record of `record`'s class, built by its constructor from
     `record`'s own values with `changes` in place of the named arguments.
 
-    A record's fields are its constructor's parameters, in order (see
-    `tests/test_records.py`), so every argument passes through `__init__`
-    again and its validation runs; state that is not a field
-    (`MonadSpec._band`) starts afresh.  Raises TypeError for a name the
-    constructor does not take.
+    Records are immutable, so this is how a test varies one.  A record's
+    fields are its constructor's parameters, in order (see
+    `tests/test_records.py`), and a record holds nothing else, so every
+    argument passes through `__init__` again and its validation runs.
+    Raises TypeError for a name the constructor does not take.
     """
     names = type(record)._FIELDS
     unknown = sorted(set(changes) - set(names))

@@ -511,15 +511,16 @@ def test_verify_input_settles_the_built_monad_in_one_walk(tmp_path, capsys, monk
         raise AssertionError("the band walk settles structure, composition and rank")
 
     walks = []
-    walk = monad_module._band_walk
+    walk = monad_module.band_scalars
     monad_file, _ = build_document(tmp_path, capsys, 8, 8, 8)
     for name in ("assemble_monad", "matrix_mul", "evaluate_matrix"):
         monkeypatch.setattr(monad_module, name, refuse)
     monkeypatch.setattr(cli_module, "assemble_monad", refuse)
-    monkeypatch.setattr(monad_module, "_band_walk", lambda spec: walks.append(spec) or walk(spec))
+    monkeypatch.setattr(monad_module, "band_scalars", lambda spec: walks.append(spec) or walk(spec))
     code, out, _ = run_cli(capsys, "verify", "--input", str(monad_file))
     assert (code, sha256(out)) == GOLDEN_SHA256[("verify", "--n", "8", "--m", "8", "--k", "8")]
-    assert len(walks) == 1
+    # one walk for each of structure, composition and rank, all of one spec
+    assert len(walks) == 3 and walks[0] is walks[1] is walks[2]
 
 
 def test_verify_input_validates_each_distinct_term_once(tmp_path, capsys, monkeypatch):
@@ -633,25 +634,39 @@ def run_in_address_space(argv, limit_mb):
     )
 
 
+# Two boxes at (1,1,1), whose max_q is 6: |p_i| <= 200 with p-sums 0..4,
+# and |p_i| <= 10^8 with p-sums 0..10^8, whose row count passes 2^63.
+WIDE_BOXES = [
+    (["--component-bound", "200"], 6 * 214_926_020),
+    (
+        ["--component-bound", "100000000", "--max-psum", "100000000"],
+        6 * 479_166_678_916_666_783_750_000_525_000_001,
+    ),
+]
+
+
 def test_a_box_too_large_to_write_exits_2_without_a_traceback(tmp_path):
-    # ~1.3e9 rows: the writer's twist texts alone outgrow the cap
-    argv = ["stability", "--n", "1", "--m", "1", "--k", "1", "--component-bound", "200",
-            "--output", str(tmp_path / "rows.json")]
-    proc = run_in_address_space(argv, 256)
-    assert proc.returncode == 2
-    assert proc.stderr == "error: out of memory\n"
-    assert not (tmp_path / "rows.json").exists()
+    # ~1.3e9 rows, then ~2.9e33: the writer's twist texts alone outgrow the cap
+    for box, _ in WIDE_BOXES:
+        argv = ["stability", "--n", "1", "--m", "1", "--k", "1", *box,
+                "--output", str(tmp_path / "rows.json")]
+        proc = run_in_address_space(argv, 256)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: out of memory\n"
+        assert not (tmp_path / "rows.json").exists()
 
 
 def test_a_wide_box_certificate_needs_no_box(tmp_path):
-    # the certificate summarises the scan by its nonzero rows, and the scan
-    # neither enumerates nor stores the box outside its non-negative orthant
-    argv = ["simplicity", "--n", "1", "--m", "1", "--k", "1", "--component-bound", "200"]
-    proc = run_in_address_space(argv, 800)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    doc = json.loads(proc.stdout)
-    jsonschema.validate(doc, SCHEMAS["simplicity"])
-    assert doc["certificate"]["stability"]["entries_checked"] == 6 * 214_926_020
+    # the certificate summarises the scan by its nonzero rows, the scan
+    # neither enumerates nor stores the box outside its non-negative orthant,
+    # and the row count is the box's closed form, not a len()
+    for box, entries_checked in WIDE_BOXES:
+        argv = ["simplicity", "--n", "1", "--m", "1", "--k", "1", *box]
+        proc = run_in_address_space(argv, 800)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        doc = json.loads(proc.stdout)
+        jsonschema.validate(doc, SCHEMAS["simplicity"])
+        assert doc["certificate"]["stability"]["entries_checked"] == entries_checked
 
 
 def test_version_flag(capsys):

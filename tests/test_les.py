@@ -87,6 +87,16 @@ def test_sequence_validation():
         ShortExactSeq(
             CohProfile.exact(CohTable((1, 0))), known, CohProfile.unknown(), dim_top=4
         )
+    # so must interval lists: a short one would make les_propagate read past its end
+    with pytest.raises(ValueError, match="left intervals length does not match dim_top"):
+        ShortExactSeq(CohProfile.interval([(0, 1)]), known, CohProfile.unknown(), dim_top=4)
+    boxed = CohProfile.interval([(0, 1)] * 5)
+    seq = les_propagate(ShortExactSeq(boxed, known, CohProfile.unknown(), dim_top=4))
+    assert seq.right.kind == "interval" and len(seq.right.intervals) == 5
+    # dim_top is a positive int, not a bool or a float
+    for dim_top in (True, 4.0, "4"):
+        with pytest.raises(ValueError, match="dim_top must be a positive integer"):
+            ShortExactSeq(known, known, CohProfile.unknown(), dim_top=dim_top)
 
 
 def test_propagate_requires_exactly_one_unknown():

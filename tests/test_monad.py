@@ -14,6 +14,7 @@ from monadforge.cohomology import LineBundleSum, bott_h, exterior_power_sum, kun
 from monadforge.monad import (
     MonadSpec,
     assemble_monad,
+    band_scalars,
     build_f_block,
     build_g_block,
     composition_by_product,
@@ -271,17 +272,18 @@ def test_composition_of_any_other_document_is_multiplied_out(monkeypatch, tamper
         verify_composition(spec)
 
 
-def test_band_walk_is_memoised_for_the_current_matrices(monkeypatch):
-    walks = []
-    walk = monad_module._band_walk
-    monkeypatch.setattr(monad_module, "_band_walk", lambda spec: walks.append(1) or walk(spec))
+def test_band_walk_is_a_pure_function_of_the_matrices():
     spec = assemble_monad(SpaceParams(1, 2, 3))
-    assert spec.structural_problems() == [] and verify_composition(spec)
-    assert verify_maximal_rank(spec).maximal and len(walks) == 1
-    # a spec whose g is replaced is walked again, not read from the memo
-    spec.g = swapped_g_blocks(spec.params).g
-    assert not verify_composition(spec) and len(walks) == 2
-    assert spec.structural_problems() == structural_problems_by_two_walks(spec) != []
+    scalars = band_scalars(spec)
+    assert scalars is not None and band_scalars(spec) == scalars
+    assert band_scalars(replaced(spec)) == scalars
+    # a spec with another g is walked on its own matrices: no state of the
+    # first walk is kept on `spec` or anywhere else
+    swapped = replaced(spec, g=swapped_g_blocks(spec.params).g)
+    assert band_scalars(swapped) is None and not verify_composition(swapped)
+    assert swapped.structural_problems() == structural_problems_by_two_walks(swapped) != []
+    assert band_scalars(spec) == scalars and verify_composition(spec)
+    assert spec.structural_problems() == []
 
 
 def test_composition_compares_shapes_before_assembling(monkeypatch):
@@ -537,11 +539,11 @@ def test_near_miss_leaves_the_band_and_keeps_the_report(data):
     entries, cells = staircase_spec(data, params, prime)
     assert has_staircase_shape(with_entries(params, entries), prime)
     band = [c for c in cells if c[3] is not None]
-    off_band = [c for c in cells if c[3] is None]
+    outside = [c for c in cells if c[3] is None]
     kinds = ["moved index", "extra term", "zeroed", "wrong group"]
-    kinds += ["off band"] if off_band else []  # k = 1 blocks are all band
+    kinds += ["off band"] if outside else []  # k = 1 blocks are all band
     kind = data.draw(st.sampled_from(kinds), label="kind")
-    cell = data.draw(st.sampled_from(off_band if kind == "off band" else band), label="cell")
+    cell = data.draw(st.sampled_from(outside if kind == "off band" else band), label="cell")
     name, pos, group, index, D = cell
     coeff = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]), label="coeff")
     other = data.draw(st.sampled_from([s for s in range(D + 1) if s != index]), label="other index")

@@ -418,13 +418,12 @@ def test_streamed_rows_equal_json_dumps_of_the_row_dicts(grid, batch):
     with mock.patch.object(stability, "_ROW_BATCH", batch):
         _streamed_pieces(grid)
         assert all(piece.count('"h0"') <= batch for piece in grid.json_chunks(2))
-    # the grid's own iterator agrees with the rows spelled out; a view of a
-    # report is not hashed (the report hashes its config and nonzero rows)
+    # the grid's own iterator agrees with the rows spelled out; the grid is
+    # a record of the config and nonzero rows, never equal to its row list
     rows = grid_rows(grid)
     assert list(grid) == rows and len(grid) == len(rows)
-    assert grid == tuple(rows)
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(grid)
+    twin = RowGrid(grid.config, list(grid.nonzero))
+    assert grid == twin and hash(grid) == hash(twin) and grid != rows
 
 
 def test_streamed_rows_come_in_bounded_pieces():

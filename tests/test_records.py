@@ -1,10 +1,12 @@
-"""The package's record types are plain `__slots__` classes: value `==`,
-`hash` for the immutable ones, the `Name(field=value, ...)` repr, and
-AttributeError on assignment to an immutable record."""
+"""The package's record types are plain `__slots__` classes on one base,
+`Record`, and every one is an immutable value: value `==`, `hash`, the
+`Name(field=value, ...)` repr, and AttributeError on assignment."""
 
 from __future__ import annotations
 
+import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -12,19 +14,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import monadforge
 from monadforge.chow import BundleInvariants, invariants_of_T, rank_of_T
 from monadforge.cohomology import CohTable, LineBundleSum
 from monadforge.les import CohProfile, ShortExactSeq, SimplicityCertificate, simplicity_certificate
-from monadforge.monad import (
-    MonadSpec,
-    RankReport,
-    assemble_monad,
-    band_scalars,
-    middle_bundle,
-    verify_maximal_rank,
-)
+from monadforge.monad import assemble_monad, middle_bundle, verify_maximal_rank
 from monadforge.polyring import (
-    Frozen,
     LinearForm,
     MultiDegree,
     PolyMatrix,
@@ -33,6 +28,8 @@ from monadforge.polyring import (
     variable_form,
 )
 from monadforge.stability import StabilityReport, StabilityScanConfig, run_stability_scan
+
+from records import replaced
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -57,7 +54,7 @@ def subclasses(cls):
     return [sub for direct in cls.__subclasses__() for sub in (direct, *subclasses(direct))]
 
 
-RECORDS = [cls for cls in subclasses(Record) if cls is not Frozen]
+RECORDS = subclasses(Record)
 
 
 def build(cls, fields):
@@ -142,6 +139,7 @@ def test_repr_is_the_dataclass_text():
         ),
         (TINY_BOX, config_text),
         (scan, scan_text),
+        (scan.checked, f"RowGrid(config={config_text}, nonzero=())"),
         (
             CohProfile.interval([(0, 1)]),
             "CohProfile(kind='interval', table=None, intervals=((0, 1),))",
@@ -172,6 +170,9 @@ FROZEN = [
     (middle_bundle(SMALL), "params"),
     (TINY_BOX, "max_q"),
     (run_stability_scan(TINY_BOX), "verdict"),
+    (run_stability_scan(TINY_BOX).checked, "nonzero"),
+    (assemble_monad(SMALL), "g"),
+    (verify_maximal_rank(assemble_monad(SMALL), trials=2), "seed"),
     (CohProfile.unknown(), "kind"),
     (ONE_UNKNOWN, "left"),
     (simplicity_certificate(SMALL, TINY_BOX), "conclusion"),
@@ -199,28 +200,29 @@ def test_scan_report_and_certificate_hash_like_equal_records(box):
     assert {report, cert, cert.stability} == {report, cert}
 
 
-def test_monad_spec_and_rank_report_are_mutable_and_unhashable():
-    spec = assemble_monad(SMALL)
+def test_monad_spec_and_rank_report_are_values():
+    spec, twin = assemble_monad(SMALL), assemble_monad(SMALL)
+    assert spec == twin and hash(spec) == hash(twin)
+    assert replaced(spec, params=SpaceParams(2, 1, 1)) != spec
     report = verify_maximal_rank(spec, trials=2, seed=0)
-    for record in (spec, report):
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(record)
-    report.seed = 7
-    spec.params = SpaceParams(2, 1, 1)
-    assert report.seed == 7 and spec.params == SpaceParams(2, 1, 1)
+    assert report == verify_maximal_rank(twin, trials=2, seed=0) != replaced(report, seed=7)
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(report)  # group_zero_ranks is a dict
 
 
-def test_band_memo_is_neither_compared_nor_shown():
-    walked, fresh = assemble_monad(SMALL), assemble_monad(SMALL)
-    assert band_scalars(walked) is not None and walked._band is not None and fresh._band is None
-    assert walked == fresh and repr(walked) == repr(fresh)
-    assert "_band" not in repr(walked)
-    with pytest.raises(TypeError):  # the memo is no constructor argument
-        MonadSpec(
-            walked.params, walked.source, walked.middle, walked.target, walked.f, walked.g, None
-        )
-    fresh.g = PolyMatrix(fresh.g.rows, fresh.g.cols, [LinearForm()] * len(fresh.g.entries))
-    assert walked != fresh
+def test_every_slotted_class_but_linear_form_is_a_record():
+    # LinearForm is a tuple of terms, not a record of named fields
+    modules = [
+        importlib.import_module(f"monadforge.{info.name}")
+        for info in pkgutil.iter_modules(monadforge.__path__)
+    ]
+    slotted = {
+        cls
+        for module in modules
+        for _, cls in inspect.getmembers(module, inspect.isclass)
+        if cls.__module__ == module.__name__ and "__slots__" in vars(cls)
+    }
+    assert slotted == {Record, LinearForm, *RECORDS}
 
 
 def test_readme_library_snippet_runs():
