@@ -326,9 +326,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_OK if passed else EXIT_MATH_FAIL
     except BrokenPipeError:  # pragma: no cover - shell plumbing
         return EXIT_OK
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         # OSError: an unreadable --input path or an --output path that cannot be written;
-        # ValueError: an argument the library rejects, such as a scan box out of range
+        # ValueError: an argument the library rejects, such as a scan box out of range;
+        # OverflowError: a parameter too large to compute with, such as --n 10^20
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except MemoryError:

@@ -39,26 +39,26 @@ and in column j of a g-block the top nonzero entry sits in row j+r,
 r = min{s : v_s != 0}; these pivots are distinct, so each block alone has rank
 k.  This holds for any band scalars c != 0 in place of the +-1 above.
 
-`verify` settles structure, composition and rank from a walk over the
-entries, `band_scalars`, a pure function that returns the scalars of f and g
-on that band, or None when some cell is off it; each of the three checks
-makes the walk itself, since a `MonadSpec`, like every record, is an
-immutable value that keeps nothing but its fields.  On the band, every band cell is one term
-of its block's group at an index in [0, D] and every other cell is 0, so
-`MonadSpec.structural_problems` checks only the bundle labels;
-`verify_composition` takes f g = 0 from the identity when the scalars are
-`assemble_monad`'s (+1, -1, +1, -1 on the blocks of f, +1 on g), since f and
-g are then that monad's; and `verify_maximal_rank` fills its report from the
-staircase lemma when every scalar is nonzero mod p.  Every other document
-gets the general path: the two entry walks of `structural_problems`, which
-reject linear forms in the wrong group or in coordinates X does not have
-(terms that are not linear never parse); `composition_by_product`, which
-multiplies f g out into a table of quadratic forms (`polyring.matrix_mul`)
-and checks that its bilinear coefficient table is empty, exactly, with no
-sampling involved; and seeded sampling over a large prime field
-(`sampled_rank_report`).  The general paths stay the oracles of the
-shortcuts: acceptance criteria 1 and 2 multiply the assembled monads out,
-and criterion 3 samples them.
+`verify` reads structure and rank from a walk over the entries,
+`band_scalars`, a pure function that returns the set of scalars of f and g
+on that band, or None when some cell is off it; `structural_problems` and
+`verify_maximal_rank` each make the walk, since a `MonadSpec`, like every
+record, keeps nothing but its fields.  On the band, every band cell is one
+term of its block's group at an index in [0, D] and every other cell is 0,
+so `MonadSpec.structural_problems` checks only the bundle labels, and
+`verify_maximal_rank` fills its report from the staircase lemma when every
+scalar is nonzero mod p.  `verify_composition` takes f g = 0 from the
+identity when f and g equal `assemble_monad(params)`'s; a set of scalars
+could not tell, as [f1 | f2 | -f3 | -f4] has the assembly's {1, -1}.  Every
+other document gets the general path: the two entry walks of
+`structural_problems`, which reject linear forms in the wrong group or in
+coordinates X does not have (terms that are not linear never parse);
+`composition_by_product`, which multiplies f g out into a table of
+quadratic forms (`polyring.matrix_mul`) and checks that its bilinear
+coefficient table is empty, exactly, with no sampling involved; and seeded
+sampling over a large prime field (`sampled_rank_report`).  The general
+paths stay the oracles of the shortcuts: acceptance criteria 1 and 2
+multiply the assembled monads out, and criterion 3 samples them.
 """
 
 from __future__ import annotations
@@ -82,12 +82,13 @@ from .polyring import (
     matrix_from_json,
     matrix_mul,
     rank_over_field,
-    variable_form,
 )
 
-# Variable group carried by each block, in block order 1..4.
-F_BLOCK_GROUPS: Tuple[str, ...] = ("y", "x", "t", "z")
-G_BLOCK_GROUPS: Tuple[str, ...] = ("x", "y", "z", "t")
+# Blocks 1..4: (group of the f-block, group of the g-block, sign of the
+# f-block in f), so f = [f1 | -f2 | f3 | -f4] and g = [g1 ; g2 ; g3 ; g4].
+BLOCKS: Tuple[Tuple[str, str, int], ...] = (
+    ("y", "x", 1), ("x", "y", -1), ("t", "z", 1), ("z", "t", -1)
+)
 
 
 def _block_offsets(params: SpaceParams) -> Tuple[int, int, int, int, int]:
@@ -97,44 +98,44 @@ def _block_offsets(params: SpaceParams) -> Tuple[int, int, int, int, int]:
     return (0, n + k, 2 * n + 2 * k, 2 * n + m + 3 * k, 2 * n + 2 * m + 4 * k)
 
 
+def _lines(group: str, params: SpaceParams, sign: int = 1) -> List[Tuple[LinearForm, ...]]:
+    """The staircase in `group`: k lines of D+k cells, D = dim of the group,
+    where line i holds sign * v_0..v_D in cells i..i+D and 0 elsewhere, all
+    sharing one tuple of band forms.  The lines are the columns of a g-block
+    and, read right to left, the rows of an f-block: the closed entry
+    formulas of the module docstring."""
+    D, k = params.group_dim(group), params.k
+    index = GROUPS.index(group)
+    band = tuple(LinearForm(((index, s, sign),)) for s in range(D + 1))
+    zero = (LinearForm(),)
+    return [zero * i + band + zero * (k - 1 - i) for i in range(k)]
+
+
 def build_f_block(which: int, params: SpaceParams) -> PolyMatrix:
     """Block `which` (1..4) of f: a k x (D+k) Hankel matrix of coordinates.
 
-    Entry (i, j) is v_{D+k-1-i-j} when that index lies in [0, D], else 0,
-    where (v, D) is (y, n), (x, n), (t, m), (z, m) for which = 1..4.
-    The sign interleaving belongs to `assemble_monad`, not to the block.
+    Row i is line i of `_lines` read right to left: entry (i, j) is
+    v_{D+k-1-i-j} when that index lies in [0, D], else 0, where (v, D) is
+    (y, n), (x, n), (t, m), (z, m) for which = 1..4.  The block is unsigned;
+    `BLOCKS` gives the sign it carries in f.
     """
     if which not in (1, 2, 3, 4):
         raise ValueError(f"f-block index must be 1..4, got {which!r}")
-    group = F_BLOCK_GROUPS[which - 1]
-    D = params.group_dim(group)
-    k = params.k
-    entries: List[LinearForm] = []
-    for i in range(k):
-        for j in range(D + k):
-            idx = D + k - 1 - i - j
-            entries.append(variable_form(group, idx) if 0 <= idx <= D else LinearForm())
-    return PolyMatrix(k, D + k, entries)
+    lines = _lines(BLOCKS[which - 1][0], params)
+    return PolyMatrix(params.k, len(lines[0]), [cell for line in lines for cell in line[::-1]])
 
 
 def build_g_block(which: int, params: SpaceParams) -> PolyMatrix:
     """Block `which` (1..4) of g: a (D+k) x k Toeplitz matrix of coordinates.
 
-    Entry (i, j) is v_{i-j} when 0 <= i-j <= D, else 0, where (v, D) is
-    (x, n), (y, n), (z, m), (t, m) for which = 1..4.  Each block has exactly
-    D+k rows; every coordinate slides down one column per step.
+    Column j is line j of `_lines`: entry (i, j) is v_{i-j} when
+    0 <= i-j <= D, else 0, where (v, D) is (x, n), (y, n), (z, m), (t, m)
+    for which = 1..4.
     """
     if which not in (1, 2, 3, 4):
         raise ValueError(f"g-block index must be 1..4, got {which!r}")
-    group = G_BLOCK_GROUPS[which - 1]
-    D = params.group_dim(group)
-    k = params.k
-    entries: List[LinearForm] = []
-    for i in range(D + k):
-        for j in range(k):
-            idx = i - j
-            entries.append(variable_form(group, idx) if 0 <= idx <= D else LinearForm())
-    return PolyMatrix(D + k, k, entries)
+    lines = _lines(BLOCKS[which - 1][1], params)
+    return PolyMatrix(len(lines[0]), params.k, [cell for row in zip(*lines) for cell in row])
 
 
 def source_bundle(params: SpaceParams) -> LineBundleSum:
@@ -186,11 +187,12 @@ class MonadSpec(Record):
         checked here; those are the jobs of `verify_composition` and
         `verify_maximal_rank`.
 
-        When `band_scalars` finds f and g on the staircase band, every band
-        cell is one term of its block's group at an index in [0, D] and every
-        other cell is 0, so the shapes, groups and indices are all proved and
-        only the labels are compared.  Any other document gets the two entry
-        walks of `_entry_problems`, groups first, then indices.
+        When `band_scalars` returns a set, whatever its scalars, f and g lie
+        on the staircase band: every band cell is one term of its block's
+        group at an index in [0, D] and every other cell is 0, so the shapes,
+        groups and indices are all proved and only the labels are compared.
+        Any other document gets the two entry walks of `_entry_problems`,
+        groups first, then indices.
         """
         problems = [] if band_scalars(self) is not None else self._entry_problems()
         params = self.params
@@ -215,21 +217,20 @@ class MonadSpec(Record):
         if (self.g.rows, self.g.cols) != (width, k):
             problems.append(f"g has shape {self.g.rows}x{self.g.cols}, expected {width}x{k}")
         if not problems:
-            for b in range(4):
-                f_group = GROUPS.index(F_BLOCK_GROUPS[b])
-                g_group = GROUPS.index(G_BLOCK_GROUPS[b])
+            for b, (f_name, g_name, _) in enumerate(BLOCKS):
+                f_group, g_group = GROUPS.index(f_name), GROUPS.index(g_name)
                 for pos in range(offsets[b], offsets[b + 1]):
                     for i in range(k):
                         if any(g != f_group for g, _, _ in self.f.entry(i, pos)):
                             problems.append(
                                 f"f entry ({i},{pos}) is not a linear form in the "
-                                f"block-{b + 1} group {F_BLOCK_GROUPS[b]!r}"
+                                f"block-{b + 1} group {f_name!r}"
                             )
                     for j in range(k):
                         if any(g != g_group for g, _, _ in self.g.entry(pos, j)):
                             problems.append(
                                 f"g entry ({pos},{j}) is not a linear form in the "
-                                f"block-{b + 1} group {G_BLOCK_GROUPS[b]!r}"
+                                f"block-{b + 1} group {g_name!r}"
                             )
         dims = [params.group_dim(group) for group in GROUPS]
         for name, matrix in (("f", self.f), ("g", self.g)):
@@ -282,26 +283,19 @@ class MonadSpec(Record):
 
 
 def assemble_monad(params: SpaceParams) -> MonadSpec:
-    """Build the canonical monad for (n, m, k): f = [f1 | -f2 | f3 | -f4], g stacked."""
-    f_blocks = [
-        build_f_block(1, params),
-        -build_f_block(2, params),
-        build_f_block(3, params),
-        -build_f_block(4, params),
-    ]
-    g_blocks = [build_g_block(which, params) for which in (1, 2, 3, 4)]
+    """The canonical monad for (n, m, k), read from the signed `_lines` of
+    `BLOCKS`: row i of f is line i of each f-block right to left, and g
+    stacks the g-blocks, whose columns are the lines."""
+    k = params.k
+    f_lines = [_lines(group, params, sign) for group, _, sign in BLOCKS]
+    g_lines = [_lines(group, params) for _, group, _ in BLOCKS]
     width = _block_offsets(params)[-1]
     f = PolyMatrix(
-        params.k, width, [p for i in range(params.k) for block in f_blocks for p in block.row(i)]
+        k, width, [cell for i in range(k) for lines in f_lines for cell in lines[i][::-1]]
     )
-    g = PolyMatrix(width, params.k, [p for block in g_blocks for p in block.entries])
+    g = PolyMatrix(width, k, [cell for lines in g_lines for row in zip(*lines) for cell in row])
     return MonadSpec(
-        params=params,
-        source=source_bundle(params),
-        middle=middle_bundle(params),
-        target=target_bundle(params),
-        f=f,
-        g=g,
+        params, source_bundle(params), middle_bundle(params), target_bundle(params), f, g
     )
 
 
@@ -315,14 +309,17 @@ def _has_monad_shape(spec: MonadSpec) -> bool:
 def verify_composition(spec: MonadSpec) -> bool:
     """True iff f * g is the k x k zero matrix, exactly.
 
-    When `band_scalars` finds `assemble_monad`'s scalars, +1, -1, +1, -1 on
-    the blocks of f and +1 on those of g, f and g are that monad's, and f * g
-    is zero by the identity f g = f1 g1 - f2 g2 + f3 g3 - f4 g4 = 0 (see the
-    module docstring): nothing is multiplied or assembled.  Every other
-    document goes through `composition_by_product`.
+    When f and g equal those of `assemble_monad(params)`, f * g is zero by
+    the identity f g = f1 g1 - f2 g2 + f3 g3 - f4 g4 = 0 (see the module
+    docstring) and nothing is multiplied.  The shapes are compared first, so
+    a document is never assembled larger than itself.  Every other document,
+    [f1 | f2 | -f3 | -f4] with the assembly's band scalars {1, -1} among
+    them, goes through `composition_by_product`.
     """
-    if band_scalars(spec) == _ASSEMBLED_SCALARS:
-        return True
+    if _has_monad_shape(spec):
+        assembled = assemble_monad(spec.params)
+        if (spec.f, spec.g) == (assembled.f, assembled.g):
+            return True
     return composition_by_product(spec)
 
 
@@ -337,20 +334,21 @@ Product = List[List[QuadraticForm]]
 
 
 def block_products(spec: MonadSpec) -> Tuple[Product, Product, Product, Product]:
-    """The four k x k products (f1 g1, f2 g2, f3 g3, f4 g4), signs stripped,
-    as tables of quadratic forms (see `matrix_mul`).
+    """The four k x k products (f1 g1, f2 g2, f3 g3, f4 g4), each f-block
+    with the sign `BLOCKS` gives it stripped, as tables of quadratic forms
+    (see `matrix_mul`).
 
     Cancellation happens pairwise: blocks 1 and 2 agree, blocks 3 and 4 agree.
     """
     k = spec.params.k
     offsets = _block_offsets(spec.params)
     out = []
-    for b in range(4):
+    for b, (_, _, sign) in enumerate(BLOCKS):
         start, stop = offsets[b], offsets[b + 1]
         fblock = PolyMatrix(
             k, stop - start, [spec.f.entry(i, j) for i in range(k) for j in range(start, stop)]
         )
-        if b in (1, 3):  # assembled with a sign; strip it for the identity
+        if sign < 0:
             fblock = -fblock
         gblock = PolyMatrix(stop - start, k, spec.g.entries[start * k : stop * k])
         out.append(matrix_mul(fblock, gblock))
@@ -452,30 +450,19 @@ def _sample_point(
     return point
 
 
-# The set of band scalars of each block: f1..f4, then g1..g4.
-BandScalars = Tuple[frozenset[int], ...]
-# Those of `assemble_monad`'s f = [f1 | -f2 | f3 | -f4] and g.
-_ASSEMBLED_SCALARS: BandScalars = tuple(frozenset((s,)) for s in (1, -1, 1, -1, 1, 1, 1, 1))
-
-
-def band_scalars(spec: MonadSpec) -> Optional[BandScalars]:
-    """The scalars of f and g on the staircase band of `assemble_monad`, as
-    one set per block (f1..f4, then g1..g4), or None if some cell is off it.
+def band_scalars(spec: MonadSpec) -> Optional[frozenset[int]]:
+    """The set of all scalars of f and g on the staircase band of
+    `assemble_monad`, or None if some cell is off it.
 
     On the band, f and g have the shapes `params` gives, every f-block entry
     (i, j) is c * v_{D+k-1-i-j} and every g-block entry (i, j) c * v_{i-j}
     for some integer c != 0, in the block's own group, where that index lies
-    in [0, D], and every other entry is 0.  This walk is what
-    `structural_problems`, `verify_composition` and `verify_maximal_rank`
-    each read: on the band, structure needs only its labels checked, the
-    scalars of `assemble_monad` give f g = 0 by the identity, and scalars
-    nonzero mod p give maximal rank by the staircase lemma.  It is a pure
-    function of (params, f, g), kept nowhere, so each of the three walks
-    anew.
-
-    Read right to left, row i of an f-block is the line v_0..v_D shifted by
-    i, as is column i of a g-block, so one pass over the lines of each block
-    checks both matrices.
+    in [0, D], and every other entry is 0.  On the band, `structural_problems`
+    checks only the labels, and `verify_maximal_rank` takes maximal rank from
+    the staircase lemma when every scalar is nonzero mod p; each walks anew,
+    as the result is kept nowhere.  Row i of an f-block, read right to left,
+    and column i of a g-block are line i of `_lines`, so one pass over each
+    block's lines checks both matrices.
     """
     if not _has_monad_shape(spec):
         return None
@@ -483,50 +470,44 @@ def band_scalars(spec: MonadSpec) -> Optional[BandScalars]:
     offsets = _block_offsets(spec.params)
     width = offsets[-1]
     f, g = spec.f.entries, spec.g.entries
-    f_scalars: List[frozenset[int]] = []
-    g_scalars: List[frozenset[int]] = []
-    for b in range(4):
+    scalars: set = set()
+    for b, (f_group, g_group, _) in enumerate(BLOCKS):
         start, stop = offsets[b], offsets[b + 1]
         D = stop - start - k
         f_rows = (f[i * width + start : i * width + stop][::-1] for i in range(k))
         g_columns = (g[start * k + i : stop * k : k] for i in range(k))
-        for lines, groups, out in (
-            (f_rows, F_BLOCK_GROUPS, f_scalars),
-            (g_columns, G_BLOCK_GROUPS, g_scalars),
+        if not (
+            _line_scalars(f_rows, GROUPS.index(f_group), D, scalars)
+            and _line_scalars(g_columns, GROUPS.index(g_group), D, scalars)
         ):
-            scalars = _line_scalars(lines, GROUPS.index(groups[b]), D)
-            if scalars is None:
-                return None
-            out.append(scalars)
-    return (*f_scalars, *g_scalars)
+            return None
+    return frozenset(scalars)
 
 
-def _line_scalars(
-    lines: Iterable[Sequence[LinearForm]], group: int, D: int
-) -> Optional[frozenset[int]]:
-    """The scalars c of lines whose cell i + s is c * v_s for s = 0..D, in
-    `group`, with every other cell 0 (line i shifted by i); None if a line
-    is not so.  A band equal to the one before has its scalars already."""
-    scalars: set = set()
+def _line_scalars(lines: Iterable[Sequence[LinearForm]], group: int, D: int, scalars: set) -> bool:
+    """Add to `scalars` the scalars c of lines whose cell i + s is c * v_s
+    for s = 0..D, in `group`, with every other cell 0 (line i of `_lines`);
+    False if a line is not so.  A band equal to the one before has its
+    scalars added already."""
     last: Optional[Sequence[LinearForm]] = None
     for i, line in enumerate(lines):
         if any(line[:i]) or any(line[i + D + 1 :]):
-            return None
+            return False
         band = line[i : i + D + 1]
         if band != last:
             for s, cell in enumerate(band):
                 if len(cell) != 1 or cell[0][0] != group or cell[0][1] != s:
-                    return None
+                    return False
                 scalars.add(cell[0][2])
             last = band
-    return frozenset(scalars)
+    return True
 
 
 def has_staircase_shape(spec: MonadSpec, prime: int) -> bool:
     """True iff f and g lie on the staircase band (`band_scalars`) with every
     band scalar nonzero mod `prime`: the staircase lemma's hypothesis."""
     scalars = band_scalars(spec)
-    return scalars is not None and all(c % prime for block in scalars for c in block)
+    return scalars is not None and all(c % prime for c in scalars)
 
 
 def verify_maximal_rank(

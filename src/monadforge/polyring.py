@@ -220,11 +220,6 @@ class LinearForm(tuple):
         return " ".join(chunks)
 
 
-def variable_form(group: str, index: int) -> LinearForm:
-    """The coordinate `group`_`index` as a linear form."""
-    return LinearForm(((_GROUP_ORDER[group], index, 1),))
-
-
 class PolyMatrix(Record):
     """A rows x cols matrix of linear forms, stored row-major.
 

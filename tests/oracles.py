@@ -21,11 +21,14 @@ negative-component lemma allows a nonzero row.  For what `verify --input`
 now does in one pass: the per-term parse of a matrix of linear forms (it
 shares only the term validator `polyring._term_from_json` with the memoised
 parse) and the two entry walks of `MonadSpec.structural_problems`, run on
-every document.  The last section holds helpers that no command runs and
-that the tests still use: the line-bundle operations, the Chern class of a
-sum, the Euler characteristic, the scan's h^0 bound at one (q, twist), and
-the dict form of a matrix and of a monad document that the streamed
-`build` output is compared against.
+every document.  For the assembly: the monad built block by block from the
+closed entry formulas, two blocks of f negated and the blocks flattened
+into f and g, where the library builds f and g straight from one staircase
+line per block.  The last section holds helpers that no command runs and
+that the tests still use: a coordinate as a linear form, the line-bundle
+operations, the Chern class of a sum, the Euler characteristic, the scan's
+h^0 bound at one (q, twist), and the dict form of a matrix and of a monad
+document that the streamed `build` output is compared against.
 """
 
 from __future__ import annotations
@@ -41,8 +44,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from monadforge.cohomology import CohTable, LineBundleSum, exterior_power_sum, line_bundle
 from monadforge.les import CohProfile, ShortExactSeq, les_propagate
 from monadforge.monad import (
-    F_BLOCK_GROUPS,
-    G_BLOCK_GROUPS,
+    BLOCKS,
     MonadSpec,
     middle_bundle,
     source_bundle,
@@ -409,6 +411,42 @@ def matrix_from_json_per_term(data, name: str = "matrix") -> PolyMatrix:
     return PolyMatrix(rows, cols, flat)
 
 
+def _block_by_formula(group: str, params: SpaceParams, hankel: bool) -> PolyMatrix:
+    """A k x (D+k) Hankel block, entry (i, j) = v_{D+k-1-i-j}, or a
+    (D+k) x k Toeplitz block, entry (i, j) = v_{i-j}, each where the index
+    lies in [0, D] and 0 elsewhere: the closed entry formulas, cell by cell."""
+    D, k = params.group_dim(group), params.k
+    rows, cols = (k, D + k) if hankel else (D + k, k)
+    entries = []
+    for i in range(rows):
+        for j in range(cols):
+            idx = D + k - 1 - i - j if hankel else i - j
+            entries.append(variable_form(group, idx) if 0 <= idx <= D else LinearForm())
+    return PolyMatrix(rows, cols, entries)
+
+
+def assemble_by_blocks(params: SpaceParams) -> MonadSpec:
+    """The monad assembled block by block: f-blocks in y, x, t, z and
+    g-blocks in x, y, z, t built entry by entry, blocks 2 and 4 of f negated
+    as whole matrices, then f flattened row by row across its blocks and g
+    block after block."""
+    f_blocks = [_block_by_formula(v, params, hankel=True) for v in "yxtz"]
+    f_blocks = [f_blocks[0], -f_blocks[1], f_blocks[2], -f_blocks[3]]
+    g_blocks = [_block_by_formula(v, params, hankel=False) for v in "xyzt"]
+    k = params.k
+    width = sum(block.cols for block in f_blocks)
+    f = PolyMatrix(k, width, [p for i in range(k) for block in f_blocks for p in block.row(i)])
+    g = PolyMatrix(width, k, [p for block in g_blocks for p in block.entries])
+    return MonadSpec(
+        params=params,
+        source=source_bundle(params),
+        middle=middle_bundle(params),
+        target=target_bundle(params),
+        f=f,
+        g=g,
+    )
+
+
 def structural_problems_by_two_walks(spec: MonadSpec) -> List[str]:
     """`MonadSpec.structural_problems` with both entry walks run on every
     document: shapes, then block groups, then variable ranges, then labels."""
@@ -423,21 +461,20 @@ def structural_problems_by_two_walks(spec: MonadSpec) -> List[str]:
         problems.append(f"g has shape {spec.g.rows}x{spec.g.cols}, expected {width}x{k}")
     if not problems:
         offsets = [sum(sizes[:b]) for b in range(5)]
-        for b in range(4):
-            f_group = GROUPS.index(F_BLOCK_GROUPS[b])
-            g_group = GROUPS.index(G_BLOCK_GROUPS[b])
+        for b, (f_name, g_name, _) in enumerate(BLOCKS):
+            f_group, g_group = GROUPS.index(f_name), GROUPS.index(g_name)
             for pos in range(offsets[b], offsets[b + 1]):
                 for i in range(k):
                     if any(g != f_group for g, _, _ in spec.f.entry(i, pos)):
                         problems.append(
                             f"f entry ({i},{pos}) is not a linear form in the "
-                            f"block-{b + 1} group {F_BLOCK_GROUPS[b]!r}"
+                            f"block-{b + 1} group {f_name!r}"
                         )
                 for j in range(k):
                     if any(g != g_group for g, _, _ in spec.g.entry(pos, j)):
                         problems.append(
                             f"g entry ({pos},{j}) is not a linear form in the "
-                            f"block-{b + 1} group {G_BLOCK_GROUPS[b]!r}"
+                            f"block-{b + 1} group {g_name!r}"
                         )
     dims = [params.n, params.n, params.m, params.m]
     for name, matrix in (("f", spec.f), ("g", spec.g)):
@@ -465,6 +502,11 @@ def structural_problems_by_two_walks(spec: MonadSpec) -> List[str]:
 # ---------------------------------------------------------------------------
 # library-only helpers: reached by no command, used by the tests
 # ---------------------------------------------------------------------------
+
+
+def variable_form(group: str, index: int) -> LinearForm:
+    """The coordinate `group`_`index` as a linear form."""
+    return LinearForm(((GROUPS.index(group), index, 1),))
 
 
 def twist(S: LineBundleSum, d: MultiDegree) -> LineBundleSum:

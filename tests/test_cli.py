@@ -506,21 +506,28 @@ def test_verify_certifies_the_built_monad_without_multiplying(tmp_path, capsys, 
         assert (code, sha256(out)) == GOLDEN_SHA256[argv]
 
 
-def test_verify_input_settles_the_built_monad_in_one_walk(tmp_path, capsys, monkeypatch):
+def test_verify_input_settles_the_built_monad_by_two_walks_and_one_assembly(
+    tmp_path, capsys, monkeypatch
+):
     def refuse(*_args):
-        raise AssertionError("the band walk settles structure, composition and rank")
+        raise AssertionError("the band walk and the assembly settle the built monad")
 
-    walks = []
-    walk = monad_module.band_scalars
+    walks, assemblies = [], []
+    walk, assemble = monad_module.band_scalars, monad_module.assemble_monad
     monad_file, _ = build_document(tmp_path, capsys, 8, 8, 8)
-    for name in ("assemble_monad", "matrix_mul", "evaluate_matrix"):
+    for name in ("matrix_mul", "evaluate_matrix"):
         monkeypatch.setattr(monad_module, name, refuse)
     monkeypatch.setattr(cli_module, "assemble_monad", refuse)
     monkeypatch.setattr(monad_module, "band_scalars", lambda spec: walks.append(spec) or walk(spec))
+    monkeypatch.setattr(
+        monad_module, "assemble_monad", lambda p: assemblies.append(p) or assemble(p)
+    )
     code, out, _ = run_cli(capsys, "verify", "--input", str(monad_file))
     assert (code, sha256(out)) == GOLDEN_SHA256[("verify", "--n", "8", "--m", "8", "--k", "8")]
-    # one walk for each of structure, composition and rank, all of one spec
-    assert len(walks) == 3 and walks[0] is walks[1] is walks[2]
+    # one walk for each of structure and rank, both of one spec, and one
+    # assembly for composition to compare the document with
+    assert len(walks) == 2 and walks[0] is walks[1]
+    assert assemblies == [SpaceParams(8, 8, 8)]
 
 
 def test_verify_input_validates_each_distinct_term_once(tmp_path, capsys, monkeypatch):
@@ -588,17 +595,32 @@ def test_nonpositive_parameters_exit_2(capsys):
         assert code == 2, argv
 
 
+# n = 10^20: too large for the first closed form each command computes, so
+# each fails at once, before anything is allocated
+TOO_LARGE = ["--n", "100000000000000000000", "--m", "1", "--k", "1"]
+INDEX_SIZED = "cannot fit 'int' into an index-sized integer"
+FACTORIAL = "factorial() argument should not exceed 9223372036854775807"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["stability", "--n", "1", "--m", "1", "--k", "1", "--max-q", "99"],
          "max_q must lie in [1, rank(T)-1] = [1, 6], got 99"),
         (["report", "--min-psum", "5", "--max-psum", "4"], "min_psum exceeds max_psum"),
+        (["invariants", *TOO_LARGE], FACTORIAL),
+        (["cohomology", *TOO_LARGE, "1", "1", "1", "1"], INDEX_SIZED),
+        (["simplicity", *TOO_LARGE], INDEX_SIZED),
+        (["report", *TOO_LARGE], FACTORIAL),
     ],
 )
-def test_rejected_scan_box_exits_2_with_one_error_line(capsys, argv, message):
+def test_rejected_scan_box_exits_2_with_one_error_line(tmp_path, capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+    target = tmp_path / "out.json"
+    assert main([*argv, "--output", str(target)]) == 2
+    assert not target.exists()
+    capsys.readouterr()
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -3,6 +3,7 @@ symbolic composition, sampled maximal rank, and the existence inequality."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
@@ -41,6 +42,7 @@ from monadforge.polyring import (
     rank_over_field,
 )
 from oracles import (
+    assemble_by_blocks,
     compose_by_coefficient_matrices,
     monad_to_json,
     structural_problems_by_two_walks,
@@ -183,6 +185,19 @@ def test_bundle_labels():
     assert dict(spec.target.summands) == {MultiDegree(1, 1, 1, 1): params.k}
 
 
+def test_assembly_equals_the_block_by_block_assembly_on_the_grid():
+    for nmk in itertools.product(range(1, 5), repeat=3):
+        params = SpaceParams(*nmk)
+        assert assemble_monad(params) == assemble_by_blocks(params), nmk
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[st.integers(1, 8)] * 3))
+def test_assembly_equals_the_block_by_block_assembly(nmk):
+    params = SpaceParams(*nmk)
+    assert assemble_monad(params) == assemble_by_blocks(params)
+
+
 def test_structural_problems_empty_for_canonical_build():
     for nmk in [(1, 1, 1), (1, 2, 3), (3, 2, 2)]:
         assert assemble_monad(SpaceParams(*nmk)).structural_problems() == []
@@ -262,11 +277,42 @@ def refuse(*_args):
     raise Called
 
 
-@pytest.mark.parametrize("tamper", [swapped_g_blocks, scaled_band_scalar])
+def f_with_signs(params: SpaceParams, signs) -> MonadSpec:
+    """The assembled monad with f = [s1 f1 | s2 f2 | s3 f3 | s4 f4]."""
+    spec = assemble_monad(params)
+    blocks = [build_f_block(which, params) for which in (1, 2, 3, 4)]
+    blocks = [block if sign > 0 else -block for block, sign in zip(blocks, signs)]
+    entries = [p for i in range(params.k) for block in blocks for p in block.row(i)]
+    return replaced(spec, f=PolyMatrix(spec.f.rows, spec.f.cols, entries))
+
+
+def merged_signs(params: SpaceParams) -> MonadSpec:
+    """f = [f1 | f2 | -f3 | -f4]: the assembly's band scalars {1, -1}, but
+    f1 g1 + f2 g2 - f3 g3 - f4 g4 is not zero."""
+    return f_with_signs(params, (1, 1, -1, -1))
+
+
+def flipped_signs(params: SpaceParams) -> MonadSpec:
+    """f = [-f1 | f2 | f3 | -f4]: another monad, f g = 0, not `assemble_monad`'s."""
+    return f_with_signs(params, (-1, 1, 1, -1))
+
+
+# tamper: (its band scalars, f * g = 0); the assembly's scalars are {1, -1}
+OTHER_DOCUMENTS = {
+    swapped_g_blocks: (None, False),
+    scaled_band_scalar: ({1, -1, 5}, False),
+    merged_signs: ({1, -1}, False),
+    flipped_signs: ({1, -1}, True),
+}
+
+
+@pytest.mark.parametrize("tamper", list(OTHER_DOCUMENTS))
 def test_composition_of_any_other_document_is_multiplied_out(monkeypatch, tamper):
     spec = tamper(SpaceParams(1, 2, 3))
-    assert has_staircase_shape(spec, DEFAULT_PRIME) == (tamper is scaled_band_scalar)
-    assert not composition_by_product(spec)
+    scalars, zero = OTHER_DOCUMENTS[tamper]
+    assert band_scalars(spec) == scalars
+    assert has_staircase_shape(spec, DEFAULT_PRIME) == (scalars is not None)
+    assert composition_by_product(spec) == verify_composition(spec) == zero
     monkeypatch.setattr(monad_module, "matrix_mul", refuse)
     with pytest.raises(Called):
         verify_composition(spec)
@@ -275,7 +321,7 @@ def test_composition_of_any_other_document_is_multiplied_out(monkeypatch, tamper
 def test_band_walk_is_a_pure_function_of_the_matrices():
     spec = assemble_monad(SpaceParams(1, 2, 3))
     scalars = band_scalars(spec)
-    assert scalars is not None and band_scalars(spec) == scalars
+    assert scalars == frozenset({1, -1}) and band_scalars(spec) == scalars
     assert band_scalars(replaced(spec)) == scalars
     # a spec with another g is walked on its own matrices: no state of the
     # first walk is kept on `spec` or anywhere else

@@ -25,10 +25,15 @@ from monadforge.polyring import (
     matrix_from_json,
     matrix_mul,
     rank_over_field,
-    variable_form,
 )
 from monadforge.stability import RowGrid, StabilityReport, StabilityScanConfig, enumerate_twists
-from oracles import matrix_to_json, rank_by_gauss_jordan, rank_by_minors, scan_rows_as_dicts
+from oracles import (
+    matrix_to_json,
+    rank_by_gauss_jordan,
+    rank_by_minors,
+    scan_rows_as_dicts,
+    variable_form,
+)
 from records import replaced
 
 PARAMS = SpaceParams(2, 3, 2)

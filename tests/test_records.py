@@ -25,10 +25,10 @@ from monadforge.polyring import (
     PolyMatrix,
     Record,
     SpaceParams,
-    variable_form,
 )
 from monadforge.stability import StabilityReport, StabilityScanConfig, run_stability_scan
 
+from oracles import variable_form
 from records import replaced
 
 README = Path(__file__).resolve().parent.parent / "README.md"
