@@ -39,6 +39,8 @@ from .monad import (
     MonadSpec,
     _block_offsets,
     assemble_monad,
+    document_monad,
+    read_built_monad,
     verify_composition,
     verify_maximal_rank,
 )
@@ -66,7 +68,8 @@ def _timestamp() -> str:
         except (ValueError, OverflowError, OSError):
             pass
     if t is None or not 1 <= t.tm_year <= 9999:
-        t = time.gmtime()
+        # time.time(), not gmtime()'s own clock, which may lag a second behind
+        t = time.gmtime(time.time())
     return "%04d-%02d-%02dT%02d:%02d:%02dZ" % t[:6]
 
 
@@ -154,15 +157,12 @@ def _cmd_build(args: argparse.Namespace, params: SpaceParams) -> Outcome:
     return params, "\n".join(lines) + "\n", True
 
 
-def _read_monad_json(path: str) -> object:
-    """The monad part of the JSON document at `path` ("-" reads stdin)."""
+def _read_input(path: str) -> str:
+    """The text of the document at `path` ("-" reads stdin)."""
     if path == "-":
-        raw = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    data = json.loads(raw)
-    return data["monad"] if isinstance(data, dict) and "monad" in data else data
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _declared_params(data: object, fallback: SpaceParams) -> SpaceParams:
@@ -179,8 +179,13 @@ def _cmd_verify(args: argparse.Namespace, params: SpaceParams) -> Outcome:
     else:
         data = None
         try:
-            data = _read_monad_json(args.input)
-            spec = MonadSpec.from_json(data)
+            text = _read_input(args.input)
+            # a document as `build` writes it is recognised by its text;
+            # every other one is parsed whole
+            spec = read_built_monad(text)
+            if spec is None:
+                data = document_monad(json.loads(text))
+                spec = MonadSpec.from_json(data)
         except OSError:
             raise  # an unreadable path (missing, a directory, no permission) is a usage error (exit 2)
         except Exception as exc:

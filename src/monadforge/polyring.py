@@ -452,24 +452,25 @@ def dumps_canonical(doc: object, default: Optional[Callable[[object], object]] =
 def _entry_chunks(A: PolyMatrix, indent: int) -> Iterator[str]:
     """A's entry list (see "JSON forms" above), closing bracket at column
     `indent`, a row of cells per piece; every distinct term is rendered once
-    from one f-string."""
+    from one f-string, and every distinct cell once from its terms."""
     if not A.rows:
         yield "[]"
         return
     r, c, t, f, e = (" " * (indent + step) for step in (2, 4, 6, 8, 10))
+    forms = set(A.entries)
     terms = {
         term: f'{t}{{\n{f}"coeff": "{term[2]}",\n{f}"exps": {{\n'
         f'{e}"{_name(term[0], term[1])}": 1\n{f}}}\n{t}}}'
-        for term in set(chain.from_iterable(A.entries))
+        for term in set(chain.from_iterable(forms))
     }
-    empty, open_cell, close_cell = f"{c}[]", f"{c}[\n", f"\n{c}]"
+    cells = {
+        form: f"{c}[\n" + ",\n".join([terms[term] for term in form]) + f"\n{c}]"
+        if form else f"{c}[]"
+        for form in forms
+    }
     for i in range(A.rows):
-        cells = [
-            open_cell + ",\n".join([terms[term] for term in form]) + close_cell if form else empty
-            for form in A.row(i)
-        ]
-        row = f"{r}[\n" + ",\n".join(cells) + f"\n{r}]" if cells else f"{r}[]"
-        yield ("[\n" if i == 0 else ",\n") + row
+        row = ",\n".join([cells[form] for form in A.row(i)])
+        yield ("[\n" if i == 0 else ",\n") + (f"{r}[\n{row}\n{r}]" if A.cols else f"{r}[]")
     yield "\n" + " " * indent + "]"
 
 

@@ -506,6 +506,15 @@ def test_verify_certifies_the_built_monad_without_multiplying(tmp_path, capsys, 
         assert (code, sha256(out)) == GOLDEN_SHA256[argv]
 
 
+def reindented_build(tmp_path, capsys, n, m, k):
+    """The (n, m, k) build re-serialised with indent 1: the same matrices
+    and verdict, but not the writer's text, so `verify --input` parses it
+    whole (`MonadSpec.from_json`)."""
+    monad_file, doc = build_document(tmp_path, capsys, n, m, k)
+    monad_file.write_text(json.dumps(doc, indent=1))
+    return monad_file, doc
+
+
 def test_verify_input_settles_the_built_monad_by_two_walks_and_one_assembly(
     tmp_path, capsys, monkeypatch
 ):
@@ -514,7 +523,7 @@ def test_verify_input_settles_the_built_monad_by_two_walks_and_one_assembly(
 
     walks, assemblies = [], []
     walk, assemble = monad_module.band_scalars, monad_module.assemble_monad
-    monad_file, _ = build_document(tmp_path, capsys, 8, 8, 8)
+    monad_file, _ = reindented_build(tmp_path, capsys, 8, 8, 8)
     for name in ("matrix_mul", "evaluate_matrix"):
         monkeypatch.setattr(monad_module, name, refuse)
     monkeypatch.setattr(cli_module, "assemble_monad", refuse)
@@ -539,7 +548,7 @@ def test_verify_input_validates_each_distinct_term_once(tmp_path, capsys, monkey
         seen[(item["coeff"], name)] += 1
         return validate(item)
 
-    monad_file, doc = build_document(tmp_path, capsys, 8, 8, 8)
+    monad_file, doc = reindented_build(tmp_path, capsys, 8, 8, 8)
     monkeypatch.setattr(polyring, "_TERM_CELLS", {})
     monkeypatch.setattr(polyring, "_term_from_json", counted)
     code, _, _ = run_cli(capsys, "verify", "--input", str(monad_file))
@@ -553,6 +562,23 @@ def test_verify_input_validates_each_distinct_term_once(tmp_path, capsys, monkey
         for name in item["exps"]
     }
     assert set(seen) == distinct and max(seen.values()) == 1
+
+
+def test_verify_input_recognises_the_built_monad_by_its_text(tmp_path, capsys, monkeypatch):
+    # the canonical build is read from its text: no entry tree is built and
+    # json parses only the few KB around the two entry lists
+    def refuse(*_args):
+        raise AssertionError("the built monad's entries are never parsed")
+
+    parsed = []
+    loads = json.loads
+    monad_file, _ = build_document(tmp_path, capsys, 8, 8, 8)
+    monkeypatch.setattr(monad_module, "matrix_from_json", refuse)
+    monkeypatch.setattr(polyring, "_term_from_json", refuse)
+    monkeypatch.setattr(json, "loads", lambda text, **kw: parsed.append(len(text)) or loads(text, **kw))
+    code, out, _ = run_cli(capsys, "verify", "--input", str(monad_file))
+    assert (code, sha256(out)) == GOLDEN_SHA256[("verify", "--n", "8", "--m", "8", "--k", "8")]
+    assert parsed and max(parsed) <= 10_000
 
 
 def test_verify_term_with_an_extra_key_is_rejected_by_name(tmp_path, capsys):

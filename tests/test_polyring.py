@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monadforge import stability
+from monadforge.monad import assemble_monad
 from monadforge.polyring import (
     DEFAULT_PRIME,
     GROUPS,
@@ -29,6 +30,7 @@ from monadforge.polyring import (
 from monadforge.stability import RowGrid, StabilityReport, StabilityScanConfig, enumerate_twists
 from oracles import (
     matrix_to_json,
+    monad_to_json,
     rank_by_gauss_jordan,
     rank_by_minors,
     scan_rows_as_dicts,
@@ -474,6 +476,15 @@ def test_streamed_matrix_entries_equal_json_dumps_of_matrix_to_json(f, g, grid, 
         doc, oracle = ({"a": -1, "m": part, "z": [[]]} for part in (doc, oracle))
     text = "".join(canonical_chunks(doc))
     assert text.split("\n") == dumps_canonical(oracle).split("\n")
+
+
+@settings(max_examples=64, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+def test_streamed_monad_equals_json_dumps_of_monad_to_json(n, m, k):
+    # the assembly shares one form among many cells, each rendered once
+    spec = assemble_monad(SpaceParams(n, m, k))
+    text = "".join(canonical_chunks({"monad": spec.json_template()}))
+    assert text == dumps_canonical({"monad": monad_to_json(spec)})
 
 
 def test_canonical_chunks_refuses_other_objects_and_writes_each_fill_it_meets():

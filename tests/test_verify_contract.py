@@ -2,7 +2,9 @@
 the run ends in exit 0 or 1 without an exception, and writes a document
 valid against the published `verify` schema, FAILED whenever it exits 1.
 On the same mutated documents, the memoised parse and the one band walk
-agree with the per-term parse and the two entry walks they replaced."""
+agree with the per-term parse and the two entry walks they replaced, and
+on mutations of a build's text, reading a built monad by its text
+(`read_built_monad`) changes no exit code and no byte of the output."""
 
 from __future__ import annotations
 
@@ -10,22 +12,31 @@ import contextlib
 import copy
 import io
 import json
+import os
 import re
+import sys
+import tempfile
 from functools import lru_cache
+from unittest import mock
 
 import jsonschema
-from hypothesis import given, settings
+import pytest
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from monadforge import cli as cli_module
+from monadforge import monad as monad_module
 from monadforge.cli import main
 from monadforge.monad import (
     MonadSpec,
     composition_by_product,
+    document_monad,
+    read_built_monad,
     sampled_rank_report,
     verify_composition,
     verify_maximal_rank,
 )
-from monadforge.polyring import matrix_from_json
+from monadforge.polyring import PolyMatrix, dumps_canonical, matrix_from_json
 from monadforge.schemas import SCHEMAS
 from oracles import matrix_from_json_per_term, structural_problems_by_two_walks
 
@@ -196,3 +207,209 @@ def test_one_pass_verify_equals_the_oracles(data):
     if not problems:
         report = verify_maximal_rank(spec, trials=2, seed=3)
         assert report.to_json() == sampled_rank_report(spec, trials=2, seed=3).to_json()
+
+
+# ---------------------------------------------------------------------------
+# the text reader: a built monad recognised by its bytes
+# ---------------------------------------------------------------------------
+
+PINNED = {"SOURCE_DATE_EPOCH": "1700000000"}
+
+
+def verify_text(text: str, stdin: bool = False):
+    """(exit code, output) of `verify --input` on the document `text`, read
+    from a file or from stdin (`--input -`)."""
+    with mock.patch.dict(os.environ, PINNED), tempfile.TemporaryDirectory() as tmp:
+        if stdin:
+            with mock.patch.object(sys, "stdin", io.StringIO(text)):
+                return run(["verify", "--input", "-", "--trials", "3"])
+        path = os.path.join(tmp, "monad.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return run(["verify", "--input", path, "--trials", "3"])
+
+
+def verify_parsed_whole(text: str, stdin: bool = False):
+    """`verify_text` with the text reader refusing every document, so that
+    `MonadSpec.from_json` parses it: the oracle of the reader."""
+    with mock.patch.object(cli_module, "read_built_monad", lambda _text: None):
+        return verify_text(text, stdin)
+
+
+def width(n: int, m: int, k: int) -> int:
+    return 2 * n + 2 * m + 4 * k
+
+
+def assert_reader_agrees(text: str, stdin: bool = False):
+    """The reader's run equals the whole parse's, byte for byte; a document
+    the reader accepts is the one `from_json` reads."""
+    assert verify_text(text, stdin) == verify_parsed_whole(text, stdin)
+    spec = read_built_monad(text)
+    if spec is not None:
+        assert spec == MonadSpec.from_json(document_monad(json.loads(text)))
+    return spec
+
+
+def test_reader_accepts_the_build_at_any_uniform_indent():
+    text = built(2, 1, 2)
+    shifted = "\n".join("   " + line for line in text.split("\n"))
+    for doc in (text, shifted, dumps_canonical(json.loads(text)["monad"])):
+        assert assert_reader_agrees(doc) is not None
+    assert assert_reader_agrees(text, stdin=True) is not None
+
+
+def test_reader_refuses_any_backslash():
+    # an escaped NUL forges a placeholder: f's entries are the string the
+    # first cut stands for, and the cut itself is a canonical f under f.x
+    doc = json.loads(built(1, 1, 1))
+    f = doc["monad"]["f"]
+    f["x"] = {"entries": f["entries"]}
+    f["entries"] = "\x00f"
+    forged = dumps_canonical(doc)
+    assert read_built_monad(forged) is None
+    code, out = verify_text(forged)
+    assert code == 1 and json.loads(out)["error"].startswith("input document rejected: ")
+    assert_reader_agrees(forged)
+    # an escape that changes nothing still sends the text to the whole parse
+    escaped = built(1, 1, 1).replace('"source"', '"sourc\\u0065"', 1)
+    assert read_built_monad(escaped) is None
+    assert verify_text(escaped)[0] == 0
+
+
+def test_reader_needs_its_placeholders_in_place():
+    text = built(1, 1, 1)
+    close = '\n      ],\n      "rows"'
+    after = text.replace(close, '\n      ],\n      "entries": 5,\n      "rows"', 1)
+    before = text.replace('      "entries": [', '      "entries": 5,\n      "entries": [', 1)
+    assert read_built_monad(after) is None
+    assert verify_text(after)[0] == 1
+    assert_reader_agrees(after)
+    # json keeps the last of duplicate keys, here the built list
+    assert assert_reader_agrees(before) is not None
+
+
+@pytest.mark.parametrize("rows", ["1.0", "true"])
+def test_reader_needs_shapes_that_are_ints(rows):
+    text = built(1, 1, 1).replace('"rows": 1\n', f'"rows": {rows}\n', 1)
+    assert read_built_monad(text) is None
+    assert verify_text(text)[0] == 1
+    assert_reader_agrees(text)
+
+
+def test_reader_never_assembles_a_monad_larger_than_its_text():
+    # a 3 KB document that declares n = 10^6, with the shapes that n gives
+    doc = json.loads(built(1, 1, 1))
+    monad = doc["monad"]
+    monad["params"]["n"] = 10**6
+    monad["f"]["cols"] = monad["g"]["rows"] = width(10**6, 1, 1)
+    text = dumps_canonical(doc)
+    assemblies = []
+
+    def refuse(params):
+        assemblies.append(params)
+        raise AssertionError("a monad is never assembled larger than its document")
+
+    with mock.patch.object(monad_module, "assemble_monad", refuse):
+        assert read_built_monad(text) is None
+        assert verify_text(text)[0] == 1
+    assert assemblies == []
+
+
+def test_reader_falls_back_on_any_exception():
+    def fail(*_args):
+        raise RuntimeError("no text for this matrix")
+
+    text = built(2, 1, 2)
+    expected = verify_text(text)
+    with mock.patch.object(PolyMatrix, "json_chunks", fail):
+        assert read_built_monad(text) is None
+        assert verify_text(text) == expected
+    assert expected[0] == 0
+
+
+def _string_tokens(text: str):
+    return [m.span() for m in re.finditer(r'"[^"\\]*"', text)]
+
+
+def text_mutation(data, text: str, params) -> str:
+    """`text` after one mutation of its text, or of its tree written back
+    in the writer's layout ("tree": one to three `mutate` steps, written in
+    that layout or by plain `json.dumps`)."""
+    n, m, k = params
+    doc = json.loads(text)
+    monad = doc["monad"]
+    kind = data.draw(
+        st.sampled_from(
+            ["shift", "reindent", "swap", "duplicate", "escape", "exponent", "params",
+             "rows", "trailing", "lone entries", "huge n", "tree"]
+        )
+    )
+    if kind == "shift":
+        spaces = " " * data.draw(st.integers(1, 3))
+        return "\n".join(spaces + line for line in text.split("\n"))
+    if kind == "reindent":
+        indent = data.draw(st.sampled_from([None, 0, 1, 3, 4]))
+        return json.dumps(doc, indent=indent, sort_keys=data.draw(st.booleans()))
+    if kind == "swap":
+        monad["f"]["entries"], monad["g"]["entries"] = monad["g"]["entries"], monad["f"]["entries"]
+    elif kind == "duplicate":
+        which = data.draw(st.sampled_from(["f", "g"]))
+        value = data.draw(st.sampled_from(["[]", "5", '"x"', "null", "[[]]"]))
+        lines = text.split("\n")
+        opening = [i for i, line in enumerate(lines) if line.endswith('"entries": [')]
+        at = opening[which == "g"]
+        indent = lines[at][: len(lines[at]) - len(lines[at].lstrip(" "))]
+        if data.draw(st.booleans(), label="duplicate before"):
+            lines.insert(at, f'{indent}"entries": {value},')
+        else:
+            close = lines.index(f"{indent}],", at)
+            lines.insert(close + 1, f'{indent}"entries": {value},')
+        return "\n".join(lines)
+    elif kind == "escape":
+        start, stop = data.draw(st.sampled_from(_string_tokens(text)))
+        if stop - start > 2:
+            i = data.draw(st.integers(start + 1, stop - 2))
+            return text[:i] + "\\u%04x" % ord(text[i]) + text[i + 1 :]
+        return text
+    elif kind == "exponent":
+        exps = [mo.start(1) for mo in re.finditer(r'"[xyzt][0-9]+": (1)\n', text)]
+        i = data.draw(st.sampled_from(exps))
+        return text[:i] + data.draw(st.sampled_from(["true", "1.0"])) + text[i + 1 :]
+    elif kind == "params":
+        key = data.draw(st.sampled_from(["n", "m", "k"]))
+        value = data.draw(st.sampled_from([0, 1, 2, 3, -1, "1", 1.0, True, None]))
+        monad["params"][key] = value
+        if data.draw(st.booleans(), label="shapes follow") and type(value) is int and value > 0:
+            new = dict(zip("nmk", params), **{key: value})
+            w = width(new["n"], new["m"], new["k"])
+            monad["f"]["rows"], monad["f"]["cols"] = new["k"], w
+            monad["g"]["rows"], monad["g"]["cols"] = w, new["k"]
+    elif kind == "rows":
+        matrix = monad[data.draw(st.sampled_from(["f", "g"]))]
+        key = data.draw(st.sampled_from(["rows", "cols"]))
+        matrix[key] = data.draw(st.sampled_from([float(matrix[key]), True, str(matrix[key])]))
+    elif kind == "trailing":
+        return text + data.draw(st.sampled_from(["x", " ", "\n", "{}", "]", "\u00e9", "0"]))
+    elif kind == "lone entries":
+        where = doc["manifest"] if data.draw(st.booleans()) else monad
+        key = data.draw(st.sampled_from(['"entries": [', "entries"]))
+        where[key] = data.draw(st.sampled_from([[1], [[1]], [], "["]))
+    elif kind == "huge n":
+        monad["params"]["n"] = 10**6
+        monad["f"]["cols"] = monad["g"]["rows"] = width(10**6, m, k)
+    elif kind == "tree":
+        for _ in range(data.draw(st.integers(1, 3), label="tree mutations")):
+            mutate(data, doc)
+        if not data.draw(st.booleans(), label="writer's layout"):
+            return json.dumps(doc)
+    return dumps_canonical(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_text_reader_changes_no_exit_code_and_no_byte(data):
+    params = data.draw(st.sampled_from([(1, 1, 1), (1, 2, 1), (2, 1, 2)]))
+    text = text_mutation(data, built(*params), params)
+    stdin = data.draw(st.booleans(), label="--input -")
+    event("read by its text" if read_built_monad(text) is not None else "parsed whole")
+    assert verify_text(text, stdin) == verify_parsed_whole(text, stdin)
