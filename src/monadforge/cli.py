@@ -39,7 +39,7 @@ from .monad import (
     MonadSpec,
     _block_offsets,
     assemble_monad,
-    document_monad,
+    built_body,
     read_built_monad,
     verify_composition,
     verify_maximal_rank,
@@ -146,7 +146,7 @@ def _render_matrix_text(spec: MonadSpec, which: str) -> List[str]:
 def _cmd_build(args: argparse.Namespace, params: SpaceParams) -> Outcome:
     spec = assemble_monad(params)
     if args.format == "json":
-        return params, {"monad": spec.json_template()}, True
+        return params, built_body(spec), True
     lines = [
         f"monad for (n, m, k) = ({params.n}, {params.m}, {params.k})",
         f"f ({spec.f.rows} x {spec.f.cols}):",
@@ -158,11 +158,11 @@ def _cmd_build(args: argparse.Namespace, params: SpaceParams) -> Outcome:
 
 
 def _read_input(path: str) -> str:
-    """The text of the document at `path` ("-" reads stdin)."""
+    """The document at `path` ("-" reads stdin), its bytes decoded as strict UTF-8."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        return sys.stdin.buffer.read().decode("utf-8")
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8")
 
 
 def _declared_params(data: object, fallback: SpaceParams) -> SpaceParams:
@@ -180,11 +180,12 @@ def _cmd_verify(args: argparse.Namespace, params: SpaceParams) -> Outcome:
         data = None
         try:
             text = _read_input(args.input)
-            # a document as `build` writes it is recognised by its text;
-            # every other one is parsed whole
+            # a build is read by its text, every other document parsed whole
             spec = read_built_monad(text)
             if spec is None:
-                data = document_monad(json.loads(text))
+                data = json.loads(text)
+                if isinstance(data, dict) and "monad" in data:  # a `build` document
+                    data = data["monad"]
                 spec = MonadSpec.from_json(data)
         except OSError:
             raise  # an unreadable path (missing, a directory, no permission) is a usage error (exit 2)

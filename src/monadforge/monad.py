@@ -61,17 +61,16 @@ paths stay the oracles of the shortcuts: acceptance criteria 1 and 2
 multiply the assembled monads out, and criterion 3 samples them.
 
 `verify --input` reads a document as `build` writes it without building its
-entry tree: `read_built_monad` parses only the few KB around the two entry
-lists and compares each list's text, byte for byte, with the writer's text of
-`assemble_monad(params)`'s f or g.  Any other document, and any document the
-reader cannot settle, is parsed whole by `MonadSpec.from_json`, the reader's
-oracle, with the same checks and error texts as before.
+entry tree: `read_built_monad` compares the text after the manifest, byte
+for byte, with what `build` writes for the params the manifest gives.  Any
+other document is parsed whole by `MonadSpec.from_json`, the reader's oracle.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .cohomology import LineBundleSum, line_bundle
@@ -84,6 +83,7 @@ from .polyring import (
     QuadraticForm,
     Record,
     SpaceParams,
+    canonical_chunks,
     checked_int,
     evaluate_matrix,
     json_key,
@@ -307,73 +307,38 @@ def assemble_monad(params: SpaceParams) -> MonadSpec:
     )
 
 
-def document_monad(data: object) -> object:
-    """The monad part of a parsed document: its "monad" value when it is a
-    JSON object with that key (a `build` document), else the whole of it."""
-    return data["monad"] if isinstance(data, dict) and "monad" in data else data
-
-
-_ENTRIES = '"entries": ['
-# the JSON strings that stand for f's and g's entry lists, in text order
-_HOLES = ('"\\u0000f"', '"\\u0000g"')
+def built_body(spec: MonadSpec) -> dict:
+    """The body of `build`'s JSON document for `spec`: {"monad": its document}."""
+    return {"monad": spec.json_template()}
 
 
 def read_built_monad(text: str) -> Optional[MonadSpec]:
-    """The monad of a document whose f and g entry lists are, byte for
-    byte, what `build` writes for `assemble_monad(params)`, read without
-    parsing those lists; None for every other document, and whenever
-    anything raises, so that the caller parses the text with
-    `MonadSpec.from_json`, which stays the oracle.
+    """`assemble_monad(P)` when the text after the manifest is byte for byte
+    what `build` writes for P, the manifest's params; else None, also
+    whenever anything raises, and the caller parses the text whole with
+    `MonadSpec.from_json`, the oracle.
 
-    The first two `"entries": [` of the text are cut out as the writer lays
-    a list out: from its `[` to the `]` at the indent of its opening line,
-    its first row opening two spaces deeper.  The rest is parsed with the
-    cuts replaced by the strings of `_HOLES`.  With no backslash anywhere in
-    the text, only those two tokens parse to a string holding NUL; so when
-    they sit at f's and g's "entries" of the parsed tree (duplicate keys
-    resolve as json resolves them), the whole text parses to that tree with
-    the cut lists in their place.  rows and cols must be the ints (k, W) and
-    (W, k), and each cut at least as long as the shortest text of k*W cells,
-    so a document is never assembled larger than itself; then each cut is
-    compared with the assembly's `json_chunks` at its indent.  The labels
-    are read as `from_json` reads them."""
+    The text is cut at the first newline followed by `  "monad": `; the head
+    before it must end in a comma and, that comma dropped and the object
+    closed, parse with a manifest giving P.  A JSON string holds no raw
+    newline, so the whole text is then the head's object plus a last "monad"
+    member, which json keeps over any earlier one.  A text shorter than 2kW
+    cells of `[]` at build's indent is refused before anything is assembled."""
     try:
-        if "\\" in text:
+        at = text.find('\n  "monad": ')
+        if at < 1:
             return None
-        rest: List[str] = []
-        cuts: List[Tuple[int, str]] = []
-        start = 0
-        for hole in _HOLES:
-            at = text.index(_ENTRIES, start) + len(_ENTRIES) - 1
-            line = text[text.rfind("\n", 0, at) + 1 : at]
-            indent = len(line) - len(line.lstrip(" "))
-            if not text.startswith("[\n" + " " * (indent + 2) + "[", at):
-                return None  # not the writer's layout, whose rows open two spaces deeper
-            end = text.index("\n" + " " * indent + "]", at) + indent + 2
-            rest += [text[start:at], hole]
-            cuts.append((indent, text[at:end]))
-            start = end
-        rest.append(text[start:])
-        monad = document_monad(json.loads("".join(rest)))
-        f, g = monad["f"], monad["g"]
-        if (f["entries"], g["entries"]) != ("\x00f", "\x00g"):
-            return None
-        params = SpaceParams.from_json(monad["params"])
-        k, width = params.k, _block_offsets(params)[-1]
-        shape = (f["rows"], f["cols"], g["rows"], g["cols"])
-        if any(type(v) is not int for v in shape) or shape != (k, width, width, k):
-            return None
-        # a cell is written as at least `[]` after four spaces of indent
-        if min(len(cut) for _, cut in cuts) < 6 * k * width:
+        params = SpaceParams.from_json(json.loads(text[: at - 1] + "\n}")["manifest"]["params"])
+        if len(text) < 24 * params.k * _block_offsets(params)[-1]:
             return None
         spec = assemble_monad(params)
-        for matrix, (indent, cut) in zip((spec.f, spec.g), cuts):
-            if "".join(matrix.json_chunks(indent)) != cut:
+        pieces = canonical_chunks(built_body(spec))
+        pos = at - 1  # the head's comma, where build writes its opening "{"
+        for piece in chain(["," + next(pieces)[1:]], pieces):
+            if not text.startswith(piece, pos):
                 return None
-        source, middle, target = (
-            LineBundleSum.from_json(monad[key]) for key in ("source", "middle", "target")
-        )
-        return MonadSpec(params, source, middle, target, spec.f, spec.g)
+            pos += len(piece)
+        return spec if pos == len(text) else None
     except Exception:  # whatever went wrong, the full parse decides
         return None
 

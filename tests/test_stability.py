@@ -248,6 +248,31 @@ def test_scan_counterexample_outside_criterion_regime():
     assert recorded[(1, (2, 0, 0, 0))] > 0
 
 
+def test_scan_verdict_is_closed_form():
+    # a row (q, tw) is nonzero iff tw >= 0 and q <= min(max_q, sum min(D_i+k, tw_i)),
+    # so the verdict needs only min_psum and the component bound, and the first
+    # nonzero row is q = 1 at the first twist of the orthant in box order: each
+    # p_i as low as the bound and the p-sum left over allow
+    mismatches = []
+    for n, m, k, cb, min_psum, max_psum, max_q in itertools.product(
+        (1, 2), (1, 2), (1, 2), range(4), range(-9, 1), (0, 2), (1, None)
+    ):
+        cfg = StabilityScanConfig(SpaceParams(n, m, k), max_q, max_psum, cb, min_psum)
+        expected = None
+        if min_psum <= -1 and cb >= 1:
+            p = []
+            for _ in range(4):
+                p.append(max(-cb, min_psum - sum(p)))
+            expected = (1, tuple(-x for x in p))
+        report = run_stability_scan(cfg)
+        found = report.counterexample
+        found = None if found is None else (found[0], found[1].as_tuple())
+        verdict = "ALL_VANISH" if expected is None else "COUNTEREXAMPLE"
+        if (report.verdict, found) != (verdict, expected):
+            mismatches.append((cfg, report.verdict, found, expected))
+    assert mismatches == []
+
+
 def test_negative_component_invariant_inside_regime():
     params = SpaceParams(1, 2, 1)
     cfg = StabilityScanConfig(params, max_q=4, max_psum=3, component_bound=3)

@@ -14,6 +14,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from functools import lru_cache
@@ -30,7 +31,6 @@ from monadforge.cli import main
 from monadforge.monad import (
     MonadSpec,
     composition_by_product,
-    document_monad,
     read_built_monad,
     sampled_rank_report,
     verify_composition,
@@ -65,8 +65,8 @@ def run(argv):
 
 
 @lru_cache(maxsize=None)
-def built(n: int, m: int, k: int) -> str:
-    code, text = run(["build", "--n", str(n), "--m", str(m), "--k", str(k)])
+def built(n: int, m: int, k: int, fmt: str = "json") -> str:
+    code, text = run(["build", "--n", str(n), "--m", str(m), "--k", str(k), "--format", fmt])
     assert code == 0
     return text
 
@@ -214,18 +214,24 @@ def test_one_pass_verify_equals_the_oracles(data):
 # ---------------------------------------------------------------------------
 
 PINNED = {"SOURCE_DATE_EPOCH": "1700000000"}
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def verify_text(text: str, stdin: bool = False):
-    """(exit code, output) of `verify --input` on the document `text`, read
-    from a file or from stdin (`--input -`)."""
+def verify_text(text, stdin: bool = False):
+    """(exit code, output) of `verify --input` on the document `text`, a str
+    written as UTF-8 or raw bytes, read from a file or from stdin
+    (`--input -`).  Stdin is a byte stream under a text wrapper as a POSIX
+    interpreter sets it up, undecodable bytes escaped, so that the bytes
+    reach the program as they would from a shell."""
+    data = text.encode("utf-8") if isinstance(text, str) else text
     with mock.patch.dict(os.environ, PINNED), tempfile.TemporaryDirectory() as tmp:
         if stdin:
-            with mock.patch.object(sys, "stdin", io.StringIO(text)):
+            wrapper = io.TextIOWrapper(io.BytesIO(data), errors="surrogateescape", newline="\n")
+            with mock.patch.object(sys, "stdin", wrapper):
                 return run(["verify", "--input", "-", "--trials", "3"])
         path = os.path.join(tmp, "monad.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
         return run(["verify", "--input", path, "--trials", "3"])
 
 
@@ -246,21 +252,25 @@ def assert_reader_agrees(text: str, stdin: bool = False):
     assert verify_text(text, stdin) == verify_parsed_whole(text, stdin)
     spec = read_built_monad(text)
     if spec is not None:
-        assert spec == MonadSpec.from_json(document_monad(json.loads(text)))
+        assert spec == MonadSpec.from_json(json.loads(text)["monad"])
     return spec
 
 
-def test_reader_accepts_the_build_at_any_uniform_indent():
+def test_reader_accepts_the_build_and_no_reindented_copy():
     text = built(2, 1, 2)
-    shifted = "\n".join("   " + line for line in text.split("\n"))
-    for doc in (text, shifted, dumps_canonical(json.loads(text)["monad"])):
-        assert assert_reader_agrees(doc) is not None
+    assert assert_reader_agrees(text) is not None
     assert assert_reader_agrees(text, stdin=True) is not None
+    # the same monad shifted, or bare without its manifest, is parsed whole
+    shifted = "\n".join("   " + line for line in text.split("\n"))
+    for doc in (shifted, dumps_canonical(json.loads(text)["monad"])):
+        assert read_built_monad(doc) is None
+        assert verify_text(doc)[0] == 0
+        assert_reader_agrees(doc)
+        assert_reader_agrees(doc, stdin=True)
 
 
-def test_reader_refuses_any_backslash():
-    # an escaped NUL forges a placeholder: f's entries are the string the
-    # first cut stands for, and the cut itself is a canonical f under f.x
+def test_reader_refuses_a_forged_or_escaped_monad():
+    # f's entries are a string, and the canonical f stands under f.x
     doc = json.loads(built(1, 1, 1))
     f = doc["monad"]["f"]
     f["x"] = {"entries": f["entries"]}
@@ -270,13 +280,16 @@ def test_reader_refuses_any_backslash():
     code, out = verify_text(forged)
     assert code == 1 and json.loads(out)["error"].startswith("input document rejected: ")
     assert_reader_agrees(forged)
-    # an escape that changes nothing still sends the text to the whole parse
+    # an escape in the monad that changes nothing sends the text to the whole parse
     escaped = built(1, 1, 1).replace('"source"', '"sourc\\u0065"', 1)
     assert read_built_monad(escaped) is None
     assert verify_text(escaped)[0] == 0
+    # the manifest is parsed, so an escape there leaves the build read by its text
+    escaped = built(1, 1, 1).replace('"command"', '"comm\\u0061nd"', 1)
+    assert assert_reader_agrees(escaped) is not None
 
 
-def test_reader_needs_its_placeholders_in_place():
+def test_reader_leaves_a_duplicate_entries_key_to_the_whole_parse():
     text = built(1, 1, 1)
     close = '\n      ],\n      "rows"'
     after = text.replace(close, '\n      ],\n      "entries": 5,\n      "rows"', 1)
@@ -285,7 +298,9 @@ def test_reader_needs_its_placeholders_in_place():
     assert verify_text(after)[0] == 1
     assert_reader_agrees(after)
     # json keeps the last of duplicate keys, here the built list
-    assert assert_reader_agrees(before) is not None
+    assert read_built_monad(before) is None
+    assert verify_text(before)[0] == 0
+    assert_reader_agrees(before)
 
 
 @pytest.mark.parametrize("rows", ["1.0", "true"])
@@ -297,22 +312,31 @@ def test_reader_needs_shapes_that_are_ints(rows):
 
 
 def test_reader_never_assembles_a_monad_larger_than_its_text():
-    # a 3 KB document that declares n = 10^6, with the shapes that n gives
-    doc = json.loads(built(1, 1, 1))
-    monad = doc["monad"]
-    monad["params"]["n"] = 10**6
-    monad["f"]["cols"] = monad["g"]["rows"] = width(10**6, 1, 1)
-    text = dumps_canonical(doc)
+    assemble = monad_module.assemble_monad
     assemblies = []
 
-    def refuse(params):
+    def small_only(params):
         assemblies.append(params)
-        raise AssertionError("a monad is never assembled larger than its document")
+        if params.n > 1:
+            raise AssertionError("a monad is never assembled larger than its document")
+        return assemble(params)
 
-    with mock.patch.object(monad_module, "assemble_monad", refuse):
-        assert read_built_monad(text) is None
-        assert verify_text(text)[0] == 1
-    assert assemblies == []
+    # a 3 KB document that declares n = 10^6, its monad with the shapes that n gives
+    for declared_by in (("manifest", "monad"), ("monad",)):
+        doc = json.loads(built(1, 1, 1))
+        for part in declared_by:
+            doc[part]["params"]["n"] = 10**6
+        monad = doc["monad"]
+        monad["f"]["cols"] = monad["g"]["rows"] = width(10**6, 1, 1)
+        text = dumps_canonical(doc)
+        assemblies.clear()
+        with mock.patch.object(monad_module, "assemble_monad", small_only):
+            assert read_built_monad(text) is None
+            assert verify_text(text)[0] == 1
+        if "manifest" in declared_by:
+            assert assemblies == []
+        else:  # the reader renders the manifest's (1, 1, 1), once a call
+            assert [(p.n, p.m, p.k) for p in assemblies] == [(1, 1, 1)] * 2
 
 
 def test_reader_falls_back_on_any_exception():
@@ -327,23 +351,56 @@ def test_reader_falls_back_on_any_exception():
     assert expected[0] == 0
 
 
+def test_stdin_and_a_file_read_the_same_bytes_alike():
+    text = built(1, 1, 1)
+    # a build whose manifest holds a byte that is not UTF-8
+    undecodable = text.encode("utf-8").replace(b'"tool_version": "', b'"tool_version": "\xff', 1)
+    crlf = text.replace("\n", "\r\n")
+    for data in (undecodable, crlf.encode("utf-8"), crlf[:-40].encode("utf-8")):
+        assert verify_text(data, stdin=True) == verify_text(data)
+    code, out = verify_text(undecodable, stdin=True)
+    assert code == 1 and "can't decode byte 0xff" in json.loads(out)["error"]
+    # the same through a child process whose stdin escapes undecodable bytes
+    env = dict(os.environ, **PINNED, PYTHONPATH=SRC, PYTHONIOENCODING="utf-8:surrogateescape")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "monad.json")
+        with open(path, "wb") as fh:
+            fh.write(undecodable)
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "monadforge.cli", "verify", "--input", source,
+                 "--trials", "3"],
+                input=undecodable, capture_output=True, env=env, timeout=60,
+            )
+            for source in ("-", path)
+        ]
+    assert [r.returncode for r in runs] == [1, 1]
+    assert runs[0].stdout == runs[1].stdout
+
+
 def _string_tokens(text: str):
     return [m.span() for m in re.finditer(r'"[^"\\]*"', text)]
 
 
-def text_mutation(data, text: str, params) -> str:
-    """`text` after one mutation of its text, or of its tree written back
-    in the writer's layout ("tree": one to three `mutate` steps, written in
-    that layout or by plain `json.dumps`)."""
+TEXT_PARAMS = [(1, 1, 1), (1, 2, 1), (2, 1, 2)]
+TEXT_KINDS = [
+    # the monad's text
+    "shift", "reindent", "swap", "duplicate", "escape", "exponent", "params", "rows",
+    "trailing", "lone entries", "huge n", "tree",
+    # the manifest and the top level, which the reader parses
+    "manifest params", "manifest", "manifest escape", "extra key", "monad first",
+    "head comma", "text format",
+]
+
+
+def text_mutation(data, text: str, params, kind: str) -> str:
+    """`text` after one mutation of `kind` to its text, or to its tree
+    written back in the writer's layout ("tree": one to three `mutate`
+    steps, written in that layout or by plain `json.dumps`)."""
     n, m, k = params
     doc = json.loads(text)
     monad = doc["monad"]
-    kind = data.draw(
-        st.sampled_from(
-            ["shift", "reindent", "swap", "duplicate", "escape", "exponent", "params",
-             "rows", "trailing", "lone entries", "huge n", "tree"]
-        )
-    )
+    head = text.index('\n  "monad": ')
     if kind == "shift":
         spaces = " " * data.draw(st.integers(1, 3))
         return "\n".join(spaces + line for line in text.split("\n"))
@@ -396,20 +453,64 @@ def text_mutation(data, text: str, params) -> str:
         where[key] = data.draw(st.sampled_from([[1], [[1]], [], "["]))
     elif kind == "huge n":
         monad["params"]["n"] = 10**6
+        if data.draw(st.booleans(), label="the manifest too"):
+            doc["manifest"]["params"]["n"] = 10**6
         monad["f"]["cols"] = monad["g"]["rows"] = width(10**6, m, k)
     elif kind == "tree":
         for _ in range(data.draw(st.integers(1, 3), label="tree mutations")):
             mutate(data, doc)
         if not data.draw(st.booleans(), label="writer's layout"):
             return json.dumps(doc)
+    elif kind == "manifest params":
+        other = data.draw(st.sampled_from([p for p in TEXT_PARAMS if p != params]))
+        follows = data.draw(st.sampled_from(["nothing", "params", "shapes", "both", "monad"]))
+        if follows == "monad":  # the manifest keeps `params`, the monad is built for `other`
+            doc["monad"] = json.loads(built(*other))["monad"]
+        else:
+            doc["manifest"]["params"] = dict(zip("nmk", other))
+        if follows in ("params", "both"):
+            monad["params"] = dict(zip("nmk", other))
+        if follows in ("shapes", "both"):
+            w = width(*other)
+            monad["f"]["rows"], monad["f"]["cols"] = other[2], w
+            monad["g"]["rows"], monad["g"]["cols"] = w, other[2]
+    elif kind == "manifest":
+        if data.draw(st.booleans(), label="manifest an object"):
+            del doc["manifest"][data.draw(st.sampled_from(sorted(doc["manifest"])))]
+        else:
+            doc["manifest"] = data.draw(JSON_VALUES)
+    elif kind == "manifest escape":
+        tokens = [t for t in _string_tokens(text[:head]) if t[1] - t[0] > 2]
+        start, stop = data.draw(st.sampled_from(tokens))
+        i = data.draw(st.integers(start + 1, stop - 2))
+        return text[:i] + "\\u%04x" % ord(text[i]) + text[i + 1 :]
+    elif kind in ("extra key", "monad first"):
+        # a member on a line of its own, or on the line before it, where the
+        # reader's head holds it
+        key = "monad" if kind == "monad first" else data.draw(
+            st.sampled_from(["extra", "manifest", "monad", "entries", ""])
+        )
+        value = data.draw(st.one_of(JSON_VALUES, st.sampled_from(TEXT_PARAMS).map(
+            lambda p: json.loads(built(*p))["monad"])), label="value")
+        member = json.dumps(key) + ": " + json.dumps(value) + ","
+        sep = data.draw(st.sampled_from(["\n  ", " "]), label="separator")
+        at = 1 if kind == "monad first" else head
+        return text[:at] + sep + member + text[at:]
+    elif kind == "head comma":
+        return text[: head - 1] + data.draw(st.sampled_from(["", " ", ";", ",,"])) + text[head:]
+    elif kind == "text format":
+        return built(*params, fmt="text")
     return dumps_canonical(doc)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_text_reader_changes_no_exit_code_and_no_byte(data):
-    params = data.draw(st.sampled_from([(1, 1, 1), (1, 2, 1), (2, 1, 2)]))
-    text = text_mutation(data, built(*params), params)
+    params = data.draw(st.sampled_from(TEXT_PARAMS))
+    kind = data.draw(st.sampled_from(TEXT_KINDS))
+    text = text_mutation(data, built(*params), params, kind)
     stdin = data.draw(st.booleans(), label="--input -")
-    event("read by its text" if read_built_monad(text) is not None else "parsed whole")
+    path = "read by its text" if read_built_monad(text) is not None else "parsed whole"
+    event(path)
+    event(f"{kind}: {path}")
     assert verify_text(text, stdin) == verify_parsed_whole(text, stdin)
