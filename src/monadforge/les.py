@@ -34,7 +34,8 @@ the middle member has a -1 component, and O(-1) has no cohomology on any P^D, so
 the middle member is acyclic and the long exact sequence collapses to
 h^i(T*(-1,-1,-1,-1)) = h^{i+1}(O(-2,-2,-2,-2)^k).  By Bott that is k in
 degree 2n+2m-1 >= 3 when n = m = 1 and 0 in every other case, so h^0 = h^1 = 0
-always and the certificate's verdict rests on the scan alone.  The
+always and the certificate's verdict rests on the scan alone, with the
+scan's scope (see `stability`).  The
 certificate states these three tables directly and records h^0 and h^1 as
 read from them; `les_propagate` stays as library API, and the tests' oracle
 solves the sequence with it and still gates on h^0 and h^1.  A

@@ -39,6 +39,11 @@ and in column j of a g-block the top nonzero entry sits in row j+r,
 r = min{s : v_s != 0}; these pivots are distinct, so each block alone has rank
 k.  This holds for any band scalars c != 0 in place of the +-1 above.
 
+`verify` certifies f g = 0 exactly, and rank k at every point by the lemma
+or at the sampled points, in the same report bytes.  The labels above do
+not grade f and g (f_b g_b has multidegree (1,1,0,0) or (0,0,1,1)); under
+total degree they are a linear monad O(-1)^k -> O^W -> O(1)^k on P^{2n+2m+3}.
+
 `verify` reads structure and rank from a walk over the entries,
 `band_scalars`, a pure function that returns the set of scalars of f and g
 on that band, or None when some cell is off it; `structural_problems` and

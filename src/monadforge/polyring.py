@@ -367,50 +367,14 @@ def _term_from_json(item: object) -> Term:
     return (_GROUP_ORDER[match[1]], int(match[2]), int(coeff))
 
 
-_ZERO = LinearForm()
-
-# (coeff string, variable name) -> that term as a one-term cell, for every
-# pair `_term_from_json` has accepted.  Each value is a function of its key
-# alone, so sharing the memo between documents changes no result; it is
-# cleared when full, which bounds it.
-_TERM_CELLS: Dict[Tuple[str, str], LinearForm] = {}
-_TERM_CELLS_LIMIT = 1 << 16
-
-
-def _term_cell(item: object) -> LinearForm:
-    """One JSON term as a one-term cell (the empty form if its coefficient is
-    0).  A term whose type and keys are exactly those of a valid term, and
-    whose (coeff, variable) pair was accepted before, is read from the memo;
-    every other term goes through `_term_from_json`, so the memo accepts and
-    rejects exactly what that function does, with its error text."""
-    key = None
-    if type(item) is dict and len(item) == 2:
-        coeff, exps = item.get("coeff"), item.get("exps")
-        if type(coeff) is str and type(exps) is dict and len(exps) == 1:
-            ((name, exp),) = exps.items()
-            if type(exp) is int and exp == 1:
-                key = (coeff, name)
-                cell = _TERM_CELLS.get(key)
-                if cell is not None:
-                    return cell
-    term = _term_from_json(item)
-    cell = LinearForm((term,)) if term[2] else _ZERO
-    if key is not None:
-        if len(_TERM_CELLS) >= _TERM_CELLS_LIMIT:
-            _TERM_CELLS.clear()
-        _TERM_CELLS[key] = cell
-    return cell
-
-
 def matrix_from_json(data: Mapping, name: str = "matrix") -> PolyMatrix:
     """Parse a matrix of linear forms; `name` labels the matrix in errors.
 
     rows and cols must be JSON integers and every term one variable to the
     power 1.  Terms in one variable are summed and zero coefficients dropped.
     Raises ValueError naming the matrix, the row or entry, and the term.
-    Each term is validated by `_term_from_json`, once per distinct (coeff
-    string, variable) pair (see `_term_cell`); a cell of one term is that
-    term's form, and only a cell of several terms is summed.
+    Every term is validated by `_term_from_json` where it stands, and every
+    cell is summed by `LinearForm.of`.
     """
     rows = json_int(json_key(data, "rows", name), f"{name} rows")
     cols = json_int(json_key(data, "cols", name), f"{name} cols")
@@ -426,20 +390,15 @@ def matrix_from_json(data: Mapping, name: str = "matrix") -> PolyMatrix:
         for j, cell in enumerate(row):
             if not isinstance(cell, list):
                 raise ValueError(f"{name} entry ({i},{j}) is not a list of terms")
-            forms = []
+            terms = []
             for item in cell:
                 try:
-                    forms.append(_term_cell(item))
+                    terms.append(_term_from_json(item))
                 except ValueError as exc:
                     raise ValueError(
                         f"{name} entry ({i},{j}) term {json.dumps(item, sort_keys=True)}: {exc}"
                     ) from None
-            if not forms:
-                flat.append(_ZERO)
-            elif len(forms) == 1:
-                flat.append(forms[0])
-            else:
-                flat.append(LinearForm.of(chain.from_iterable(forms)))
+            flat.append(LinearForm.of(terms))
     return PolyMatrix(rows, cols, flat)
 
 

@@ -21,11 +21,12 @@ itself (`cohomology.exterior_power_sum`) is never built here: the tests keep
 it as the oracle that the generating function and
 `negative_component_violations` must match.
 
-The stability criterion needs h^0(Lambda^q T(-p1,-p2,-p3,-p4)) = 0 for
-1 <= q <= rank(T) - 1 and all twists with non-negative weight sum.  The scan
-walks the finite box |p_i| <= component_bound, 0 <= sum(p_i) <= max_psum
-(configurable, including sums below zero for adversarial probing) and reports
-every nonzero upper bound.
+The scan bounds h^0(Lambda^q T(-p1,-p2,-p3,-p4)) for 1 <= q <= max_q on the
+box |p_i| <= component_bound, min_psum <= sum(p_i) <= max_psum and reports
+every nonzero bound.  It tests T as built, on sum(p_i) >= 0 by default: not
+the normalized bundle (`normalization_shift` is never applied) on
+delta_L(B) <= 0, as the generalized Hoppe criterion asks, so ALL_VANISH says
+that every bound on the box is zero, not that T is stable.
 
 The scan is gated by the negative-component lemma: a summand of
 Lambda^q (G_n (+) G_m)(tw) has degree tw - j with sum(j) = q, and it has a
@@ -94,8 +95,8 @@ class StabilityScanConfig(Record):
     min_psum <= p1+p2+p3+p4 <= max_psum.
 
     max_q defaults to min(8, rank(T) - 1).  min_psum defaults to 0 (the
-    regime the criterion needs); setting it negative deliberately walks
-    outside that regime, where nonzero h^0 values exist and the scan must
+    scan's half-space, sum(p_i) >= 0); setting it negative deliberately walks
+    outside it, where nonzero h^0 values exist and the scan must
     report a counterexample rather than a pass.  Every bound must be an int
     (not a bool or a float).
     """

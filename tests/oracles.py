@@ -17,24 +17,21 @@ field computed on its own as when the record stored it, from a scan and the
 solved sequence.  The vanishing scan sums the generating function at every
 twist of its box and stores every row; it shares the generating function
 and the twist enumeration with the scan it checks, which sums only where the
-negative-component lemma allows a nonzero row.  For what `verify --input`
-now does in one pass: the per-term parse of a matrix of linear forms (it
-shares only the term validator `polyring._term_from_json` with the memoised
-parse) and the two entry walks of `MonadSpec.structural_problems`, run on
-every document.  For the assembly: the monad built block by block from the
-closed entry formulas, two blocks of f negated and the blocks flattened
-into f and g, where the library builds f and g straight from one staircase
-line per block.  The last section holds helpers that no command runs and
-that the tests still use: a coordinate as a linear form, the line-bundle
-operations, the Chern class of a sum, the Euler characteristic, the scan's
-h^0 bound at one (q, twist), and the dict form of a matrix and of a monad
-document that the streamed `build` output is compared against.
+negative-component lemma allows a nonzero row.  The two entry walks of
+`MonadSpec.structural_problems`, which `verify --input` now makes in one
+pass, run on every document.  The assembly builds the monad block by block
+from the closed entry formulas, two blocks of f negated and the blocks
+flattened into f and g, where the library builds f and g straight from one
+staircase line per block.  The last section holds helpers that no command
+runs and that the tests still use: a coordinate as a linear form, the
+line-bundle operations, the Chern class of a sum, the Euler characteristic,
+the scan's h^0 bound at one (q, twist), and the dict form of a matrix and
+of a monad document that the streamed `build` output is compared against.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,9 +53,6 @@ from monadforge.polyring import (
     MultiDegree,
     PolyMatrix,
     SpaceParams,
-    _term_from_json,
-    json_int,
-    json_key,
 )
 from monadforge.stability import (
     StabilityScanConfig,
@@ -380,35 +374,6 @@ def stability_scan_by_series(cfg: StabilityScanConfig) -> ScanBySeries:
         verdict="ALL_VANISH" if counterexample is None else "COUNTEREXAMPLE",
         counterexample=counterexample,
     )
-
-
-def matrix_from_json_per_term(data, name: str = "matrix") -> PolyMatrix:
-    """`polyring.matrix_from_json` term by term: every term validated by
-    `_term_from_json` on its own and every cell summed by `LinearForm.of`."""
-    rows = json_int(json_key(data, "rows", name), f"{name} rows")
-    cols = json_int(json_key(data, "cols", name), f"{name} cols")
-    entries = json_key(data, "entries", name)
-    if not isinstance(entries, list) or len(entries) != rows:
-        raise ValueError(f"matrix JSON has inconsistent shape: {name} does not have {rows} rows")
-    flat: List[LinearForm] = []
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ValueError(
-                f"matrix JSON has inconsistent shape: {name} row {i} does not have {cols} entries"
-            )
-        for j, cell in enumerate(row):
-            if not isinstance(cell, list):
-                raise ValueError(f"{name} entry ({i},{j}) is not a list of terms")
-            terms = []
-            for item in cell:
-                try:
-                    terms.append(_term_from_json(item))
-                except ValueError as exc:
-                    raise ValueError(
-                        f"{name} entry ({i},{j}) term {json.dumps(item, sort_keys=True)}: {exc}"
-                    ) from None
-            flat.append(LinearForm.of(terms))
-    return PolyMatrix(rows, cols, flat)
 
 
 def _block_by_formula(group: str, params: SpaceParams, hankel: bool) -> PolyMatrix:

@@ -4,6 +4,7 @@ validity, and byte-level determinism."""
 from __future__ import annotations
 
 import calendar
+import copy
 import hashlib
 import json
 import os
@@ -12,7 +13,6 @@ import resource
 import subprocess
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -539,29 +539,67 @@ def test_verify_input_settles_the_built_monad_by_two_walks_and_one_assembly(
     assert assemblies == [SpaceParams(8, 8, 8)]
 
 
-def test_verify_input_validates_each_distinct_term_once(tmp_path, capsys, monkeypatch):
-    seen = Counter()
+def test_verify_input_validates_every_term(tmp_path, capsys, monkeypatch):
+    # no memo: every term occurrence is validated where it stands, in
+    # document order, once
+    seen = []
     validate = polyring._term_from_json
-
-    def counted(item):
-        ((name, _),) = item["exps"].items()
-        seen[(item["coeff"], name)] += 1
-        return validate(item)
-
     monad_file, doc = reindented_build(tmp_path, capsys, 8, 8, 8)
-    monkeypatch.setattr(polyring, "_TERM_CELLS", {})
-    monkeypatch.setattr(polyring, "_term_from_json", counted)
+    monkeypatch.setattr(polyring, "_term_from_json", lambda item: seen.append(item) or validate(item))
     code, _, _ = run_cli(capsys, "verify", "--input", str(monad_file))
     assert code == 0
-    distinct = {
-        (item["coeff"], name)
+    terms = [
+        item
         for matrix in ("f", "g")
         for row in doc["monad"][matrix]["entries"]
         for cell in row
         for item in cell
-        for name in item["exps"]
+    ]
+    assert seen == terms
+
+
+def package_containers():
+    """(module, name) -> value, for every module-level dict, list and set of
+    the loaded `monadforge` modules (`__builtins__` is the interpreter's)."""
+    return {
+        (module_name, name): value
+        for module_name, module in list(sys.modules.items())
+        if module_name == "monadforge" or module_name.startswith("monadforge.")
+        for name, value in vars(module).items()
+        if type(value) in (dict, list, set) and name != "__builtins__"
     }
-    assert set(seen) == distinct and max(seen.values()) == 1
+
+
+def test_no_package_state_outlives_a_document(tmp_path, capsys):
+    # every command, on every document, leaves each module-level container
+    # as it found it: one process answers a document as a fresh one would
+    before = package_containers()
+    snapshot = copy.deepcopy(before)
+    (tmp_path / "reindented").mkdir()
+    (tmp_path / "tampered").mkdir()
+    reindented, _ = reindented_build(tmp_path / "reindented", capsys, 2, 3, 2)
+    tampered, doc = build_document(tmp_path / "tampered", capsys, 2, 3, 2)
+    # a coefficient no other document holds, so that a memo keyed on the
+    # term would have to grow
+    first_term_cell(doc["monad"]["f"]["entries"])[0].update(coeff="1000003")
+    tampered.write_text(json.dumps(doc))
+    runs = [
+        (("build", "--n", "1", "--m", "2", "--k", "1"), 0),
+        (("verify", "--n", "1", "--m", "2", "--k", "1"), 0),
+        (("cohomology", "--n", "1", "--m", "2", "--", "-1", "0", "2", "-3"), 0),
+        (("invariants", "--n", "1", "--m", "2", "--k", "1"), 0),
+        (("stability", "--min-psum", "-1", "--component-bound", "1"), 1),
+        (("simplicity", "--n", "2", "--m", "1", "--k", "2"), 0),
+        (("report", "--n", "1", "--m", "2", "--k", "3"), 0),
+        (("verify", "--input", str(reindented)), 0),
+        (("verify", "--input", str(tampered)), 1),
+    ]
+    for argv, expected in runs:
+        assert run_cli(capsys, *argv)[0] == expected, argv
+    after = package_containers()
+    assert after.keys() == before.keys()
+    for key, value in before.items():
+        assert after[key] is value and value == snapshot[key], key
 
 
 def test_verify_input_recognises_the_built_monad_by_its_text(tmp_path, capsys, monkeypatch):
