@@ -16,12 +16,13 @@ distributes the remaining 2n+2m-1 factors over the four slots:
 so deg_L(F) = (c1.a + c1.b) * delta_x + (c1.c + c1.d) * delta_z.  The slope
 is mu_L = deg_L / rank, and delta_L(p1,p2,p3,p4) is the degree of the line
 bundle O_X(p1,p2,p3,p4), the same functional.  Everything is exact integer
-(or Fraction) arithmetic.
+arithmetic; only the `slope_L` property returns a Fraction, and no document
+reads it.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, gcd
 from typing import TYPE_CHECKING
 
 from .polyring import MultiDegree, Record, SpaceParams
@@ -59,18 +60,22 @@ class BundleInvariants(Record):
     @property
     def slope_L(self) -> Fraction:
         """degree_L / rank, exactly."""
-        # imported here: only the slope needs it, and at module level it would
-        # slow every command's start-up
+        # imported here: no command reads this property, and `fractions`
+        # (which imports `decimal`) would slow the start-up of every one
         from fractions import Fraction
 
         return Fraction(self.degree_L, self.rank)
 
     def to_json(self) -> dict:
+        """The invariants as a JSON object; its "slope" is str(slope_L),
+        "a" or "a/b" in lowest terms, written from integers (rank > 0)."""
+        g = gcd(self.degree_L, self.rank)
+        num, den = self.degree_L // g, self.rank // g
         return {
             "rank": self.rank,
             "c1": list(self.c1.as_tuple()),
             "degree": self.degree_L,
-            "slope": str(self.slope_L),
+            "slope": str(num) if den == 1 else f"{num}/{den}",
         }
 
 

@@ -48,7 +48,7 @@ only to iterate or write the rows, so no scan builds or keeps its twist box.
 from __future__ import annotations
 
 from itertools import chain, product, repeat
-from math import ceil, comb
+from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .chow import BundleInvariants, delta_L, rank_of_T
@@ -60,10 +60,11 @@ def normalization_shift(inv: BundleInvariants, params: SpaceParams) -> int:
     """The unique integer k_E = ceil(mu_L / d), d = delta_L(1,0,0,0).
 
     Twisting by -k_E in the first slot renormalizes the slope into (-d, 0];
-    exact Fraction arithmetic, no floats.
+    mu_L / d = degree_L / (rank * d), a ceiling taken by integer floor
+    division, no floats and no Fraction.
     """
     d = delta_L(MultiDegree(1, 0, 0, 0), params)
-    return ceil(inv.slope_L / d)
+    return -(-inv.degree_L // (inv.rank * d))
 
 
 def _check_wedge_index(params: SpaceParams, q: object) -> None:
@@ -144,9 +145,9 @@ Twist = Tuple[int, int, int, int]  # (a, b, c, d), as in MultiDegree
 ScanRow = Tuple[int, MultiDegree, int]  # (q, twist, h0)
 
 
-def _box(cb: int, lo: int, hi: int, top: int) -> Iterator[Twist]:
-    """The twists (-p1,-p2,-p3,-p4) with every p_i in [-cb, top] and
-    lo <= p1+p2+p3+p4 <= hi, as int 4-tuples in lexicographic p-order.
+def _runs(cb: int, lo: int, hi: int, top: int) -> Iterator[Tuple[int, int, int, range]]:
+    """The box of `_box` as its runs: (p1, p2, p3, p4s), the range p4s of
+    p4 for each (p1, p2, p3) that has one, in lexicographic p-order.
 
     Each p_i takes only the values from which the p_j after it can still
     bring the sum into [lo, hi], so an empty range yields nothing at once."""
@@ -158,7 +159,16 @@ def _box(cb: int, lo: int, hi: int, top: int) -> Iterator[Twist]:
     for p1 in span(0, 3):
         for p2 in span(p1, 2):
             for p3 in span(p1 + p2, 1):
-                yield from ((-p1, -p2, -p3, -p4) for p4 in span(p1 + p2 + p3, 0))
+                p4s = span(p1 + p2 + p3, 0)
+                if p4s:
+                    yield p1, p2, p3, p4s
+
+
+def _box(cb: int, lo: int, hi: int, top: int) -> Iterator[Twist]:
+    """The twists (-p1,-p2,-p3,-p4) with every p_i in [-cb, top] and
+    lo <= p1+p2+p3+p4 <= hi, as int 4-tuples in lexicographic p-order."""
+    for p1, p2, p3, p4s in _runs(cb, lo, hi, top):
+        yield from ((-p1, -p2, -p3, -p4) for p4 in p4s)
 
 
 def _box_size(cfg: StabilityScanConfig) -> int:
@@ -179,6 +189,11 @@ def _box_size(cfg: StabilityScanConfig) -> int:
         )
 
     return at_most(cfg.max_psum + 4 * cb) - at_most(cfg.min_psum + 4 * cb - 1)
+
+
+def _config_runs(cfg: StabilityScanConfig) -> Iterator[Tuple[int, int, int, range]]:
+    cb = cfg.component_bound
+    return _runs(cb, cfg.min_psum, cfg.max_psum, cb)
 
 
 def _config_box(cfg: StabilityScanConfig) -> Iterator[Twist]:
@@ -222,13 +237,23 @@ class RowGrid(Record):
 
     def _marks(self) -> Dict[int, List[Tuple[int, int]]]:
         """q -> [(twist index in the box, h0), ...] of the nonzero rows, in
-        box order; the box is enumerated, and never held, only if one exists."""
+        box order.  Only if one exists are the box's runs walked, one lookup
+        a run: a twist's index is the rows of the runs before its own plus
+        its p4's offset in its run."""
         marks: Dict[int, List[Tuple[int, int]]] = {}
         if self.nonzero:
-            wanted = {tw.as_tuple() for _, tw, _ in self.nonzero}
-            index = {tw: j for j, tw in enumerate(_config_box(self.config)) if tw in wanted}
+            wanted = {tw.as_tuple()[:3] for _, tw, _ in self.nonzero}
+            # (a, b, c) -> the index of the twist (a, b, c, 0), so that
+            # (a, b, c, d) has index origin[a, b, c] - d
+            origin: Dict[Tuple[int, int, int], int] = {}
+            rows = 0
+            for p1, p2, p3, p4s in _config_runs(self.config):
+                if (-p1, -p2, -p3) in wanted:
+                    origin[-p1, -p2, -p3] = rows - p4s.start
+                rows += len(p4s)
             for q, tw, h0 in self.nonzero:
-                marks.setdefault(q, []).append((index[tw.as_tuple()], h0))
+                a, b, c, d = tw.as_tuple()
+                marks.setdefault(q, []).append((origin[a, b, c] - d, h0))
         return marks
 
     def __iter__(self) -> Iterator[ScanRow]:
@@ -244,13 +269,17 @@ class RowGrid(Record):
         """The list [{"h0": h0, "q": q, "twist": [a, b, c, d]}, ...] of the
         rows, closing bracket at column `indent`, at most _ROW_BATCH rows per
         piece.  Each twist's `"twist": [...]` text is rendered once and reused
-        for every q; a run of zero rows of one q is one join of those texts
-        behind the q's shared head."""
+        for every q, from the box's runs: the text of a run's three shared
+        components, rendered once a run, before one of the 2*cb + 1 texts of
+        the last component, rendered once a write.  A run of zero rows of one
+        q is one join of those texts behind the q's shared head."""
         i, f, e = (" " * (indent + step) for step in (2, 4, 6))
-        tails = [
-            f'{f}"twist": [\n{e}{a},\n{e}{b},\n{e}{c},\n{e}{d}\n{f}]\n{i}}}'
-            for a, b, c, d in _config_box(self.config)
-        ]
+        cb = self.config.component_bound
+        last = [f"{e}{-p4}\n{f}]\n{i}}}" for p4 in range(-cb, cb + 1)]
+        tails: List[str] = []
+        for p1, p2, p3, p4s in _config_runs(self.config):
+            lead = f'{f}"twist": [\n{e}{-p1},\n{e}{-p2},\n{e}{-p3},\n'
+            tails += [lead + t for t in last[p4s.start + cb : p4s.stop + cb]]
         if not tails:
             yield "[]"
             return

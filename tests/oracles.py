@@ -11,7 +11,7 @@ enumeration there, are rebuilt here from the exterior powers that
 `cohomology.exterior_power_sum` enumerates summand by summand; the
 certificate's closed-form LES collapse is checked against `les_propagate`
 run on `twisted_dual_sequence`, whose left and middle tables are computed
-from the line-bundle sums themselves.  Four oracles are the library's
+from the line-bundle sums themselves.  Five oracles are the library's
 earlier code.  The simplicity certificate is built field by field, each
 field computed on its own as when the record stored it, from a scan and the
 solved sequence.  The vanishing scan sums the generating function at every
@@ -22,7 +22,9 @@ negative-component lemma allows a nonzero row.  The two entry walks of
 pass, run on every document.  The assembly builds the monad block by block
 from the closed entry formulas, two blocks of f negated and the blocks
 flattened into f and g, where the library builds f and g straight from one
-staircase line per block.  The last section holds helpers that no command
+staircase line per block.  The scan's twist box is enumerated twist by
+twist in four nested loops, where the library walks it as runs of p4, one
+run per (p1, p2, p3).  The last section holds helpers that no command
 runs and that the tests still use: a coordinate as a linear form, the
 line-bundle operations, the Chern class of a sum, the Euler characteristic,
 the scan's h^0 bound at one (q, twist), and the dict form of a matrix and
@@ -36,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from monadforge.cohomology import CohTable, LineBundleSum, exterior_power_sum, line_bundle
 from monadforge.les import CohProfile, ShortExactSeq, les_propagate
@@ -356,6 +358,21 @@ class ScanBySeries:
                 {"q": q, "twist": list(tw.as_tuple()), "h0": h} for q, tw, h in self.checked if h
             ]
         return doc
+
+
+def box_by_nested_loops(cb: int, lo: int, hi: int, top: int) -> Iterator[Tuple[int, int, int, int]]:
+    """`stability._box` as four nested loops: the twists (-p1,-p2,-p3,-p4)
+    with every p_i in [-cb, top] and lo <= p1+p2+p3+p4 <= hi, in
+    lexicographic p-order, each p_i pruned to the values from which the p_j
+    after it can still bring the sum into [lo, hi]."""
+
+    def span(done: int, left: int) -> range:
+        return range(max(-cb, lo - done - left * top), min(top, hi - done + left * cb) + 1)
+
+    for p1 in span(0, 3):
+        for p2 in span(p1, 2):
+            for p3 in span(p1 + p2, 1):
+                yield from ((-p1, -p2, -p3, -p4) for p4 in span(p1 + p2 + p3, 0))
 
 
 def stability_scan_by_series(cfg: StabilityScanConfig) -> ScanBySeries:

@@ -3,6 +3,7 @@ invariants of the kernel bundle T."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monadforge.chow import (
+    BundleInvariants,
     c1_of_T,
     degree_L,
     degree_simplification_check,
@@ -23,6 +25,7 @@ from monadforge.chow import (
 from monadforge.cohomology import direct_sum, line_bundle
 from monadforge.monad import middle_bundle
 from monadforge.polyring import MultiDegree, SpaceParams
+from monadforge.stability import normalization_shift
 from oracles import c1_of_sum, degree_by_expansion
 
 PARAMS_EX = SpaceParams(1, 2, 3)
@@ -157,6 +160,22 @@ def test_slope_is_exact_rational():
     inv = invariants_of_T(SpaceParams(2, 2, 1))
     assert isinstance(inv.slope_L, Fraction)
     assert inv.slope_L * inv.rank == inv.degree_L
+
+
+def test_slope_text_is_the_fraction_text():
+    # the document's slope is written from integers; str(Fraction) is the oracle
+    for num in range(-300, 301):
+        for den in range(1, 61):
+            inv = BundleInvariants(rank=den, c1=MultiDegree(0, 0, 0, 0), degree_L=num)
+            assert inv.to_json()["slope"] == str(Fraction(num, den)) == str(inv.slope_L), (num, den)
+
+
+def test_normalization_shift_is_the_ceiling_of_the_fraction():
+    for n, m, k in itertools.product(range(1, 9), repeat=3):
+        params = SpaceParams(n, m, k)
+        inv = invariants_of_T(params)
+        d = delta_L(MultiDegree(1, 0, 0, 0), params)
+        assert normalization_shift(inv, params) == math.ceil(inv.slope_L / d), (n, m, k)
 
 
 # ---------------------------------------------------------------------------

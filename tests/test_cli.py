@@ -1053,6 +1053,22 @@ def test_importing_the_cli_loads_every_layer_and_no_heavy_stdlib_module():
     assert package_all == PACKAGE_ALL
 
 
+def test_no_document_imports_fractions():
+    # the slope and the normalization shift are written from integers, so
+    # the commands that print them leave fractions (with decimal) unloaded
+    probe = (
+        "import json, os, sys; from monadforge.cli import main\n"
+        "for cmd in ('invariants', 'simplicity', 'report'):\n"
+        "    main([cmd, '--n', '1', '--m', '2', '--k', '1', '--output', os.devnull])\n"
+        "print(json.dumps(sorted({'fractions', 'decimal'} & set(sys.modules))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert json.loads(proc.stdout) == []
+
+
 # ---------------------------------------------------------------------------
 # console entry point
 # ---------------------------------------------------------------------------

@@ -420,6 +420,8 @@ def _streamed_pieces(grid):
 @given(SCAN_ROWS, st.integers(1, 4))
 @example(EMPTY_GRID, 1)
 @example(grid_of(FIVE_TWISTS, {(1, 4): 10**40, (2, 0): -1}), 2)
+@example(grid_of(scan_box(3, 0, 0, 0), {(2, 0): 5}), 1)  # cb 0: every run one twist
+@example(grid_of(FIVE_TWISTS, {(1, 3): 7, (2, 3): -2}), 2)  # twist 3 starts the run p4 in [0, 1]
 def test_streamed_rows_equal_json_dumps_of_the_row_dicts(grid, batch):
     # a small batch puts piece boundaries next to and between nonzero rows
     with mock.patch.object(stability, "_ROW_BATCH", batch):

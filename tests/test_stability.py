@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -21,12 +22,14 @@ from monadforge.stability import (
     StabilityScanConfig,
     _box,
     _box_size,
+    _runs,
     enumerate_twists,
     negative_component_violations,
     normalization_shift,
     run_stability_scan,
 )
 from oracles import (
+    box_by_nested_loops,
     c1_of_sum,
     h0_wedge_T_upper,
     negative_component_violations_by_exterior_power,
@@ -186,6 +189,23 @@ def test_box_equals_the_filtered_cube():
                 for hi in range(lo - 1, 7):
                     expected = [tw for total, tw in cube if lo <= total <= hi]
                     assert list(_box(cb, lo, hi, top)) == expected, (cb, lo, hi, top)
+
+
+def test_runs_flatten_to_the_nested_loop_box():
+    # every bound up to cb 6 and every p-sum range in [-10, 6], empty boxes
+    # and empty ranges (hi = lo - 1, as the orthant of a box with
+    # min_psum >= 0) included, for the box and the orthant
+    for cb in range(7):
+        for top in {0, cb}:
+            for lo in range(-10, 7):
+                for hi in range(lo - 1, 7):
+                    runs = list(_runs(cb, lo, hi, top))
+                    flat = [(-p1, -p2, -p3, -p4) for p1, p2, p3, p4s in runs for p4 in p4s]
+                    assert flat == list(box_by_nested_loops(cb, lo, hi, top)), (cb, lo, hi, top)
+                    assert all(p4s for *_, p4s in runs)
+                    if top == cb:
+                        size = _box_size(SimpleNamespace(component_bound=cb, min_psum=lo, max_psum=hi))
+                        assert sum(len(p4s) for *_, p4s in runs) == size, (cb, lo, hi)
 
 
 def test_box_size_counts_the_box():
