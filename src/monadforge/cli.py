@@ -18,18 +18,25 @@ or 1.  Output is byte-identical across runs with the same arguments and seed;
 set SOURCE_DATE_EPOCH to pin the manifest timestamp (the test suite does),
 otherwise it records the wall clock.
 
+Every flag is stated once, in one table (`SUBCOMMANDS`).  A plainly spelled
+command line (a subcommand, full flag names each with one value, and
+cohomology's four integers last) is read straight from the table by
+`_plain_args`, and never imports argparse.  Any other argument vector goes to
+the argparse parser `build_parser` makes from the same table, so argparse
+alone prints every help text, version line and usage error.
+
 Exit codes: 0 = success, 1 = a mathematical check failed, 2 = usage error or out
 of memory.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
-from typing import Iterable, List, Optional, Tuple, Union
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple, Union
 
 from . import __version__
 from .chow import degree_simplification_check, invariants_of_T
@@ -48,12 +55,17 @@ from .polyring import DEFAULT_PRIME, MultiDegree, SpaceParams, canonical_chunks,
 from .stability import StabilityScanConfig, run_stability_scan
 from .stability import normalization_shift as _normalization_shift
 
+if TYPE_CHECKING:
+    import argparse
+
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
 
 # a handler's (params the manifest records, document body or build's text, passed)
 Outcome = Tuple[SpaceParams, Union[dict, str], bool]
+# the parsed command line: argparse's namespace, or the plain reader's
+Args = Union["argparse.Namespace", SimpleNamespace]
 
 
 def _timestamp() -> str:
@@ -84,17 +96,23 @@ def _manifest(command: str, params: SpaceParams, seed: int) -> dict:
     }
 
 
-def _int_at_least(low: int):
-    """The argparse type of an integer flag whose value must be >= `low`."""
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """The type function of an integer flag whose value must be >= `low`,
+    used by argparse and by the plain reader alike.  A rejected value raises
+    argparse's ArgumentTypeError, so argparse is imported only then."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
+            value = None
+        if value is not None and value >= low:
+            return value
+        import argparse
+
+        if value is None:
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
 
     return parse
 
@@ -143,7 +161,7 @@ def _render_matrix_text(spec: MonadSpec, which: str) -> List[str]:
     return lines
 
 
-def _cmd_build(args: argparse.Namespace, params: SpaceParams) -> Outcome:
+def _cmd_build(args: Args, params: SpaceParams) -> Outcome:
     spec = assemble_monad(params)
     if args.format == "json":
         return params, built_body(spec), True
@@ -173,7 +191,7 @@ def _declared_params(data: object, fallback: SpaceParams) -> SpaceParams:
         return fallback
 
 
-def _cmd_verify(args: argparse.Namespace, params: SpaceParams) -> Outcome:
+def _cmd_verify(args: Args, params: SpaceParams) -> Outcome:
     if args.input is None:
         spec = assemble_monad(params)
     else:
@@ -211,18 +229,18 @@ def _cmd_verify(args: argparse.Namespace, params: SpaceParams) -> Outcome:
     return spec.params, body, passed
 
 
-def _cmd_cohomology(args: argparse.Namespace, params: SpaceParams) -> Outcome:
+def _cmd_cohomology(args: Args, params: SpaceParams) -> Outcome:
     deg = MultiDegree(*args.degree)
     table = sum_cohomology(line_bundle(params, deg))
     body = {"degree": list(deg.as_tuple()), "table": {str(t): h for t, h in enumerate(table.dims)}}
     return params, body, True
 
 
-def _cmd_invariants(args: argparse.Namespace, params: SpaceParams) -> Outcome:
+def _cmd_invariants(args: Args, params: SpaceParams) -> Outcome:
     return params, invariants_of_T(params).to_json(), True
 
 
-def _scan_config(args: argparse.Namespace, params: SpaceParams):
+def _scan_config(args: Args, params: SpaceParams):
     return StabilityScanConfig(
         params,
         max_q=args.max_q,
@@ -232,17 +250,17 @@ def _scan_config(args: argparse.Namespace, params: SpaceParams):
     )
 
 
-def _cmd_stability(args: argparse.Namespace, params: SpaceParams) -> Outcome:
+def _cmd_stability(args: Args, params: SpaceParams) -> Outcome:
     report = run_stability_scan(_scan_config(args, params))
     return params, report.to_json(include_checked=True), report.all_vanish
 
 
-def _cmd_simplicity(args: argparse.Namespace, params: SpaceParams) -> Outcome:
+def _cmd_simplicity(args: Args, params: SpaceParams) -> Outcome:
     cert = simplicity_certificate(params, _scan_config(args, params))
     return params, {"certificate": cert.to_json()}, cert.conclusion == "SIMPLE_CERTIFIED"
 
 
-def _cmd_report(args: argparse.Namespace, params: SpaceParams) -> Outcome:
+def _cmd_report(args: Args, params: SpaceParams) -> Outcome:
     cfg = _scan_config(args, params)
     inv = invariants_of_T(params)
     scan = run_stability_scan(cfg)
@@ -257,71 +275,128 @@ def _cmd_report(args: argparse.Namespace, params: SpaceParams) -> Outcome:
     return params, body, scan.all_vanish and cert.conclusion == "SIMPLE_CERTIFIED"
 
 
-def _add_format_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("json", "text"), default="json")
+# A flag of the table: (option string, dest, type function or None, default,
+# choices or None, help or None).  build_parser hands each row to argparse and
+# _plain_args reads a plainly spelled argv by the same rows.
+Flag = Tuple[str, str, Optional[Callable[[str], object]], object, Optional[Tuple[str, ...]], Optional[str]]
 
-
-def _add_verify_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--trials", type=_int_at_least(1), default=20)
-    sub.add_argument("--input", default=None, help="verify a monad JSON document instead of building one")
-
-
-def _add_degree_positional(sub: argparse.ArgumentParser) -> None:
-    # a tuple metavar breaks argparse's missing-argument message on Python < 3.12
-    sub.add_argument("degree", type=int, nargs=4, metavar="DEG",
-                     help="multidegree (a, b, c, d) of the line bundle")
-
-
-def _add_scan_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--max-q", type=_int_at_least(1), default=None, dest="max_q",
-                     help="cap on the exterior power index (default min(8, rank(T)-1))")
-    sub.add_argument("--max-psum", type=_int_at_least(0), default=4, dest="max_psum",
-                     help="cap on p1+p2+p3+p4 (default 4)")
-    sub.add_argument("--component-bound", type=_int_at_least(0), default=4, dest="component_bound",
-                     help="cap on each |p_i| (default 4)")
-    sub.add_argument("--min-psum", type=int, default=0, dest="min_psum",
-                     help="lower bound on p1+p2+p3+p4 (default 0; negative values probe outside the criterion's regime)")
-
-
-# (name, one-line help, handler, adder of the subcommand's own arguments)
-SUBCOMMANDS = (
-    ("build", "emit the monad document", _cmd_build, _add_format_flag),
-    ("verify", "certify composition and maximal rank", _cmd_verify, _add_verify_flags),
-    ("cohomology", "dimension table of a line bundle", _cmd_cohomology, _add_degree_positional),
-    ("invariants", "rank / c1 / degree / slope of T", _cmd_invariants, None),
-    ("stability", "Hoppe-criterion vanishing scan", _cmd_stability, _add_scan_flags),
-    ("simplicity", "simplicity certificate for E", _cmd_simplicity, _add_scan_flags),
-    ("report", "invariants + stability + simplicity in one document", _cmd_report, _add_scan_flags),
+COMMON_FLAGS: Tuple[Flag, ...] = (
+    ("--n", "n", _int_at_least(1), 1, None, "dimension of the paired P^n factors"),
+    ("--m", "m", _int_at_least(1), 1, None, "dimension of the paired P^m factors"),
+    ("--k", "k", _int_at_least(1), 1, None, "monad rank parameter"),
+    ("--seed", "seed", int, 0, None, "seed recorded in the manifest and used by sampling"),
+    ("--output", "output", None, None, None, "write to this file instead of stdout"),
 )
 
+SCAN_FLAGS: Tuple[Flag, ...] = (
+    ("--max-q", "max_q", _int_at_least(1), None, None,
+     "cap on the exterior power index (default min(8, rank(T)-1))"),
+    ("--max-psum", "max_psum", _int_at_least(0), 4, None, "cap on p1+p2+p3+p4 (default 4)"),
+    ("--component-bound", "component_bound", _int_at_least(0), 4, None, "cap on each |p_i| (default 4)"),
+    ("--min-psum", "min_psum", int, 0, None,
+     "lower bound on p1+p2+p3+p4 (default 0; negative values probe outside the criterion's regime)"),
+)
 
-def build_parser() -> argparse.ArgumentParser:
+# (name, one-line help, handler, flags, whether four DEG integers come last)
+SUBCOMMANDS = (
+    ("build", "emit the monad document", _cmd_build,
+     COMMON_FLAGS + (("--format", "format", None, "json", ("json", "text"), None),), False),
+    ("verify", "certify composition and maximal rank", _cmd_verify,
+     COMMON_FLAGS + (("--trials", "trials", _int_at_least(1), 20, None, None),
+                     ("--input", "input", None, None, None, "verify a monad JSON document instead of building one")),
+     False),
+    ("cohomology", "dimension table of a line bundle", _cmd_cohomology, COMMON_FLAGS, True),
+    ("invariants", "rank / c1 / degree / slope of T", _cmd_invariants, COMMON_FLAGS, False),
+    ("stability", "Hoppe-criterion vanishing scan", _cmd_stability, COMMON_FLAGS + SCAN_FLAGS, False),
+    ("simplicity", "simplicity certificate for E", _cmd_simplicity, COMMON_FLAGS + SCAN_FLAGS, False),
+    ("report", "invariants + stability + simplicity in one document", _cmd_report,
+     COMMON_FLAGS + SCAN_FLAGS, False),
+)
+
+_SUBCOMMAND = {row[0]: row for row in SUBCOMMANDS}
+
+
+def build_parser() -> "argparse.ArgumentParser":
+    """The argparse parser of the flag table.  It reads every argv that
+    `_plain_args` declines, and prints every help, version and error text."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="monadforge",
         description="exact linear monads on P^n x P^n x P^m x P^m: construction, verification, certificates",
     )
     parser.add_argument("--version", action="version", version=f"monadforge {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, handler, add_own_flags in SUBCOMMANDS:
+    for name, help_text, handler, flags, takes_degree in SUBCOMMANDS:
         sub = subs.add_parser(name, help=help_text)
-        sub.add_argument("--n", type=_int_at_least(1), default=1, help="dimension of the paired P^n factors")
-        sub.add_argument("--m", type=_int_at_least(1), default=1, help="dimension of the paired P^m factors")
-        sub.add_argument("--k", type=_int_at_least(1), default=1, help="monad rank parameter")
-        sub.add_argument("--seed", type=int, default=0, help="seed recorded in the manifest and used by sampling")
-        sub.add_argument("--output", default=None, help="write to this file instead of stdout")
-        if add_own_flags is not None:
-            add_own_flags(sub)
+        for option, dest, convert, default, choices, flag_help in flags:
+            sub.add_argument(option, dest=dest, type=convert, default=default, choices=choices, help=flag_help)
+        if takes_degree:
+            # a tuple metavar breaks argparse's missing-argument message on Python < 3.12
+            sub.add_argument("degree", type=int, nargs=4, metavar="DEG",
+                             help="multidegree (a, b, c, d) of the line bundle")
         sub.set_defaults(func=handler)
     return parser
 
 
+def _is_int(token: str) -> bool:
+    """Whether `token` is an ASCII integer, such as 12 or -4."""
+    digits = token[1:] if token[:1] == "-" else token
+    return digits.isascii() and digits.isdigit()
+
+
+def _plain_args(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The namespace `build_parser().parse_args(argv)` returns, read from the
+    flag table, if `argv` is plainly spelled; None if it is not.
+
+    Plainly spelled is: a subcommand; full names of its flags, each followed
+    by one value token (one that does not begin with "-", a lone "-" or an
+    ASCII integer); for cohomology, four ASCII integers last, maybe after
+    "--".  A repeated flag keeps its last value.  Each value goes through the
+    flag's own type function and choices, so a value argparse would reject is
+    declined here, and argparse reports it."""
+    row = _SUBCOMMAND.get(argv[0]) if argv else None
+    if row is None:
+        return None
+    name, _, handler, flags, takes_degree = row
+    args = SimpleNamespace(command=name, func=handler)
+    for _, dest, _, default, _, _ in flags:
+        setattr(args, dest, default)
+    rest = argv[1:]
+    if takes_degree:
+        if len(rest) < 4 or not all(map(_is_int, rest[-4:])):
+            return None
+        args.degree = [int(token) for token in rest[-4:]]
+        rest = rest[:-4]
+        if rest[-1:] == ["--"]:
+            rest = rest[:-1]
+    if len(rest) % 2:
+        return None
+    by_option = {flag[0]: flag for flag in flags}
+    for option, token in zip(rest[::2], rest[1::2]):
+        flag = by_option.get(option)
+        if flag is None or (token[:1] == "-" and token != "-" and not _is_int(token)):
+            return None
+        _, dest, convert, _, choices, _ = flag
+        try:
+            value = token if convert is None else convert(token)
+        except Exception:  # whatever the type function raises, argparse reports or raises
+            return None
+        if choices is not None and value not in choices:
+            return None
+        setattr(args, dest, value)
+    return args
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help; pass codes through
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors and 0 on --help; pass codes through
+            return int(exc.code or 0)
     try:
         params, body, passed = args.func(args, SpaceParams(args.n, args.m, args.k))
         if isinstance(body, str):  # build --format text

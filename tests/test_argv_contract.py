@@ -1,6 +1,8 @@
 """Exit-code contract of the whole command line: whatever the argument
 vector, `main` returns 0, 1 or 2 without an exception escaping, and a run
-that exits 1 leaves a document valid against its command's schema."""
+that exits 1 leaves a document valid against its command's schema.  The
+plain reader, where it reads an argument vector at all, reads it as argparse
+does."""
 
 from __future__ import annotations
 
@@ -9,10 +11,10 @@ import io
 import json
 
 import jsonschema
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from monadforge.cli import main
+from monadforge.cli import SUBCOMMANDS, _plain_args, build_parser, main
 from monadforge.schemas import SCHEMAS
 
 SCAN_COMMANDS = ("stability", "simplicity", "report")
@@ -71,3 +73,62 @@ def test_argument_vector_exit_code_contract(tmp_path_factory, data):
     if code == 1:
         text = target.read_text() if str(target) in argv else stdout.getvalue()
         VALIDATORS[cmd].validate(json.loads(text))
+
+
+TABLE = {name: (flags, takes_degree) for name, _, _, flags, takes_degree in SUBCOMMANDS}
+# spellings at the edge of the plain shape: an `=` form, an abbreviation,
+# help and version, option-like values, and numbers that int() or argparse's
+# token classes read differently from a plain ASCII integer
+EDGE_TOKENS = st.sampled_from(["--n=2", "--comp", "-h", "--version", "--", "--help", "-"])
+EDGE_NUMBERS = ["\u0663", "\u00b2", "1_0", "+3", " 3", "-1.5"]
+EDGE_VALUES = st.sampled_from(EDGE_NUMBERS + ["-x y", "-", "", "--", "-h", "--n", "-4", "2", "json", "text"])
+DEGREES = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(EDGE_NUMBERS))
+
+
+@st.composite
+def plain_vectors(draw):
+    """(command, argv) spelled from the flag table: up to four of the
+    command's flags (maybe repeated), each with a plain value or, for a path
+    flag, an option-like one; then for cohomology four integers (or edge
+    spellings of them), maybe after `--`.  Nothing is run, so no path is
+    written."""
+    cmd = draw(st.sampled_from(COMMANDS))
+    flags, takes_degree = TABLE[cmd]
+    argv = [cmd]
+    for option, _, convert, _, choices, _ in draw(st.lists(st.sampled_from(flags), max_size=4)):
+        if choices is not None:
+            value = draw(st.sampled_from(choices))
+        elif convert is None:
+            value = draw(st.sampled_from(["-", "out.json", "-4", "", "--", "-h", "--n", "-x y"]))
+        else:
+            value = str(draw(st.integers(1, 4)))
+        argv += [option, value]
+    if takes_degree:
+        argv += draw(st.sampled_from([[], ["--"]]))
+        argv += [draw(DEGREES) for _ in range(4)]
+    return cmd, argv
+
+
+@st.composite
+def edged_vectors(draw):
+    """An argv of `argument_vectors` or `plain_vectors` with up to two
+    edits: an edge token anywhere, or one of the command's flags again with
+    an edge value."""
+    cmd, argv = draw(st.one_of(argument_vectors(), plain_vectors()))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(argv)))
+        if draw(st.booleans()):
+            edit = [draw(EDGE_TOKENS)]
+        else:
+            edit = [draw(st.sampled_from(TABLE[cmd][0]))[0], draw(EDGE_VALUES)]
+        argv[at:at] = edit
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(edged_vectors())
+def test_the_plain_reader_reads_as_argparse_does(argv):
+    plain = _plain_args(argv)
+    event("read plainly" if plain is not None else "declined")
+    if plain is not None:
+        assert vars(plain) == vars(build_parser().parse_args(argv))

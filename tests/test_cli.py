@@ -810,10 +810,132 @@ def test_each_subcommand_parses_to_its_defaults():
     }
     for name, defaults in own.items():
         degrees = ["1", "-2", "3", "0"] if name == "cohomology" else []
-        args = vars(cli_module.build_parser().parse_args([name, *degrees]))
-        assert args.pop("func").__name__ == f"_cmd_{name}"
-        assert args == {"command": name, "n": 1, "m": 1, "k": 1, "seed": 0, "output": None,
-                        **defaults}, name
+        parsed = vars(cli_module.build_parser().parse_args([name, *degrees]))
+        plain = vars(cli_module._plain_args([name, *degrees]))
+        for args in (parsed, plain):
+            assert args.pop("func").__name__ == f"_cmd_{name}"
+            assert args == {"command": name, "n": 1, "m": 1, "k": 1, "seed": 0, "output": None,
+                            **defaults}, name
+
+
+# ---------------------------------------------------------------------------
+# argparse's texts, frozen: every help, version and usage-error text is
+# argparse's own, also for the spellings the plain reader declines
+# ---------------------------------------------------------------------------
+
+USAGE_TOP = (
+    "usage: monadforge [-h] [--version]\n"
+    "                  {build,verify,cohomology,invariants,stability,simplicity,report}\n"
+    "                  ...\n"
+)
+USAGE_BUILD = (
+    "usage: monadforge build [-h] [--n N] [--m M] [--k K] [--seed SEED]\n"
+    "                        [--output OUTPUT] [--format {json,text}]\n"
+)
+USAGE_COHOMOLOGY = (
+    "usage: monadforge cohomology [-h] [--n N] [--m M] [--k K] [--seed SEED]\n"
+    "                             [--output OUTPUT]\n"
+    "                             DEG DEG DEG DEG\n"
+)
+SCAN_USAGE_TAIL = (
+    " [--n N] [--m M] [--k K] [--seed SEED]\n"
+    "{0}[--output OUTPUT] [--max-q MAX_Q]\n"
+    "{0}[--max-psum MAX_PSUM]\n"
+    "{0}[--component-bound COMPONENT_BOUND]\n"
+    "{0}[--min-psum MIN_PSUM]\n"
+)
+USAGE_REPORT = "usage: monadforge report [-h]" + SCAN_USAGE_TAIL.format(" " * 25)
+USAGE_STABILITY = "usage: monadforge stability [-h]" + SCAN_USAGE_TAIL.format(" " * 28)
+
+ARGPARSE_TEXTS = {  # argv: (exit code, stdout, stderr) at COLUMNS=80
+    ("build", "--n", "0"):
+        (2, "", USAGE_BUILD + "monadforge build: error: argument --n: must be >= 1, got 0\n"),
+    ("build", "--n=0"):
+        (2, "", USAGE_BUILD + "monadforge build: error: argument --n: must be >= 1, got 0\n"),
+    ("build", "--n", "x"):
+        (2, "", USAGE_BUILD + "monadforge build: error: argument --n: 'x' is not an integer\n"),
+    ("build", "--format", "xml"):
+        (2, "", USAGE_BUILD + "monadforge build: error: argument --format: invalid choice: "
+                              "'xml' (choose from 'json', 'text')\n"),
+    ("verify", "--trials", "0"): (2, "", (
+        "usage: monadforge verify [-h] [--n N] [--m M] [--k K] [--seed SEED]\n"
+        "                         [--output OUTPUT] [--trials TRIALS] [--input INPUT]\n"
+        "monadforge verify: error: argument --trials: must be >= 1, got 0\n"
+    )),
+    ("report", "--max-q"):
+        (2, "", USAGE_REPORT + "monadforge report: error: argument --max-q: expected one argument\n"),
+    ("stability", "--min-psum", "1.5"):
+        (2, "", USAGE_STABILITY + "monadforge stability: error: argument --min-psum: "
+                                  "invalid int value: '1.5'\n"),
+    ("build", "--frobnicate"):
+        (2, "", USAGE_TOP + "monadforge: error: unrecognized arguments: --frobnicate\n"),
+    ("bogus",): (2, "", USAGE_TOP + (
+        "monadforge: error: argument command: invalid choice: 'bogus' (choose from 'build', "
+        "'verify', 'cohomology', 'invariants', 'stability', 'simplicity', 'report')\n"
+    )),
+    (): (2, "", USAGE_TOP + "monadforge: error: the following arguments are required: command\n"),
+    ("cohomology", "--", "1", "2", "3"): (2, "", USAGE_COHOMOLOGY + (
+        "monadforge cohomology: error: the following arguments are required: DEG\n"
+    )),
+    ("--version",): (0, f"monadforge {__version__}\n", ""),
+    ("-h",): (0, USAGE_TOP + (
+        "\n"
+        "exact linear monads on P^n x P^n x P^m x P^m: construction, verification,\n"
+        "certificates\n"
+        "\n"
+        "positional arguments:\n"
+        "  {build,verify,cohomology,invariants,stability,simplicity,report}\n"
+        "    build               emit the monad document\n"
+        "    verify              certify composition and maximal rank\n"
+        "    cohomology          dimension table of a line bundle\n"
+        "    invariants          rank / c1 / degree / slope of T\n"
+        "    stability           Hoppe-criterion vanishing scan\n"
+        "    simplicity          simplicity certificate for E\n"
+        "    report              invariants + stability + simplicity in one document\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --version             show program's version number and exit\n"
+    ), ""),
+    ("build", "-h"): (0, USAGE_BUILD + (
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --n N                 dimension of the paired P^n factors\n"
+        "  --m M                 dimension of the paired P^m factors\n"
+        "  --k K                 monad rank parameter\n"
+        "  --seed SEED           seed recorded in the manifest and used by sampling\n"
+        "  --output OUTPUT       write to this file instead of stdout\n"
+        "  --format {json,text}\n"
+    ), ""),
+    ("cohomology", "-h"): (0, USAGE_COHOMOLOGY + (
+        "\n"
+        "positional arguments:\n"
+        "  DEG              multidegree (a, b, c, d) of the line bundle\n"
+        "\n"
+        "options:\n"
+        "  -h, --help       show this help message and exit\n"
+        "  --n N            dimension of the paired P^n factors\n"
+        "  --m M            dimension of the paired P^m factors\n"
+        "  --k K            monad rank parameter\n"
+        "  --seed SEED      seed recorded in the manifest and used by sampling\n"
+        "  --output OUTPUT  write to this file instead of stdout\n"
+    ), ""),
+}
+
+
+@pytest.mark.parametrize("argv", list(ARGPARSE_TEXTS), ids=lambda argv: " ".join(argv) or "[]")
+def test_argparse_texts_are_frozen(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, *argv) == ARGPARSE_TEXTS[argv]
+
+
+def test_an_abbreviated_flag_reads_as_its_full_name(capsys):
+    # argparse, not the plain reader, accepts --comp for --component-bound
+    code, out, err = run_cli(capsys, "stability", "--comp", "2", "--n", "1")
+    assert (code, sha256(out), err) == (
+        0, "719019baaddc6ff65d65e2241b6aa9ddbcb295f33a2c426391f2c39524d61363", "")
+    assert run_cli(capsys, "stability", "--component-bound", "2", "--n", "1") == (code, out, err)
 
 
 # ---------------------------------------------------------------------------
@@ -1021,6 +1143,8 @@ LAYER_MODULES = {
     for name in ("polyring", "cohomology", "monad", "chow", "stability", "les", "cli")
 }
 
+ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
+
 PACKAGE_ALL = [
     "DEFAULT_PRIME", "LinearForm", "MultiDegree", "PolyMatrix", "SpaceParams", "evaluate_matrix",
     "matrix_mul", "rank_over_field", "CohTable", "LineBundleSum", "bott_h", "direct_sum",
@@ -1037,8 +1161,8 @@ PACKAGE_ALL = [
 def test_importing_the_cli_loads_every_layer_and_no_heavy_stdlib_module():
     # perfbench/tracing.py looks every layer module up in sys.modules after
     # importing the CLI, so all seven must load eagerly; dataclasses (with
-    # inspect), datetime and fractions (with decimal) cost start-up that no
-    # command needs before it runs
+    # inspect), datetime, fractions (with decimal) and argparse (with gettext
+    # and locale) cost start-up that no plainly spelled command needs
     probe = (
         "import json, sys; before = set(sys.modules); import monadforge.cli, monadforge; "
         "print(json.dumps([sorted(set(sys.modules) - before), monadforge.__all__]))"
@@ -1049,6 +1173,7 @@ def test_importing_the_cli_loads_every_layer_and_no_heavy_stdlib_module():
     )
     loaded, package_all = json.loads(proc.stdout)
     assert {"dataclasses", "inspect", "datetime", "fractions", "decimal"}.isdisjoint(loaded)
+    assert ARGPARSE_MODULES.isdisjoint(loaded)
     assert LAYER_MODULES <= set(loaded)
     assert package_all == PACKAGE_ALL
 
@@ -1067,6 +1192,25 @@ def test_no_document_imports_fractions():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert json.loads(proc.stdout) == []
+
+
+def test_only_a_command_the_plain_reader_declines_imports_argparse():
+    # every subcommand, plainly spelled, is read from the flag table; an
+    # unknown flag goes to argparse, which reports it
+    probe = (
+        "import json, os, sys; from monadforge.cli import main\n"
+        "codes = [main([cmd, '--n', '1', '--m', '2', '--output', os.devnull])\n"
+        "         for cmd in ('build', 'verify', 'invariants', 'stability', 'simplicity', 'report')]\n"
+        "codes.append(main(['cohomology', '--output', os.devnull, '--', '-2', '-2', '-3', '-3']))\n"
+        "plain = sorted(%r & set(sys.modules))\n"
+        "code = main(['build', '--frobnicate'])\n"
+        "print(json.dumps([codes, plain, code, 'argparse' in sys.modules]))" % ARGPARSE_MODULES
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert json.loads(proc.stdout) == [[0] * 7, [], 2, True]
 
 
 # ---------------------------------------------------------------------------
