@@ -25,18 +25,23 @@ cohomology's four integers last) is read straight from the table by
 the argparse parser `build_parser` makes from the same table, so argparse
 alone prints every help text, version line and usage error.
 
+`main` is the in-process entry (tests, the library, the benchmark's traced
+pass); `run` is the process entry, which `python -m monadforge.cli` and the
+`monadforge` console script both call.
+
 Exit codes: 0 = success, 1 = a mathematical check failed, 2 = usage error or out
 of memory.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
 import time
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Iterable, List, NoReturn, Optional, Tuple, Union
 
 from . import __version__
 from .chow import degree_simplification_check, invariants_of_T
@@ -389,7 +394,21 @@ def _plain_args(argv: List[str]) -> Optional[SimpleNamespace]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    # CPython (3.11, and 3.10 from 3.10.7) refuses to convert an int of more
+    # than 4,300 digits to or from text unless told otherwise; a document of
+    # exact integers writes them whole, whatever PYTHONINTMAXSTRDIGITS says
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _answer(sys.argv[1:] if argv is None else list(argv))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _answer(argv: List[str]) -> int:
+    """Read `argv`, write its document and return its exit code."""
     args = _plain_args(argv)
     if args is None:
         try:
@@ -405,7 +424,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             chunks = canonical_chunks({"manifest": _manifest(args.command, params, args.seed), **body})
         _emit(chunks, args.output)
         return EXIT_OK if passed else EXIT_MATH_FAIL
-    except BrokenPipeError:  # pragma: no cover - shell plumbing
+    except BrokenPipeError:
+        # the reader closed stdout early, as `monadforge report ... | head` does
         return EXIT_OK
     except (OSError, ValueError, OverflowError) as exc:
         # OSError: an unreadable --input path or an --output path that cannot be written;
@@ -419,5 +439,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
 
 
+def run() -> NoReturn:
+    """The process entry: run `main` on `sys.argv`, then exit with its code.
+
+    Before exiting, every object still alive (the modules, classes and
+    functions that start-up and the imports built, and what the command left)
+    moves to the collector's permanent generation.  The collections that
+    interpreter finalization runs then skip them, and what only a collection
+    would free (the cycles among modules, classes and functions) is left to
+    the OS, which frees the process's pages at exit.  Atexit handlers, the
+    flush of stdout and stderr, and the exit status are as `sys.exit(main())`
+    gives.  Only a process that is about to end may do this, so `main`, which
+    tests and the library call in-process, never does."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -3,13 +3,16 @@ validity, and byte-level determinism."""
 
 from __future__ import annotations
 
+import ast
 import calendar
 import copy
+import gc
 import hashlib
 import json
 import os
 import re
 import resource
+import shutil
 import subprocess
 import sys
 import time
@@ -572,8 +575,10 @@ def package_containers():
 
 def test_no_package_state_outlives_a_document(tmp_path, capsys):
     # every command, on every document, leaves each module-level container
-    # as it found it: one process answers a document as a fresh one would
+    # as it found it: one process answers a document as a fresh one would;
+    # and main, unlike the process entry run, never freezes the collector
     before = package_containers()
+    frozen = gc.get_freeze_count()
     snapshot = copy.deepcopy(before)
     (tmp_path / "reindented").mkdir()
     (tmp_path / "tampered").mkdir()
@@ -597,6 +602,7 @@ def test_no_package_state_outlives_a_document(tmp_path, capsys):
     for argv, expected in runs:
         assert run_cli(capsys, *argv)[0] == expected, argv
     after = package_containers()
+    assert gc.get_freeze_count() == frozen
     assert after.keys() == before.keys()
     for key, value in before.items():
         assert after[key] is value and value == snapshot[key], key
@@ -971,6 +977,18 @@ def test_cohomology_with_fewer_than_four_degrees_exits_2(capsys, degrees):
     assert "usage: monadforge cohomology" in err
 
 
+def test_a_table_beyond_the_integer_digit_limit_is_written_and_the_limit_restored(capsys):
+    # h^0 of O(20000, 1, 1, 1) on P^20000 x P^20000 x P^1 x P^1 has more digits
+    # than CPython's default limit of 4,300 lets an int be written with
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_cli(
+        capsys, "cohomology", "--n", "20000", "--m", "1", "--k", "1", "20000", "1", "1", "1"
+    )
+    assert (code, err) == (0, "")
+    assert max(map(len, re.findall(r"\d+", out))) > 4300
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------
@@ -992,6 +1010,25 @@ def test_invariants_slope_is_reduced_fraction_string(capsys):
     assert code == 0
     inv = invariants_of_T(SpaceParams(2, 1, 1))
     assert doc["slope"] == str(inv.slope_L)
+
+
+def test_the_environment_digit_limit_changes_no_document():
+    # the degree of T at (7500, 1, 1) has more than 4,300 digits: each child
+    # writes it whole, whatever PYTHONINTMAXSTRDIGITS says
+    results = []
+    for setting in (None, "0", "640"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), SOURCE_DATE_EPOCH=EPOCH)
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if setting is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = setting
+        proc = subprocess.run(
+            [sys.executable, "-m", "monadforge.cli", "invariants", "--n", "7500", "--m", "1", "--k", "1"],
+            capture_output=True, env=env, timeout=120,
+        )
+        results.append((proc.returncode, proc.stderr, proc.stdout))
+    assert results[0][:2] == (0, b"")
+    assert max(map(len, re.findall(rb"\d+", results[0][2]))) > 4300
+    assert results == [results[0]] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -1228,3 +1265,106 @@ def test_installed_entry_point_runs():
     assert result.returncode == 0
     doc = json.loads(result.stdout)
     assert doc["rank"] == 7
+
+
+def test_the_console_script_and_the_main_block_call_one_entry():
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    try:
+        import tomllib
+    except ImportError:  # Python < 3.11
+        target = re.search(r'^monadforge\s*=\s*"([^"]*)"', text, re.MULTILINE).group(1)
+    else:
+        target = tomllib.loads(text)["project"]["scripts"]["monadforge"]
+    tree = ast.parse(Path(cli_module.__file__).read_text(encoding="utf-8"))
+    blocks = [
+        node.body for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    module, _, function = target.partition(":")
+    assert module == cli_module.__name__
+    assert [[ast.unparse(stmt) for stmt in body] for body in blocks] == [[f"{function}()"]]
+    assert getattr(cli_module, function) is cli_module.run
+
+
+# A child that runs the CLI as `python -m monadforge.cli` does, and reports
+# from an atexit handler the freeze count before the run and at exit.
+EXIT_PROBE = (
+    "import atexit, gc, runpy, sys\n"
+    "before = gc.get_freeze_count()\n"
+    "atexit.register(lambda: print('frozen', before, gc.get_freeze_count(), file=sys.stderr))\n"
+    "runpy.run_module('monadforge.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["invariants"], 0), (["stability", "--min-psum", "-2"], 1), (["build", "--frobnicate"], 2)],
+    ids=["0", "1", "2"],
+)
+def test_a_process_ends_through_run_with_the_collector_frozen(argv, code):
+    # run freezes the collector, then exits: atexit handlers still run, the
+    # document is flushed whole and the exit code passes through
+    env = dict(os.environ, PYTHONPATH=str(SRC), SOURCE_DATE_EPOCH=EPOCH)
+    proc = subprocess.run(
+        [sys.executable, "-c", EXIT_PROBE, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == code
+    label, before, at_exit = proc.stderr.splitlines()[-1].split()
+    assert (label, int(before)) == ("frozen", 0)
+    assert int(at_exit) > 0
+    if code < 2:
+        assert json.loads(proc.stdout)["manifest"]["command"] == argv[0]
+
+
+SCAN_WIDE = ("report", "--n", "3", "--m", "3", "--k", "3", "--max-q", "20", "--max-psum", "6",
+             "--component-bound", "6")
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_run_quietly():
+    # as `monadforge report ... | head -c 100`: the 24.7 MB document meets a
+    # closed pipe, and the run exits 0 with nothing on stderr
+    env = dict(os.environ, PYTHONPATH=str(SRC), SOURCE_DATE_EPOCH=EPOCH)
+    with subprocess.Popen(
+        [sys.executable, "-m", "monadforge.cli", *SCAN_WIDE],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=300)
+    assert (len(head), code, err) == (100, 0, b"")
+
+
+def launchable(name):
+    """The path of the first interpreter called `name` that runs `-c pass`,
+    looked for on PATH and then in the directories beside this interpreter's
+    base prefix (one per installed version, as pyenv keeps them); None if
+    there is none."""
+    on_path = shutil.which(name)
+    beside = sorted(Path(sys.base_prefix).parent.glob(f"*/bin/{name}"))
+    for path in ([on_path] if on_path else []) + [str(p) for p in beside]:
+        try:
+            if subprocess.run([path, "-c", "pass"], capture_output=True, timeout=60).returncode == 0:
+                return path
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+    return None
+
+
+# the first GOLDEN_SHA256 argv of each subcommand that reads no --input
+GOLDEN_PER_SUBCOMMAND = {
+    argv[0]: argv for argv in reversed(list(GOLDEN_SHA256)) if "--input" not in argv
+}
+
+
+@pytest.mark.parametrize("name", ["python3.10", "python3.11", "python3.12", "python3.13"])
+def test_every_supported_interpreter_writes_the_frozen_bytes(name):
+    interpreter = launchable(name)
+    if interpreter is None:
+        pytest.skip(f"no launchable {name}")
+    env = dict(os.environ, PYTHONPATH=str(SRC), SOURCE_DATE_EPOCH=EPOCH)
+    for argv in GOLDEN_PER_SUBCOMMAND.values():
+        proc = subprocess.run(
+            [interpreter, "-m", "monadforge.cli", *argv], capture_output=True, env=env, timeout=120
+        )
+        assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == GOLDEN_SHA256[argv], argv
