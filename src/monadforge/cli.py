@@ -201,6 +201,10 @@ def _cmd_verify(args: Args, params: SpaceParams) -> Outcome:
         spec = assemble_monad(params)
     else:
         data = None
+        # CPython parses a decimal integer in time quadratic in its digits:
+        # an outside document is read under CPython's default limit, whatever
+        # the environment or `main` set, so a long one is refused at once
+        limit = _swap_digit_limit(_READ_DIGITS)
         try:
             text = _read_input(args.input)
             # a build is read by its text, every other document parsed whole
@@ -216,6 +220,8 @@ def _cmd_verify(args: Args, params: SpaceParams) -> Outcome:
             # any defect of an outside document is a FAILED verdict, never a traceback
             body = {"verdict": "FAILED", "error": f"input document rejected: {exc}"}
             return _declared_params(data, params), body, False
+        finally:
+            _swap_digit_limit(limit)
 
     structure = spec.structural_problems()
     body = {"structure_problems": structure}
@@ -393,18 +399,31 @@ def _plain_args(argv: List[str]) -> Optional[SimpleNamespace]:
     return args
 
 
+# CPython (3.11, and 3.10 from 3.10.7) refuses to convert an int of more
+# than 4,300 digits to or from text unless told otherwise; None where it has
+# no such limit
+_READ_DIGITS: Optional[int] = getattr(sys.int_info, "default_max_str_digits", None)
+
+
+def _swap_digit_limit(limit: Optional[int]) -> Optional[int]:
+    """Set CPython's limit on int/text conversion to `limit` digits (0: none)
+    and return the limit it replaces; with `limit` None, or on an interpreter
+    without the limit, set nothing and return None."""
+    if limit is None or _READ_DIGITS is None:
+        return None
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    return old
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    # CPython (3.11, and 3.10 from 3.10.7) refuses to convert an int of more
-    # than 4,300 digits to or from text unless told otherwise; a document of
-    # exact integers writes them whole, whatever PYTHONINTMAXSTRDIGITS says
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
+    # a document of exact integers writes them whole, whatever
+    # PYTHONINTMAXSTRDIGITS says; `verify --input` reads under the default
+    limit = _swap_digit_limit(0)
     try:
         return _answer(sys.argv[1:] if argv is None else list(argv))
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        _swap_digit_limit(limit)
 
 
 def _answer(argv: List[str]) -> int:

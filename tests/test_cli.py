@@ -151,6 +151,41 @@ def test_verify_tampered_document_fails(tmp_path, capsys):
     assert out["composition_zero"] is False
 
 
+@pytest.mark.skipif(cli_module._READ_DIGITS is None, reason="no integer-digit limit")
+@pytest.mark.parametrize("caller_limit", [None, 0])
+@pytest.mark.parametrize("where", ["coeff", "rows"])
+def test_verify_a_long_integer_is_refused_at_once_whatever_the_limit(
+    tmp_path, capsys, caller_limit, where
+):
+    # CPython parses a decimal integer in time quadratic in its digits (about
+    # 1 s for 400,000); an outside document is read under the default limit
+    # even when the caller lifted it, so the verdict comes before any parse
+    monad_file = tmp_path / "monad.json"
+    run_cli(capsys, "build", "--n", "1", "--m", "1", "--k", "1", "--output", str(monad_file))
+    doc = json.loads(monad_file.read_text())
+    if where == "coeff":
+        doc["monad"]["f"]["entries"][0][0][0]["coeff"] = "7" * 400_000
+        text = json.dumps(doc)
+    else:
+        text = json.dumps(doc).replace('"rows": 1', '"rows": ' + "7" * 400_000, 1)
+    monad_file.write_text(text)
+    before = sys.get_int_max_str_digits()
+    if caller_limit is not None:
+        sys.set_int_max_str_digits(caller_limit)
+    try:
+        start = time.process_time()
+        code, out = run_json(capsys, "verify", "--input", str(monad_file), "--trials", "4")
+        spent = time.process_time() - start
+        assert sys.get_int_max_str_digits() == (before if caller_limit is None else caller_limit)
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert code == 1
+    jsonschema.validate(out, SCHEMAS["verify"])
+    assert out["verdict"] == "FAILED"
+    assert "limit (4300 digits)" in out["error"]
+    assert spent < 0.5
+
+
 @pytest.mark.parametrize("name", ["x9", "y9"])
 def test_verify_out_of_range_variable_fails_cleanly(tmp_path, capsys, name):
     # x9 also lies outside block 1's y group; y9 is in the group but y only
