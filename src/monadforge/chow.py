@@ -6,14 +6,15 @@ factors and L = a + b + c + d the polarization.  The degree of a bundle F is
     deg_L(F) = c1(F) . L^{2n+2m-1},
 
 a linear functional in c1(F) = c1.a * a + ... + c1.d * d.  Since
-a^{n+1} = b^{n+1} = c^{m+1} = d^{m+1} = 0 and a^n b^n c^m d^m = 1, the pairing
-of a generator with L^{2n+2m-1} is the multinomial coefficient that
-distributes the remaining 2n+2m-1 factors over the four slots:
+a^{n+1} = b^{n+1} = c^{m+1} = d^{m+1} = 0 and a^n b^n c^m d^m = 1, every
+pairing is read off one multinomial, computed as a product of binomials:
 
-    delta_x = a . L^{2n+2m-1} = b . L^{2n+2m-1} = (2n+2m-1)! / ((n-1)! n! m! m!)
-    delta_z = c . L^{2n+2m-1} = d . L^{2n+2m-1} = (2n+2m-1)! / (n! n! (m-1)! m!)
+    top = L^{2n+2m} = (2n+2m)! / (n! n! m! m!) = C(2n+2m, 2m) C(2n, n) C(2m, m)
+    delta_x = a . L^{2n+2m-1} = b . L^{2n+2m-1} = top * n / (2n+2m)
+    delta_z = c . L^{2n+2m-1} = d . L^{2n+2m-1} = top * m / (2n+2m)
 
-so deg_L(F) = (c1.a + c1.b) * delta_x + (c1.c + c1.d) * delta_z.  The slope
+(integers, since (2n+2m-1)! = (2n+2m)! / (2n+2m) and 1/(n-1)! = n / n!), so
+deg_L(F) = (c1.a + c1.b) * delta_x + (c1.c + c1.d) * delta_z.  The slope
 is mu_L = deg_L / rank, and delta_L(p1,p2,p3,p4) is the degree of the line
 bundle O_X(p1,p2,p3,p4), the same functional.  Everything is exact integer
 arithmetic; only the `slope_L` property returns a Fraction, and no document
@@ -22,7 +23,7 @@ reads it.
 
 from __future__ import annotations
 
-from math import factorial, gcd
+from math import comb, gcd
 from typing import TYPE_CHECKING
 
 from .polyring import MultiDegree, Record, SpaceParams
@@ -34,14 +35,11 @@ if TYPE_CHECKING:
 def degree_L(c1: MultiDegree, params: SpaceParams) -> int:
     """deg_L of a bundle with first Chern class c1: c1 . L^(2n+2m-1), exactly.
 
-    (c1.a + c1.b) * delta_x + (c1.c + c1.d) * delta_z, with the two
-    multinomials of the module docstring.
+    (c1.a + c1.b) * delta_x + (c1.c + c1.d) * delta_z of the module
+    docstring, as one exact division of top by 2n+2m.
     """
     n, m = params.n, params.m
-    top = factorial(params.dim_x - 1)
-    delta_x = top // (factorial(n - 1) * factorial(n) * factorial(m) * factorial(m))
-    delta_z = top // (factorial(n) * factorial(n) * factorial(m - 1) * factorial(m))
-    return (c1.a + c1.b) * delta_x + (c1.c + c1.d) * delta_z
+    return top_multinomial(params) * (n * (c1.a + c1.b) + m * (c1.c + c1.d)) // params.dim_x
 
 
 def delta_L(B: MultiDegree, params: SpaceParams) -> int:
@@ -104,23 +102,21 @@ def invariants_of_T(params: SpaceParams) -> BundleInvariants:
 
 
 def top_multinomial(params: SpaceParams) -> int:
-    """The top self-intersection L^(2n+2m) = (2n+2m)! / (n! n! m! m!)."""
+    """The top self-intersection L^(2n+2m) = (2n+2m)! / (n! n! m! m!),
+    as the product of binomials C(2n+2m, 2m) * C(2n, n) * C(2m, m)."""
     n, m = params.n, params.m
-    return factorial(2 * n + 2 * m) // (
-        factorial(n) * factorial(n) * factorial(m) * factorial(m)
-    )
+    return comb(2 * n + 2 * m, 2 * m) * comb(2 * n, n) * comb(2 * m, m)
 
 
 def degree_simplification_check(params: SpaceParams) -> dict:
     """Compare exact deg_L(T) with the closed-form shortcut -(n+m+4k) * L^(2n+2m).
 
-    The shortcut's coefficient is half the component sum of c1(T), which is
-    not how the pairing against L^(2n+2m-1) distributes over the four
-    factors (a and b weigh delta_x, c and d weigh delta_z, which differ
-    unless n = m); the exact value from `degree_L` is authoritative.  The report
-    carries both numbers so downstream consumers see the exact value next to
-    the would-be simplification.  Both are always negative, which is the only
-    fact the stability argument consumes.
+    The shortcut weighs each generator by top / 2 = delta_x + delta_z, so
+    shortcut - exact = -2 * top * (nm + k(n+m)) / (n+m) is never 0: `agree`
+    is False for every (n, m, k), and when n = m the shortcut is exactly
+    twice the exact degree.  The exact value from `degree_L` is
+    authoritative; the report carries both, and both are always negative,
+    which is the only fact the stability argument consumes.
     """
     n, m, k = params.n, params.m, params.k
     exact = degree_L(c1_of_T(params), params)

@@ -11,24 +11,25 @@ enumeration there, are rebuilt here from the exterior powers that
 `cohomology.exterior_power_sum` enumerates summand by summand; the
 certificate's closed-form LES collapse is checked against `les_propagate`
 run on `twisted_dual_sequence`, whose left and middle tables are computed
-from the line-bundle sums themselves.  Five oracles are the library's
-earlier code.  The simplicity certificate is built field by field, each
-field computed on its own as when the record stored it, from a scan and the
-solved sequence.  The vanishing scan sums the generating function at every
-twist of its box and stores every row; it shares the generating function
-and the twist enumeration with the scan it checks, which sums only where the
-negative-component lemma allows a nonzero row.  The two entry walks of
-`MonadSpec.structural_problems`, which `verify --input` now makes in one
-pass, run on every document.  The assembly builds the monad block by block
-from the closed entry formulas, two blocks of f negated and the blocks
-flattened into f and g, where the library builds f and g straight from one
-staircase line per block.  The scan's twist box is enumerated twist by
-twist in four nested loops, where the library walks it as runs of p4, one
-run per (p1, p2, p3).  The last section holds helpers that no command
-runs and that the tests still use: a coordinate as a linear form, the
-line-bundle operations, the Chern class of a sum, the Euler characteristic,
-the scan's h^0 bound at one (q, twist), and the dict form of a matrix and
-of a monad document that the streamed `build` output is compared against.
+from the line-bundle sums themselves.  Seven oracles are the library's
+earlier code; two of them are the factorial quotients that `chow` now
+computes as one product of binomials.  The simplicity certificate is built
+field by field, each field computed on its own as when the record stored it,
+from a scan and the solved sequence.  The vanishing scan sums the generating
+function at every twist of its box and stores every row; it shares the
+generating function and the twist enumeration with the scan it checks, which
+sums only where the negative-component lemma allows a nonzero row.  The two
+entry walks of `MonadSpec.structural_problems`, which `verify --input` now
+makes in one pass, run on every document.  The assembly builds the monad
+block by block from the closed entry formulas, two blocks of f negated and
+the blocks flattened into f and g, where the library builds f and g straight
+from one staircase line per block.  The scan's twist box is enumerated twist
+by twist in four nested loops, where the library walks it as runs of p4, one
+run per (p1, p2, p3).  The last section holds helpers that no command runs
+and that the tests still use: a coordinate as a linear form, the line-bundle
+operations, the Chern class of a sum, the Euler characteristic, the scan's
+h^0 bound at one (q, twist), and the dict form of a matrix and of a monad
+document that the streamed `build` output is compared against.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from monadforge.cohomology import CohTable, LineBundleSum, exterior_power_sum, line_bundle
@@ -178,6 +179,24 @@ def degree_by_expansion(c1: Sequence[int], n: int, m: int) -> int:
     }
     product = _dense_mul(linear, power)
     return product.get((n, n, m, m), 0)
+
+
+def degree_by_factorials(c1: MultiDegree, params: SpaceParams) -> int:
+    """deg_L as the library computed it before: delta_x and delta_z each
+    divided out of (2n+2m-1)! by a product of four factorials."""
+    n, m = params.n, params.m
+    top = factorial(params.dim_x - 1)
+    delta_x = top // (factorial(n - 1) * factorial(n) * factorial(m) * factorial(m))
+    delta_z = top // (factorial(n) * factorial(n) * factorial(m - 1) * factorial(m))
+    return (c1.a + c1.b) * delta_x + (c1.c + c1.d) * delta_z
+
+
+def top_multinomial_by_factorials(params: SpaceParams) -> int:
+    """L^(2n+2m) = (2n+2m)! / (n! n! m! m!), as the library computed it before."""
+    n, m = params.n, params.m
+    return factorial(2 * n + 2 * m) // (
+        factorial(n) * factorial(n) * factorial(m) * factorial(m)
+    )
 
 
 def exterior_by_subsets(

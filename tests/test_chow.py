@@ -26,7 +26,12 @@ from monadforge.cohomology import direct_sum, line_bundle
 from monadforge.monad import middle_bundle
 from monadforge.polyring import MultiDegree, SpaceParams
 from monadforge.stability import normalization_shift
-from oracles import c1_of_sum, degree_by_expansion
+from oracles import (
+    c1_of_sum,
+    degree_by_expansion,
+    degree_by_factorials,
+    top_multinomial_by_factorials,
+)
 
 PARAMS_EX = SpaceParams(1, 2, 3)
 
@@ -71,6 +76,29 @@ def test_degree_matches_dense_expansion_oracle():
 )
 def test_closed_form_degree_matches_dense_expansion(n, m, c1):
     assert degree_L(MultiDegree(*c1), SpaceParams(n, m, 1)) == degree_by_expansion(c1, n, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 80),
+    m=st.integers(1, 80),
+    c1=st.tuples(*(st.integers(-10**6, 10**6) for _ in range(4))),
+)
+def test_binomial_forms_match_the_factorial_quotients(n, m, c1):
+    params = SpaceParams(n, m, 1)
+    assert top_multinomial(params) == top_multinomial_by_factorials(params)
+    assert degree_L(MultiDegree(*c1), params) == degree_by_factorials(MultiDegree(*c1), params)
+
+
+def test_binomial_forms_match_the_factorial_quotients_on_a_grid():
+    # by linearity the four generators settle every c1; c1(T) at k = 1
+    # divides the whole sum by 2n+2m at once
+    generators = [MultiDegree(*(int(i == j) for j in range(4))) for i in range(4)]
+    for n, m in itertools.product(range(1, 41), repeat=2):
+        params = SpaceParams(n, m, 1)
+        assert top_multinomial(params) == top_multinomial_by_factorials(params), (n, m)
+        for c1 in [*generators, c1_of_T(params)]:
+            assert degree_L(c1, params) == degree_by_factorials(c1, params), (n, m, c1)
 
 
 def test_delta_is_additive_and_matches_degree():
@@ -193,6 +221,16 @@ def test_degree_check_reports_exact_value_and_sign():
         assert check["agree"] is False
         assert check["exact_degree"] == invariants_of_T(params).degree_L
         assert check["exact_degree"] < 0 and check["uniform_weight_shortcut"] < 0
+
+
+def test_the_shortcut_never_agrees_and_doubles_the_degree_when_n_equals_m():
+    # shortcut - exact = -2 * top * (nm + k(n+m)) / (n+m), never 0
+    for n, m, k in itertools.product(range(1, 13), repeat=3):
+        check = degree_simplification_check(SpaceParams(n, m, k))
+        exact, shortcut = check["exact_degree"], check["uniform_weight_shortcut"]
+        assert check["agree"] is False, (n, m, k)
+        if n == m:
+            assert shortcut == 2 * exact, (n, k)
 
 
 def test_uniform_weight_closed_form_when_n_equals_m():

@@ -483,6 +483,12 @@ GOLDEN_SHA256 = {
         (0, "6bbb82626a18b22b938377be4c2d9aaeed53a1a6ca9746189847c554633aed2e"),
     ("invariants", "--n", "1", "--m", "2", "--k", "3"):
         (0, "7581a52bbd4bf3b007dc11cf2478a8e3b878637c296c0ac8b40e6442269529fb"),
+    # degrees of thousands of digits, frozen from the factorial quotients
+    # that the product of binomials replaced
+    ("invariants", "--n", "7500", "--m", "1", "--k", "1"):
+        (0, "556fff9d6d5a0d8e8ffd128fc020934ed336149f998268ba10d2ca3c78ac9c65"),
+    ("report", "--n", "3000", "--m", "2", "--k", "1"):
+        (0, "286ac77632641a7c1b4a04633482ffaad3ea52b14bf7e09e06cba66eb0c20ec8"),
 }
 
 
@@ -704,7 +710,7 @@ def test_nonpositive_parameters_exit_2(capsys):
 # each fails at once, before anything is allocated
 TOO_LARGE = ["--n", "100000000000000000000", "--m", "1", "--k", "1"]
 INDEX_SIZED = "cannot fit 'int' into an index-sized integer"
-FACTORIAL = "factorial() argument should not exceed 9223372036854775807"
+COMB = "min(n - k, k) must not exceed 9223372036854775807"
 
 
 @pytest.mark.parametrize(
@@ -713,10 +719,10 @@ FACTORIAL = "factorial() argument should not exceed 9223372036854775807"
         (["stability", "--n", "1", "--m", "1", "--k", "1", "--max-q", "99"],
          "max_q must lie in [1, rank(T)-1] = [1, 6], got 99"),
         (["report", "--min-psum", "5", "--max-psum", "4"], "min_psum exceeds max_psum"),
-        (["invariants", *TOO_LARGE], FACTORIAL),
+        (["invariants", *TOO_LARGE], COMB),
         (["cohomology", *TOO_LARGE, "1", "1", "1", "1"], INDEX_SIZED),
         (["simplicity", *TOO_LARGE], INDEX_SIZED),
-        (["report", *TOO_LARGE], FACTORIAL),
+        (["report", *TOO_LARGE], COMB),
     ],
 )
 def test_rejected_scan_box_exits_2_with_one_error_line(tmp_path, capsys, argv, message):
