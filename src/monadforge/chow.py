@@ -38,8 +38,13 @@ def degree_L(c1: MultiDegree, params: SpaceParams) -> int:
     (c1.a + c1.b) * delta_x + (c1.c + c1.d) * delta_z of the module
     docstring, as one exact division of top by 2n+2m.
     """
+    return _degree(c1, params, top_multinomial(params))
+
+
+def _degree(c1: MultiDegree, params: SpaceParams, top: int) -> int:
+    """degree_L(c1, params), given top = top_multinomial(params)."""
     n, m = params.n, params.m
-    return top_multinomial(params) * (n * (c1.a + c1.b) + m * (c1.c + c1.d)) // params.dim_x
+    return top * (n * (c1.a + c1.b) + m * (c1.c + c1.d)) // params.dim_x
 
 
 def delta_L(B: MultiDegree, params: SpaceParams) -> int:
@@ -90,9 +95,14 @@ def rank_of_T(params: SpaceParams) -> int:
 
 def invariants_of_T(params: SpaceParams) -> BundleInvariants:
     """Numerical invariants of T = ker(g); its polarized degree is always < 0."""
+    return _invariants_of_T(params, top_multinomial(params))
+
+
+def _invariants_of_T(params: SpaceParams, top: int) -> BundleInvariants:
+    """invariants_of_T(params), given top = top_multinomial(params)."""
     rank = rank_of_T(params)
     c1 = c1_of_T(params)
-    deg = degree_L(c1, params)
+    deg = _degree(c1, params, top)
     if deg >= 0:
         raise AssertionError(
             f"degree_L(c1(T)) = {deg} is not negative for params {params}; "
@@ -118,9 +128,14 @@ def degree_simplification_check(params: SpaceParams) -> dict:
     authoritative; the report carries both, and both are always negative,
     which is the only fact the stability argument consumes.
     """
+    return _degree_simplification_check(params, top_multinomial(params))
+
+
+def _degree_simplification_check(params: SpaceParams, top: int) -> dict:
+    """degree_simplification_check(params), given top = top_multinomial(params)."""
     n, m, k = params.n, params.m, params.k
-    exact = degree_L(c1_of_T(params), params)
-    shortcut = -(n + m + 4 * k) * top_multinomial(params)
+    exact = _degree(c1_of_T(params), params, top)
+    shortcut = -(n + m + 4 * k) * top
     return {
         "exact_degree": exact,
         "uniform_weight_shortcut": shortcut,

@@ -44,7 +44,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, List, NoReturn, Optional, Tuple, Union
 
 from . import __version__
-from .chow import degree_simplification_check, invariants_of_T
+from .chow import _degree_simplification_check, _invariants_of_T, invariants_of_T, top_multinomial
 from .cohomology import line_bundle, sum_cohomology
 from .les import simplicity_certificate
 from .monad import (
@@ -57,8 +57,7 @@ from .monad import (
     verify_maximal_rank,
 )
 from .polyring import DEFAULT_PRIME, MultiDegree, SpaceParams, canonical_chunks, json_key
-from .stability import StabilityScanConfig, run_stability_scan
-from .stability import normalization_shift as _normalization_shift
+from .stability import StabilityScanConfig, _normalization_shift, run_stability_scan
 
 if TYPE_CHECKING:
     import argparse
@@ -122,8 +121,17 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
+# the interpreter's default buffer passes each piece of tens of KB to a
+# `write` call of its own
+_WRITE_BUFFER = 256 * 1024
+
+
 def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
     """Write the pieces of one document to `output` (stdout if None or "-").
+
+    A file is written through one buffer of _WRITE_BUFFER (256 KiB), reused
+    for the whole document, so the document leaves in writes of that size
+    whatever the size of its pieces; stdout keeps the interpreter's buffer.
 
     The pieces are produced as they are written, so producing one can fail
     part-way (out of memory), as can the write itself (a full disk).  A file
@@ -132,7 +140,7 @@ def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
     if output is None or output == "-":
         sys.stdout.writelines(chunks)
         return
-    fh = open(output, "w", encoding="utf-8")
+    fh = open(output, "w", encoding="utf-8", buffering=_WRITE_BUFFER)
     try:
         with fh:
             fh.writelines(chunks)
@@ -273,15 +281,17 @@ def _cmd_simplicity(args: Args, params: SpaceParams) -> Outcome:
 
 def _cmd_report(args: Args, params: SpaceParams) -> Outcome:
     cfg = _scan_config(args, params)
-    inv = invariants_of_T(params)
+    # L^(2n+2m), which every intersection number of the document reads, once
+    top = top_multinomial(params)
+    inv = _invariants_of_T(params, top)
     scan = run_stability_scan(cfg)
     cert = simplicity_certificate(params, cfg)
     body = {
         "invariants": inv.to_json(),
-        "normalization_shift": _normalization_shift(inv, params),
+        "normalization_shift": _normalization_shift(inv, params, top),
         "stability": scan.to_json(include_checked=True),
         "simplicity": cert.to_json(),
-        "degree_check": degree_simplification_check(params),
+        "degree_check": _degree_simplification_check(params, top),
     }
     return params, body, scan.all_vanish and cert.conclusion == "SIMPLE_CERTIFIED"
 

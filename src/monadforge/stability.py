@@ -51,7 +51,7 @@ from itertools import chain, product, repeat
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .chow import BundleInvariants, delta_L, rank_of_T
+from .chow import BundleInvariants, _degree, rank_of_T, top_multinomial
 from .monad import middle_bundle
 from .polyring import MultiDegree, Record, SpaceParams
 
@@ -63,7 +63,12 @@ def normalization_shift(inv: BundleInvariants, params: SpaceParams) -> int:
     mu_L / d = degree_L / (rank * d), a ceiling taken by integer floor
     division, no floats and no Fraction.
     """
-    d = delta_L(MultiDegree(1, 0, 0, 0), params)
+    return _normalization_shift(inv, params, top_multinomial(params))
+
+
+def _normalization_shift(inv: BundleInvariants, params: SpaceParams, top: int) -> int:
+    """normalization_shift(inv, params), given top = top_multinomial(params)."""
+    d = _degree(MultiDegree(1, 0, 0, 0), params, top)
     return -(-inv.degree_L // (inv.rank * d))
 
 
@@ -206,12 +211,17 @@ def enumerate_twists(cfg: StabilityScanConfig) -> Iterator[MultiDegree]:
     return (MultiDegree(*tw) for tw in _config_box(cfg))
 
 
-# Each piece of rows is briefly held three times over: the join of its
-# parts, the piece itself and its UTF-8 encoding in the writer.  At ~130
-# characters a row, 256 rows (~34 KB a copy, ~100 KB for all three) keep
-# those copies under glibc's 128 KiB mmap and trim thresholds, so the heap
-# reuses the freed memory; 2048 rows (~270 KB) made every piece an mmap that
-# was unmapped and faulted in again.
+# A piece of zero rows is one join of at most _ROW_BATCH row texts, and
+# the writer copies it twice more: into its UTF-8 encoding, then into the
+# 256 KiB write buffer that `cli._emit` allocates once per document.  At
+# ~134 characters a row, 256 rows are at most 34.2 KB (scan-wide's largest
+# piece), so the piece and its encoding, the two copies that are freed again,
+# stay under glibc's 128 KiB mmap and trim thresholds and the heap reuses
+# their memory.  Larger pieces are mmaps, unmapped and faulted in again: the
+# scan-wide `report` took 2.7k minor faults and 29 ms of kernel CPU at 256
+# rows, 10.9k and 45 ms at 2048, 12.9k and 50 ms at 8192 (medians of 16
+# interleaved runs, CPython 3.11, 2 vCPUs).  The buffer, not larger pieces,
+# sets how few `write` calls a document takes.
 _ROW_BATCH = 256
 
 
@@ -267,43 +277,48 @@ class RowGrid(Record):
 
     def json_chunks(self, indent: int) -> Iterator[str]:
         """The list [{"h0": h0, "q": q, "twist": [a, b, c, d]}, ...] of the
-        rows, closing bracket at column `indent`, at most _ROW_BATCH rows per
-        piece.  Each twist's `"twist": [...]` text is rendered once and reused
-        for every q, from the box's runs: the text of a run's three shared
-        components, rendered once a run, before one of the 2*cb + 1 texts of
-        the last component, rendered once a write.  A run of zero rows of one
-        q is one join of those texts behind the q's shared head."""
+        rows, closing bracket at column `indent`.  Each twist's `"twist": [...]`
+        text is built once and reused for every q, from the box's runs and
+        three tables of component texts rendered once a write: the first
+        component with the key, a middle one, and the last one closing the
+        row.  A stretch of zero rows of one q, cut at every multiple of
+        _ROW_BATCH rows, is one piece, a single join of its twist texts with
+        the separator and the q's shared head put before the first, so no
+        long text is copied again before the writer takes it; a nonzero row
+        is one piece."""
         i, f, e = (" " * (indent + step) for step in (2, 4, 6))
         cb = self.config.component_bound
-        last = [f"{e}{-p4}\n{f}]\n{i}}}" for p4 in range(-cb, cb + 1)]
+        values = range(cb, -cb - 1, -1)  # -p for p = -cb..cb: index p + cb
+        first = [f'{f}"twist": [\n{e}{v},\n' for v in values]
+        middle = [f"{e}{v},\n" for v in values]
+        last = [f"{e}{v}\n{f}]\n{i}}}" for v in values]
         tails: List[str] = []
         for p1, p2, p3, p4s in _config_runs(self.config):
-            lead = f'{f}"twist": [\n{e}{-p1},\n{e}{-p2},\n{e}{-p3},\n'
+            lead = first[p1 + cb] + middle[p2 + cb] + middle[p3 + cb]
             tails += [lead + t for t in last[p4s.start + cb : p4s.stop + cb]]
         if not tails:
             yield "[]"
             return
         marks = self._marks()
-        opening = "[\n"
+        sep = "[\n"
         for q in range(1, self.config.max_q + 1):
             head = f'{i}{{\n{f}"h0": 0,\n{f}"q": {q},\n'
             between = ",\n" + head
             nonzero = iter(marks.get(q, ()))
             mark, h0 = next(nonzero, (len(tails), 0))
-            for start in range(0, len(tails), _ROW_BATCH):
-                j, stop = start, min(start + _ROW_BATCH, len(tails))
-                parts = []
-                while j < stop:
-                    if j == mark:
-                        parts.append(f'{i}{{\n{f}"h0": {h0},\n{f}"q": {q},\n' + tails[j])
-                        j += 1
-                        mark, h0 = next(nonzero, (len(tails), 0))
-                    else:
-                        end = min(mark, stop)
-                        parts.append(head + between.join(tails[j:end]))
-                        j = end
-                yield opening + ",\n".join(parts)
-                opening = ",\n"
+            j = 0
+            while j < len(tails):
+                if j == mark:
+                    yield f'{sep}{i}{{\n{f}"h0": {h0},\n{f}"q": {q},\n' + tails[j]
+                    j += 1
+                    mark, h0 = next(nonzero, (len(tails), 0))
+                else:
+                    end = min(mark, j - j % _ROW_BATCH + _ROW_BATCH)
+                    run = tails[j:end]
+                    run[0] = sep + head + run[0]
+                    yield between.join(run)
+                    j = end
+                sep = ",\n"
         yield "\n" + " " * indent + "]"
 
 

@@ -22,6 +22,7 @@ import jsonschema
 import pytest
 
 from monadforge import __version__
+from monadforge import chow as chow_module
 from monadforge import cli as cli_module
 from monadforge import monad as monad_module
 from monadforge import polyring
@@ -506,6 +507,52 @@ def test_wire_format_bytes_are_frozen(tmp_path, capsys, argv):
     assert main([*argv, "--output", str(target)]) == code
     assert capsys.readouterr().out == ""
     assert target.read_bytes() == out.encode("utf-8")
+
+
+SCAN_WIDE = ("report", "--n", "3", "--m", "3", "--k", "3", "--max-q", "20", "--max-psum", "6",
+             "--component-bound", "6")
+
+
+def write_calls() -> int:
+    """The `write` system calls this process has made, from /proc/self/io."""
+    with open("/proc/self/io") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("syscw:"))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="no /proc/self/io")
+def test_a_document_file_leaves_in_writes_of_the_buffer_size(tmp_path, capsys):
+    # the 24.7 MB scan-wide report comes in ~1,500 pieces of at most ~34 KB;
+    # the 256 KiB write buffer, not the pieces, sets the number of calls
+    target = tmp_path / "report.json"
+    before = write_calls()
+    code = main([*SCAN_WIDE, "--output", str(target)])
+    calls = write_calls() - before
+    text = target.read_text()
+    assert (code, sha256(text)) == GOLDEN_SHA256[SCAN_WIDE]
+    assert calls <= -(-len(text) // (256 * 1024)) + 8
+
+
+def test_report_reads_the_top_intersection_number_once(capsys, monkeypatch):
+    # every intersection number of a report is read off one L^(2n+2m), which
+    # takes tens of seconds at n = 10^6: a report computes it exactly once
+    original = chow_module.top_multinomial
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return original(params)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "monadforge" and getattr(module, "top_multinomial", None) is original:
+            monkeypatch.setattr(module, "top_multinomial", counted)
+    for argv in [
+        ("report", "--n", "3000", "--m", "2", "--k", "1"),
+        ("report", "--n", "2", "--m", "1", "--k", "2", "--max-q", "6", "--min-psum", "-4"),
+    ]:
+        calls.clear()
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, sha256(out)) == GOLDEN_SHA256[argv]
+        assert calls == [SpaceParams(int(argv[2]), int(argv[4]), int(argv[6]))]
 
 
 def test_streamed_build_equals_json_dumps_of_the_monad_document(capsys):

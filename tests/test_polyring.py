@@ -422,11 +422,15 @@ def _streamed_pieces(grid):
 @example(grid_of(FIVE_TWISTS, {(1, 4): 10**40, (2, 0): -1}), 2)
 @example(grid_of(scan_box(3, 0, 0, 0), {(2, 0): 5}), 1)  # cb 0: every run one twist
 @example(grid_of(FIVE_TWISTS, {(1, 3): 7, (2, 3): -2}), 2)  # twist 3 starts the run p4 in [0, 1]
+@example(grid_of(FIVE_TWISTS, {(1, 0): 4}), 2)  # the first row, right behind the opening "[\n"
+@example(grid_of(FIVE_TWISTS, {(2, 4): 4}), 2)  # the last row, right before the closing "]"
+@example(grid_of(FIVE_TWISTS, {(1, 1): 3, (1, 2): 8}), 2)  # rows 1 and 2 either side of a cut at 2
+@example(grid_of(FIVE_TWISTS, {(2, 2): 3, (2, 3): 8}), 1)  # rows 2 and 3 either side of a cut at 3
 def test_streamed_rows_equal_json_dumps_of_the_row_dicts(grid, batch):
     # a small batch puts piece boundaries next to and between nonzero rows
     with mock.patch.object(stability, "_ROW_BATCH", batch):
         _streamed_pieces(grid)
-        assert all(piece.count('"h0"') <= batch for piece in grid.json_chunks(2))
+        assert all(piece.count('"twist"') <= batch for piece in grid.json_chunks(2))
     # the grid's own iterator agrees with the rows spelled out; the grid is
     # a record of the config and nonzero rows, never equal to its row list
     rows = grid_rows(grid)
