@@ -52,12 +52,12 @@ from .chow import (
     degree_L,
     delta_L,
     invariants_of_T,
+    normalization_shift,
     rank_of_T,
 )
 from .stability import (
     StabilityReport,
     StabilityScanConfig,
-    normalization_shift,
     run_stability_scan,
 )
 from .les import (

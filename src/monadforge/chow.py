@@ -52,6 +52,22 @@ def delta_L(B: MultiDegree, params: SpaceParams) -> int:
     return degree_L(B, params)
 
 
+def normalization_shift(inv: BundleInvariants, params: SpaceParams) -> int:
+    """The unique integer k_E = ceil(mu_L / d), d = delta_L(1,0,0,0).
+
+    Twisting by -k_E in the first slot renormalizes the slope into (-d, 0];
+    mu_L / d = degree_L / (rank * d), a ceiling taken by integer floor
+    division, no floats and no Fraction.
+    """
+    return _normalization_shift(inv, params, top_multinomial(params))
+
+
+def _normalization_shift(inv: BundleInvariants, params: SpaceParams, top: int) -> int:
+    """normalization_shift(inv, params), given top = top_multinomial(params)."""
+    d = _degree(MultiDegree(1, 0, 0, 0), params, top)
+    return -(-inv.degree_L // (inv.rank * d))
+
+
 class BundleInvariants(Record):
     """Rank, c1 and polarized degree of a bundle; its slope is read from them."""
 

@@ -44,7 +44,13 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, List, NoReturn, Optional, Tuple, Union
 
 from . import __version__
-from .chow import _degree_simplification_check, _invariants_of_T, invariants_of_T, top_multinomial
+from .chow import (
+    _degree_simplification_check,
+    _invariants_of_T,
+    _normalization_shift,
+    invariants_of_T,
+    top_multinomial,
+)
 from .cohomology import line_bundle, sum_cohomology
 from .les import simplicity_certificate
 from .monad import (
@@ -57,7 +63,7 @@ from .monad import (
     verify_maximal_rank,
 )
 from .polyring import DEFAULT_PRIME, MultiDegree, SpaceParams, canonical_chunks, json_key
-from .stability import StabilityScanConfig, _normalization_shift, run_stability_scan
+from .stability import StabilityScanConfig, run_stability_scan
 
 if TYPE_CHECKING:
     import argparse

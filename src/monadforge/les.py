@@ -7,19 +7,19 @@ exact cohomology sequence
 
 Knowing two of the three dimension tables pins the third one down to an
 interval, using nothing but rank-nullity at each node (connecting maps are
-never computable from dimensions alone, and are never needed here):
+never computable from dimensions alone, and are never needed here).  Flatten
+the sequence to V = H^0(A), H^0(B), H^0(C), H^1(A), ..., so that V_j = H^i of
+member j mod 3, i = j // 3, and write [l(V_j), h(V_j)] for what is known of
+its dimension ([0, 0] outside degrees 0..dim_top).  Exactness at the unknown
+node j, between the maps V_{j-2} -> V_{j-1} -> V_j -> V_{j+1} -> V_{j+2},
+gives one rule for every slot:
 
-    unknown C:  h^i(C) <= h^i(B) + h^{i+1}(A)
-                h^i(C) >= max(h^i(B) - h^i(A), h^{i+1}(A) - h^{i+1}(B), 0)
-    unknown A:  h^i(A) <= h^{i-1}(C) + h^i(B)
-                h^i(A) >= max(h^{i-1}(C) - h^{i-1}(B), h^i(B) - h^i(C), 0)
-    unknown B:  h^i(B) <= h^i(A) + h^i(C)
-                h^i(B) >= max(h^i(A) - h^{i-1}(C), h^i(C) - h^{i+1}(A), 0)
+    dim V_j <= h(V_{j-1}) + h(V_{j+1})
+    dim V_j >= max(l(V_{j-1}) - h(V_{j-2}), l(V_{j+1}) - h(V_{j+2}), 0)
 
-(out-of-range indices contribute 0).  When every interval collapses the
-answer is reported as an exact table.  `les_propagate` applies these bounds
-to any `ShortExactSeq` of `CohProfile`s; it is library API, and the
-certificate below does not call it.
+When every interval collapses the answer is reported as an exact table.
+`les_propagate` applies this rule to any `ShortExactSeq` of `CohProfile`s; it
+is library API, and the certificate below does not call it.
 
 The simplicity certificate chains two computable facts about the monad
 bundles: the vanishing scan for T (stability of T implies T is simple, so
@@ -31,14 +31,14 @@ O(1,1,1,1)^k -> 0, that is
 
 That sequence needs no interval calculus: every summand O(e_i - (1,1,1,1)) of
 the middle member has a -1 component, and O(-1) has no cohomology on any P^D, so
-the middle member is acyclic and the long exact sequence collapses to
-h^i(T*(-1,-1,-1,-1)) = h^{i+1}(O(-2,-2,-2,-2)^k).  By Bott that is k in
-degree 2n+2m-1 >= 3 when n = m = 1 and 0 in every other case, so h^0 = h^1 = 0
-always and the certificate's verdict rests on the scan alone, with the
-scan's scope (see `stability`).  The
-certificate states these three tables directly and records h^0 and h^1 as
-read from them; `les_propagate` stays as library API, and the tests' oracle
-solves the sequence with it and still gates on h^0 and h^1.  A
+the middle member is acyclic, and the rule above with h = 0 at every middle
+node is the closed form h^i(T*(-1,-1,-1,-1)) = h^{i+1}(O(-2,-2,-2,-2)^k).  By
+Bott that is k in degree 2n+2m-1 >= 3 when n = m = 1 and 0 in every other
+case, so h^0 = h^1 = 0 always and the certificate's verdict rests on the scan
+alone, with the scan's scope (see `stability`).  The certificate states
+these three tables directly and records h^0 and h^1 as read from them;
+`les_propagate` stays as library API, and the tests' oracle solves the
+sequence with it and still gates on h^0 and h^1.  A
 `SimplicityCertificate` stores the scan report alone and reads the tables,
 h^0, h^1 and its conclusion from it, so no certificate can conclude what its
 evidence does not support.  Together the two facts bound
@@ -145,72 +145,38 @@ class ShortExactSeq(Record):
             raise ValueError("at most one profile may be unknown")
         super().__init__(left, middle, right, dim_top)
 
-    def unknown_slot(self) -> str:
-        slots = [
-            name
-            for name, prof in (("left", self.left), ("middle", self.middle), ("right", self.right))
-            if prof.kind == UNKNOWN
-        ]
-        if len(slots) != 1:
-            raise ValueError(
-                f"exactly one member must be unknown to propagate; found {len(slots)}"
-            )
-        return slots[0]
-
 
 def les_propagate(seq: ShortExactSeq) -> ShortExactSeq:
     """Replace the single unknown profile with per-degree intervals.
 
-    Bounds come from exactness alone (see module docstring).  If every
-    interval collapses to a point the result is reported as an exact table.
-    Raises ValueError unless exactly one member is unknown.
+    Bounds come from exactness alone, one rule on the flattened sequence
+    (see module docstring).  If every interval collapses to a point the
+    result is reported as an exact table.  Raises ValueError unless exactly
+    one member is unknown.
     """
-    slot = seq.unknown_slot()
+    members = [seq.left, seq.middle, seq.right]
+    unknown = [slot for slot, prof in enumerate(members) if prof.kind == UNKNOWN]
+    if len(unknown) != 1:
+        raise ValueError(
+            f"exactly one member must be unknown to propagate; found {len(unknown)}"
+        )
     top = seq.dim_top
-    A, B, C = seq.left, seq.middle, seq.right
 
-    def lo_a(i: int) -> int:
-        return A.bounds(i, top)[0]
-
-    def hi_a(i: int) -> int:
-        return A.bounds(i, top)[1]
-
-    def lo_b(i: int) -> int:
-        return B.bounds(i, top)[0]
-
-    def hi_b(i: int) -> int:
-        return B.bounds(i, top)[1]
-
-    def lo_c(i: int) -> int:
-        return C.bounds(i, top)[0]
-
-    def hi_c(i: int) -> int:
-        return C.bounds(i, top)[1]
+    def bounds(node: int) -> Tuple[int, int]:
+        i, slot = divmod(node, 3)
+        return members[slot].bounds(i, top)
 
     pairs: List[Tuple[int, int]] = []
-    for i in range(top + 1):
-        if slot == "right":
-            hi = hi_b(i) + hi_a(i + 1)
-            lo = max(lo_b(i) - hi_a(i), lo_a(i + 1) - hi_b(i + 1), 0)
-        elif slot == "left":
-            hi = hi_c(i - 1) + hi_b(i)
-            lo = max(lo_c(i - 1) - hi_b(i - 1), lo_b(i) - hi_c(i), 0)
-        else:  # middle
-            hi = hi_a(i) + hi_c(i)
-            lo = max(lo_a(i) - hi_c(i - 1), lo_c(i) - hi_a(i + 1), 0)
-        pairs.append((lo, hi))
+    for j in range(unknown[0], 3 * top + 3, 3):
+        (lo_before, hi_before), (lo_after, hi_after) = bounds(j - 1), bounds(j + 1)
+        lo = max(lo_before - bounds(j - 2)[1], lo_after - bounds(j + 2)[1], 0)
+        pairs.append((lo, hi_before + hi_after))
 
     if all(lo == hi for lo, hi in pairs):
-        new_prof = CohProfile.exact(CohTable(tuple(lo for lo, _ in pairs)))
+        members[unknown[0]] = CohProfile.exact(CohTable(tuple(lo for lo, _ in pairs)))
     else:
-        new_prof = CohProfile.interval(pairs)
-    replaced = {
-        "left": seq.left,
-        "middle": seq.middle,
-        "right": seq.right,
-    }
-    replaced[slot] = new_prof
-    return ShortExactSeq(replaced["left"], replaced["middle"], replaced["right"], top)
+        members[unknown[0]] = CohProfile.interval(pairs)
+    return ShortExactSeq(*members, top)
 
 
 def rank_of_E(params: SpaceParams) -> int:

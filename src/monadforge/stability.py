@@ -24,7 +24,7 @@ it as the oracle that the generating function and
 The scan bounds h^0(Lambda^q T(-p1,-p2,-p3,-p4)) for 1 <= q <= max_q on the
 box |p_i| <= component_bound, min_psum <= sum(p_i) <= max_psum and reports
 every nonzero bound.  It tests T as built, on sum(p_i) >= 0 by default: not
-the normalized bundle (`normalization_shift` is never applied) on
+the normalized bundle (`chow.normalization_shift` is never applied) on
 delta_L(B) <= 0, as the generalized Hoppe criterion asks, so ALL_VANISH says
 that every bound on the box is zero, not that T is stable.
 
@@ -51,31 +51,8 @@ from itertools import chain, product, repeat
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .chow import BundleInvariants, _degree, rank_of_T, top_multinomial
-from .monad import middle_bundle
+from .chow import rank_of_T
 from .polyring import MultiDegree, Record, SpaceParams
-
-
-def normalization_shift(inv: BundleInvariants, params: SpaceParams) -> int:
-    """The unique integer k_E = ceil(mu_L / d), d = delta_L(1,0,0,0).
-
-    Twisting by -k_E in the first slot renormalizes the slope into (-d, 0];
-    mu_L / d = degree_L / (rank * d), a ceiling taken by integer floor
-    division, no floats and no Fraction.
-    """
-    return _normalization_shift(inv, params, top_multinomial(params))
-
-
-def _normalization_shift(inv: BundleInvariants, params: SpaceParams, top: int) -> int:
-    """normalization_shift(inv, params), given top = top_multinomial(params)."""
-    d = _degree(MultiDegree(1, 0, 0, 0), params, top)
-    return -(-inv.degree_L // (inv.rank * d))
-
-
-def _check_wedge_index(params: SpaceParams, q: object) -> None:
-    rank = middle_bundle(params).rank
-    if type(q) is not int or q < 1 or q > rank:
-        raise ValueError(f"exterior power q={q!r} out of range [1, {rank}]")
 
 
 def _wedge_h0_series(params: SpaceParams, max_q: int, tw: MultiDegree) -> List[int]:
@@ -201,14 +178,10 @@ def _config_runs(cfg: StabilityScanConfig) -> Iterator[Tuple[int, int, int, rang
     return _runs(cb, cfg.min_psum, cfg.max_psum, cb)
 
 
-def _config_box(cfg: StabilityScanConfig) -> Iterator[Twist]:
-    cb = cfg.component_bound
-    return _box(cb, cfg.min_psum, cfg.max_psum, cb)
-
-
 def enumerate_twists(cfg: StabilityScanConfig) -> Iterator[MultiDegree]:
     """All twists (-p1,-p2,-p3,-p4) in the box, in lexicographic p-order."""
-    return (MultiDegree(*tw) for tw in _config_box(cfg))
+    cb = cfg.component_bound
+    return (MultiDegree(*tw) for tw in _box(cb, cfg.min_psum, cfg.max_psum, cb))
 
 
 # A piece of zero rows is one join of at most _ROW_BATCH row texts, and
@@ -267,7 +240,7 @@ class RowGrid(Record):
         return marks
 
     def __iter__(self) -> Iterator[ScanRow]:
-        degrees = [MultiDegree(*tw) for tw in _config_box(self.config)]
+        degrees = list(enumerate_twists(self.config))
         marks = self._marks()
         for q in range(1, self.config.max_q + 1):
             h0s = [0] * len(degrees)
@@ -410,9 +383,11 @@ def negative_component_violations(
     p-sum >= 0 the list is empty (sum(tw - j) = -sum(p) - q < 0), which is the
     structural reason the vanishing scan passes; returning witnesses (rather
     than a bare bool) makes failures inspectable.  Raises ValueError unless
-    1 <= q <= rank(G_n (+) G_m).
+    1 <= q <= rank(G_n (+) G_m) = rank(T) + k.
     """
-    _check_wedge_index(params, q)
+    rank = rank_of_T(params) + params.k
+    if type(q) is not int or q < 1 or q > rank:
+        raise ValueError(f"exterior power q={q!r} out of range [1, {rank}]")
     dims = (params.n, params.n, params.m, params.m)
     caps = [min(D + params.k, t) for D, t in zip(dims, tw.as_tuple())]
     # descending j_i is ascending tw_i - j_i: the tuples come out sorted

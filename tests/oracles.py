@@ -59,7 +59,6 @@ from monadforge.polyring import (
 )
 from monadforge.stability import (
     StabilityScanConfig,
-    _check_wedge_index,
     _wedge_h0_series,
     enumerate_twists,
 )
@@ -548,7 +547,9 @@ def h0_wedge_T_upper(params: SpaceParams, q: int, tw: MultiDegree) -> int:
     """Exact h^0(Lambda^q(G_n (+) G_m)(tw)), the scan's upper bound for
     h^0(Lambda^q T(tw)), for 1 <= q <= rank(G_n (+) G_m) (ValueError
     otherwise): one coefficient of the scan's generating function."""
-    _check_wedge_index(params, q)
+    rank = middle_bundle(params).rank
+    if type(q) is not int or q < 1 or q > rank:
+        raise ValueError(f"exterior power q={q!r} out of range [1, {rank}]")
     return _wedge_h0_series(params, q, tw)[q]
 
 

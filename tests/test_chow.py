@@ -19,13 +19,13 @@ from monadforge.chow import (
     degree_simplification_check,
     delta_L,
     invariants_of_T,
+    normalization_shift,
     rank_of_T,
     top_multinomial,
 )
 from monadforge.cohomology import direct_sum, line_bundle
 from monadforge.monad import middle_bundle
 from monadforge.polyring import MultiDegree, SpaceParams
-from monadforge.stability import normalization_shift
 from oracles import (
     c1_of_sum,
     degree_by_expansion,

@@ -3,7 +3,9 @@ certificate assembled from it."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 import sys
 
@@ -223,6 +225,45 @@ def test_collapsed_propagation_satisfies_euler_identity():
             alt += (-1) ** i * (h_a - h_b + h_c)
         assert alt == 0
     assert collapsed_seen > 0
+
+
+def random_profile(rng: random.Random, top: int) -> CohProfile:
+    """An exact table or an interval list over degrees 0..top, zeros frequent."""
+    value = lambda: rng.choice((0, 0, 0, 1, 2, 3, 5, 8))  # noqa: E731
+    if rng.random() < 0.5:
+        return CohProfile.exact(CohTable(tuple(value() for _ in range(top + 1))))
+    pairs = []
+    for _ in range(top + 1):
+        lo = value()
+        pairs.append((lo, lo + rng.choice((0, 0, 1, 2, 5))))
+    return CohProfile.interval(pairs)
+
+
+# sha256 of the propagated sequences below, recorded from the per-slot
+# implementation that the single exactness rule replaced
+PROPAGATION_DIGEST = "12406c0ec8a9c068bd3a871ef8fdb900189e00155da2b6bd264f757b01890385"
+
+
+def test_propagation_matches_frozen_digest():
+    # 600 sequences of exact and interval members: every unknown slot at
+    # every dim_top 1..6, their outputs hashed together
+    rng = random.Random(29029)
+    lines = []
+    kinds = set()
+    for trial in range(600):
+        top = 1 + trial % 6
+        slot = (trial // 6) % 3
+        members = [
+            CohProfile.unknown() if s == slot else random_profile(rng, top) for s in range(3)
+        ]
+        out = les_propagate(ShortExactSeq(*members, dim_top=top))
+        kinds.add((out.left, out.middle, out.right)[slot].kind)
+        lines.append(
+            json.dumps([prof.to_json() for prof in (out.left, out.middle, out.right)] + [top])
+        )
+    assert kinds == {"exact", "interval"}
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PROPAGATION_DIGEST
 
 
 def test_all_collapse_is_reported_exact():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monadforge.chow import BundleInvariants, invariants_of_T, rank_of_T
+from monadforge.chow import BundleInvariants, invariants_of_T, normalization_shift, rank_of_T
 from monadforge.cohomology import kunneth_h
 from monadforge.monad import middle_bundle
 from monadforge.polyring import MultiDegree, SpaceParams, canonical_chunks
@@ -25,7 +25,6 @@ from monadforge.stability import (
     _runs,
     enumerate_twists,
     negative_component_violations,
-    normalization_shift,
     run_stability_scan,
 )
 from oracles import (

@@ -9,7 +9,7 @@ import itertools
 
 import pytest
 
-from monadforge.chow import delta_L, invariants_of_T
+from monadforge.chow import delta_L, invariants_of_T, normalization_shift
 from monadforge.monad import (
     assemble_monad,
     block_products,
@@ -22,7 +22,6 @@ from monadforge.polyring import MultiDegree, SpaceParams
 from monadforge.stability import (
     StabilityScanConfig,
     _wedge_h0_series,
-    normalization_shift,
     run_stability_scan,
 )
 
