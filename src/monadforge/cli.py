@@ -55,9 +55,9 @@ from .cohomology import line_bundle, sum_cohomology
 from .les import simplicity_certificate
 from .monad import (
     MonadSpec,
-    _block_offsets,
     assemble_monad,
     built_body,
+    built_text,
     read_built_monad,
     verify_composition,
     verify_maximal_rank,
@@ -156,42 +156,11 @@ def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
         raise
 
 
-def _render_matrix_text(spec: MonadSpec, which: str) -> List[str]:
-    """Rows of f or g with block boundaries marked, for visual diffing.
-
-    f gets a `|` between its four column blocks; g gets a dashed rule between
-    its four row blocks.
-    """
-    # the first index of blocks 2..4: f's columns, g's rows
-    cuts = set(_block_offsets(spec.params)[1:4])
-    matrix = spec.f if which == "f" else spec.g
-    cells = [[str(matrix.entry(i, j)) for j in range(matrix.cols)] for i in range(matrix.rows)]
-    widths = [max(len(cells[i][j]) for i in range(matrix.rows)) for j in range(matrix.cols)]
-    lines: List[str] = []
-    for i, row in enumerate(cells):
-        parts: List[str] = []
-        for j, (cell, width) in enumerate(zip(row, widths)):
-            if which == "f" and j in cuts:
-                parts.append("|")
-            parts.append(cell.rjust(width))
-        if which == "g" and i in cuts:
-            lines.append("[ " + "-" * (sum(widths) + matrix.cols - 1) + " ]")
-        lines.append("[ " + " ".join(parts) + " ]")
-    return lines
-
-
 def _cmd_build(args: Args, params: SpaceParams) -> Outcome:
     spec = assemble_monad(params)
     if args.format == "json":
         return params, built_body(spec), True
-    lines = [
-        f"monad for (n, m, k) = ({params.n}, {params.m}, {params.k})",
-        f"f ({spec.f.rows} x {spec.f.cols}):",
-        *_render_matrix_text(spec, "f"),
-        f"g ({spec.g.rows} x {spec.g.cols}):",
-        *_render_matrix_text(spec, "g"),
-    ]
-    return params, "\n".join(lines) + "\n", True
+    return params, built_text(spec), True
 
 
 def _read_input(path: str) -> str:

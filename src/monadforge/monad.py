@@ -317,6 +317,43 @@ def built_body(spec: MonadSpec) -> dict:
     return {"monad": spec.json_template()}
 
 
+def _matrix_text(spec: MonadSpec, which: str) -> List[str]:
+    """Rows of f or g with block boundaries marked, for visual diffing.
+
+    f gets a `|` between its four column blocks; g gets a dashed rule between
+    its four row blocks.
+    """
+    # the first index of blocks 2..4: f's columns, g's rows
+    cuts = set(_block_offsets(spec.params)[1:4])
+    matrix = spec.f if which == "f" else spec.g
+    cells = [[str(matrix.entry(i, j)) for j in range(matrix.cols)] for i in range(matrix.rows)]
+    widths = [max(len(cells[i][j]) for i in range(matrix.rows)) for j in range(matrix.cols)]
+    lines: List[str] = []
+    for i, row in enumerate(cells):
+        parts: List[str] = []
+        for j, (cell, width) in enumerate(zip(row, widths)):
+            if which == "f" and j in cuts:
+                parts.append("|")
+            parts.append(cell.rjust(width))
+        if which == "g" and i in cuts:
+            lines.append("[ " + "-" * (sum(widths) + matrix.cols - 1) + " ]")
+        lines.append("[ " + " ".join(parts) + " ]")
+    return lines
+
+
+def built_text(spec: MonadSpec) -> str:
+    """`build --format text` for `spec`: its params, then f and g row by row."""
+    params = spec.params
+    lines = [
+        f"monad for (n, m, k) = ({params.n}, {params.m}, {params.k})",
+        f"f ({spec.f.rows} x {spec.f.cols}):",
+        *_matrix_text(spec, "f"),
+        f"g ({spec.g.rows} x {spec.g.cols}):",
+        *_matrix_text(spec, "g"),
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def read_built_monad(text: str) -> Optional[MonadSpec]:
     """`assemble_monad(P)` when the text after the manifest is byte for byte
     what `build` writes for P, the manifest's params; else None, also

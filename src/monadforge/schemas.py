@@ -8,373 +8,209 @@ validator, e.g.
     import json, jsonschema
     from monadforge.schemas import SCHEMAS
     jsonschema.validate(json.loads(doc), SCHEMAS["report"])
+
+Every object is closed, and every member is required unless it is named
+optional: only `verify`'s partial results and the scan report's row lists are.
 """
 
 from __future__ import annotations
+
+
+def _object(properties: dict, optional: tuple = ()) -> dict:
+    """A closed object whose members, in order, are required unless `optional`."""
+    return {
+        "type": "object",
+        "required": [name for name in properties if name not in optional],
+        "properties": properties,
+        "additionalProperties": False,
+    }
+
+
+def _keyed(pattern: str, value: dict) -> dict:
+    """A closed object whose member names match `pattern`, each valued `value`."""
+    return {
+        "type": "object",
+        "patternProperties": {pattern: value},
+        "additionalProperties": False,
+    }
+
+
+def _document(body: dict) -> dict:
+    """The closed object `body` as a document: `$schema` first, `manifest` its first member."""
+    # `required` and `properties` are replaced in place, so body's key order is kept
+    return {
+        "$schema": "https://json-schema.org/draft/2020-12/schema",
+        **body,
+        "required": ["manifest", *body["required"]],
+        "properties": {"manifest": _MANIFEST, **body["properties"]},
+    }
+
 
 _POS_INT = {"type": "integer", "minimum": 1}
 _NONNEG_INT = {"type": "integer", "minimum": 0}
 _INT = {"type": "integer"}
 _BIGINT_STR = {"type": "string", "pattern": "^-?[0-9]+$"}
 _RATIONAL_STR = {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"}
+_BOOL = {"type": "boolean"}
+_DEGREE = {"type": "array", "items": _INT, "minItems": 4, "maxItems": 4}
+_INTERVAL = {"type": "array", "items": _NONNEG_INT, "minItems": 2, "maxItems": 2}
 
-_PARAMS = {
-    "type": "object",
-    "required": ["n", "m", "k"],
-    "properties": {"n": _POS_INT, "m": _POS_INT, "k": _POS_INT},
-    "additionalProperties": False,
-}
+_PARAMS = _object({
+    "n": _POS_INT,
+    "m": _POS_INT,
+    "k": _POS_INT,
+})
 
-_MANIFEST = {
-    "type": "object",
-    "required": ["command", "params", "seed", "tool_version", "timestamp"],
-    "properties": {
-        "command": {"type": "string"},
-        "params": _PARAMS,
-        "seed": _INT,
-        "tool_version": {"type": "string"},
-        "timestamp": {
-            "type": "string",
-            "pattern": "^[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z$",
-        },
+_MANIFEST = _object({
+    "command": {"type": "string"},
+    "params": _PARAMS,
+    "seed": _INT,
+    "tool_version": {"type": "string"},
+    "timestamp": {
+        "type": "string",
+        "pattern": "^[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z$",
     },
-    "additionalProperties": False,
-}
+})
 
-_DEGREE = {
-    "type": "array",
-    "items": _INT,
-    "minItems": 4,
-    "maxItems": 4,
-}
+_POLYNOMIAL = {"type": "array", "items": _object({
+    "coeff": _BIGINT_STR,
+    "exps": _keyed("^[xyzt][0-9]+$", _POS_INT),
+})}
 
-_POLYNOMIAL = {
-    "type": "array",
-    "items": {
-        "type": "object",
-        "required": ["coeff", "exps"],
-        "properties": {
-            "coeff": _BIGINT_STR,
-            "exps": {
-                "type": "object",
-                "patternProperties": {"^[xyzt][0-9]+$": _POS_INT},
-                "additionalProperties": False,
-            },
-        },
-        "additionalProperties": False,
-    },
-}
+_MATRIX = _object({
+    "rows": _NONNEG_INT,
+    "cols": _NONNEG_INT,
+    "entries": {"type": "array", "items": {"type": "array", "items": _POLYNOMIAL}},
+})
 
-_MATRIX = {
-    "type": "object",
-    "required": ["rows", "cols", "entries"],
-    "properties": {
-        "rows": _NONNEG_INT,
-        "cols": _NONNEG_INT,
-        "entries": {
-            "type": "array",
-            "items": {"type": "array", "items": _POLYNOMIAL},
-        },
-    },
-    "additionalProperties": False,
-}
+_LINE_BUNDLE_SUM = _object({
+    "params": _PARAMS,
+    "summands": {"type": "array", "items": _object({
+        "degree": _DEGREE,
+        "multiplicity": _POS_INT,
+    })},
+})
 
-_LINE_BUNDLE_SUM = {
-    "type": "object",
-    "required": ["params", "summands"],
-    "properties": {
-        "params": _PARAMS,
-        "summands": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["degree", "multiplicity"],
-                "properties": {"degree": _DEGREE, "multiplicity": _POS_INT},
-                "additionalProperties": False,
-            },
-        },
-    },
-    "additionalProperties": False,
-}
+_MONAD = _object({
+    "params": _PARAMS,
+    "source": _LINE_BUNDLE_SUM,
+    "middle": _LINE_BUNDLE_SUM,
+    "target": _LINE_BUNDLE_SUM,
+    "f": _MATRIX,
+    "g": _MATRIX,
+})
 
-_MONAD = {
-    "type": "object",
-    "required": ["params", "source", "middle", "target", "f", "g"],
-    "properties": {
-        "params": _PARAMS,
-        "source": _LINE_BUNDLE_SUM,
-        "middle": _LINE_BUNDLE_SUM,
-        "target": _LINE_BUNDLE_SUM,
-        "f": _MATRIX,
-        "g": _MATRIX,
-    },
-    "additionalProperties": False,
-}
+_RANK_REPORT = _object({
+    "params": _PARAMS,
+    "prime": _POS_INT,
+    "trials": _POS_INT,
+    "seed": _INT,
+    "rank_f_samples": {"type": "array", "items": _NONNEG_INT},
+    "rank_g_samples": {"type": "array", "items": _NONNEG_INT},
+    "origin_rank_f": _NONNEG_INT,
+    "origin_rank_g": _NONNEG_INT,
+    "group_zero_ranks": _keyed("^[xyzt]$", _object({
+        "f": _NONNEG_INT,
+        "g": _NONNEG_INT,
+    })),
+    "maximal": _BOOL,
+})
 
-_RANK_REPORT = {
-    "type": "object",
-    "required": [
-        "params",
-        "prime",
-        "trials",
-        "seed",
-        "rank_f_samples",
-        "rank_g_samples",
-        "origin_rank_f",
-        "origin_rank_g",
-        "group_zero_ranks",
-        "maximal",
-    ],
-    "properties": {
-        "params": _PARAMS,
-        "prime": _POS_INT,
-        "trials": _POS_INT,
-        "seed": _INT,
-        "rank_f_samples": {"type": "array", "items": _NONNEG_INT},
-        "rank_g_samples": {"type": "array", "items": _NONNEG_INT},
-        "origin_rank_f": _NONNEG_INT,
-        "origin_rank_g": _NONNEG_INT,
-        "group_zero_ranks": {
-            "type": "object",
-            "patternProperties": {
-                "^[xyzt]$": {
-                    "type": "object",
-                    "required": ["f", "g"],
-                    "properties": {"f": _NONNEG_INT, "g": _NONNEG_INT},
-                    "additionalProperties": False,
-                }
-            },
-            "additionalProperties": False,
-        },
-        "maximal": {"type": "boolean"},
-    },
-    "additionalProperties": False,
-}
+_SCAN_CONFIG = _object({
+    "params": _PARAMS,
+    "max_q": _POS_INT,
+    "max_psum": _INT,
+    "component_bound": _NONNEG_INT,
+    "min_psum": _INT,
+})
 
-_SCAN_CONFIG = {
-    "type": "object",
-    "required": ["params", "max_q", "max_psum", "component_bound", "min_psum"],
-    "properties": {
-        "params": _PARAMS,
-        "max_q": _POS_INT,
-        "max_psum": _INT,
-        "component_bound": _NONNEG_INT,
-        "min_psum": _INT,
-    },
-    "additionalProperties": False,
-}
+_SCAN_ROW = _object({
+    "q": _POS_INT,
+    "twist": _DEGREE,
+    "h0": _NONNEG_INT,
+})
 
-_SCAN_ROW = {
-    "type": "object",
-    "required": ["q", "twist", "h0"],
-    "properties": {"q": _POS_INT, "twist": _DEGREE, "h0": _NONNEG_INT},
-    "additionalProperties": False,
-}
+_STABILITY_REPORT = _object({
+    "config": _SCAN_CONFIG,
+    "entries_checked": _NONNEG_INT,
+    "verdict": {"enum": ["ALL_VANISH", "COUNTEREXAMPLE"]},
+    "counterexample": {"anyOf": [{"type": "null"}, _object({
+        "q": _POS_INT,
+        "twist": _DEGREE,
+    })]},
+    "checked": {"type": "array", "items": _SCAN_ROW},
+    "nonzero": {"type": "array", "items": _SCAN_ROW},
+}, optional=("checked", "nonzero"))
 
-_STABILITY_REPORT = {
-    "type": "object",
-    "required": ["config", "entries_checked", "verdict", "counterexample"],
-    "properties": {
-        "config": _SCAN_CONFIG,
-        "entries_checked": _NONNEG_INT,
-        "verdict": {"enum": ["ALL_VANISH", "COUNTEREXAMPLE"]},
-        "counterexample": {
-            "anyOf": [
-                {"type": "null"},
-                {
-                    "type": "object",
-                    "required": ["q", "twist"],
-                    "properties": {"q": _POS_INT, "twist": _DEGREE},
-                    "additionalProperties": False,
-                },
-            ]
-        },
-        "checked": {"type": "array", "items": _SCAN_ROW},
-        "nonzero": {"type": "array", "items": _SCAN_ROW},
-    },
-    "additionalProperties": False,
-}
+_COH_PROFILE = {"anyOf": [
+    _object({
+        "kind": {"const": "exact"},
+        "dims": {"type": "array", "items": _NONNEG_INT},
+    }),
+    _object({
+        "kind": {"const": "interval"},
+        "intervals": {"type": "array", "items": _INTERVAL},
+    }),
+    _object({"kind": {"const": "unknown"}}),
+]}
 
-_INTERVAL = {
-    "type": "array",
-    "items": _NONNEG_INT,
-    "minItems": 2,
-    "maxItems": 2,
-}
+_SEQUENCE = _object({
+    "left": _COH_PROFILE,
+    "middle": _COH_PROFILE,
+    "right": _COH_PROFILE,
+    "dim_top": _POS_INT,
+})
 
-_COH_PROFILE = {
-    "anyOf": [
-        {
-            "type": "object",
-            "required": ["kind", "dims"],
-            "properties": {
-                "kind": {"const": "exact"},
-                "dims": {"type": "array", "items": _NONNEG_INT},
-            },
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "required": ["kind", "intervals"],
-            "properties": {
-                "kind": {"const": "interval"},
-                "intervals": {"type": "array", "items": _INTERVAL},
-            },
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {"kind": {"const": "unknown"}},
-            "additionalProperties": False,
-        },
-    ]
-}
+_CERTIFICATE = _object({
+    "params": _PARAMS,
+    "rank_E": _POS_INT,
+    "h0_T_dual_twisted": _INTERVAL,
+    "h1_T_dual_twisted": _INTERVAL,
+    "t_stable": _BOOL,
+    "stability": _STABILITY_REPORT,
+    "sequence": _SEQUENCE,
+    "conclusion": {"enum": ["SIMPLE_CERTIFIED", "INCONCLUSIVE"]},
+    "reason": {"anyOf": [{"type": "null"}, {"type": "string"}]},
+    "argument": {"type": "string"},
+})
 
-_SEQUENCE = {
-    "type": "object",
-    "required": ["left", "middle", "right", "dim_top"],
-    "properties": {
-        "left": _COH_PROFILE,
-        "middle": _COH_PROFILE,
-        "right": _COH_PROFILE,
-        "dim_top": _POS_INT,
-    },
-    "additionalProperties": False,
-}
-
-_CERTIFICATE = {
-    "type": "object",
-    "required": [
-        "params",
-        "rank_E",
-        "h0_T_dual_twisted",
-        "h1_T_dual_twisted",
-        "t_stable",
-        "stability",
-        "sequence",
-        "conclusion",
-        "reason",
-        "argument",
-    ],
-    "properties": {
-        "params": _PARAMS,
-        "rank_E": _POS_INT,
-        "h0_T_dual_twisted": _INTERVAL,
-        "h1_T_dual_twisted": _INTERVAL,
-        "t_stable": {"type": "boolean"},
-        "stability": _STABILITY_REPORT,
-        "sequence": _SEQUENCE,
-        "conclusion": {"enum": ["SIMPLE_CERTIFIED", "INCONCLUSIVE"]},
-        "reason": {"anyOf": [{"type": "null"}, {"type": "string"}]},
-        "argument": {"type": "string"},
-    },
-    "additionalProperties": False,
-}
-
-_INVARIANTS_FIELDS = {
+_INVARIANTS = _object({
     "rank": _POS_INT,
     "c1": _DEGREE,
     "degree": _INT,
     "slope": _RATIONAL_STR,
-}
+})
 
-_DEGREE_CHECK = {
-    "type": "object",
-    "required": ["exact_degree", "uniform_weight_shortcut", "agree", "note"],
-    "properties": {
-        "exact_degree": _INT,
-        "uniform_weight_shortcut": _INT,
-        "agree": {"type": "boolean"},
-        "note": {"type": "string"},
-    },
-    "additionalProperties": False,
-}
+_DEGREE_CHECK = _object({
+    "exact_degree": _INT,
+    "uniform_weight_shortcut": _INT,
+    "agree": _BOOL,
+    "note": {"type": "string"},
+})
 
 SCHEMAS = {
-    "build": {
-        "$schema": "https://json-schema.org/draft/2020-12/schema",
-        "type": "object",
-        "required": ["manifest", "monad"],
-        "properties": {"manifest": _MANIFEST, "monad": _MONAD},
-        "additionalProperties": False,
-    },
-    "verify": {
-        "$schema": "https://json-schema.org/draft/2020-12/schema",
-        "type": "object",
-        "required": ["manifest", "verdict"],
-        "properties": {
-            "manifest": _MANIFEST,
-            "structure_problems": {"type": "array", "items": {"type": "string"}},
-            "composition_zero": {"type": "boolean"},
-            "rank": _RANK_REPORT,
-            "verdict": {"enum": ["CERTIFIED", "FAILED"]},
-            "error": {"type": "string"},
-        },
-        "additionalProperties": False,
-    },
-    "cohomology": {
-        "$schema": "https://json-schema.org/draft/2020-12/schema",
-        "type": "object",
-        "required": ["manifest", "degree", "table"],
-        "properties": {
-            "manifest": _MANIFEST,
-            "degree": _DEGREE,
-            "table": {
-                "type": "object",
-                "patternProperties": {"^[0-9]+$": _NONNEG_INT},
-                "additionalProperties": False,
-            },
-        },
-        "additionalProperties": False,
-    },
-    "invariants": {
-        "$schema": "https://json-schema.org/draft/2020-12/schema",
-        "type": "object",
-        "required": ["manifest", "rank", "c1", "degree", "slope"],
-        "properties": {"manifest": _MANIFEST, **_INVARIANTS_FIELDS},
-        "additionalProperties": False,
-    },
-    "stability": {
-        "$schema": "https://json-schema.org/draft/2020-12/schema",
-        "type": "object",
-        "required": ["manifest", "config", "entries_checked", "verdict", "counterexample"],
-        "properties": {"manifest": _MANIFEST, **_STABILITY_REPORT["properties"]},
-        "additionalProperties": False,
-    },
-    "simplicity": {
-        "$schema": "https://json-schema.org/draft/2020-12/schema",
-        "type": "object",
-        "required": ["manifest", "certificate"],
-        "properties": {"manifest": _MANIFEST, "certificate": _CERTIFICATE},
-        "additionalProperties": False,
-    },
-    "report": {
-        "$schema": "https://json-schema.org/draft/2020-12/schema",
-        "type": "object",
-        "required": [
-            "manifest",
-            "invariants",
-            "normalization_shift",
-            "stability",
-            "simplicity",
-            "degree_check",
-        ],
-        "properties": {
-            "manifest": _MANIFEST,
-            "invariants": {
-                "type": "object",
-                "required": ["rank", "c1", "degree", "slope"],
-                "properties": _INVARIANTS_FIELDS,
-                "additionalProperties": False,
-            },
-            "normalization_shift": _INT,
-            "stability": _STABILITY_REPORT,
-            "simplicity": _CERTIFICATE,
-            "degree_check": _DEGREE_CHECK,
-        },
-        "additionalProperties": False,
-    },
+    "build": _document(_object({"monad": _MONAD})),
+    "verify": _document(_object({
+        "structure_problems": {"type": "array", "items": {"type": "string"}},
+        "composition_zero": _BOOL,
+        "rank": _RANK_REPORT,
+        "verdict": {"enum": ["CERTIFIED", "FAILED"]},
+        "error": {"type": "string"},
+    }, optional=("structure_problems", "composition_zero", "rank", "error"))),
+    "cohomology": _document(_object({
+        "degree": _DEGREE,
+        "table": _keyed("^[0-9]+$", _NONNEG_INT),
+    })),
+    "invariants": _document(_INVARIANTS),
+    "stability": _document(_STABILITY_REPORT),
+    "simplicity": _document(_object({"certificate": _CERTIFICATE})),
+    "report": _document(_object({
+        "invariants": _INVARIANTS,
+        "normalization_shift": _INT,
+        "stability": _STABILITY_REPORT,
+        "simplicity": _CERTIFICATE,
+        "degree_check": _DEGREE_CHECK,
+    })),
 }
 
 __all__ = ["SCHEMAS"]

@@ -509,6 +509,53 @@ def test_wire_format_bytes_are_frozen(tmp_path, capsys, argv):
     assert target.read_bytes() == out.encode("utf-8")
 
 
+# ---------------------------------------------------------------------------
+# the published schemas
+# ---------------------------------------------------------------------------
+
+# json.dumps(SCHEMAS), unsorted so that key order counts too
+SCHEMAS_SHA256 = "9aa796eb61490c198d881e9539b27ec1626fef4c20140ef0d32659b608d75502"
+
+# one frozen (1,2,3) document of each subcommand: a GOLDEN_SHA256 entry
+FROZEN_123 = {
+    argv[0]: argv
+    for argv in GOLDEN_SHA256
+    if argv[1:7] == ("--n", "1", "--m", "2", "--k", "3") and "--format" not in argv
+}
+
+# the top-level members a document may leave out; every other one is required
+OPTIONAL_MEMBERS = {
+    "verify": {"structure_problems", "composition_zero", "rank", "error"},
+    "stability": {"checked", "nonzero"},
+}
+
+
+def test_schemas_are_frozen():
+    assert sha256(json.dumps(SCHEMAS)) == SCHEMAS_SHA256
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_schema_accepts_its_frozen_document_and_rejects_bad_ones(capsys, command):
+    jsonschema.Draft202012Validator.check_schema(SCHEMAS[command])
+    validator = jsonschema.Draft202012Validator(SCHEMAS[command])
+    code, out, _ = run_cli(capsys, *FROZEN_123[command])
+    assert (code, sha256(out)) == GOLDEN_SHA256[FROZEN_123[command]]
+    doc = json.loads(out)
+    assert validator.is_valid(doc)
+
+    def rejects(change) -> bool:
+        bad = copy.deepcopy(doc)
+        change(bad)
+        return not validator.is_valid(bad)
+
+    assert rejects(lambda d: d.update(unexpected=0))
+    assert rejects(lambda d: d["manifest"]["params"].update(unexpected=1))
+    assert rejects(lambda d: d["manifest"].update(seed="0"))
+    for key in doc:
+        optional = key in OPTIONAL_MEMBERS.get(command, ())
+        assert rejects(lambda d: d.pop(key)) != optional, key
+
+
 SCAN_WIDE = ("report", "--n", "3", "--m", "3", "--k", "3", "--max-q", "20", "--max-psum", "6",
              "--component-bound", "6")
 
