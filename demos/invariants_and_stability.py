@@ -26,7 +26,7 @@ def main() -> None:
         inv = invariants_of_T(SpaceParams(n, m, k))
         print(
             f"  (n,m,k)=({n},{m},{k}): rank {inv.rank:2d}, c1 {inv.c1.as_tuple()}, "
-            f"deg_L {inv.degree_L:6d}, slope {inv.slope_L}"
+            f"deg_L {inv.degree_L:6d}, slope {inv.to_json()['slope']}"
         )
     print()
 

@@ -9,8 +9,13 @@ and its maximal rank by a staircase lemma (sampled rank over prime fields for
 documents off the band), and certifies the numerical facts
 about the kernel and cohomology bundles: Chern/degree/slope invariants,
 Hoppe-criterion vanishing scans, and the simplicity certificate, whose
-long-exact-sequence step is stated in closed form (the general interval
-propagation stays as library API).  All arithmetic is exact.
+long-exact-sequence step is stated in closed form.  All arithmetic is exact.
+
+The package holds what the seven subcommands of `monadforge.cli` run.  The
+few functions no command calls, such as the general interval propagation
+`les_propagate` and the exterior power `exterior_power_sum`, stay because
+the benchmark's traced run wraps them by name; `tests/test_reachability.py`
+lists each one with its reason.
 """
 
 from .polyring import (
@@ -27,9 +32,7 @@ from .cohomology import (
     CohTable,
     LineBundleSum,
     bott_h,
-    direct_sum,
     exterior_power_sum,
-    kunneth_h,
     line_bundle,
     sum_cohomology,
 )
@@ -37,9 +40,6 @@ from .monad import (
     MonadSpec,
     RankReport,
     assemble_monad,
-    build_f_block,
-    build_g_block,
-    floystad_check,
     middle_bundle,
     source_bundle,
     target_bundle,
@@ -50,7 +50,6 @@ from .chow import (
     BundleInvariants,
     c1_of_T,
     degree_L,
-    delta_L,
     invariants_of_T,
     normalization_shift,
     rank_of_T,
@@ -83,17 +82,12 @@ __all__ = [
     "CohTable",
     "LineBundleSum",
     "bott_h",
-    "direct_sum",
     "exterior_power_sum",
-    "kunneth_h",
     "line_bundle",
     "sum_cohomology",
     "MonadSpec",
     "RankReport",
     "assemble_monad",
-    "build_f_block",
-    "build_g_block",
-    "floystad_check",
     "middle_bundle",
     "source_bundle",
     "target_bundle",
@@ -102,7 +96,6 @@ __all__ = [
     "BundleInvariants",
     "c1_of_T",
     "degree_L",
-    "delta_L",
     "invariants_of_T",
     "rank_of_T",
     "StabilityReport",

@@ -15,21 +15,26 @@ pairing is read off one multinomial, computed as a product of binomials:
 
 (integers, since (2n+2m-1)! = (2n+2m)! / (2n+2m) and 1/(n-1)! = n / n!), so
 deg_L(F) = (c1.a + c1.b) * delta_x + (c1.c + c1.d) * delta_z.  The slope
-is mu_L = deg_L / rank, and delta_L(p1,p2,p3,p4) is the degree of the line
-bundle O_X(p1,p2,p3,p4), the same functional.  Everything is exact integer
-arithmetic; only the `slope_L` property returns a Fraction, and no document
-reads it.
+is mu_L = deg_L / rank; the degree delta_L(p1,p2,p3,p4) of the line bundle
+O_X(p1,p2,p3,p4) is the same functional, `degree_L` of (p1,p2,p3,p4).
+Everything is exact integer arithmetic.  `top_multinomial` keeps its last
+value, so the four reads of L^(2n+2m) in one `report` compute it once.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, gcd
-from typing import TYPE_CHECKING
 
 from .polyring import MultiDegree, Record, SpaceParams
 
-if TYPE_CHECKING:
-    from fractions import Fraction
+
+@lru_cache(maxsize=1)
+def top_multinomial(params: SpaceParams) -> int:
+    """The top self-intersection L^(2n+2m) = (2n+2m)! / (n! n! m! m!),
+    as the product of binomials C(2n+2m, 2m) * C(2n, n) * C(2m, m)."""
+    n, m = params.n, params.m
+    return comb(2 * n + 2 * m, 2 * m) * comb(2 * n, n) * comb(2 * m, m)
 
 
 def degree_L(c1: MultiDegree, params: SpaceParams) -> int:
@@ -38,33 +43,18 @@ def degree_L(c1: MultiDegree, params: SpaceParams) -> int:
     (c1.a + c1.b) * delta_x + (c1.c + c1.d) * delta_z of the module
     docstring, as one exact division of top by 2n+2m.
     """
-    return _degree(c1, params, top_multinomial(params))
-
-
-def _degree(c1: MultiDegree, params: SpaceParams, top: int) -> int:
-    """degree_L(c1, params), given top = top_multinomial(params)."""
     n, m = params.n, params.m
-    return top * (n * (c1.a + c1.b) + m * (c1.c + c1.d)) // params.dim_x
-
-
-def delta_L(B: MultiDegree, params: SpaceParams) -> int:
-    """Degree of the line bundle O_X(B); linear in B."""
-    return degree_L(B, params)
+    return top_multinomial(params) * (n * (c1.a + c1.b) + m * (c1.c + c1.d)) // params.dim_x
 
 
 def normalization_shift(inv: BundleInvariants, params: SpaceParams) -> int:
-    """The unique integer k_E = ceil(mu_L / d), d = delta_L(1,0,0,0).
+    """The unique integer k_E = ceil(mu_L / d), d = deg_L of O_X(1,0,0,0).
 
     Twisting by -k_E in the first slot renormalizes the slope into (-d, 0];
     mu_L / d = degree_L / (rank * d), a ceiling taken by integer floor
     division, no floats and no Fraction.
     """
-    return _normalization_shift(inv, params, top_multinomial(params))
-
-
-def _normalization_shift(inv: BundleInvariants, params: SpaceParams, top: int) -> int:
-    """normalization_shift(inv, params), given top = top_multinomial(params)."""
-    d = _degree(MultiDegree(1, 0, 0, 0), params, top)
+    d = degree_L(MultiDegree(1, 0, 0, 0), params)
     return -(-inv.degree_L // (inv.rank * d))
 
 
@@ -76,17 +66,8 @@ class BundleInvariants(Record):
     def __init__(self, rank: int, c1: MultiDegree, degree_L: int) -> None:
         super().__init__(rank, c1, degree_L)
 
-    @property
-    def slope_L(self) -> Fraction:
-        """degree_L / rank, exactly."""
-        # imported here: no command reads this property, and `fractions`
-        # (which imports `decimal`) would slow the start-up of every one
-        from fractions import Fraction
-
-        return Fraction(self.degree_L, self.rank)
-
     def to_json(self) -> dict:
-        """The invariants as a JSON object; its "slope" is str(slope_L),
+        """The invariants as a JSON object; its "slope" is degree_L / rank,
         "a" or "a/b" in lowest terms, written from integers (rank > 0)."""
         g = gcd(self.degree_L, self.rank)
         num, den = self.degree_L // g, self.rank // g
@@ -111,27 +92,15 @@ def rank_of_T(params: SpaceParams) -> int:
 
 def invariants_of_T(params: SpaceParams) -> BundleInvariants:
     """Numerical invariants of T = ker(g); its polarized degree is always < 0."""
-    return _invariants_of_T(params, top_multinomial(params))
-
-
-def _invariants_of_T(params: SpaceParams, top: int) -> BundleInvariants:
-    """invariants_of_T(params), given top = top_multinomial(params)."""
     rank = rank_of_T(params)
     c1 = c1_of_T(params)
-    deg = _degree(c1, params, top)
+    deg = degree_L(c1, params)
     if deg >= 0:
         raise AssertionError(
             f"degree_L(c1(T)) = {deg} is not negative for params {params}; "
             "this contradicts the structure of c1(T)"
         )
     return BundleInvariants(rank=rank, c1=c1, degree_L=deg)
-
-
-def top_multinomial(params: SpaceParams) -> int:
-    """The top self-intersection L^(2n+2m) = (2n+2m)! / (n! n! m! m!),
-    as the product of binomials C(2n+2m, 2m) * C(2n, n) * C(2m, m)."""
-    n, m = params.n, params.m
-    return comb(2 * n + 2 * m, 2 * m) * comb(2 * n, n) * comb(2 * m, m)
 
 
 def degree_simplification_check(params: SpaceParams) -> dict:
@@ -144,14 +113,9 @@ def degree_simplification_check(params: SpaceParams) -> dict:
     authoritative; the report carries both, and both are always negative,
     which is the only fact the stability argument consumes.
     """
-    return _degree_simplification_check(params, top_multinomial(params))
-
-
-def _degree_simplification_check(params: SpaceParams, top: int) -> dict:
-    """degree_simplification_check(params), given top = top_multinomial(params)."""
     n, m, k = params.n, params.m, params.k
-    exact = _degree(c1_of_T(params), params, top)
-    shortcut = -(n + m + 4 * k) * top
+    exact = degree_L(c1_of_T(params), params)
+    shortcut = -(n + m + 4 * k) * top_multinomial(params)
     return {
         "exact_degree": exact,
         "uniform_weight_shortcut": shortcut,

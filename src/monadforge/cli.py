@@ -44,13 +44,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, List, NoReturn, Optional, Tuple, Union
 
 from . import __version__
-from .chow import (
-    _degree_simplification_check,
-    _invariants_of_T,
-    _normalization_shift,
-    invariants_of_T,
-    top_multinomial,
-)
+from .chow import degree_simplification_check, invariants_of_T, normalization_shift
 from .cohomology import line_bundle, sum_cohomology
 from .les import simplicity_certificate
 from .monad import (
@@ -256,17 +250,15 @@ def _cmd_simplicity(args: Args, params: SpaceParams) -> Outcome:
 
 def _cmd_report(args: Args, params: SpaceParams) -> Outcome:
     cfg = _scan_config(args, params)
-    # L^(2n+2m), which every intersection number of the document reads, once
-    top = top_multinomial(params)
-    inv = _invariants_of_T(params, top)
+    inv = invariants_of_T(params)
     scan = run_stability_scan(cfg)
     cert = simplicity_certificate(params, cfg)
     body = {
         "invariants": inv.to_json(),
-        "normalization_shift": _normalization_shift(inv, params, top),
+        "normalization_shift": normalization_shift(inv, params),
         "stability": scan.to_json(include_checked=True),
         "simplicity": cert.to_json(),
-        "degree_check": _degree_simplification_check(params, top),
+        "degree_check": degree_simplification_check(params),
     }
     return params, body, scan.all_vanish and cert.conclusion == "SIMPLE_CERTIFIED"
 

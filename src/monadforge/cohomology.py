@@ -44,14 +44,6 @@ def bott_h(n: int, d: int, i: int) -> int:
     return 0
 
 
-def kunneth_h(params: SpaceParams, deg: MultiDegree, t: int) -> int:
-    """h^t(X, O_X(deg)) via the product formula.  t must lie in [0, 2n+2m]."""
-    top = params.dim_x
-    if type(t) is not int or t < 0 or t > top:
-        raise ValueError(f"cohomological degree t={t!r} out of range [0, {top}]")
-    return sum_cohomology(line_bundle(params, deg)).dims[t]
-
-
 def _factor_options(
     params: SpaceParams, deg: MultiDegree
 ) -> List[List[Tuple[int, int]]]:
@@ -137,18 +129,6 @@ class LineBundleSum(Record):
 
 def line_bundle(params: SpaceParams, deg: MultiDegree, mult: int = 1) -> LineBundleSum:
     return LineBundleSum(params, [(deg, mult)])
-
-
-def direct_sum(*sums: LineBundleSum) -> LineBundleSum:
-    if not sums:
-        raise ValueError("direct_sum of no summands")
-    params = sums[0].params
-    if any(s.params != params for s in sums):
-        raise ValueError("direct_sum: mismatched space parameters")
-    items: List[Tuple[MultiDegree, int]] = []
-    for s in sums:
-        items.extend(s.summands)
-    return LineBundleSum(params, items)
 
 
 def sum_cohomology(S: LineBundleSum) -> CohTable:

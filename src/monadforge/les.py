@@ -18,8 +18,10 @@ gives one rule for every slot:
     dim V_j >= max(l(V_{j-1}) - h(V_{j-2}), l(V_{j+1}) - h(V_{j+2}), 0)
 
 When every interval collapses the answer is reported as an exact table.
-`les_propagate` applies this rule to any `ShortExactSeq` of `CohProfile`s; it
-is library API, and the certificate below does not call it.
+`les_propagate` applies this rule to any `ShortExactSeq` of `CohProfile`s.
+No command calls it: it stays in the package because the benchmark's traced
+run wraps it by name, and the tests' oracle solves the sequence below with
+it.
 
 The simplicity certificate chains two computable facts about the monad
 bundles: the vanishing scan for T (stability of T implies T is simple, so
@@ -37,11 +39,10 @@ Bott that is k in degree 2n+2m-1 >= 3 when n = m = 1 and 0 in every other
 case, so h^0 = h^1 = 0 always and the certificate's verdict rests on the scan
 alone, with the scan's scope (see `stability`).  The certificate states
 these three tables directly and records h^0 and h^1 as read from them;
-`les_propagate` stays as library API, and the tests' oracle solves the
-sequence with it and still gates on h^0 and h^1.  A
-`SimplicityCertificate` stores the scan report alone and reads the tables,
-h^0, h^1 and its conclusion from it, so no certificate can conclude what its
-evidence does not support.  Together the two facts bound
+the tests' oracle solves the sequence with `les_propagate` and still gates
+on h^0 and h^1.  A `SimplicityCertificate` stores the scan report alone and
+reads the tables, h^0, h^1 and its conclusion from it, so no certificate can
+conclude what its evidence does not support.  Together the two facts bound
 1 <= h^0(E (x) E*) <= h^0(T (x) T*) = 1 for the cohomology bundle E, which is
 the simplicity statement; the tensor-product cohomology itself is
 deliberately never computed.
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .cohomology import CohTable, LineBundleSum, sum_cohomology
+from .cohomology import CohTable
 from .polyring import Record, SpaceParams, checked_int
 from .stability import StabilityReport, StabilityScanConfig, run_stability_scan
 
@@ -98,10 +99,6 @@ class CohProfile(Record):
     @staticmethod
     def interval(pairs: List[Tuple[int, int]]) -> "CohProfile":
         return CohProfile(INTERVAL, intervals=tuple((lo, hi) for lo, hi in pairs))
-
-    @staticmethod
-    def of_sum(S: LineBundleSum) -> "CohProfile":
-        return CohProfile.exact(sum_cohomology(S))
 
     def bounds(self, i: int, top: int) -> Tuple[int, int]:
         """[lo, hi] for h^i, with 0 outside [0, top]."""

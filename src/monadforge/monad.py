@@ -85,7 +85,6 @@ from .polyring import (
     LinearForm,
     MultiDegree,
     PolyMatrix,
-    QuadraticForm,
     Record,
     SpaceParams,
     canonical_chunks,
@@ -122,33 +121,6 @@ def _lines(group: str, params: SpaceParams, sign: int = 1) -> List[Tuple[LinearF
     band = tuple(LinearForm(((index, s, sign),)) for s in range(D + 1))
     zero = (LinearForm(),)
     return [zero * i + band + zero * (k - 1 - i) for i in range(k)]
-
-
-def build_f_block(which: int, params: SpaceParams) -> PolyMatrix:
-    """Block `which` (1..4) of f: a k x (D+k) Hankel matrix of coordinates.
-
-    Row i is line i of `_lines` read right to left: entry (i, j) is
-    v_{D+k-1-i-j} when that index lies in [0, D], else 0, where (v, D) is
-    (y, n), (x, n), (t, m), (z, m) for which = 1..4.  The block is unsigned;
-    `BLOCKS` gives the sign it carries in f.
-    """
-    if which not in (1, 2, 3, 4):
-        raise ValueError(f"f-block index must be 1..4, got {which!r}")
-    lines = _lines(BLOCKS[which - 1][0], params)
-    return PolyMatrix(params.k, len(lines[0]), [cell for line in lines for cell in line[::-1]])
-
-
-def build_g_block(which: int, params: SpaceParams) -> PolyMatrix:
-    """Block `which` (1..4) of g: a (D+k) x k Toeplitz matrix of coordinates.
-
-    Column j is line j of `_lines`: entry (i, j) is v_{i-j} when
-    0 <= i-j <= D, else 0, where (v, D) is (x, n), (y, n), (z, m), (t, m)
-    for which = 1..4.
-    """
-    if which not in (1, 2, 3, 4):
-        raise ValueError(f"g-block index must be 1..4, got {which!r}")
-    lines = _lines(BLOCKS[which - 1][1], params)
-    return PolyMatrix(len(lines[0]), params.k, [cell for row in zip(*lines) for cell in row])
 
 
 def source_bundle(params: SpaceParams) -> LineBundleSum:
@@ -416,31 +388,6 @@ def composition_by_product(spec: MonadSpec) -> bool:
     return not any(any(row) for row in matrix_mul(spec.f, spec.g))
 
 
-Product = List[List[QuadraticForm]]
-
-
-def block_products(spec: MonadSpec) -> Tuple[Product, Product, Product, Product]:
-    """The four k x k products (f1 g1, f2 g2, f3 g3, f4 g4), each f-block
-    with the sign `BLOCKS` gives it stripped, as tables of quadratic forms
-    (see `matrix_mul`).
-
-    Cancellation happens pairwise: blocks 1 and 2 agree, blocks 3 and 4 agree.
-    """
-    k = spec.params.k
-    offsets = _block_offsets(spec.params)
-    out = []
-    for b, (_, _, sign) in enumerate(BLOCKS):
-        start, stop = offsets[b], offsets[b + 1]
-        fblock = PolyMatrix(
-            k, stop - start, [spec.f.entry(i, j) for i in range(k) for j in range(start, stop)]
-        )
-        if sign < 0:
-            fblock = -fblock
-        gblock = PolyMatrix(stop - start, k, spec.g.entries[start * k : stop * k])
-        out.append(matrix_mul(fblock, gblock))
-    return tuple(out)  # type: ignore[return-value]
-
-
 class RankReport(Record):
     """Outcome of the maximal-rank certification: the ranks observed.
 
@@ -674,21 +621,3 @@ def sampled_rank_report(
         origin_rank_g=origin_g,
         group_zero_ranks=group_zero,
     )
-
-
-def floystad_check(a: int, b: int, c: int, k: int) -> bool:
-    """Existence test for linear monads O(-1)^a -> O^b -> O(1)^c on P^k.
-
-    Here a, b, c are bundle multiplicities (non-negative) and k >= 1 is the
-    dimension of the ambient projective space.  The monad exists, with maps
-    of maximal rank everywhere, iff
-
-        (b >= 2c + k - 1  and  b >= a + c)   or   b >= a + c + k.
-
-    Both branches are monotone in b: once satisfiable, raising b keeps it so.
-    Raises ValueError for a negative multiplicity or k < 1.
-    """
-    for name, value in (("a", a), ("b", b), ("c", c)):
-        checked_int(value, 0, name)
-    checked_int(k, 1, "k")
-    return (b >= 2 * c + k - 1 and b >= a + c) or b >= a + c + k

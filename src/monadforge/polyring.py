@@ -167,9 +167,6 @@ class MultiDegree(Record):
     def __add__(self, other: "MultiDegree") -> "MultiDegree":
         return MultiDegree(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
 
-    def __sub__(self, other: "MultiDegree") -> "MultiDegree":
-        return MultiDegree(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
-
     def scale(self, r: int) -> "MultiDegree":
         return MultiDegree(r * self.a, r * self.b, r * self.c, r * self.d)
 
@@ -202,9 +199,6 @@ class LinearForm(tuple):
         for group, index, coeff in terms:
             acc[(group, index)] = acc.get((group, index), 0) + coeff
         return LinearForm((g, i, c) for (g, i), c in sorted(acc.items()) if c)
-
-    def __neg__(self) -> "LinearForm":
-        return LinearForm((g, i, -c) for g, i, c in self)
 
     def __str__(self) -> str:
         if not self:
@@ -244,9 +238,6 @@ class PolyMatrix(Record):
 
     def row(self, i: int) -> Tuple[LinearForm, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix(self.rows, self.cols, [-p for p in self.entries])
 
     def json_chunks(self, indent: int) -> Iterator[str]:
         """The entry list, written by `_entry_chunks` for `canonical_chunks`."""

@@ -18,8 +18,8 @@ generating function:
 
 one truncated product per twist giving every q at once.  The exterior power
 itself (`cohomology.exterior_power_sum`) is never built here: the tests keep
-it as the oracle that the generating function and
-`negative_component_violations` must match.
+it as the oracle that the generating function and the negative-component
+lemma below must match.
 
 The scan bounds h^0(Lambda^q T(-p1,-p2,-p3,-p4)) for 1 <= q <= max_q on the
 box |p_i| <= component_bound, min_psum <= sum(p_i) <= max_psum and reports
@@ -35,9 +35,9 @@ nonzero only if every tw_i >= 0 and sum(tw) >= q.  The generating function is
 therefore summed only over the box's non-negative orthant, the twists with no
 negative component and p-sum <= -1, which `_box` enumerates directly; a box
 with min_psum >= 0 has none and is ALL_VANISH without it.  The same fact,
-testable summand by summand (`negative_component_violations`), covers the
-unbounded directions: every twisted exterior-power summand keeps a strictly
-negative degree component whenever sum(p_i) >= 0.
+which the tests check summand by summand, covers the unbounded directions:
+every twisted exterior-power summand keeps a strictly negative degree
+component whenever sum(p_i) >= 0.
 
 A report is its config and its nonzero rows; everything else is read from
 those two.  Its `checked` rows are a `RowGrid`, a record of the same two
@@ -47,7 +47,7 @@ only to iterate or write the rows, so no scan builds or keeps its twist box.
 
 from __future__ import annotations
 
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -369,30 +369,3 @@ def run_stability_scan(cfg: StabilityScanConfig) -> StabilityReport:
             if series[q]:
                 rows[q - 1].append((q, degree, series[q]))
     return StabilityReport(cfg, chain.from_iterable(rows))
-
-
-def negative_component_violations(
-    params: SpaceParams, q: int, tw: MultiDegree
-) -> List[MultiDegree]:
-    """Twisted Lambda^q(G_n (+) G_m) summands with NO strictly negative
-    component, in ascending degree order.
-
-    A summand of Lambda^q(G_n (+) G_m) has degree -j with sum(j) = q and
-    0 <= j_i <= D_i + k, so tw - j has no negative component exactly when
-    also j_i <= tw_i; these j are enumerated directly.  For every twist with
-    p-sum >= 0 the list is empty (sum(tw - j) = -sum(p) - q < 0), which is the
-    structural reason the vanishing scan passes; returning witnesses (rather
-    than a bare bool) makes failures inspectable.  Raises ValueError unless
-    1 <= q <= rank(G_n (+) G_m) = rank(T) + k.
-    """
-    rank = rank_of_T(params) + params.k
-    if type(q) is not int or q < 1 or q > rank:
-        raise ValueError(f"exterior power q={q!r} out of range [1, {rank}]")
-    dims = (params.n, params.n, params.m, params.m)
-    caps = [min(D + params.k, t) for D, t in zip(dims, tw.as_tuple())]
-    # descending j_i is ascending tw_i - j_i: the tuples come out sorted
-    return [
-        tw - MultiDegree(*j)
-        for j in product(*(range(c, -1, -1) for c in caps))
-        if sum(j) == q
-    ]

@@ -6,9 +6,10 @@ determinants, dense polynomial convolution, products of coefficient matrices
 read straight from the JSON, scan rows rendered by json.dumps as a list of
 dicts -- so agreement is evidence, not tautology.  None of them import from
 the modules they check: the h^0 bound of the stability scan, a generating
-function there, and the scan's negative-component witnesses, a direct
-enumeration there, are rebuilt here from the exterior powers that
-`cohomology.exterior_power_sum` enumerates summand by summand; the
+function there, and the scan's negative-component witnesses, enumerated
+directly by `negative_component_violations` here, are rebuilt from the
+exterior powers that `cohomology.exterior_power_sum` enumerates summand by
+summand; the
 certificate's closed-form LES collapse is checked against `les_propagate`
 run on `twisted_dual_sequence`, whose left and middle tables are computed
 from the line-bundle sums themselves.  Seven oracles are the library's
@@ -25,11 +26,16 @@ block by block from the closed entry formulas, two blocks of f negated and
 the blocks flattened into f and g, where the library builds f and g straight
 from one staircase line per block.  The scan's twist box is enumerated twist
 by twist in four nested loops, where the library walks it as runs of p4, one
-run per (p1, p2, p3).  The last section holds helpers that no command runs
-and that the tests still use: a coordinate as a linear form, the line-bundle
-operations, the Chern class of a sum, the Euler characteristic, the scan's
-h^0 bound at one (q, twist), and the dict form of a matrix and of a monad
-document that the streamed `build` output is compared against.
+run per (p1, p2, p3).  Two checks of the paper's statements that no command
+makes live here too: the four block products f_b g_b (acceptance criterion
+2) and Floystad's existence criterion for linear monads (criterion 10).  The
+last section holds helpers that no command runs and that the tests still
+use: a coordinate as a linear form, the negation of a form and of a matrix,
+the difference of two multidegrees, the line-bundle operations (direct sum,
+twist, dual) and the exact profile of a sum, the Chern class of a sum, the
+Euler characteristic, the scan's h^0 bound at one (q, twist), and the dict
+form of a matrix and of a monad document that the streamed `build` output is
+compared against.
 """
 
 from __future__ import annotations
@@ -41,7 +47,14 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from monadforge.cohomology import CohTable, LineBundleSum, exterior_power_sum, line_bundle
+from monadforge.chow import rank_of_T
+from monadforge.cohomology import (
+    CohTable,
+    LineBundleSum,
+    exterior_power_sum,
+    line_bundle,
+    sum_cohomology,
+)
 from monadforge.les import CohProfile, ShortExactSeq, les_propagate
 from monadforge.monad import (
     BLOCKS,
@@ -55,7 +68,10 @@ from monadforge.polyring import (
     LinearForm,
     MultiDegree,
     PolyMatrix,
+    QuadraticForm,
     SpaceParams,
+    checked_int,
+    matrix_mul,
 )
 from monadforge.stability import (
     StabilityScanConfig,
@@ -234,6 +250,33 @@ def negative_component_violations_by_exterior_power(
     return [deg for deg in shifted if min(deg.as_tuple()) >= 0]
 
 
+def negative_component_violations(
+    params: SpaceParams, q: int, tw: MultiDegree
+) -> List[MultiDegree]:
+    """Twisted Lambda^q(G_n (+) G_m) summands with NO strictly negative
+    component, in ascending degree order.
+
+    A summand of Lambda^q(G_n (+) G_m) has degree -j with sum(j) = q and
+    0 <= j_i <= D_i + k, so tw - j has no negative component exactly when
+    also j_i <= tw_i; these j are enumerated directly.  For every twist with
+    p-sum >= 0 the list is empty (sum(tw - j) = -sum(p) - q < 0), which is the
+    structural reason the vanishing scan passes; returning witnesses (rather
+    than a bare bool) makes failures inspectable.  Raises ValueError unless
+    1 <= q <= rank(G_n (+) G_m) = rank(T) + k.
+    """
+    rank = rank_of_T(params) + params.k
+    if type(q) is not int or q < 1 or q > rank:
+        raise ValueError(f"exterior power q={q!r} out of range [1, {rank}]")
+    dims = (params.n, params.n, params.m, params.m)
+    caps = [min(D + params.k, t) for D, t in zip(dims, tw.as_tuple())]
+    # descending j_i is ascending tw_i - j_i: the tuples come out sorted
+    return [
+        difference(tw, MultiDegree(*j))
+        for j in itertools.product(*(range(c, -1, -1) for c in caps))
+        if sum(j) == q
+    ]
+
+
 def twisted_dual_sequence(params: SpaceParams) -> ShortExactSeq:
     """The (-1,-1,-1,-1)-twist of the dual of 0 -> T -> G -> O(1,1,1,1)^k -> 0,
 
@@ -246,8 +289,8 @@ def twisted_dual_sequence(params: SpaceParams) -> ShortExactSeq:
     left = line_bundle(params, MultiDegree(-2, -2, -2, -2), params.k)
     middle = twist(dual(middle_bundle(params)), shift)
     return ShortExactSeq(
-        left=CohProfile.of_sum(left),
-        middle=CohProfile.of_sum(middle),
+        left=profile_of_sum(left),
+        middle=profile_of_sum(middle),
         right=CohProfile.unknown(),
         dim_top=params.dim_x,
     )
@@ -411,7 +454,7 @@ def stability_scan_by_series(cfg: StabilityScanConfig) -> ScanBySeries:
     )
 
 
-def _block_by_formula(group: str, params: SpaceParams, hankel: bool) -> PolyMatrix:
+def block_by_formula(group: str, params: SpaceParams, hankel: bool) -> PolyMatrix:
     """A k x (D+k) Hankel block, entry (i, j) = v_{D+k-1-i-j}, or a
     (D+k) x k Toeplitz block, entry (i, j) = v_{i-j}, each where the index
     lies in [0, D] and 0 elsewhere: the closed entry formulas, cell by cell."""
@@ -430,9 +473,9 @@ def assemble_by_blocks(params: SpaceParams) -> MonadSpec:
     g-blocks in x, y, z, t built entry by entry, blocks 2 and 4 of f negated
     as whole matrices, then f flattened row by row across its blocks and g
     block after block."""
-    f_blocks = [_block_by_formula(v, params, hankel=True) for v in "yxtz"]
-    f_blocks = [f_blocks[0], -f_blocks[1], f_blocks[2], -f_blocks[3]]
-    g_blocks = [_block_by_formula(v, params, hankel=False) for v in "xyzt"]
+    f_blocks = [block_by_formula(v, params, hankel=True) for v in "yxtz"]
+    f_blocks = [f_blocks[0], negated_matrix(f_blocks[1]), f_blocks[2], negated_matrix(f_blocks[3])]
+    g_blocks = [block_by_formula(v, params, hankel=False) for v in "xyzt"]
     k = params.k
     width = sum(block.cols for block in f_blocks)
     f = PolyMatrix(k, width, [p for i in range(k) for block in f_blocks for p in block.row(i)])
@@ -499,9 +542,88 @@ def structural_problems_by_two_walks(spec: MonadSpec) -> List[str]:
     return problems
 
 
+Product = List[List[QuadraticForm]]
+
+
+def block_products(spec: MonadSpec) -> Tuple[Product, Product, Product, Product]:
+    """The four k x k products (f1 g1, f2 g2, f3 g3, f4 g4), each f-block
+    with the sign `BLOCKS` gives it stripped, as tables of quadratic forms
+    (see `matrix_mul`).
+
+    Cancellation happens pairwise: blocks 1 and 2 agree, blocks 3 and 4 agree.
+    """
+    params = spec.params
+    k = params.k
+    sizes = [params.n + k, params.n + k, params.m + k, params.m + k]
+    offsets = [sum(sizes[:b]) for b in range(5)]
+    out = []
+    for b, (_, _, sign) in enumerate(BLOCKS):
+        start, stop = offsets[b], offsets[b + 1]
+        fblock = PolyMatrix(
+            k, stop - start, [spec.f.entry(i, j) for i in range(k) for j in range(start, stop)]
+        )
+        if sign < 0:
+            fblock = negated_matrix(fblock)
+        gblock = PolyMatrix(stop - start, k, spec.g.entries[start * k : stop * k])
+        out.append(matrix_mul(fblock, gblock))
+    return tuple(out)  # type: ignore[return-value]
+
+
+def floystad_check(a: int, b: int, c: int, k: int) -> bool:
+    """Existence test for linear monads O(-1)^a -> O^b -> O(1)^c on P^k
+    (Floystad, Monads on projective spaces, Comm. Algebra 28, 2000).
+
+    Here a, b, c are bundle multiplicities (non-negative) and k >= 1 is the
+    dimension of the ambient projective space.  The monad exists, with maps
+    of maximal rank everywhere, iff
+
+        (b >= 2c + k - 1  and  b >= a + c)   or   b >= a + c + k.
+
+    Both branches are monotone in b: once satisfiable, raising b keeps it so.
+    Raises ValueError for a negative multiplicity or k < 1.
+    """
+    for name, value in (("a", a), ("b", b), ("c", c)):
+        checked_int(value, 0, name)
+    checked_int(k, 1, "k")
+    return (b >= 2 * c + k - 1 and b >= a + c) or b >= a + c + k
+
+
 # ---------------------------------------------------------------------------
 # library-only helpers: reached by no command, used by the tests
 # ---------------------------------------------------------------------------
+
+
+def negated(form: LinearForm) -> LinearForm:
+    """The linear form -form, term by term."""
+    return LinearForm((g, i, -c) for g, i, c in form)
+
+
+def negated_matrix(A: PolyMatrix) -> PolyMatrix:
+    """The matrix -A, entry by entry."""
+    return PolyMatrix(A.rows, A.cols, [negated(p) for p in A.entries])
+
+
+def difference(a: MultiDegree, b: MultiDegree) -> MultiDegree:
+    """The multidegree a - b, component by component."""
+    return MultiDegree(*(x - y for x, y in zip(a.as_tuple(), b.as_tuple())))
+
+
+def direct_sum(*sums: LineBundleSum) -> LineBundleSum:
+    """The direct sum of line-bundle sums on one space."""
+    if not sums:
+        raise ValueError("direct_sum of no summands")
+    params = sums[0].params
+    if any(s.params != params for s in sums):
+        raise ValueError("direct_sum: mismatched space parameters")
+    items: List[Tuple[MultiDegree, int]] = []
+    for s in sums:
+        items.extend(s.summands)
+    return LineBundleSum(params, items)
+
+
+def profile_of_sum(S: LineBundleSum) -> CohProfile:
+    """The exact profile of a line-bundle sum: its full dimension table."""
+    return CohProfile.exact(sum_cohomology(S))
 
 
 def variable_form(group: str, index: int) -> LinearForm:

@@ -17,19 +17,20 @@ from monadforge.chow import (
     c1_of_T,
     degree_L,
     degree_simplification_check,
-    delta_L,
     invariants_of_T,
     normalization_shift,
     rank_of_T,
     top_multinomial,
 )
-from monadforge.cohomology import direct_sum, line_bundle
+from monadforge.cohomology import line_bundle
 from monadforge.monad import middle_bundle
 from monadforge.polyring import MultiDegree, SpaceParams
 from oracles import (
     c1_of_sum,
     degree_by_expansion,
     degree_by_factorials,
+    difference,
+    direct_sum,
     top_multinomial_by_factorials,
 )
 
@@ -102,20 +103,21 @@ def test_binomial_forms_match_the_factorial_quotients_on_a_grid():
 
 
 def test_delta_is_additive_and_matches_degree():
+    # delta_L of a line bundle O_X(B) is degree_L(B), linear in B
     rng = random.Random(31415)
     params = SpaceParams(1, 2, 1)
     for _ in range(100):
         b1 = MultiDegree(*(rng.randrange(-4, 5) for _ in range(4)))
         b2 = MultiDegree(*(rng.randrange(-4, 5) for _ in range(4)))
-        assert delta_L(b1 + b2, params) == delta_L(b1, params) + delta_L(b2, params)
-        assert delta_L(b1, params) == degree_L(b1, params)
+        assert degree_L(b1 + b2, params) == degree_L(b1, params) + degree_L(b2, params)
+        assert degree_L(b1, params) == degree_by_expansion(b1.as_tuple(), 1, 2)
 
 
 def test_delta_frozen_value_uniform_negative_twist():
     # delta_L(-1,-1,-1,-1) on P^1 x P^1 x P^2 x P^2: each of the four weights
     # is a multinomial coefficient of L^5; their (negated) sum is -180, which
     # the dense-expansion oracle confirms
-    value = delta_L(MultiDegree(-1, -1, -1, -1), PARAMS_EX)
+    value = degree_L(MultiDegree(-1, -1, -1, -1), PARAMS_EX)
     assert value == degree_by_expansion((-1, -1, -1, -1), 1, 2)
     assert value == -180
 
@@ -145,7 +147,7 @@ def test_c1_and_rank_formulas_on_grid():
                 assert rank_of_T(params) == 2 * n + 2 * m + 3 * k
                 # consistency with the bundle assignments: c1(T) =
                 # c1(middle) - c1(target) since T is the kernel of g
-                expected = c1_of_sum(middle_bundle(params)) - MultiDegree(k, k, k, k)
+                expected = difference(c1_of_sum(middle_bundle(params)), MultiDegree(k, k, k, k))
                 assert c1_of_T(params) == expected
 
 
@@ -154,7 +156,7 @@ def test_invariants_frozen_example():
     assert inv.rank == 15
     assert inv.c1 == MultiDegree(-7, -7, -8, -8)
     assert inv.degree_L == -1380
-    assert inv.slope_L == Fraction(-92)
+    assert inv.to_json()["slope"] == "-92"
     assert inv.degree_L == degree_by_expansion((-7, -7, -8, -8), 1, 2)
 
 
@@ -170,7 +172,7 @@ def test_degree_is_negative_on_grid():
             for k in range(1, 4):
                 inv = invariants_of_T(SpaceParams(n, m, k))
                 assert inv.degree_L < 0
-                assert inv.slope_L == Fraction(inv.degree_L, inv.rank)
+                assert inv.to_json()["slope"] == str(Fraction(inv.degree_L, inv.rank))
 
 
 def test_invariants_json_shape():
@@ -186,8 +188,9 @@ def test_invariants_json_shape():
 
 def test_slope_is_exact_rational():
     inv = invariants_of_T(SpaceParams(2, 2, 1))
-    assert isinstance(inv.slope_L, Fraction)
-    assert inv.slope_L * inv.rank == inv.degree_L
+    slope = Fraction(inv.to_json()["slope"])
+    assert slope.denominator > 1
+    assert slope * inv.rank == inv.degree_L
 
 
 def test_slope_text_is_the_fraction_text():
@@ -195,15 +198,16 @@ def test_slope_text_is_the_fraction_text():
     for num in range(-300, 301):
         for den in range(1, 61):
             inv = BundleInvariants(rank=den, c1=MultiDegree(0, 0, 0, 0), degree_L=num)
-            assert inv.to_json()["slope"] == str(Fraction(num, den)) == str(inv.slope_L), (num, den)
+            assert inv.to_json()["slope"] == str(Fraction(num, den)), (num, den)
 
 
 def test_normalization_shift_is_the_ceiling_of_the_fraction():
     for n, m, k in itertools.product(range(1, 9), repeat=3):
         params = SpaceParams(n, m, k)
         inv = invariants_of_T(params)
-        d = delta_L(MultiDegree(1, 0, 0, 0), params)
-        assert normalization_shift(inv, params) == math.ceil(inv.slope_L / d), (n, m, k)
+        d = degree_L(MultiDegree(1, 0, 0, 0), params)
+        slope = Fraction(inv.degree_L, inv.rank)
+        assert normalization_shift(inv, params) == math.ceil(slope / d), (n, m, k)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +253,7 @@ def test_degree_additivity_kernel_to_cohomology_bundle():
         params = SpaceParams(n, m, k)
         c1_T = c1_of_T(params)
         c1_E = c1_T + MultiDegree(k, k, k, k)
-        assert delta_L(c1_E, params) == delta_L(c1_T, params) + k * delta_L(
+        assert degree_L(c1_E, params) == degree_L(c1_T, params) + k * degree_L(
             MultiDegree(1, 1, 1, 1), params
         )
 

@@ -12,17 +12,15 @@ from collections import Counter
 import pytest
 
 from monadforge.cohomology import (
-    CohTable,
     LineBundleSum,
     bott_h,
-    direct_sum,
     exterior_power_sum,
-    kunneth_h,
     line_bundle,
     sum_cohomology,
 )
 from monadforge.polyring import MultiDegree, SpaceParams
 from oracles import (
+    direct_sum,
     dual,
     euler,
     euler_char_pn,
@@ -96,19 +94,10 @@ def test_bott_h_argument_validation():
 def test_kunneth_frozen_values():
     params = SpaceParams(1, 2, 3)
     # global sections of O(1,1,1,1): 2*2*3*3
-    assert kunneth_h(params, MultiDegree(1, 1, 1, 1), 0) == 36
+    assert sum_cohomology(line_bundle(params, MultiDegree(1, 1, 1, 1))).dims[0] == 36
     # canonical bundle has a single top-degree class
-    assert kunneth_h(params, MultiDegree(-2, -2, -3, -3), 6) == 1
-    for t_mid in range(1, 6):
-        assert kunneth_h(params, MultiDegree(-2, -2, -3, -3), t_mid) == 0
-
-
-def test_kunneth_degree_range_validation():
-    params = SpaceParams(1, 1, 1)
-    with pytest.raises(ValueError):
-        kunneth_h(params, MultiDegree(0, 0, 0, 0), -1)
-    with pytest.raises(ValueError):
-        kunneth_h(params, MultiDegree(0, 0, 0, 0), 5)
+    canonical = sum_cohomology(line_bundle(params, MultiDegree(-2, -2, -3, -3))).dims
+    assert canonical == (0, 0, 0, 0, 0, 0, 1)
 
 
 def test_kunneth_euler_is_product_of_factor_eulers():
@@ -117,9 +106,7 @@ def test_kunneth_euler_is_product_of_factor_eulers():
         n, m = rng.randrange(1, 4), rng.randrange(1, 4)
         params = SpaceParams(n, m, 1)
         deg = MultiDegree(*(rng.randrange(-6, 7) for _ in range(4)))
-        table = CohTable(
-            tuple(kunneth_h(params, deg, t) for t in range(params.dim_x + 1))
-        )
+        table = sum_cohomology(line_bundle(params, deg))
         expected = (
             euler_char_pn(n, deg.a)
             * euler_char_pn(n, deg.b)
@@ -138,7 +125,8 @@ def test_kunneth_serre_duality_on_the_product():
         dual = MultiDegree(
             -deg.a - n - 1, -deg.b - n - 1, -deg.c - m - 1, -deg.d - m - 1
         )
-        assert kunneth_h(params, deg, params.dim_x) == kunneth_h(params, dual, 0)
+        h_top = sum_cohomology(line_bundle(params, deg)).dims[params.dim_x]
+        assert h_top == sum_cohomology(line_bundle(params, dual)).dims[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,7 @@ from hypothesis import example, given, settings
 
 import monadforge.cohomology
 import monadforge.les
-from monadforge.cohomology import (
-    CohTable,
-    direct_sum,
-    line_bundle,
-    sum_cohomology,
-)
+from monadforge.cohomology import CohTable, line_bundle, sum_cohomology
 from monadforge.les import (
     CohProfile,
     ShortExactSeq,
@@ -30,15 +25,14 @@ from monadforge.les import (
 )
 from monadforge.monad import middle_bundle
 from monadforge.polyring import MultiDegree, SpaceParams
-from monadforge.stability import (
-    StabilityScanConfig,
-    negative_component_violations,
-    run_stability_scan,
-)
+from monadforge.stability import StabilityScanConfig, run_stability_scan
 from oracles import (
     certificate_by_fields,
+    direct_sum,
     dual,
     h0_by_monomial_count,
+    negative_component_violations,
+    profile_of_sum,
     stability_scan_by_series,
     twist,
     twisted_dual_sequence,
@@ -79,7 +73,7 @@ def test_profile_kinds_and_bounds():
 
 def test_sequence_validation():
     params = SpaceParams(1, 1, 1)
-    known = CohProfile.of_sum(line_bundle(params, MultiDegree(1, 1, 1, 1)))
+    known = profile_of_sum(line_bundle(params, MultiDegree(1, 1, 1, 1)))
     with pytest.raises(ValueError):
         ShortExactSeq(known, known, known, dim_top=0)
     with pytest.raises(ValueError, match="at most one"):
@@ -103,7 +97,7 @@ def test_sequence_validation():
 
 def test_propagate_requires_exactly_one_unknown():
     params = SpaceParams(1, 1, 1)
-    known = CohProfile.of_sum(line_bundle(params, MultiDegree(0, 0, 0, 0)))
+    known = profile_of_sum(line_bundle(params, MultiDegree(0, 0, 0, 0)))
     seq = ShortExactSeq(known, known, known, dim_top=params.dim_x)
     with pytest.raises(ValueError):
         les_propagate(seq)
@@ -121,8 +115,8 @@ def test_twisted_middle_sequence_collapses_to_zero():
     left = line_bundle(params, MultiDegree(-2, -2, -2, -2), params.k)
     middle = twist(middle_bundle(params), MultiDegree(-1, -1, -1, -1))
     seq = ShortExactSeq(
-        CohProfile.of_sum(left),
-        CohProfile.of_sum(middle),
+        profile_of_sum(left),
+        profile_of_sum(middle),
         CohProfile.unknown(),
         dim_top=params.dim_x,
     )
@@ -137,7 +131,7 @@ def test_zero_cokernel_sequence():
     params = PARAMS_EX
     a = line_bundle(params, MultiDegree(-1, -1, -1, -1), 3)
     assert not any(sum_cohomology(a).dims)
-    profile = CohProfile.of_sum(a)
+    profile = profile_of_sum(a)
     seq = ShortExactSeq(profile, profile, CohProfile.unknown(), dim_top=params.dim_x)
     out = les_propagate(seq)
     for i in range(params.dim_x + 1):
@@ -157,8 +151,8 @@ def test_untwisted_dual_sequence_pins_h0():
     )
     assert expected_h0 == 46
     seq = ShortExactSeq(
-        CohProfile.of_sum(left),
-        CohProfile.of_sum(middle),
+        profile_of_sum(left),
+        profile_of_sum(middle),
         CohProfile.unknown(),
         dim_top=params.dim_x,
     )
@@ -208,8 +202,8 @@ def test_collapsed_propagation_satisfies_euler_identity():
         c = random_sum(params, rng)
         b = direct_sum(a, c)
         seq = ShortExactSeq(
-            CohProfile.of_sum(a),
-            CohProfile.of_sum(b),
+            profile_of_sum(a),
+            profile_of_sum(b),
             CohProfile.unknown(),
             top,
         )
@@ -272,7 +266,7 @@ def test_all_collapse_is_reported_exact():
     c = line_bundle(params, MultiDegree(1, 1, 1, 1), 1)
     b = direct_sum(a, c)
     seq = ShortExactSeq(
-        CohProfile.of_sum(a), CohProfile.of_sum(b), CohProfile.unknown(), params.dim_x
+        profile_of_sum(a), profile_of_sum(b), CohProfile.unknown(), params.dim_x
     )
     out = les_propagate(seq)
     assert out.right.kind == "exact"

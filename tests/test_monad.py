@@ -11,15 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monadforge.cohomology import LineBundleSum, bott_h, exterior_power_sum, kunneth_h
+from monadforge.cohomology import LineBundleSum, bott_h, exterior_power_sum
 from monadforge.monad import (
     MonadSpec,
     assemble_monad,
     band_scalars,
-    build_f_block,
-    build_g_block,
     composition_by_product,
-    floystad_check,
     has_staircase_shape,
     middle_bundle,
     sampled_rank_report,
@@ -29,8 +26,6 @@ from monadforge.monad import (
     verify_maximal_rank,
 )
 from monadforge import monad as monad_module
-from monadforge.monad import block_products
-from monadforge.stability import negative_component_violations
 from monadforge.polyring import (
     DEFAULT_PRIME,
     LinearForm,
@@ -43,8 +38,13 @@ from monadforge.polyring import (
 )
 from oracles import (
     assemble_by_blocks,
+    block_by_formula,
+    block_products,
     compose_by_coefficient_matrices,
+    floystad_check,
     monad_to_json,
+    negated_matrix,
+    negative_component_violations,
     structural_problems_by_two_walks,
 )
 from records import replaced
@@ -54,13 +54,23 @@ def entry_strings(matrix):
     return [[str(matrix.entry(i, j)) for j in range(matrix.cols)] for i in range(matrix.rows)]
 
 
+def hankel(which: int, params: SpaceParams) -> PolyMatrix:
+    """Block `which` (1..4) of f, unsigned: the Hankel block in y, x, t or z."""
+    return block_by_formula("yxtz"[which - 1], params, hankel=True)
+
+
+def toeplitz(which: int, params: SpaceParams) -> PolyMatrix:
+    """Block `which` (1..4) of g: the Toeplitz block in x, y, z or t."""
+    return block_by_formula("xyzt"[which - 1], params, hankel=False)
+
+
 # ---------------------------------------------------------------------------
 # block shapes and entry formulas
 # ---------------------------------------------------------------------------
 
 
 def test_f_block_one_for_n1_k3():
-    block = build_f_block(1, SpaceParams(1, 2, 3))
+    block = hankel(1, SpaceParams(1, 2, 3))
     assert entry_strings(block) == [
         ["0", "0", "y1", "y0"],
         ["0", "y1", "y0", "0"],
@@ -69,7 +79,7 @@ def test_f_block_one_for_n1_k3():
 
 
 def test_f_block_three_for_m2_k3():
-    block = build_f_block(3, SpaceParams(1, 2, 3))
+    block = hankel(3, SpaceParams(1, 2, 3))
     assert entry_strings(block) == [
         ["0", "0", "t2", "t1", "t0"],
         ["0", "t2", "t1", "t0", "0"],
@@ -78,12 +88,12 @@ def test_f_block_three_for_m2_k3():
 
 
 def test_f_block_degenerate_k1():
-    block = build_f_block(1, SpaceParams(1, 1, 1))
+    block = hankel(1, SpaceParams(1, 1, 1))
     assert entry_strings(block) == [["y1", "y0"]]
 
 
 def test_g_block_one_for_n1_k3():
-    block = build_g_block(1, SpaceParams(1, 2, 3))
+    block = toeplitz(1, SpaceParams(1, 2, 3))
     assert entry_strings(block) == [
         ["x0", "0", "0"],
         ["x1", "x0", "0"],
@@ -93,7 +103,7 @@ def test_g_block_one_for_n1_k3():
 
 
 def test_g_block_three_is_5x3_toeplitz():
-    block = build_g_block(3, SpaceParams(1, 2, 3))
+    block = toeplitz(3, SpaceParams(1, 2, 3))
     assert (block.rows, block.cols) == (5, 3)
     assert entry_strings(block) == [
         ["z0", "0", "0"],
@@ -105,7 +115,7 @@ def test_g_block_three_is_5x3_toeplitz():
 
 
 def test_g_block_degenerate_k1():
-    block = build_g_block(4, SpaceParams(1, 1, 1))
+    block = toeplitz(4, SpaceParams(1, 1, 1))
     assert entry_strings(block) == [["t0"], ["t1"]]
 
 
@@ -114,7 +124,7 @@ def test_hankel_entries_depend_only_on_antidiagonal():
     for _ in range(20):
         params = SpaceParams(rng.randrange(1, 5), rng.randrange(1, 5), rng.randrange(1, 5))
         which = rng.randrange(1, 5)
-        block = build_f_block(which, params)
+        block = hankel(which, params)
         by_antidiagonal = {}
         for i in range(block.rows):
             for j in range(block.cols):
@@ -128,7 +138,7 @@ def test_toeplitz_entries_depend_only_on_diagonal():
     for _ in range(20):
         params = SpaceParams(rng.randrange(1, 5), rng.randrange(1, 5), rng.randrange(1, 5))
         which = rng.randrange(1, 5)
-        block = build_g_block(which, params)
+        block = toeplitz(which, params)
         by_diagonal = {}
         for i in range(block.rows):
             for j in range(block.cols):
@@ -206,7 +216,7 @@ def test_structural_problems_empty_for_canonical_build():
 def test_structural_problems_detect_wrong_group():
     spec = assemble_monad(SpaceParams(1, 1, 1))
     # replace g's leading x-block with a t-variable block: wrong group
-    blocks = [build_g_block(which, spec.params) for which in (4, 2, 3, 4)]
+    blocks = [toeplitz(which, spec.params) for which in (4, 2, 3, 4)]
     bad_g = PolyMatrix(spec.g.rows, spec.g.cols, [p for b in blocks for p in b.entries])
     tampered = replaced(spec, g=bad_g)
     assert tampered.structural_problems() != []
@@ -214,7 +224,7 @@ def test_structural_problems_detect_wrong_group():
 
 def test_structural_problems_detect_wrong_shape():
     spec = assemble_monad(SpaceParams(1, 1, 2))
-    tampered = replaced(spec, f=build_f_block(1, spec.params))
+    tampered = replaced(spec, f=hankel(1, spec.params))
     assert any("column" in p or "shape" in p for p in tampered.structural_problems())
 
 
@@ -250,7 +260,7 @@ def test_block_identities():
 def swapped_g_blocks(params: SpaceParams) -> MonadSpec:
     """The assembled monad with g blocks 1 and 2 exchanged."""
     spec = assemble_monad(params)
-    blocks = [build_g_block(which, params) for which in (2, 1, 3, 4)]
+    blocks = [toeplitz(which, params) for which in (2, 1, 3, 4)]
     swapped = PolyMatrix(spec.g.rows, spec.g.cols, [p for b in blocks for p in b.entries])
     return replaced(spec, g=swapped)
 
@@ -280,8 +290,8 @@ def refuse(*_args):
 def f_with_signs(params: SpaceParams, signs) -> MonadSpec:
     """The assembled monad with f = [s1 f1 | s2 f2 | s3 f3 | s4 f4]."""
     spec = assemble_monad(params)
-    blocks = [build_f_block(which, params) for which in (1, 2, 3, 4)]
-    blocks = [block if sign > 0 else -block for block, sign in zip(blocks, signs)]
+    blocks = [hankel(which, params) for which in (1, 2, 3, 4)]
+    blocks = [block if sign > 0 else negated_matrix(block) for block, sign in zip(blocks, signs)]
     entries = [p for i in range(params.k) for block in blocks for p in block.row(i)]
     return replaced(spec, f=PolyMatrix(spec.f.rows, spec.f.cols, entries))
 
@@ -703,10 +713,6 @@ BOOL_AS_INT = {
             SpaceParams(1, 1, 1), True, MultiDegree(1, 1, 1, 1)
         ),
         r"exterior power q=True out of range \[1, 8\]",
-    ),
-    "kunneth_h": (
-        lambda: kunneth_h(SpaceParams(1, 1, 1), MultiDegree(0, 0, 0, 0), True),
-        r"cohomological degree t=True out of range \[0, 4\]",
     ),
     "LineBundleSum": (
         lambda: LineBundleSum(SpaceParams(1, 1, 1), [(MultiDegree(0, 0, 0, 0), True)]),

@@ -29,8 +29,11 @@ from monadforge.polyring import (
 )
 from monadforge.stability import RowGrid, StabilityReport, StabilityScanConfig, enumerate_twists
 from oracles import (
+    difference,
     matrix_to_json,
     monad_to_json,
+    negated,
+    negated_matrix,
     rank_by_gauss_jordan,
     rank_by_minors,
     scan_rows_as_dicts,
@@ -107,7 +110,7 @@ def test_multidegree_arithmetic():
     d1 = MultiDegree(1, 0, -2, 3)
     d2 = MultiDegree(0, 1, 1, 1)
     assert (d1 + d2).as_tuple() == (1, 1, -1, 4)
-    assert (d1 - d2).as_tuple() == (1, -1, -3, 2)
+    assert difference(d1, d2).as_tuple() == (1, -1, -3, 2)
     assert d1.scale(2).as_tuple() == (2, 0, -4, 6)
 
 
@@ -159,7 +162,7 @@ def test_evaluate_missing_variable_raises_keyerror():
 def test_string_form_is_canonical():
     assert str(LinearForm.of([(1, 1, 1), (0, 0, -1)])) == "-x0 + y1"
     assert str(variable_form("y", 1)) == "y1"
-    assert str(-variable_form("x", 0)) == "-x0"
+    assert str(negated(variable_form("x", 0))) == "-x0"
     assert str(LinearForm.of([(3, 2, 3)])) == "3*t2"
     assert str(LinearForm.of([(2, 0, 2), (0, 1, -4)])) == "-4*x1 + 2*z0"
     assert str(LinearForm()) == "0"
@@ -187,11 +190,11 @@ def test_matrix_construction_and_access():
 
 def test_negation_distributes_over_entries():
     x0, y0, z1, t1 = (variable_form(*v) for v in [("x", 0), ("y", 0), ("z", 1), ("t", 1)])
-    a = PolyMatrix(2, 2, [x0, -y0, z1, t1])
-    n = -a
-    assert n.entry(0, 0) == -x0
+    a = PolyMatrix(2, 2, [x0, negated(y0), z1, t1])
+    n = negated_matrix(a)
+    assert n.entry(0, 0) == negated(x0)
     assert n.entry(0, 1) == y0
-    assert -n == a
+    assert negated_matrix(n) == a
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monadforge.chow import BundleInvariants, invariants_of_T, normalization_shift, rank_of_T
-from monadforge.cohomology import kunneth_h
+from monadforge.cohomology import line_bundle, sum_cohomology
 from monadforge.monad import middle_bundle
 from monadforge.polyring import MultiDegree, SpaceParams, canonical_chunks
 from monadforge.stability import (
@@ -24,13 +24,13 @@ from monadforge.stability import (
     _box_size,
     _runs,
     enumerate_twists,
-    negative_component_violations,
     run_stability_scan,
 )
 from oracles import (
     box_by_nested_loops,
     c1_of_sum,
     h0_wedge_T_upper,
+    negative_component_violations,
     negative_component_violations_by_exterior_power,
     stability_scan_by_series,
     wedge_h0_by_exterior_power,
@@ -59,7 +59,7 @@ def test_normalization_shift_example_bundle():
 def test_normalization_shift_small_negative_slope():
     params = SpaceParams(1, 2, 3)
     inv = BundleInvariants(rank=1, c1=MultiDegree(0, 0, 0, 0), degree_L=-1)
-    # d = delta_L(1,0,0,0) = 30 here, so ceil(-1/30) = 0
+    # d = degree_L(1,0,0,0) = 30 here, so ceil(-1/30) = 0
     assert normalization_shift(inv, params) == 0
 
 
@@ -85,7 +85,7 @@ def test_first_power_positive_twist_frozen_value():
     tw = MultiDegree(1, 1, 1, 1)
     expected = 0
     for deg, mult in middle_bundle(params).summands:
-        expected += mult * kunneth_h(params, deg + tw, 0)
+        expected += mult * sum_cohomology(line_bundle(params, deg + tw)).dims[0]
     assert expected == 64
     assert h0_wedge_T_upper(params, 1, tw) == 64
 
@@ -108,9 +108,8 @@ def test_determinant_twist_cross_check():
         for tw_tuple in [(3, 3, 3, 3), (6, 6, 7, 7), (0, 0, 0, 0)]:
             tw = MultiDegree(*tw_tuple)
             det_degree = c1_of_sum(middle)
-            assert h0_wedge_T_upper(params, q, tw) == kunneth_h(
-                params, det_degree + tw, 0
-            )
+            det_line = line_bundle(params, det_degree + tw)
+            assert h0_wedge_T_upper(params, q, tw) == sum_cohomology(det_line).dims[0]
 
 
 def test_monotone_in_each_p_component():

@@ -9,21 +9,15 @@ import itertools
 
 import pytest
 
-from monadforge.chow import delta_L, invariants_of_T, normalization_shift
-from monadforge.monad import (
-    assemble_monad,
-    block_products,
-    floystad_check,
-    middle_bundle,
-    source_bundle,
-    target_bundle,
-)
+from monadforge.chow import degree_L, invariants_of_T, normalization_shift
+from monadforge.monad import assemble_monad, middle_bundle, source_bundle, target_bundle
 from monadforge.polyring import MultiDegree, SpaceParams
 from monadforge.stability import (
     StabilityScanConfig,
     _wedge_h0_series,
     run_stability_scan,
 )
+from oracles import block_products, difference, floystad_check
 
 GRID = [SpaceParams(*p) for p in itertools.product(range(1, 4), repeat=3)]
 
@@ -53,7 +47,7 @@ def test_block_products_are_not_graded_by_the_labels(params):
     units = {tuple(int(i == g) for i in range(4)) for g in range(4)}
     (S, _), (T, _) = source_bundle(params).summands[0], target_bundle(params).summands[0]
     differences = {
-        d.as_tuple() for M, _ in middle_bundle(params).summands for d in (M - S, T - M)
+        d.as_tuple() for M, _ in middle_bundle(params).summands for d in (difference(M, S), difference(T, M))
     }
     assert differences and units.isdisjoint(differences)
 
@@ -81,10 +75,11 @@ def test_the_scan_bound_at_the_normalized_twist_is_nonzero(shape, shift, bound):
 
 def test_the_p_sum_half_space_is_not_the_degree_half_space():
     # at (1,2,1), p = (-1,-1,1,0) lies outside the scan's half-space
-    # (sum p = -1) but on the boundary of delta_L(-p) <= 0: delta_L weighs
-    # a, b by delta_x and c, d by delta_z, which differ unless n = m
+    # (sum p = -1) but on the boundary of delta_L(-p) <= 0: delta_L, the
+    # degree_L of a line bundle, weighs a, b by delta_x and c, d by delta_z,
+    # which differ unless n = m
     params = SpaceParams(1, 2, 1)
     p = MultiDegree(-1, -1, 1, 0)
     assert sum(p.as_tuple()) == -1 < StabilityScanConfig(params).min_psum
-    assert delta_L(p.scale(-1), params) == 0
-    assert delta_L(MultiDegree(1, 0, 0, 0), params) != delta_L(MultiDegree(0, 0, 1, 0), params)
+    assert degree_L(p.scale(-1), params) == 0
+    assert degree_L(MultiDegree(1, 0, 0, 0), params) != degree_L(MultiDegree(0, 0, 1, 0), params)
