@@ -235,9 +235,10 @@ class MonadSpec(Record):
 
     def json_template(self) -> dict:
         """The monad document, {params, source, middle, target, f, g}, each
-        matrix {rows, cols, entries} with the `PolyMatrix` itself as its
-        entries: `canonical_chunks` writes them without ever building the
-        entries' dict tree."""
+        matrix {rows, cols, entries} with the `PolyMatrix` itself, a fill,
+        as the value of its `entries` member: `canonical_chunks` writes this
+        dict and each matrix's member by member, and the entries from the
+        fill, without ever building the entries' dict tree."""
         return {
             "params": self.params.to_json(),
             "source": self.source.to_json(),

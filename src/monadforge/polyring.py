@@ -28,10 +28,14 @@ enters any code path.
 Canonical JSON is json.dumps with sorted keys and indent 2.  The long lists
 of a document are fills: the document holds a value with a
 `json_chunks(indent)` method where the list goes (a `PolyMatrix` for a
-matrix's entries; the stability module's row grid for the scan's rows), and
-`canonical_chunks(doc)` writes each from that method, byte for byte what
-json.dumps would write for the list.  This module knows no fill type but
-`PolyMatrix`.
+matrix's entries; the stability module's row grid for the scan's rows).  A
+fill stands only as the value of a dict member; inside a list it is refused
+with json's own TypeError.  `canonical_chunks(doc)` writes the document by
+one rule: a fill by its `json_chunks`; a dict that holds a dict or a fill
+among its values member by member (sorted keys, json's own key text); every
+other value whole by `dumps_canonical`, re-indented to its column.  The
+bytes are those json.dumps writes with each fill spelled out as its list.
+This module knows no fill type but `PolyMatrix`.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import chain
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 GROUPS: Tuple[str, ...] = ("x", "y", "z", "t")
 _GROUP_ORDER: Dict[str, int] = {g: i for i, g in enumerate(GROUPS)}
@@ -393,10 +397,9 @@ def matrix_from_json(data: Mapping, name: str = "matrix") -> PolyMatrix:
     return PolyMatrix(rows, cols, flat)
 
 
-def dumps_canonical(doc: object, default: Optional[Callable[[object], object]] = None) -> str:
-    """Render a JSON document deterministically (sorted keys, fixed
-    separators); `default` is json.dumps's hook for values it cannot render."""
-    return json.dumps(doc, sort_keys=True, indent=2, default=default) + "\n"
+def dumps_canonical(doc: object) -> str:
+    """Render a JSON document deterministically (sorted keys, fixed separators)."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _entry_chunks(A: PolyMatrix, indent: int) -> Iterator[str]:
@@ -425,34 +428,33 @@ def _entry_chunks(A: PolyMatrix, indent: int) -> Iterator[str]:
 
 
 def canonical_chunks(doc: object) -> Iterator[str]:
-    """The text of dumps_canonical(doc) in pieces, with each value in `doc`
-    that has a `json_chunks(indent)` method (a `PolyMatrix`, the scan's row
-    grid) written as the list that method yields.
+    """The text of dumps_canonical(doc) in pieces, with each fill in `doc`
+    written as the list its `json_chunks` yields (see the module docstring).
 
-    dumps_canonical's `default` hook puts a numbered NUL-delimited marker,
-    a string no real value of a document can equal, where each fill goes;
-    the fill learns the list's depth from the line its marker stands on.
-    Neither the list nor the whole text is ever built.  Everything but the
-    fills is rendered before this returns, so a value json cannot write
-    raises TypeError here, and consuming the pieces fails only if memory
-    runs out.  A document with no fill is one piece.
-    """
-    fills: Dict[str, Callable[[int], Iterator[str]]] = {}
+    Neither a fill's list nor the whole text is ever built: a piece is a
+    fill's own piece, a member's key, or one value written whole.  A dict of
+    plain values, however long, is one piece, never a piece per member.  The
+    pieces are rendered as they are consumed, so a value json cannot write
+    (a fill inside a list, an object that is not a fill) raises json's
+    TypeError there."""
+    return chain(_value_chunks(doc, 0), ("\n",))
 
-    def mark(value: object) -> str:
-        chunks = getattr(value, "json_chunks", None)
-        if chunks is None:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        marker = f"\x00{len(fills)}\x00"
-        fills[json.dumps(marker)] = chunks
-        return marker
 
-    text = dumps_canonical(doc, default=mark)
-    if not fills:
-        return iter((text,))
-    parts = re.split("(" + "|".join(map(re.escape, fills)) + ")", text)
-    pieces: List[Iterable[str]] = [parts[:1]]
-    for i in range(1, len(parts), 2):
-        line = parts[i - 1][parts[i - 1].rfind("\n") + 1 :]
-        pieces += [fills[parts[i]](len(line) - len(line.lstrip(" "))), parts[i + 1 : i + 2]]
-    return chain.from_iterable(pieces)
+def _value_chunks(value: object, indent: int) -> Iterator[str]:
+    """`value`'s text with its closing bracket at column `indent`."""
+    fill = getattr(value, "json_chunks", None)
+    if fill is not None:
+        yield from fill(indent)
+    elif isinstance(value, dict) and any(
+        isinstance(v, dict) or hasattr(v, "json_chunks") for v in value.values()
+    ):
+        pad = "\n" + " " * (indent + 2)
+        sep = "{"
+        for key in sorted(value):
+            yield f"{sep}{pad}{json.dumps(key)}: "
+            yield from _value_chunks(value[key], indent + 2)
+            sep = ","
+        yield "\n" + " " * indent + "}"
+    else:
+        # a JSON string holds no raw newline, so each "\n" starts a line
+        yield dumps_canonical(value)[:-1].replace("\n", "\n" + " " * indent)

@@ -327,8 +327,10 @@ class StabilityReport(Record):
 
     def to_json(self, include_checked: bool = True) -> dict:
         """The report as a JSON object.  With include_checked, `checked` holds
-        the row grid itself, which `canonical_chunks` writes as the list of
-        rows; without it, `nonzero` lists the rows with h0 != 0.
+        the row grid itself, a fill standing as a member's value, which
+        `canonical_chunks` writes as the list of rows while it writes this
+        dict member by member; without it, `nonzero` lists the rows with
+        h0 != 0.
         `entries_checked` is the grid's closed-form count, not `len`, which
         cannot return more than sys.maxsize."""
         counterexample = self.counterexample

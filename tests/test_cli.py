@@ -1401,6 +1401,22 @@ def test_installed_entry_point_runs():
     assert doc["rank"] == 7
 
 
+def test_childcost_runs_a_command_against_a_checkout():
+    # one pair: this checkout against itself, the same bytes on both sides
+    root = SRC.parent
+    argv = ["invariants", "--n", "1", "--m", "1", "--k", "1"]
+    proc = subprocess.run(
+        [sys.executable, str(root / "tests" / "childcost.py"), "--runs", "1",
+         "--against", str(root), "--", *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    head, _, *sides = proc.stdout.splitlines()
+    assert re.fullmatch(r"monadforge invariants --n 1 --m 1 --k 1: exit 0, [0-9,]+ bytes, "
+                        r"the same on every run", head)
+    assert [line.split()[:2] for line in sides] == [["this", "1"], ["other", "1"]]
+
+
 def test_the_console_script_and_the_main_block_call_one_entry():
     text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
     try:

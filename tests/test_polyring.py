@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monadforge import stability
+from monadforge.les import simplicity_certificate
 from monadforge.monad import assemble_monad
 from monadforge.polyring import (
     DEFAULT_PRIME,
@@ -447,9 +449,14 @@ def test_streamed_rows_come_in_bounded_pieces():
     grid = grid_of(scan_box(2, 3, -12, 12), {(2, 1499): 1})  # the 2,401 twists of |p_i| <= 3
     for pieces in _streamed_pieces(grid):
         assert max(map(len, pieces)) < 48 * 1024 < sum(map(len, pieces))
-    # a document without a fill is dumps_canonical in one piece
-    doc = {"b": [1, 2], "a": {"y": 1, "x": 2}}
-    assert list(canonical_chunks(doc)) == [dumps_canonical(doc)]
+    # a document without a fill joins to dumps_canonical, and a dict that
+    # holds no dict is one piece however many members it has, never a
+    # piece per member (cohomology's 600,003-key table at n = 300,000)
+    table = {str(d): d * d for d in range(-1000, 1001)}
+    doc = {"b": [1, 2], "a": {"y": 1, "x": 2}, "table": table}
+    pieces = list(canonical_chunks(doc))
+    assert "".join(pieces) == dumps_canonical(doc)
+    assert dumps_canonical(table)[:-1].replace("\n", "\n  ") in pieces
 
 
 # ---------------------------------------------------------------------------
@@ -465,22 +472,74 @@ MATRICES = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(MATRICES, MATRICES, SCAN_ROWS, st.integers(0, 4))
-@example(PolyMatrix(0, 2, []), PolyMatrix(2, 0, []), EMPTY_GRID, 0)
-@example(
-    PolyMatrix(1, 2, [LinearForm(), LinearForm(((0, 10, -17), (3, 2, 10**12)))]),
-    PolyMatrix(1, 1, [LinearForm()]),
-    EMPTY_GRID,
-    2,
+# keys with quotes, backslashes, control and non-ASCII characters, which
+# json escapes; values of every JSON type, containers empty or nested
+KEYS = st.text(st.one_of(st.sampled_from('"\\\n\x00\x1f\x7fé€😀ab'), st.characters()), max_size=4)
+PLAIN = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(10**40), 10**40),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(st.sampled_from('"\\\nx€'), max_size=3),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=3),
+    max_leaves=8,
+).map(lambda value: (value, value))
+# (fill, the list it writes)
+FILLS = st.one_of(
+    MATRICES.map(lambda matrix: (matrix, matrix_to_json(matrix)["entries"])),
+    SCAN_ROWS.map(lambda grid: (grid, scan_rows_as_dicts(grid_rows(grid)))),
 )
-def test_streamed_matrix_entries_equal_json_dumps_of_matrix_to_json(f, g, grid, depth):
-    # two matrix fills and the scan rows in one document, nested `depth` deep
-    # between keys that sort before and after them
+
+
+def _pair(members):
+    """(document, oracle) of a dict whose members are (document, oracle) pairs."""
+    docs = {key: doc for key, (doc, _) in members.items()}
+    return docs, {key: oracle for key, (_, oracle) in members.items()}
+
+
+# (document, oracle): a dict tree with fills as member values at any depth,
+# beside dicts and lists of plain values
+TREES = st.recursive(
+    st.dictionaries(KEYS, PLAIN | FILLS, max_size=2).map(_pair),
+    lambda inner: st.dictionaries(KEYS, inner | PLAIN | FILLS, max_size=3).map(_pair),
+    max_leaves=6,
+)
+
+
+def _matrices_and_grid(f, g, grid):
+    """(document, oracle) of two matrix fills and a row grid."""
     doc, oracle = {"checked": grid}, {"checked": scan_rows_as_dicts(grid_rows(grid))}
     for name, matrix in (("f", f), ("g", g)):
         doc[name] = {"rows": matrix.rows, "cols": matrix.cols, "entries": matrix}
         oracle[name] = matrix_to_json(matrix)
+    return doc, oracle
+
+
+@settings(max_examples=120, deadline=None)
+@given(TREES, st.integers(0, 4))
+@example(_matrices_and_grid(PolyMatrix(0, 2, []), PolyMatrix(2, 0, []), EMPTY_GRID), 0)
+@example(
+    _matrices_and_grid(
+        PolyMatrix(1, 2, [LinearForm(), LinearForm(((0, 10, -17), (3, 2, 10**12)))]),
+        PolyMatrix(1, 1, [LinearForm()]),
+        EMPTY_GRID,
+    ),
+    2,
+)
+@example(
+    (
+        {"é": {}, '"': [[], {}], "\x00": {"e": PolyMatrix(0, 0, [])}},
+        {"é": {}, '"': [[], {}], "\x00": {"e": []}},
+    ),
+    1,
+)
+def test_streamed_matrix_entries_equal_json_dumps_of_matrix_to_json(tree, depth):
+    # the writer is json.dumps of the tree with each fill spelled out as its
+    # list; the tree nested `depth` deep between keys that sort before and
+    # after it
+    doc, oracle = tree
     for _ in range(depth):
         doc, oracle = ({"a": -1, "m": part, "z": [[]]} for part in (doc, oracle))
     text = "".join(canonical_chunks(doc))
@@ -497,10 +556,16 @@ def test_streamed_monad_equals_json_dumps_of_monad_to_json(n, m, k):
 
 
 def test_canonical_chunks_refuses_other_objects_and_writes_each_fill_it_meets():
-    # the hook writes grids and matrices only; anything else fails in the
-    # call, with json's own error, before a piece exists
-    with pytest.raises(TypeError, match="^Object of type MultiDegree is not JSON serializable$"):
-        canonical_chunks({"a": EMPTY_GRID, "twist": MultiDegree(1, 2, 3, 4)})
+    # a value json cannot write, and a fill inside a list, fail with json's
+    # own error when the pieces are consumed
+    for doc, name in (
+        ({"a": EMPTY_GRID, "twist": MultiDegree(1, 2, 3, 4)}, "MultiDegree"),
+        ({"a": {"b": [EMPTY_GRID]}}, "RowGrid"),
+        ({"m": {"entries": [[PolyMatrix(0, 0, [])]]}}, "PolyMatrix"),
+    ):
+        pieces = canonical_chunks(doc)
+        with pytest.raises(TypeError, match=f"^Object of type {name} is not JSON serializable$"):
+            list(pieces)
     # one grid under two keys is two fills, each written in full
     grid = grid_of(FIVE_TWISTS, {(2, 1): 7})
     rows = scan_rows_as_dicts(grid_rows(grid))
@@ -508,3 +573,17 @@ def test_canonical_chunks_refuses_other_objects_and_writes_each_fill_it_meets():
     text = "".join(canonical_chunks(doc))
     assert text == dumps_canonical({"first": rows, "second": {"again": rows}})
     assert text.count('"h0": 7') == 2
+
+
+def test_writing_a_document_holds_less_than_three_times_its_text():
+    # the certificate's 2n+2m+1-entry tables are rendered once each, whole,
+    # and never the whole document around them (6.4 times the text when
+    # json.dumps rendered the document and a regex split it again)
+    doc = {"certificate": simplicity_certificate(SpaceParams(10**4, 1, 1)).to_json()}
+    tracemalloc.start()
+    try:
+        size = sum(map(len, canonical_chunks(doc)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * size
