@@ -53,6 +53,7 @@ from .monad import (
     built_body,
     built_text,
     read_built_monad,
+    staircase_rank_report,
     verify_composition,
     verify_maximal_rank,
 )
@@ -151,10 +152,9 @@ def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
 
 
 def _cmd_build(args: Args, params: SpaceParams) -> Outcome:
-    spec = assemble_monad(params)
     if args.format == "json":
-        return params, built_body(spec), True
-    return params, built_text(spec), True
+        return params, built_body(params), True
+    return params, built_text(assemble_monad(params)), True
 
 
 def _read_input(path: str) -> str:
@@ -174,9 +174,8 @@ def _declared_params(data: object, fallback: SpaceParams) -> SpaceParams:
 
 
 def _cmd_verify(args: Args, params: SpaceParams) -> Outcome:
-    if args.input is None:
-        spec = assemble_monad(params)
-    else:
+    spec = None  # None: the monad `build` writes for `params`
+    if args.input is not None:
         data = None
         # CPython parses a decimal integer in time quadratic in its digits:
         # an outside document is read under CPython's default limit, whatever
@@ -185,8 +184,10 @@ def _cmd_verify(args: Args, params: SpaceParams) -> Outcome:
         try:
             text = _read_input(args.input)
             # a build is read by its text, every other document parsed whole
-            spec = read_built_monad(text)
-            if spec is None:
+            built = read_built_monad(text)
+            if built is not None:
+                params = built
+            else:
                 data = json.loads(text)
                 if isinstance(data, dict) and "monad" in data:  # a `build` document
                     data = data["monad"]
@@ -200,21 +201,26 @@ def _cmd_verify(args: Args, params: SpaceParams) -> Outcome:
         finally:
             _swap_digit_limit(limit)
 
-    structure = spec.structural_problems()
+    if spec is None:
+        # the built monad is a monad of the family, zero by its identity,
+        # and of maximal rank by the staircase lemma: nothing to walk
+        structure, composition = [], True
+        rank_report = staircase_rank_report(params, args.trials, args.seed, DEFAULT_PRIME)
+    else:
+        params, structure = spec.params, spec.structural_problems()
+        # a malformed document is not a monad of the family: composing or
+        # evaluating it (say, at a point lacking one of its variables) is moot
+        if not structure:
+            composition = verify_composition(spec)
+            rank_report = verify_maximal_rank(spec, args.trials, args.seed, DEFAULT_PRIME)
     body = {"structure_problems": structure}
     passed = False
-    # a malformed document is not a monad of the family: composing or
-    # evaluating it (say, at a point lacking one of its variables) is moot
     if not structure:
-        composition = verify_composition(spec)
-        rank_report = verify_maximal_rank(
-            spec, trials=args.trials, seed=args.seed, prime=DEFAULT_PRIME
-        )
         passed = composition and rank_report.maximal and rank_report.origin_rank_f == 0
         body["composition_zero"] = composition
         body["rank"] = rank_report.to_json()
     body["verdict"] = "CERTIFIED" if passed else "FAILED"
-    return spec.params, body, passed
+    return params, body, passed
 
 
 def _cmd_cohomology(args: Args, params: SpaceParams) -> Outcome:

@@ -44,9 +44,23 @@ or at the sampled points, in the same report bytes.  The labels above do
 not grade f and g (f_b g_b has multidegree (1,1,0,0) or (0,0,1,1)); under
 total degree they are a linear monad O(-1)^k -> O^W -> O(1)^k on P^{2n+2m+3}.
 
-`verify` reads structure and rank from a walk over the entries,
-`band_scalars`, a pure function that returns the set of scalars of f and g
-on that band, or None when some cell is off it; `structural_problems` and
+One function, `_rows`, states where every cell of f and g stands: the
+staircase layout, filled with `LinearForm`s by `assemble_monad` and with
+cell texts by `BuiltEntries`, the fill that `build` writes the entries
+from.  The document `build` writes depends on (n, m, k) alone, and so does
+its verdict: `verify` without `--input`, and `verify --input` of a text
+`read_built_monad` accepts, report no structure problem, f g = 0 by the
+identity and the lemma's rank report (`staircase_rank_report`), and neither
+assemble the monad nor walk its entries.
+
+`verify --input` reads a document as `build` writes it without building its
+entry tree: `read_built_monad` compares the text after the manifest, byte
+for byte, with what `build` writes for the params the manifest gives, and
+returns those params.  Any other document is parsed whole by
+`MonadSpec.from_json`, the reader's oracle, and gets the general path.
+Structure and rank are read from a walk over the entries, `band_scalars`, a
+pure function that returns the set of scalars of f and g on the band, or
+None when some cell is off it; `structural_problems` and
 `verify_maximal_rank` each make the walk, since a `MonadSpec`, like every
 record, keeps nothing but its fields.  On the band, every band cell is one
 term of its block's group at an index in [0, D] and every other cell is 0,
@@ -54,21 +68,19 @@ so `MonadSpec.structural_problems` checks only the bundle labels, and
 `verify_maximal_rank` fills its report from the staircase lemma when every
 scalar is nonzero mod p.  `verify_composition` takes f g = 0 from the
 identity when f and g equal `assemble_monad(params)`'s; a set of scalars
-could not tell, as [f1 | f2 | -f3 | -f4] has the assembly's {1, -1}.  Every
-other document gets the general path: the two entry walks of
-`structural_problems`, which reject linear forms in the wrong group or in
-coordinates X does not have (terms that are not linear never parse);
-`composition_by_product`, which multiplies f g out into a table of
-quadratic forms (`polyring.matrix_mul`) and checks that its bilinear
-coefficient table is empty, exactly, with no sampling involved; and seeded
-sampling over a large prime field (`sampled_rank_report`).  The general
-paths stay the oracles of the shortcuts: acceptance criteria 1 and 2
-multiply the assembled monads out, and criterion 3 samples them.
-
-`verify --input` reads a document as `build` writes it without building its
-entry tree: `read_built_monad` compares the text after the manifest, byte
-for byte, with what `build` writes for the params the manifest gives.  Any
-other document is parsed whole by `MonadSpec.from_json`, the reader's oracle.
+could not tell, as [f1 | f2 | -f3 | -f4] has the assembly's {1, -1}.  A
+document off the band, or other than the assembly, gets the general
+machinery: the two entry walks of `structural_problems`, which reject
+linear forms in the wrong group or in coordinates X does not have (terms
+that are not linear never parse); `composition_by_product`, which
+multiplies f g out into a table of quadratic forms (`polyring.matrix_mul`)
+and checks that its bilinear coefficient table is empty, exactly, with no
+sampling involved; and seeded sampling over a large prime field
+(`sampled_rank_report`).  The general paths stay the oracles of the
+shortcuts: acceptance criteria 1 and 2 multiply the assembled monads out,
+criterion 3 samples them, and the tests hold the built monad's verdict to
+the general path's on the assembly and `build`'s text to the general matrix
+writer's.
 """
 
 from __future__ import annotations
@@ -76,7 +88,7 @@ from __future__ import annotations
 import json
 import random
 from itertools import chain
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .cohomology import LineBundleSum, line_bundle
 from .polyring import (
@@ -110,17 +122,26 @@ def _block_offsets(params: SpaceParams) -> Tuple[int, int, int, int, int]:
     return (0, n + k, 2 * n + 2 * k, 2 * n + m + 3 * k, 2 * n + 2 * m + 4 * k)
 
 
-def _lines(group: str, params: SpaceParams, sign: int = 1) -> List[Tuple[LinearForm, ...]]:
-    """The staircase in `group`: k lines of D+k cells, D = dim of the group,
-    where line i holds sign * v_0..v_D in cells i..i+D and 0 elsewhere, all
-    sharing one tuple of band forms.  The lines are the columns of a g-block
-    and, read right to left, the rows of an f-block: the closed entry
-    formulas of the module docstring."""
-    D, k = params.group_dim(group), params.k
-    index = GROUPS.index(group)
-    band = tuple(LinearForm(((index, s, sign),)) for s in range(D + 1))
-    zero = (LinearForm(),)
-    return [zero * i + band + zero * (k - 1 - i) for i in range(k)]
+def _rows(params: SpaceParams, matrix: str, cell: Callable[..., object], zero: object) -> List[tuple]:
+    """The staircase layout of f or g (`matrix`): its rows, each a tuple of
+    cells, `cell(group, s, sign)` at band position s of a block and `zero`
+    elsewhere, with `cell` called once per band position of a block.
+
+    Line i of a block in `group` holds its band, positions 0..D (D the dim of
+    the group), in cells i..i+D of D+k cells.  Row i of f is line i of each
+    signed f-block of `BLOCKS` read right to left; g stacks the g-blocks,
+    whose columns are the lines: the closed entry formulas of the module
+    docstring."""
+    k = params.k
+
+    def lines(group: str, sign: int) -> List[tuple]:
+        band = tuple(cell(group, s, sign) for s in range(params.group_dim(group) + 1))
+        return [(zero,) * i + band + (zero,) * (k - 1 - i) for i in range(k)]
+
+    if matrix == "f":
+        blocks = [lines(group, sign) for group, _, sign in BLOCKS]
+        return [tuple(chain.from_iterable(block[i][::-1] for block in blocks)) for i in range(k)]
+    return [row for _, group, _ in BLOCKS for row in zip(*lines(group, 1))]
 
 
 def source_bundle(params: SpaceParams) -> LineBundleSum:
@@ -233,21 +254,6 @@ class MonadSpec(Record):
                         )
         return problems
 
-    def json_template(self) -> dict:
-        """The monad document, {params, source, middle, target, f, g}, each
-        matrix {rows, cols, entries} with the `PolyMatrix` itself, a fill,
-        as the value of its `entries` member: `canonical_chunks` writes this
-        dict and each matrix's member by member, and the entries from the
-        fill, without ever building the entries' dict tree."""
-        return {
-            "params": self.params.to_json(),
-            "source": self.source.to_json(),
-            "middle": self.middle.to_json(),
-            "target": self.target.to_json(),
-            "f": {"rows": self.f.rows, "cols": self.f.cols, "entries": self.f},
-            "g": {"rows": self.g.rows, "cols": self.g.cols, "entries": self.g},
-        }
-
     @staticmethod
     def from_json(data: Mapping) -> "MonadSpec":
         """Parse a monad document; a ValueError names the part that failed."""
@@ -269,25 +275,66 @@ class MonadSpec(Record):
 
 
 def assemble_monad(params: SpaceParams) -> MonadSpec:
-    """The canonical monad for (n, m, k), read from the signed `_lines` of
-    `BLOCKS`: row i of f is line i of each f-block right to left, and g
-    stacks the g-blocks, whose columns are the lines."""
-    k = params.k
-    f_lines = [_lines(group, params, sign) for group, _, sign in BLOCKS]
-    g_lines = [_lines(group, params) for _, group, _ in BLOCKS]
-    width = _block_offsets(params)[-1]
-    f = PolyMatrix(
-        k, width, [cell for i in range(k) for lines in f_lines for cell in lines[i][::-1]]
-    )
-    g = PolyMatrix(width, k, [cell for lines in g_lines for row in zip(*lines) for cell in row])
+    """The canonical monad for (n, m, k): `_rows` filled with `LinearForm`s,
+    every band cell the form sign * v_s in its block's group."""
+
+    def form(group: str, s: int, sign: int) -> LinearForm:
+        return LinearForm(((GROUPS.index(group), s, sign),))
+
+    k, width = params.k, _block_offsets(params)[-1]
+    f, g = (tuple(chain.from_iterable(_rows(params, name, form, LinearForm()))) for name in "fg")
     return MonadSpec(
-        params, source_bundle(params), middle_bundle(params), target_bundle(params), f, g
+        params, source_bundle(params), middle_bundle(params), target_bundle(params),
+        PolyMatrix(k, width, f), PolyMatrix(width, k, g),
     )
 
 
-def built_body(spec: MonadSpec) -> dict:
-    """The body of `build`'s JSON document for `spec`: {"monad": its document}."""
-    return {"monad": spec.json_template()}
+class BuiltEntries(Record):
+    """The entry list of f or g (`matrix`) of the monad for `params`, as
+    `build` writes it: a fill, whose `json_chunks(indent)` writes `_rows`
+    filled with cell texts, each band cell rendered once a write, one row a
+    piece.  Each cell is the JSON form of its linear form (see polyring's
+    "JSON forms"), `[]` for 0."""
+
+    __slots__ = ("params", "matrix")
+
+    def __init__(self, params: SpaceParams, matrix: str) -> None:
+        if matrix not in ("f", "g"):
+            raise ValueError(f"matrix must be 'f' or 'g', got {matrix!r}")
+        super().__init__(params, matrix)
+
+    def json_chunks(self, indent: int) -> Iterator[str]:
+        """The rows, closing bracket at column `indent`."""
+        r, c, t, f, e = (" " * (indent + step) for step in (2, 4, 6, 8, 10))
+
+        def cell(group: str, s: int, sign: int) -> str:
+            return (
+                f'{c}[\n{t}{{\n{f}"coeff": "{sign}",\n{f}"exps": {{\n'
+                f'{e}"{group}{s}": 1\n{f}}}\n{t}}}\n{c}]'
+            )
+
+        sep = "["
+        for row in _rows(self.params, self.matrix, cell, f"{c}[]"):
+            yield f"{sep}\n{r}[\n" + ",\n".join(row) + f"\n{r}]"
+            sep = ","
+        yield "\n" + " " * indent + "]"
+
+
+def built_body(params: SpaceParams) -> dict:
+    """The body of `build`'s JSON document for `params`: {"monad": the monad
+    document, {params, source, middle, target, f, g}, each matrix {rows,
+    cols, entries} with a `BuiltEntries` fill as its entries}."""
+    k, width = params.k, _block_offsets(params)[-1]
+    return {
+        "monad": {
+            "params": params.to_json(),
+            "source": source_bundle(params).to_json(),
+            "middle": middle_bundle(params).to_json(),
+            "target": target_bundle(params).to_json(),
+            "f": {"rows": k, "cols": width, "entries": BuiltEntries(params, "f")},
+            "g": {"rows": width, "cols": k, "entries": BuiltEntries(params, "g")},
+        }
+    }
 
 
 def _matrix_text(spec: MonadSpec, which: str) -> List[str]:
@@ -327,18 +374,19 @@ def built_text(spec: MonadSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_built_monad(text: str) -> Optional[MonadSpec]:
-    """`assemble_monad(P)` when the text after the manifest is byte for byte
-    what `build` writes for P, the manifest's params; else None, also
-    whenever anything raises, and the caller parses the text whole with
-    `MonadSpec.from_json`, the oracle.
+def read_built_monad(text: str) -> Optional[SpaceParams]:
+    """P, the manifest's params, when the text after the manifest is byte for
+    byte what `build` writes for P; else None, also whenever anything raises,
+    and the caller parses the text whole with `MonadSpec.from_json`, the
+    oracle.
 
     The text is cut at the first newline followed by `  "monad": `; the head
     before it must end in a comma and, that comma dropped and the object
     closed, parse with a manifest giving P.  A JSON string holds no raw
     newline, so the whole text is then the head's object plus a last "monad"
     member, which json keeps over any earlier one.  A text shorter than 2kW
-    cells of `[]` at build's indent is refused before anything is assembled."""
+    cells of `[]` at build's indent is refused before anything is rendered.
+    Nothing is assembled: the text is compared with `built_body(P)`'s."""
     try:
         at = text.find('\n  "monad": ')
         if at < 1:
@@ -346,14 +394,13 @@ def read_built_monad(text: str) -> Optional[MonadSpec]:
         params = SpaceParams.from_json(json.loads(text[: at - 1] + "\n}")["manifest"]["params"])
         if len(text) < 24 * params.k * _block_offsets(params)[-1]:
             return None
-        spec = assemble_monad(params)
-        pieces = canonical_chunks(built_body(spec))
+        pieces = canonical_chunks(built_body(params))
         pos = at - 1  # the head's comma, where build writes its opening "{"
         for piece in chain(["," + next(pieces)[1:]], pieces):
             if not text.startswith(piece, pos):
                 return None
             pos += len(piece)
-        return spec if pos == len(text) else None
+        return params if pos == len(text) else None
     except Exception:  # whatever went wrong, the full parse decides
         return None
 
@@ -495,8 +542,8 @@ def band_scalars(spec: MonadSpec) -> Optional[frozenset[int]]:
     checks only the labels, and `verify_maximal_rank` takes maximal rank from
     the staircase lemma when every scalar is nonzero mod p; each walks anew,
     as the result is kept nowhere.  Row i of an f-block, read right to left,
-    and column i of a g-block are line i of `_lines`, so one pass over each
-    block's lines checks both matrices.
+    and column i of a g-block are line i of the block in `_rows`, so one pass
+    over each block's lines checks both matrices.
     """
     if not _has_monad_shape(spec):
         return None
@@ -520,7 +567,7 @@ def band_scalars(spec: MonadSpec) -> Optional[frozenset[int]]:
 
 def _line_scalars(lines: Iterable[Sequence[LinearForm]], group: int, D: int, scalars: set) -> bool:
     """Add to `scalars` the scalars c of lines whose cell i + s is c * v_s
-    for s = 0..D, in `group`, with every other cell 0 (line i of `_lines`);
+    for s = 0..D, in `group`, with every other cell 0 (line i of `_rows`);
     False if a line is not so.  A band equal to the one before has its
     scalars added already."""
     last: Optional[Sequence[LinearForm]] = None
@@ -545,34 +592,33 @@ def has_staircase_shape(spec: MonadSpec, prime: int) -> bool:
 
 
 def verify_maximal_rank(
-    spec: MonadSpec,
-    trials: int = 20,
-    seed: int = 0,
-    prime: int = DEFAULT_PRIME,
+    spec: MonadSpec, trials: int = 20, seed: int = 0, prime: int = DEFAULT_PRIME
 ) -> RankReport:
     """Certificate that f and g have rank k away from the origin.
 
     When `has_staircase_shape` holds (f and g lie on the band, with every
-    band scalar nonzero mod `prime`), the report is filled from the staircase
-    lemma (see the module docstring) and no point is drawn: every sample and
-    every single-group-zeroed point has ranks (k, k), and the origin (0, 0).
-    Otherwise `sampled_rank_report` evaluates and eliminates.  Both paths give
-    the same report for the same arguments.  Raises ValueError if trials < 1.
+    band scalar nonzero mod `prime`), the report is `staircase_rank_report`'s,
+    filled from the staircase lemma (see the module docstring), and no point
+    is drawn.  Otherwise `sampled_rank_report` evaluates and eliminates.
+    Both paths give the same report for the same arguments.  Raises
+    ValueError if trials < 1.
     """
-    checked_int(trials, 1, "trials")
     if not has_staircase_shape(spec, prime):
         return sampled_rank_report(spec, trials, seed, prime)
-    k = spec.params.k
-    return RankReport(
-        params=spec.params,
-        prime=prime,
-        seed=seed,
-        rank_f_samples=(k,) * trials,
-        rank_g_samples=(k,) * trials,
-        origin_rank_f=0,
-        origin_rank_g=0,
-        group_zero_ranks={group: (k, k) for group in GROUPS},
-    )
+    return staircase_rank_report(spec.params, trials, seed, prime)
+
+
+def staircase_rank_report(
+    params: SpaceParams, trials: int = 20, seed: int = 0, prime: int = DEFAULT_PRIME
+) -> RankReport:
+    """The report the staircase lemma gives for a monad on the band with
+    every band scalar nonzero mod `prime`, as every `assemble_monad(params)`
+    is: every sample and every single-group-zeroed point has ranks (k, k),
+    and the origin (0, 0).  Raises ValueError if trials < 1."""
+    checked_int(trials, 1, "trials")
+    k = params.k
+    samples, ranks = (k,) * trials, {group: (k, k) for group in GROUPS}
+    return RankReport(params, prime, seed, samples, samples, 0, 0, ranks)
 
 
 def sampled_rank_report(

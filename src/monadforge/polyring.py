@@ -27,15 +27,16 @@ enters any code path.
 
 Canonical JSON is json.dumps with sorted keys and indent 2.  The long lists
 of a document are fills: the document holds a value with a
-`json_chunks(indent)` method where the list goes (a `PolyMatrix` for a
-matrix's entries; the stability module's row grid for the scan's rows).  A
-fill stands only as the value of a dict member; inside a list it is refused
-with json's own TypeError.  `canonical_chunks(doc)` writes the document by
-one rule: a fill by its `json_chunks`; a dict that holds a dict or a fill
-among its values member by member (sorted keys, json's own key text); every
-other value whole by `dumps_canonical`, re-indented to its column.  The
-bytes are those json.dumps writes with each fill spelled out as its list.
-This module knows no fill type but `PolyMatrix`.
+`json_chunks(indent)` method where the list goes (the monad module's
+`BuiltEntries` for the entries of a built matrix; the stability module's row
+grid for the scan's rows).  A fill stands only as the value of a dict
+member; inside a list it is refused with json's own TypeError.
+`canonical_chunks(doc)` writes the document by one rule: a fill by its
+`json_chunks`; a dict that holds a dict or a fill among its values member by
+member (sorted keys, json's own key text); every other value whole by
+`dumps_canonical`, re-indented to its column.  The bytes are those
+json.dumps writes with each fill spelled out as its list.  This module knows
+no fill type.
 """
 
 from __future__ import annotations
@@ -243,10 +244,6 @@ class PolyMatrix(Record):
     def row(self, i: int) -> Tuple[LinearForm, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def json_chunks(self, indent: int) -> Iterator[str]:
-        """The entry list, written by `_entry_chunks` for `canonical_chunks`."""
-        return _entry_chunks(self, indent)
-
 
 # sorted pair of variables ((group, index), (group, index)) -> nonzero coefficient
 QuadraticForm = Dict[Tuple[Tuple[int, int], Tuple[int, int]], int]
@@ -333,7 +330,8 @@ def rank_over_field(M: Sequence[Sequence[int]], prime: int) -> int:
 # A linear form serializes to a list of terms, each {"coeff": "<decimal>",
 # "exps": {"x0": 1}}, in canonical term order; coefficients travel as decimal
 # strings so arbitrarily large integers survive any JSON reader.  A matrix
-# serializes to {"rows": r, "cols": c, "entries": [[term-list]]}.
+# serializes to {"rows": r, "cols": c, "entries": [[term-list]]}; the monad
+# module's `BuiltEntries` writes a built matrix's entries in this form.
 # Serialization and parsing are exact inverses, byte for byte once rendered
 # with sorted keys.
 # ---------------------------------------------------------------------------
@@ -400,31 +398,6 @@ def matrix_from_json(data: Mapping, name: str = "matrix") -> PolyMatrix:
 def dumps_canonical(doc: object) -> str:
     """Render a JSON document deterministically (sorted keys, fixed separators)."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _entry_chunks(A: PolyMatrix, indent: int) -> Iterator[str]:
-    """A's entry list (see "JSON forms" above), closing bracket at column
-    `indent`, a row of cells per piece; every distinct term is rendered once
-    from one f-string, and every distinct cell once from its terms."""
-    if not A.rows:
-        yield "[]"
-        return
-    r, c, t, f, e = (" " * (indent + step) for step in (2, 4, 6, 8, 10))
-    forms = set(A.entries)
-    terms = {
-        term: f'{t}{{\n{f}"coeff": "{term[2]}",\n{f}"exps": {{\n'
-        f'{e}"{_name(term[0], term[1])}": 1\n{f}}}\n{t}}}'
-        for term in set(chain.from_iterable(forms))
-    }
-    cells = {
-        form: f"{c}[\n" + ",\n".join([terms[term] for term in form]) + f"\n{c}]"
-        if form else f"{c}[]"
-        for form in forms
-    }
-    for i in range(A.rows):
-        row = ",\n".join([cells[form] for form in A.row(i)])
-        yield ("[\n" if i == 0 else ",\n") + (f"{r}[\n{row}\n{r}]" if A.cols else f"{r}[]")
-    yield "\n" + " " * indent + "]"
 
 
 def canonical_chunks(doc: object) -> Iterator[str]:

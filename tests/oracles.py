@@ -12,7 +12,7 @@ exterior powers that `cohomology.exterior_power_sum` enumerates summand by
 summand; the
 certificate's closed-form LES collapse is checked against `les_propagate`
 run on `twisted_dual_sequence`, whose left and middle tables are computed
-from the line-bundle sums themselves.  Seven oracles are the library's
+from the line-bundle sums themselves.  Eight oracles are the library's
 earlier code; two of them are the factorial quotients that `chow` now
 computes as one product of binomials.  The simplicity certificate is built
 field by field, each field computed on its own as when the record stored it,
@@ -685,7 +685,60 @@ def matrix_to_json(A: PolyMatrix) -> dict:
     return {"rows": A.rows, "cols": A.cols, "entries": entries}
 
 
+def entry_chunks(A: PolyMatrix, indent: int) -> Iterator[str]:
+    """A's entry list as `canonical_chunks` writes a fill, closing bracket
+    at column `indent`, a row of cells per piece; every distinct term is
+    rendered once from one f-string, and every distinct cell once from its
+    terms.  The package's general matrix writer before `build` wrote its
+    entries from the staircase layout (`monad.BuiltEntries`)."""
+    if not A.rows:
+        yield "[]"
+        return
+    r, c, t, f, e = (" " * (indent + step) for step in (2, 4, 6, 8, 10))
+    forms = set(A.entries)
+    terms = {
+        term: f'{t}{{\n{f}"coeff": "{term[2]}",\n{f}"exps": {{\n'
+        f'{e}"{GROUPS[term[0]]}{term[1]}": 1\n{f}}}\n{t}}}'
+        for term in set(itertools.chain.from_iterable(forms))
+    }
+    cells = {
+        form: f"{c}[\n" + ",\n".join([terms[term] for term in form]) + f"\n{c}]"
+        if form else f"{c}[]"
+        for form in forms
+    }
+    for i in range(A.rows):
+        row = ",\n".join([cells[form] for form in A.row(i)])
+        yield ("[\n" if i == 0 else ",\n") + (f"{r}[\n{row}\n{r}]" if A.cols else f"{r}[]")
+    yield "\n" + " " * indent + "]"
+
+
+class MatrixEntries:
+    """Any matrix's entries as a fill: `canonical_chunks` writes them by
+    `entry_chunks`."""
+
+    def __init__(self, matrix: PolyMatrix) -> None:
+        self.matrix = matrix
+
+    def json_chunks(self, indent: int) -> Iterator[str]:
+        return entry_chunks(self.matrix, indent)
+
+
+def monad_template(spec: MonadSpec) -> dict:
+    """The monad document of any `spec`, {params, source, middle, target, f,
+    g}, each matrix {rows, cols, entries} with its entries a
+    `MatrixEntries` fill."""
+    doc = {
+        "params": spec.params.to_json(),
+        "source": spec.source.to_json(),
+        "middle": spec.middle.to_json(),
+        "target": spec.target.to_json(),
+    }
+    for name, A in (("f", spec.f), ("g", spec.g)):
+        doc[name] = {"rows": A.rows, "cols": A.cols, "entries": MatrixEntries(A)}
+    return doc
+
+
 def monad_to_json(spec: MonadSpec) -> dict:
     """The monad document as a dict tree: what `canonical_chunks` renders
-    for `MonadSpec.json_template`."""
-    return {**spec.json_template(), "f": matrix_to_json(spec.f), "g": matrix_to_json(spec.g)}
+    for `monad_template`."""
+    return {**monad_template(spec), "f": matrix_to_json(spec.f), "g": matrix_to_json(spec.g)}

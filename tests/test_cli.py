@@ -8,6 +8,7 @@ import calendar
 import copy
 import gc
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -31,7 +32,7 @@ from monadforge import stability as stability_module
 from monadforge.cli import main
 from monadforge.chow import invariants_of_T
 from monadforge.cohomology import line_bundle, sum_cohomology
-from monadforge.monad import MonadSpec, assemble_monad
+from monadforge.monad import MonadSpec, assemble_monad, composition_by_product, sampled_rank_report
 from monadforge.polyring import MultiDegree, SpaceParams, dumps_canonical
 from monadforge.schemas import SCHEMAS
 from oracles import monad_to_json
@@ -633,15 +634,53 @@ def test_criterion_boxes_never_sum_the_generating_function(capsys, monkeypatch):
 
 
 def test_verify_certifies_the_built_monad_without_multiplying(tmp_path, capsys, monkeypatch):
-    def refuse(*_args):
-        raise AssertionError("the assembled monad is zero by its identity")
+    # f g = 0 by the identity and rank k by the staircase lemma, from (n, m, k):
+    # nothing is assembled, walked, multiplied, evaluated or parsed
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the built monad is certified from its (n, m, k)")
 
-    monkeypatch.setattr("monadforge.monad.matrix_mul", refuse)
-    argv = ("verify", "--n", "8", "--m", "8", "--k", "8")
     monad_file, _ = build_document(tmp_path, capsys, 8, 8, 8)
+    for module in (cli_module, monad_module):
+        monkeypatch.setattr(module, "assemble_monad", refuse)
+    for name in ("band_scalars", "matrix_mul", "evaluate_matrix"):
+        monkeypatch.setattr(monad_module, name, refuse)
+    monkeypatch.setattr(MonadSpec, "from_json", staticmethod(refuse))
+    argv = ("verify", "--n", "8", "--m", "8", "--k", "8")
     for run in (argv, ("verify", "--input", str(monad_file))):
         code, out, _ = run_cli(capsys, *run)
         assert (code, sha256(out)) == GOLDEN_SHA256[argv]
+
+
+def test_build_renders_the_layout_and_never_assembles(capsys, monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("build writes the staircase layout of its (n, m, k)")
+
+    for module in (cli_module, monad_module):
+        monkeypatch.setattr(module, "assemble_monad", refuse)
+    argv = ("build", "--n", "40", "--m", "40", "--k", "40")
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, sha256(out)) == GOLDEN_SHA256[argv]
+
+
+def test_verify_of_the_built_monad_is_the_general_paths_verdict(capsys):
+    # the closed form against the entry walk, the multiplied-out f g and
+    # sampled elimination of the assembled monad
+    for n, m, k in itertools.product(range(1, 5), repeat=3):
+        spec = assemble_monad(SpaceParams(n, m, k))
+        structure, composition = spec.structural_problems(), composition_by_product(spec)
+        for trials, seed in itertools.product((1, 3, 20), (0, 7)):
+            report = sampled_rank_report(spec, trials, seed)
+            passed = not structure and composition and report.maximal and report.origin_rank_f == 0
+            expected = {
+                "structure_problems": structure,
+                "composition_zero": composition,
+                "rank": report.to_json(),
+                "verdict": "CERTIFIED" if passed else "FAILED",
+            }
+            code, doc = run_json(capsys, "verify", "--n", str(n), "--m", str(m), "--k", str(k),
+                                 "--trials", str(trials), "--seed", str(seed))
+            del doc["manifest"]
+            assert (code, doc) == (0 if passed else 1, expected), (n, m, k, trials, seed)
 
 
 def reindented_build(tmp_path, capsys, n, m, k):

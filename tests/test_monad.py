@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from monadforge.cohomology import LineBundleSum, bott_h, exterior_power_sum
 from monadforge.monad import (
+    BuiltEntries,
     MonadSpec,
     assemble_monad,
     band_scalars,
@@ -21,6 +22,7 @@ from monadforge.monad import (
     middle_bundle,
     sampled_rank_report,
     source_bundle,
+    staircase_rank_report,
     target_bundle,
     verify_composition,
     verify_maximal_rank,
@@ -28,6 +30,7 @@ from monadforge.monad import (
 from monadforge import monad as monad_module
 from monadforge.polyring import (
     DEFAULT_PRIME,
+    GROUPS,
     LinearForm,
     MultiDegree,
     PolyMatrix,
@@ -41,6 +44,7 @@ from oracles import (
     block_by_formula,
     block_products,
     compose_by_coefficient_matrices,
+    entry_chunks,
     floystad_check,
     monad_to_json,
     negated_matrix,
@@ -454,6 +458,8 @@ def test_rank_trials_validation():
     for certify in (verify_maximal_rank, sampled_rank_report):
         with pytest.raises(ValueError):
             certify(spec, trials=0)
+    with pytest.raises(ValueError):
+        staircase_rank_report(spec.params, trials=0)
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +645,42 @@ def test_staircase_monad_is_certified_without_elimination(monkeypatch):
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+
+GRID5 = [SpaceParams(*nmk) for nmk in itertools.product(range(1, 6), repeat=3)]
+
+
+def one_term(form):
+    """(group name, index, coeff) of a form of one term; None for 0."""
+    if not form:
+        return None
+    ((group, index, coeff),) = form
+    return GROUPS[group], index, coeff
+
+
+def test_the_layout_filled_with_forms_is_the_block_by_block_assembly():
+    # every cell of f and g in its place, from the block formulas, and each
+    # band cell made once per block
+    for params in GRID5:
+        oracle = assemble_by_blocks(params)
+        for name, matrix in (("f", oracle.f), ("g", oracle.g)):
+            made = []
+            rows = monad_module._rows(
+                params, name, lambda group, s, sign: made.append(group) or (group, s, sign), None
+            )
+            assert [len(row) for row in rows] == [matrix.cols] * matrix.rows
+            assert [cell for row in rows for cell in row] == list(map(one_term, matrix.entries))
+            assert len(made) == 2 * (params.n + params.m + 2)
+
+
+def test_build_writes_the_layout_as_the_oracle_writer_writes_the_assembly():
+    # the same pieces, row by row, at build's indent and at the top level
+    for params in GRID5:
+        spec = assemble_monad(params)
+        for name in ("f", "g"):
+            for indent in (0, 6):
+                built = list(BuiltEntries(params, name).json_chunks(indent))
+                assert built == list(entry_chunks(getattr(spec, name), indent)), (params, name)
 
 
 def test_monad_json_round_trip():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from monadforge import stability
 from monadforge.les import simplicity_certificate
-from monadforge.monad import assemble_monad
+from monadforge.monad import BuiltEntries, assemble_monad, built_body
 from monadforge.polyring import (
     DEFAULT_PRIME,
     GROUPS,
@@ -31,8 +31,10 @@ from monadforge.polyring import (
 )
 from monadforge.stability import RowGrid, StabilityReport, StabilityScanConfig, enumerate_twists
 from oracles import (
+    MatrixEntries,
     difference,
     matrix_to_json,
+    monad_template,
     monad_to_json,
     negated,
     negated_matrix,
@@ -486,9 +488,19 @@ PLAIN = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=3),
     max_leaves=8,
 ).map(lambda value: (value, value))
-# (fill, the list it writes)
+# (fill, the list it writes): any matrix's entries by the oracle writer, a
+# built matrix's by the staircase writer, and scan rows
+BUILT = st.builds(
+    lambda params, matrix: (
+        BuiltEntries(params, matrix),
+        matrix_to_json(getattr(assemble_monad(params), matrix))["entries"],
+    ),
+    st.builds(SpaceParams, *[st.integers(1, 2)] * 3),
+    st.sampled_from("fg"),
+)
 FILLS = st.one_of(
-    MATRICES.map(lambda matrix: (matrix, matrix_to_json(matrix)["entries"])),
+    MATRICES.map(lambda matrix: (MatrixEntries(matrix), matrix_to_json(matrix)["entries"])),
+    BUILT,
     SCAN_ROWS.map(lambda grid: (grid, scan_rows_as_dicts(grid_rows(grid)))),
 )
 
@@ -512,7 +524,7 @@ def _matrices_and_grid(f, g, grid):
     """(document, oracle) of two matrix fills and a row grid."""
     doc, oracle = {"checked": grid}, {"checked": scan_rows_as_dicts(grid_rows(grid))}
     for name, matrix in (("f", f), ("g", g)):
-        doc[name] = {"rows": matrix.rows, "cols": matrix.cols, "entries": matrix}
+        doc[name] = {"rows": matrix.rows, "cols": matrix.cols, "entries": MatrixEntries(matrix)}
         oracle[name] = matrix_to_json(matrix)
     return doc, oracle
 
@@ -530,7 +542,7 @@ def _matrices_and_grid(f, g, grid):
 )
 @example(
     (
-        {"é": {}, '"': [[], {}], "\x00": {"e": PolyMatrix(0, 0, [])}},
+        {"é": {}, '"': [[], {}], "\x00": {"e": MatrixEntries(PolyMatrix(0, 0, []))}},
         {"é": {}, '"': [[], {}], "\x00": {"e": []}},
     ),
     1,
@@ -549,10 +561,13 @@ def test_streamed_matrix_entries_equal_json_dumps_of_matrix_to_json(tree, depth)
 @settings(max_examples=64, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
 def test_streamed_monad_equals_json_dumps_of_monad_to_json(n, m, k):
-    # the assembly shares one form among many cells, each rendered once
-    spec = assemble_monad(SpaceParams(n, m, k))
-    text = "".join(canonical_chunks({"monad": spec.json_template()}))
-    assert text == dumps_canonical({"monad": monad_to_json(spec)})
+    # the assembly shares one form among many cells, each rendered once by
+    # the oracle writer; build renders each band cell once from the layout
+    params = SpaceParams(n, m, k)
+    spec = assemble_monad(params)
+    expected = dumps_canonical({"monad": monad_to_json(spec)})
+    assert "".join(canonical_chunks({"monad": monad_template(spec)})) == expected
+    assert "".join(canonical_chunks(built_body(params))) == expected
 
 
 def test_canonical_chunks_refuses_other_objects_and_writes_each_fill_it_meets():
@@ -561,7 +576,7 @@ def test_canonical_chunks_refuses_other_objects_and_writes_each_fill_it_meets():
     for doc, name in (
         ({"a": EMPTY_GRID, "twist": MultiDegree(1, 2, 3, 4)}, "MultiDegree"),
         ({"a": {"b": [EMPTY_GRID]}}, "RowGrid"),
-        ({"m": {"entries": [[PolyMatrix(0, 0, [])]]}}, "PolyMatrix"),
+        ({"m": {"entries": [[BuiltEntries(SpaceParams(1, 1, 1), "f")]]}}, "BuiltEntries"),
     ):
         pieces = canonical_chunks(doc)
         with pytest.raises(TypeError, match=f"^Object of type {name} is not JSON serializable$"):

@@ -18,7 +18,7 @@ import monadforge
 from monadforge.chow import BundleInvariants, invariants_of_T, rank_of_T
 from monadforge.cohomology import CohTable, LineBundleSum
 from monadforge.les import CohProfile, ShortExactSeq, SimplicityCertificate, simplicity_certificate
-from monadforge.monad import assemble_monad, middle_bundle, verify_maximal_rank
+from monadforge.monad import BuiltEntries, assemble_monad, middle_bundle, verify_maximal_rank
 from monadforge.polyring import (
     LinearForm,
     MultiDegree,
@@ -111,6 +111,10 @@ def test_repr_is_the_dataclass_text():
             PolyMatrix(1, 2, [variable_form("x", 0), LinearForm()]),
             "PolyMatrix(rows=1, cols=2, entries=(((0, 0, 1),), ()))",
         ),
+        (
+            BuiltEntries(params, "g"),
+            "BuiltEntries(params=SpaceParams(n=1, m=2, k=3), matrix='g')",
+        ),
         (CohTable((0, 1, 2)), "CohTable(dims=(0, 1, 2))"),
         (
             invariants_of_T(params),
@@ -172,6 +176,7 @@ FROZEN = [
     (run_stability_scan(TINY_BOX), "verdict"),
     (run_stability_scan(TINY_BOX).checked, "nonzero"),
     (assemble_monad(SMALL), "g"),
+    (BuiltEntries(SMALL, "f"), "matrix"),
     (verify_maximal_rank(assemble_monad(SMALL), trials=2), "seed"),
     (CohProfile.unknown(), "kind"),
     (ONE_UNKNOWN, "left"),

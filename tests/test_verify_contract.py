@@ -29,14 +29,16 @@ from monadforge import cli as cli_module
 from monadforge import monad as monad_module
 from monadforge.cli import main
 from monadforge.monad import (
+    BuiltEntries,
     MonadSpec,
+    assemble_monad,
     composition_by_product,
     read_built_monad,
     sampled_rank_report,
     verify_composition,
     verify_maximal_rank,
 )
-from monadforge.polyring import PolyMatrix, dumps_canonical
+from monadforge.polyring import dumps_canonical
 from monadforge.schemas import SCHEMAS
 from oracles import structural_problems_by_two_walks
 
@@ -232,13 +234,13 @@ def width(n: int, m: int, k: int) -> int:
 
 
 def assert_reader_agrees(text: str, stdin: bool = False):
-    """The reader's run equals the whole parse's, byte for byte; a document
-    the reader accepts is the one `from_json` reads."""
+    """The reader's run equals the whole parse's, byte for byte; the params
+    of a document the reader accepts assemble the monad `from_json` reads."""
     assert verify_text(text, stdin) == verify_parsed_whole(text, stdin)
-    spec = read_built_monad(text)
-    if spec is not None:
-        assert spec == MonadSpec.from_json(json.loads(text)["monad"])
-    return spec
+    params = read_built_monad(text)
+    if params is not None:
+        assert assemble_monad(params) == MonadSpec.from_json(json.loads(text)["monad"])
+    return params
 
 
 def test_reader_accepts_the_build_and_no_reindented_copy():
@@ -318,10 +320,8 @@ def test_reader_never_assembles_a_monad_larger_than_its_text():
         with mock.patch.object(monad_module, "assemble_monad", small_only):
             assert read_built_monad(text) is None
             assert verify_text(text)[0] == 1
-        if "manifest" in declared_by:
-            assert assemblies == []
-        else:  # the reader renders the manifest's (1, 1, 1), once a call
-            assert [(p.n, p.m, p.k) for p in assemblies] == [(1, 1, 1)] * 2
+        # the reader renders the manifest's params and assembles nothing
+        assert assemblies == []
 
 
 def test_reader_falls_back_on_any_exception():
@@ -330,7 +330,7 @@ def test_reader_falls_back_on_any_exception():
 
     text = built(2, 1, 2)
     expected = verify_text(text)
-    with mock.patch.object(PolyMatrix, "json_chunks", fail):
+    with mock.patch.object(BuiltEntries, "json_chunks", fail):
         assert read_built_monad(text) is None
         assert verify_text(text) == expected
     assert expected[0] == 0
