@@ -38,6 +38,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import stat
 import sys
 import time
 from types import SimpleNamespace
@@ -122,32 +123,76 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
-# the interpreter's default buffer passes each piece of tens of KB to a
-# `write` call of its own
+# the interpreter's buffers (8 KiB on stdout) pass each piece of tens of KB
+# to a `write` call of its own
 _WRITE_BUFFER = 256 * 1024
 
 
-def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
-    """Write the pieces of one document to `output` (stdout if None or "-").
+def _write_through_buffer(write: Callable[[memoryview], object], chunks: Iterable[str]) -> None:
+    """Pass the UTF-8 encoding of the pieces to `write` through one buffer of
+    _WRITE_BUFFER (256 KiB), reused for the whole document.  The buffer is
+    handed on whenever the next piece does not fit, so each block but the
+    last holds more than _WRITE_BUFFER less the largest piece; a piece larger
+    than the buffer is handed on alone.  A block always ends between two
+    pieces."""
+    buffer = bytearray(_WRITE_BUFFER)
+    view = memoryview(buffer)
+    used = 0
+    for piece in chunks:
+        data = piece.encode("utf-8")
+        end = used + len(data)
+        if end > _WRITE_BUFFER:
+            write(view[:used])
+            used, end = 0, len(data)
+            if end > _WRITE_BUFFER:
+                write(memoryview(data))
+                continue
+        view[used:end] = data
+        used = end
+    write(view[:used])
 
-    A file is written through one buffer of _WRITE_BUFFER (256 KiB), reused
-    for the whole document, so the document leaves in writes of that size
-    whatever the size of its pieces; stdout keeps the interpreter's buffer.
+
+def _open_in_place(path: str, flags: int) -> int:
+    """`open`'s opener for a document: mode "wb"'s flags without O_TRUNC, so
+    a file already at `path` is written over, not emptied first; a new file
+    gets mode 0o666 less the umask, as `open` gives it."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
+    """Write the pieces of one document to `output` (stdout if None or "-");
+    both sinks take them through `_write_through_buffer`.
+
+    A file already at `output` keeps its inode: it is opened without
+    O_TRUNC, written from its start and, if it is a regular file (by `fstat`
+    of the open descriptor; never a device, FIFO or terminal), cut to the
+    document's length before it is closed.  Emptying it at open instead made
+    a run over the last run's 24.7 MB document wait, by all signs on the
+    kernel's writeback of that document (README "Writing").
 
     The pieces are produced as they are written, so producing one can fail
-    part-way (out of memory), as can the write itself (a full disk).  A file
-    this opened is then removed before the error propagates, so no partial
-    document is left at `output`; stdout may already hold part of one."""
+    part-way (out of memory), as can the write itself (a full disk).  A
+    regular file this opened is then removed, at the path its symlinks lead
+    to, before the error propagates, so no partial document is left at
+    `output`; stdout may already hold part of one."""
     if output is None or output == "-":
-        sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # what the text layer holds goes out first
+        binary = getattr(sys.stdout, "buffer", None)  # None on a text-only stream such as StringIO
+        _write_through_buffer(
+            binary.write if binary is not None else lambda block: sys.stdout.write(str(block, "utf-8")),
+            chunks,
+        )
         return
-    fh = open(output, "w", encoding="utf-8", buffering=_WRITE_BUFFER)
+    fh = open(output, "wb", opener=_open_in_place)
+    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
     try:
         with fh:
-            fh.writelines(chunks)
+            _write_through_buffer(fh.write, chunks)
+            if regular:
+                fh.truncate()
     except BaseException:
-        if os.path.isfile(output):  # never a device such as /dev/null
-            os.remove(output)
+        if regular:
+            os.remove(os.path.realpath(output))
         raise
 
 

@@ -568,6 +568,21 @@ def write_calls() -> int:
         return next(int(line.split()[1]) for line in fh if line.startswith("syscw:"))
 
 
+# a child that writes the document of argv to its stdout and its own count of
+# `write` calls for it, read before it exits, to its stderr
+STDOUT_WRITE_CALLS = """
+import sys
+def write_calls():
+    with open("/proc/self/io") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("syscw:"))
+from monadforge.cli import main
+before = write_calls()
+code = main(sys.argv[1:])
+sys.stdout.flush()
+sys.stderr.write(f"{code} {write_calls() - before}")
+"""
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="no /proc/self/io")
 def test_a_document_file_leaves_in_writes_of_the_buffer_size(tmp_path, capsys):
     # the 24.7 MB scan-wide report comes in ~1,500 pieces of at most ~34 KB;
@@ -575,14 +590,74 @@ def test_a_document_file_leaves_in_writes_of_the_buffer_size(tmp_path, capsys):
     # buffer is written out only when the next piece does not fit, and a piece
     # is under 48 KiB (test_streamed_rows_come_in_bounded_pieces), so every
     # call but the last carries more than 256 - 48 KiB: 118 calls at most
-    # here, against 103 measured and 742 through the interpreter's buffer
+    # here, against 103 measured and 742 through the interpreter's buffer.
+    # stdout, in a child whose stdout is a file, is held to the same bound
+    # (832 calls through the interpreter's 8 KiB buffer)
     target = tmp_path / "report.json"
     before = write_calls()
-    code = main([*SCAN_WIDE, "--output", str(target)])
-    calls = write_calls() - before
-    text = target.read_text()
-    assert (code, sha256(text)) == GOLDEN_SHA256[SCAN_WIDE]
-    assert calls <= -(-len(text) // ((256 - 48) * 1024)) + 1
+    file_code = main([*SCAN_WIDE, "--output", str(target)])
+    file_calls = write_calls() - before
+    env = dict(os.environ, PYTHONPATH=str(SRC), SOURCE_DATE_EPOCH=EPOCH)
+    with open(tmp_path / "stdout.json", "wb") as out:
+        child = subprocess.run([sys.executable, "-c", STDOUT_WRITE_CALLS, *SCAN_WIDE],
+                               stdout=out, stderr=subprocess.PIPE, text=True, env=env, timeout=300)
+    stdout_code, stdout_calls = map(int, child.stderr.split())
+    for code, calls, path in [(file_code, file_calls, target),
+                              (stdout_code, stdout_calls, tmp_path / "stdout.json")]:
+        text = path.read_text()
+        assert (code, sha256(text)) == GOLDEN_SHA256[SCAN_WIDE], path
+        assert calls <= -(-len(text) // ((256 - 48) * 1024)) + 1, path
+
+
+OVERWRITTEN = ("build", "--n", "1", "--m", "2", "--k", "3")
+
+
+@pytest.mark.parametrize("existing", ["longer file", "shorter file", "symlink", "hard link"])
+def test_a_document_is_written_over_the_file_already_there(tmp_path, capsys, existing):
+    # the file is written in place and cut to the document's length: exactly
+    # the new bytes, in the same inode, with its mode kept, through either
+    # name of a hard link and at the target of a symlink
+    target = tmp_path / "target.json"
+    document_bytes = len(run_cli(capsys, *OVERWRITTEN)[1].encode("utf-8"))
+    old = b"x" * (document_bytes + 10_000 if existing != "shorter file" else 10)
+    target.write_bytes(old)
+    target.chmod(0o640)
+    output = target
+    if existing == "symlink":
+        output = tmp_path / "link.json"
+        output.symlink_to(target.name)
+    elif existing == "hard link":
+        output = tmp_path / "second.json"
+        os.link(target, output)
+    before = target.stat()
+    code, out, err = run_cli(capsys, *OVERWRITTEN, "--output", str(output))
+    assert (code, out, err) == (0, "", "")
+    after = target.stat()
+    assert sha256(target.read_text()) == GOLDEN_SHA256[OVERWRITTEN][1]
+    assert output.read_bytes() == target.read_bytes()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert output.is_symlink() == (existing == "symlink")
+
+
+def test_an_output_is_never_opened_with_o_trunc(tmp_path, capsys, monkeypatch):
+    # truncating at open made a run wait on the last run's writeback; a
+    # device such as /dev/null, which is never cut to length, still works
+    opened = []
+    real_open = os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        opened.append((str(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    target = tmp_path / "out.json"
+    target.write_bytes(b"x" * 100_000)
+    for output in [str(target), str(tmp_path / "fresh.json"), os.devnull]:
+        code, out, err = run_cli(capsys, *OVERWRITTEN, "--output", output)
+        assert (code, out, err) == (0, "", "")
+    assert [path for path, _ in opened] == [str(target), str(tmp_path / "fresh.json"), os.devnull]
+    assert all(flags & os.O_CREAT and not flags & os.O_TRUNC for _, flags in opened)
+    assert sha256(target.read_text()) == GOLDEN_SHA256[OVERWRITTEN][1]
 
 
 def test_report_reads_the_top_intersection_number_once(capsys):
@@ -912,14 +987,25 @@ WIDE_BOXES = [
 
 
 def test_a_box_too_large_to_write_exits_2_without_a_traceback(tmp_path):
-    # ~1.3e9 rows, then ~2.9e33: the writer's twist texts alone outgrow the cap
-    for box, _ in WIDE_BOXES:
-        argv = ["stability", "--n", "1", "--m", "1", "--k", "1", *box,
-                "--output", str(tmp_path / "rows.json")]
+    # ~1.3e9 rows, then ~2.9e33: the writer's twist texts alone outgrow the
+    # cap.  The partial document is removed, whether the path was new, held
+    # a file already (whose old bytes are gone with it) or is a symlink,
+    # whose target, the file written, goes and leaves the link dangling
+    target = tmp_path / "rows.json"
+    for existing, (box, _) in itertools.product(["none", "file", "symlink"], WIDE_BOXES):
+        output = target
+        if existing != "none":
+            target.write_text("an older document")
+        if existing == "symlink":
+            output = tmp_path / "link.json"
+            output.unlink(missing_ok=True)
+            output.symlink_to(target.name)
+        argv = ["stability", "--n", "1", "--m", "1", "--k", "1", *box, "--output", str(output)]
         proc = run_in_address_space(argv, 256)
         assert proc.returncode == 2
         assert proc.stderr == "error: out of memory\n"
-        assert not (tmp_path / "rows.json").exists()
+        assert not target.exists() and not output.exists(), existing
+        assert output.is_symlink() == (existing == "symlink")
 
 
 def test_a_wide_box_certificate_needs_no_box(tmp_path):
