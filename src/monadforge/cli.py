@@ -50,9 +50,9 @@ from .cohomology import line_bundle, sum_cohomology
 from .les import simplicity_certificate
 from .monad import (
     MonadSpec,
-    assemble_monad,
     built_body,
     built_text,
+    is_built_monad,
     read_built_monad,
     staircase_rank_report,
     verify_composition,
@@ -199,7 +199,7 @@ def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
 def _cmd_build(args: Args, params: SpaceParams) -> Outcome:
     if args.format == "json":
         return params, built_body(params), True
-    return params, built_text(assemble_monad(params)), True
+    return params, built_text(params), True
 
 
 def _read_input(path: str) -> str:
@@ -228,7 +228,8 @@ def _cmd_verify(args: Args, params: SpaceParams) -> Outcome:
         limit = _swap_digit_limit(_READ_DIGITS)
         try:
             text = _read_input(args.input)
-            # a build is read by its text, every other document parsed whole
+            # a build is read by its text, every other document parsed whole,
+            # and one equal to build's monad, however spelled, joins it below
             built = read_built_monad(text)
             if built is not None:
                 params = built
@@ -237,18 +238,23 @@ def _cmd_verify(args: Args, params: SpaceParams) -> Outcome:
                 if isinstance(data, dict) and "monad" in data:  # a `build` document
                     data = data["monad"]
                 spec = MonadSpec.from_json(data)
-        except OSError:
-            raise  # an unreadable path (missing, a directory, no permission) is a usage error (exit 2)
+        except (OSError, MemoryError):
+            # an unreadable path (missing, a directory, no permission) is a
+            # usage error, and a document too large to parse is out of memory:
+            # both exit 2
+            raise
         except Exception as exc:
             # any defect of an outside document is a FAILED verdict, never a traceback
             body = {"verdict": "FAILED", "error": f"input document rejected: {exc}"}
             return _declared_params(data, params), body, False
         finally:
             _swap_digit_limit(limit)
+        if spec is not None and is_built_monad(spec):
+            params, spec = spec.params, None
 
     if spec is None:
-        # the built monad is a monad of the family, zero by its identity,
-        # and of maximal rank by the staircase lemma: nothing to walk
+        # build's monad is a monad of the family, zero by its identity, and
+        # of maximal rank by the staircase lemma: nothing to walk
         structure, composition = [], True
         rank_report = staircase_rank_report(params, args.trials, args.seed, DEFAULT_PRIME)
     else:
@@ -481,7 +487,8 @@ def _answer(argv: List[str]) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except MemoryError:
-        # a scan box whose rows are too many to write
+        # a scan box whose rows are too many to write, or a `verify --input`
+        # document too large to parse
         sys.stderr.write("error: out of memory\n")
         return EXIT_USAGE
 

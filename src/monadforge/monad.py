@@ -45,42 +45,38 @@ not grade f and g (f_b g_b has multidegree (1,1,0,0) or (0,0,1,1)); under
 total degree they are a linear monad O(-1)^k -> O^W -> O(1)^k on P^{2n+2m+3}.
 
 One function, `_rows`, states where every cell of f and g stands: the
-staircase layout, filled with `LinearForm`s by `assemble_monad` and with
-cell texts by `BuiltEntries`, the fill that `build` writes the entries
-from.  The document `build` writes depends on (n, m, k) alone, and so does
-its verdict: `verify` without `--input`, and `verify --input` of a text
-`read_built_monad` accepts, report no structure problem, f g = 0 by the
-identity and the lemma's rank report (`staircase_rank_report`), and neither
-assemble the monad nor walk its entries.
+staircase layout, filled with `LinearForm`s by `assemble_monad`, with JSON
+cell texts by `BuiltEntries` (the entries `build` writes) and with the
+texts `y0`, `-x1` and `0` by `built_text` (`build --format text`), so
+`build` never assembles.  `verify` takes one of two paths.
 
-`verify --input` reads a document as `build` writes it without building its
-entry tree: `read_built_monad` compares the text after the manifest, byte
-for byte, with what `build` writes for the params the manifest gives, and
-returns those params.  Any other document is parsed whole by
-`MonadSpec.from_json`, the reader's oracle, and gets the general path.
-Structure and rank are read from a walk over the entries, `band_scalars`, a
+Build's monad, recognised by its (n, m, k): `verify` without `--input`; a
+text `read_built_monad` accepts, one whose text after the manifest is,
+byte for byte, what `build` writes for the params the manifest gives; and
+a document parsed whole by `MonadSpec.from_json`, the reader's oracle, that
+`is_built_monad` finds equal to `assemble_monad(params)`, however it is
+spelled (its shapes are compared first, so no document is assembled larger
+than itself).  Its verdict is written from (n, m, k) alone: no structure
+problem, f g = 0 by the identity, and the lemma's rank report
+(`staircase_rank_report`); nothing is walked, multiplied or evaluated.
+
+Every other document gets the general checks, one path each.
+`MonadSpec.structural_problems` makes two entry walks, shapes and block
+groups, then variable ranges (terms that are not linear never parse), and
+compares the labels.  `verify_composition` multiplies f g out into a table
+of quadratic forms (`polyring.matrix_mul`) and checks that its bilinear
+coefficient table is empty, exactly, with no sampling involved.
+`verify_maximal_rank` makes the one walk over the band, `band_scalars`, a
 pure function that returns the set of scalars of f and g on the band, or
-None when some cell is off it; `structural_problems` and
-`verify_maximal_rank` each make the walk, since a `MonadSpec`, like every
-record, keeps nothing but its fields.  On the band, every band cell is one
-term of its block's group at an index in [0, D] and every other cell is 0,
-so `MonadSpec.structural_problems` checks only the bundle labels, and
-`verify_maximal_rank` fills its report from the staircase lemma when every
-scalar is nonzero mod p.  `verify_composition` takes f g = 0 from the
-identity when f and g equal `assemble_monad(params)`'s; a set of scalars
-could not tell, as [f1 | f2 | -f3 | -f4] has the assembly's {1, -1}.  A
-document off the band, or other than the assembly, gets the general
-machinery: the two entry walks of `structural_problems`, which reject
-linear forms in the wrong group or in coordinates X does not have (terms
-that are not linear never parse); `composition_by_product`, which
-multiplies f g out into a table of quadratic forms (`polyring.matrix_mul`)
-and checks that its bilinear coefficient table is empty, exactly, with no
-sampling involved; and seeded sampling over a large prime field
-(`sampled_rank_report`).  The general paths stay the oracles of the
-shortcuts: acceptance criteria 1 and 2 multiply the assembled monads out,
-criterion 3 samples them, and the tests hold the built monad's verdict to
-the general path's on the assembly and `build`'s text to the general matrix
-writer's.
+None when some cell is off it; with every scalar nonzero mod p the report
+is the staircase lemma's, and otherwise it samples over a large prime field
+(`sampled_rank_report`).  A set of scalars could not tell build's monad:
+[f1 | f2 | -f3 | -f4] has the assembly's {1, -1}.
+
+The general checks are the oracles of build's path: acceptance criteria 1
+and 2 multiply the assembled monads out, criterion 3 samples them, and the
+tests hold build's verdict to the general checks' on the assembly and
+`build`'s text to the general matrix writer's.
 """
 
 from __future__ import annotations
@@ -189,30 +185,11 @@ class MonadSpec(Record):
         own variable group (y, x, t, z in block order), g entries likewise
         (x, y, z, t), every variable index lies in [0, dim] of its group
         (so every entry can be evaluated at a point of X), and the bundle
-        labels carry the expected classes.  Composition and rank are *not*
-        checked here; those are the jobs of `verify_composition` and
-        `verify_maximal_rank`.
-
-        When `band_scalars` returns a set, whatever its scalars, f and g lie
-        on the staircase band: every band cell is one term of its block's
-        group at an index in [0, D] and every other cell is 0, so the shapes,
-        groups and indices are all proved and only the labels are compared.
-        Any other document gets the two entry walks of `_entry_problems`,
-        groups first, then indices.
+        labels carry the expected classes, in that order: one walk over the
+        blocks, one over every entry, then the labels.  Composition and rank
+        are *not* checked here; those are the jobs of `verify_composition`
+        and `verify_maximal_rank`.
         """
-        problems = [] if band_scalars(self) is not None else self._entry_problems()
-        params = self.params
-        if self.source != source_bundle(params):
-            problems.append("source bundle label differs from O(-1,-1,-1,-1)^k")
-        if self.middle != middle_bundle(params):
-            problems.append("middle bundle label differs from the standard four-class sum")
-        if self.target != target_bundle(params):
-            problems.append("target bundle label differs from O(1,1,1,1)^k")
-        return problems
-
-    def _entry_problems(self) -> List[str]:
-        """The shape, block-group and variable-range defects of f and g, in
-        that order: one walk over the blocks, then one over every entry."""
         problems: List[str] = []
         params = self.params
         k = params.k
@@ -252,6 +229,12 @@ class MonadSpec(Record):
                             f"coordinates x0..x{params.n}, y0..y{params.n}, "
                             f"z0..z{params.m}, t0..t{params.m}"
                         )
+        if self.source != source_bundle(params):
+            problems.append("source bundle label differs from O(-1,-1,-1,-1)^k")
+        if self.middle != middle_bundle(params):
+            problems.append("middle bundle label differs from the standard four-class sum")
+        if self.target != target_bundle(params):
+            problems.append("target bundle label differs from O(1,1,1,1)^k")
         return problems
 
     @staticmethod
@@ -337,48 +320,38 @@ def built_body(params: SpaceParams) -> dict:
     }
 
 
-def _matrix_text(spec: MonadSpec, which: str) -> List[str]:
-    """Rows of f or g with block boundaries marked, for visual diffing.
+def built_text(params: SpaceParams) -> str:
+    """`build --format text` for `params`: its params, then the staircase
+    layout of f and g row by row, each cell right-aligned to its column,
+    with block boundaries marked for visual diffing: f gets a `|` between
+    its four column blocks, g a dashed rule between its four row blocks."""
 
-    f gets a `|` between its four column blocks; g gets a dashed rule between
-    its four row blocks.
-    """
-    # the first index of blocks 2..4: f's columns, g's rows
-    cuts = set(_block_offsets(spec.params)[1:4])
-    matrix = spec.f if which == "f" else spec.g
-    cells = [[str(matrix.entry(i, j)) for j in range(matrix.cols)] for i in range(matrix.rows)]
-    widths = [max(len(cells[i][j]) for i in range(matrix.rows)) for j in range(matrix.cols)]
-    lines: List[str] = []
-    for i, row in enumerate(cells):
-        parts: List[str] = []
-        for j, (cell, width) in enumerate(zip(row, widths)):
-            if which == "f" and j in cuts:
-                parts.append("|")
-            parts.append(cell.rjust(width))
-        if which == "g" and i in cuts:
-            lines.append("[ " + "-" * (sum(widths) + matrix.cols - 1) + " ]")
-        lines.append("[ " + " ".join(parts) + " ]")
-    return lines
+    def cell(group: str, s: int, sign: int) -> str:
+        return f"{group}{s}" if sign > 0 else f"-{group}{s}"
 
-
-def built_text(spec: MonadSpec) -> str:
-    """`build --format text` for `spec`: its params, then f and g row by row."""
-    params = spec.params
-    lines = [
-        f"monad for (n, m, k) = ({params.n}, {params.m}, {params.k})",
-        f"f ({spec.f.rows} x {spec.f.cols}):",
-        *_matrix_text(spec, "f"),
-        f"g ({spec.g.rows} x {spec.g.cols}):",
-        *_matrix_text(spec, "g"),
-    ]
+    cuts = set(_block_offsets(params)[1:4])  # the first index of blocks 2..4: f's columns, g's rows
+    lines = [f"monad for (n, m, k) = ({params.n}, {params.m}, {params.k})"]
+    for name in "fg":
+        rows = _rows(params, name, cell, "0")
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        lines.append(f"{name} ({len(rows)} x {len(widths)}):")
+        for i, row in enumerate(rows):
+            parts: List[str] = []
+            for j, (text, width) in enumerate(zip(row, widths)):
+                if name == "f" and j in cuts:
+                    parts.append("|")
+                parts.append(text.rjust(width))
+            if name == "g" and i in cuts:
+                lines.append("[ " + "-" * (sum(widths) + len(widths) - 1) + " ]")
+            lines.append("[ " + " ".join(parts) + " ]")
     return "\n".join(lines) + "\n"
 
 
 def read_built_monad(text: str) -> Optional[SpaceParams]:
     """P, the manifest's params, when the text after the manifest is byte for
-    byte what `build` writes for P; else None, also whenever anything raises,
-    and the caller parses the text whole with `MonadSpec.from_json`, the
-    oracle.
+    byte what `build` writes for P; else None, also whenever anything but
+    MemoryError raises, and the caller parses the text whole with
+    `MonadSpec.from_json`, the oracle.
 
     The text is cut at the first newline followed by `  "monad": `; the head
     before it must end in a comma and, that comma dropped and the object
@@ -401,7 +374,9 @@ def read_built_monad(text: str) -> Optional[SpaceParams]:
                 return None
             pos += len(piece)
         return params if pos == len(text) else None
-    except Exception:  # whatever went wrong, the full parse decides
+    except MemoryError:
+        raise  # out of memory is the run's failure (exit 2), not the text's
+    except Exception:  # whatever else went wrong, the full parse decides
         return None
 
 
@@ -412,27 +387,17 @@ def _has_monad_shape(spec: MonadSpec) -> bool:
     return (spec.f.rows, spec.f.cols, spec.g.rows, spec.g.cols) == (k, width, width, k)
 
 
+def is_built_monad(spec: MonadSpec) -> bool:
+    """True iff `spec` is the monad `build` writes for its params,
+    `assemble_monad(spec.params)`, labels included.  The shapes are compared
+    first, so a document is never assembled larger than itself."""
+    return _has_monad_shape(spec) and spec == assemble_monad(spec.params)
+
+
 def verify_composition(spec: MonadSpec) -> bool:
-    """True iff f * g is the k x k zero matrix, exactly.
-
-    When f and g equal those of `assemble_monad(params)`, f * g is zero by
-    the identity f g = f1 g1 - f2 g2 + f3 g3 - f4 g4 = 0 (see the module
-    docstring) and nothing is multiplied.  The shapes are compared first, so
-    a document is never assembled larger than itself.  Every other document,
-    [f1 | f2 | -f3 | -f4] with the assembly's band scalars {1, -1} among
-    them, goes through `composition_by_product`.
-    """
-    if _has_monad_shape(spec):
-        assembled = assemble_monad(spec.params)
-        if (spec.f, spec.g) == (assembled.f, assembled.g):
-            return True
-    return composition_by_product(spec)
-
-
-def composition_by_product(spec: MonadSpec) -> bool:
-    """Multiply f * g out symbolically and check that every entry of the
-    bilinear coefficient table is empty.  The only path for a document other
-    than `assemble_monad`'s, and the oracle for the identity."""
+    """True iff f * g is the k x k zero matrix, exactly: f * g multiplied out
+    symbolically (`matrix_mul`), every entry of its bilinear coefficient
+    table empty.  Raises ValueError if f's columns are not g's rows."""
     return not any(any(row) for row in matrix_mul(spec.f, spec.g))
 
 
@@ -538,12 +503,11 @@ def band_scalars(spec: MonadSpec) -> Optional[frozenset[int]]:
     On the band, f and g have the shapes `params` gives, every f-block entry
     (i, j) is c * v_{D+k-1-i-j} and every g-block entry (i, j) c * v_{i-j}
     for some integer c != 0, in the block's own group, where that index lies
-    in [0, D], and every other entry is 0.  On the band, `structural_problems`
-    checks only the labels, and `verify_maximal_rank` takes maximal rank from
-    the staircase lemma when every scalar is nonzero mod p; each walks anew,
-    as the result is kept nowhere.  Row i of an f-block, read right to left,
-    and column i of a g-block are line i of the block in `_rows`, so one pass
-    over each block's lines checks both matrices.
+    in [0, D], and every other entry is 0.  `verify_maximal_rank`, its one
+    caller, takes maximal rank from the staircase lemma when every scalar is
+    nonzero mod p.  Row i of an f-block, read right to left, and column i of
+    a g-block are line i of the block in `_rows`, so one pass over each
+    block's lines checks both matrices.
     """
     if not _has_monad_shape(spec):
         return None
@@ -584,26 +548,20 @@ def _line_scalars(lines: Iterable[Sequence[LinearForm]], group: int, D: int, sca
     return True
 
 
-def has_staircase_shape(spec: MonadSpec, prime: int) -> bool:
-    """True iff f and g lie on the staircase band (`band_scalars`) with every
-    band scalar nonzero mod `prime`: the staircase lemma's hypothesis."""
-    scalars = band_scalars(spec)
-    return scalars is not None and all(c % prime for c in scalars)
-
-
 def verify_maximal_rank(
     spec: MonadSpec, trials: int = 20, seed: int = 0, prime: int = DEFAULT_PRIME
 ) -> RankReport:
     """Certificate that f and g have rank k away from the origin.
 
-    When `has_staircase_shape` holds (f and g lie on the band, with every
-    band scalar nonzero mod `prime`), the report is `staircase_rank_report`'s,
-    filled from the staircase lemma (see the module docstring), and no point
-    is drawn.  Otherwise `sampled_rank_report` evaluates and eliminates.
-    Both paths give the same report for the same arguments.  Raises
-    ValueError if trials < 1.
+    When f and g lie on the staircase band (`band_scalars`) with every band
+    scalar nonzero mod `prime`, the staircase lemma's hypothesis, the report
+    is `staircase_rank_report`'s (see the module docstring), and no point is
+    drawn.  Otherwise `sampled_rank_report` evaluates and eliminates.  Both
+    paths give the same report for the same arguments.  Raises ValueError if
+    trials < 1.
     """
-    if not has_staircase_shape(spec, prime):
+    scalars = band_scalars(spec)
+    if scalars is None or not all(c % prime for c in scalars):
         return sampled_rank_report(spec, trials, seed, prime)
     return staircase_rank_report(spec.params, trials, seed, prime)
 

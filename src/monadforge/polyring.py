@@ -182,10 +182,6 @@ class MultiDegree(Record):
 Term = Tuple[int, int, int]  # (group 0..3, index, coeff)
 
 
-def _name(group: int, index: int) -> str:
-    return f"{GROUPS[group]}{index}"
-
-
 class LinearForm(tuple):
     """A Z-linear combination of coordinates: canonical (group, index, coeff) terms.
 
@@ -204,19 +200,6 @@ class LinearForm(tuple):
         for group, index, coeff in terms:
             acc[(group, index)] = acc.get((group, index), 0) + coeff
         return LinearForm((g, i, c) for (g, i), c in sorted(acc.items()) if c)
-
-    def __str__(self) -> str:
-        if not self:
-            return "0"
-        chunks: List[str] = []
-        for group, index, coeff in self:
-            name = _name(group, index)
-            body = name if abs(coeff) == 1 else f"{abs(coeff)}*{name}"
-            if not chunks:
-                chunks.append(body if coeff > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(chunks)
 
 
 class PolyMatrix(Record):
@@ -289,7 +272,7 @@ def evaluate_matrix(
         values = [sum([c * point[g][i] for g, i, c in form]) % prime for form in A.entries]
     except IndexError:
         g, i = next((g, i) for form in A.entries for g, i, _ in form if i >= len(point[g]))
-        raise KeyError(f"no value assigned to variable {_name(g, i)}") from None
+        raise KeyError(f"no value assigned to variable {GROUPS[g]}{i}") from None
     return [values[r * A.cols : (r + 1) * A.cols] for r in range(A.rows)]
 
 

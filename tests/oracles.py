@@ -20,8 +20,8 @@ from a scan and the solved sequence.  The vanishing scan sums the generating
 function at every twist of its box and stores every row; it shares the
 generating function and the twist enumeration with the scan it checks, which
 sums only where the negative-component lemma allows a nonzero row.  The two
-entry walks of `MonadSpec.structural_problems`, which `verify --input` now
-makes in one pass, run on every document.  The assembly builds the monad
+entry walks of `MonadSpec.structural_problems` are restated over block
+offsets summed from the block sizes.  The assembly builds the monad
 block by block from the closed entry formulas, two blocks of f negated and
 the blocks flattened into f and g, where the library builds f and g straight
 from one staircase line per block.  The scan's twist box is enumerated twist
@@ -30,12 +30,12 @@ run per (p1, p2, p3).  Two checks of the paper's statements that no command
 makes live here too: the four block products f_b g_b (acceptance criterion
 2) and Floystad's existence criterion for linear monads (criterion 10).  The
 last section holds helpers that no command runs and that the tests still
-use: a coordinate as a linear form, the negation of a form and of a matrix,
-the difference of two multidegrees, the line-bundle operations (direct sum,
-twist, dual) and the exact profile of a sum, the Chern class of a sum, the
-Euler characteristic, the scan's h^0 bound at one (q, twist), and the dict
-form of a matrix and of a monad document that the streamed `build` output is
-compared against.
+use: the text of a linear form, a coordinate as a linear form, the negation
+of a form and of a matrix, the difference of two multidegrees, the
+line-bundle operations (direct sum, twist, dual) and the exact profile of a
+sum, the Chern class of a sum, the Euler characteristic, the scan's h^0
+bound at one (q, twist), and the dict form of a matrix and of a monad
+document that the streamed `build` output is compared against.
 """
 
 from __future__ import annotations
@@ -491,8 +491,9 @@ def assemble_by_blocks(params: SpaceParams) -> MonadSpec:
 
 
 def structural_problems_by_two_walks(spec: MonadSpec) -> List[str]:
-    """`MonadSpec.structural_problems` with both entry walks run on every
-    document: shapes, then block groups, then variable ranges, then labels."""
+    """`MonadSpec.structural_problems` restated, its block offsets summed
+    from the block sizes: shapes, then block groups, then variable ranges,
+    then labels."""
     problems: List[str] = []
     params = spec.params
     k = params.k
@@ -624,6 +625,24 @@ def direct_sum(*sums: LineBundleSum) -> LineBundleSum:
 def profile_of_sum(S: LineBundleSum) -> CohProfile:
     """The exact profile of a line-bundle sum: its full dimension table."""
     return CohProfile.exact(sum_cohomology(S))
+
+
+def form_text(form: LinearForm) -> str:
+    """A linear form as text, such as "-x0 + y1", "3*t2" or "0": its terms
+    in canonical order, a coefficient of absolute value 1 left unwritten.
+    The package's text of a form before `build --format text` rendered the
+    staircase layout's own cell texts."""
+    if not form:
+        return "0"
+    chunks: List[str] = []
+    for group, index, coeff in form:
+        name = f"{GROUPS[group]}{index}"
+        body = name if abs(coeff) == 1 else f"{abs(coeff)}*{name}"
+        if not chunks:
+            chunks.append(body if coeff > 0 else f"-{body}")
+        else:
+            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(chunks)
 
 
 def variable_form(group: str, index: int) -> LinearForm:

@@ -32,7 +32,7 @@ from monadforge import stability as stability_module
 from monadforge.cli import main
 from monadforge.chow import invariants_of_T
 from monadforge.cohomology import line_bundle, sum_cohomology
-from monadforge.monad import MonadSpec, assemble_monad, composition_by_product, sampled_rank_report
+from monadforge.monad import MonadSpec, assemble_monad, sampled_rank_report, verify_composition
 from monadforge.polyring import MultiDegree, SpaceParams, dumps_canonical
 from monadforge.schemas import SCHEMAS
 from oracles import monad_to_json
@@ -715,9 +715,8 @@ def test_verify_certifies_the_built_monad_without_multiplying(tmp_path, capsys, 
         raise AssertionError("the built monad is certified from its (n, m, k)")
 
     monad_file, _ = build_document(tmp_path, capsys, 8, 8, 8)
-    for module in (cli_module, monad_module):
-        monkeypatch.setattr(module, "assemble_monad", refuse)
-    for name in ("band_scalars", "matrix_mul", "evaluate_matrix"):
+    monkeypatch.setattr(cli_module, "is_built_monad", refuse)
+    for name in ("assemble_monad", "band_scalars", "matrix_mul", "evaluate_matrix"):
         monkeypatch.setattr(monad_module, name, refuse)
     monkeypatch.setattr(MonadSpec, "from_json", staticmethod(refuse))
     argv = ("verify", "--n", "8", "--m", "8", "--k", "8")
@@ -730,11 +729,13 @@ def test_build_renders_the_layout_and_never_assembles(capsys, monkeypatch):
     def refuse(*_args):
         raise AssertionError("build writes the staircase layout of its (n, m, k)")
 
-    for module in (cli_module, monad_module):
-        monkeypatch.setattr(module, "assemble_monad", refuse)
-    argv = ("build", "--n", "40", "--m", "40", "--k", "40")
-    code, out, _ = run_cli(capsys, *argv)
-    assert (code, sha256(out)) == GOLDEN_SHA256[argv]
+    monkeypatch.setattr(monad_module, "assemble_monad", refuse)
+    for argv in [
+        ("build", "--n", "40", "--m", "40", "--k", "40"),
+        ("build", "--n", "3", "--m", "3", "--k", "3", "--format", "text"),
+    ]:
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, sha256(out)) == GOLDEN_SHA256[argv]
 
 
 def test_verify_of_the_built_monad_is_the_general_paths_verdict(capsys):
@@ -742,7 +743,7 @@ def test_verify_of_the_built_monad_is_the_general_paths_verdict(capsys):
     # sampled elimination of the assembled monad
     for n, m, k in itertools.product(range(1, 5), repeat=3):
         spec = assemble_monad(SpaceParams(n, m, k))
-        structure, composition = spec.structural_problems(), composition_by_product(spec)
+        structure, composition = spec.structural_problems(), verify_composition(spec)
         for trials, seed in itertools.product((1, 3, 20), (0, 7)):
             report = sampled_rank_report(spec, trials, seed)
             passed = not structure and composition and report.maximal and report.origin_rank_f == 0
@@ -767,28 +768,35 @@ def reindented_build(tmp_path, capsys, n, m, k):
     return monad_file, doc
 
 
-def test_verify_input_settles_the_built_monad_by_two_walks_and_one_assembly(
-    tmp_path, capsys, monkeypatch
-):
-    def refuse(*_args):
-        raise AssertionError("the band walk and the assembly settle the built monad")
+def test_verify_input_settles_the_built_monad_by_one_assembly(tmp_path, capsys, monkeypatch):
+    # a re-serialised build is build's monad: one assembly to compare it
+    # with, then its verdict from (n, m, k).  With f-blocks 1 and 2 scaled by
+    # 2 it is not, and each general check runs once: the entry walks, the
+    # product and one band walk, whose scalars give the lemma's report
+    calls = []
 
-    walks, assemblies = [], []
-    walk, assemble = monad_module.band_scalars, monad_module.assemble_monad
-    monad_file, _ = reindented_build(tmp_path, capsys, 8, 8, 8)
-    for name in ("matrix_mul", "evaluate_matrix"):
-        monkeypatch.setattr(monad_module, name, refuse)
-    monkeypatch.setattr(cli_module, "assemble_monad", refuse)
-    monkeypatch.setattr(monad_module, "band_scalars", lambda spec: walks.append(spec) or walk(spec))
-    monkeypatch.setattr(
-        monad_module, "assemble_monad", lambda p: assemblies.append(p) or assemble(p)
-    )
-    code, out, _ = run_cli(capsys, "verify", "--input", str(monad_file))
-    assert (code, sha256(out)) == GOLDEN_SHA256[("verify", "--n", "8", "--m", "8", "--k", "8")]
-    # one walk for each of structure and rank, both of one spec, and one
-    # assembly for composition to compare the document with
-    assert len(walks) == 2 and walks[0] is walks[1]
-    assert assemblies == [SpaceParams(8, 8, 8)]
+    def counted(owner, name):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or original(*args))
+
+    monad_file, doc = reindented_build(tmp_path, capsys, 8, 8, 8)
+    for row in doc["monad"]["f"]["entries"]:
+        for cell in row[: 2 * (8 + 8)]:
+            for term in cell:
+                term["coeff"] = str(2 * int(term["coeff"]))
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(json.dumps(doc))
+    for name in ("assemble_monad", "band_scalars", "matrix_mul", "evaluate_matrix"):
+        counted(monad_module, name)
+    counted(MonadSpec, "structural_problems")
+    for document, expected in [
+        (monad_file, ["assemble_monad"]),
+        (scaled, ["assemble_monad", "structural_problems", "matrix_mul", "band_scalars"]),
+    ]:
+        calls.clear()
+        code, out, _ = run_cli(capsys, "verify", "--input", str(document))
+        assert (code, sha256(out)) == GOLDEN_SHA256[("verify", "--n", "8", "--m", "8", "--k", "8")]
+        assert calls == expected
 
 
 def test_verify_input_validates_every_term(tmp_path, capsys, monkeypatch):
@@ -1006,6 +1014,23 @@ def test_a_box_too_large_to_write_exits_2_without_a_traceback(tmp_path):
         assert proc.stderr == "error: out of memory\n"
         assert not target.exists() and not output.exists(), existing
         assert output.is_symlink() == (existing == "symlink")
+
+
+def test_a_document_too_large_to_parse_exits_2_without_a_verdict(tmp_path, capsys):
+    # build's (100,100,100) monad re-serialised by json.dumps (3.4 MB) is
+    # CERTIFIED; under a 40 MB address space its parse runs out of memory,
+    # which is exit 2 with no FAILED document, at --output or on stdout
+    built = tmp_path / "built.json"
+    assert main(["build", "--n", "100", "--m", "100", "--k", "100", "--output", str(built)]) == 0
+    document = tmp_path / "monad.json"
+    document.write_text(json.dumps(json.loads(built.read_text())))
+    output = tmp_path / "verdict.json"
+    for sink in (["--output", str(output)], []):
+        proc = run_in_address_space(["verify", "--input", str(document), *sink], 40)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+        assert not output.exists()
+    code, doc = run_json(capsys, "verify", "--input", str(document))
+    assert (code, doc["verdict"]) == (0, "CERTIFIED")
 
 
 def test_a_wide_box_certificate_needs_no_box(tmp_path):

@@ -17,8 +17,7 @@ from monadforge.monad import (
     MonadSpec,
     assemble_monad,
     band_scalars,
-    composition_by_product,
-    has_staircase_shape,
+    is_built_monad,
     middle_bundle,
     sampled_rank_report,
     source_bundle,
@@ -46,6 +45,7 @@ from oracles import (
     compose_by_coefficient_matrices,
     entry_chunks,
     floystad_check,
+    form_text,
     monad_to_json,
     negated_matrix,
     negative_component_violations,
@@ -55,7 +55,7 @@ from records import replaced
 
 
 def entry_strings(matrix):
-    return [[str(matrix.entry(i, j)) for j in range(matrix.cols)] for i in range(matrix.rows)]
+    return [[form_text(matrix.entry(i, j)) for j in range(matrix.cols)] for i in range(matrix.rows)]
 
 
 def hankel(which: int, params: SpaceParams) -> PolyMatrix:
@@ -133,7 +133,7 @@ def test_hankel_entries_depend_only_on_antidiagonal():
         for i in range(block.rows):
             for j in range(block.cols):
                 key = i + j
-                text = str(block.entry(i, j))
+                text = form_text(block.entry(i, j))
                 assert by_antidiagonal.setdefault(key, text) == text
 
 
@@ -147,7 +147,7 @@ def test_toeplitz_entries_depend_only_on_diagonal():
         for i in range(block.rows):
             for j in range(block.cols):
                 key = i - j
-                text = str(block.entry(i, j))
+                text = form_text(block.entry(i, j))
                 assert by_diagonal.setdefault(key, text) == text
 
 
@@ -174,8 +174,8 @@ def test_sign_convention_negatives_in_f_blocks_two_and_four():
     spec = assemble_monad(params)
     width = params.n + params.k
     # x-block columns carry the negated second Hankel block
-    assert str(spec.f.entry(0, width)) == "0"
-    assert str(spec.f.entry(0, width + 1)) == "-x1"
+    assert form_text(spec.f.entry(0, width)) == "0"
+    assert form_text(spec.f.entry(0, width + 1)) == "-x1"
     # g is sign-free
     for entry in spec.g.entries:
         for _, _, coeff in entry:
@@ -237,21 +237,19 @@ def test_structural_problems_detect_wrong_shape():
 # ---------------------------------------------------------------------------
 
 
-# verify_composition takes f*g = 0 for an assembled monad from the identity;
-# these tests multiply it out by name, as criterion 1 does
+# `verify` takes f*g = 0 for build's monad from the identity; these tests
+# multiply it out, as criterion 1 does
 
 def test_composition_zero_on_small_grid():
     for n in (1, 2):
         for m in (1, 2):
             for k in (1, 2):
-                spec = assemble_monad(SpaceParams(n, m, k))
-                assert composition_by_product(spec) and verify_composition(spec)
+                assert verify_composition(assemble_monad(SpaceParams(n, m, k)))
 
 
 def test_composition_zero_named_cases():
     for params in (SpaceParams(1, 2, 3), SpaceParams(3, 2, 2)):
-        spec = assemble_monad(params)
-        assert composition_by_product(spec) and verify_composition(spec)
+        assert verify_composition(assemble_monad(params))
 
 
 def test_block_identities():
@@ -277,6 +275,19 @@ def scaled_band_scalar(params: SpaceParams) -> MonadSpec:
     j = next(j for j, form in enumerate(entries) if form)
     entries[j] = LinearForm.of((g, i, 5 * c) for g, i, c in entries[j])
     return replaced(spec, f=PolyMatrix(spec.f.rows, spec.f.cols, entries))
+
+
+def composition_by_oracle(spec: MonadSpec) -> bool:
+    """f * g = 0 by the coefficient-matrix oracle on the spec's JSON form."""
+    doc = monad_to_json(spec)
+    return not compose_by_coefficient_matrices(doc["f"], doc["g"])
+
+
+def lemma_applies(spec: MonadSpec, prime: int) -> bool:
+    """The staircase lemma's hypothesis: f and g on the band, with every
+    band scalar nonzero mod `prime`."""
+    scalars = band_scalars(spec)
+    return scalars is not None and all(c % prime for c in scalars)
 
 
 def test_composition_fails_with_swapped_g_blocks():
@@ -324,9 +335,8 @@ OTHER_DOCUMENTS = {
 def test_composition_of_any_other_document_is_multiplied_out(monkeypatch, tamper):
     spec = tamper(SpaceParams(1, 2, 3))
     scalars, zero = OTHER_DOCUMENTS[tamper]
-    assert band_scalars(spec) == scalars
-    assert has_staircase_shape(spec, DEFAULT_PRIME) == (scalars is not None)
-    assert composition_by_product(spec) == verify_composition(spec) == zero
+    assert band_scalars(spec) == scalars and not is_built_monad(spec)
+    assert verify_composition(spec) == composition_by_oracle(spec) == zero
     monkeypatch.setattr(monad_module, "matrix_mul", refuse)
     with pytest.raises(Called):
         verify_composition(spec)
@@ -346,11 +356,16 @@ def test_band_walk_is_a_pure_function_of_the_matrices():
     assert spec.structural_problems() == []
 
 
-def test_composition_compares_shapes_before_assembling(monkeypatch):
-    # params that do not fit the matrices must not make verify_composition
-    # assemble a monad larger than its input; it multiplies what it was given
-    spec = replaced(assemble_monad(SpaceParams(1, 1, 1)), params=SpaceParams(400, 1, 1))
+def test_is_built_monad_compares_shapes_before_assembling(monkeypatch):
+    # build's monad is recognised with its labels; params that do not fit
+    # the matrices must not make is_built_monad assemble a monad larger than
+    # its input, and verify_composition multiplies what it was given
+    built = assemble_monad(SpaceParams(1, 1, 1))
+    assert is_built_monad(built) and is_built_monad(replaced(built))
+    assert not is_built_monad(replaced(built, source=middle_bundle(built.params)))
+    spec = replaced(built, params=SpaceParams(400, 1, 1))
     monkeypatch.setattr(monad_module, "assemble_monad", refuse)
+    assert not is_built_monad(spec)
     assert verify_composition(spec)
 
 
@@ -549,10 +564,10 @@ def test_staircase_report_equals_elimination(data):
         multiple = data.draw(st.sampled_from([prime, -prime, 2 * prime, PRIMES[0] * PRIMES[1]]))
         entries[name][pos] = LinearForm(((group, index, multiple),))
     spec = with_entries(params, entries)
-    assert has_staircase_shape(spec, prime) == (not zeroed)
+    assert lemma_applies(spec, prime) == (not zeroed)
     report = assert_same_report_as_elimination(data, spec, prime)
     assert spec.structural_problems() == structural_problems_by_two_walks(spec) == []
-    assert verify_composition(spec) == composition_by_product(spec)
+    assert verify_composition(spec) == composition_by_oracle(spec)
     if not zeroed:
         assert report.maximal
 
@@ -599,7 +614,7 @@ def test_near_miss_leaves_the_band_and_keeps_the_report(data):
     params = SpaceParams(*data.draw(st.tuples(*[st.integers(1, 3)] * 3), label="n, m, k"))
     prime = data.draw(st.sampled_from(PRIMES), label="prime")
     entries, cells = staircase_spec(data, params, prime)
-    assert has_staircase_shape(with_entries(params, entries), prime)
+    assert lemma_applies(with_entries(params, entries), prime)
     band = [c for c in cells if c[3] is not None]
     outside = [c for c in cells if c[3] is None]
     kinds = ["moved index", "extra term", "zeroed", "wrong group"]
@@ -622,11 +637,10 @@ def test_near_miss_leaves_the_band_and_keeps_the_report(data):
     else:
         entries[name][pos] = LinearForm(((group, data.draw(st.integers(0, D)), coeff),))
     spec = with_entries(params, entries)
-    assert not has_staircase_shape(spec, prime)
+    assert not lemma_applies(spec, prime)
     assert_same_report_as_elimination(data, spec, prime)
-    # off the band, structure and composition take the general path
     assert spec.structural_problems() == structural_problems_by_two_walks(spec)
-    assert verify_composition(spec) == composition_by_product(spec)
+    assert verify_composition(spec) == composition_by_oracle(spec)
 
 
 def test_staircase_monad_is_certified_without_elimination(monkeypatch):

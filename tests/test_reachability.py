@@ -3,10 +3,12 @@
 A child interpreter installs a `sys.setprofile` hook before it imports
 `monadforge.cli`, then runs `cli.main` on a fixed list of command lines:
 help, the version line and usage errors; every subcommand, the scans both
-ALL_VANISH and COUNTEREXAMPLE; and `verify --input` of a build, of a build
-tampered off the band, of a build with a band scalar divisible by the prime
-(so that the sampled-rank fallback runs) and of a document that is not a
-monad.  Every `def` of the package that the hook never sees called must be
+ALL_VANISH and COUNTEREXAMPLE; and `verify --input` of a build, of the
+build re-serialised by `json.dumps` (build's monad, parsed whole), of the
+build with two f-blocks scaled (on the band, not build's monad: the entry
+walks, the product and the lemma), of a build tampered off the band, of a
+build with a band scalar divisible by the prime (so that the sampled-rank
+fallback runs) and of a document that is not a monad.  Every `def` of the package that the hook never sees called must be
 on `ALLOWED`, and every entry of `ALLOWED` must be such a `def`: a function
 no command calls moves to `tests/oracles.py` or is deleted.
 """
@@ -104,7 +106,8 @@ def package_defs() -> Dict[Tuple[str, int], str]:
 
 
 def _documents(tmp_path: Path) -> Dict[str, Path]:
-    """The build of (1,1,1) as `build` writes it, and three documents made from it."""
+    """The build of (1,1,1) as `build` writes it, five documents made from
+    it, and one that is not a monad."""
     from monadforge import cli
 
     built = tmp_path / "built.json"
@@ -119,8 +122,22 @@ def _documents(tmp_path: Path) -> Dict[str, Path]:
         path.write_text(json.dumps(doc, indent=2, sort_keys=True))
         return path
 
+    # build's monad spelled by json.dumps, and with f-blocks 1 and 2 (the
+    # first four cells of the 1 x 8 f) scaled by 2: on the band, not build's
+    # monad, and f g = 0 as 2 - 2 = 0
+    reserialized = tmp_path / "reserialized.json"
+    reserialized.write_text(json.dumps(doc))
+    scaled_doc = json.loads(built.read_text())
+    for cell in scaled_doc["monad"]["f"]["entries"][0][:4]:
+        for term in cell:
+            term["coeff"] = str(2 * int(term["coeff"]))
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(json.dumps(scaled_doc))
+
     paths = {
         "built": built,
+        "reserialized": reserialized,
+        "scaled": scaled,
         # a block-1 entry of f in the x group: off the band
         "tampered": variant("tampered.json", [{"coeff": "1", "exps": {"x1": 1}}]),
         # on the band, but a scalar is 0 mod p: the lemma does not apply
@@ -159,7 +176,9 @@ def command_lines(tmp_path: Path) -> List[Tuple[List[str], int]]:
         (["report", "--n", "1", "--m", "2", "--k", "3"], 0),
         (["report", *counterexample], 1),
     ]
-    verdicts = {"built": 0, "tampered": 1, "zero_mod_p": 1, "not_a_monad": 1}
+    verdicts = {
+        "built": 0, "reserialized": 0, "scaled": 0, "tampered": 1, "zero_mod_p": 1, "not_a_monad": 1
+    }
     lines += [(["verify", "--input", str(docs[name])], code) for name, code in verdicts.items()]
     return lines
 

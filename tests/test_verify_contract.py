@@ -1,10 +1,12 @@
 """Exit-code contract of `verify --input`: whatever a monad document holds,
 the run ends in exit 0 or 1 without an exception, and writes a document
 valid against the published `verify` schema, FAILED whenever it exits 1.
-On the same mutated documents, the one band walk agrees with the two
-entry walks it replaced, and on mutations of a build's text, reading a
-built monad by its text (`read_built_monad`) changes no exit code and no
-byte of the output."""
+On mutated, re-serialised and band-scaled builds, `verify --input` writes
+the exit code and bytes the oracles give (the restated structure walks,
+the coefficient-matrix product and sampled elimination), whether it takes
+build's path or the general checks; and on mutations of a build's text,
+reading a built monad by its text (`read_built_monad`) changes no exit
+code and no byte of the output."""
 
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from monadforge import __version__
 from monadforge import cli as cli_module
 from monadforge import monad as monad_module
 from monadforge.cli import main
@@ -32,15 +35,15 @@ from monadforge.monad import (
     BuiltEntries,
     MonadSpec,
     assemble_monad,
-    composition_by_product,
+    is_built_monad,
     read_built_monad,
     sampled_rank_report,
     verify_composition,
     verify_maximal_rank,
 )
-from monadforge.polyring import dumps_canonical
+from monadforge.polyring import DEFAULT_PRIME, dumps_canonical
 from monadforge.schemas import SCHEMAS
-from oracles import structural_problems_by_two_walks
+from oracles import compose_by_coefficient_matrices, monad_to_json, structural_problems_by_two_walks
 
 JSON_SCALARS = st.one_of(
     st.none(),
@@ -104,7 +107,7 @@ def mutate(data, doc) -> None:
     kind = data.draw(
         st.sampled_from(
             ["delete", "replace", "rename", "exponent", "truncate", "band", "key",
-             "exponent type", "coeff", "cancel", "respell"]
+             "exponent type", "coeff", "cancel", "respell", "label"]
         )
     )
     in_objects = [s for s in everything if isinstance(s[0], dict)]
@@ -152,6 +155,25 @@ def mutate(data, doc) -> None:
         if isinstance(term, dict) and DECIMAL.fullmatch(str(term.get("coeff"))):
             term["coeff"] = str(-int(term["coeff"]))
             cell.append(term)
+    elif kind == "label":
+        # a bundle label that still parses but names another class or count
+        summands = [
+            summand
+            for node, key in everything
+            if key == "summands" and isinstance(node[key], list)
+            for summand in node[key]
+            if isinstance(summand, dict) and isinstance(summand.get("degree"), list)
+            and summand["degree"] and isinstance(summand.get("multiplicity"), int)
+        ]
+        if summands:
+            summand = data.draw(st.sampled_from(summands))
+            if data.draw(st.booleans(), label="multiplicity"):
+                summand["multiplicity"] += data.draw(st.sampled_from([-1, 1]))
+            else:
+                degree = summand["degree"]
+                i = data.draw(st.integers(0, len(degree) - 1))
+                if isinstance(degree[i], int):
+                    degree[i] += data.draw(st.sampled_from([-1, 1]))
     elif kind == "respell" and exps:
         # the same coefficient written another way in this cell than in the others
         term = data.draw(st.sampled_from(exps))
@@ -176,21 +198,91 @@ def test_verify_input_exit_code_contract(tmp_path_factory, data):
     assert result["verdict"] == ("CERTIFIED" if code == 0 else "FAILED")
 
 
+def scale_band(data, doc, params) -> None:
+    """Write scalar c_b into every band cell of f-block b and d_b into every
+    one of g-block b, with c1 d1 = -c2 d2 and c3 d3 = -c4 d4: f1 g1 = f2 g2
+    and f3 g3 = f4 g4 unsigned, so f g stays 0.  A scalar may be a multiple
+    of the prime, which leaves the lemma to sampling."""
+    n, m, k = params
+    sizes = [n + k, n + k, m + k, m + k]
+    offsets = [sum(sizes[:b]) for b in range(5)]
+    factors = st.sampled_from([-3, -2, -1, 1, 2, 3, DEFAULT_PRIME])
+    c, d = [], []
+    for _ in range(2):  # blocks 1 and 2, then 3 and 4
+        a, d1, d2 = (data.draw(factors, label="band factor") for _ in range(3))
+        c += [a * d2, -a * d1]
+        d += [d1, d2]
+    f, g = doc["monad"]["f"]["entries"], doc["monad"]["g"]["entries"]
+    for b in range(4):
+        cut = slice(offsets[b], offsets[b + 1])
+        f_cells = [cell for row in f for cell in row[cut]]
+        g_cells = [cell for row in g[cut] for cell in row]
+        for cells, scalar in ((f_cells, c[b]), (g_cells, d[b])):
+            for cell in cells:
+                for term in cell:
+                    term["coeff"] = str(scalar)
+
+
+def reversed_keys(node):
+    """A JSON tree with every object's keys in reverse sorted order."""
+    if isinstance(node, dict):
+        return {key: reversed_keys(node[key]) for key in sorted(node, reverse=True)}
+    if isinstance(node, list):
+        return [reversed_keys(item) for item in node]
+    return node
+
+
+def verify_by_oracles(spec: MonadSpec, trials: int = 3, seed: int = 0):
+    """(exit code, output) that `verify_text` should give for a document
+    parsing to `spec`, from the oracles alone."""
+    problems = structural_problems_by_two_walks(spec)
+    body = {"structure_problems": problems}
+    passed = False
+    if not problems:
+        monad = monad_to_json(spec)
+        composition = not compose_by_coefficient_matrices(monad["f"], monad["g"])
+        report = sampled_rank_report(spec, trials, seed)
+        passed = composition and report.maximal and report.origin_rank_f == 0
+        body.update(composition_zero=composition, rank=report.to_json())
+    body["verdict"] = "CERTIFIED" if passed else "FAILED"
+    manifest = {
+        "command": "verify",
+        "params": spec.params.to_json(),
+        "seed": seed,
+        "tool_version": __version__,
+        "timestamp": "2023-11-14T22:13:20Z",  # PINNED's SOURCE_DATE_EPOCH
+    }
+    return 0 if passed else 1, dumps_canonical({"manifest": manifest, **body})
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_one_pass_verify_equals_the_oracles(data):
     params = data.draw(st.sampled_from([(1, 1, 1), (1, 2, 1), (2, 1, 2)]))
     doc = json.loads(built(*params))
+    if data.draw(st.booleans(), label="band scaled"):
+        scale_band(data, doc, params)
     for _ in range(data.draw(st.integers(0, 3), label="mutations")):
         mutate(data, doc)
+    # re-serialised: never build's text, so `verify` parses it whole
+    indent = data.draw(st.sampled_from([None, 1, 4]), label="indent")
+    if data.draw(st.booleans(), label="keys reversed"):
+        text = json.dumps(reversed_keys(doc), indent=indent)
+    else:
+        text = json.dumps(doc, indent=indent, sort_keys=True)
+    code, out = verify_text(text)
     try:
         spec = MonadSpec.from_json(doc["monad"])
     except Exception:  # `verify` reports any defect of the document as FAILED
+        assert code == 1 and json.loads(out)["error"].startswith("input document rejected: ")
         return
+    event("build's monad" if is_built_monad(spec) else "general checks")
+    assert (code, out) == verify_by_oracles(spec)
     problems = spec.structural_problems()
     assert problems == structural_problems_by_two_walks(spec)
     if spec.f.cols == spec.g.rows:
-        assert verify_composition(spec) == composition_by_product(spec)
+        monad = monad_to_json(spec)
+        assert verify_composition(spec) == (not compose_by_coefficient_matrices(monad["f"], monad["g"]))
     if not problems:
         report = verify_maximal_rank(spec, trials=2, seed=3)
         assert report.to_json() == sampled_rank_report(spec, trials=2, seed=3).to_json()
