@@ -63,9 +63,6 @@ class BundleInvariants(Record):
 
     __slots__ = ("rank", "c1", "degree_L")
 
-    def __init__(self, rank: int, c1: MultiDegree, degree_L: int) -> None:
-        super().__init__(rank, c1, degree_L)
-
     def to_json(self) -> dict:
         """The invariants as a JSON object; its "slope" is degree_L / rank,
         "a" or "a/b" in lowest terms, written from integers (rank > 0)."""

@@ -41,6 +41,7 @@ import os
 import stat
 import sys
 import time
+from itertools import chain
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, List, NoReturn, Optional, Tuple, Union
 
@@ -102,23 +103,31 @@ def _manifest(command: str, params: SpaceParams, seed: int) -> dict:
     }
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
-    """The type function of an integer flag whose value must be >= `low`,
-    used by argparse and by the plain reader alike.  A rejected value raises
-    argparse's ArgumentTypeError, so argparse is imported only then."""
+# the largest --n or --m: with both at most this, 2n + 2m + 1, the length of
+# a cohomology table, is an index-sized integer
+_DIMENSION_LIMIT = (sys.maxsize - 1) // 4
+
+
+def _int_in(low: int, high: Optional[int] = None) -> Callable[[str], int]:
+    """The type function of an integer flag whose value must be >= `low`
+    and, unless `high` is None, <= `high`, used by argparse and by the plain
+    reader alike.  A rejected value raises argparse's ArgumentTypeError, so
+    argparse is imported only then."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = None
-        if value is not None and value >= low:
+        if value is not None and value >= low and (high is None or value <= high):
             return value
         import argparse
 
         if value is None:
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
 
     return parse
 
@@ -168,7 +177,12 @@ def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
     of the open descriptor; never a device, FIFO or terminal), cut to the
     document's length before it is closed.  Emptying it at open instead made
     a run over the last run's 24.7 MB document wait, by all signs on the
-    kernel's writeback of that document (README "Writing").
+    kernel's writeback of that document (README "Writing").  A regular file
+    gets its first byte last: it holds NUL, which no reader of a document
+    accepts, until the rest is written and cut to length, and then the real
+    byte (`{`, or `m` for build's text) is written at offset 0.  So a run
+    killed part-way never leaves its bytes spliced over the last run's as a
+    document that parses.
 
     The pieces are produced as they are written, so producing one can fail
     part-way (out of memory), as can the write itself (a full disk).  A
@@ -187,9 +201,16 @@ def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
     regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
     try:
         with fh:
+            if regular:
+                chunks = iter(chunks)
+                head = next(chunks, "")
+                first = head[:1].encode("utf-8")
+                chunks = chain(["\0" * len(first) + head[1:]], chunks)
             _write_through_buffer(fh.write, chunks)
             if regular:
                 fh.truncate()
+                fh.flush()
+                os.pwrite(fh.fileno(), first, 0)
     except BaseException:
         if regular:
             os.remove(os.path.realpath(output))
@@ -326,18 +347,18 @@ def _cmd_report(args: Args, params: SpaceParams) -> Outcome:
 Flag = Tuple[str, str, Optional[Callable[[str], object]], object, Optional[Tuple[str, ...]], Optional[str]]
 
 COMMON_FLAGS: Tuple[Flag, ...] = (
-    ("--n", "n", _int_at_least(1), 1, None, "dimension of the paired P^n factors"),
-    ("--m", "m", _int_at_least(1), 1, None, "dimension of the paired P^m factors"),
-    ("--k", "k", _int_at_least(1), 1, None, "monad rank parameter"),
+    ("--n", "n", _int_in(1, _DIMENSION_LIMIT), 1, None, "dimension of the paired P^n factors"),
+    ("--m", "m", _int_in(1, _DIMENSION_LIMIT), 1, None, "dimension of the paired P^m factors"),
+    ("--k", "k", _int_in(1), 1, None, "monad rank parameter"),
     ("--seed", "seed", int, 0, None, "seed recorded in the manifest and used by sampling"),
     ("--output", "output", None, None, None, "write to this file instead of stdout"),
 )
 
 SCAN_FLAGS: Tuple[Flag, ...] = (
-    ("--max-q", "max_q", _int_at_least(1), None, None,
+    ("--max-q", "max_q", _int_in(1), None, None,
      "cap on the exterior power index (default min(8, rank(T)-1))"),
-    ("--max-psum", "max_psum", _int_at_least(0), 4, None, "cap on p1+p2+p3+p4 (default 4)"),
-    ("--component-bound", "component_bound", _int_at_least(0), 4, None, "cap on each |p_i| (default 4)"),
+    ("--max-psum", "max_psum", _int_in(0), 4, None, "cap on p1+p2+p3+p4 (default 4)"),
+    ("--component-bound", "component_bound", _int_in(0), 4, None, "cap on each |p_i| (default 4)"),
     ("--min-psum", "min_psum", int, 0, None,
      "lower bound on p1+p2+p3+p4 (default 0; negative values probe outside the criterion's regime)"),
 )
@@ -347,7 +368,7 @@ SUBCOMMANDS = (
     ("build", "emit the monad document", _cmd_build,
      COMMON_FLAGS + (("--format", "format", None, "json", ("json", "text"), None),), False),
     ("verify", "certify composition and maximal rank", _cmd_verify,
-     COMMON_FLAGS + (("--trials", "trials", _int_at_least(1), 20, None, None),
+     COMMON_FLAGS + (("--trials", "trials", _int_in(1), 20, None, None),
                      ("--input", "input", None, None, None, "verify a monad JSON document instead of building one")),
      False),
     ("cohomology", "dimension table of a line bundle", _cmd_cohomology, COMMON_FLAGS, True),
@@ -483,7 +504,7 @@ def _answer(argv: List[str]) -> int:
     except (OSError, ValueError, OverflowError) as exc:
         # OSError: an unreadable --input path or an --output path that cannot be written;
         # ValueError: an argument the library rejects, such as a scan box out of range;
-        # OverflowError: a parameter too large to compute with, such as --n 10^20
+        # OverflowError: a parameter too large to compute with, such as build's --k 10^20
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except MemoryError:

@@ -66,9 +66,6 @@ class CohTable(Record):
 
     __slots__ = ("dims",)
 
-    def __init__(self, dims: Tuple[int, ...]) -> None:
-        super().__init__(dims)
-
 
 class LineBundleSum(Record):
     """A finite direct sum of line bundles O_X(deg)^mult in canonical order.
@@ -109,6 +106,9 @@ class LineBundleSum(Record):
 
     @staticmethod
     def from_json(data: dict) -> "LineBundleSum":
+        """The sum a JSON object states.  Every multiplicity must be a
+        positive integer, as the published schemas say; the constructor,
+        which drops a zero multiplicity, is not this strict."""
         params = SpaceParams.from_json(json_key(data, "params", "line-bundle sum"))
         items = json_key(data, "summands", "line-bundle sum")
         if not isinstance(items, list):
@@ -121,7 +121,7 @@ class LineBundleSum(Record):
             summands.append(
                 (
                     MultiDegree(*[json_int(v, "degree entry") for v in degree]),
-                    json_int(json_key(item, "multiplicity", "summand"), "multiplicity"),
+                    checked_int(json_key(item, "multiplicity", "summand"), 1, "multiplicity"),
                 )
             )
         return LineBundleSum(params, summands)

@@ -54,7 +54,7 @@ from typing import List, Optional, Tuple
 
 from .cohomology import CohTable
 from .polyring import Record, SpaceParams, checked_int
-from .stability import StabilityReport, StabilityScanConfig, run_stability_scan
+from .stability import StabilityScanConfig, run_stability_scan
 
 EXACT = "exact"
 UNKNOWN = "unknown"
@@ -195,9 +195,6 @@ class SimplicityCertificate(Record):
     """
 
     __slots__ = ("stability",)
-
-    def __init__(self, stability: StabilityReport) -> None:
-        super().__init__(stability)
 
     @property
     def params(self) -> SpaceParams:

@@ -167,17 +167,6 @@ class MonadSpec(Record):
 
     __slots__ = ("params", "source", "middle", "target", "f", "g")
 
-    def __init__(
-        self,
-        params: SpaceParams,
-        source: LineBundleSum,
-        middle: LineBundleSum,
-        target: LineBundleSum,
-        f: PolyMatrix,
-        g: PolyMatrix,
-    ) -> None:
-        super().__init__(params, source, middle, target, f, g)
-
     def structural_problems(self) -> List[str]:
         """Shape and homogeneity defects, as human-readable strings.
 
@@ -424,28 +413,6 @@ class RankReport(Record):
         "origin_rank_g",
         "group_zero_ranks",
     )
-
-    def __init__(
-        self,
-        params: SpaceParams,
-        prime: int,
-        seed: int,
-        rank_f_samples: Tuple[int, ...],
-        rank_g_samples: Tuple[int, ...],
-        origin_rank_f: int,
-        origin_rank_g: int,
-        group_zero_ranks: Dict[str, Tuple[int, int]],
-    ) -> None:
-        super().__init__(
-            params,
-            prime,
-            seed,
-            rank_f_samples,
-            rank_g_samples,
-            origin_rank_f,
-            origin_rank_g,
-            group_zero_ranks,
-        )
 
     @property
     def trials(self) -> int:

@@ -84,11 +84,15 @@ class Record:
     """Base of the package's records, which are immutable values.  A
     record's fields are its class's own `__slots__`, in order (`_FIELDS`);
     they give its value `==` (never equal to an object of another class),
-    its hash and its `Name(field=value, ...)` repr.  Each record writes its
-    own `__init__`, which checks its arguments and passes them, in field
-    order, to `Record.__init__`; after that, assigning or deleting any
-    attribute raises AttributeError ("cannot assign to field 'n'").  A record
-    with a dict or list field is unhashable."""
+    its hash and its `Name(field=value, ...)` repr.  `Record.__init__` is
+    every record's constructor: it takes the fields by position, by name in
+    any order, or both, and raises TypeError for an unknown name, a missing
+    field or a field given twice, as a Python constructor does.  Only a
+    record that checks, defaults or normalizes an argument writes its own
+    `__init__`, which passes the fields, in order, to `Record.__init__`.
+    After that, assigning or deleting any attribute raises AttributeError
+    ("cannot assign to field 'n'").  A record with a dict or list field is
+    unhashable."""
 
     __slots__ = ()
     _FIELDS: Tuple[str, ...] = ()
@@ -97,9 +101,15 @@ class Record:
         super().__init_subclass__(**kwargs)
         cls._FIELDS = tuple(cls.__dict__.get("__slots__", ()))
 
-    def __init__(self, *values: object) -> None:
-        for name, value in zip(self._FIELDS, values, strict=True):
-            object.__setattr__(self, name, value)
+    def __init__(self, *values: object, **named: object) -> None:
+        fields = self._FIELDS
+        if len(values) > len(fields) or named.keys() != set(fields[len(values) :]):
+            raise TypeError(
+                f"{type(self).__name__}() takes each of the fields {', '.join(fields)} once: "
+                f"got {len(values)} by position and {', '.join(named) or 'none'} by name"
+            )
+        for i, name in enumerate(fields):
+            object.__setattr__(self, name, values[i] if i < len(values) else named[name])
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self._FIELDS])
@@ -162,9 +172,6 @@ class MultiDegree(Record):
     """An element of Pic(X) = Z^4, ordered (x-degree, y-degree, z-degree, t-degree)."""
 
     __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: int, b: int, c: int, d: int) -> None:
-        super().__init__(a, b, c, d)
 
     def as_tuple(self) -> Tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)

@@ -72,9 +72,10 @@ _MANIFEST = _object({
     },
 })
 
+# a term is one variable to the power 1, as polyring's reader takes it
 _POLYNOMIAL = {"type": "array", "items": _object({
     "coeff": _BIGINT_STR,
-    "exps": _keyed("^[xyzt][0-9]+$", _POS_INT),
+    "exps": {**_keyed("^[xyzt][0-9]+$", {"const": 1}), "minProperties": 1, "maxProperties": 1},
 })}
 
 _MATRIX = _object({
@@ -119,7 +120,7 @@ _RANK_REPORT = _object({
 _SCAN_CONFIG = _object({
     "params": _PARAMS,
     "max_q": _POS_INT,
-    "max_psum": _INT,
+    "max_psum": _NONNEG_INT,
     "component_bound": _NONNEG_INT,
     "min_psum": _INT,
 })

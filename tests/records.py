@@ -5,16 +5,14 @@ from __future__ import annotations
 
 def replaced(record, **changes):
     """A new record of `record`'s class, built by its constructor from
-    `record`'s own values with `changes` in place of the named arguments.
+    `record`'s own values with `changes` in place of the named fields.
 
-    Records are immutable, so this is how a test varies one.  A record's
-    fields are its constructor's parameters, in order (see
-    `tests/test_records.py`), and a record holds nothing else, so every
-    argument passes through `__init__` again and its validation runs.
-    Raises TypeError for a name the constructor does not take.
+    Records are immutable, so this is how a test varies one.  Every field
+    passes by name: `Record.__init__` takes a record's fields by name, and a
+    record with its own constructor takes them as its parameters, in order
+    (see `tests/test_records.py`).  A record holds nothing else, so every
+    value passes through the constructor again and its validation runs.
+    Raises the constructor's TypeError for a name that is not a field.
     """
-    names = type(record)._FIELDS
-    unknown = sorted(set(changes) - set(names))
-    if unknown:
-        raise TypeError(f"{type(record).__name__} takes no argument {', '.join(unknown)}")
-    return type(record)(**{name: changes.get(name, getattr(record, name)) for name in names})
+    values = {name: getattr(record, name) for name in type(record)._FIELDS}
+    return type(record)(**{**values, **changes})

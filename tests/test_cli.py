@@ -516,7 +516,7 @@ def test_wire_format_bytes_are_frozen(tmp_path, capsys, argv):
 # ---------------------------------------------------------------------------
 
 # json.dumps(SCHEMAS), unsorted so that key order counts too
-SCHEMAS_SHA256 = "9aa796eb61490c198d881e9539b27ec1626fef4c20140ef0d32659b608d75502"
+SCHEMAS_SHA256 = "7835ed9fba67012b908fc6002df90fd0c85c8b5f957ac43c5f6c0013850e233a"
 
 # one frozen (1,2,3) document of each subcommand: a GOLDEN_SHA256 entry
 FROZEN_123 = {
@@ -658,6 +658,56 @@ def test_an_output_is_never_opened_with_o_trunc(tmp_path, capsys, monkeypatch):
     assert [path for path, _ in opened] == [str(target), str(tmp_path / "fresh.json"), os.devnull]
     assert all(flags & os.O_CREAT and not flags & os.O_TRUNC for _, flags in opened)
     assert sha256(target.read_text()) == GOLDEN_SHA256[OVERWRITTEN][1]
+
+
+# a child that runs `main` on argv[2:] and dies, as SIGKILL or the OOM killer
+# would end it, right after its write of block argv[1] of the document
+KILLED_AFTER_BLOCK = """
+import os, sys
+from monadforge import cli
+stop, blocks = int(sys.argv[1]), 0
+write_through_buffer = cli._write_through_buffer
+
+def dying(write, chunks):
+    def write_then_die(block):
+        global blocks
+        write(block)
+        blocks += 1
+        if blocks == stop:
+            os._exit(9)
+    write_through_buffer(write_then_die, chunks)
+
+cli._write_through_buffer = dying
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+# 947,567 bytes at k = 1 and at k = 2, written in four blocks
+SPLICED = ("stability", "--n", "1", "--m", "1", "--max-q", "1", "--min-psum", "-1",
+           "--component-bound", "6")
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4])
+def test_a_run_killed_mid_write_leaves_no_document_it_did_not_write(tmp_path, block):
+    # k = 2's first blocks over k = 1's document of the same length parse,
+    # with k = 1's manifest: the first byte, NUL until the rest is written
+    # and cut to length, keeps any such file from parsing
+    old_path, new_path, target = tmp_path / "k1.json", tmp_path / "k2.json", tmp_path / "doc.json"
+    assert main([*SPLICED, "--k", "1", "--output", str(old_path)]) == 1
+    assert main([*SPLICED, "--k", "2", "--output", str(new_path)]) == 1
+    old, new = old_path.read_bytes(), new_path.read_bytes()
+    assert len(old) == len(new) and old != new
+    target.write_bytes(old)
+    env = dict(os.environ, PYTHONPATH=str(SRC), SOURCE_DATE_EPOCH=EPOCH)
+    child = subprocess.run(
+        [sys.executable, "-c", KILLED_AFTER_BLOCK, str(block), *SPLICED, "--k", "2",
+         "--output", str(target)],
+        capture_output=True, env=env, timeout=300,
+    )
+    assert (child.returncode, child.stderr) == (9, b"")
+    left = target.read_bytes()
+    if left not in (old, new):
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(left.decode("utf-8"))
 
 
 def test_report_reads_the_top_intersection_number_once(capsys):
@@ -922,23 +972,12 @@ def test_nonpositive_parameters_exit_2(capsys):
         assert code == 2, argv
 
 
-# n = 10^20: too large for the first closed form each command computes, so
-# each fails at once, before anything is allocated
-TOO_LARGE = ["--n", "100000000000000000000", "--m", "1", "--k", "1"]
-INDEX_SIZED = "cannot fit 'int' into an index-sized integer"
-COMB = "min(n - k, k) must not exceed 9223372036854775807"
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["stability", "--n", "1", "--m", "1", "--k", "1", "--max-q", "99"],
          "max_q must lie in [1, rank(T)-1] = [1, 6], got 99"),
         (["report", "--min-psum", "5", "--max-psum", "4"], "min_psum exceeds max_psum"),
-        (["invariants", *TOO_LARGE], COMB),
-        (["cohomology", *TOO_LARGE, "1", "1", "1", "1"], INDEX_SIZED),
-        (["simplicity", *TOO_LARGE], INDEX_SIZED),
-        (["report", *TOO_LARGE], COMB),
     ],
 )
 def test_rejected_scan_box_exits_2_with_one_error_line(tmp_path, capsys, argv, message):
@@ -948,6 +987,38 @@ def test_rejected_scan_box_exits_2_with_one_error_line(tmp_path, capsys, argv, m
     assert main([*argv, "--output", str(target)]) == 2
     assert not target.exists()
     capsys.readouterr()
+
+
+# the largest --n and --m: 2n + 2m + 1, a cohomology table's length, is then
+# an index-sized integer
+DIMENSION_LIMIT = (sys.maxsize - 1) // 4
+TOO_LARGE = str(10**20)
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["invariants", "--n", TOO_LARGE], "--n", TOO_LARGE),
+        (["cohomology", "--n", TOO_LARGE, "1", "1", "1", "1"], "--n", TOO_LARGE),
+        (["simplicity", "--m", TOO_LARGE], "--m", TOO_LARGE),
+        (["report", "--n", TOO_LARGE], "--n", TOO_LARGE),
+        (["stability", "--m", str(DIMENSION_LIMIT + 1)], "--m", str(DIMENSION_LIMIT + 1)),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_a_too_large_n_or_m_is_refused_by_its_flag(tmp_path, capsys, argv, flag, value):
+    # argparse refuses it, naming the flag and the bound, before any
+    # closed form quotes CPython's own limits; --k has no such bound
+    target = tmp_path / "out.json"
+    for sink in ([], ["--output", str(target)]):
+        code, out, err = run_cli(capsys, *argv, *sink)
+        assert (code, out) == (2, "")
+        assert err.endswith(f": error: argument {flag}: must be <= {DIMENSION_LIMIT}, got {value}\n")
+        assert "Traceback" not in err
+    assert not target.exists()
+    code, doc = run_json(capsys, "verify", "--n", str(DIMENSION_LIMIT), "--m", str(DIMENSION_LIMIT))
+    assert (code, doc["manifest"]["params"]["n"]) == (0, DIMENSION_LIMIT)
+    assert run_cli(capsys, "invariants", "--k", TOO_LARGE)[0] == 0
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -26,7 +26,7 @@ from monadforge.polyring import (
     Record,
     SpaceParams,
 )
-from monadforge.stability import StabilityReport, StabilityScanConfig, run_stability_scan
+from monadforge.stability import RowGrid, StabilityReport, StabilityScanConfig, run_stability_scan
 
 from oracles import variable_form
 from records import replaced
@@ -85,11 +85,48 @@ def test_equal_fields_give_equal_records_and_any_other_field_unequal(cls, fields
     assert record != changed and not record == changed
 
 
+# the records whose constructor checks, defaults or normalizes an argument
+OWN_CONSTRUCTOR = {
+    SpaceParams,
+    PolyMatrix,
+    LineBundleSum,
+    CohProfile,
+    ShortExactSeq,
+    StabilityScanConfig,
+    BuiltEntries,
+    StabilityReport,
+    RowGrid,
+}
+
+
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_record_fields_are_its_constructor_parameters_in_order(cls):
     # ==, hash and repr read _FIELDS alone: a constructor argument missing
     # from __slots__, or a public slot no argument fills, would go unseen
-    assert cls._FIELDS == tuple(inspect.signature(cls).parameters)
+    assert ("__init__" in vars(cls)) == (cls in OWN_CONSTRUCTOR)
+    if cls in OWN_CONSTRUCTOR:
+        assert cls._FIELDS == tuple(inspect.signature(cls).parameters)
+    else:
+        assert cls.__init__ is Record.__init__
+        sentinels = [object() for _ in cls._FIELDS]
+        by_position = cls(*sentinels)
+        named = dict(zip(cls._FIELDS, sentinels))
+        by_name = cls(**{name: named[name] for name in reversed(cls._FIELDS)})
+        mixed = cls(sentinels[0], **{name: named[name] for name in cls._FIELDS[1:]})
+        assert by_position == by_name == mixed
+        for record in (by_position, by_name, mixed):
+            assert all(a is b for a, b in zip(record._fields(), sentinels, strict=True))
+        first = cls._FIELDS[0]
+        refused = [
+            ((*sentinels, None), {}),  # one field too many
+            (sentinels[:-1], {}),  # the last field missing
+            ((), {name: value for name, value in named.items() if name != first}),  # first missing
+            ((), {**named, "extra": None}),  # an unknown name
+            (sentinels, {first: None}),  # a field given twice
+        ]
+        for values, names in refused:
+            with pytest.raises(TypeError, match=rf"{cls.__name__}\(\) takes each of the fields"):
+                cls(*values, **names)
     assert "_fields" not in vars(cls)
     assert ("__repr__" in vars(cls)) == (cls in (MultiDegree, LineBundleSum))
 

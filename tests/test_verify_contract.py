@@ -41,8 +41,9 @@ from monadforge.monad import (
     verify_composition,
     verify_maximal_rank,
 )
-from monadforge.polyring import DEFAULT_PRIME, dumps_canonical
+from monadforge.polyring import DEFAULT_PRIME, SpaceParams, dumps_canonical
 from monadforge.schemas import SCHEMAS
+from monadforge.stability import StabilityScanConfig
 from oracles import compose_by_coefficient_matrices, monad_to_json, structural_problems_by_two_walks
 
 JSON_SCALARS = st.one_of(
@@ -196,6 +197,96 @@ def test_verify_input_exit_code_contract(tmp_path_factory, data):
     result = json.loads(out)
     VERIFY_SCHEMA.validate(result)
     assert result["verdict"] == ("CERTIFIED" if code == 0 else "FAILED")
+
+
+MONAD_SCHEMA = jsonschema.Draft202012Validator(SCHEMAS["build"]["properties"]["monad"])
+# CPython's default limit on int/text conversion, under which verify reads
+READ_DIGITS = 4300
+
+
+def beyond_the_schema(monad) -> set:
+    """The reasons on README "JSON schemas"' list of refusals that JSON
+    Schema cannot state which the monad document `monad` meets."""
+    reasons = set()
+    for node, key in slots(monad):
+        value = node[key]
+        if isinstance(value, float):
+            reasons.add("a number with a fraction or exponent part")
+        texts = [text for text in (key, value) if isinstance(text, str)]
+        if any(text.endswith("\n") for text in texts):
+            reasons.add("a coefficient or variable name that ends in a newline")
+        if any(len(text) > READ_DIGITS for text in texts):
+            reasons.add("a decimal of more than 4,300 digits")
+    for name in ("f", "g"):
+        matrix = monad[name]
+        if len(matrix["entries"]) != matrix["rows"] or any(
+            len(row) != matrix["cols"] for row in matrix["entries"]
+        ):
+            reasons.add("entries that do not make rows x cols")
+    return reasons
+
+
+def assert_schema_matches_reader(monad) -> str:
+    """A monad document that `MonadSpec.from_json` accepts validates
+    against the build schema's `monad`; one that validates and is refused
+    meets a reason on README's list.  Returns which case `monad` is."""
+    try:
+        MonadSpec.from_json(monad)
+        accepted = True
+    except Exception:  # refused, as verify refuses it: a FAILED verdict
+        accepted = False
+    valid = MONAD_SCHEMA.is_valid(monad)
+    if accepted:
+        assert valid
+    elif valid:
+        assert beyond_the_schema(monad)
+    return f"accepted {accepted}, valid {valid}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_build_schema_accepts_what_the_reader_accepts(data):
+    doc = json.loads(built(*data.draw(st.sampled_from([(1, 1, 1), (1, 2, 1)]))))
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        mutate(data, doc)
+    # as `verify --input` reads it: the `monad` member, or the whole document
+    event(assert_schema_matches_reader(doc["monad"] if isinstance(doc, dict) and "monad" in doc else doc))
+
+
+def test_the_schemas_refuse_what_the_readers_refuse(tmp_path):
+    # a term in two variables or of degree 2
+    doc = json.loads(built(1, 1, 1))
+    for exps in ({"x0": 1, "y0": 1}, {"x0": 2}):
+        bad = copy.deepcopy(doc)
+        bad["monad"]["f"]["entries"][0][0][0]["exps"] = exps
+        assert assert_schema_matches_reader(bad["monad"]) == "accepted False, valid False"
+        path = tmp_path / "term.json"
+        path.write_text(json.dumps(bad))
+        code, out = run(["verify", "--input", str(path)])
+        assert (code, json.loads(out)["verdict"]) == (1, "FAILED")
+        assert "not one variable to the power 1" in json.loads(out)["error"]
+
+    # a scan box whose max_psum is negative
+    code, out = run(["stability", "--n", "1", "--m", "1", "--k", "1", "--max-q", "1",
+                     "--component-bound", "0"])
+    assert code == 0
+    stability = json.loads(out)
+    stability["config"]["max_psum"] = stability["config"]["min_psum"] = -1
+    assert not jsonschema.Draft202012Validator(SCHEMAS["stability"]).is_valid(stability)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        StabilityScanConfig(SpaceParams(1, 1, 1), 1, max_psum=-1, component_bound=0, min_psum=-1)
+
+    # a summand of multiplicity 0, which the library's constructor drops
+    bad = copy.deepcopy(doc)
+    bad["monad"]["source"]["summands"].append({"degree": [5, 5, 5, 5], "multiplicity": 0})
+    assert assert_schema_matches_reader(bad["monad"]) == "accepted False, valid False"
+    path = tmp_path / "summand.json"
+    path.write_text(json.dumps(bad))
+    code, out = run(["verify", "--input", str(path)])
+    assert (code, json.loads(out)["verdict"]) == (1, "FAILED")
+    assert json.loads(out)["error"] == (
+        "input document rejected: source: multiplicity must be a positive integer, got 0"
+    )
 
 
 def scale_band(data, doc, params) -> None:
