@@ -106,6 +106,9 @@ def _manifest(command: str, params: SpaceParams, seed: int) -> dict:
 # the largest --n or --m: with both at most this, 2n + 2m + 1, the length of
 # a cohomology table, is an index-sized integer
 _DIMENSION_LIMIT = (sys.maxsize - 1) // 4
+# the largest --k of `build`: with n = m = 1 and k at most this, the width
+# 2n + 2m + 4k of f is an index-sized integer
+_BUILD_K_LIMIT = (sys.maxsize - 4) // 4
 
 
 def _int_in(low: int, high: Optional[int] = None) -> Callable[[str], int]:
@@ -363,10 +366,16 @@ SCAN_FLAGS: Tuple[Flag, ...] = (
      "lower bound on p1+p2+p3+p4 (default 0; negative values probe outside the criterion's regime)"),
 )
 
+# build writes its matrices cell by cell, so its --k is bounded; the other
+# commands read k only in closed forms and take any k
+BUILD_FLAGS: Tuple[Flag, ...] = tuple(
+    ("--k", "k", _int_in(1, _BUILD_K_LIMIT), 1, None, flag[5]) if flag[0] == "--k" else flag
+    for flag in COMMON_FLAGS
+) + (("--format", "format", None, "json", ("json", "text"), None),)
+
 # (name, one-line help, handler, flags, whether four DEG integers come last)
 SUBCOMMANDS = (
-    ("build", "emit the monad document", _cmd_build,
-     COMMON_FLAGS + (("--format", "format", None, "json", ("json", "text"), None),), False),
+    ("build", "emit the monad document", _cmd_build, BUILD_FLAGS, False),
     ("verify", "certify composition and maximal rank", _cmd_verify,
      COMMON_FLAGS + (("--trials", "trials", _int_in(1), 20, None, None),
                      ("--input", "input", None, None, None, "verify a monad JSON document instead of building one")),
@@ -504,7 +513,7 @@ def _answer(argv: List[str]) -> int:
     except (OSError, ValueError, OverflowError) as exc:
         # OSError: an unreadable --input path or an --output path that cannot be written;
         # ValueError: an argument the library rejects, such as a scan box out of range;
-        # OverflowError: a parameter too large to compute with, such as build's --k 10^20
+        # OverflowError: a parameter too large to compute with, such as verify's --trials 10^20
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except MemoryError:

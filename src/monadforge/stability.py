@@ -41,8 +41,9 @@ component whenever sum(p_i) >= 0.
 
 A report is its config and its nonzero rows; everything else is read from
 those two.  Its `checked` rows are a `RowGrid`, a record of the same two
-fields that counts the box in closed form (`_box_size`) and enumerates it
-only to iterate or write the rows, so no scan builds or keeps its twist box.
+fields that counts the box in closed form (`_box_size`), enumerates it only
+to iterate the rows and writes them from tables of texts per p-sum, so no
+scan builds or keeps its twist box.
 """
 
 from __future__ import annotations
@@ -173,28 +174,25 @@ def _box_size(cfg: StabilityScanConfig) -> int:
     return at_most(cfg.max_psum + 4 * cb) - at_most(cfg.min_psum + 4 * cb - 1)
 
 
-def _config_runs(cfg: StabilityScanConfig) -> Iterator[Tuple[int, int, int, range]]:
-    cb = cfg.component_bound
-    return _runs(cb, cfg.min_psum, cfg.max_psum, cb)
-
-
 def enumerate_twists(cfg: StabilityScanConfig) -> Iterator[MultiDegree]:
     """All twists (-p1,-p2,-p3,-p4) in the box, in lexicographic p-order."""
     cb = cfg.component_bound
     return (MultiDegree(*tw) for tw in _box(cb, cfg.min_psum, cfg.max_psum, cb))
 
 
-# A piece of zero rows is one join of at most _ROW_BATCH row texts, and
-# the writer copies it twice more: into its UTF-8 encoding, then into the
-# 256 KiB write buffer that `cli._emit` allocates once per document.  At
-# ~134 characters a row, 256 rows are at most 34.2 KB (scan-wide's largest
-# piece), so the piece and its encoding, the two copies that are freed again,
-# stay under glibc's 128 KiB mmap and trim thresholds and the heap reuses
-# their memory.  Larger pieces are mmaps, unmapped and faulted in again: the
-# scan-wide `report` took 2.7k minor faults and 29 ms of kernel CPU at 256
-# rows, 10.9k and 45 ms at 2048, 12.9k and 50 ms at 8192 (medians of 16
-# interleaved runs, CPython 3.11, 2 vCPUs).  The buffer, not larger pieces,
-# sets how few `write` calls a document takes.
+# A piece of zero rows is one join of at most _ROW_BATCH row texts of one
+# (q, p1, p2) group, and the writer copies it twice more: into its UTF-8
+# encoding, then into the 256 KiB write buffer that `cli._emit` allocates
+# once per document.  At ~134 characters a row, 256 rows are at most 34.2 KB,
+# so the piece and its encoding, the two copies that are freed again, stay
+# under glibc's 128 KiB mmap and trim thresholds and the heap reuses their
+# memory.  Larger pieces are mmaps, unmapped and faulted in again: when a
+# piece was a stretch of one q's zero rows, cut only at multiples of this
+# batch, the scan-wide `report` took 2.7k minor faults and 29 ms of kernel
+# CPU at 256 rows, 10.9k and 45 ms at 2048, 12.9k and 50 ms at 8192 (medians
+# of 16 interleaved runs, CPython 3.11, 2 vCPUs).  The scan-wide groups hold
+# at most 79 rows (10.6 KB), so there the batch never cuts inside a group.
+# The buffer, not larger pieces, sets how few `write` calls a document takes.
 _ROW_BATCH = 256
 
 
@@ -204,10 +202,10 @@ class RowGrid(Record):
     at the `nonzero` rows (q, MultiDegree, h0), which are in row order.
 
     A record of those two fields, like the report it views; the rows are
-    never stored: `len` counts the box in closed form, and iteration and
-    `json_chunks` enumerate it (as int 4-tuples; iteration builds one
-    MultiDegree per twist per pass, the writer none).  `list(grid)` is the
-    list of its rows.
+    never stored: `len` counts the box in closed form, iteration enumerates
+    it (one MultiDegree per twist per pass), and `json_chunks` writes it
+    from tables of texts per p-sum, enumerating no twist.  `list(grid)` is
+    the list of its rows.
     """
 
     __slots__ = ("config", "nonzero")
@@ -218,80 +216,108 @@ class RowGrid(Record):
     def __len__(self) -> int:
         return self.config.max_q * _box_size(self.config)
 
-    def _marks(self) -> Dict[int, List[Tuple[int, int]]]:
-        """q -> [(twist index in the box, h0), ...] of the nonzero rows, in
-        box order.  Only if one exists are the box's runs walked, one lookup
-        a run: a twist's index is the rows of the runs before its own plus
-        its p4's offset in its run."""
+    def __iter__(self) -> Iterator[ScanRow]:
+        cfg = self.config
+        degrees = list(enumerate_twists(cfg))
+        # q -> [(twist index in the box, h0), ...] of the nonzero rows
         marks: Dict[int, List[Tuple[int, int]]] = {}
         if self.nonzero:
-            wanted = {tw.as_tuple()[:3] for _, tw, _ in self.nonzero}
-            # (a, b, c) -> the index of the twist (a, b, c, 0), so that
-            # (a, b, c, d) has index origin[a, b, c] - d
-            origin: Dict[Tuple[int, int, int], int] = {}
-            rows = 0
-            for p1, p2, p3, p4s in _config_runs(self.config):
-                if (-p1, -p2, -p3) in wanted:
-                    origin[-p1, -p2, -p3] = rows - p4s.start
-                rows += len(p4s)
+            cb = cfg.component_bound
+            wanted = {tw.as_tuple() for _, tw, _ in self.nonzero}
+            boxed = enumerate(_box(cb, cfg.min_psum, cfg.max_psum, cb))
+            index = {tw: j for j, tw in boxed if tw in wanted}
             for q, tw, h0 in self.nonzero:
-                a, b, c, d = tw.as_tuple()
-                marks.setdefault(q, []).append((origin[a, b, c] - d, h0))
-        return marks
-
-    def __iter__(self) -> Iterator[ScanRow]:
-        degrees = list(enumerate_twists(self.config))
-        marks = self._marks()
-        for q in range(1, self.config.max_q + 1):
+                marks.setdefault(q, []).append((index[tw.as_tuple()], h0))
+        for q in range(1, cfg.max_q + 1):
             h0s = [0] * len(degrees)
-            for index, h0 in marks.get(q, ()):
-                h0s[index] = h0
+            for j, h0 in marks.get(q, ()):
+                h0s[j] = h0
             yield from zip(repeat(q), degrees, h0s)
 
     def json_chunks(self, indent: int) -> Iterator[str]:
         """The list [{"h0": h0, "q": q, "twist": [a, b, c, d]}, ...] of the
-        rows, closing bracket at column `indent`.  Each twist's `"twist": [...]`
-        text is built once and reused for every q, from the box's runs and
-        three tables of component texts rendered once a write: the first
-        component with the key, a middle one, and the last one closing the
-        row.  A stretch of zero rows of one q, cut at every multiple of
-        _ROW_BATCH rows, is one piece, a single join of its twist texts with
-        the separator and the q's shared head put before the first, so no
-        long text is copied again before the writer takes it; a nonzero row
-        is one piece."""
+        rows, closing bracket at column `indent`, written from texts
+        rendered once a write, none of them per twist.
+
+        A row's text is q's head, the texts of p1 and p2, and one text for
+        the pair (p3, p4); the pairs that can follow a (p1, p2) depend only
+        on s = p1 + p2.  Each pair text is rendered once, and each s gets a
+        table of the texts of the pairs with s + p3 + p4 in [min_psum,
+        max_psum], in p-order, after an empty text.  The rows of one q and
+        one (p1, p2) are a stretch of its table, each text put after the same
+        P = ",\n" + q's head + the texts of p1 and p2: a piece is one join
+        of at most _ROW_BATCH of them with P, its first text replaced by the
+        empty one so that P comes first too, and no long text is copied
+        again before the writer takes it.  A nonzero row is one piece, found
+        by its offset in its table."""
         i, f, e = (" " * (indent + step) for step in (2, 4, 6))
-        cb = self.config.component_bound
-        values = range(cb, -cb - 1, -1)  # -p for p = -cb..cb: index p + cb
+        cfg = self.config
+        cb = cfg.component_bound
+        w = 2 * cb + 1
+        values = range(cb, -cb - 1, -1)  # -p for p = -cb..cb: index x = p + cb
         first = [f'{f}"twist": [\n{e}{v},\n' for v in values]
         middle = [f"{e}{v},\n" for v in values]
-        last = [f"{e}{v}\n{f}]\n{i}}}" for v in values]
-        tails: List[str] = []
-        for p1, p2, p3, p4s in _config_runs(self.config):
-            lead = first[p1 + cb] + middle[p2 + cb] + middle[p3 + cb]
-            tails += [lead + t for t in last[p4s.start + cb : p4s.stop + cb]]
-        if not tails:
+        pairs = [[m + f"{e}{v}\n{f}]\n{i}}}" for v in values] for m in middle]
+        # with x_i = p_i + cb, a row's x-sum lies in [lo, hi]; ends[x1 + x2] is
+        # the table of (p1, p2), and (x3, x4) is row origin[x1 + x2][x3] + x4
+        # of it, at index 1 + that offset
+        lo, hi = cfg.min_psum + 4 * cb, cfg.max_psum + 4 * cb
+        ends: List[List[str]] = []
+        origin: List[List[int]] = []
+        for u in range(2 * w - 1):
+            texts, starts = [""], []
+            for x3, row in enumerate(pairs):
+                start = max(0, lo - u - x3)
+                starts.append(len(texts) - 1 - start)
+                texts += row[start : max(0, hi + 1 - u - x3)]
+            ends.append(texts)
+            origin.append(starts)
+        # q -> {x1 * w + x2: [(offset, h0), ...] of the nonzero rows, then the
+        # number of rows, with no h0}
+        marks: Dict[int, Dict[int, List[Tuple[int, Optional[int]]]]] = {}
+        for q, tw, h0 in self.nonzero:
+            x1, x2, x3, x4 = (cb - v for v in tw.as_tuple())
+            end = (len(ends[x1 + x2]) - 1, None)
+            stops = marks.setdefault(q, {}).setdefault(x1 * w + x2, [end])
+            stops.insert(-1, (origin[x1 + x2][x3] + x4, h0))
+        groups = [
+            (x1 * w + x2, first[x1] + middle[x2], ends[x1 + x2], [(len(ends[x1 + x2]) - 1, None)])
+            for x1 in range(w)
+            for x2 in range(w)
+            if len(ends[x1 + x2]) > 1
+        ]
+
+        def pieces() -> Iterator[str]:
+            """The rows in pieces, each starting with the separator ",\n"."""
+            for q in range(1, cfg.max_q + 1):
+                q_head = f',\n{i}{{\n{f}"h0": 0,\n{f}"q": {q},\n'
+                by_group = marks.get(q, {})
+                for key, lead, texts, end in groups:
+                    between = q_head + lead
+                    j = 0
+                    for mark, h0 in by_group.get(key, end):
+                        while j < mark:
+                            cut = j - j % _ROW_BATCH + _ROW_BATCH
+                            if cut > mark:
+                                cut = mark
+                            if j or cut < len(texts) - 1:
+                                run = texts[j : cut + 1]
+                                run[0] = ""  # the row before the stretch
+                            else:
+                                run = texts
+                            yield between.join(run)
+                            j = cut
+                        if h0 is not None:
+                            yield f',\n{i}{{\n{f}"h0": {h0},\n{f}"q": {q},\n{lead}{texts[mark + 1]}'
+                            j = mark + 1
+
+        rows = pieces()
+        opening = next(rows, None)
+        if opening is None:
             yield "[]"
             return
-        marks = self._marks()
-        sep = "[\n"
-        for q in range(1, self.config.max_q + 1):
-            head = f'{i}{{\n{f}"h0": 0,\n{f}"q": {q},\n'
-            between = ",\n" + head
-            nonzero = iter(marks.get(q, ()))
-            mark, h0 = next(nonzero, (len(tails), 0))
-            j = 0
-            while j < len(tails):
-                if j == mark:
-                    yield f'{sep}{i}{{\n{f}"h0": {h0},\n{f}"q": {q},\n' + tails[j]
-                    j += 1
-                    mark, h0 = next(nonzero, (len(tails), 0))
-                else:
-                    end = min(mark, j - j % _ROW_BATCH + _ROW_BATCH)
-                    run = tails[j:end]
-                    run[0] = sep + head + run[0]
-                    yield between.join(run)
-                    j = end
-                sep = ",\n"
+        yield "[" + opening[1:]
+        yield from rows
         yield "\n" + " " * indent + "]"
 
 

@@ -12,6 +12,14 @@ whose order flips from pair to pair (this, other, other, this, ...).  Every
 run must end with the exit code and write the bytes of the first run, or the
 script names the run that differs and exits 1.
 
+Both sides read and write their compiled modules under the script's
+temporary directory: the children run with PYTHONPYCACHEPREFIX set there
+and PYTHONDONTWRITEBYTECODE removed, so neither a checkout's own
+`__pycache__` nor its absence (where the shell says not to write bytecode,
+every module is compiled again on every run) favours one side.  Each side
+first runs once untimed, which compiles its modules; those runs count only
+towards the exit code and bytes that every run must match.
+
 Prints the command's exit code and output size, then one row per side: the
 runs, and the first quartile, median and third quartile of child CPU
 seconds and of peak RSS in MB.  A child's peak RSS is never below this
@@ -44,6 +52,8 @@ def run_once(checkout: str, argv: List[str], scratch: str) -> Tuple[int, str, in
         (os.POSIX_SPAWN_OPEN, 2, os.path.join(scratch, "err"), flags, 0o644),
     ]
     env = dict(os.environ, SOURCE_DATE_EPOCH=SOURCE_DATE_EPOCH)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env["PYTHONPYCACHEPREFIX"] = os.path.join(scratch, "pycache")
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(checkout, "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     )
@@ -84,16 +94,28 @@ def main(argv: List[str]) -> int:
         sides["other"] = os.path.abspath(args.against)
     costs: Dict[str, List[Tuple[float, float]]] = {side: [] for side in sides}
     first = None
+
+    def differs(run: str, code: int, digest: str, size: int) -> bool:
+        """Whether `run` ended unlike the first run; says so if it did."""
+        nonlocal first
+        if first is None:
+            first = (code, digest, size)
+        elif (code, digest) != first[:2]:
+            print(f"{run} ended with exit {code} and {size:,d} bytes unlike the first run "
+                  f"(exit {first[0]}, {first[2]:,d} bytes)")
+            return True
+        return False
+
     with tempfile.TemporaryDirectory(prefix="childcost-") as scratch:
+        for side in sides:  # untimed: compiles the side's modules
+            if differs(f"the untimed run of {side} ({sides[side]})",
+                       *run_once(sides[side], args.command, scratch)[:3]):
+                return 1
         for i in range(args.runs):
             order = list(sides) if i % 2 == 0 else list(sides)[::-1]
             for side in order:
                 code, digest, size, cpu, rss = run_once(sides[side], args.command, scratch)
-                if first is None:
-                    first = (code, digest, size)
-                elif (code, digest) != first[:2]:
-                    print(f"run {i + 1} of {side} ({sides[side]}) ended with exit {code} and "
-                          f"{size:,d} bytes unlike the first run (exit {first[0]}, {first[2]:,d} bytes)")
+                if differs(f"run {i + 1} of {side} ({sides[side]})", code, digest, size):
                     return 1
                 costs[side].append((cpu, rss))
     print(f"monadforge {' '.join(args.command)}: exit {first[0]}, {first[2]:,d} bytes, "

@@ -26,7 +26,9 @@ block by block from the closed entry formulas, two blocks of f negated and
 the blocks flattened into f and g, where the library builds f and g straight
 from one staircase line per block.  The scan's twist box is enumerated twist
 by twist in four nested loops, where the library walks it as runs of p4, one
-run per (p1, p2, p3).  Two checks of the paper's statements that no command
+run per (p1, p2, p3), and its rows are written from one text per twist of
+that enumeration, where the library writes them from tables of texts per
+p-sum.  Two checks of the paper's statements that no command
 makes live here too: the four block products f_b g_b (acceptance criterion
 2) and Floystad's existence criterion for linear monads (criterion 10).  The
 last section holds helpers that no command runs and that the tests still
@@ -452,6 +454,52 @@ def stability_scan_by_series(cfg: StabilityScanConfig) -> ScanBySeries:
         verdict="ALL_VANISH" if counterexample is None else "COUNTEREXAMPLE",
         counterexample=counterexample,
     )
+
+
+def row_chunks_by_twist_texts(grid, indent: int, batch: int = 256) -> Iterator[str]:
+    """`RowGrid.json_chunks` as the package wrote it before its tables per
+    p-sum: one `"twist": [...]` text per twist of the box, in the order of
+    `box_by_nested_loops`, built from three tables of component texts (the
+    first component with the key, a middle one, the last closing the row)
+    and reused for every q.  A stretch of zero rows of one q, cut at every
+    multiple of `batch` rows, is one piece, a single join of its twist texts
+    with the separator and the q's shared head put before the first; a
+    nonzero row is one piece.  Its memory is one text per twist."""
+    i, f, e = (" " * (indent + step) for step in (2, 4, 6))
+    cfg = grid.config
+    cb = cfg.component_bound
+    first = {v: f'{f}"twist": [\n{e}{v},\n' for v in range(-cb, cb + 1)}
+    middle = {v: f"{e}{v},\n" for v in range(-cb, cb + 1)}
+    last = {v: f"{e}{v}\n{f}]\n{i}}}" for v in range(-cb, cb + 1)}
+    twists = list(box_by_nested_loops(cb, cfg.min_psum, cfg.max_psum, cb))
+    tails = [first[a] + middle[b] + middle[c] + last[d] for a, b, c, d in twists]
+    if not tails:
+        yield "[]"
+        return
+    index = {tw: j for j, tw in enumerate(twists)}
+    marks: Dict[int, List[Tuple[int, int]]] = {}
+    for q, tw, h0 in grid.nonzero:
+        marks.setdefault(q, []).append((index[tw.as_tuple()], h0))
+    sep = "[\n"
+    for q in range(1, cfg.max_q + 1):
+        head = f'{i}{{\n{f}"h0": 0,\n{f}"q": {q},\n'
+        between = ",\n" + head
+        nonzero = iter(marks.get(q, ()))
+        mark, h0 = next(nonzero, (len(tails), 0))
+        j = 0
+        while j < len(tails):
+            if j == mark:
+                yield f'{sep}{i}{{\n{f}"h0": {h0},\n{f}"q": {q},\n' + tails[j]
+                j += 1
+                mark, h0 = next(nonzero, (len(tails), 0))
+            else:
+                end = min(mark, j - j % batch + batch)
+                run = tails[j:end]
+                run[0] = sep + head + run[0]
+                yield between.join(run)
+                j = end
+            sep = ",\n"
+    yield "\n" + " " * indent + "]"
 
 
 def block_by_formula(group: str, params: SpaceParams, hankel: bool) -> PolyMatrix:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import calendar
 import copy
+import errno
 import gc
 import hashlib
 import itertools
@@ -585,12 +586,12 @@ sys.stderr.write(f"{code} {write_calls() - before}")
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="no /proc/self/io")
 def test_a_document_file_leaves_in_writes_of_the_buffer_size(tmp_path, capsys):
-    # the 24.7 MB scan-wide report comes in ~1,500 pieces of at most ~34 KB;
+    # the 24.7 MB scan-wide report comes in 3,472 pieces of at most 10.6 KB;
     # the 256 KiB write buffer, not the pieces, sets the number of calls.  The
     # buffer is written out only when the next piece does not fit, and a piece
     # is under 48 KiB (test_streamed_rows_come_in_bounded_pieces), so every
     # call but the last carries more than 256 - 48 KiB: 118 calls at most
-    # here, against 103 measured and 742 through the interpreter's buffer.
+    # here, against 98 measured and 742 through the interpreter's buffer.
     # stdout, in a child whose stdout is a file, is held to the same bound
     # (832 calls through the interpreter's 8 KiB buffer)
     target = tmp_path / "report.json"
@@ -1021,6 +1022,29 @@ def test_a_too_large_n_or_m_is_refused_by_its_flag(tmp_path, capsys, argv, flag,
     assert run_cli(capsys, "invariants", "--k", TOO_LARGE)[0] == 0
 
 
+# the largest --k of build: the width 2n + 2m + 4k of f at n = m = 1 is
+# then an index-sized integer
+BUILD_K_LIMIT = (sys.maxsize - 4) // 4
+
+
+def test_a_too_large_build_k_is_refused_by_its_flag(tmp_path, capsys):
+    # argparse refuses it for either format and sink, naming the flag and the
+    # bound, before the layout quotes CPython's own limits; the commands that
+    # read k only in closed forms take any k
+    target = tmp_path / "out.json"
+    for value in (TOO_LARGE, str(BUILD_K_LIMIT + 1)):
+        for extra in ([], ["--format", "text"], ["--output", str(target)]):
+            code, out, err = run_cli(capsys, "build", "--n", "1", "--m", "1", "--k", value, *extra)
+            assert (code, out) == (2, "")
+            assert err.endswith(
+                f"monadforge build: error: argument --k: must be <= {BUILD_K_LIMIT}, got {value}\n"
+            )
+            assert "Traceback" not in err
+    assert not target.exists()
+    for command in ("invariants", "verify", "simplicity"):
+        assert run_cli(capsys, command, "--n", "1", "--m", "1", "--k", TOO_LARGE)[0] == 0
+
+
 def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
     capsys.readouterr()
@@ -1039,13 +1063,17 @@ def test_output_naming_a_directory_exits_2(tmp_path, capsys):
     assert tmp_path.is_dir()
 
 
-def run_in_address_space(argv, limit_mb):
+def run_in_address_space(argv, limit_mb, file_limit_mb=None):
     """`python -m monadforge.cli *argv` in a child whose address space is
-    capped at `limit_mb` MB."""
+    capped at `limit_mb` MB and, unless `file_limit_mb` is None, each file it
+    writes at `file_limit_mb` MB."""
 
     def cap():
         limit = limit_mb * 2**20
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        if file_limit_mb is not None:
+            limit = file_limit_mb * 2**20
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
 
     env = dict(os.environ, PYTHONPATH=str(SRC), SOURCE_DATE_EPOCH=EPOCH)
     return subprocess.run(
@@ -1065,13 +1093,25 @@ WIDE_BOXES = [
 ]
 
 
+# what each of WIDE_BOXES gives under a 256 MB address space and a 64 MiB
+# file: the document outgrows the file (EFBIG, as CPython ignores SIGXFSZ),
+# then the writer's tables outgrow the address space
+WIDE_BOX_ERRORS = [
+    f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n",
+    "error: out of memory\n",
+]
+
+
 def test_a_box_too_large_to_write_exits_2_without_a_traceback(tmp_path):
-    # ~1.3e9 rows, then ~2.9e33: the writer's twist texts alone outgrow the
-    # cap.  The partial document is removed, whether the path was new, held
-    # a file already (whose old bytes are gone with it) or is a symlink,
-    # whose target, the file written, goes and leaves the link dangling
+    # ~1.3e9 rows (about 170 GB), then ~2.9e33.  The writer holds tables of
+    # texts per p-sum, not the box: at |p_i| <= 200 they fit the address
+    # space and the write stops at the file cap; at 10^8 they do not fit.
+    # The partial document is removed, whether the path was new, held a
+    # file already (whose old bytes are gone with it) or is a symlink, whose
+    # target, the file written, goes and leaves the link dangling
     target = tmp_path / "rows.json"
-    for existing, (box, _) in itertools.product(["none", "file", "symlink"], WIDE_BOXES):
+    cases = itertools.product(["none", "file", "symlink"], zip(WIDE_BOXES, WIDE_BOX_ERRORS))
+    for existing, ((box, _), error) in cases:
         output = target
         if existing != "none":
             target.write_text("an older document")
@@ -1080,9 +1120,9 @@ def test_a_box_too_large_to_write_exits_2_without_a_traceback(tmp_path):
             output.unlink(missing_ok=True)
             output.symlink_to(target.name)
         argv = ["stability", "--n", "1", "--m", "1", "--k", "1", *box, "--output", str(output)]
-        proc = run_in_address_space(argv, 256)
+        proc = run_in_address_space(argv, 256, file_limit_mb=64)
         assert proc.returncode == 2
-        assert proc.stderr == "error: out of memory\n"
+        assert proc.stderr == error
         assert not target.exists() and not output.exists(), existing
         assert output.is_symlink() == (existing == "symlink")
 

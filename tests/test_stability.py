@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 from unittest import mock
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from monadforge.chow import BundleInvariants, invariants_of_T, normalization_shift, rank_of_T
 from monadforge.cohomology import line_bundle, sum_cohomology
 from monadforge.monad import middle_bundle
+from monadforge import stability
 from monadforge.polyring import MultiDegree, SpaceParams, canonical_chunks
 from monadforge.stability import (
     RowGrid,
@@ -32,6 +34,7 @@ from oracles import (
     h0_wedge_T_upper,
     negative_component_violations,
     negative_component_violations_by_exterior_power,
+    row_chunks_by_twist_texts,
     stability_scan_by_series,
     wedge_h0_by_exterior_power,
 )
@@ -385,6 +388,106 @@ def test_a_counterexample_scan_builds_one_twist_per_summed_twist_and_row_pass():
         rows = list(report.checked)
     assert len(rows) == 3 * len(twists)
     assert len(built) <= len(twists)
+
+
+# ---------------------------------------------------------------------------
+# the row writer against one text per twist
+# ---------------------------------------------------------------------------
+
+WRITER_ROWS = 20_000  # the most rows a drawn grid has, unless max_q = 1 has more
+
+
+def cut_positions(cfg, batch):
+    """The box indices around the writer's cuts: the first and the last
+    twist, and the twists either side of each change of (p1, p2) and of
+    each multiple of `batch` twists into one (p1, p2)."""
+    cb = cfg.component_bound
+    twists = list(_box(cb, cfg.min_psum, cfg.max_psum, cb))
+    found = {0, len(twists) - 1} if twists else set()
+    start = 0
+    for j in range(1, len(twists)):
+        if twists[j][:2] != twists[j - 1][:2]:
+            start = j
+        if (j - start) % batch == 0:
+            found.update((j - 1, j))
+    return sorted(found)
+
+
+def marked(cfg, cells):
+    """The grid of `cfg` with h0 = cells[q, i] at the i-th twist of the box."""
+    twists = list(enumerate_twists(cfg))
+    return RowGrid(cfg, [(q, twists[i], h0) for (q, i), h0 in sorted(cells.items())])
+
+
+def every_cut(cfg, batch):
+    """`cfg`'s grid with a nonzero row at every cut position, in the first
+    and the last q."""
+    qs = {1, cfg.max_q}
+    return marked(cfg, {(q, i): q + i for q in qs for i in cut_positions(cfg, batch)})
+
+
+@st.composite
+def writer_cases(draw):
+    """(grid, batch, indent): a box at n, m, k <= 2 with |p_i| <= 6 and
+    p-sums in [-10, 6], empty ones included, max_q >= 1 as far as
+    WRITER_ROWS allow, and a few nonzero rows of any size, drawn from the
+    cut positions of the drawn batch and from anywhere in the box."""
+    params = draw(st.builds(SpaceParams, st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)))
+    max_psum = draw(st.integers(0, 6))
+    cb, min_psum = draw(st.integers(0, 6)), draw(st.integers(-10, max_psum))
+    box = StabilityScanConfig(params, 1, max_psum, cb, min_psum)
+    size = _box_size(box)
+    top = max(1, min(rank_of_T(params) - 1, WRITER_ROWS // max(size, 1)))
+    cfg = replaced(box, max_q=draw(st.integers(1, top)))
+    batch = draw(st.sampled_from([1, 2, 3, 7, 256]))
+    cells = {}
+    if size:
+        index = st.one_of(st.sampled_from(cut_positions(cfg, batch)), st.integers(0, size - 1))
+        where = st.tuples(st.integers(1, cfg.max_q), index)
+        h0 = st.integers(-(10**30), 10**30).filter(bool)
+        cells = draw(st.dictionaries(where, h0, max_size=8))
+    return marked(cfg, cells), batch, draw(st.sampled_from([0, 2, 4]))
+
+
+ONE_ONE_ONE = SpaceParams(1, 1, 1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(writer_cases())
+@example((RowGrid(StabilityScanConfig(ONE_ONE_ONE, 1, 1, 0, 1), ()), 1, 2))  # no twist
+@example((RowGrid(StabilityScanConfig(ONE_ONE_ONE, 2, 6, 6, -10), ()), 256, 2))  # no nonzero row
+@example((every_cut(StabilityScanConfig(ONE_ONE_ONE, 2, 2, 2, -3), 2), 2, 2))
+@example((every_cut(StabilityScanConfig(ONE_ONE_ONE, 3, 1, 1, -1), 3), 3, 4))
+@example((every_cut(StabilityScanConfig(ONE_ONE_ONE, 1, 0, 0, 0), 1), 1, 2))  # cb 0: one row
+def test_row_writer_equals_one_text_per_twist(case):
+    grid, batch, indent = case
+    with mock.patch.object(stability, "_ROW_BATCH", batch):
+        pieces = list(grid.json_chunks(indent))
+    lines = "".join(pieces).split("\n")
+    expected = "".join(row_chunks_by_twist_texts(grid, indent, batch)).split("\n")
+    # the first differing line, not a diff of documents of up to 2.7 MB
+    differ = next((n for n, pair in enumerate(zip(lines, expected)) if pair[0] != pair[1]), None)
+    assert (differ, len(lines)) == (None, len(expected)), lines[differ or 0 : (differ or 0) + 8]
+    assert all(piece.count('"twist"') <= batch for piece in pieces)
+
+
+def test_row_writer_memory_is_its_tables_not_the_box():
+    # 228,620 twists at |p_i| <= 20: one text per twist is ~80 MB of
+    # traced peak, the tables per p-sum under 1 MB
+    grid = RowGrid(StabilityScanConfig(ONE_ONE_ONE, 1, component_bound=20), ())
+    assert len(grid) == 228_620
+
+    def peak(chunks):
+        tracemalloc.start()
+        try:
+            for _ in chunks:
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    writer, oracle = peak(grid.json_chunks(2)), peak(row_chunks_by_twist_texts(grid, 2))
+    assert writer < 2**21 and 20 * writer < oracle
 
 
 # ---------------------------------------------------------------------------
