@@ -33,7 +33,7 @@ def main() -> None:
     params = SpaceParams(1, 2, 3)
     inv = invariants_of_T(params)
     print(f"normalization shift at (1,2,3): {normalization_shift(inv, params)}")
-    check = degree_simplification_check(params)
+    check = degree_simplification_check(inv, params)
     print(
         "degree cross-check: exact {exact_degree}, uniform-weight shortcut "
         "{uniform_weight_shortcut}, agree={agree}".format(**check)

@@ -17,24 +17,31 @@ pairing is read off one multinomial, computed as a product of binomials:
 deg_L(F) = (c1.a + c1.b) * delta_x + (c1.c + c1.d) * delta_z.  The slope
 is mu_L = deg_L / rank; the degree delta_L(p1,p2,p3,p4) of the line bundle
 O_X(p1,p2,p3,p4) is the same functional, `degree_L` of (p1,p2,p3,p4).
-Everything is exact integer arithmetic.  `top_multinomial` keeps its last
-value, so the four reads of L^(2n+2m) in one `report` compute it once.
+
+So deg_L(F) = top * w(c1) / (2n+2m) with w(c1) = n(c1.a + c1.b) + m(c1.c +
+c1.d).  top cancels from the normalization shift, which reads w alone, and
+the degree check reads w and the degree that `invariants_of_T` computed.
+One `report` or `invariants` thus computes L^(2n+2m) once, with no cache.
+Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, gcd
 
 from .polyring import MultiDegree, Record, SpaceParams
 
 
-@lru_cache(maxsize=1)
 def top_multinomial(params: SpaceParams) -> int:
     """The top self-intersection L^(2n+2m) = (2n+2m)! / (n! n! m! m!),
     as the product of binomials C(2n+2m, 2m) * C(2n, n) * C(2m, m)."""
     n, m = params.n, params.m
     return comb(2 * n + 2 * m, 2 * m) * comb(2 * n, n) * comb(2 * m, m)
+
+
+def _weight(c1: MultiDegree, params: SpaceParams) -> int:
+    """c1 . L^(2n+2m-1) in units of top / (2n+2m): n(c1.a + c1.b) + m(c1.c + c1.d)."""
+    return params.n * (c1.a + c1.b) + params.m * (c1.c + c1.d)
 
 
 def degree_L(c1: MultiDegree, params: SpaceParams) -> int:
@@ -43,19 +50,17 @@ def degree_L(c1: MultiDegree, params: SpaceParams) -> int:
     (c1.a + c1.b) * delta_x + (c1.c + c1.d) * delta_z of the module
     docstring, as one exact division of top by 2n+2m.
     """
-    n, m = params.n, params.m
-    return top_multinomial(params) * (n * (c1.a + c1.b) + m * (c1.c + c1.d)) // params.dim_x
+    return top_multinomial(params) * _weight(c1, params) // params.dim_x
 
 
 def normalization_shift(inv: BundleInvariants, params: SpaceParams) -> int:
     """The unique integer k_E = ceil(mu_L / d), d = deg_L of O_X(1,0,0,0).
 
-    Twisting by -k_E in the first slot renormalizes the slope into (-d, 0];
-    mu_L / d = degree_L / (rank * d), a ceiling taken by integer floor
-    division, no floats and no Fraction.
+    Twisting by -k_E in the first slot renormalizes the slope into (-d, 0].
+    top cancels from mu_L / d = w(c1) / (rank * n), a ceiling taken by
+    integer floor division, no floats and no Fraction.
     """
-    d = degree_L(MultiDegree(1, 0, 0, 0), params)
-    return -(-inv.degree_L // (inv.rank * d))
+    return -(-_weight(inv.c1, params) // (inv.rank * params.n))
 
 
 class BundleInvariants(Record):
@@ -100,19 +105,22 @@ def invariants_of_T(params: SpaceParams) -> BundleInvariants:
     return BundleInvariants(rank=rank, c1=c1, degree_L=deg)
 
 
-def degree_simplification_check(params: SpaceParams) -> dict:
-    """Compare exact deg_L(T) with the closed-form shortcut -(n+m+4k) * L^(2n+2m).
+def degree_simplification_check(inv: BundleInvariants, params: SpaceParams) -> dict:
+    """Compare exact deg_L(T), from T's invariants `inv`, with the
+    closed-form shortcut -(n+m+4k) * L^(2n+2m).
 
     The shortcut weighs each generator by top / 2 = delta_x + delta_z, so
     shortcut - exact = -2 * top * (nm + k(n+m)) / (n+m) is never 0: `agree`
     is False for every (n, m, k), and when n = m the shortcut is exactly
-    twice the exact degree.  The exact value from `degree_L` is
-    authoritative; the report carries both, and both are always negative,
-    which is the only fact the stability argument consumes.
+    twice the exact degree.  top is read back from the degree as
+    degree * (2n+2m) / w(c1), an exact division by a small integer.  The
+    exact value from `degree_L` is authoritative; the report carries both,
+    and both are always negative, which is the only fact the stability
+    argument consumes.
     """
-    n, m, k = params.n, params.m, params.k
-    exact = degree_L(c1_of_T(params), params)
-    shortcut = -(n + m + 4 * k) * top_multinomial(params)
+    exact = inv.degree_L
+    top = exact * params.dim_x // _weight(inv.c1, params)
+    shortcut = -(params.n + params.m + 4 * params.k) * top
     return {
         "exact_degree": exact,
         "uniform_weight_shortcut": shortcut,

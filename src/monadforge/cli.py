@@ -339,7 +339,7 @@ def _cmd_report(args: Args, params: SpaceParams) -> Outcome:
         "normalization_shift": normalization_shift(inv, params),
         "stability": scan.to_json(include_checked=True),
         "simplicity": cert.to_json(),
-        "degree_check": degree_simplification_check(params),
+        "degree_check": degree_simplification_check(inv, params),
     }
     return params, body, scan.all_vanish and cert.conclusion == "SIMPLE_CERTIFIED"
 
@@ -377,7 +377,7 @@ BUILD_FLAGS: Tuple[Flag, ...] = tuple(
 SUBCOMMANDS = (
     ("build", "emit the monad document", _cmd_build, BUILD_FLAGS, False),
     ("verify", "certify composition and maximal rank", _cmd_verify,
-     COMMON_FLAGS + (("--trials", "trials", _int_in(1), 20, None, None),
+     COMMON_FLAGS + (("--trials", "trials", _int_in(1, sys.maxsize), 20, None, None),
                      ("--input", "input", None, None, None, "verify a monad JSON document instead of building one")),
      False),
     ("cohomology", "dimension table of a line bundle", _cmd_cohomology, COMMON_FLAGS, True),
@@ -513,7 +513,7 @@ def _answer(argv: List[str]) -> int:
     except (OSError, ValueError, OverflowError) as exc:
         # OSError: an unreadable --input path or an --output path that cannot be written;
         # ValueError: an argument the library rejects, such as a scan box out of range;
-        # OverflowError: a parameter too large to compute with, such as verify's --trials 10^20
+        # OverflowError: a parameter too large to compute with that no flag's bound refused
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except MemoryError:

@@ -38,11 +38,14 @@ node is the closed form h^i(T*(-1,-1,-1,-1)) = h^{i+1}(O(-2,-2,-2,-2)^k).  By
 Bott that is k in degree 2n+2m-1 >= 3 when n = m = 1 and 0 in every other
 case, so h^0 = h^1 = 0 always and the certificate's verdict rests on the scan
 alone, with the scan's scope (see `stability`).  The certificate states
-these three tables directly and records h^0 and h^1 as read from them;
-the tests' oracle solves the sequence with `les_propagate` and still gates
-on h^0 and h^1.  A `SimplicityCertificate` stores the scan report alone and
-reads the tables, h^0, h^1 and its conclusion from it, so no certificate can
-conclude what its evidence does not support.  Together the two facts bound
+these three tables directly and records h^0 and h^1 as read from them:
+its document builds the sequence once and writes the tables, h^0 and h^1
+from it, and the `h0_T_dual_twisted` and `h1_T_dual_twisted` properties
+read the same right table for library callers.  The tests' oracle solves
+the sequence with `les_propagate` and still gates on h^0 and h^1.  A
+`SimplicityCertificate` stores the scan report alone and reads the tables,
+h^0, h^1 and its conclusion from it, so no certificate can conclude what
+its evidence does not support.  Together the two facts bound
 1 <= h^0(E (x) E*) <= h^0(T (x) T*) = 1 for the cohomology bundle E, which is
 the simplicity statement; the tensor-product cohomology itself is
 deliberately never computed.
@@ -235,8 +238,8 @@ class SimplicityCertificate(Record):
         return {
             "params": self.params.to_json(),
             "rank_E": self.rank_E,
-            "h0_T_dual_twisted": list(self.h0_T_dual_twisted),
-            "h1_T_dual_twisted": list(self.h1_T_dual_twisted),
+            "h0_T_dual_twisted": list(seq.right.bounds(0, seq.dim_top)),
+            "h1_T_dual_twisted": list(seq.right.bounds(1, seq.dim_top)),
             "t_stable": self.t_stable,
             "stability": self.stability.to_json(include_checked=False),
             "sequence": {

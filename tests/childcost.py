@@ -5,8 +5,8 @@ Run:  python3 tests/childcost.py [--runs N] [--against CHECKOUT] -- ARGV...
 
 Each run is `python3 -m monadforge.cli ARGV...` as a child process, with a
 checkout's `src` first on PYTHONPATH, SOURCE_DATE_EPOCH fixed and standard
-output in a temporary file; its CPU (user + system) and peak RSS are read
-from `os.wait4`.  The checkout this file belongs to ("this") runs N times;
+output in a temporary file; its user and kernel CPU and its peak RSS are
+read from `os.wait4`.  The checkout this file belongs to ("this") runs N times;
 with --against, so does CHECKOUT ("other"), the two alternating in N pairs
 whose order flips from pair to pair (this, other, other, this, ...).  Every
 run must end with the exit code and write the bytes of the first run, or the
@@ -21,9 +21,12 @@ first runs once untimed, which compiles its modules; those runs count only
 towards the exit code and bytes that every run must match.
 
 Prints the command's exit code and output size, then one row per side: the
-runs, and the first quartile, median and third quartile of child CPU
-seconds and of peak RSS in MB.  A child's peak RSS is never below this
-script's own (about 10 MB), which it shares until the child's `exec`.
+runs, and the first quartile, median and third quartile of user CPU and of
+kernel CPU in ms and of peak RSS in MB.  With --against it then prints, for
+child CPU (user + kernel), in how many of the pairs each side was the lower,
+so that a change of a few ms can be read pair by pair.  A child's peak RSS
+is never below this script's own (about 10 MB), which it shares until the
+child's `exec`.
 
 Only the standard library is used, and pytest does not collect this file.
 """
@@ -42,9 +45,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOURCE_DATE_EPOCH = "1700000000"
 
 
-def run_once(checkout: str, argv: List[str], scratch: str) -> Tuple[int, str, int, float, float]:
-    """(exit code, SHA-256 of stdout, stdout bytes, child CPU s, peak RSS MB)
-    of one `monadforge argv` run from `checkout`."""
+Cost = Tuple[float, float, float]  # (user CPU ms, kernel CPU ms, peak RSS MB)
+
+
+def run_once(checkout: str, argv: List[str], scratch: str) -> Tuple[int, str, int, Cost]:
+    """(exit code, SHA-256 of stdout, stdout bytes, cost) of one
+    `monadforge argv` run from `checkout`."""
     out = os.path.join(scratch, "out")
     flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
     actions = [
@@ -68,8 +74,7 @@ def run_once(checkout: str, argv: List[str], scratch: str) -> Tuple[int, str, in
         os.waitstatus_to_exitcode(status),
         digest.hexdigest(),
         os.path.getsize(out),
-        usage.ru_utime + usage.ru_stime,
-        usage.ru_maxrss / 1024,
+        (usage.ru_utime * 1000, usage.ru_stime * 1000, usage.ru_maxrss / 1024),
     )
 
 
@@ -92,7 +97,7 @@ def main(argv: List[str]) -> int:
     sides = {"this": ROOT}
     if args.against is not None:
         sides["other"] = os.path.abspath(args.against)
-    costs: Dict[str, List[Tuple[float, float]]] = {side: [] for side in sides}
+    costs: Dict[str, List[Cost]] = {side: [] for side in sides}
     first = None
 
     def differs(run: str, code: int, digest: str, size: int) -> bool:
@@ -114,19 +119,26 @@ def main(argv: List[str]) -> int:
         for i in range(args.runs):
             order = list(sides) if i % 2 == 0 else list(sides)[::-1]
             for side in order:
-                code, digest, size, cpu, rss = run_once(sides[side], args.command, scratch)
+                code, digest, size, cost = run_once(sides[side], args.command, scratch)
                 if differs(f"run {i + 1} of {side} ({sides[side]})", code, digest, size):
                     return 1
-                costs[side].append((cpu, rss))
+                costs[side].append(cost)
     print(f"monadforge {' '.join(args.command)}: exit {first[0]}, {first[2]:,d} bytes, "
           f"the same on every run")
-    print(f"{'side':<6} {'runs':>4}   {'cpu_s q1':>8} {'median':>8} {'q3':>8}   "
+    print(f"{'side':<6} {'runs':>4}   {'user_ms q1':>10} {'median':>9} {'q3':>9}   "
+          f"{'sys_ms q1':>9} {'median':>8} {'q3':>8}   "
           f"{'rss_mb q1':>9} {'median':>8} {'q3':>8}   checkout")
-    for side, pairs in costs.items():
-        cpu = quartiles([c for c, _ in pairs])
-        rss = quartiles([r for _, r in pairs])
-        print(f"{side:<6} {len(pairs):>4}   {cpu[0]:8.3f} {cpu[1]:8.3f} {cpu[2]:8.3f}   "
+    for side, runs in costs.items():
+        user, kernel, rss = (quartiles([run[i] for run in runs]) for i in range(3))
+        print(f"{side:<6} {len(runs):>4}   {user[0]:10.1f} {user[1]:9.1f} {user[2]:9.1f}   "
+              f"{kernel[0]:9.1f} {kernel[1]:8.1f} {kernel[2]:8.1f}   "
               f"{rss[0]:9.1f} {rss[1]:8.1f} {rss[2]:8.1f}   {sides[side]}")
+    if args.against is not None:
+        cpu = {side: [run[0] + run[1] for run in runs] for side, runs in costs.items()}
+        lower = sum(a < b for a, b in zip(cpu["this"], cpu["other"]))
+        higher = sum(a > b for a, b in zip(cpu["this"], cpu["other"]))
+        print(f"child CPU (user + kernel) lower in: this {lower} of {args.runs} pairs, "
+              f"other {higher} of {args.runs}")
     return 0
 
 

@@ -210,6 +210,21 @@ def test_normalization_shift_is_the_ceiling_of_the_fraction():
         assert normalization_shift(inv, params) == math.ceil(slope / d), (n, m, k)
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 2000), m=st.integers(1, 2000), k=st.integers(1, 50))
+def test_the_shift_and_the_shortcut_equal_their_factorial_forms_at_large_n(n, m, k):
+    # the shift reads w(c1) / (rank * n) and the shortcut reads top back from
+    # the degree; neither computes L^(2n+2m), and both equal the factorial forms
+    params = SpaceParams(n, m, k)
+    inv = invariants_of_T(params)
+    deg = degree_by_factorials(c1_of_T(params), params)
+    d = degree_by_factorials(MultiDegree(1, 0, 0, 0), params)
+    assert normalization_shift(inv, params) == math.ceil(Fraction(deg, inv.rank) / d)
+    check = degree_simplification_check(inv, params)
+    assert check["exact_degree"] == deg
+    assert check["uniform_weight_shortcut"] == -(n + m + 4 * k) * top_multinomial_by_factorials(params)
+
+
 # ---------------------------------------------------------------------------
 # closed-form shortcut comparison
 # ---------------------------------------------------------------------------
@@ -221,7 +236,7 @@ def test_degree_check_reports_exact_value_and_sign():
     # realizes; the exact value wins, and both share the negative sign
     for n, m, k in [(1, 1, 1), (2, 2, 3), (1, 2, 3), (2, 1, 1), (1, 3, 2)]:
         params = SpaceParams(n, m, k)
-        check = degree_simplification_check(params)
+        check = degree_simplification_check(invariants_of_T(params), params)
         assert check["agree"] is False
         assert check["exact_degree"] == invariants_of_T(params).degree_L
         assert check["exact_degree"] < 0 and check["uniform_weight_shortcut"] < 0
@@ -230,7 +245,8 @@ def test_degree_check_reports_exact_value_and_sign():
 def test_the_shortcut_never_agrees_and_doubles_the_degree_when_n_equals_m():
     # shortcut - exact = -2 * top * (nm + k(n+m)) / (n+m), never 0
     for n, m, k in itertools.product(range(1, 13), repeat=3):
-        check = degree_simplification_check(SpaceParams(n, m, k))
+        params = SpaceParams(n, m, k)
+        check = degree_simplification_check(invariants_of_T(params), params)
         exact, shortcut = check["exact_degree"], check["uniform_weight_shortcut"]
         assert check["agree"] is False, (n, m, k)
         if n == m:
@@ -259,7 +275,7 @@ def test_degree_additivity_kernel_to_cohomology_bundle():
 
 
 def test_degree_check_fields():
-    check = degree_simplification_check(PARAMS_EX)
+    check = degree_simplification_check(invariants_of_T(PARAMS_EX), PARAMS_EX)
     assert set(check) == {"exact_degree", "uniform_weight_shortcut", "agree", "note"}
     assert check["exact_degree"] == -1380
     assert check["uniform_weight_shortcut"] == -(1 + 2 + 12) * 180

@@ -711,22 +711,34 @@ def test_a_run_killed_mid_write_leaves_no_document_it_did_not_write(tmp_path, bl
             json.loads(left.decode("utf-8"))
 
 
-def test_report_reads_the_top_intersection_number_once(capsys):
-    # every intersection number of a report is read off one L^(2n+2m), which
-    # takes tens of seconds at n = 10^6: a report computes it exactly once,
-    # and `top_multinomial` keeps that value for its other readers
+def test_report_reads_the_top_intersection_number_once(capsys, monkeypatch):
+    # every intersection number of a document is read off one L^(2n+2m),
+    # which takes tens of seconds at n = 10^6: `report` and `invariants`
+    # compute it exactly once, with no cache, since the shift and the degree
+    # check read it from the invariants and never call `top_multinomial`
     top_multinomial = chow_module.top_multinomial
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return top_multinomial(params)
+
+    monkeypatch.setattr(chow_module, "top_multinomial", counted)
     for argv in [
         ("report", "--n", "3000", "--m", "2", "--k", "1"),
         ("report", "--n", "2", "--m", "1", "--k", "2", "--max-q", "6", "--min-psum", "-4"),
+        ("invariants", "--n", "7500", "--m", "1", "--k", "1"),
     ]:
-        top_multinomial.cache_clear()
+        params = SpaceParams(int(argv[2]), int(argv[4]), int(argv[6]))
+        calls.clear()
         code, out, _ = run_cli(capsys, *argv)
         assert (code, sha256(out)) == GOLDEN_SHA256[argv]
-        assert top_multinomial.cache_info().misses == 1
-        # the one value computed is the report's own
-        top_multinomial(SpaceParams(int(argv[2]), int(argv[4]), int(argv[6])))
-        assert top_multinomial.cache_info().misses == 1
+        assert calls == [params]
+        inv = invariants_of_T(params)
+        calls.clear()
+        chow_module.normalization_shift(inv, params)
+        chow_module.degree_simplification_check(inv, params)
+        assert calls == []
 
 
 def test_streamed_build_equals_json_dumps_of_the_monad_document(capsys):
@@ -1043,6 +1055,19 @@ def test_a_too_large_build_k_is_refused_by_its_flag(tmp_path, capsys):
     assert not target.exists()
     for command in ("invariants", "verify", "simplicity"):
         assert run_cli(capsys, command, "--n", "1", "--m", "1", "--k", TOO_LARGE)[0] == 0
+
+
+def test_a_too_large_trials_is_refused_by_its_flag(capsys):
+    # past sys.maxsize argparse refuses it, naming the flag and the bound,
+    # before the samples' tuple quotes CPython's own limits; at sys.maxsize
+    # that tuple does not fit in memory
+    argv = ("verify", "--n", "1", "--m", "1", "--k", "1", "--trials")
+    code, out, err = run_cli(capsys, *argv, TOO_LARGE)
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        f"monadforge verify: error: argument --trials: must be <= {sys.maxsize}, got {TOO_LARGE}\n"
+    )
+    assert run_cli(capsys, *argv, str(sys.maxsize)) == (2, "", "error: out of memory\n")
 
 
 def test_missing_subcommand_exits_2(capsys):
@@ -1672,10 +1697,13 @@ def test_childcost_runs_a_command_against_a_checkout():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    head, _, *sides = proc.stdout.splitlines()
+    head, _, *sides, pairs = proc.stdout.splitlines()
     assert re.fullmatch(r"monadforge invariants --n 1 --m 1 --k 1: exit 0, [0-9,]+ bytes, "
                         r"the same on every run", head)
     assert [line.split()[:2] for line in sides] == [["this", "1"], ["other", "1"]]
+    # user and kernel CPU in ms with one decimal, then peak RSS
+    assert all(re.fullmatch(r"[0-9]+\.[0-9]", cell) for line in sides for cell in line.split()[2:11])
+    assert re.fullmatch(r"child CPU \(user \+ kernel\) lower in: this [01] of 1 pairs, other [01] of 1", pairs)
 
 
 def test_the_console_script_and_the_main_block_call_one_entry():

@@ -61,8 +61,8 @@ def test_normalization_shift_example_bundle():
 
 def test_normalization_shift_small_negative_slope():
     params = SpaceParams(1, 2, 3)
-    inv = BundleInvariants(rank=1, c1=MultiDegree(0, 0, 0, 0), degree_L=-1)
-    # d = degree_L(1,0,0,0) = 30 here, so ceil(-1/30) = 0
+    inv = BundleInvariants(rank=2, c1=MultiDegree(-1, 0, 0, 0), degree_L=-30)
+    # d = degree_L(1,0,0,0) = 30 here, so ceil(-15/30) = 0
     assert normalization_shift(inv, params) == 0
 
 

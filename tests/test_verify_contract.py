@@ -253,6 +253,49 @@ def test_the_build_schema_accepts_what_the_reader_accepts(data):
     event(assert_schema_matches_reader(doc["monad"] if isinstance(doc, dict) and "monad" in doc else doc))
 
 
+SCAN_CONFIG_SCHEMA = jsonschema.Draft202012Validator(SCHEMAS["stability"]["properties"]["config"])
+CONFIG_VALUES = st.one_of(st.integers(-3, 24), st.integers(), st.booleans(), st.just(1.0))
+BOUNDS = ("max_q", "max_psum", "component_bound", "min_psum")
+# why StabilityScanConfig refuses a config its schema accepts, as README
+# "JSON schemas" lists them: a predicate on the config and T's rank, and
+# the refusal's text
+SCAN_CONFIG_REASONS = [
+    (lambda c, rank: c["max_q"] > rank - 1, "max_q must lie in"),
+    (lambda c, rank: c["min_psum"] > c["max_psum"], "min_psum exceeds max_psum"),
+    (lambda c, rank: float in {type(v) for v in [*c["params"].values(), *(c[key] for key in BOUNDS)]},
+     "integer, got 1.0"),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    params=st.one_of(
+        st.fixed_dictionaries({key: st.integers(1, 3) for key in "nmk"}),
+        st.fixed_dictionaries({key: CONFIG_VALUES for key in "nmk"}),
+    ),
+    bounds=st.one_of(
+        st.tuples(st.integers(1, 12), st.integers(0, 4), st.integers(0, 4), st.integers(-4, 4)),
+        st.tuples(*(CONFIG_VALUES for _ in BOUNDS)),
+    ),
+)
+def test_the_scan_config_schema_accepts_what_the_scan_config_accepts(params, bounds):
+    # whatever StabilityScanConfig takes validates; a valid config that it
+    # refuses meets a reason on README's list
+    config = {"params": params, **dict(zip(BOUNDS, bounds))}
+    try:
+        StabilityScanConfig(SpaceParams.from_json(params), *bounds)
+        refusal = None
+    except ValueError as exc:
+        refusal = str(exc)
+    valid = SCAN_CONFIG_SCHEMA.is_valid(config)
+    event(f"accepted {refusal is None}, valid {valid}")
+    if refusal is None:
+        assert valid
+    elif valid:
+        rank = 2 * params["n"] + 2 * params["m"] + 3 * params["k"]
+        assert any(holds(config, rank) and text in refusal for holds, text in SCAN_CONFIG_REASONS), refusal
+
+
 def test_the_schemas_refuse_what_the_readers_refuse(tmp_path):
     # a term in two variables or of degree 2
     doc = json.loads(built(1, 1, 1))
