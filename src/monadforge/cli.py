@@ -25,17 +25,24 @@ cohomology's four integers last) is read straight from the table by
 the argparse parser `build_parser` makes from the same table, so argparse
 alone prints every help text, version line and usage error.
 
+Every document leaves through `_emit`, as the UTF-8 encoding of its pieces
+through one `io.BufferedWriter` of 256 KiB: on the `--output` file, written
+over in place and committed by its first byte, or on stdout's descriptor,
+left open for what the process writes next.
+
 `main` is the in-process entry (tests, the library, the benchmark's traced
 pass); `run` is the process entry, which `python -m monadforge.cli` and the
 `monadforge` console script both call.
 
-Exit codes: 0 = success, 1 = a mathematical check failed, 2 = usage error or out
-of memory.
+Exit codes: 0 = success, 1 = a mathematical check failed, 2 = usage error
+(a closed stdout among them) or out of memory.
 """
 
 from __future__ import annotations
 
+import errno
 import gc
+import io
 import json
 import os
 import stat
@@ -140,30 +147,6 @@ def _int_in(low: int, high: Optional[int] = None) -> Callable[[str], int]:
 _WRITE_BUFFER = 256 * 1024
 
 
-def _write_through_buffer(write: Callable[[memoryview], object], chunks: Iterable[str]) -> None:
-    """Pass the UTF-8 encoding of the pieces to `write` through one buffer of
-    _WRITE_BUFFER (256 KiB), reused for the whole document.  The buffer is
-    handed on whenever the next piece does not fit, so each block but the
-    last holds more than _WRITE_BUFFER less the largest piece; a piece larger
-    than the buffer is handed on alone.  A block always ends between two
-    pieces."""
-    buffer = bytearray(_WRITE_BUFFER)
-    view = memoryview(buffer)
-    used = 0
-    for piece in chunks:
-        data = piece.encode("utf-8")
-        end = used + len(data)
-        if end > _WRITE_BUFFER:
-            write(view[:used])
-            used, end = 0, len(data)
-            if end > _WRITE_BUFFER:
-                write(memoryview(data))
-                continue
-        view[used:end] = data
-        used = end
-    write(view[:used])
-
-
 def _open_in_place(path: str, flags: int) -> int:
     """`open`'s opener for a document: mode "wb"'s flags without O_TRUNC, so
     a file already at `path` is written over, not emptied first; a new file
@@ -172,8 +155,15 @@ def _open_in_place(path: str, flags: int) -> int:
 
 
 def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
-    """Write the pieces of one document to `output` (stdout if None or "-");
-    both sinks take them through `_write_through_buffer`.
+    """Write the pieces of one document to `output` (stdout if None or "-").
+
+    Both sinks take the UTF-8 encoding of the pieces through an
+    `io.BufferedWriter` of _WRITE_BUFFER (256 KiB): it hands its buffer on
+    whenever the next piece does not fit, so a document leaves in a few
+    large `write` calls whatever the size of its pieces.  Stdout's writer is
+    a second one on its descriptor, which it leaves open (`closefd=False`);
+    a stream with no descriptor (a StringIO, a test's capture) takes the
+    pieces as text, and a closed stdout (None) is EBADF.
 
     A file already at `output` keeps its inode: it is opened without
     O_TRUNC, written from its start and, if it is a regular file (by `fstat`
@@ -185,7 +175,8 @@ def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
     accepts, until the rest is written and cut to length, and then the real
     byte (`{`, or `m` for build's text) is written at offset 0.  So a run
     killed part-way never leaves its bytes spliced over the last run's as a
-    document that parses.
+    document that parses.  Stdout gets neither the commit byte nor the cut:
+    a shell may have opened it to append.
 
     The pieces are produced as they are written, so producing one can fail
     part-way (out of memory), as can the write itself (a full disk).  A
@@ -193,15 +184,18 @@ def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
     to, before the error propagates, so no partial document is left at
     `output`; stdout may already hold part of one."""
     if output is None or output == "-":
+        if sys.stdout is None:  # the process started with its stdout closed
+            raise OSError(errno.EBADF, "standard output is closed")
         sys.stdout.flush()  # what the text layer holds goes out first
-        binary = getattr(sys.stdout, "buffer", None)  # None on a text-only stream such as StringIO
-        _write_through_buffer(
-            binary.write if binary is not None else lambda block: sys.stdout.write(str(block, "utf-8")),
-            chunks,
-        )
-        return
-    fh = open(output, "wb", opener=_open_in_place)
-    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        try:
+            fd = sys.stdout.fileno()
+        except io.UnsupportedOperation:
+            sys.stdout.writelines(chunks)
+            return
+        fh, regular = open(fd, "wb", buffering=_WRITE_BUFFER, closefd=False), False
+    else:
+        fh = open(output, "wb", buffering=_WRITE_BUFFER, opener=_open_in_place)
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
     try:
         with fh:
             if regular:
@@ -209,7 +203,7 @@ def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
                 head = next(chunks, "")
                 first = head[:1].encode("utf-8")
                 chunks = chain(["\0" * len(first) + head[1:]], chunks)
-            _write_through_buffer(fh.write, chunks)
+            fh.writelines(piece.encode("utf-8") for piece in chunks)
             if regular:
                 fh.truncate()
                 fh.flush()
@@ -514,13 +508,14 @@ def _answer(argv: List[str]) -> int:
         # OSError: an unreadable --input path or an --output path that cannot be written;
         # ValueError: an argument the library rejects, such as a scan box out of range;
         # OverflowError: a parameter too large to compute with that no flag's bound refused
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        message = str(exc)
     except MemoryError:
         # a scan box whose rows are too many to write, or a `verify --input`
         # document too large to parse
-        sys.stderr.write("error: out of memory\n")
-        return EXIT_USAGE
+        message = "out of memory"
+    if sys.stderr is not None:  # a process started with stderr closed tells by its exit code alone
+        sys.stderr.write(f"error: {message}\n")
+    return EXIT_USAGE
 
 
 def run() -> NoReturn:

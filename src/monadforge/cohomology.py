@@ -8,12 +8,15 @@ Everything here reduces to two classical facts:
       h^n(O(d)) = C(-d-1, n)           for d <= -n-1,
       h^i(O(d)) = 0                    otherwise,
 
-  so O(d) has cohomology in at most one degree.
+  so O(d) has cohomology in at most one degree: 0 if d >= 0, n if d < 0.
 
-* On a product, the dimensions multiply and the degrees add (Kuenneth):
+* On a product, the dimensions multiply and the degrees add (Kuenneth).
+  With one degree per factor the sum over p+q+r+s=t has at most one term:
 
-      h^t(O_X(a,b,c,d)) = sum over p+q+r+s=t of
-          h^p(P^n,O(a)) h^q(P^n,O(b)) h^r(P^m,O(c)) h^s(P^m,O(d)).
+      h^t(O_X(a,b,c,d)) = h^p(P^n,O(a)) h^q(P^n,O(b)) h^r(P^m,O(c)) h^s(P^m,O(d))
+
+  at t = p+q+r+s, each of p, q, r, s the one degree of its factor, and
+  h^t = 0 at every other t.
 
 Direct sums of line bundles are the only sheaves the package ever needs
 cohomology of, so a `LineBundleSum` (degrees with multiplicities) plus a
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import json
 from math import comb
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 from .polyring import MultiDegree, Record, SpaceParams, checked_int, json_int, json_key
 
@@ -42,23 +45,6 @@ def bott_h(n: int, d: int, i: int) -> int:
     if i == n:
         return comb(-d - 1, n) if -d - n - 1 >= 0 else 0
     return 0
-
-
-def _factor_options(
-    params: SpaceParams, deg: MultiDegree
-) -> List[List[Tuple[int, int]]]:
-    """Per-factor list of (degree, dimension) pairs with nonzero dimension."""
-    factors = (
-        (params.n, deg.a),
-        (params.n, deg.b),
-        (params.m, deg.c),
-        (params.m, deg.d),
-    )
-    out: List[List[Tuple[int, int]]] = []
-    for dim, d in factors:
-        pairs = ((i, bott_h(dim, d, i)) for i in (0, dim))
-        out.append([(i, h) for i, h in pairs if h])
-    return out
 
 
 class CohTable(Record):
@@ -132,16 +118,21 @@ def line_bundle(params: SpaceParams, deg: MultiDegree, mult: int = 1) -> LineBun
 
 
 def sum_cohomology(S: LineBundleSum) -> CohTable:
-    """Full dimension table of a direct sum, additively over summands."""
-    top = S.params.dim_x
-    dims = [0] * (top + 1)
+    """Full dimension table of a direct sum, additively over summands.
+
+    O(d) on P^D has cohomology in degree 0 alone if d >= 0 and in degree D
+    alone if d < 0, so each summand O(a,b,c,d)^mult adds mult times the
+    product of its four factors' dimensions in the one degree that is the
+    sum of theirs."""
+    params = S.params
+    dims = [0] * (params.dim_x + 1)
     for deg, mult in S.summands:
-        options = _factor_options(S.params, deg)
-        for i1, v1 in options[0]:
-            for i2, v2 in options[1]:
-                for i3, v3 in options[2]:
-                    for i4, v4 in options[3]:
-                        dims[i1 + i2 + i3 + i4] += mult * v1 * v2 * v3 * v4
+        t, h = 0, mult
+        for D, d in zip((params.n, params.n, params.m, params.m), deg.as_tuple()):
+            i = 0 if d >= 0 else D
+            t += i
+            h *= bott_h(D, d, i)
+        dims[t] += h
     return CohTable(tuple(dims))
 
 

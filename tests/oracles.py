@@ -12,9 +12,10 @@ exterior powers that `cohomology.exterior_power_sum` enumerates summand by
 summand; the
 certificate's closed-form LES collapse is checked against `les_propagate`
 run on `twisted_dual_sequence`, whose left and middle tables are computed
-from the line-bundle sums themselves.  Eight oracles are the library's
+from the line-bundle sums themselves.  Nine oracles are the library's
 earlier code; two of them are the factorial quotients that `chow` now
-computes as one product of binomials.  The simplicity certificate is built
+computes as one product of binomials, and one the Kunneth convolution that
+`sum_cohomology` now reads off one degree per factor.  The simplicity certificate is built
 field by field, each field computed on its own as when the record stored it,
 from a scan and the solved sequence.  The vanishing scan sums the generating
 function at every twist of its box and stores every row; it shares the
@@ -53,6 +54,7 @@ from monadforge.chow import rank_of_T
 from monadforge.cohomology import (
     CohTable,
     LineBundleSum,
+    bott_h,
     exterior_power_sum,
     line_bundle,
     sum_cohomology,
@@ -103,6 +105,26 @@ def euler_char_pn(n: int, d: int) -> int:
         value *= Fraction(d + j, j)
     assert value.denominator == 1
     return int(value)
+
+
+def sum_cohomology_by_kunneth(S: LineBundleSum) -> CohTable:
+    """The dimension table of a direct sum by the Kunneth convolution: for
+    each summand, every choice of one degree per factor (0 or its dimension)
+    with a nonzero h there, the product of the four h in the sum of the four
+    degrees.  The library's earlier `sum_cohomology`."""
+    params = S.params
+    dims = [0] * (params.dim_x + 1)
+    for deg, mult in S.summands:
+        options = []
+        for D, d in zip((params.n, params.n, params.m, params.m), deg.as_tuple()):
+            pairs = ((i, bott_h(D, d, i)) for i in (0, D))
+            options.append([(i, h) for i, h in pairs if h])
+        for i1, v1 in options[0]:
+            for i2, v2 in options[1]:
+                for i3, v3 in options[2]:
+                    for i4, v4 in options[3]:
+                        dims[i1 + i2 + i3 + i4] += mult * v1 * v2 * v3 * v4
+    return CohTable(tuple(dims))
 
 
 def _det_by_permutations(rows: Sequence[Sequence[int]], p: int) -> int:

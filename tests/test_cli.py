@@ -662,23 +662,26 @@ def test_an_output_is_never_opened_with_o_trunc(tmp_path, capsys, monkeypatch):
 
 
 # a child that runs `main` on argv[2:] and dies, as SIGKILL or the OOM killer
-# would end it, right after its write of block argv[1] of the document
+# would end it, right after its write of block argv[1] of the document: the
+# document's file is opened through a raw file whose `write` ends the process
 KILLED_AFTER_BLOCK = """
-import os, sys
+import io, os, sys
 from monadforge import cli
 stop, blocks = int(sys.argv[1]), 0
-write_through_buffer = cli._write_through_buffer
 
-def dying(write, chunks):
-    def write_then_die(block):
+class Dying(io.FileIO):
+    def write(self, block):
         global blocks
-        write(block)
+        written = super().write(block)
         blocks += 1
         if blocks == stop:
             os._exit(9)
-    write_through_buffer(write_then_die, chunks)
+        return written
 
-cli._write_through_buffer = dying
+def dying_open(path, mode, buffering, opener):
+    return io.BufferedWriter(Dying(path, "w", opener=opener), buffering)
+
+cli.open = dying_open
 sys.exit(cli.main(sys.argv[2:]))
 """
 
@@ -1772,6 +1775,51 @@ def test_a_reader_that_closes_stdout_early_ends_the_run_quietly():
         err = proc.stderr.read()
         code = proc.wait(timeout=300)
     assert (len(head), code, err) == (100, 0, b"")
+
+
+# a child that writes the documents of the argvs in argv[1] (JSON) to its
+# stdout, then a line of their exit codes
+DOCUMENTS_THEN_A_LINE = """
+import json, sys
+from monadforge.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print("exit codes", *codes)
+"""
+
+
+def test_stdout_stays_open_after_a_document():
+    # each document goes through a writer of its own on fd 1, which must not
+    # close the descriptor: the next document and the caller's print use it
+    argvs = [OVERWRITTEN, FROZEN_123["invariants"]]
+    env = dict(os.environ, PYTHONPATH=str(SRC), SOURCE_DATE_EPOCH=EPOCH)
+    child = subprocess.run([sys.executable, "-c", DOCUMENTS_THEN_A_LINE, json.dumps(argvs)],
+                           capture_output=True, text=True, env=env, timeout=300)
+    line = "exit codes 0 0\n"
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout.endswith(line)
+    split = child.stdout.index("\n}\n") + 3  # the end of the first document
+    documents = [child.stdout[:split], child.stdout[split:-len(line)]]
+    assert [sha256(text) for text in documents] == [GOLDEN_SHA256[argv][1] for argv in argvs]
+
+
+def test_a_closed_stdout_or_stderr_gives_no_traceback(tmp_path):
+    # a process started with fd 1 or fd 2 closed has sys.stdout or sys.stderr
+    # None: a document for stdout is a usage error, told on stderr if that
+    # is open, and an --output document is written as always
+    target = tmp_path / "invariants.json"
+    invariants = FROZEN_123["invariants"]
+    closed_stdout = f"error: [Errno {errno.EBADF}] standard output is closed\n"
+    cases = [
+        (invariants, ">&-", 2, closed_stdout),
+        (("stability", "--max-q", "99"), "2>&-", 2, ""),
+        ((*invariants, "--output", str(target)), ">&-", 0, ""),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SRC), SOURCE_DATE_EPOCH=EPOCH)
+    for argv, redirect, code, err in cases:
+        proc = subprocess.run(["sh", "-c", f'exec "$0" -m monadforge.cli "$@" {redirect}', sys.executable, *argv],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err), argv
+    assert sha256(target.read_text()) == GOLDEN_SHA256[invariants][1]
 
 
 def launchable(name):

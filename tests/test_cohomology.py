@@ -4,6 +4,7 @@ powers."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -27,6 +28,7 @@ from oracles import (
     exterior_by_subsets,
     h0_by_monomial_count,
     h0_of_sum,
+    sum_cohomology_by_kunneth,
     twist,
 )
 
@@ -98,6 +100,18 @@ def test_kunneth_frozen_values():
     # canonical bundle has a single top-degree class
     canonical = sum_cohomology(line_bundle(params, MultiDegree(-2, -2, -3, -3))).dims
     assert canonical == (0, 0, 0, 0, 0, 0, 1)
+
+
+def test_one_degree_per_summand_equals_the_kunneth_convolution():
+    # every line bundle (multiplicity 2) of degrees in [-6, 3]^4 on each
+    # space with n, m <= 3: the vanishing strip, the boundary d = 0 and
+    # d = -D-1, and both signs in every factor
+    degrees = [MultiDegree(*deg) for deg in itertools.product(range(-6, 4), repeat=4)]
+    for n, m in itertools.product(range(1, 4), repeat=2):
+        params = SpaceParams(n, m, 1)
+        for deg in degrees:
+            S = line_bundle(params, deg, 2)
+            assert sum_cohomology(S) == sum_cohomology_by_kunneth(S), (n, m, deg)
 
 
 def test_kunneth_euler_is_product_of_factor_eulers():
