@@ -116,6 +116,10 @@ _DIMENSION_LIMIT = (sys.maxsize - 1) // 4
 # the largest --k of `build`: with n = m = 1 and k at most this, the width
 # 2n + 2m + 4k of f is an index-sized integer
 _BUILD_K_LIMIT = (sys.maxsize - 4) // 4
+# the largest --component-bound of the commands that write the row grid:
+# with cb at most this, 2cb + 1, the length of its tables, is an index-sized
+# integer
+_GRID_BOUND_LIMIT = (sys.maxsize - 1) // 2
 
 
 def _int_in(low: int, high: Optional[int] = None) -> Callable[[str], int]:
@@ -176,14 +180,25 @@ def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
     byte (`{`, or `m` for build's text) is written at offset 0.  So a run
     killed part-way never leaves its bytes spliced over the last run's as a
     document that parses.  Stdout gets neither the commit byte nor the cut:
-    a shell may have opened it to append.
+    a shell may have opened it to append.  So does an `output` that is
+    stdout's own regular file (`/dev/stdout`, or its path, under `>>`): it is
+    closed unwritten, and the document goes through stdout's descriptor,
+    whose offset and O_APPEND are the shell's.
 
     The pieces are produced as they are written, so producing one can fail
     part-way (out of memory), as can the write itself (a full disk).  A
     regular file this opened is then removed, at the path its symlinks lead
     to, before the error propagates, so no partial document is left at
     `output`; stdout may already hold part of one."""
-    if output is None or output == "-":
+    fh = None
+    if output is not None and output != "-":
+        fh = open(output, "wb", buffering=_WRITE_BUFFER, opener=_open_in_place)
+        st = os.fstat(fh.fileno())
+        regular = stat.S_ISREG(st.st_mode)
+        if regular and sys.stdout is not None and os.path.samestat(st, os.fstat(1)):
+            fh.close()  # stdout's own file, which a shell may append to
+            fh = None
+    if fh is None:
         if sys.stdout is None:  # the process started with its stdout closed
             raise OSError(errno.EBADF, "standard output is closed")
         sys.stdout.flush()  # what the text layer holds goes out first
@@ -193,9 +208,6 @@ def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
             sys.stdout.writelines(chunks)
             return
         fh, regular = open(fd, "wb", buffering=_WRITE_BUFFER, closefd=False), False
-    else:
-        fh = open(output, "wb", buffering=_WRITE_BUFFER, opener=_open_in_place)
-        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
     try:
         with fh:
             if regular:
@@ -360,12 +372,20 @@ SCAN_FLAGS: Tuple[Flag, ...] = (
      "lower bound on p1+p2+p3+p4 (default 0; negative values probe outside the criterion's regime)"),
 )
 
+
+def _bounded(flags: Tuple[Flag, ...], option: str, convert: Callable[[str], int]) -> Tuple[Flag, ...]:
+    """`flags` with the type function of `option` replaced by `convert`."""
+    return tuple(flag[:2] + (convert,) + flag[3:] if flag[0] == option else flag for flag in flags)
+
+
 # build writes its matrices cell by cell, so its --k is bounded; the other
 # commands read k only in closed forms and take any k
-BUILD_FLAGS: Tuple[Flag, ...] = tuple(
-    ("--k", "k", _int_in(1, _BUILD_K_LIMIT), 1, None, flag[5]) if flag[0] == "--k" else flag
-    for flag in COMMON_FLAGS
-) + (("--format", "format", None, "json", ("json", "text"), None),)
+BUILD_FLAGS = _bounded(COMMON_FLAGS, "--k", _int_in(1, _BUILD_K_LIMIT)) + (
+    ("--format", "format", None, "json", ("json", "text"), None),)
+# stability and report write the row grid from tables of 2cb + 1 component
+# texts, so their --component-bound is bounded; simplicity writes no grid and
+# takes any
+GRID_FLAGS = _bounded(SCAN_FLAGS, "--component-bound", _int_in(0, _GRID_BOUND_LIMIT))
 
 # (name, one-line help, handler, flags, whether four DEG integers come last)
 SUBCOMMANDS = (
@@ -376,10 +396,10 @@ SUBCOMMANDS = (
      False),
     ("cohomology", "dimension table of a line bundle", _cmd_cohomology, COMMON_FLAGS, True),
     ("invariants", "rank / c1 / degree / slope of T", _cmd_invariants, COMMON_FLAGS, False),
-    ("stability", "Hoppe-criterion vanishing scan", _cmd_stability, COMMON_FLAGS + SCAN_FLAGS, False),
+    ("stability", "Hoppe-criterion vanishing scan", _cmd_stability, COMMON_FLAGS + GRID_FLAGS, False),
     ("simplicity", "simplicity certificate for E", _cmd_simplicity, COMMON_FLAGS + SCAN_FLAGS, False),
     ("report", "invariants + stability + simplicity in one document", _cmd_report,
-     COMMON_FLAGS + SCAN_FLAGS, False),
+     COMMON_FLAGS + GRID_FLAGS, False),
 )
 
 _SUBCOMMAND = {row[0]: row for row in SUBCOMMANDS}

@@ -562,13 +562,14 @@ def sampled_rank_report(
     Raises ValueError if trials < 1.
     """
     checked_int(trials, 1, "trials")
-    rank_f: List[int] = []
-    rank_g: List[int] = []
+    # both lists first, so that a count of trials no memory holds fails at once
+    rank_f = [0] * trials
+    rank_g = rank_f.copy()
     for i in range(trials):
         rng = _trial_rng(seed, i)
         point = _sample_point(spec.params, rng, prime)
-        rank_f.append(rank_over_field(evaluate_matrix(spec.f, point, prime), prime))
-        rank_g.append(rank_over_field(evaluate_matrix(spec.g, point, prime), prime))
+        rank_f[i] = rank_over_field(evaluate_matrix(spec.f, point, prime), prime)
+        rank_g[i] = rank_over_field(evaluate_matrix(spec.g, point, prime), prime)
 
     origin = [[0] * (spec.params.group_dim(group) + 1) for group in GROUPS]
     origin_f = rank_over_field(evaluate_matrix(spec.f, origin, prime), prime)

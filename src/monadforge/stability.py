@@ -128,9 +128,9 @@ Twist = Tuple[int, int, int, int]  # (a, b, c, d), as in MultiDegree
 ScanRow = Tuple[int, MultiDegree, int]  # (q, twist, h0)
 
 
-def _runs(cb: int, lo: int, hi: int, top: int) -> Iterator[Tuple[int, int, int, range]]:
-    """The box of `_box` as its runs: (p1, p2, p3, p4s), the range p4s of
-    p4 for each (p1, p2, p3) that has one, in lexicographic p-order.
+def _box(cb: int, lo: int, hi: int, top: int) -> Iterator[Twist]:
+    """The twists (-p1,-p2,-p3,-p4) with every p_i in [-cb, top] and
+    lo <= p1+p2+p3+p4 <= hi, as int 4-tuples in lexicographic p-order.
 
     Each p_i takes only the values from which the p_j after it can still
     bring the sum into [lo, hi], so an empty range yields nothing at once."""
@@ -142,16 +142,7 @@ def _runs(cb: int, lo: int, hi: int, top: int) -> Iterator[Tuple[int, int, int, 
     for p1 in span(0, 3):
         for p2 in span(p1, 2):
             for p3 in span(p1 + p2, 1):
-                p4s = span(p1 + p2 + p3, 0)
-                if p4s:
-                    yield p1, p2, p3, p4s
-
-
-def _box(cb: int, lo: int, hi: int, top: int) -> Iterator[Twist]:
-    """The twists (-p1,-p2,-p3,-p4) with every p_i in [-cb, top] and
-    lo <= p1+p2+p3+p4 <= hi, as int 4-tuples in lexicographic p-order."""
-    for p1, p2, p3, p4s in _runs(cb, lo, hi, top):
-        yield from ((-p1, -p2, -p3, -p4) for p4 in p4s)
+                yield from ((-p1, -p2, -p3, -p4) for p4 in span(p1 + p2 + p3, 0))
 
 
 def _box_size(cfg: StabilityScanConfig) -> int:
@@ -172,12 +163,6 @@ def _box_size(cfg: StabilityScanConfig) -> int:
         )
 
     return at_most(cfg.max_psum + 4 * cb) - at_most(cfg.min_psum + 4 * cb - 1)
-
-
-def enumerate_twists(cfg: StabilityScanConfig) -> Iterator[MultiDegree]:
-    """All twists (-p1,-p2,-p3,-p4) in the box, in lexicographic p-order."""
-    cb = cfg.component_bound
-    return (MultiDegree(*tw) for tw in _box(cb, cfg.min_psum, cfg.max_psum, cb))
 
 
 # A piece of zero rows is one join of at most _ROW_BATCH row texts of one
@@ -218,21 +203,20 @@ class RowGrid(Record):
 
     def __iter__(self) -> Iterator[ScanRow]:
         cfg = self.config
-        degrees = list(enumerate_twists(cfg))
-        # q -> [(twist index in the box, h0), ...] of the nonzero rows
-        marks: Dict[int, List[Tuple[int, int]]] = {}
+        cb = cfg.component_bound
+        box = list(_box(cb, cfg.min_psum, cfg.max_psum, cb))
+        # q -> the h0 of each twist of the box, for a q with a nonzero row
+        h0s: Dict[int, List[int]] = {}
         if self.nonzero:
-            cb = cfg.component_bound
             wanted = {tw.as_tuple() for _, tw, _ in self.nonzero}
-            boxed = enumerate(_box(cb, cfg.min_psum, cfg.max_psum, cb))
-            index = {tw: j for j, tw in boxed if tw in wanted}
+            index = {tw: j for j, tw in enumerate(box) if tw in wanted}
             for q, tw, h0 in self.nonzero:
-                marks.setdefault(q, []).append((index[tw.as_tuple()], h0))
+                if q not in h0s:
+                    h0s[q] = [0] * len(box)
+                h0s[q][index[tw.as_tuple()]] = h0
+        degrees = [MultiDegree(*tw) for tw in box]
         for q in range(1, cfg.max_q + 1):
-            h0s = [0] * len(degrees)
-            for j, h0 in marks.get(q, ()):
-                h0s[j] = h0
-            yield from zip(repeat(q), degrees, h0s)
+            yield from zip(repeat(q), degrees, h0s.get(q, repeat(0)))
 
     def json_chunks(self, indent: int) -> Iterator[str]:
         """The list [{"h0": h0, "q": q, "twist": [a, b, c, d]}, ...] of the

@@ -39,6 +39,8 @@ class Mutant(NamedTuple):
 
 CLI = "src/monadforge/cli.py"
 COHOMOLOGY = "src/monadforge/cohomology.py"
+MONAD = "src/monadforge/monad.py"
+STABILITY = "src/monadforge/stability.py"
 KILLED = "tests/test_cli.py::test_a_run_killed_mid_write_leaves_no_document_it_did_not_write"
 WRITTEN_OVER = "tests/test_cli.py::test_a_document_is_written_over_the_file_already_there"
 WRITE_CALLS = ("tests/test_cli.py::test_a_document_file_leaves_in_writes_of_the_buffer_size",)
@@ -59,8 +61,18 @@ MUTANTS: Tuple[Mutant, ...] = (
             "tests/test_demos.py::test_demo_exits_0[build_and_verify.py]")),
     Mutant("removal on failure", CLI, "os.remove(os.path.realpath(output))", "pass",
            ("tests/test_cli.py::test_a_box_too_large_to_write_exits_2_without_a_traceback",)),
+    Mutant("stdout's own file", CLI, "os.path.samestat(st, os.fstat(1))", "False",
+           ("tests/test_cli.py::test_an_output_that_is_stdouts_own_file_is_written_through_stdout",)),
+    Mutant("the component bound's flag bound", CLI, "_int_in(0, _GRID_BOUND_LIMIT)", "_int_in(0)",
+           ("tests/test_cli.py::test_a_too_large_component_bound_is_refused_by_its_flag",)),
     Mutant("one degree per factor", COHOMOLOGY, "0 if d >= 0 else D", "0 if d > 0 else D",
            ("tests/test_cohomology.py::test_one_degree_per_summand_equals_the_kunneth_convolution",)),
+    Mutant("the samples allocated first", MONAD, "rank_f = [0] * trials", "rank_f = [0] * min(trials, 64)",
+           ("tests/test_cli.py::test_trials_that_no_memory_holds_fail_at_once_off_the_band",)),
+    Mutant("the box's pruning", STABILITY, "left * top", "left * cb",
+           ("tests/test_stability.py::test_box_visits_only_the_prefixes_of_its_twists",)),
+    Mutant("the h0s of a nonzero q", STABILITY, "h0s.get(q, repeat(0))", "repeat(0)",
+           ("tests/test_polyring.py::test_streamed_rows_equal_json_dumps_of_the_row_dicts",)),
 )
 
 

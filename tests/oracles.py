@@ -19,17 +19,18 @@ computes as one product of binomials, and one the Kunneth convolution that
 field by field, each field computed on its own as when the record stored it,
 from a scan and the solved sequence.  The vanishing scan sums the generating
 function at every twist of its box and stores every row; it shares the
-generating function and the twist enumeration with the scan it checks, which
-sums only where the negative-component lemma allows a nonzero row.  The two
+generating function with the scan it checks, which sums only where the
+negative-component lemma allows a nonzero row.  The two
 entry walks of `MonadSpec.structural_problems` are restated over block
 offsets summed from the block sizes.  The assembly builds the monad
 block by block from the closed entry formulas, two blocks of f negated and
 the blocks flattened into f and g, where the library builds f and g straight
 from one staircase line per block.  The scan's twist box is enumerated twist
-by twist in four nested loops, where the library walks it as runs of p4, one
-run per (p1, p2, p3), and its rows are written from one text per twist of
-that enumeration, where the library writes them from tables of texts per
-p-sum.  Two checks of the paper's statements that no command
+by twist in four nested loops, the same pruned loops as the library's `_box`,
+which the tests hold equal to it and to the filtered cube; `enumerate_twists`
+gives its twists as MultiDegrees.  The box's rows are written from one text
+per twist of that enumeration, where the library writes them from tables of
+texts per p-sum.  Two checks of the paper's statements that no command
 makes live here too: the four block products f_b g_b (acceptance criterion
 2) and Floystad's existence criterion for linear monads (criterion 10).  The
 last section holds helpers that no command runs and that the tests still
@@ -77,11 +78,7 @@ from monadforge.polyring import (
     checked_int,
     matrix_mul,
 )
-from monadforge.stability import (
-    StabilityScanConfig,
-    _wedge_h0_series,
-    enumerate_twists,
-)
+from monadforge.stability import StabilityScanConfig, _wedge_h0_series
 
 
 def h0_by_monomial_count(n: int, d: int) -> int:
@@ -458,6 +455,13 @@ def box_by_nested_loops(cb: int, lo: int, hi: int, top: int) -> Iterator[Tuple[i
         for p2 in span(p1, 2):
             for p3 in span(p1 + p2, 1):
                 yield from ((-p1, -p2, -p3, -p4) for p4 in span(p1 + p2 + p3, 0))
+
+
+def enumerate_twists(cfg: StabilityScanConfig) -> Iterator[MultiDegree]:
+    """All twists (-p1,-p2,-p3,-p4) of cfg's box as MultiDegrees, in
+    lexicographic p-order, as `box_by_nested_loops` gives them."""
+    cb = cfg.component_bound
+    return (MultiDegree(*tw) for tw in box_by_nested_loops(cb, cfg.min_psum, cfg.max_psum, cb))
 
 
 def stability_scan_by_series(cfg: StabilityScanConfig) -> ScanBySeries:

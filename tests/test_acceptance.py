@@ -35,11 +35,11 @@ from monadforge import (
 )
 from monadforge.monad import sampled_rank_report
 from monadforge.polyring import MultiDegree
-from monadforge.stability import enumerate_twists
 from oracles import (
     block_products,
     degree_by_expansion,
     direct_sum,
+    enumerate_twists,
     form_text,
     floystad_check,
     h0_by_monomial_count,

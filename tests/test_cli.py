@@ -1060,6 +1060,32 @@ def test_a_too_large_build_k_is_refused_by_its_flag(tmp_path, capsys):
         assert run_cli(capsys, command, "--n", "1", "--m", "1", "--k", TOO_LARGE)[0] == 0
 
 
+# the largest --component-bound of stability and report: the length 2cb + 1
+# of the row writer's tables is then an index-sized integer
+GRID_BOUND_LIMIT = (sys.maxsize - 1) // 2
+
+
+def test_a_too_large_component_bound_is_refused_by_its_flag(capsys):
+    # argparse refuses it for the two commands that write the row grid,
+    # naming the flag and the bound, before the writer's tables outgrow
+    # memory; simplicity writes no grid and takes any bound.  Only the
+    # parser runs: a bound that reached the writer would fill the memory
+    for command in ("stability", "report"):
+        for value in (TOO_LARGE, str(GRID_BOUND_LIMIT + 1)):
+            argv = [command, "--component-bound", value]
+            assert cli_module._plain_args(argv) is None
+            with pytest.raises(SystemExit) as exc:
+                cli_module.build_parser().parse_args(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                f"monadforge {command}: error: argument --component-bound: "
+                f"must be <= {GRID_BOUND_LIMIT}, got {value}\n"
+            )
+        at_limit = cli_module._plain_args([command, "--component-bound", str(GRID_BOUND_LIMIT)])
+        assert at_limit.component_bound == GRID_BOUND_LIMIT
+    assert run_cli(capsys, "simplicity", "--component-bound", TOO_LARGE)[0] == 0
+
+
 def test_a_too_large_trials_is_refused_by_its_flag(capsys):
     # past sys.maxsize argparse refuses it, naming the flag and the bound,
     # before the samples' tuple quotes CPython's own limits; at sys.maxsize
@@ -1071,6 +1097,25 @@ def test_a_too_large_trials_is_refused_by_its_flag(capsys):
         f"monadforge verify: error: argument --trials: must be <= {sys.maxsize}, got {TOO_LARGE}\n"
     )
     assert run_cli(capsys, *argv, str(sys.maxsize)) == (2, "", "error: out of memory\n")
+
+
+def test_trials_that_no_memory_holds_fail_at_once_off_the_band(tmp_path, capsys):
+    # f's row scaled by the prime is off the band, so verify samples: both
+    # lists of samples are allocated before the first trial, and sys.maxsize
+    # trials exit 2 at once instead of sampling until killed.  Three trials
+    # still give the FAILED verdict, byte for byte
+    monad_file, doc = build_document(tmp_path, capsys, 1, 1, 1)
+    for cell in doc["monad"]["f"]["entries"][0]:
+        for item in cell:
+            item["coeff"] = str(int(item["coeff"]) * 2147483647)
+    monad_file.write_text(json.dumps(doc))
+    argv = ("verify", "--input", str(monad_file), "--trials")
+    proc = run_in_address_space([*argv, str(sys.maxsize)], 400, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+    code, out, _ = run_cli(capsys, *argv, "3")
+    assert (code, sha256(out)) == (
+        1, "427db7c6d161655dcef82f3781c0caddf4267c316152d018729706fc541b127e"
+    )
 
 
 def test_missing_subcommand_exits_2(capsys):
@@ -1091,10 +1136,10 @@ def test_output_naming_a_directory_exits_2(tmp_path, capsys):
     assert tmp_path.is_dir()
 
 
-def run_in_address_space(argv, limit_mb, file_limit_mb=None):
+def run_in_address_space(argv, limit_mb, file_limit_mb=None, timeout=300):
     """`python -m monadforge.cli *argv` in a child whose address space is
     capped at `limit_mb` MB and, unless `file_limit_mb` is None, each file it
-    writes at `file_limit_mb` MB."""
+    writes at `file_limit_mb` MB, killed after `timeout` seconds."""
 
     def cap():
         limit = limit_mb * 2**20
@@ -1106,7 +1151,7 @@ def run_in_address_space(argv, limit_mb, file_limit_mb=None):
     env = dict(os.environ, PYTHONPATH=str(SRC), SOURCE_DATE_EPOCH=EPOCH)
     return subprocess.run(
         [sys.executable, "-m", "monadforge.cli", *argv],
-        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=300,
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=timeout,
     )
 
 
@@ -1758,10 +1803,6 @@ def test_a_process_ends_through_run_with_the_collector_frozen(argv, code):
         assert json.loads(proc.stdout)["manifest"]["command"] == argv[0]
 
 
-SCAN_WIDE = ("report", "--n", "3", "--m", "3", "--k", "3", "--max-q", "20", "--max-psum", "6",
-             "--component-bound", "6")
-
-
 def test_a_reader_that_closes_stdout_early_ends_the_run_quietly():
     # as `monadforge report ... | head -c 100`: the 24.7 MB document meets a
     # closed pipe, and the run exits 0 with nothing on stderr
@@ -1820,6 +1861,26 @@ def test_a_closed_stdout_or_stderr_gives_no_traceback(tmp_path):
                               capture_output=True, text=True, env=env, timeout=300)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err), argv
     assert sha256(target.read_text()) == GOLDEN_SHA256[invariants][1]
+
+
+def test_an_output_that_is_stdouts_own_file_is_written_through_stdout(tmp_path):
+    # `--output /dev/stdout >> log`, or the log's own path: the file is the
+    # one the shell opened to append as stdout, so the document follows what
+    # the log holds, through fd 1, and is neither written from offset 0 nor
+    # cut to its length
+    log = tmp_path / "log.txt"
+    invariants = FROZEN_123["invariants"]
+    env = dict(os.environ, PYTHONPATH=str(SRC), SOURCE_DATE_EPOCH=EPOCH, LOG=str(log))
+    for output in ("/dev/stdout", str(log)):
+        log.write_text("first\n")
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m monadforge.cli "$@" >> "$LOG"', sys.executable, *invariants,
+             "--output", output],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", ""), output
+        head, document = log.read_text().split("\n", 1)
+        assert (head, sha256(document)) == ("first", GOLDEN_SHA256[invariants][1]), output
 
 
 def launchable(name):

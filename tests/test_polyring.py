@@ -29,10 +29,11 @@ from monadforge.polyring import (
     matrix_mul,
     rank_over_field,
 )
-from monadforge.stability import RowGrid, StabilityReport, StabilityScanConfig, enumerate_twists
+from monadforge.stability import RowGrid, StabilityReport, StabilityScanConfig
 from oracles import (
     MatrixEntries,
     difference,
+    enumerate_twists,
     form_text,
     matrix_to_json,
     monad_template,

@@ -49,7 +49,6 @@ ALLOWED: Dict[str, str] = {
     "cohomology.LineBundleSum.rank": LAYER_NEEDS,
     "stability.RowGrid.__iter__": COUNT_SCAN,
     "stability.RowGrid.__len__": COUNT_SCAN,
-    "stability.enumerate_twists": COUNT_SCAN,
     "polyring.Record.__setattr__": RECORD,
     "polyring.Record.__delattr__": RECORD,
     "polyring.Record.__repr__": RECORD,

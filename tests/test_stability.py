@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
@@ -24,13 +25,12 @@ from monadforge.stability import (
     StabilityScanConfig,
     _box,
     _box_size,
-    _runs,
-    enumerate_twists,
     run_stability_scan,
 )
 from oracles import (
     box_by_nested_loops,
     c1_of_sum,
+    enumerate_twists,
     h0_wedge_T_upper,
     negative_component_violations,
     negative_component_violations_by_exterior_power,
@@ -169,7 +169,7 @@ def test_enumerate_twists_matches_brute_force():
     cfg = StabilityScanConfig(
         SpaceParams(1, 1, 1), max_q=2, max_psum=3, component_bound=2
     )
-    got = [tw.as_tuple() for tw in enumerate_twists(cfg)]
+    got = [tw.as_tuple() for q, tw, _ in RowGrid(cfg, ()) if q == 1]
     expected = []
     rng_box = range(-2, 3)
     for p in itertools.product(rng_box, rng_box, rng_box, rng_box):
@@ -192,7 +192,7 @@ def test_box_equals_the_filtered_cube():
                     assert list(_box(cb, lo, hi, top)) == expected, (cb, lo, hi, top)
 
 
-def test_runs_flatten_to_the_nested_loop_box():
+def test_box_equals_the_nested_loop_box():
     # every bound up to cb 6 and every p-sum range in [-10, 6], empty boxes
     # and empty ranges (hi = lo - 1, as the orthant of a box with
     # min_psum >= 0) included, for the box and the orthant
@@ -200,13 +200,39 @@ def test_runs_flatten_to_the_nested_loop_box():
         for top in {0, cb}:
             for lo in range(-10, 7):
                 for hi in range(lo - 1, 7):
-                    runs = list(_runs(cb, lo, hi, top))
-                    flat = [(-p1, -p2, -p3, -p4) for p1, p2, p3, p4s in runs for p4 in p4s]
-                    assert flat == list(box_by_nested_loops(cb, lo, hi, top)), (cb, lo, hi, top)
-                    assert all(p4s for *_, p4s in runs)
+                    box = list(_box(cb, lo, hi, top))
+                    assert box == list(box_by_nested_loops(cb, lo, hi, top)), (cb, lo, hi, top)
                     if top == cb:
                         size = _box_size(SimpleNamespace(component_bound=cb, min_psum=lo, max_psum=hi))
-                        assert sum(len(p4s) for *_, p4s in runs) == size, (cb, lo, hi)
+                        assert len(box) == size, (cb, lo, hi)
+
+
+def test_box_visits_only_the_prefixes_of_its_twists():
+    # each p_i takes only the values from which the sum can still reach
+    # [lo, hi]: `span` is called once for p1, then once per (p1), (p1, p2)
+    # and (p1, p2, p3) prefix of a twist of the box, never for a prefix that
+    # yields none.  A bound pruned less (the orthant's p_i <= 0 read as
+    # p_i <= cb) yields the same box through prefixes that yield nothing
+    span = next(c for c in _box.__code__.co_consts if getattr(c, "co_name", None) == "span")
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is span:
+            calls += 1
+
+    for cb in range(4):
+        for top in {0, cb}:
+            for lo in range(-8, 5):
+                for hi in range(lo, 5):
+                    calls = 0
+                    sys.setprofile(hook)
+                    try:
+                        box = list(_box(cb, lo, hi, top))
+                    finally:
+                        sys.setprofile(None)
+                    prefixes = sum(len({tw[:j] for tw in box}) for j in (1, 2, 3))
+                    assert calls == 1 + prefixes, (cb, lo, hi, top)
 
 
 def test_box_size_counts_the_box():
